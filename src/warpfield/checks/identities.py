@@ -15,17 +15,18 @@ from ..connections import (
     divergence,
     torsion_of,
 )
-from ..curvature import frame_of_matrix, trace_nabla
+from ..curvature import trace_nabla
 from ..fields import ProductField, lift
 from ..lie_killing import (
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
     lie_matrix_direct,
-    ssm_lie_matrix,
+    max_abs,
+    nabla_quad,
 )
 from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
-from .util import embed, max_entry, rehome, second_directional, warp_jet
+from .util import embed, rehome, second_directional, warp_jet
 
 
 def _has_fibers(mf):
@@ -61,7 +62,7 @@ def _axiom_torsion(ctx: RunContext) -> Outcome:
             y = np.array(rng.vector(n))
             t = torsion_of(geom, x, y, p)
             expected = geom.pi_of(p, y) * x - geom.pi_of(p, x) * y
-            vals.append(max_entry(t - expected))
+            vals.append(max_abs(t - expected))
             count += 1
     return residual_outcome(vals, ctx.tol.alg, samples=count)
 
@@ -128,12 +129,12 @@ def _item_base_base(ctx, d: _Decomp, p, kind: str, base_geom) -> float:
         full = embed(ctx.ps, "base",
                      covariant_derivative(base_geom, rehome(d.xb), rehome(d.yb),
                                           pb, kind))
-    return max_entry(lhs - full)
+    return max_abs(lhs - full)
 
 
 def _item_mixed(ctx, d: _Decomp, p, kind: str) -> float:
     """nabla_{XB} Yi against the warp-ratio formula (plus fiber-shift term)."""
-    worst = 0.0
+    gaps = []
     xbv = ctx.geom.field_values(lift(d.xb), p)
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yi[i]), p, kind)
@@ -142,13 +143,13 @@ def _item_mixed(ctx, d: _Decomp, p, kind: str) -> float:
         rhs = (float(xbv @ wj.grad) / wj.value) * yiv
         if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
             rhs = rhs + ctx.geom.pi_of(p, yiv) * xbv
-        worst = max(worst, max_entry(lhs - rhs))
-    return worst
+        gaps.append(lhs - rhs)
+    return max_abs(gaps)
 
 
 def _item_mixed_swapped(ctx, d: _Decomp, p, kind: str) -> float:
     """nabla_{Yi} XB against the warp-ratio formula (plus base-shift term)."""
-    worst = 0.0
+    gaps = []
     xbv = ctx.geom.field_values(lift(d.xb), p)
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.yi[i]), lift(d.xb), p, kind)
@@ -157,13 +158,13 @@ def _item_mixed_swapped(ctx, d: _Decomp, p, kind: str) -> float:
         coeff = float(xbv @ wj.grad) / wj.value
         if kind == SEMI_SYMMETRIC and _torsion_base(ctx.mf):
             coeff += ctx.geom.pi_of(p, xbv)
-        worst = max(worst, max_entry(lhs - coeff * yiv))
-    return worst
+        gaps.append(lhs - coeff * yiv)
+    return max_abs(gaps)
 
 
 def _item_cross_fiber(ctx, d: _Decomp, p, kind: str) -> float:
     """nabla_{Xi} Yj for i != j: zero, or pi(Yj) Xi under a fiber shift."""
-    worst = 0.0
+    gaps = []
     for i in d.fiber_pairs():
         for j in d.fiber_pairs():
             if i == j:
@@ -174,13 +175,13 @@ def _item_cross_fiber(ctx, d: _Decomp, p, kind: str) -> float:
                 yjv = ctx.geom.field_values(lift(d.yi[j]), p)
                 xiv = ctx.geom.field_values(lift(d.xi[i]), p)
                 rhs = ctx.geom.pi_of(p, yjv) * xiv
-            worst = max(worst, max_entry(lhs - rhs))
-    return worst
+            gaps.append(lhs - rhs)
+    return max_abs(gaps)
 
 
 def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
     """nabla_{Xi} Yi: fiber connection minus the grad-warp and shift terms."""
-    worst = 0.0
+    gaps = []
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[i]), p, kind)
         wj = warp_jet(ctx.ps, i, p)
@@ -198,8 +199,8 @@ def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
             rhs = rhs - wj.value ** 2 * gixy * ctx.geom.p_vector(p)
             if _torsion_fiber(ctx.mf):
                 rhs = rhs + ctx.geom.pi_of(p, yiv) * xiv
-        worst = max(worst, max_entry(lhs - rhs))
-    return worst
+        gaps.append(lhs - rhs)
+    return max_abs(gaps)
 
 
 def _decomp_check(item_fn, kind_for, base_geom_for, label):
@@ -248,10 +249,7 @@ def _zeta_parts(ctx: RunContext, label: str):
 def _factor_lie_matrices(ctx: RunContext, parts, p, base_kind: str):
     """Base and fiber Lie-derivative matrices of the lifted parts."""
     pb = ctx.ps.block_point(p, "base")
-    if base_kind == SEMI_SYMMETRIC:
-        mb = ssm_lie_matrix(ctx.base_geom_ssm, rehome(parts[0]), pb)
-    else:
-        mb = lie_matrix(ctx.base_geom, rehome(parts[0]), pb)
+    mb = lie_matrix(ctx.block_geom("base", base_kind), rehome(parts[0]), pb, base_kind)
     mi = []
     for i in range(len(ctx.ps.fibers)):
         pi_ = ctx.ps.block_point(p, i)
@@ -332,11 +330,11 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
         geom = ctx.geom if use_shift else ctx.geom0
+        kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
         vals = []
         for p in ctx.points():
-            lhs = (ssm_lie_matrix(geom, zeta, p) if use_shift
-                   else lie_matrix(geom, zeta, p))
-            vals.append(max_entry(lhs - rhs_fn(ctx, parts, p)))
+            lhs = lie_matrix(geom, zeta, p, kind)
+            vals.append(max_abs(lhs - rhs_fn(ctx, parts, p)))
         return residual_outcome(vals, ctx.tol.two)
 
     return run
@@ -345,19 +343,12 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
 # ---- quadratic-form decompositions ----
 
 
-def _quad_lhs(ctx, geom, zeta, x, p, kind) -> float:
-    g = geom.metric(p).g
-    return float(covariant_derivative(geom, x, zeta, p, kind) @ g @ x)
-
-
 def _factor_quads(ctx, parts, x, p, base_kind):
     """g_B(nabla^B_{XB} zB, XB) and the fiber analogues, for one x."""
     pb = ctx.ps.block_point(p, "base")
     xb = x[ctx.ps.block_slice("base")]
-    bgeom = ctx.base_geom_ssm if base_kind == SEMI_SYMMETRIC else ctx.base_geom
-    gb = bgeom.metric(pb).g
-    qb = float(covariant_derivative(bgeom, xb, rehome(parts[0]), pb,
-                                    base_kind) @ gb @ xb)
+    qb = nabla_quad(ctx.block_geom("base", base_kind), rehome(parts[0]), xb, pb,
+                    base_kind)
     qi = []
     ni = []
     for i in range(len(ctx.ps.fibers)):
@@ -365,8 +356,7 @@ def _factor_quads(ctx, parts, x, p, base_kind):
         fgeom = ctx.fiber_geom(i)
         gi = fgeom.metric(pi_).g
         xi = x[ctx.ps.block_slice(i)]
-        qi.append(float(covariant_derivative(fgeom, xi, rehome(parts[i + 1]),
-                                             pi_, LEVI_CIVITA) @ gi @ xi))
+        qi.append(nabla_quad(fgeom, rehome(parts[i + 1]), xi, pi_))
         ni.append(float(xi @ gi @ xi))
     return qb, qi, ni
 
@@ -388,7 +378,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
             zbv = geom.field_values(lift(parts[0]), p)
             for _ in range(4):
                 x = np.array(rng.vector(n))
-                lhs = _quad_lhs(ctx, geom, zeta, x, p, kind)
+                lhs = nabla_quad(geom, zeta, x, p, kind)
                 qb, qi, nxi = _factor_quads(ctx, parts, x, p, base_kind)
                 rhs = qb
                 for i in range(len(ctx.ps.fibers)):
@@ -454,24 +444,13 @@ def _eq25_check(label: str):
                                 + 4.0 * wj.value * zbf * li
                                 + 2.0 * wj.value * zbzbf * gi
                                 + 2.0 * zbf ** 2 * gi)
-            vals.append(max_entry(lhs - rhs))
+            vals.append(max_abs(lhs - rhs))
         return residual_outcome(vals, ctx.tol.second_order)
 
     return run
 
 
 # ---- frame trace decomposition (Eq 27 shape) ----
-
-
-def _block_trace(geom_block, vfd, p_block) -> float:
-    g = geom_block.metric(p_block).g
-    frame, eps = frame_of_matrix(g)
-    total = 0.0
-    for a in range(frame.shape[0]):
-        w = covariant_derivative(geom_block, frame[a], rehome(vfd), p_block,
-                                 LEVI_CIVITA)
-        total += eps[a] * float(w @ g @ w)
-    return total
 
 
 def _eq27_check(label: str):
@@ -483,7 +462,7 @@ def _eq27_check(label: str):
             for p in ctx.points():
                 lhs = trace_nabla(ctx.geom0, zeta, p)
                 pb = ctx.ps.block_point(p, "base")
-                rhs = _block_trace(ctx.base_geom, parts[0], pb)
+                rhs = trace_nabla(ctx.base_geom, rehome(parts[0]), pb)
                 gb = ctx.base_geom.metric(pb).g
                 zbj = ctx.geom0.field_jet(lift(parts[0]), p)
                 for i in range(len(ctx.ps.fibers)):
@@ -497,7 +476,7 @@ def _eq27_check(label: str):
                     gradf_b = np.linalg.solve(gb, wj.grad[ctx.ps.block_slice("base")])
                     gf2 = float(gradf_b @ gb @ gradf_b)
                     ni = gi.shape[0]
-                    rhs += (_block_trace(fgeom, parts[i + 1], pi_)
+                    rhs += (trace_nabla(fgeom, rehome(parts[i + 1]), pi_)
                             + 2.0 * float(ziv @ gi @ ziv) * gf2
                             + ni / wj.value ** 2 * zbf ** 2
                             + 2.0 * zbf / wj.value
@@ -517,8 +496,8 @@ def _lie_route_check(ctx: RunContext) -> Outcome:
     combos += list(ctx.field_combos().values())
     for zeta in combos[:8]:
         for p in ctx.points():
-            vals.append(max_entry(lie_matrix(ctx.geom0, zeta, p)
-                                  - lie_matrix_direct(ctx.geom0, zeta, p)))
+            vals.append(max_abs(lie_matrix(ctx.geom0, zeta, p)
+                                - lie_matrix_direct(ctx.geom0, zeta, p)))
     return residual_outcome(vals, ctx.tol.two)
 
 
@@ -528,8 +507,8 @@ def _lie_lie_route_check(ctx: RunContext) -> Outcome:
     combos += list(ctx.field_combos().values())
     for zeta in combos[:6]:
         for p in ctx.points():
-            vals.append(max_entry(lie_lie_matrix(ctx.geom0, zeta, p)
-                                  - lie_lie_matrix_nested(ctx.geom0, zeta, p)))
+            vals.append(max_abs(lie_lie_matrix(ctx.geom0, zeta, p)
+                                - lie_lie_matrix_nested(ctx.geom0, zeta, p)))
     return residual_outcome(vals, ctx.tol.two)
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC, covariant_derivative
+from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC
 from ..fieldexpr import eval_expr, num, pretty
 from ..fields import ProductField, VectorFieldDef, lift
-from ..lie_killing import lie_matrix, ssm_lie_matrix
+from ..lie_killing import lie_matrix, max_abs, nabla_quad, ssm_lie_matrix
 from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
@@ -29,7 +29,7 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import embed, max_entry, project_out, rehome, warp_jet
+from .util import embed, project_out, sample_max, warp_jet
 
 
 def _m(mf) -> int:
@@ -51,18 +51,6 @@ def _torsion_zero(mf) -> bool:
 # ---- factor-level residual helpers ----
 
 
-def factor_killing_max(ctx: RunContext, vfd: VectorFieldDef, ssm: bool = False) -> float:
-    """Max Killing residual of a lifted field on its own block."""
-    if vfd.block == "base":
-        geom = ctx.base_geom_ssm if ssm else ctx.base_geom
-    else:
-        geom = ctx.fiber_geom(int(vfd.block))
-    field = rehome(vfd)
-    fn = ssm_lie_matrix if ssm else lie_matrix
-    return max(max_entry(fn(geom, field, ctx.ps.block_point(p, vfd.block)))
-               for p in ctx.points())
-
-
 def _warp_dir(ctx: RunContext, vfd_base: VectorFieldDef, i: int, p) -> float:
     """zeta_B(f_i) at p for a base-lifted field."""
     wj = warp_jet(ctx.ps, i, p)
@@ -74,9 +62,14 @@ def _pi_of_field(ctx: RunContext, vfd: VectorFieldDef, p) -> float:
     return ctx.geom.pi_of(p, ctx.geom.field_values(lift(vfd), p))
 
 
-def _quad(geom, zeta, x, p, kind) -> float:
-    g = geom.metric(p).g
-    return float(covariant_derivative(geom, x, zeta, p, kind) @ g @ x)
+def _warp_hyp(ctx: RunContext, vfd_base: VectorFieldDef, fibers) -> float:
+    """max over points and the given fibers of |zeta_B(f_i)|."""
+    return max_abs(_warp_dir(ctx, vfd_base, i, p) for i in fibers for p in ctx.points())
+
+
+def _pi_hyp(ctx: RunContext, vfd: VectorFieldDef) -> float:
+    """max over points of |pi(zeta)|."""
+    return max_abs(_pi_of_field(ctx, vfd, p) for p in ctx.points())
 
 
 def _fiber_orth(ctx: RunContext, p, i: int, vec_i: np.ndarray,
@@ -96,9 +89,9 @@ def _def_killing(ctx: RunContext) -> Outcome:
     for name, zeta in list(ctx.field_combos().items())[:6]:
         for p in ctx.points():
             m = lie_matrix(ctx.geom0, zeta, p)
-            vals.append(max_entry(m - m.T))
+            vals.append(max_abs(m - m.T))
             m_scaled = lie_matrix(ctx.geom0, zeta.scaled(2.5), p)
-            vals.append(max_entry(m_scaled - 2.5 * m))
+            vals.append(max_abs(m_scaled - 2.5 * m))
     return residual_outcome(vals, ctx.tol.sym * 100,
                             note="symmetry and field-linearity of the derivative")
 
@@ -117,67 +110,47 @@ def _def_ssm_lie(ctx: RunContext) -> Outcome:
             gz = g @ zv
             expected = (m + 2.0 * pizeta * g
                         - np.outer(gz, piv) - np.outer(piv, gz))
-            vals.append(max_entry(m_bar - expected))
+            vals.append(max_abs(m_bar - expected))
     return residual_outcome(vals, ctx.tol.alg)
+
+
+def _verdict_pairs(ctx: RunContext, label: str, kind: str) -> list[tuple[bool, bool]]:
+    """Per field combo, the basis-pair Killing verdict and the verdict of
+    the quadratic form over 8 random test vectors per point."""
+    rng = ctx.rng(label)
+    n = ctx.ps.total_dim
+    pairs = []
+    for zeta in ctx.field_combos().values():
+        ms = [lie_matrix(ctx.geom, zeta, p, kind) for p in ctx.points()]
+        quads = [0.5 * float(x @ m @ x) for m in ms
+                 for x in (np.array(rng.vector(n)) for _ in range(8))]
+        pairs.append((max_abs(ms) <= ctx.tol.alg, max_abs(quads) <= ctx.tol.alg))
+    return pairs
 
 
 def _def_ssm_killing(ctx: RunContext) -> Outcome:
     """Basis-pair verdict agrees with the random-vector quadratic verdict."""
-    rng = ctx.rng("def36")
-    n = ctx.ps.total_dim
-    mismatches = 0
-    examined = 0
-    for name, zeta in ctx.field_combos().items():
-        bmax = 0.0
-        qmax = 0.0
-        for p in ctx.points():
-            m = ssm_lie_matrix(ctx.geom, zeta, p)
-            bmax = max(bmax, max_entry(m))
-            for _ in range(8):
-                x = np.array(rng.vector(n))
-                qmax = max(qmax, 0.5 * abs(float(x @ m @ x)))
-        examined += 1
-        if (bmax <= ctx.tol.alg) != (qmax <= ctx.tol.alg):
-            mismatches += 1
-    if examined == 0:
+    pairs = _verdict_pairs(ctx, "def36", SEMI_SYMMETRIC)
+    if not pairs:
         return inconclusive("no fields declared")
+    mismatches = sum(bil != quad for bil, quad in pairs)
     return Outcome(PASS if mismatches == 0 else FAIL,
                    max_abs=float(mismatches), mean_abs=float(mismatches),
-                   samples=examined * len(ctx.points()) * 8, tolerance=0.0,
+                   samples=len(pairs) * len(ctx.points()) * 8, tolerance=0.0,
                    note="verdict agreement between bilinear and quadratic forms")
 
 
-def _quad_equivalence(ssm: bool):
+def _quad_equivalence(kind: str, label: str):
     def run(ctx: RunContext) -> Outcome:
-        rng = ctx.rng("lemma37" if not ssm else "lemma38")
-        n = ctx.ps.total_dim
-        mismatches = 0
-        examined = 0
-        both_pass = 0
-        both_fail = 0
-        for name, zeta in ctx.field_combos().items():
-            bmax = 0.0
-            qmax = 0.0
-            for p in ctx.points():
-                m = (ssm_lie_matrix if ssm else lie_matrix)(ctx.geom, zeta, p)
-                bmax = max(bmax, max_entry(m))
-                for _ in range(8):
-                    x = np.array(rng.vector(n))
-                    qmax = max(qmax, 0.5 * abs(float(x @ m @ x)))
-            examined += 1
-            bil = bmax <= ctx.tol.alg
-            quad = qmax <= ctx.tol.alg
-            if bil != quad:
-                mismatches += 1
-            elif bil:
-                both_pass += 1
-            else:
-                both_fail += 1
+        pairs = _verdict_pairs(ctx, label, kind)
+        mismatches = sum(bil != quad for bil, quad in pairs)
+        both_pass = sum(bil and quad for bil, quad in pairs)
+        both_fail = len(pairs) - mismatches - both_pass
         if both_pass == 0 or both_fail == 0:
             return inconclusive("need fields on both sides of the verdict")
         return Outcome(PASS if mismatches == 0 else FAIL,
                        max_abs=float(mismatches), mean_abs=0.0,
-                       samples=examined * len(ctx.points()) * 8, tolerance=0.0,
+                       samples=len(pairs) * len(ctx.points()) * 8, tolerance=0.0,
                        note=f"{both_pass} vanish, {both_fail} do not; verdicts agree")
 
     return run
@@ -195,8 +168,8 @@ def _remark_expansion(ctx: RunContext) -> Outcome:
             piv = ctx.geom.pi_covector(p)
             for _ in range(4):
                 x = np.array(rng.vector(n))
-                lhs = _quad(ctx.geom, zeta, x, p, SEMI_SYMMETRIC)
-                rhs = (_quad(ctx.geom, zeta, x, p, LEVI_CIVITA)
+                lhs = nabla_quad(ctx.geom, zeta, x, p, SEMI_SYMMETRIC)
+                rhs = (nabla_quad(ctx.geom, zeta, x, p, LEVI_CIVITA)
                        + float(zv @ piv) * float(x @ g @ x)
                        - float(x @ piv) * float(x @ g @ zv))
                 vals.append(abs(lhs - rhs))
@@ -212,25 +185,20 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
     agree_pass = 0
     agree_fail = 0
     for name, zeta in ctx.field_combos().items():
-        premise = 0.0
-        bmax = 0.0
-        smax = 0.0
+        gaps = []
         for p in ctx.points():
             g = ctx.geom.metric(p).g
             piv = ctx.geom.pi_covector(p)
             zv = ctx.geom.field_values(zeta, p)
             for _ in range(8):
                 x = np.array(rng.vector(n))
-                premise = max(premise, abs(
-                    float(zv @ piv) * float(x @ g @ x)
-                    - float(x @ piv) * float(x @ g @ zv)))
-            bmax = max(bmax, max_entry(lie_matrix(ctx.geom, zeta, p)))
-            smax = max(smax, max_entry(ssm_lie_matrix(ctx.geom, zeta, p)))
-        if premise > ctx.tol.hyp:
+                gaps.append(float(zv @ piv) * float(x @ g @ x)
+                            - float(x @ piv) * float(x @ g @ zv))
+        if not max_abs(gaps) <= ctx.tol.hyp:
             continue
         admitted += 1
-        k = bmax <= ctx.tol.alg
-        s = smax <= ctx.tol.alg
+        k = sample_max(ctx, lie_matrix, zeta, ctx.geom) <= ctx.tol.alg
+        s = sample_max(ctx, ssm_lie_matrix, zeta, ctx.geom) <= ctx.tol.alg
         if k != s:
             mismatches += 1
         elif k:
@@ -252,25 +220,24 @@ def _remark_zero_shift(ctx: RunContext) -> Outcome:
     vals = []
     for name, zeta in list(ctx.field_combos().items())[:6]:
         for p in ctx.points():
-            vals.append(max_entry(ssm_lie_matrix(ctx.geom, zeta, p)
-                                  - lie_matrix(ctx.geom, zeta, p)))
+            vals.append(max_abs(ssm_lie_matrix(ctx.geom, zeta, p)
+                                - lie_matrix(ctx.geom, zeta, p)))
     return residual_outcome(vals, 1e-15, note="exact coincidence at zero shift")
 
 
 def _example_interval(ctx: RunContext) -> Outcome:
     """Constant-coefficient fields are the interval's Killing fields."""
-    pts = ctx.points()
     good = ctx.named_field("zeta_a")
     bad = ctx.named_field("zeta_lin")
-    good_k = max(max_entry(lie_matrix(ctx.geom, good, p)) for p in pts)
-    good_s = max(max_entry(ssm_lie_matrix(ctx.geom, good, p)) for p in pts)
-    bad_k = max(max_entry(lie_matrix(ctx.geom, bad, p)) for p in pts)
-    bad_s = max(max_entry(ssm_lie_matrix(ctx.geom, bad, p)) for p in pts)
+    good_k = sample_max(ctx, lie_matrix, good, ctx.geom)
+    good_s = sample_max(ctx, ssm_lie_matrix, good, ctx.geom)
+    bad_k = sample_max(ctx, lie_matrix, bad, ctx.geom)
+    bad_s = sample_max(ctx, ssm_lie_matrix, bad, ctx.geom)
     ok = (good_k <= ctx.tol.alg and good_s <= ctx.tol.alg
           and abs(bad_k - 2.0) <= ctx.tol.alg and abs(bad_s - 2.0) <= ctx.tol.alg)
     return Outcome(PASS if ok else FAIL,
-                   max_abs=max(good_k, good_s), mean_abs=0.5 * (good_k + good_s),
-                   samples=len(pts), tolerance=ctx.tol.alg,
+                   max_abs=max_abs([good_k, good_s]), mean_abs=0.5 * (good_k + good_s),
+                   samples=len(ctx.points()), tolerance=ctx.tol.alg,
                    note=f"linear field residual {bad_k:.3g} (expected 2)")
 
 
@@ -296,23 +263,20 @@ def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, geom, kind,
     vals = []
     for p in ctx.points():
         if inst.cone is None and inst.restrict_blocks is None:
-            m = (ssm_lie_matrix if kind == SEMI_SYMMETRIC else lie_matrix)(
-                geom, inst.zeta, p)
-            vals.append(max_entry(m))
+            vals.append(max_abs(lie_matrix(geom, inst.zeta, p, kind)))
             continue
         if inst.restrict_blocks is not None:
-            m = (ssm_lie_matrix if kind == SEMI_SYMMETRIC else lie_matrix)(
-                geom, inst.zeta, p)
+            m = lie_matrix(geom, inst.zeta, p, kind)
             idx = np.concatenate([np.arange(ctx.ps.block_slice(b).start,
                                             ctx.ps.block_slice(b).stop)
                                   for b in inst.restrict_blocks])
-            vals.append(max_entry(m[np.ix_(idx, idx)]))
+            vals.append(max_abs(m[np.ix_(idx, idx)]))
             continue
         for _ in range(draws):
             x = inst.cone(p, rng)
             if x is None:
                 continue
-            vals.append(abs(_quad(geom, inst.zeta, x, p, kind)))
+            vals.append(abs(nabla_quad(geom, inst.zeta, x, p, kind)))
     return vals
 
 
@@ -336,20 +300,12 @@ def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
                             note=note + f"; {len(admitted)} instance(s)")
 
 
-def _base_killing_fields(ctx: RunContext, ssm: bool) -> list[tuple[str, VectorFieldDef]]:
-    out = []
-    for name, vfd in sorted(ctx.fields_on("base").items()):
-        if factor_killing_max(ctx, vfd, ssm=ssm) <= ctx.tol.alg:
-            out.append((name, vfd))
-    return out
-
-
-def _fiber_killing_fields(ctx: RunContext, i: int) -> list[tuple[str, VectorFieldDef]]:
-    out = []
-    for name, vfd in sorted(ctx.fields_on(i).items()):
-        if factor_killing_max(ctx, vfd) <= ctx.tol.alg:
-            out.append((name, vfd))
-    return out
+def _killing_fields(ctx: RunContext, block,
+                    kind: str = LEVI_CIVITA) -> list[tuple[str, VectorFieldDef]]:
+    """Declared fields of a block that are Killing on the block itself."""
+    geom = ctx.block_geom(block, kind)
+    return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
+            if sample_max(ctx, lie_matrix, vfd, geom, block, kind=kind) <= ctx.tol.alg]
 
 
 def _orth_cone(ctx: RunContext, against: dict[int, VectorFieldDef],
@@ -395,25 +351,28 @@ def _pure_cone(ctx: RunContext, condition=None):
 
 def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> float:
     """max over points of |f_i zeta_B(f_i) + f_i^2 pi(zeta_B)|."""
-    worst = 0.0
+    gaps = []
     for p in ctx.points():
         wj = warp_jet(ctx.ps, i, p)
         zbf = _warp_dir(ctx, zeta_b, i, p)
         pizb = _pi_of_field(ctx, zeta_b, p)
-        worst = max(worst, abs(wj.value * zbf + wj.value ** 2 * pizb))
-    return worst
+        gaps.append(wj.value * zbf + wj.value ** 2 * pizb)
+    return max_abs(gaps)
 
 
 def _suff_base_shift(part: int):
     def run(ctx: RunContext) -> Outcome:
         m = _m(ctx.mf)
         instances: list[SuffInstance] = []
-        base_ssm = _base_killing_fields(ctx, ssm=True)
-        per_fiber = {i: _fiber_killing_fields(ctx, i) for i in range(m)}
+        base_ssm = _killing_fields(ctx, "base", SEMI_SYMMETRIC)
+        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
+
+        def shift_hyp(zb):
+            return max_abs(_base_shift_coefficient(ctx, zb, i) for i in range(m))
+
         if part == 1:
             for name, zb in base_ssm:
-                hyp = max((_base_shift_coefficient(ctx, zb, i) for i in range(m)),
-                          default=0.0)
+                hyp = shift_hyp(zb)
                 instances.append(SuffInstance(name, lift(zb), hyp))
         elif part == 2:
             for i in range(m):
@@ -443,9 +402,7 @@ def _suff_base_shift(part: int):
             for name, zb in base_ssm:
                 if not combo:
                     continue
-                hyp = max(_base_shift_coefficient(ctx, zb, i) for i, _ in combo)
-                hyp = max(hyp, max((_base_shift_coefficient(ctx, zb, i)
-                                    for i in range(m)), default=0.0))
+                hyp = shift_hyp(zb)
                 zeta = ProductField((zb,) + tuple(z for _, (_, z) in combo))
                 against = {i: z for i, (_, z) in combo}
                 instances.append(SuffInstance(
@@ -465,12 +422,8 @@ def _suff_fiber_shift(part: str):
         m = _m(ctx.mf)
         r = ctx.mf.torsion.location
         instances: list[SuffInstance] = []
-        base_k = _base_killing_fields(ctx, ssm=False)
-        per_fiber = {i: _fiber_killing_fields(ctx, i) for i in range(m)}
-
-        def warp_hyp(zb, fibers):
-            return max((abs(_warp_dir(ctx, zb, i, p))
-                        for i in fibers for p in ctx.points()), default=0.0)
+        base_k = _killing_fields(ctx, "base")
+        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
 
         def cond_r(zeta_r):
             def condition(p, block, x):
@@ -489,7 +442,7 @@ def _suff_fiber_shift(part: str):
 
         if part == "1":
             for name, zb in base_k:
-                hyp = warp_hyp(zb, range(m))
+                hyp = _warp_hyp(ctx, zb, range(m))
                 instances.append(SuffInstance(name, lift(zb), hyp,
                                               cone=_pure_cone(ctx)))
         elif part == "2a":
@@ -501,9 +454,8 @@ def _suff_fiber_shift(part: str):
                                                   cone=_pure_cone(ctx)))
         elif part == "2b":
             for name, zr in per_fiber.get(r, []):
-                pihyp = max(abs(_pi_of_field(ctx, zr, p)) for p in ctx.points())
                 instances.append(SuffInstance(
-                    name, lift(zr), pihyp,
+                    name, lift(zr), _pi_hyp(ctx, zr),
                     cone=_pure_cone(ctx, condition=cond_r(zr))))
         elif part == "3a":
             for name, zb in base_k:
@@ -511,16 +463,14 @@ def _suff_fiber_shift(part: str):
                     if i == r:
                         continue
                     for fname, zi in per_fiber[i]:
-                        hyp = warp_hyp(zb, [i])
+                        hyp = _warp_hyp(ctx, zb, [i])
                         instances.append(SuffInstance(
                             f"{name}+{fname}", ProductField((zb, zi)), hyp,
                             cone=_pure_cone(ctx)))
         elif part == "3b":
             for name, zb in base_k:
                 for fname, zr in per_fiber.get(r, []):
-                    hyp = max(warp_hyp(zb, [r]),
-                              max(abs(_pi_of_field(ctx, zr, p))
-                                  for p in ctx.points()))
+                    hyp = max_abs([_warp_hyp(ctx, zb, [r]), _pi_hyp(ctx, zr)])
                     instances.append(SuffInstance(
                         f"{name}+{fname}", ProductField((zb, zr)), hyp,
                         cone=_pure_cone(ctx, condition=cond_r(zr))))
@@ -529,8 +479,7 @@ def _suff_fiber_shift(part: str):
             if len(combo) >= 2:
                 zeta = ProductField(tuple(z for _, (_, z) in combo))
                 zr = {i: z for i, (_, z) in combo}.get(r)
-                hyp = max(abs(_pi_of_field(ctx, zr, p))
-                          for p in ctx.points()) if zr is not None else 0.0
+                hyp = _pi_hyp(ctx, zr) if zr is not None else 0.0
                 cone = _pure_cone(ctx, condition=cond_r(zr) if zr is not None
                                   else None)
                 instances.append(SuffInstance(
@@ -541,10 +490,9 @@ def _suff_fiber_shift(part: str):
                 if not combo:
                     continue
                 zr = {i: z for i, (_, z) in combo}.get(r)
-                hyp = warp_hyp(zb, [i for i, _ in combo])
+                hyp = _warp_hyp(ctx, zb, [i for i, _ in combo])
                 if zr is not None:
-                    hyp = max(hyp, max(abs(_pi_of_field(ctx, zr, p))
-                                       for p in ctx.points()))
+                    hyp = max_abs([hyp, _pi_hyp(ctx, zr)])
                 zeta = ProductField((zb,) + tuple(z for _, (_, z) in combo))
                 cone = _pure_cone(ctx, condition=cond_r(zr) if zr is not None
                                   else None)
@@ -564,17 +512,13 @@ def _suff_no_shift(part: int):
     def run(ctx: RunContext) -> Outcome:
         m = _m(ctx.mf)
         instances: list[SuffInstance] = []
-        base_k = _base_killing_fields(ctx, ssm=False)
-        per_fiber = {i: _fiber_killing_fields(ctx, i) for i in range(m)}
-
-        def warp_hyp(zb, fibers):
-            return max((abs(_warp_dir(ctx, zb, i, p))
-                        for i in fibers for p in ctx.points()), default=0.0)
+        base_k = _killing_fields(ctx, "base")
+        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
 
         if part == 1:
             for name, zb in base_k:
                 instances.append(SuffInstance(name, lift(zb),
-                                              warp_hyp(zb, range(m))))
+                                              _warp_hyp(ctx, zb, range(m))))
         elif part == 2:
             for i in range(m):
                 for name, zi in per_fiber[i]:
@@ -583,8 +527,8 @@ def _suff_no_shift(part: int):
             for name, zb in base_k:
                 for i in range(m):
                     for fname, zi in per_fiber[i]:
-                        hyp_i = warp_hyp(zb, [i])
-                        hyp_all = warp_hyp(zb, range(m))
+                        hyp_i = _warp_hyp(ctx, zb, [i])
+                        hyp_all = _warp_hyp(ctx, zb, range(m))
                         if hyp_all <= ctx.tol.hyp:
                             instances.append(SuffInstance(
                                 f"{name}+{fname}", ProductField((zb, zi)), hyp_all))
@@ -605,7 +549,7 @@ def _suff_no_shift(part: int):
                     continue
                 zeta = ProductField((zb,) + tuple(z for _, (_, z) in combo))
                 instances.append(SuffInstance(name + "+fibers", zeta,
-                                              warp_hyp(zb, range(m))))
+                                              _warp_hyp(ctx, zb, range(m))))
         return _sufficiency_outcome(
             ctx, instances, ctx.geom0, LEVI_CIVITA, ctx.tol.alg,
             note="no connection shift")
@@ -621,15 +565,15 @@ def _block_pure_gate(ctx: RunContext, geom, kind, zeta: ProductField,
     """Max quadratic residual of the product check over pure vectors of
     the given blocks (the directions the factor conclusions read off)."""
     rng = ctx.rng("necgate")
-    worst = 0.0
+    quads = []
     for p in ctx.points():
         for block in blocks:
             sl = ctx.ps.block_slice(block)
             for _ in range(draws):
                 x = np.zeros(ctx.ps.total_dim)
                 x[sl] = np.array(rng.vector(sl.stop - sl.start))
-                worst = max(worst, abs(_quad(geom, zeta, x, p, kind)))
-    return worst
+                quads.append(nabla_quad(geom, zeta, x, p, kind))
+    return max_abs(quads)
 
 
 def _necessity(shift: str, part: int):
@@ -640,6 +584,7 @@ def _necessity(shift: str, part: int):
         m = _m(ctx.mf)
         geom = ctx.geom0 if shift == "none" else ctx.geom
         kind = LEVI_CIVITA if shift == "none" else SEMI_SYMMETRIC
+        base_kind = SEMI_SYMMETRIC if shift == "base" else LEVI_CIVITA
         r = ctx.mf.torsion.location if shift == "fiber" else None
         base_fields = sorted(ctx.fields_on("base").items())
         fiber_opts = [(i, fname, zi) for i in range(m)
@@ -654,25 +599,24 @@ def _necessity(shift: str, part: int):
                     continue
                 zeta = ProductField(parts)
                 if shift == "fiber" and zi is not None:
-                    pis = max(abs(_pi_of_field(ctx, zi, p))
-                              for p in ctx.points())
-                    if pis > ctx.tol.hyp:
+                    if not _pi_hyp(ctx, zi) <= ctx.tol.hyp:
                         continue
                 if part == 1:
                     if zb is None:
                         continue
                     # the base conclusion reads off base-pure directions
-                    if _block_pure_gate(ctx, geom, kind, zeta,
-                                        ["base"]) > ctx.tol.alg:
+                    if not _block_pure_gate(ctx, geom, kind, zeta,
+                                            ["base"]) <= ctx.tol.alg:
                         continue
                     admitted += 1
-                    vals.append(factor_killing_max(
-                        ctx, zb, ssm=(shift == "base")))
+                    vals.append(sample_max(ctx, lie_matrix, zb,
+                                           ctx.block_geom("base", base_kind),
+                                           "base", kind=base_kind))
                 elif part == 2:
                     if zi is None or (shift == "fiber" and i == r):
                         continue
-                    if _block_pure_gate(ctx, geom, kind, zeta,
-                                        [i]) > ctx.tol.alg:
+                    if not _block_pure_gate(ctx, geom, kind, zeta,
+                                            [i]) <= ctx.tol.alg:
                         continue
                     coeff_ok = True
                     if zb is not None:
@@ -680,13 +624,11 @@ def _necessity(shift: str, part: int):
                             coeff_ok = (_base_shift_coefficient(ctx, zb, i)
                                         <= ctx.tol.hyp)
                         else:
-                            coeff_ok = max(
-                                abs(_warp_dir(ctx, zb, i, p))
-                                for p in ctx.points()) <= ctx.tol.hyp
+                            coeff_ok = _warp_hyp(ctx, zb, [i]) <= ctx.tol.hyp
                     if not coeff_ok:
                         continue
                     admitted += 1
-                    vals.append(factor_killing_max(ctx, zi))
+                    vals.append(sample_max(ctx, lie_matrix, zi, block=i))
         if admitted == 0 or not vals:
             return inconclusive("no product-level field passes the gate")
         return residual_outcome(vals, ctx.tol.alg,
@@ -734,13 +676,13 @@ def _builder_grw(ctx: RunContext) -> Outcome:
     for p in ctx.points():
         a = ps.metric_at(p).g
         b = rebuilt.metric_at(p).g
-        vals.append(max_entry(a - b))
+        vals.append(max_abs(a - b))
         vals.append(abs(a[0, 0] + 1.0))
         wj = warp_jet(ps, 0, p)
         sl = ps.block_slice(0)
         env = {c: v for c, v in zip(ps.coord_names, p.coords)}
         fiber_m = ps.fibers[0].matrix(env).astype(float)
-        vals.append(max_entry(a[sl, sl] - wj.value ** 2 * fiber_m))
+        vals.append(max_abs(a[sl, sl] - wj.value ** 2 * fiber_m))
     return residual_outcome(vals, 1e-10,
                             note="programmatic rebuild matches the manifest")
 
@@ -758,7 +700,7 @@ def _builder_static(ctx: RunContext) -> Outcome:
     for p in ctx.points():
         a = ps.metric_at(p).g
         b = rebuilt.metric_at(p).g
-        vals.append(max_entry(a - b))
+        vals.append(max_abs(a - b))
         wj = warp_jet(ps, 0, p)
         sl = ps.block_slice(0)
         vals.append(abs(a[sl, sl][0, 0] + wj.value ** 2))
@@ -772,12 +714,9 @@ def _witness_grw(ctx: RunContext) -> Outcome:
     ps = ctx.ps
     rng = ctx.rng("prop320")
     base_unit = VectorFieldDef("base", (num(1.0),))
-    fiber_killing = [(n, f) for (n, f) in sorted(ctx.fields_on(0).items())
-                     if factor_killing_max(ctx, f) <= ctx.tol.alg]
-    hyp = 0.0
-    for p in ctx.points():
-        wj = warp_jet(ps, 0, p)
-        hyp = max(hyp, abs(float(wj.grad[0]) - wj.value))
+    fiber_killing = _killing_fields(ctx, 0)
+    jets = [warp_jet(ps, 0, p) for p in ctx.points()]
+    hyp = max_abs(float(wj.grad[0]) - wj.value for wj in jets)
     vals = []
     for a in (1.0, -1.0, 2.0, -2.0):
         for zname, z2 in [(None, None)] + fiber_killing:
@@ -794,7 +733,7 @@ def _witness_grw(ctx: RunContext) -> Outcome:
                             continue
                         x2 = proj
                     x = embed(ps, "base", np.array([u])) + embed(ps, 0, x2)
-                    vals.append(abs(_quad(ctx.geom, zeta, x, p, SEMI_SYMMETRIC)))
+                    vals.append(abs(nabla_quad(ctx.geom, zeta, x, p, SEMI_SYMMETRIC)))
     note = f"warp-compensation gap {hyp:.3g}"
     return residual_outcome(vals, ctx.tol.alg, note=note)
 
@@ -805,8 +744,7 @@ def _witness_static(ctx: RunContext) -> Outcome:
     ps = ctx.ps
     rng = ctx.rng("prop324")
     s_unit = VectorFieldDef(0, (num(1.0),))
-    base_killing = [(n, f) for (n, f) in sorted(ctx.fields_on("base").items())
-                    if factor_killing_max(ctx, f) <= ctx.tol.alg]
+    base_killing = _killing_fields(ctx, "base")
     if not base_killing:
         return inconclusive("no base isometry declared")
     vals = []
@@ -838,7 +776,7 @@ def _witness_static(ctx: RunContext) -> Outcome:
                         if not 0.05 <= abs(u) <= 50.0:
                             continue
                         x = embed(ps, "base", x1) + embed(ps, 0, np.array([u]))
-                        vals.append(abs(_quad(ctx.geom, zeta, x, p,
+                        vals.append(abs(nabla_quad(ctx.geom, zeta, x, p,
                                               SEMI_SYMMETRIC)))
                         admitted += 1
     if not vals:
@@ -872,10 +810,10 @@ def build() -> list[CheckSpec]:
                   any_mf, _def_ssm_killing),
         CheckSpec("Lemma3.7", "Lemma3.7", "3", "equivalence",
                   "bilinear and quadratic Killing verdicts agree",
-                  any_mf, _quad_equivalence(ssm=False)),
+                  any_mf, _quad_equivalence(LEVI_CIVITA, "lemma37")),
         CheckSpec("Lemma3.8", "Lemma3.8", "3", "equivalence",
                   "bilinear and quadratic shifted-Killing verdicts agree",
-                  any_mf, _quad_equivalence(ssm=True)),
+                  any_mf, _quad_equivalence(SEMI_SYMMETRIC, "lemma38")),
         CheckSpec("Remark3.9", "Remark3.9", "3", "identity",
                   "quadratic form of the shifted derivative expands",
                   shifted, _remark_expansion),

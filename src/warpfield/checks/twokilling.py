@@ -15,9 +15,11 @@ import math
 
 import numpy as np
 
+from ..connections import nabla_grid
 from ..curvature import (
     DegeneratePlane,
     parallel_residual_at,
+    ricci_quadratic,
     riemann,
     riemann_quad,
     sectional,
@@ -31,6 +33,7 @@ from ..lie_killing import (
     homothety_check,
     lie_lie_matrix,
     lie_matrix,
+    max_abs,
 )
 from ..spacetimes import KASNER, SpacetimeSpec, build_spacetime
 from ..suite import (
@@ -42,7 +45,7 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import max_entry, rehome, warp_jet
+from .util import over_samples, rehome, sample_max, warp_jet
 
 
 def _m(mf) -> int:
@@ -52,39 +55,19 @@ def _m(mf) -> int:
 # ---- residual helpers ----
 
 
-def killing_max(ctx: RunContext, zeta: ProductField) -> float:
-    return max(max_entry(lie_matrix(ctx.geom0, zeta, p)) for p in ctx.points())
-
-
-def two_killing_max(ctx: RunContext, zeta: ProductField) -> float:
-    return max(max_entry(lie_lie_matrix(ctx.geom0, zeta, p)) for p in ctx.points())
-
-
-def factor_two_killing_max(ctx: RunContext, vfd: VectorFieldDef) -> float:
-    geom = ctx.base_geom if vfd.block == "base" else ctx.fiber_geom(int(vfd.block))
-    field = rehome(vfd)
-    return max(max_entry(lie_lie_matrix(geom, field, ctx.ps.block_point(p, vfd.block)))
-               for p in ctx.points())
-
-
-def factor_killing_lc_max(ctx: RunContext, vfd: VectorFieldDef) -> float:
-    geom = ctx.base_geom if vfd.block == "base" else ctx.fiber_geom(int(vfd.block))
-    field = rehome(vfd)
-    return max(max_entry(lie_matrix(geom, field, ctx.ps.block_point(p, vfd.block)))
-               for p in ctx.points())
+def _two_killing_fields(ctx: RunContext, block) -> list[tuple[str, VectorFieldDef]]:
+    """Declared fields of a block that are 2-Killing on the block itself."""
+    return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
+            if sample_max(ctx, lie_lie_matrix, vfd, block=block) <= ctx.tol.two]
 
 
 def _warp_dir_max(ctx: RunContext, zb: VectorFieldDef, i: int) -> float:
-    worst = 0.0
-    for p in ctx.points():
-        wj = warp_jet(ctx.ps, i, p)
-        zv = ctx.geom0.field_values(lift(zb), p)
-        worst = max(worst, abs(float(zv @ wj.grad)))
-    return worst
+    return max_abs(ctx.geom0.field_values(lift(zb), p) @ warp_jet(ctx.ps, i, p).grad
+                   for p in ctx.points())
 
 
 def _warp_constant(ctx: RunContext, i: int) -> bool:
-    return all(float(np.max(np.abs(warp_jet(ctx.ps, i, p).grad))) <= 1e-12
+    return all(max_abs(warp_jet(ctx.ps, i, p).grad) <= 1e-12
                for p in ctx.points()[:4])
 
 
@@ -94,17 +77,11 @@ def _fiber_homothety(ctx: RunContext, vfd: VectorFieldDef):
     return homothety_check(geom, rehome(vfd), pts, tol=ctx.tol.alg)
 
 
-def _factor_ricci_max(ctx: RunContext, vfd: VectorFieldDef) -> float:
-    """max Ric(zeta, zeta) over samples on the field's own block."""
-    geom = ctx.base_geom if vfd.block == "base" else ctx.fiber_geom(int(vfd.block))
-    field = rehome(vfd)
-    worst = -math.inf
-    for p in ctx.points():
-        pb = ctx.ps.block_point(p, vfd.block)
-        curv = riemann(geom, pb)
-        zv = geom.field_values(field, pb)
-        worst = max(worst, float(zv @ curv.ricci @ zv))
-    return worst
+def _ricci_max(ctx: RunContext, zeta, block=None) -> float:
+    """Signed max of Ric(zeta, zeta) over the samples; NaN propagates.
+    With ``block``, a lifted field on its own block."""
+    return float(np.max(over_samples(
+        ctx, lambda geom, z, p: ricci_quadratic(geom, p, z), zeta, block=block)))
 
 
 # ---- compact model predicate ----
@@ -154,10 +131,10 @@ def _def_two_killing(ctx: RunContext) -> Outcome:
     vals = []
     admitted = 0
     for name, zeta in ctx.field_combos().items():
-        if killing_max(ctx, zeta) > ctx.tol.alg:
+        if not sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg:
             continue
         admitted += 1
-        vals.append(two_killing_max(ctx, zeta))
+        vals.append(sample_max(ctx, lie_lie_matrix, zeta))
     if admitted == 0:
         return inconclusive("no first-order isometry declared")
     return residual_outcome(vals, ctx.tol.two,
@@ -171,7 +148,7 @@ def _eq22_check(ctx: RunContext) -> Outcome:
     vals = []
     admitted = 0
     for name, zeta in ctx.field_combos().items():
-        if two_killing_max(ctx, zeta) > ctx.tol.two:
+        if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
             continue
         admitted += 1
         for p in ctx.points():
@@ -191,9 +168,9 @@ def _eq22_check(ctx: RunContext) -> Outcome:
 def _const_length_killing(ctx: RunContext):
     out = []
     for name, zeta in ctx.field_combos().items():
-        if killing_max(ctx, zeta) > ctx.tol.alg:
+        if not sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg:
             continue
-        if constant_length_stddev(ctx.geom0, zeta, ctx.points()) > 1e-8:
+        if not constant_length_stddev(ctx.geom0, zeta, ctx.points()) <= 1e-8:
             continue
         out.append((name, zeta))
     return out
@@ -207,7 +184,7 @@ def _lemma_const_length(ctx: RunContext) -> Outcome:
     for name, zeta in fields:
         for p in ctx.points():
             w, _ = nabla_zeta_zeta(ctx.geom0, zeta, p)
-            vals.append(float(np.max(np.abs(w))))
+            vals.append(max_abs(w))
     if not fields:
         return inconclusive("no constant-length isometry declared")
     return residual_outcome(vals, ctx.tol.two,
@@ -220,38 +197,29 @@ def _eq23_check(ctx: RunContext) -> Outcome:
     vals = []
     signs = []
     fields = [(name, z) for name, z in _const_length_killing(ctx)
-              if two_killing_max(ctx, z) <= ctx.tol.two]
+              if sample_max(ctx, lie_lie_matrix, z) <= ctx.tol.two]
     for name, zeta in fields:
         for p in ctx.points():
             curv = riemann(ctx.geom0, p)
             g = ctx.geom0.metric(p).g
-            zv = ctx.geom0.field_values(zeta, p)
-            gamma = ctx.geom0.christoffel(p)
             zj = ctx.geom0.field_jet(zeta, p)
+            grid = nabla_grid(ctx.geom0.christoffel(p), zj.val, zj.d)
             for _ in range(6):
                 x = np.array(rng.vector(n))
-                lhs = riemann_quad(curv, zv, x)
-                nxz = x @ zj.d + np.einsum("kij,i,j->k", gamma, x, zj.val)
+                lhs = riemann_quad(curv, zj.val, x)
+                nxz = x @ grid
                 vals.append(abs(lhs - float(nxz @ g @ nxz)))
                 signs.append(lhs)
     if not fields:
         return inconclusive("no constant-length second-order isometry")
+    least = float(np.min(signs))
     out = residual_outcome(vals, ctx.tol.two,
-                           note=f"min quadratic value {min(signs):.3g}")
-    if out.verdict == PASS and min(signs) < -ctx.tol.two:
-        return Outcome(FAIL, max_abs=-min(signs), mean_abs=out.mean_abs,
+                           note=f"min quadratic value {least:.3g}")
+    if out.verdict == PASS and not least >= -ctx.tol.two:
+        return Outcome(FAIL, max_abs=-least, mean_abs=out.mean_abs,
                        samples=out.samples, tolerance=ctx.tol.two,
                        note="negative curvature pairing for a constant-length isometry")
     return out
-
-
-def _product_ricci_max(ctx: RunContext, zeta: ProductField) -> float:
-    worst = -math.inf
-    for p in ctx.points():
-        curv = riemann(ctx.geom0, p)
-        zv = ctx.geom0.field_values(zeta, p)
-        worst = max(worst, float(zv @ curv.ricci @ zv))
-    return worst
 
 
 def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
@@ -259,9 +227,9 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
     admitted = 0
     for name, vfd in sorted(_periodic_fields(ctx).items()):
         zeta = lift(vfd)
-        if two_killing_max(ctx, zeta) > ctx.tol.two:
+        if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
             continue
-        if _product_ricci_max(ctx, zeta) > ctx.tol.hyp:
+        if not _ricci_max(ctx, zeta) <= ctx.tol.hyp:
             continue
         admitted += 1
         for p in ctx.points():
@@ -290,15 +258,15 @@ def _cor_product_necessity(part: int):
                 if not parts:
                     continue
                 zeta = ProductField(parts)
-                if two_killing_max(ctx, zeta) > ctx.tol.two:
+                if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
                 admitted += 1
                 if part == 1 and zb is not None:
-                    vals.append(factor_two_killing_max(ctx, zb))
+                    vals.append(sample_max(ctx, lie_lie_matrix, zb, block="base"))
                 elif part == 2 and zi is not None:
                     ok = zb is None or _warp_dir_max(ctx, zb, i) <= ctx.tol.hyp
                     if ok:
-                        vals.append(factor_two_killing_max(ctx, zi))
+                        vals.append(sample_max(ctx, lie_lie_matrix, zi, block=i))
         if admitted == 0 or not vals:
             return inconclusive("no second-order product field available")
         return residual_outcome(vals, ctx.tol.two,
@@ -308,37 +276,21 @@ def _cor_product_necessity(part: int):
     return run
 
 
-def _fiber_2k_fields(ctx: RunContext, i: int):
-    out = []
-    for name, vfd in sorted(ctx.fields_on(i).items()):
-        if factor_two_killing_max(ctx, vfd) <= ctx.tol.two:
-            out.append((name, vfd))
-    return out
-
-
-def _base_2k_fields(ctx: RunContext):
-    out = []
-    for name, vfd in sorted(ctx.fields_on("base").items()):
-        if factor_two_killing_max(ctx, vfd) <= ctx.tol.two:
-            out.append((name, vfd))
-    return out
-
-
 def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
     """Factor second-order fields with warp-annihilating base part."""
     m = _m(ctx.mf)
     vals = []
     admitted = 0
-    per_fiber = {i: _fiber_2k_fields(ctx, i) for i in range(m)}
-    for bname, zb in _base_2k_fields(ctx):
-        if max((_warp_dir_max(ctx, zb, i) for i in range(m)), default=1.0) > ctx.tol.hyp:
+    per_fiber = {i: _two_killing_fields(ctx, i) for i in range(m)}
+    for bname, zb in _two_killing_fields(ctx, "base"):
+        if not max_abs(_warp_dir_max(ctx, zb, i) for i in range(m)) <= ctx.tol.hyp:
             continue
         combo = [per_fiber[i][0][1] for i in range(m) if per_fiber[i]]
         for parts in ([zb], [zb] + combo if combo else None):
             if parts is None:
                 continue
             admitted += 1
-            vals.append(two_killing_max(ctx, ProductField(tuple(parts))))
+            vals.append(sample_max(ctx, lie_lie_matrix, ProductField(tuple(parts))))
     if admitted == 0:
         return inconclusive("no warp-annihilating base field")
     return residual_outcome(vals, ctx.tol.two,
@@ -347,16 +299,15 @@ def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
 
 
 def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) -> float:
-    worst = 0.0
+    gaps = []
     for p in ctx.points():
         wj = warp_jet(ctx.ps, i, p)
         zj = ctx.geom0.field_jet(lift(zb), p)
         zbf = float(zj.val @ wj.grad)
         dzbf = zj.d @ wj.grad + wj.hess @ zj.val
         zbzbf = float(zj.val @ dzbf)
-        worst = max(worst, abs(wj.value * zbzbf + zbf * zbf
-                               + 2.0 * c_i * wj.value * zbf))
-    return worst
+        gaps.append(wj.value * zbzbf + zbf * zbf + 2.0 * c_i * wj.value * zbf)
+    return max_abs(gaps)
 
 
 def _cor_homothety_route(ctx: RunContext) -> Outcome:
@@ -364,13 +315,13 @@ def _cor_homothety_route(ctx: RunContext) -> Outcome:
     satisfy the warp coupling condition."""
     m = _m(ctx.mf)
     instances = []
-    for bname, zb in _base_2k_fields(ctx):
+    for bname, zb in _two_killing_fields(ctx, "base"):
         picks = []
-        hyp = 0.0
+        hyps = []
         ok = True
         for i in range(m):
             cands = []
-            for name, vfd in _fiber_2k_fields(ctx, i):
+            for name, vfd in _two_killing_fields(ctx, i):
                 hom = _fiber_homothety(ctx, vfd)
                 if hom.homothetic:
                     cands.append((name, vfd, hom.factor))
@@ -379,14 +330,14 @@ def _cor_homothety_route(ctx: RunContext) -> Outcome:
                 break
             name, vfd, c_i = cands[0]
             picks.append(vfd)
-            hyp = max(hyp, _eq26_residual_max(ctx, zb, i, c_i))
+            hyps.append(_eq26_residual_max(ctx, zb, i, c_i))
         if ok and picks:
-            instances.append((bname, zb, picks, hyp))
+            instances.append((bname, zb, picks, max_abs(hyps)))
     admitted = [(b, zb, picks) for b, zb, picks, hyp in instances
                 if hyp <= ctx.tol.hyp]
     if not admitted:
         return inconclusive("no instance satisfies the warp coupling condition")
-    vals = [two_killing_max(ctx, ProductField((zb,) + tuple(picks)))
+    vals = [sample_max(ctx, lie_lie_matrix, ProductField((zb,) + tuple(picks)))
             for _, zb, picks in admitted]
     return residual_outcome(vals, ctx.tol.two,
                             samples=len(vals) * len(ctx.points()),
@@ -395,14 +346,14 @@ def _cor_homothety_route(ctx: RunContext) -> Outcome:
 
 def _cor_fiber_sums(ctx: RunContext) -> Outcome:
     m = _m(ctx.mf)
-    per_fiber = {i: _fiber_2k_fields(ctx, i) for i in range(m)}
+    per_fiber = {i: _two_killing_fields(ctx, i) for i in range(m)}
     picks = [per_fiber[i][0][1] for i in range(m) if per_fiber[i]]
     if not picks:
         return inconclusive("no fiber second-order fields declared")
-    vals = [two_killing_max(ctx, ProductField(tuple(picks)))]
+    vals = [sample_max(ctx, lie_lie_matrix, ProductField(tuple(picks)))]
     # singles as well: each fiber field alone must extend
     for vfd in picks:
-        vals.append(two_killing_max(ctx, lift(vfd)))
+        vals.append(sample_max(ctx, lie_lie_matrix, lift(vfd)))
     return residual_outcome(vals, ctx.tol.two,
                             samples=len(vals) * len(ctx.points()),
                             note=f"sum of {len(picks)} fiber fields")
@@ -412,19 +363,18 @@ def _thm_parallel(case: int):
     def run(ctx: RunContext) -> Outcome:
         m = _m(ctx.mf)
         periodic = _periodic_fields(ctx)
-        base_fields = [(n, f) for n, f in sorted(periodic.items())
-                       if f.block == "base"
-                       and factor_two_killing_max(ctx, f) <= ctx.tol.two
-                       and _factor_ricci_max(ctx, f) <= ctx.tol.hyp]
+        admissible = [(n, f) for n, f in sorted(periodic.items())
+                      if sample_max(ctx, lie_lie_matrix, f, block=f.block) <= ctx.tol.two
+                      and _ricci_max(ctx, f, f.block) <= ctx.tol.hyp]
+        base_fields = [(n, f) for n, f in admissible if f.block == "base"]
         fiber_fields: dict[int, list] = {i: [] for i in range(m)}
-        for n, f in sorted(periodic.items()):
-            if f.block != "base" and factor_two_killing_max(ctx, f) <= ctx.tol.two \
-                    and _factor_ricci_max(ctx, f) <= ctx.tol.hyp:
+        for n, f in admissible:
+            if f.block != "base":
                 fiber_fields[int(f.block)].append((n, f))
 
         def warp_ok(zb, fibers_with_parts):
             for j in range(m):
-                if zb is not None and _warp_dir_max(ctx, zb, j) > ctx.tol.hyp:
+                if zb is not None and not _warp_dir_max(ctx, zb, j) <= ctx.tol.hyp:
                     return False
                 if j in fibers_with_parts and not _warp_constant(ctx, j):
                     return False
@@ -480,17 +430,14 @@ def _thm_sectional(part: int):
         else:
             fields = []
             for name, zeta in ctx.field_combos().items():
-                if two_killing_max(ctx, zeta) > ctx.tol.two:
+                if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
-                worst = max(
-                    float(np.max(np.abs(nabla_zeta_zeta(ctx.geom0, zeta, p)[0])))
-                    for p in ctx.points())
-                if worst <= ctx.tol.hyp:
+                if max_abs(nabla_zeta_zeta(ctx.geom0, zeta, p)[0]
+                           for p in ctx.points()) <= ctx.tol.hyp:
                     fields.append((name, zeta))
         if not fields:
             return inconclusive("no field meets the curvature hypothesis")
-        worst_k = math.inf
-        count = 0
+        values = []
         for name, zeta in fields:
             for p in ctx.points():
                 zv = ctx.geom0.field_values(zeta, p)
@@ -498,17 +445,16 @@ def _thm_sectional(part: int):
                 for _ in range(6):
                     x = np.array(rng.vector(n))
                     try:
-                        k = sectional(ctx.geom0, p, zv, x, curv)
+                        values.append(sectional(ctx.geom0, p, zv, x, curv))
                     except DegeneratePlane:
                         continue
-                    worst_k = min(worst_k, k)
-                    count += 1
-        if count == 0:
+        if not values:
             return inconclusive("all sampled planes degenerate")
+        worst_k = float(np.min(values))
         verdict = PASS if worst_k >= -ctx.tol.two else FAIL
         worst_k += 0.0  # normalize -0.0 for stable formatting
-        return Outcome(verdict, max_abs=max(0.0, -worst_k), mean_abs=0.0,
-                       samples=count, tolerance=ctx.tol.two,
+        return Outcome(verdict, max_abs=0.0 if worst_k >= 0.0 else -worst_k,
+                       mean_abs=0.0, samples=len(values), tolerance=ctx.tol.two,
                        note=f"minimum sectional value {worst_k:.3g}; "
                             "curve hypothesis modeled pointwise")
 
@@ -540,7 +486,7 @@ def _cbrt_base_field(ctx: RunContext):
 
 
 def _eq28_residual_max(ctx: RunContext, i: int, c_i: float, a: float, b: float) -> float:
-    worst = 0.0
+    gaps = []
     slb = ctx.ps.block_slice("base").start
     for p in ctx.points():
         wj = warp_jet(ctx.ps, i, p)
@@ -550,10 +496,10 @@ def _eq28_residual_max(ctx: RunContext, i: int, c_i: float, a: float, b: float) 
         fddot = float(wj.hess[slb, slb])
         s = a * t - b
         s23 = math.copysign(abs(s) ** (2.0 / 3.0), 1.0)
-        worst = max(worst, abs((a / 3.0) * f * fdot
-                               + (f * fddot + fdot * fdot) * s
-                               + 2.0 * c_i * f * fdot * s23))
-    return worst
+        gaps.append((a / 3.0) * f * fdot
+                    + (f * fddot + fdot * fdot) * s
+                    + 2.0 * c_i * f * fdot * s23)
+    return max_abs(gaps)
 
 
 def _witness_power_law(use_exponents: bool):
@@ -571,10 +517,10 @@ def _witness_power_law(use_exponents: bool):
         name, zb, a, b = found
         m = _m(ctx.mf)
         picks = []
-        hyp = 0.0
+        hyps = []
         for i in range(m):
             cands = []
-            for fname, vfd in _fiber_2k_fields(ctx, i):
+            for fname, vfd in _two_killing_fields(ctx, i):
                 hom = _fiber_homothety(ctx, vfd)
                 if hom.homothetic:
                     cands.append((fname, vfd, hom.factor))
@@ -587,12 +533,12 @@ def _witness_power_law(use_exponents: bool):
                 p_i, phi_res = _recover_exponent(ctx, i, a, b)
                 if p_i is None:
                     return inconclusive("warp is not a power of the linear factor")
-                hyp = max(hyp, _eq29_residual_max(ctx, i, p_i, c_i, a, b))
+                hyps.append(_eq29_residual_max(ctx, i, p_i, c_i, a, b))
             else:
-                hyp = max(hyp, _eq28_residual_max(ctx, i, c_i, a, b))
+                hyps.append(_eq28_residual_max(ctx, i, c_i, a, b))
+        hyp = max_abs(hyps)
         zeta = ProductField((zb,) + tuple(picks))
-        vals = [max_entry(lie_lie_matrix(ctx.geom0, zeta, p))
-                for p in ctx.points()]
+        vals = [max_abs(m) for m in over_samples(ctx, lie_lie_matrix, zeta)]
         gap = "" if hyp <= ctx.tol.hyp else \
             f"; warp coupling residual {hyp:.3g} (hypothesis violated)"
         return residual_outcome(vals, ctx.tol.two,
@@ -622,16 +568,15 @@ def _recover_exponent(ctx: RunContext, i: int, a: float, b: float):
 
 def _eq29_residual_max(ctx: RunContext, i: int, p_i: float, c_i: float,
                        a: float, b: float) -> float:
-    worst = 0.0
+    gaps = []
     slb = ctx.ps.block_slice("base").start
     for p in ctx.points():
         t = p.coords[slb]
         s = a * t - b
         phi = s / a
         s23 = abs(s) ** (2.0 / 3.0)
-        worst = max(worst, abs(a / 3.0 + (2.0 * p_i - 1.0) / phi * s
-                               + 2.0 * c_i * s23))
-    return worst
+        gaps.append(a / 3.0 + (2.0 * p_i - 1.0) / phi * s + 2.0 * c_i * s23)
+    return max_abs(gaps)
 
 
 def _builder_kasner(ctx: RunContext) -> Outcome:
@@ -658,7 +603,7 @@ def _builder_kasner(ctx: RunContext) -> Outcome:
     for p in ctx.points():
         g1 = ctx.ps.metric_at(p).g
         g2 = rebuilt.metric_at(p).g
-        vals.append(max_entry(g1 - g2))
+        vals.append(max_abs(g1 - g2))
         vals.append(abs(g1[0, 0] + 1.0))
     return residual_outcome(
         vals, 1e-9,

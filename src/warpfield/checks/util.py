@@ -8,6 +8,7 @@ from ..connections import Geometry
 from ..fieldexpr import eval_expr
 from ..fields import ProductField, VectorFieldDef, lift
 from ..jets import Jet2, Point
+from ..lie_killing import max_abs
 from ..metric import ProductStructure
 
 
@@ -50,5 +51,25 @@ def project_out(ps: ProductStructure, geom_block: Geometry, p_block: Point,
     return vec_block - coef * against_block
 
 
-def max_entry(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
+def over_samples(ctx, fn, zeta, geom: Geometry | None = None, block=None,
+                 **kw) -> list:
+    """fn(geom, zeta, p, **kw) at each sample point.
+
+    ``geom`` defaults to the unshifted product geometry.  With ``block``,
+    ``zeta`` is a lifted field on that block, evaluated on the block alone:
+    on the block's own geometry by default, at each point's block
+    coordinates.
+    """
+    pts = ctx.points()
+    if block is not None:
+        geom = geom if geom is not None else ctx.block_geom(block)
+        zeta = rehome(zeta)
+        pts = ctx.block_points(pts, block)
+    geom = geom if geom is not None else ctx.geom0
+    return [fn(geom, zeta, p, **kw) for p in pts]
+
+
+def sample_max(ctx, fn, zeta, geom: Geometry | None = None, block=None,
+               **kw) -> float:
+    """Max over the sample points of |fn(geom, zeta, p)| (see over_samples)."""
+    return max_abs(over_samples(ctx, fn, zeta, geom, block, **kw))

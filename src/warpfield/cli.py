@@ -10,6 +10,7 @@ pass, 1 a check failed (or an explicitly selected check could not run),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,6 +56,17 @@ def resolve_manifest(path_text: str) -> Path:
 
 def _tolerances(args) -> Tolerances:
     return Tolerances(alg=args.tol_alg, two=args.tol_2k, fd=args.tol_fd)
+
+
+def _flag_error(args) -> str | None:
+    """Why the run flags cannot drive a run, or None when they can."""
+    if args.samples < 1:
+        return f"--samples must be at least 1, got {args.samples}"
+    for flag, value in (("--tol-alg", args.tol_alg), ("--tol-2k", args.tol_2k),
+                        ("--tol-fd", args.tol_fd)):
+        if not (math.isfinite(value) and value > 0):
+            return f"{flag} must be finite and positive, got {value}"
+    return None
 
 
 def _common_flags(sub):
@@ -161,6 +173,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return USAGE_ERROR if err.code not in (0,) else 0
+    problem = _flag_error(args)
+    if problem:
+        print(f"warpfield: {problem}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -66,6 +66,14 @@ class TorsionSpec:
         return TorsionSpec("base", VectorFieldDef("base", self.field.components))
 
 
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """t[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over the last three
+    axes of ``dg[..., d, i, j]``; gamma = g^-1 t / 2."""
+    return (np.einsum("...ijl->...lij", dg)
+            + np.einsum("...jil->...lij", dg)
+            - dg)
+
+
 class Geometry:
     """Per-structure cache of pointwise metric/connection/field data."""
 
@@ -97,11 +105,7 @@ class Geometry:
         got = self._gamma.get(p.coords)
         if got is None:
             mj = self.metric_jet(p)
-            # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-            tlij = (np.einsum("ijl->lij", mj.dg)
-                    + np.einsum("jil->lij", mj.dg)
-                    - mj.dg)
-            got = 0.5 * np.einsum("kl,lij->kij", mj.ginv, tlij)
+            got = 0.5 * np.einsum("kl,lij->kij", mj.ginv, _bracket(mj.dg))
             self._gamma[p.coords] = got
         return got
 
@@ -110,17 +114,9 @@ class Geometry:
         got = self._gamma_jet.get(p.coords)
         if got is None:
             mj = self.metric_jet(p)
-            tlij = (np.einsum("ijl->lij", mj.dg)
-                    + np.einsum("jil->lij", mj.dg)
-                    - mj.dg)
-            gamma = 0.5 * np.einsum("kl,lij->kij", mj.ginv, tlij)
-            # dt[d, l, i, j] = d_d (d_i g_jl + d_j g_il - d_l g_ij)
-            dt = (np.einsum("dijl->dlij", mj.d2g)
-                  + np.einsum("djil->dlij", mj.d2g)
-                  - mj.d2g)
-            dgamma = 0.5 * (np.einsum("dkl,lij->dkij", mj.dginv, tlij)
-                            + np.einsum("kl,dlij->dkij", mj.ginv, dt))
-            got = (gamma, dgamma)
+            dgamma = 0.5 * (np.einsum("dkl,lij->dkij", mj.dginv, _bracket(mj.dg))
+                            + np.einsum("kl,dlij->dkij", mj.ginv, _bracket(mj.d2g)))
+            got = (self.christoffel(p), dgamma)
             self._gamma_jet[p.coords] = got
         return got
 
@@ -184,6 +180,15 @@ def as_field_jet(geom: Geometry, field, p: Point) -> FieldJet:
     return FieldJet(val=vec, d=np.zeros((n, n)), d2=np.zeros((n, n, n)))
 
 
+def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """w[a, k] = (nabla_{e_a} Z)^k = d_a Z^k + gamma^k_aj Z^j.
+
+    ``val`` and ``d[a, k] = d_a Z^k`` are the value and first partials of
+    Z; a contraction x @ w is nabla_x Z for any vector x.
+    """
+    return d + np.einsum("kaj,j->ak", gamma, val)
+
+
 def covariant_derivative(
     geom: Geometry, x, z, p: Point, kind: str = LEVI_CIVITA
 ) -> np.ndarray:
@@ -192,10 +197,8 @@ def covariant_derivative(
     ``x`` and ``z`` are product fields or constant chart vectors; a
     constant vector is the coordinate extension with zero derivatives.
     """
-    xv = geom.field_values(x, p)
     zj = as_field_jet(geom, z, p)
-    gamma = geom.gamma_of(p, kind)
-    return xv @ zj.d + np.einsum("kij,i,j->k", gamma, xv, zj.val)
+    return geom.field_values(x, p) @ nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d)
 
 
 def lie_bracket(geom: Geometry, x, y, p: Point) -> np.ndarray:

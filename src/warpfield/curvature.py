@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Geometry, covariant_derivative
+from .connections import Geometry, as_field_jet, covariant_derivative, nabla_grid
 from .jets import Point
 from .metric import GeometryError
 
@@ -104,17 +104,10 @@ def product_frame(geom: Geometry, p: Point) -> tuple[np.ndarray, np.ndarray]:
     return frame, eps
 
 
-def nabla_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """nmat[d, k] = (nabla_{e_d} zeta)^k over the coordinate basis."""
-    from .connections import as_field_jet
-
-    zj = as_field_jet(geom, zeta, p)
-    gamma = geom.christoffel(p)
-    return zj.d + np.einsum("kdj,j->dk", gamma, zj.val)
-
-
 def parallel_residual_at(geom: Geometry, zeta, p: Point) -> float:
-    return float(np.max(np.abs(nabla_matrix(geom, zeta, p))))
+    """max |(nabla_{e_a} zeta)^k| over the coordinate basis."""
+    zj = as_field_jet(geom, zeta, p)
+    return float(np.max(np.abs(nabla_grid(geom.christoffel(p), zj.val, zj.d))))
 
 
 def trace_nabla(geom: Geometry, zeta, p: Point) -> float:

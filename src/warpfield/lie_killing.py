@@ -14,6 +14,7 @@ the quadratic-form reformulations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .connections import (
     Geometry,
     as_field_jet,
     covariant_derivative,
+    nabla_grid,
 )
 from .curvature import riemann, riemann_quad
 from .jets import Point
@@ -51,34 +53,37 @@ class KillingResidual:
         return "pass" if self.passed else "fail"
 
 
-def _nabla_grid(geom: Geometry, zeta, p: Point, kind: str) -> np.ndarray:
-    """w[a, k] = (nabla_{e_a} zeta)^k for the chosen connection."""
+def max_abs(values) -> float:
+    """Largest |v| over an array, or over an iterable of numbers or
+    same-shape arrays.
+
+    NaN anywhere gives NaN, and so does an empty input, so a gate
+    ``max_abs(...) <= tol`` never passes on a non-finite or missing
+    residual.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    arr = np.abs(np.asarray(values, dtype=float))
+    return float(arr.max()) if arr.size else math.nan
+
+
+def lie_matrix(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
+    """(L_zeta g)(e_a, e_b) = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)
+    for the chosen connection."""
     zj = as_field_jet(geom, zeta, p)
-    gamma = geom.gamma_of(p, kind)
-    return zj.d + np.einsum("kaj,j->ak", gamma, zj.val)
-
-
-def lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """(L_zeta g)(e_a, e_b) from the Levi-Civita route."""
-    wg = _nabla_grid(geom, zeta, p, LEVI_CIVITA) @ geom.metric(p).g
+    wg = nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d) @ geom.metric(p).g
     return wg + wg.T
 
 
 def ssm_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """Shifted-connection Lie derivative of g on the coordinate basis."""
-    wg = _nabla_grid(geom, zeta, p, SEMI_SYMMETRIC) @ geom.metric(p).g
-    return wg + wg.T
+    return lie_matrix(geom, zeta, p, SEMI_SYMMETRIC)
 
 
-def lie_metric(geom: Geometry, zeta, x, y, p: Point,
-               kind: str = LEVI_CIVITA) -> float:
-    """g(nabla_x zeta, y) + g(nabla_y zeta, x) for constant x, y."""
+def nabla_quad(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) -> float:
+    """g(nabla_x zeta, x), half the Lie derivative's quadratic form."""
     g = geom.metric(p).g
-    xv = geom.field_values(x, p)
-    yv = geom.field_values(y, p)
-    dx = covariant_derivative(geom, xv, zeta, p, kind)
-    dy = covariant_derivative(geom, yv, zeta, p, kind)
-    return float(dx @ g @ yv + dy @ g @ xv)
+    return float(covariant_derivative(geom, x, zeta, p, kind) @ g @ x)
 
 
 def lie_matrix_direct(geom: Geometry, zeta, p: Point) -> np.ndarray:
@@ -101,9 +106,7 @@ def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
     mj = geom.metric_jet(p)
     zj = as_field_jet(geom, zeta, p)
-    h = (np.einsum("c,cab->ab", zj.val, mj.dg)
-         + zj.d @ mj.g
-         + (zj.d @ mj.g).T)
+    h = lie_matrix_direct(geom, zeta, p)
     dh = (np.einsum("mc,cab->mab", zj.d, mj.dg)
           + np.einsum("c,mcab->mab", zj.val, mj.d2g)
           + np.einsum("mac,cb->mab", zj.d2, mj.g)
@@ -125,7 +128,7 @@ def lie_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
     gamma, dgamma = geom.christoffel_jet(p)
 
     # w[a, k] = (nabla_{e_a} zeta)^k and its partials dw[m, a, k]
-    w = zj.d + np.einsum("kaj,j->ak", gamma, zj.val)
+    w = nabla_grid(gamma, zj.val, zj.d)
     dw = (np.einsum("mak->mak", zj.d2)
           + np.einsum("mkaj,j->mak", dgamma, zj.val)
           + np.einsum("kaj,mj->mak", gamma, zj.d))
@@ -150,8 +153,8 @@ def _aggregate(kind: str, values: list[float], samples: int, tol: float) -> Kill
     arr = np.abs(np.asarray(values, dtype=float))
     return KillingResidual(
         kind=kind,
-        max_abs=float(arr.max()) if arr.size else 0.0,
-        mean_abs=float(arr.mean()) if arr.size else 0.0,
+        max_abs=max_abs(arr),
+        mean_abs=float(arr.mean()) if arr.size else math.nan,
         samples=samples,
         tolerance=tol,
     )
@@ -159,36 +162,33 @@ def _aggregate(kind: str, values: list[float], samples: int, tol: float) -> Kill
 
 def killing_residual(geom: Geometry, zeta, points: list[Point],
                      tol: float = 1e-8) -> KillingResidual:
-    vals = [np.max(np.abs(lie_matrix(geom, zeta, p))) for p in points]
+    vals = [max_abs(lie_matrix(geom, zeta, p)) for p in points]
     return _aggregate(KILLING, vals, len(points), tol)
 
 
 def ssm_killing_residual(geom: Geometry, zeta, points: list[Point],
                          tol: float = 1e-8) -> KillingResidual:
-    vals = [np.max(np.abs(ssm_lie_matrix(geom, zeta, p))) for p in points]
+    vals = [max_abs(ssm_lie_matrix(geom, zeta, p)) for p in points]
     return _aggregate(SSM_KILLING, vals, len(points), tol)
 
 
 def two_killing_residual(geom: Geometry, zeta, points: list[Point],
                          tol: float = 1e-7) -> KillingResidual:
-    vals = [np.max(np.abs(lie_lie_matrix(geom, zeta, p))) for p in points]
+    vals = [max_abs(lie_lie_matrix(geom, zeta, p)) for p in points]
     return _aggregate(TWO_KILLING, vals, len(points), tol)
 
 
 def quadratic_form_max(geom: Geometry, zeta, points: list[Point], rng: SplitMix,
                        kind: str = LEVI_CIVITA, draws: int = 32) -> float:
     """max |g(nabla_x zeta, x)| over random test vectors (x-quantified form)."""
-    worst = 0.0
     n = geom.ps.total_dim
+    quads = []
     for p in points:
-        if kind == LEVI_CIVITA:
-            m = lie_matrix(geom, zeta, p)
-        else:
-            m = ssm_lie_matrix(geom, zeta, p)
+        m = lie_matrix(geom, zeta, p, kind)
         for _ in range(draws):
             x = np.array(rng.vector(n))
-            worst = max(worst, 0.5 * abs(float(x @ m @ x)))
-    return worst
+            quads.append(0.5 * float(x @ m @ x))
+    return max_abs(quads)
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,11 @@ def homothety_check(geom: Geometry, zeta, points: list[Point],
         denom = float(np.sum(g * g))
         c = float(np.sum(m * g)) / denom
         factors.append(c)
-        residuals.append(float(np.max(np.abs(m - c * g))))
+        residuals.append(m - c * g)
     factors = np.asarray(factors)
     mean_c = float(factors.mean())
     std_c = float(factors.std())
-    max_res = float(np.max(residuals))
+    max_res = max_abs(residuals)
     ok = max_res <= tol and std_c <= stddev_tol
     return HomothetyResult(ok, mean_c, std_c, max_res)
 
@@ -245,8 +245,7 @@ def eq22_residual(geom: Geometry, zeta, x: np.ndarray, p: Point) -> float:
     g = geom.metric(p).g
     nxz = covariant_derivative(geom, x, zeta, p)
     w, dw = nabla_zeta_zeta(geom, zeta, p)
-    gamma = geom.christoffel(p)
-    nxw = x @ dw + np.einsum("kij,i,j->k", gamma, x, w)
+    nxw = x @ nabla_grid(geom.christoffel(p), w, dw)
     rhs = float(nxz @ g @ nxz) + float(nxw @ g @ x)
     return abs(lhs - rhs)
 

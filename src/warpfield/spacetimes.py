@@ -22,23 +22,6 @@ def interval_block(coord: str = "t", box=(0.0, 1.0), sign: float = 1.0,
     return diagonal_block(label, (coord,), (num(sign),), (tuple(box),))
 
 
-def flat_block(label: str, coords, box, signs=None) -> BlockMetric:
-    signs = signs if signs is not None else [1.0] * len(coords)
-    return diagonal_block(label, tuple(coords),
-                          tuple(num(s) for s in signs),
-                          tuple(tuple(b) for b in box))
-
-
-def sphere_block(label: str = "fiber.1", coords=("theta", "phi"),
-                 theta_box=(0.3, 2.8), phi_box=(0.2, 6.0)) -> BlockMetric:
-    """Round unit 2-sphere in polar chart, inset from the poles."""
-    theta, phi = coords
-    g_phph = parse_expr(f"sin({theta})^2", (theta,))
-    entries = ((num(1.0), num(0.0)), (num(0.0), g_phph))
-    return BlockMetric(label, (theta, phi), entries,
-                       (tuple(theta_box), tuple(phi_box)))
-
-
 @dataclass(frozen=True)
 class SpacetimeSpec:
     kind: str

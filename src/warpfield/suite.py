@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Geometry
+from .connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry
 from .fields import ProductField, VectorFieldDef, lift, synth_field
 from .jets import Point
+from .lie_killing import max_abs
 from .manifest import Manifest
 from .metric import sample_points
 from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SplitMix, subseed
@@ -52,9 +53,10 @@ def residual_outcome(values, tol: float, samples: int | None = None,
     arr = np.abs(np.asarray(list(values), dtype=float))
     if arr.size == 0:
         return Outcome(INCONCLUSIVE, note=note or "no admissible samples")
+    worst = max_abs(arr)
     return Outcome(
-        PASS if float(arr.max()) <= tol else FAIL,
-        max_abs=float(arr.max()),
+        PASS if worst <= tol else FAIL,
+        max_abs=worst,
         mean_abs=float(arr.mean()),
         samples=samples if samples is not None else int(arr.size),
         tolerance=tol,
@@ -168,6 +170,13 @@ class RunContext:
 
     def fiber_geom(self, i: int) -> Geometry:
         return self.fiber_geoms[i]
+
+    def block_geom(self, block, kind: str = LEVI_CIVITA) -> Geometry:
+        """The block's own geometry; the shifted one for the base block
+        when ``kind`` is the shifted connection."""
+        if block != "base":
+            return self.fiber_geoms[int(block)]
+        return self.base_geom_ssm if kind == SEMI_SYMMETRIC else self.base_geom
 
 
 class Registry:

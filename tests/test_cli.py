@@ -81,6 +81,29 @@ class TestExitCodes:
         assert proc.returncode == 0
 
 
+class TestFlagBounds:
+    @pytest.mark.parametrize("argv", [
+        ("killing", "sphere.wm", "--field", "zeta_phi", "--samples", "0"),
+        ("killing", "sphere.wm", "--field", "zeta_phi", "--samples", "-3"),
+        ("verify", "sphere.wm", "--samples", "0"),
+        ("verify", "sphere.wm", "--tol-alg", "nan"),
+        ("verify", "sphere.wm", "--tol-alg", "0"),
+        ("verify", "sphere.wm", "--tol-2k", "inf"),
+        ("killing", "sphere.wm", "--field", "zeta_phi", "--tol-fd=-1e-6"),
+    ])
+    def test_bad_run_flag_is_one_line_usage_error(self, argv, capsys):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("warpfield: --")
+
+    def test_one_sample_runs(self, capsys):
+        assert main(["killing", "sphere.wm", "--field", "zeta_phi",
+                     "--samples", "1"]) == 0
+        assert "n=1 " in capsys.readouterr().out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["jsonl", "text"])
     def test_byte_identical_reports(self, fmt):

@@ -6,12 +6,16 @@ import pytest
 
 from warpfield.cli import corpus_dir
 from warpfield.fields import ProductField
-from warpfield.lie_killing import lie_lie_matrix
+from warpfield.lie_killing import lie_lie_matrix, max_abs
 from warpfield.manifest import load_manifest
 from warpfield.suite import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
     REQUIRED_RESULTS,
     RunContext,
     default_registry,
+    residual_outcome,
     run_checks,
 )
 
@@ -303,3 +307,41 @@ class TestSelection:
     def test_unknown_token(self, registry):
         with pytest.raises(KeyError):
             registry.select("Prop9.99")
+
+
+class TestNonFiniteResiduals:
+    """A NaN residual at any sample point, not only the first, must keep
+    a check from passing."""
+
+    @pytest.mark.parametrize("name", ["sphere", "mw2_riem", "interval"])
+    def test_nan_at_one_later_point_fails_the_check(self, registry, corpus,
+                                                    name, monkeypatch):
+        import warpfield.checks.twokilling as twokilling
+
+        mf = corpus[name]
+        poisoned_at = RunContext(mf, samples=16).points()[1].coords
+        real = twokilling.lie_lie_matrix
+
+        def poisoned(geom, zeta, p):
+            m = real(geom, zeta, p)
+            return np.full_like(m, np.nan) if p.coords == poisoned_at else m
+
+        clean = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
+        assert [r.verdict for r in clean] == [PASS]
+        monkeypatch.setattr(twokilling, "lie_lie_matrix", poisoned)
+        [res] = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
+        assert res.verdict != PASS
+
+    def test_reducer_propagates_nan(self):
+        assert np.isnan(max_abs([0.0, float("nan"), 1.0]))
+        assert np.isnan(max_abs(m for m in (np.zeros((2, 2)),
+                                            np.full((2, 2), np.nan))))
+        assert max_abs([np.array([[-3.0, 1.0]]), np.array([[2.0, 0.5]])]) == 3.0
+
+    def test_empty_input_is_never_a_pass(self):
+        assert not max_abs([]) <= 1.0
+        assert residual_outcome([], 1.0).verdict == INCONCLUSIVE
+
+    def test_outcome_with_nan_fails(self):
+        out = residual_outcome([0.0, float("nan"), 0.0], 1.0)
+        assert out.verdict == FAIL
