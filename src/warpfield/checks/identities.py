@@ -112,8 +112,9 @@ def _grad_warp(ctx: RunContext, i: int, p) -> np.ndarray:
     return gm.ginv @ wj.grad
 
 
-def _item_base_base(ctx, d: _Decomp, p, kind: str, base_geom) -> float:
+def _item_base_base(ctx, d: _Decomp, p, kind: str) -> float:
     lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yb), p, kind)
+    base_geom = ctx.block_geom("base")
     pb = ctx.ps.block_point(p, "base")
     if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
         # base part shifts by -g_B(XB, YB) P when the shift lives on a fiber
@@ -186,7 +187,7 @@ def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
         lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[i]), p, kind)
         wj = warp_jet(ctx.ps, i, p)
         pi_ = ctx.ps.block_point(p, i)
-        fgeom = ctx.fiber_geom(i)
+        fgeom = ctx.block_geom(i)
         gi = fgeom.metric(pi_).g
         sl = ctx.ps.block_slice(i)
         xiv = ctx.geom.field_values(lift(d.xi[i]), p)
@@ -203,35 +204,11 @@ def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
     return max_abs(gaps)
 
 
-def _decomp_check(item_fn, kind_for, base_geom_for, label):
+def _decomp_check(item_fn, kind: str, label: str):
     def run(ctx: RunContext) -> Outcome:
         d = _Decomp(ctx, label)
-        kind = kind_for
-        vals = []
-        for p in ctx.points():
-            if base_geom_for == "ssm":
-                vals.append(item_fn(ctx, d, p, kind, ctx.base_geom_ssm))
-            elif base_geom_for == "lc":
-                vals.append(item_fn(ctx, d, p, kind, ctx.base_geom))
-            else:
-                vals.append(item_fn(ctx, d, p, kind))
-        return residual_outcome(vals, ctx.tol.alg)
-
-    return run
-
-
-def _lc_item(item_fn, label):
-    """Same item evaluators against the torsion-free product connection."""
-
-    def run(ctx: RunContext) -> Outcome:
-        d = _Decomp(ctx, label)
-        vals = []
-        for p in ctx.points():
-            if item_fn is _item_base_base:
-                vals.append(item_fn(ctx, d, p, LEVI_CIVITA, ctx.base_geom))
-            else:
-                vals.append(item_fn(ctx, d, p, LEVI_CIVITA))
-        return residual_outcome(vals, ctx.tol.alg)
+        return residual_outcome([item_fn(ctx, d, p, kind) for p in ctx.points()],
+                                ctx.tol.alg)
 
     return run
 
@@ -249,11 +226,11 @@ def _zeta_parts(ctx: RunContext, label: str):
 def _factor_lie_matrices(ctx: RunContext, parts, p, base_kind: str):
     """Base and fiber Lie-derivative matrices of the lifted parts."""
     pb = ctx.ps.block_point(p, "base")
-    mb = lie_matrix(ctx.block_geom("base", base_kind), rehome(parts[0]), pb, base_kind)
+    mb = lie_matrix(ctx.block_geom("base"), rehome(parts[0]), pb, base_kind)
     mi = []
     for i in range(len(ctx.ps.fibers)):
         pi_ = ctx.ps.block_point(p, i)
-        mi.append(lie_matrix(ctx.fiber_geom(i), rehome(parts[i + 1]), pi_))
+        mi.append(lie_matrix(ctx.block_geom(i), rehome(parts[i + 1]), pi_))
     return mb, mi
 
 
@@ -264,11 +241,11 @@ def _lie_rhs_p_zero(ctx: RunContext, parts, p) -> np.ndarray:
     mb, mi = _factor_lie_matrices(ctx, parts, p, LEVI_CIVITA)
     slb = ctx.ps.block_slice("base")
     rhs[slb, slb] = mb
-    zbv = ctx.geom0.field_values(lift(parts[0]), p)
+    zbv = ctx.geom.field_values(lift(parts[0]), p)
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
         wj = warp_jet(ctx.ps, i, p)
-        gi = ctx.fiber_geom(i).metric(ctx.ps.block_point(p, i)).g
+        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         zbf = float(zbv @ wj.grad)
         rhs[sl, sl] += wj.value ** 2 * mi[i] + 2.0 * wj.value * zbf * gi
     return rhs
@@ -287,7 +264,7 @@ def _lie_rhs_shift_base(ctx: RunContext, parts, p) -> np.ndarray:
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
         wj = warp_jet(ctx.ps, i, p)
-        gi = ctx.fiber_geom(i).metric(ctx.ps.block_point(p, i)).g
+        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
         zbf = float(zbv @ wj.grad)
         rhs[sl, sl] += (wj.value ** 2 * mi[i]
@@ -314,7 +291,7 @@ def _lie_rhs_shift_fiber(ctx: RunContext, parts, p) -> np.ndarray:
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
         wj = warp_jet(ctx.ps, i, p)
-        gi = ctx.fiber_geom(i).metric(ctx.ps.block_point(p, i)).g
+        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         ziv = ctx.geom.field_values(lift(parts[i + 1]), p)
         zbf = float(zbv @ wj.grad)
         rhs[sl, sl] += wj.value ** 2 * mi[i] + 2.0 * wj.value * zbf * gi
@@ -329,11 +306,10 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
     def run(ctx: RunContext) -> Outcome:
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
-        geom = ctx.geom if use_shift else ctx.geom0
         kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
         vals = []
         for p in ctx.points():
-            lhs = lie_matrix(geom, zeta, p, kind)
+            lhs = lie_matrix(ctx.geom, zeta, p, kind)
             vals.append(max_abs(lhs - rhs_fn(ctx, parts, p)))
         return residual_outcome(vals, ctx.tol.two)
 
@@ -347,13 +323,12 @@ def _factor_quads(ctx, parts, x, p, base_kind):
     """g_B(nabla^B_{XB} zB, XB) and the fiber analogues, for one x."""
     pb = ctx.ps.block_point(p, "base")
     xb = x[ctx.ps.block_slice("base")]
-    qb = nabla_quad(ctx.block_geom("base", base_kind), rehome(parts[0]), xb, pb,
-                    base_kind)
+    qb = nabla_quad(ctx.block_geom("base"), rehome(parts[0]), xb, pb, base_kind)
     qi = []
     ni = []
     for i in range(len(ctx.ps.fibers)):
         pi_ = ctx.ps.block_point(p, i)
-        fgeom = ctx.fiber_geom(i)
+        fgeom = ctx.block_geom(i)
         gi = fgeom.metric(pi_).g
         xi = x[ctx.ps.block_slice(i)]
         qi.append(nabla_quad(fgeom, rehome(parts[i + 1]), xi, pi_))
@@ -370,7 +345,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
         rng = ctx.rng("quad:" + label)
         n = ctx.ps.total_dim
         use_shift = shift_location in ("base", "fiber")
-        geom = ctx.geom if use_shift else ctx.geom0
+        geom = ctx.geom
         kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
         base_kind = SEMI_SYMMETRIC if shift_location == "base" else LEVI_CIVITA
         vals = []
@@ -393,7 +368,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
                     for i in range(len(ctx.ps.fibers)):
                         wj = warp_jet(ctx.ps, i, p)
                         sl = ctx.ps.block_slice(i)
-                        gi = ctx.fiber_geom(i).metric(ctx.ps.block_point(p, i)).g
+                        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
                         ziv = geom.field_values(lift(parts[i + 1]), p)[sl]
                         gixz = float(x[sl] @ gi @ ziv)
                         rhs += (wj.value ** 2 * pizb * nxi[i]
@@ -424,17 +399,17 @@ def _eq25_check(label: str):
         zeta = ProductField(tuple(parts))
         vals = []
         for p in ctx.points():
-            lhs = lie_lie_matrix(ctx.geom0, zeta, p)
+            lhs = lie_lie_matrix(ctx.geom, zeta, p)
             n = ctx.ps.total_dim
             rhs = np.zeros((n, n))
             pb = ctx.ps.block_point(p, "base")
             rhs[ctx.ps.block_slice("base"), ctx.ps.block_slice("base")] = (
-                lie_lie_matrix(ctx.base_geom, rehome(parts[0]), pb))
-            zbj = ctx.geom0.field_jet(lift(parts[0]), p)
+                lie_lie_matrix(ctx.block_geom("base"), rehome(parts[0]), pb))
+            zbj = ctx.geom.field_jet(lift(parts[0]), p)
             for i in range(len(ctx.ps.fibers)):
                 sl = ctx.ps.block_slice(i)
                 pi_ = ctx.ps.block_point(p, i)
-                fgeom = ctx.fiber_geom(i)
+                fgeom = ctx.block_geom(i)
                 gi = fgeom.metric(pi_).g
                 lli = lie_lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
                 li = lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
@@ -455,22 +430,23 @@ def _eq25_check(label: str):
 
 def _eq27_check(label: str):
     def run(ctx: RunContext) -> Outcome:
+        base_geom = ctx.block_geom("base")
         vals = []
         combos = [_zeta_parts(ctx, label), _zeta_parts(ctx, label + "2")]
         for parts in combos:
             zeta = ProductField(tuple(parts))
             for p in ctx.points():
-                lhs = trace_nabla(ctx.geom0, zeta, p)
+                lhs = trace_nabla(ctx.geom, zeta, p)
                 pb = ctx.ps.block_point(p, "base")
-                rhs = trace_nabla(ctx.base_geom, rehome(parts[0]), pb)
-                gb = ctx.base_geom.metric(pb).g
-                zbj = ctx.geom0.field_jet(lift(parts[0]), p)
+                rhs = trace_nabla(base_geom, rehome(parts[0]), pb)
+                gb = base_geom.metric(pb).g
+                zbj = ctx.geom.field_jet(lift(parts[0]), p)
                 for i in range(len(ctx.ps.fibers)):
                     pi_ = ctx.ps.block_point(p, i)
-                    fgeom = ctx.fiber_geom(i)
+                    fgeom = ctx.block_geom(i)
                     gi = fgeom.metric(pi_).g
                     sl = ctx.ps.block_slice(i)
-                    ziv = ctx.geom0.field_values(lift(parts[i + 1]), p)[sl]
+                    ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
                     wj = warp_jet(ctx.ps, i, p)
                     zbf = float(zbj.val @ wj.grad)
                     gradf_b = np.linalg.solve(gb, wj.grad[ctx.ps.block_slice("base")])
@@ -496,8 +472,8 @@ def _lie_route_check(ctx: RunContext) -> Outcome:
     combos += list(ctx.field_combos().values())
     for zeta in combos[:8]:
         for p in ctx.points():
-            vals.append(max_abs(lie_matrix(ctx.geom0, zeta, p)
-                                - lie_matrix_direct(ctx.geom0, zeta, p)))
+            vals.append(max_abs(lie_matrix(ctx.geom, zeta, p)
+                                - lie_matrix_direct(ctx.geom, zeta, p)))
     return residual_outcome(vals, ctx.tol.two)
 
 
@@ -507,8 +483,8 @@ def _lie_lie_route_check(ctx: RunContext) -> Outcome:
     combos += list(ctx.field_combos().values())
     for zeta in combos[:6]:
         for p in ctx.points():
-            vals.append(max_abs(lie_lie_matrix(ctx.geom0, zeta, p)
-                                - lie_lie_matrix_nested(ctx.geom0, zeta, p)))
+            vals.append(max_abs(lie_lie_matrix(ctx.geom, zeta, p)
+                                - lie_lie_matrix_nested(ctx.geom, zeta, p)))
     return residual_outcome(vals, ctx.tol.two)
 
 
@@ -538,48 +514,49 @@ def build() -> list[CheckSpec]:
     warped1_base = lambda mf: len(mf.structure.fibers) == 1 and _torsion_base(mf)
     warped1_fiber = lambda mf: len(mf.structure.fibers) == 1 and _torsion_fiber(mf)
 
-    def d_item(fn, base_geom_for=None, label="d"):
-        return _decomp_check(fn, SEMI_SYMMETRIC, base_geom_for, label)
-
     items_base = [
-        ("1", _item_base_base, "ssm", "base-tangent arguments reduce to the base connection"),
-        ("2", _item_mixed, None, "mixed base-fiber derivative is the warp ratio"),
-        ("3", _item_mixed_swapped, None, "swapped mixed derivative adds the shift pairing"),
-        ("4", _item_cross_fiber, None, "derivatives across distinct fibers vanish"),
-        ("5", _item_diagonal, None, "fiber-diagonal derivative decomposes"),
+        ("1", _item_base_base, "base-tangent arguments reduce to the base connection"),
+        ("2", _item_mixed, "mixed base-fiber derivative is the warp ratio"),
+        ("3", _item_mixed_swapped, "swapped mixed derivative adds the shift pairing"),
+        ("4", _item_cross_fiber, "derivatives across distinct fibers vanish"),
+        ("5", _item_diagonal, "fiber-diagonal derivative decomposes"),
     ]
-    for suffix, fn, bg, title in items_base:
+    for suffix, fn, title in items_base:
         applies = base_shift_multi if suffix == "4" else base_shift
         specs.append(CheckSpec(f"Lemma4.1.{suffix}", "Lemma4.1", "4", "identity",
-                               title, applies, d_item(fn, bg, "L41")))
-    for suffix, fn, bg, title in [
-        ("1", _item_base_base, "ssm", items_base[0][3]),
-        ("2", _item_mixed, None, items_base[1][3]),
-        ("3", _item_mixed_swapped, None, items_base[2][3]),
-        ("4", _item_diagonal, None, items_base[4][3]),
+                               title, applies,
+                               _decomp_check(fn, SEMI_SYMMETRIC, "L41")))
+    for suffix, fn, title in [
+        ("1", _item_base_base, items_base[0][2]),
+        ("2", _item_mixed, items_base[1][2]),
+        ("3", _item_mixed_swapped, items_base[2][2]),
+        ("4", _item_diagonal, items_base[4][2]),
     ]:
         specs.append(CheckSpec(f"Lemma3.1.{suffix}", "Lemma3.1", "3", "identity",
-                               title, warped1_base, d_item(fn, bg, "L31")))
+                               title, warped1_base,
+                               _decomp_check(fn, SEMI_SYMMETRIC, "L31")))
 
     items_fiber = [
-        ("1", _item_base_base, "lc", "base-tangent arguments shift by the fiber field"),
-        ("2", _item_mixed, None, "mixed derivative adds the shift pairing"),
-        ("3", _item_mixed_swapped, None, "swapped mixed derivative is the warp ratio"),
-        ("4a", _item_cross_fiber, None, "cross-fiber derivative is the shift pairing"),
-        ("4b", _item_diagonal, None, "fiber-diagonal derivative decomposes"),
+        ("1", _item_base_base, "base-tangent arguments shift by the fiber field"),
+        ("2", _item_mixed, "mixed derivative adds the shift pairing"),
+        ("3", _item_mixed_swapped, "swapped mixed derivative is the warp ratio"),
+        ("4a", _item_cross_fiber, "cross-fiber derivative is the shift pairing"),
+        ("4b", _item_diagonal, "fiber-diagonal derivative decomposes"),
     ]
-    for suffix, fn, bg, title in items_fiber:
+    for suffix, fn, title in items_fiber:
         applies = fiber_shift_multi if suffix == "4a" else fiber_shift
         specs.append(CheckSpec(f"Lemma4.2.{suffix}", "Lemma4.2", "4", "identity",
-                               title, applies, d_item(fn, bg, "L42")))
-    for suffix, fn, bg, title in [
-        ("1", _item_base_base, "lc", items_fiber[0][3]),
-        ("2", _item_mixed, None, items_fiber[1][3]),
-        ("3", _item_mixed_swapped, None, items_fiber[2][3]),
-        ("4", _item_diagonal, None, items_fiber[4][3]),
+                               title, applies,
+                               _decomp_check(fn, SEMI_SYMMETRIC, "L42")))
+    for suffix, fn, title in [
+        ("1", _item_base_base, items_fiber[0][2]),
+        ("2", _item_mixed, items_fiber[1][2]),
+        ("3", _item_mixed_swapped, items_fiber[2][2]),
+        ("4", _item_diagonal, items_fiber[4][2]),
     ]:
         specs.append(CheckSpec(f"Lemma3.2.{suffix}", "Lemma3.2", "3", "identity",
-                               title, warped1_fiber, d_item(fn, bg, "L32")))
+                               title, warped1_fiber,
+                               _decomp_check(fn, SEMI_SYMMETRIC, "L32")))
 
     lc_items = [
         ("1", _item_base_base, "torsion-free base-tangent reduction"),
@@ -591,7 +568,7 @@ def build() -> list[CheckSpec]:
     for suffix, fn, title in lc_items:
         applies = _multi_fiber if suffix == "4a" else _has_fibers
         specs.append(CheckSpec(f"Lemma6.7.{suffix}", "Lemma6.7", "6", "identity",
-                               title, applies, _lc_item(fn, "L67")))
+                               title, applies, _decomp_check(fn, LEVI_CIVITA, "L67")))
 
     # Lie decompositions
     specs += [

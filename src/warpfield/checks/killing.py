@@ -77,7 +77,7 @@ def _fiber_orth(ctx: RunContext, p, i: int, vec_i: np.ndarray,
     """Project a fiber-i vector g_i-orthogonal to a fiber-i field at p."""
     pi_ = ctx.ps.block_point(p, i)
     zv = ctx.geom.field_values(lift(against), p)[ctx.ps.block_slice(i)]
-    return project_out(ctx.ps, ctx.fiber_geom(i), pi_, vec_i, zv)
+    return project_out(ctx.ps, ctx.block_geom(i), pi_, vec_i, zv)
 
 
 # ---- definitional and equivalence checks ----
@@ -88,9 +88,9 @@ def _def_killing(ctx: RunContext) -> Outcome:
     vals = []
     for name, zeta in list(ctx.field_combos().items())[:6]:
         for p in ctx.points():
-            m = lie_matrix(ctx.geom0, zeta, p)
+            m = lie_matrix(ctx.geom, zeta, p)
             vals.append(max_abs(m - m.T))
-            m_scaled = lie_matrix(ctx.geom0, zeta.scaled(2.5), p)
+            m_scaled = lie_matrix(ctx.geom, zeta.scaled(2.5), p)
             vals.append(max_abs(m_scaled - 2.5 * m))
     return residual_outcome(vals, ctx.tol.sym * 100,
                             note="symmetry and field-linearity of the derivative")
@@ -197,8 +197,8 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
         if not max_abs(gaps) <= ctx.tol.hyp:
             continue
         admitted += 1
-        k = sample_max(ctx, lie_matrix, zeta, ctx.geom) <= ctx.tol.alg
-        s = sample_max(ctx, ssm_lie_matrix, zeta, ctx.geom) <= ctx.tol.alg
+        k = sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg
+        s = sample_max(ctx, ssm_lie_matrix, zeta) <= ctx.tol.alg
         if k != s:
             mismatches += 1
         elif k:
@@ -229,10 +229,10 @@ def _example_interval(ctx: RunContext) -> Outcome:
     """Constant-coefficient fields are the interval's Killing fields."""
     good = ctx.named_field("zeta_a")
     bad = ctx.named_field("zeta_lin")
-    good_k = sample_max(ctx, lie_matrix, good, ctx.geom)
-    good_s = sample_max(ctx, ssm_lie_matrix, good, ctx.geom)
-    bad_k = sample_max(ctx, lie_matrix, bad, ctx.geom)
-    bad_s = sample_max(ctx, ssm_lie_matrix, bad, ctx.geom)
+    good_k = sample_max(ctx, lie_matrix, good)
+    good_s = sample_max(ctx, ssm_lie_matrix, good)
+    bad_k = sample_max(ctx, lie_matrix, bad)
+    bad_s = sample_max(ctx, ssm_lie_matrix, bad)
     ok = (good_k <= ctx.tol.alg and good_s <= ctx.tol.alg
           and abs(bad_k - 2.0) <= ctx.tol.alg and abs(bad_s - 2.0) <= ctx.tol.alg)
     return Outcome(PASS if ok else FAIL,
@@ -256,9 +256,10 @@ class SuffInstance:
         self.restrict_blocks = restrict_blocks
 
 
-def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, geom, kind,
+def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind,
                           draws: int = 6) -> list[float]:
     """Shifted/unshifted Killing residuals over the instance's cone."""
+    geom = ctx.geom
     rng = ctx.rng("cone:" + inst.name)
     vals = []
     for p in ctx.points():
@@ -281,21 +282,13 @@ def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, geom, kind,
 
 
 def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
-                         geom, kind, tol, note: str,
-                         strict_witness: bool = False) -> Outcome:
+                         kind, tol, note: str) -> Outcome:
     admitted = [i for i in instances if i.hyp <= ctx.tol.hyp]
     if not admitted:
-        if not strict_witness or not instances:
-            return inconclusive("no instance satisfies the hypotheses")
-        vals = []
-        for inst in instances:
-            vals.extend(_conclusion_residuals(ctx, inst, geom, kind))
-        out = residual_outcome(vals, tol, note=note + "; hypothesis violated "
-                               "(negative-control manifest)")
-        return out
+        return inconclusive("no instance satisfies the hypotheses")
     vals = []
     for inst in admitted:
-        vals.extend(_conclusion_residuals(ctx, inst, geom, kind))
+        vals.extend(_conclusion_residuals(ctx, inst, kind))
     return residual_outcome(vals, tol,
                             note=note + f"; {len(admitted)} instance(s)")
 
@@ -303,9 +296,8 @@ def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
 def _killing_fields(ctx: RunContext, block,
                     kind: str = LEVI_CIVITA) -> list[tuple[str, VectorFieldDef]]:
     """Declared fields of a block that are Killing on the block itself."""
-    geom = ctx.block_geom(block, kind)
     return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
-            if sample_max(ctx, lie_matrix, vfd, geom, block, kind=kind) <= ctx.tol.alg]
+            if sample_max(ctx, lie_matrix, vfd, block, kind=kind) <= ctx.tol.alg]
 
 
 def _orth_cone(ctx: RunContext, against: dict[int, VectorFieldDef],
@@ -408,7 +400,7 @@ def _suff_base_shift(part: int):
                 instances.append(SuffInstance(
                     name + "+fibers", zeta, hyp, cone=_orth_cone(ctx, against)))
         return _sufficiency_outcome(
-            ctx, instances, ctx.geom, SEMI_SYMMETRIC, ctx.tol.alg,
+            ctx, instances, SEMI_SYMMETRIC, ctx.tol.alg,
             note="test vectors orthogonal to the fiber fields where required")
 
     return run
@@ -431,7 +423,7 @@ def _suff_fiber_shift(part: str):
                     return 0.0
                 sl = ctx.ps.block_slice(r)
                 piv = ctx.geom.pi_covector(p)
-                gi = ctx.fiber_geom(r).metric(ctx.ps.block_point(p, r)).g
+                gi = ctx.block_geom(r).metric(ctx.ps.block_point(p, r)).g
                 ziv = ctx.geom.field_values(lift(zeta_r), p)[sl]
                 pizr = _pi_of_field(ctx, zeta_r, p)
                 pixr = float(piv[sl] @ x[sl])
@@ -499,7 +491,7 @@ def _suff_fiber_shift(part: str):
                 instances.append(SuffInstance(name + "+fibers", zeta, hyp,
                                               cone=cone))
         return _sufficiency_outcome(
-            ctx, instances, ctx.geom, SEMI_SYMMETRIC, ctx.tol.alg,
+            ctx, instances, SEMI_SYMMETRIC, ctx.tol.alg,
             note="block-pure test vectors on the condition cone")
 
     return run
@@ -551,7 +543,7 @@ def _suff_no_shift(part: int):
                 instances.append(SuffInstance(name + "+fibers", zeta,
                                               _warp_hyp(ctx, zb, range(m))))
         return _sufficiency_outcome(
-            ctx, instances, ctx.geom0, LEVI_CIVITA, ctx.tol.alg,
+            ctx, instances, LEVI_CIVITA, ctx.tol.alg,
             note="no connection shift")
 
     return run
@@ -560,7 +552,7 @@ def _suff_no_shift(part: int):
 # ---- necessity checks ----
 
 
-def _block_pure_gate(ctx: RunContext, geom, kind, zeta: ProductField,
+def _block_pure_gate(ctx: RunContext, kind, zeta: ProductField,
                      blocks, draws: int = 8) -> float:
     """Max quadratic residual of the product check over pure vectors of
     the given blocks (the directions the factor conclusions read off)."""
@@ -572,7 +564,7 @@ def _block_pure_gate(ctx: RunContext, geom, kind, zeta: ProductField,
             for _ in range(draws):
                 x = np.zeros(ctx.ps.total_dim)
                 x[sl] = np.array(rng.vector(sl.stop - sl.start))
-                quads.append(nabla_quad(geom, zeta, x, p, kind))
+                quads.append(nabla_quad(ctx.geom, zeta, x, p, kind))
     return max_abs(quads)
 
 
@@ -582,7 +574,6 @@ def _necessity(shift: str, part: int):
 
     def run(ctx: RunContext) -> Outcome:
         m = _m(ctx.mf)
-        geom = ctx.geom0 if shift == "none" else ctx.geom
         kind = LEVI_CIVITA if shift == "none" else SEMI_SYMMETRIC
         base_kind = SEMI_SYMMETRIC if shift == "base" else LEVI_CIVITA
         r = ctx.mf.torsion.location if shift == "fiber" else None
@@ -605,17 +596,16 @@ def _necessity(shift: str, part: int):
                     if zb is None:
                         continue
                     # the base conclusion reads off base-pure directions
-                    if not _block_pure_gate(ctx, geom, kind, zeta,
+                    if not _block_pure_gate(ctx, kind, zeta,
                                             ["base"]) <= ctx.tol.alg:
                         continue
                     admitted += 1
-                    vals.append(sample_max(ctx, lie_matrix, zb,
-                                           ctx.block_geom("base", base_kind),
-                                           "base", kind=base_kind))
+                    vals.append(sample_max(ctx, lie_matrix, zb, "base",
+                                           kind=base_kind))
                 elif part == 2:
                     if zi is None or (shift == "fiber" and i == r):
                         continue
-                    if not _block_pure_gate(ctx, geom, kind, zeta,
+                    if not _block_pure_gate(ctx, kind, zeta,
                                             [i]) <= ctx.tol.alg:
                         continue
                     coeff_ok = True
@@ -755,7 +745,7 @@ def _witness_static(ctx: RunContext) -> Outcome:
             zeta = ProductField((z1, s_unit.scaled(a)))
             for p in ctx.points():
                 pb = ps.block_point(p, "base")
-                gb = ctx.base_geom.metric(pb).g
+                gb = ctx.block_geom("base").metric(pb).g
                 z1v = ctx.geom.field_values(lift(z1), p)[slb]
                 wj = warp_jet(ps, 0, p)
                 z1f = float(ctx.geom.field_values(lift(z1), p) @ wj.grad)

@@ -62,7 +62,7 @@ def _two_killing_fields(ctx: RunContext, block) -> list[tuple[str, VectorFieldDe
 
 
 def _warp_dir_max(ctx: RunContext, zb: VectorFieldDef, i: int) -> float:
-    return max_abs(ctx.geom0.field_values(lift(zb), p) @ warp_jet(ctx.ps, i, p).grad
+    return max_abs(ctx.geom.field_values(lift(zb), p) @ warp_jet(ctx.ps, i, p).grad
                    for p in ctx.points())
 
 
@@ -72,7 +72,7 @@ def _warp_constant(ctx: RunContext, i: int) -> bool:
 
 
 def _fiber_homothety(ctx: RunContext, vfd: VectorFieldDef):
-    geom = ctx.fiber_geom(int(vfd.block))
+    geom = ctx.block_geom(vfd.block)
     pts = [ctx.ps.block_point(p, vfd.block) for p in ctx.points()]
     return homothety_check(geom, rehome(vfd), pts, tol=ctx.tol.alg)
 
@@ -155,9 +155,9 @@ def _eq22_check(ctx: RunContext) -> Outcome:
             for k in range(n):
                 x = np.zeros(n)
                 x[k] = 1.0
-                vals.append(eq22_residual(ctx.geom0, zeta, x, p))
+                vals.append(eq22_residual(ctx.geom, zeta, x, p))
             for _ in range(4):
-                vals.append(eq22_residual(ctx.geom0, zeta,
+                vals.append(eq22_residual(ctx.geom, zeta,
                                           np.array(rng.vector(n)), p))
     if admitted == 0:
         return inconclusive("no second-order-Killing field available")
@@ -170,7 +170,7 @@ def _const_length_killing(ctx: RunContext):
     for name, zeta in ctx.field_combos().items():
         if not sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg:
             continue
-        if not constant_length_stddev(ctx.geom0, zeta, ctx.points()) <= 1e-8:
+        if not constant_length_stddev(ctx.geom, zeta, ctx.points()) <= 1e-8:
             continue
         out.append((name, zeta))
     return out
@@ -183,7 +183,7 @@ def _lemma_const_length(ctx: RunContext) -> Outcome:
     fields = _const_length_killing(ctx)
     for name, zeta in fields:
         for p in ctx.points():
-            w, _ = nabla_zeta_zeta(ctx.geom0, zeta, p)
+            w, _ = nabla_zeta_zeta(ctx.geom, zeta, p)
             vals.append(max_abs(w))
     if not fields:
         return inconclusive("no constant-length isometry declared")
@@ -200,10 +200,10 @@ def _eq23_check(ctx: RunContext) -> Outcome:
               if sample_max(ctx, lie_lie_matrix, z) <= ctx.tol.two]
     for name, zeta in fields:
         for p in ctx.points():
-            curv = riemann(ctx.geom0, p)
-            g = ctx.geom0.metric(p).g
-            zj = ctx.geom0.field_jet(zeta, p)
-            grid = nabla_grid(ctx.geom0.christoffel(p), zj.val, zj.d)
+            curv = riemann(ctx.geom, p)
+            g = ctx.geom.metric(p).g
+            zj = ctx.geom.field_jet(zeta, p)
+            grid = nabla_grid(ctx.geom.christoffel(p), zj.val, zj.d)
             for _ in range(6):
                 x = np.array(rng.vector(n))
                 lhs = riemann_quad(curv, zj.val, x)
@@ -233,8 +233,8 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
             continue
         admitted += 1
         for p in ctx.points():
-            vals.append(parallel_residual_at(ctx.geom0, zeta, p))
-            vals.append(abs(trace_nabla(ctx.geom0, zeta, p)))
+            vals.append(parallel_residual_at(ctx.geom, zeta, p))
+            vals.append(abs(trace_nabla(ctx.geom, zeta, p)))
     if admitted == 0:
         return inconclusive("no admissible field on the compact model")
     return residual_outcome(
@@ -302,7 +302,7 @@ def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) 
     gaps = []
     for p in ctx.points():
         wj = warp_jet(ctx.ps, i, p)
-        zj = ctx.geom0.field_jet(lift(zb), p)
+        zj = ctx.geom.field_jet(lift(zb), p)
         zbf = float(zj.val @ wj.grad)
         dzbf = zj.d @ wj.grad + wj.hess @ zj.val
         zbzbf = float(zj.val @ dzbf)
@@ -411,7 +411,7 @@ def _thm_parallel(case: int):
         for parts in combos:
             zeta = ProductField(tuple(parts))
             for p in ctx.points():
-                vals.append(parallel_residual_at(ctx.geom0, zeta, p))
+                vals.append(parallel_residual_at(ctx.geom, zeta, p))
         return residual_outcome(
             vals, ctx.tol.two,
             note=f"{len(combos)} combination(s); compactness modeled, not verified")
@@ -432,7 +432,7 @@ def _thm_sectional(part: int):
             for name, zeta in ctx.field_combos().items():
                 if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
-                if max_abs(nabla_zeta_zeta(ctx.geom0, zeta, p)[0]
+                if max_abs(nabla_zeta_zeta(ctx.geom, zeta, p)[0]
                            for p in ctx.points()) <= ctx.tol.hyp:
                     fields.append((name, zeta))
         if not fields:
@@ -440,12 +440,12 @@ def _thm_sectional(part: int):
         values = []
         for name, zeta in fields:
             for p in ctx.points():
-                zv = ctx.geom0.field_values(zeta, p)
-                curv = riemann(ctx.geom0, p)
+                zv = ctx.geom.field_values(zeta, p)
+                curv = riemann(ctx.geom, p)
                 for _ in range(6):
                     x = np.array(rng.vector(n))
                     try:
-                        values.append(sectional(ctx.geom0, p, zv, x, curv))
+                        values.append(sectional(ctx.geom, p, zv, x, curv))
                     except DegeneratePlane:
                         continue
         if not values:

@@ -51,25 +51,19 @@ def project_out(ps: ProductStructure, geom_block: Geometry, p_block: Point,
     return vec_block - coef * against_block
 
 
-def over_samples(ctx, fn, zeta, geom: Geometry | None = None, block=None,
-                 **kw) -> list:
-    """fn(geom, zeta, p, **kw) at each sample point.
+def over_samples(ctx, fn, zeta, block=None, **kw) -> list:
+    """fn(geom, zeta, p, **kw) at each sample point of the product geometry.
 
-    ``geom`` defaults to the unshifted product geometry.  With ``block``,
-    ``zeta`` is a lifted field on that block, evaluated on the block alone:
-    on the block's own geometry by default, at each point's block
-    coordinates.
+    With ``block``, ``zeta`` is a lifted field on that block, evaluated on
+    the block's own geometry at each point's block coordinates.
     """
-    pts = ctx.points()
-    if block is not None:
-        geom = geom if geom is not None else ctx.block_geom(block)
-        zeta = rehome(zeta)
-        pts = ctx.block_points(pts, block)
-    geom = geom if geom is not None else ctx.geom0
-    return [fn(geom, zeta, p, **kw) for p in pts]
+    if block is None:
+        return [fn(ctx.geom, zeta, p, **kw) for p in ctx.points()]
+    geom = ctx.block_geom(block)
+    zeta = rehome(zeta)
+    return [fn(geom, zeta, p, **kw) for p in ctx.block_points(ctx.points(), block)]
 
 
-def sample_max(ctx, fn, zeta, geom: Geometry | None = None, block=None,
-               **kw) -> float:
+def sample_max(ctx, fn, zeta, block=None, **kw) -> float:
     """Max over the sample points of |fn(geom, zeta, p)| (see over_samples)."""
-    return max_abs(over_samples(ctx, fn, zeta, geom, block, **kw))
+    return max_abs(over_samples(ctx, fn, zeta, block, **kw))

@@ -16,13 +16,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .connections import Geometry
+from .connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry
 from .fields import ProductField
-from .lie_killing import (
-    killing_residual,
-    ssm_killing_residual,
-    two_killing_residual,
-)
+from .jets import DomainError
+from .lie_killing import lie_lie_matrix, lie_matrix, max_abs
 from .manifest import Manifest, ManifestError, load_manifest
 from .metric import GeometryError, sample_points
 from .report import jsonl_report, text_report
@@ -31,6 +28,7 @@ from .suite import (
     CheckResult,
     Tolerances,
     default_registry,
+    residual_outcome,
     run_checks,
 )
 
@@ -55,18 +53,33 @@ def resolve_manifest(path_text: str) -> Path:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(alg=args.tol_alg, two=args.tol_2k, fd=args.tol_fd)
+    return Tolerances(alg=args.tol_alg, two=args.tol_2k)
 
 
 def _flag_error(args) -> str | None:
     """Why the run flags cannot drive a run, or None when they can."""
     if args.samples < 1:
         return f"--samples must be at least 1, got {args.samples}"
-    for flag, value in (("--tol-alg", args.tol_alg), ("--tol-2k", args.tol_2k),
-                        ("--tol-fd", args.tol_fd)):
+    for flag, value in (("--tol-alg", args.tol_alg), ("--tol-2k", args.tol_2k)):
         if not (math.isfinite(value) and value > 0):
             return f"{flag} must be finite and positive, got {value}"
     return None
+
+
+# Flags that take a number.  argparse reads a value such as ``-1e-6``,
+# ``-inf`` or ``-nan`` after them as an unknown option, so such a value is
+# joined to its flag and reaches the bound check in _flag_error.
+_NUMBER_FLAGS = ("--samples", "--seed", "--tol-alg", "--tol-2k")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_FLAGS and tok[:1] == "-" and tok[1:2] != "-":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _common_flags(sub):
@@ -75,7 +88,6 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--tol-alg", type=float, default=1e-8, dest="tol_alg")
     sub.add_argument("--tol-2k", type=float, default=1e-7, dest="tol_2k")
-    sub.add_argument("--tol-fd", type=float, default=1e-6, dest="tol_fd")
     sub.add_argument("--format", choices=("text", "jsonl"), default="text")
 
 
@@ -150,19 +162,19 @@ def cmd_killing(args) -> int:
     tol = _tolerances(args)
     rng = SplitMix(subseed(args.seed, mf.name, "cli-killing"))
     points = sample_points(mf.structure, args.samples, rng, mf.exclusions)
-    if args.kind == "killing":
-        geom = Geometry(mf.structure)
-        res = killing_residual(geom, zeta, points, tol=tol.alg)
-    elif args.kind == "ssm":
-        geom = Geometry(mf.structure, mf.torsion)
-        res = ssm_killing_residual(geom, zeta, points, tol=tol.alg)
+    geom = Geometry(mf.structure, mf.torsion)
+    if args.kind == "2killing":
+        name, bound = "two_killing", tol.two
+        mats = [lie_lie_matrix(geom, zeta, p) for p in points]
     else:
-        geom = Geometry(mf.structure)
-        res = two_killing_residual(geom, zeta, points, tol=tol.two)
+        name, bound = ("ssm_killing" if args.kind == "ssm" else "killing"), tol.alg
+        kind = SEMI_SYMMETRIC if args.kind == "ssm" else LEVI_CIVITA
+        mats = [lie_matrix(geom, zeta, p, kind) for p in points]
+    out = residual_outcome([max_abs(m) for m in mats], bound)
     result = CheckResult(
-        check=f"{res.kind}:{args.field}", result=res.kind, manifest=mf.name,
-        verdict=res.verdict, max_abs=res.max_abs, mean_abs=res.mean_abs,
-        samples=res.samples, tolerance=res.tolerance, note="")
+        check=f"{name}:{args.field}", result=name, manifest=mf.name,
+        verdict=out.verdict, max_abs=out.max_abs, mean_abs=out.mean_abs,
+        samples=out.samples, tolerance=out.tolerance, note=out.note)
     _emit(args, mf.name, [result])
     return 0 if result.passed else 1
 
@@ -170,7 +182,8 @@ def cmd_killing(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as err:
         return USAGE_ERROR if err.code not in (0,) else 0
     problem = _flag_error(args)
@@ -181,7 +194,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_killing(args)
-    except (ManifestError, FileNotFoundError, GeometryError) as err:
+    except (ManifestError, FileNotFoundError, GeometryError, DomainError) as err:
         print(f"warpfield: {err}", file=sys.stderr)
         return USAGE_ERROR
 

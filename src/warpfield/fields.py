@@ -71,17 +71,8 @@ class ProductField:
     def of(*parts: VectorFieldDef) -> "ProductField":
         return ProductField(tuple(parts))
 
-    def part(self, block) -> VectorFieldDef | None:
-        for p in self.parts:
-            if p.block == block:
-                return p
-        return None
-
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
-
-    def plus(self, other: "ProductField") -> "ProductField":
-        return ProductField(self.parts + other.parts)
 
     def values(self, ps: ProductStructure, p: Point) -> np.ndarray:
         env = ps.env(p)

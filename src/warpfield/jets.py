@@ -74,10 +74,6 @@ class Jet2:
         grad[k] = 1.0
         return Jet2(p.coords[k], grad, np.zeros((n, n)))
 
-    @staticmethod
-    def seeds(p: Point) -> list["Jet2"]:
-        return [Jet2.seed(p, k) for k in range(p.dim)]
-
     def _coerce(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             return other

@@ -31,27 +31,6 @@ from .curvature import riemann, riemann_quad
 from .jets import Point
 from .sampling import SplitMix
 
-KILLING = "killing"
-SSM_KILLING = "ssm_killing"
-TWO_KILLING = "two_killing"
-
-
-@dataclass(frozen=True)
-class KillingResidual:
-    kind: str
-    max_abs: float
-    mean_abs: float
-    samples: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs <= self.tolerance
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
 
 def max_abs(values) -> float:
     """Largest |v| over an array, or over an iterable of numbers or
@@ -147,35 +126,6 @@ def lie_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
 
 
 # ---- residual checks ----
-
-
-def _aggregate(kind: str, values: list[float], samples: int, tol: float) -> KillingResidual:
-    arr = np.abs(np.asarray(values, dtype=float))
-    return KillingResidual(
-        kind=kind,
-        max_abs=max_abs(arr),
-        mean_abs=float(arr.mean()) if arr.size else math.nan,
-        samples=samples,
-        tolerance=tol,
-    )
-
-
-def killing_residual(geom: Geometry, zeta, points: list[Point],
-                     tol: float = 1e-8) -> KillingResidual:
-    vals = [max_abs(lie_matrix(geom, zeta, p)) for p in points]
-    return _aggregate(KILLING, vals, len(points), tol)
-
-
-def ssm_killing_residual(geom: Geometry, zeta, points: list[Point],
-                         tol: float = 1e-8) -> KillingResidual:
-    vals = [max_abs(ssm_lie_matrix(geom, zeta, p)) for p in points]
-    return _aggregate(SSM_KILLING, vals, len(points), tol)
-
-
-def two_killing_residual(geom: Geometry, zeta, points: list[Point],
-                         tol: float = 1e-7) -> KillingResidual:
-    vals = [max_abs(lie_lie_matrix(geom, zeta, p)) for p in points]
-    return _aggregate(TWO_KILLING, vals, len(points), tol)
 
 
 def quadratic_form_max(geom: Geometry, zeta, points: list[Point], rng: SplitMix,

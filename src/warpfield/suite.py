@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry
+from .connections import Geometry
 from .fields import ProductField, VectorFieldDef, lift, synth_field
 from .jets import Point
 from .lie_killing import max_abs
@@ -31,7 +31,6 @@ INCONCLUSIVE = "inconclusive"
 class Tolerances:
     alg: float = 1e-8        # first-order identities
     two: float = 1e-7        # second-derivative identities
-    fd: float = 1e-6         # jet vs finite differences
     trace: float = 1e-6      # frame-trace decomposition
     second_order: float = 1e-6   # second Lie-derivative decomposition
     sym: float = 1e-12       # bilinear symmetry
@@ -102,40 +101,39 @@ class CheckSpec:
 
 
 class RunContext:
-    """Per-(manifest, run-config) bundle of cached geometry and sampling."""
+    """Per-(manifest, run-config) bundle of cached geometry and sampling.
+
+    One geometry per chart block: the product carries the manifest's
+    shift, the base carries it only when P lives on the base, and the
+    fibers carry none.  The connection is chosen by ``kind`` at each call.
+    """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
                  seed: int = DEFAULT_SEED, tol: Tolerances = Tolerances()):
         self.mf = mf
         self.ps = mf.structure
-        self.ts = mf.torsion
         self.samples = samples
         self.seed = seed
         self.tol = tol
-        self.geom = Geometry(self.ps, self.ts)
-        self.geom0 = Geometry(self.ps)
-        self.base_geom = Geometry(self.ps.base_structure())
-        if self.ts.location == "base":
-            self.base_geom_ssm = Geometry(self.ps.base_structure(),
-                                          self.ts.restrict_to_block())
-        else:
-            self.base_geom_ssm = self.base_geom
-        self.fiber_geoms = [Geometry(self.ps.fiber_structure(i))
-                            for i in range(len(self.ps.fibers))]
-        self._points: dict[str, list[Point]] = {}
+        self.geom = Geometry(self.ps, mf.torsion)
+        base_shift = (mf.torsion.restrict_to_block()
+                      if mf.torsion.location == "base" else None)
+        self._block_geoms = {"base": Geometry(self.ps.base_structure(), base_shift)}
+        self._block_geoms.update((i, Geometry(self.ps.fiber_structure(i)))
+                                 for i in range(len(self.ps.fibers)))
+        self._points: list[Point] | None = None
 
     # ---- sampling ----
 
     def rng(self, label: str) -> SplitMix:
         return SplitMix(subseed(self.seed, self.mf.name, label))
 
-    def points(self, label: str = "points", n: int | None = None) -> list[Point]:
-        key = f"{label}:{n}"
-        if key not in self._points:
-            self._points[key] = sample_points(
-                self.ps, n or self.samples, self.rng("points:" + label),
-                self.mf.exclusions)
-        return self._points[key]
+    def points(self) -> list[Point]:
+        if self._points is None:
+            self._points = sample_points(self.ps, self.samples,
+                                         self.rng("points:points"),
+                                         self.mf.exclusions)
+        return self._points
 
     def block_points(self, pts: list[Point], block) -> list[Point]:
         return [self.ps.block_point(p, block) for p in pts]
@@ -157,7 +155,7 @@ class RunContext:
     def fields_on(self, block) -> dict[str, VectorFieldDef]:
         return {name: f for name, f in self.mf.fields.items() if f.block == block}
 
-    def field_combos(self, max_parts: int = 3) -> dict[str, ProductField]:
+    def field_combos(self) -> dict[str, ProductField]:
         """Named manifest fields plus pairwise cross-block sums."""
         combos = {name: lift(f) for name, f in self.mf.fields.items()}
         names = sorted(self.mf.fields)
@@ -168,15 +166,9 @@ class RunContext:
                     combos[f"{a}+{b}"] = ProductField((fa, fb))
         return combos
 
-    def fiber_geom(self, i: int) -> Geometry:
-        return self.fiber_geoms[i]
-
-    def block_geom(self, block, kind: str = LEVI_CIVITA) -> Geometry:
-        """The block's own geometry; the shifted one for the base block
-        when ``kind`` is the shifted connection."""
-        if block != "base":
-            return self.fiber_geoms[int(block)]
-        return self.base_geom_ssm if kind == SEMI_SYMMETRIC else self.base_geom
+    def block_geom(self, block) -> Geometry:
+        """The geometry of one block viewed as a standalone manifold."""
+        return self._block_geoms["base" if block == "base" else int(block)]
 
 
 class Registry:

@@ -80,6 +80,21 @@ class TestExitCodes:
                        "zeta_by+zeta_cv", *FAST)
         assert proc.returncode == 0
 
+    def test_domain_error_at_a_sample_point_is_usage_error(self, tmp_path, capsys):
+        # log(t) is defined at the chart centre but not on the whole box
+        path = tmp_path / "log_box.wm"
+        path.write_text("[base]\ndim = 1\ncoords = t\ng.t.t = 1\n"
+                        "box.t = -0.5, 1.5\n\n[torsion]\nlocation = zero\n\n"
+                        "[field.zeta_log]\nlocation = base\ncomp.t = log(t)\n")
+        for argv in (["verify", str(path), "--samples", "64"],
+                     ["killing", str(path), "--field", "zeta_log",
+                      "--samples", "16"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1
+            assert captured.err.startswith("warpfield: log of -")
+
 
 class TestFlagBounds:
     @pytest.mark.parametrize("argv", [
@@ -89,7 +104,10 @@ class TestFlagBounds:
         ("verify", "sphere.wm", "--tol-alg", "nan"),
         ("verify", "sphere.wm", "--tol-alg", "0"),
         ("verify", "sphere.wm", "--tol-2k", "inf"),
-        ("killing", "sphere.wm", "--field", "zeta_phi", "--tol-fd=-1e-6"),
+        ("killing", "sphere.wm", "--field", "zeta_phi", "--tol-2k=-1e-6"),
+        ("verify", "sphere.wm", "--tol-alg", "-1e-6"),
+        ("verify", "sphere.wm", "--tol-2k", "-inf"),
+        ("verify", "sphere.wm", "--tol-alg", "-nan"),
     ])
     def test_bad_run_flag_is_one_line_usage_error(self, argv, capsys):
         assert main(list(argv)) == 2

@@ -2,25 +2,24 @@ import numpy as np
 import pytest
 
 from warpfield import fieldexpr as fe
-from warpfield.connections import Geometry, TorsionSpec
+from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry, TorsionSpec
 from warpfield.fields import ProductField, VectorFieldDef, lift
 from warpfield.jets import Point
 from warpfield.lie_killing import (
     constant_length_stddev,
     eq22_residual,
     homothety_check,
-    killing_residual,
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
     lie_matrix_direct,
+    max_abs,
     quadratic_form_max,
-    ssm_killing_residual,
     ssm_lie_matrix,
-    two_killing_residual,
 )
 from warpfield.metric import ProductStructure, diagonal_block, sample_points
 from warpfield.sampling import SplitMix
+from warpfield.suite import PASS, residual_outcome
 
 ONE = fe.num(1.0)
 
@@ -43,6 +42,16 @@ def base_field(*srcs, coords=("t",)):
 
 ROT = ("-y", "x")
 DIL = ("x", "y")
+
+
+def killing_outcome(geom, zeta, pts, kind=LEVI_CIVITA, tol=1e-8):
+    """The `warpfield killing` residual: max |L_zeta g| per point."""
+    return residual_outcome([max_abs(lie_matrix(geom, zeta, p, kind))
+                             for p in pts], tol)
+
+
+def two_killing_outcome(geom, zeta, pts, tol=1e-7):
+    return residual_outcome([max_abs(lie_lie_matrix(geom, zeta, p)) for p in pts], tol)
 
 
 class TestLieMetric:
@@ -94,10 +103,10 @@ class TestShiftedLieMetric:
         good = base_field("1.5")
         bad = base_field("t")
         pts = sample_points(geom.ps, 16, SplitMix(5))
-        assert ssm_killing_residual(geom, good, pts).passed
-        assert killing_residual(geom, good, pts).passed
-        assert not ssm_killing_residual(geom, bad, pts).passed
-        assert not killing_residual(geom, bad, pts).passed
+        assert killing_outcome(geom, good, pts, SEMI_SYMMETRIC).verdict == PASS
+        assert killing_outcome(geom, good, pts).verdict == PASS
+        assert killing_outcome(geom, bad, pts, SEMI_SYMMETRIC).verdict != PASS
+        assert killing_outcome(geom, bad, pts).verdict != PASS
 
     def test_grw_orthogonal_regime(self):
         # f = e^t with P = dt: the constant timelike field plus a fiber
@@ -132,19 +141,19 @@ class TestShiftedLieMetric:
                 assert abs(q) <= 1e-9
 
 
-class TestKillingResiduals:
+class TestKillingOutcomes:
     def test_constant_field_passes(self):
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE,)))
         geom = Geometry(interval(), ts)
         pts = sample_points(geom.ps, 64, SplitMix(7))
-        res = killing_residual(geom, base_field("1.5"), pts)
-        assert res.passed and res.samples == 64
+        res = killing_outcome(geom, base_field("1.5"), pts)
+        assert res.verdict == PASS and res.samples == 64
 
     def test_scaling_field_fails_with_known_residual(self):
         geom = Geometry(interval())
         pts = sample_points(geom.ps, 64, SplitMix(8))
-        res = killing_residual(geom, base_field("t"), pts)
-        assert not res.passed
+        res = killing_outcome(geom, base_field("t"), pts)
+        assert res.verdict != PASS
         assert res.max_abs == pytest.approx(2.0, abs=1e-12)
 
     def test_quadratic_form_consistency(self):
@@ -188,9 +197,9 @@ class TestSecondLie:
     def test_two_killing_residual_verdicts(self):
         geom = Geometry(interval())
         pts = sample_points(geom.ps, 64, SplitMix(15))
-        assert two_killing_residual(geom, base_field("cbrt(t)"), pts).passed
-        bad = two_killing_residual(geom, base_field("t^2"), pts)
-        assert not bad.passed and bad.max_abs >= 1e-1
+        assert two_killing_outcome(geom, base_field("cbrt(t)"), pts).verdict == PASS
+        bad = two_killing_outcome(geom, base_field("t^2"), pts)
+        assert bad.verdict != PASS and bad.max_abs >= 1e-1
 
 
 class TestHomothety:

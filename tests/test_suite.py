@@ -166,7 +166,7 @@ class TestSufficiencyNegativeControls:
         from warpfield.lie_killing import lie_matrix
 
         zeta = ProductField((mf.fields["zeta_bx"], mf.fields["zeta_cv"]))
-        worst = max(float(np.max(np.abs(lie_matrix(ctx.geom0, zeta, p))))
+        worst = max(float(np.max(np.abs(lie_matrix(ctx.geom, zeta, p))))
                     for p in ctx.points())
         assert worst > 1e-3
 
@@ -176,7 +176,7 @@ class TestSufficiencyNegativeControls:
         mf = corpus["mw2_riem"]
         ctx = RunContext(mf, samples=16)
         zeta = ProductField((mf.fields["zeta_dil1"], mf.fields["zeta_cw2"]))
-        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom0, zeta, p))))
+        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom, zeta, p))))
                     for p in ctx.points())
         assert worst > 1e-2
 
@@ -241,7 +241,7 @@ comp.y = {-lam * a / 3.0}*y
         assert _eq28_residual_max(ctx, 0, hom.factor, a, b) <= 1e-9
         # yet the combined field is not second-order Killing
         zeta = ProductField((mf.fields["zeta_cbrt"], mf.fields["zeta_dil"]))
-        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom0, zeta, p))))
+        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom, zeta, p))))
                     for p in ctx.points())
         assert worst > 1e-3
 
@@ -345,3 +345,30 @@ class TestNonFiniteResiduals:
     def test_outcome_with_nan_fails(self):
         out = residual_outcome([0.0, float("nan"), 0.0], 1.0)
         assert out.verdict == FAIL
+
+
+class TestOneGeometryPerBlock:
+    """Both connections read the same product geometry, so a run builds
+    each sample point's metric jet once."""
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "static"])
+    def test_one_metric_jet_per_sample_point(self, registry, corpus, name,
+                                             monkeypatch):
+        from collections import Counter
+
+        from warpfield.metric import ProductStructure
+
+        mf = corpus[name]
+        real = ProductStructure.metric_jet
+        calls = Counter()
+
+        def counted(ps, p):
+            if ps is mf.structure:
+                calls[p.coords] += 1
+            return real(ps, p)
+
+        monkeypatch.setattr(ProductStructure, "metric_jet", counted)
+        run_checks(registry, mf, registry.specs, samples=16)
+        points = RunContext(mf, samples=16).points()
+        assert len({p.coords for p in points}) == 16
+        assert calls == Counter(p.coords for p in points)
