@@ -26,7 +26,7 @@ from ..lie_killing import (
     nabla_quad,
 )
 from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
-from .util import embed, rehome, second_directional, warp_jet
+from .util import embed, rehome, second_directional
 
 
 def _has_fibers(mf):
@@ -107,7 +107,7 @@ class _Decomp:
 
 def _grad_warp(ctx: RunContext, i: int, p) -> np.ndarray:
     """Product-level index-raised gradient of the i-th warp (base block)."""
-    wj = warp_jet(ctx.ps, i, p)
+    wj = ctx.geom.warp_jet(i, p)
     gm = ctx.geom.metric(p)
     return gm.ginv @ wj.grad
 
@@ -139,7 +139,7 @@ def _item_mixed(ctx, d: _Decomp, p, kind: str) -> float:
     xbv = ctx.geom.field_values(lift(d.xb), p)
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yi[i]), p, kind)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         yiv = ctx.geom.field_values(lift(d.yi[i]), p)
         rhs = (float(xbv @ wj.grad) / wj.value) * yiv
         if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
@@ -154,7 +154,7 @@ def _item_mixed_swapped(ctx, d: _Decomp, p, kind: str) -> float:
     xbv = ctx.geom.field_values(lift(d.xb), p)
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.yi[i]), lift(d.xb), p, kind)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         yiv = ctx.geom.field_values(lift(d.yi[i]), p)
         coeff = float(xbv @ wj.grad) / wj.value
         if kind == SEMI_SYMMETRIC and _torsion_base(ctx.mf):
@@ -185,7 +185,7 @@ def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
     gaps = []
     for i in d.fiber_pairs():
         lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[i]), p, kind)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         pi_ = ctx.ps.block_point(p, i)
         fgeom = ctx.block_geom(i)
         gi = fgeom.metric(pi_).g
@@ -244,7 +244,7 @@ def _lie_rhs_p_zero(ctx: RunContext, parts, p) -> np.ndarray:
     zbv = ctx.geom.field_values(lift(parts[0]), p)
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         zbf = float(zbv @ wj.grad)
         rhs[sl, sl] += wj.value ** 2 * mi[i] + 2.0 * wj.value * zbf * gi
@@ -263,7 +263,7 @@ def _lie_rhs_shift_base(ctx: RunContext, parts, p) -> np.ndarray:
     pizb = float(zbv @ piv)
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
         zbf = float(zbv @ wj.grad)
@@ -290,7 +290,7 @@ def _lie_rhs_shift_fiber(ctx: RunContext, parts, p) -> np.ndarray:
     zbv = ctx.geom.field_values(lift(parts[0]), p)
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
         ziv = ctx.geom.field_values(lift(parts[i + 1]), p)
         zbf = float(zbv @ wj.grad)
@@ -357,7 +357,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
                 qb, qi, nxi = _factor_quads(ctx, parts, x, p, base_kind)
                 rhs = qb
                 for i in range(len(ctx.ps.fibers)):
-                    wj = warp_jet(ctx.ps, i, p)
+                    wj = ctx.geom.warp_jet(i, p)
                     zbf = float(zbv @ wj.grad)
                     rhs += wj.value ** 2 * qi[i] + wj.value * zbf * nxi[i]
                 if shift_location == "base":
@@ -366,7 +366,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
                     pixb = float(embed(ctx.ps, "base",
                                        x[ctx.ps.block_slice("base")]) @ piv)
                     for i in range(len(ctx.ps.fibers)):
-                        wj = warp_jet(ctx.ps, i, p)
+                        wj = ctx.geom.warp_jet(i, p)
                         sl = ctx.ps.block_slice(i)
                         gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
                         ziv = geom.field_values(lift(parts[i + 1]), p)[sl]
@@ -413,7 +413,7 @@ def _eq25_check(label: str):
                 gi = fgeom.metric(pi_).g
                 lli = lie_lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
                 li = lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
-                wj = warp_jet(ctx.ps, i, p)
+                wj = ctx.geom.warp_jet(i, p)
                 zbf, zbzbf = second_directional(zbj, wj)
                 rhs[sl, sl] += (wj.value ** 2 * lli
                                 + 4.0 * wj.value * zbf * li
@@ -447,7 +447,7 @@ def _eq27_check(label: str):
                     gi = fgeom.metric(pi_).g
                     sl = ctx.ps.block_slice(i)
                     ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
-                    wj = warp_jet(ctx.ps, i, p)
+                    wj = ctx.geom.warp_jet(i, p)
                     zbf = float(zbj.val @ wj.grad)
                     gradf_b = np.linalg.solve(gb, wj.grad[ctx.ps.block_slice("base")])
                     gf2 = float(gradf_b @ gb @ gradf_b)

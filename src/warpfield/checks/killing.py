@@ -29,7 +29,7 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import embed, project_out, sample_max, warp_jet
+from .util import embed, project_out, sample_max
 
 
 def _m(mf) -> int:
@@ -53,7 +53,7 @@ def _torsion_zero(mf) -> bool:
 
 def _warp_dir(ctx: RunContext, vfd_base: VectorFieldDef, i: int, p) -> float:
     """zeta_B(f_i) at p for a base-lifted field."""
-    wj = warp_jet(ctx.ps, i, p)
+    wj = ctx.geom.warp_jet(i, p)
     zv = ctx.geom.field_values(lift(vfd_base), p)
     return float(zv @ wj.grad)
 
@@ -345,7 +345,7 @@ def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> 
     """max over points of |f_i zeta_B(f_i) + f_i^2 pi(zeta_B)|."""
     gaps = []
     for p in ctx.points():
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         zbf = _warp_dir(ctx, zeta_b, i, p)
         pizb = _pi_of_field(ctx, zeta_b, p)
         gaps.append(wj.value * zbf + wj.value ** 2 * pizb)
@@ -668,7 +668,7 @@ def _builder_grw(ctx: RunContext) -> Outcome:
         b = rebuilt.metric_at(p).g
         vals.append(max_abs(a - b))
         vals.append(abs(a[0, 0] + 1.0))
-        wj = warp_jet(ps, 0, p)
+        wj = ctx.geom.warp_jet(0, p)
         sl = ps.block_slice(0)
         env = {c: v for c, v in zip(ps.coord_names, p.coords)}
         fiber_m = ps.fibers[0].matrix(env).astype(float)
@@ -691,7 +691,7 @@ def _builder_static(ctx: RunContext) -> Outcome:
         a = ps.metric_at(p).g
         b = rebuilt.metric_at(p).g
         vals.append(max_abs(a - b))
-        wj = warp_jet(ps, 0, p)
+        wj = ctx.geom.warp_jet(0, p)
         sl = ps.block_slice(0)
         vals.append(abs(a[sl, sl][0, 0] + wj.value ** 2))
     return residual_outcome(vals, 1e-10,
@@ -705,7 +705,7 @@ def _witness_grw(ctx: RunContext) -> Outcome:
     rng = ctx.rng("prop320")
     base_unit = VectorFieldDef("base", (num(1.0),))
     fiber_killing = _killing_fields(ctx, 0)
-    jets = [warp_jet(ps, 0, p) for p in ctx.points()]
+    jets = [ctx.geom.warp_jet(0, p) for p in ctx.points()]
     hyp = max_abs(float(wj.grad[0]) - wj.value for wj in jets)
     vals = []
     for a in (1.0, -1.0, 2.0, -2.0):
@@ -747,7 +747,7 @@ def _witness_static(ctx: RunContext) -> Outcome:
                 pb = ps.block_point(p, "base")
                 gb = ctx.block_geom("base").metric(pb).g
                 z1v = ctx.geom.field_values(lift(z1), p)[slb]
-                wj = warp_jet(ps, 0, p)
+                wj = ctx.geom.warp_jet(0, p)
                 z1f = float(ctx.geom.field_values(lift(z1), p) @ wj.grad)
                 for _ in range(6):
                     x1 = np.array(rng.vector(ps.base.dim))

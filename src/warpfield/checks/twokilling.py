@@ -45,7 +45,7 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import over_samples, rehome, sample_max, warp_jet
+from .util import over_samples, rehome, sample_max
 
 
 def _m(mf) -> int:
@@ -62,12 +62,13 @@ def _two_killing_fields(ctx: RunContext, block) -> list[tuple[str, VectorFieldDe
 
 
 def _warp_dir_max(ctx: RunContext, zb: VectorFieldDef, i: int) -> float:
-    return max_abs(ctx.geom.field_values(lift(zb), p) @ warp_jet(ctx.ps, i, p).grad
+    geom = ctx.geom
+    return max_abs(geom.field_values(lift(zb), p) @ geom.warp_jet(i, p).grad
                    for p in ctx.points())
 
 
 def _warp_constant(ctx: RunContext, i: int) -> bool:
-    return all(max_abs(warp_jet(ctx.ps, i, p).grad) <= 1e-12
+    return all(max_abs(ctx.geom.warp_jet(i, p).grad) <= 1e-12
                for p in ctx.points()[:4])
 
 
@@ -152,13 +153,8 @@ def _eq22_check(ctx: RunContext) -> Outcome:
             continue
         admitted += 1
         for p in ctx.points():
-            for k in range(n):
-                x = np.zeros(n)
-                x[k] = 1.0
-                vals.append(eq22_residual(ctx.geom, zeta, x, p))
-            for _ in range(4):
-                vals.append(eq22_residual(ctx.geom, zeta,
-                                          np.array(rng.vector(n)), p))
+            xs = list(np.eye(n)) + [np.array(rng.vector(n)) for _ in range(4)]
+            vals.extend(eq22_residual(ctx.geom, zeta, xs, p))
     if admitted == 0:
         return inconclusive("no second-order-Killing field available")
     return residual_outcome(vals, ctx.tol.two,
@@ -301,7 +297,7 @@ def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
 def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) -> float:
     gaps = []
     for p in ctx.points():
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         zj = ctx.geom.field_jet(lift(zb), p)
         zbf = float(zj.val @ wj.grad)
         dzbf = zj.d @ wj.grad + wj.hess @ zj.val
@@ -489,7 +485,7 @@ def _eq28_residual_max(ctx: RunContext, i: int, c_i: float, a: float, b: float) 
     gaps = []
     slb = ctx.ps.block_slice("base").start
     for p in ctx.points():
-        wj = warp_jet(ctx.ps, i, p)
+        wj = ctx.geom.warp_jet(i, p)
         t = p.coords[slb]
         f = wj.value
         fdot = float(wj.grad[slb])
@@ -556,7 +552,7 @@ def _recover_exponent(ctx: RunContext, i: int, a: float, b: float):
         phi = (a * t - b) / a
         if phi <= 0 or abs(math.log(phi)) < 1e-3:
             continue
-        w = warp_jet(ctx.ps, i, p).value
+        w = ctx.geom.warp_jet(i, p).value
         vals.append(math.log(w) / math.log(phi))
     if len(vals) < 8:
         return None, math.inf

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..connections import Geometry
-from ..fieldexpr import eval_expr
 from ..fields import ProductField, VectorFieldDef, lift
 from ..jets import Jet2, Point
 from ..lie_killing import max_abs
@@ -21,13 +20,6 @@ def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
 def rehome(vfd: VectorFieldDef) -> ProductField:
     """View a lifted field as a field on its own block's structure."""
     return lift(VectorFieldDef("base", vfd.components))
-
-
-def warp_jet(ps: ProductStructure, i: int, p: Point) -> Jet2:
-    j = eval_expr(ps.warps[i], ps.jet_env(p))
-    if not isinstance(j, Jet2):
-        j = Jet2.constant(j, ps.total_dim)
-    return j
 
 
 def second_directional(fj, jet: Jet2) -> tuple[float, float]:

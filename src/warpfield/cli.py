@@ -162,7 +162,7 @@ def cmd_killing(args) -> int:
     tol = _tolerances(args)
     rng = SplitMix(subseed(args.seed, mf.name, "cli-killing"))
     points = sample_points(mf.structure, args.samples, rng, mf.exclusions)
-    geom = Geometry(mf.structure, mf.torsion)
+    geom = Geometry(mf.structure, mf.torsion, points)
     if args.kind == "2killing":
         name, bound = "two_killing", tol.two
         mats = [lie_lie_matrix(geom, zeta, p) for p in points]

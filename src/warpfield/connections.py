@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldJet, ProductField, VectorFieldDef, lift
-from .jets import Point
+from .jets import Jet2, Point
 from .metric import DimensionMismatch, MetricAt, MetricJet, ProductStructure
 
 LEVI_CIVITA = "levi_civita"
@@ -75,29 +75,50 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 
 
 class Geometry:
-    """Per-structure cache of pointwise metric/connection/field data."""
+    """Per-structure cache of pointwise metric/connection/field data.
 
-    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None = None):
+    ``points`` is the sample set the geometry is evaluated on.  The first
+    cache miss at one of them fills the metric, metric-jet or field-jet
+    cache for all of them with one batched walk of the expressions; any
+    other point is evaluated the same way, as a batch of one.
+    """
+
+    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None = None,
+                 points: list[Point] = ()):
         self.ps = ps
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
+        self.points = list(points)
+        self._sampled = frozenset(p.coords for p in self.points)
+        self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._metric: dict = {}
         self._metric_jet: dict = {}
         self._gamma: dict = {}
         self._gamma_jet: dict = {}
         self._ssm: dict = {}
         self._field_jets: dict = {}
+        self._warp_jets: dict = {}
+
+    def _batch(self, p: Point) -> list[Point]:
+        """The points one evaluation at p covers."""
+        return self.points if p.coords in self._sampled else [p]
 
     def metric(self, p: Point) -> MetricAt:
+        """The value part of the metric jet at p."""
         got = self._metric.get(p.coords)
         if got is None:
-            got = self._metric.setdefault(p.coords, self.ps.metric_at(p))
+            self.metric_jet(p)
+            got = self._metric[p.coords]
         return got
 
     def metric_jet(self, p: Point) -> MetricJet:
         got = self._metric_jet.get(p.coords)
         if got is None:
-            got = self._metric_jet.setdefault(p.coords, self.ps.metric_jet(p))
+            batch = self._batch(p)
+            for q, mj in zip(batch, self.ps.metric_jet(batch)):
+                self._metric_jet[q.coords] = mj
+                self._metric[q.coords] = MetricAt(g=mj.g, ginv=mj.ginv, point=q)
+            got = self._metric_jet[p.coords]
         return got
 
     def christoffel(self, p: Point) -> np.ndarray:
@@ -123,9 +144,9 @@ class Geometry:
     # ---- torsion field data ----
 
     def p_vector(self, p: Point) -> np.ndarray:
-        if self.torsion.is_zero:
+        if self._p_field is None:
             return np.zeros(self.ps.total_dim)
-        return lift(self.torsion.field).values(self.ps, p)
+        return self.field_jet(self._p_field, p).val
 
     def pi_covector(self, p: Point) -> np.ndarray:
         return self.metric(p).g @ self.p_vector(p)
@@ -161,7 +182,22 @@ class Geometry:
         key = (field, p.coords)
         got = self._field_jets.get(key)
         if got is None:
-            got = self._field_jets.setdefault(key, field.jet(self.ps, p))
+            batch = self._batch(p)
+            for q, fj in zip(batch, field.jet(self.ps, batch)):
+                self._field_jets[(field, q.coords)] = fj
+            got = self._field_jets[key]
+        return got
+
+    def warp_jet(self, i: int, p: Point) -> Jet2:
+        """Jet of the i-th warping function at p."""
+        key = (i, p.coords)
+        got = self._warp_jets.get(key)
+        if got is None:
+            batch = self._batch(p)
+            jet = self.ps.expr_jet(self.ps.warps[i], self.ps.jet_env(batch), batch)
+            for k, q in enumerate(batch):
+                self._warp_jets[(i, q.coords)] = jet[k]
+            got = self._warp_jets[key]
         return got
 
     def field_values(self, field, p: Point) -> np.ndarray:

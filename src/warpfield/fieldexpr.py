@@ -12,8 +12,9 @@ so ``^`` is right-associative and binds tighter than unary minus.
 Identifiers resolve, in order, to declared coordinates, named constants
 (substituted as literals at parse time), or one of the built-in function
 names.  Evaluation is generic over real or :class:`~warpfield.jets.Jet2`
-scalars; an integral exponent is evaluated by repeated multiplication so
-polynomial jets are exact.
+bindings, and one walk over jets with a sample axis evaluates the tree at
+every sample point; an integral exponent is evaluated by repeated
+multiplication so polynomial jets are exact.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldexpr
-from .fieldexpr import Expr, eval_expr
-from .jets import Jet2, Point
+from .fieldexpr import Expr
+from .jets import Point
 from .metric import GeometryError, ProductStructure
 from .sampling import SplitMix
 
@@ -26,6 +26,14 @@ class VectorFieldDef:
 
     block: object
     components: tuple[Expr, ...]
+
+    def __post_init__(self):
+        # hashed once: fields are cache keys, and checks lift the same
+        # definition into a new ProductField at every point
+        object.__setattr__(self, "_hash", hash((self.block, self.components)))
+
+    def __hash__(self):
+        return self._hash
 
     def validate(self, ps: ProductStructure) -> None:
         bm = ps.block_metric(self.block)
@@ -66,6 +74,12 @@ class ProductField:
         blocks = [p.block for p in self.parts]
         if len(set(blocks)) != len(blocks):
             raise GeometryError("at most one lifted part per block")
+        # Geometry caches look fields up on every call: hash once, not
+        # per lookup
+        object.__setattr__(self, "_hash", hash(self.parts))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(*parts: VectorFieldDef) -> "ProductField":
@@ -74,32 +88,23 @@ class ProductField:
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
 
-    def values(self, ps: ProductStructure, p: Point) -> np.ndarray:
-        env = ps.env(p)
-        out = np.zeros(ps.total_dim)
+    def jet(self, ps: ProductStructure, points: list[Point]) -> list[FieldJet]:
+        """Component jets at each of ``points``, from one walk of every
+        component expression over the whole list."""
+        env = ps.jet_env(points)
+        s, n = len(points), ps.total_dim
+        val = np.zeros((s, n))
+        d = np.zeros((s, n, n))
+        d2 = np.zeros((s, n, n, n))
         for part in self.parts:
             sl = ps.block_slice(part.block)
             for k, comp in enumerate(part.components):
-                out[sl.start + k] = float(eval_expr(comp, env))
-        return out
-
-    def jet(self, ps: ProductStructure, p: Point) -> FieldJet:
-        env = ps.jet_env(p)
-        n = ps.total_dim
-        val = np.zeros(n)
-        d = np.zeros((n, n))
-        d2 = np.zeros((n, n, n))
-        for part in self.parts:
-            sl = ps.block_slice(part.block)
-            for k, comp in enumerate(part.components):
-                j = eval_expr(comp, env)
-                if not isinstance(j, Jet2):
-                    j = Jet2.constant(j, n)
+                j = ps.expr_jet(comp, env, points)
                 col = sl.start + k
-                val[col] = j.value
-                d[:, col] = j.grad
-                d2[:, :, col] = j.hess
-        return FieldJet(val=val, d=d, d2=d2)
+                val[:, col] = j.value
+                d[:, :, col] = j.grad
+                d2[:, :, :, col] = j.hess
+        return [FieldJet(val=val[i], d=d[i], d2=d2[i]) for i in range(s)]
 
 
 def lift(vfd: VectorFieldDef) -> ProductField:

@@ -1,10 +1,21 @@
-"""Order-2 forward-mode automatic differentiation.
+"""Order-2 forward-mode automatic differentiation over a set of points.
 
-A ``Jet2`` carries a scalar value together with its full gradient and
-Hessian with respect to the chart coordinates.  All tensor quantities
+A ``Jet2`` carries values together with their full gradients and
+Hessians with respect to the chart coordinates.  All tensor quantities
 downstream (metric derivatives, Christoffel symbols, curvature, second
 Lie derivatives) are assembled from this arithmetic, which is exact to
 round-off: no truncation error, unlike finite differences.
+
+A jet has a leading sample axis: ``value`` has shape (S,), ``grad``
+(S, n) and ``hess`` (S, n, n), so one walk of an expression tree
+evaluates it at S points (vectorized forward mode, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  A jet seeded at a
+single :class:`Point`, and a constant, has no sample axis: a float
+value, grad (n,) and hess (n, n).  Both broadcast against each other,
+and every operation acts on each sample alone, in the same order as for
+one point; the transcendental functions and non-integer powers call
+``math`` and Python ``**`` once per sample.  A result at one point is
+therefore bit-identical whichever batch it was computed in.
 
 The Hessian is stored dense and kept bit-exactly symmetric: every update
 below combines symmetric matrices and symmetrized outer products only.
@@ -19,7 +30,15 @@ import numpy as np
 
 
 class DomainError(ValueError):
-    """Function evaluated at a point outside its real domain."""
+    """Function evaluated at a point outside its real domain.
+
+    ``index`` is the position of the first failing sample in the batch,
+    or None when the failing value had no sample axis.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -40,25 +59,60 @@ class Point:
         return len(self.coords)
 
 
+def _g(v):
+    """A value broadcast against gradients."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
+def _h(v):
+    """A value broadcast against Hessians."""
+    return v[:, None, None] if isinstance(v, np.ndarray) else v
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
 def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # u_i v_j + u_j v_i is exactly symmetric in floating point
-    m = np.outer(u, v)
-    return m + m.T
+    m = _outer(u, v)
+    return m + np.swapaxes(m, -1, -2)
+
+
+def _map(fn, x):
+    """fn applied to each sample value as a Python float."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()], dtype=float)
+    return fn(x)
+
+
+def _require(ok, values, message: str) -> None:
+    """Raise DomainError unless ``ok`` holds at every sample.
+
+    The message is ``message`` formatted with the first failing value.
+    """
+    if np.all(ok):
+        return
+    batched = isinstance(values, np.ndarray)
+    i = int(np.argmin(ok)) if batched else 0
+    bad = float(values[i]) if batched else float(values)
+    raise DomainError(message.format(bad), index=i if batched else None)
 
 
 class Jet2:
-    """Scalar value with first and second partials in ``n`` directions."""
+    """Values with first and second partials in ``n`` directions."""
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = float(value)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = (np.asarray(value, dtype=float) if np.ndim(value)
+                      else float(value))
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
 
     @property
     def n(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @staticmethod
     def constant(value: float, n: int) -> "Jet2":
@@ -73,6 +127,13 @@ class Jet2:
         grad = np.zeros(n)
         grad[k] = 1.0
         return Jet2(p.coords[k], grad, np.zeros((n, n)))
+
+    def __getitem__(self, i: int) -> "Jet2":
+        """The jet at sample i; a jet without a sample axis is the same
+        at every sample."""
+        if not isinstance(self.value, np.ndarray):
+            return self
+        return Jet2(self.value[i], self.grad[i], self.hess[i])
 
     def _coerce(self, other) -> "Jet2":
         if isinstance(other, Jet2):
@@ -102,19 +163,20 @@ class Jet2:
         o = self._coerce(other)
         return Jet2(
             self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + _sym_outer(self.grad, o.grad),
+            _g(self.value) * o.grad + _g(o.value) * self.grad,
+            _h(self.value) * o.hess + _h(o.value) * self.hess
+            + _sym_outer(self.grad, o.grad),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.value == 0.0:
+        if np.any(o.value == 0.0):
             raise ZeroDivisionError("jet division by zero value")
         q = self.value / o.value
-        qg = (self.grad - q * o.grad) / o.value
-        qh = (self.hess - _sym_outer(qg, o.grad) - q * o.hess) / o.value
+        qg = (self.grad - _g(q) * o.grad) / _g(o.value)
+        qh = (self.hess - _sym_outer(qg, o.grad) - _h(q) * o.hess) / _h(o.value)
         return Jet2(q, qg, qh)
 
     def __rtruediv__(self, other):
@@ -122,20 +184,25 @@ class Jet2:
 
     def __pow__(self, expo):
         if isinstance(expo, Jet2):
-            if np.any(expo.grad) or np.any(expo.hess):
+            varies = (np.any(expo.grad != 0.0, axis=-1)
+                      | np.any(expo.hess != 0.0, axis=(-2, -1)))
+            if np.all(varies):
                 # variable exponent: a^b = exp(b log a)
                 return exp(expo * log(self))
-            expo = expo.value
+            first = expo[0].value
+            if np.any(varies) or np.any(expo.value != first):
+                return _per_sample(lambda a, b: a ** b, self, expo)
+            expo = first
         e = float(expo)
         if e == int(e) and abs(e) <= 64:
             return self._int_pow(int(e))
-        if self.value <= 0.0:
-            raise DomainError(f"non-integer power of non-positive base {self.value}")
+        _require(np.logical_not(self.value <= 0.0), self.value,
+                "non-integer power of non-positive base {}")
         return _chain(
             self,
-            self.value ** e,
-            e * self.value ** (e - 1.0),
-            e * (e - 1.0) * self.value ** (e - 2.0),
+            _map(lambda x: x ** e, self.value),
+            _map(lambda x: e * x ** (e - 1.0), self.value),
+            _map(lambda x: e * (e - 1.0) * x ** (e - 2.0), self.value),
         )
 
     def _int_pow(self, k: int) -> "Jet2":
@@ -154,26 +221,44 @@ class Jet2:
         return f"Jet2({self.value!r}, grad={self.grad.tolist()!r})"
 
 
-def _chain(a: Jet2, f: float, df: float, d2f: float) -> Jet2:
+def _per_sample(op, *jets: Jet2) -> Jet2:
+    """op applied at each sample on its own, for the rare operation whose
+    branch differs between samples; the results are stacked again."""
+    count = max(len(j.value) for j in jets if isinstance(j.value, np.ndarray))
+    out = []
+    for i in range(count):
+        try:
+            out.append(op(*(j[i] for j in jets)))
+        except DomainError as err:
+            raise DomainError(str(err), index=i) from None
+    n = jets[0].n
+    return Jet2(np.array([j.value for j in out]),
+                np.stack([np.broadcast_to(j.grad, (n,)) for j in out]),
+                np.stack([np.broadcast_to(j.hess, (n, n)) for j in out]))
+
+
+def _chain(a: Jet2, f, df, d2f) -> Jet2:
     """Second-order chain rule for a scalar function applied to a jet."""
     return Jet2(
         f,
-        df * a.grad,
-        df * a.hess + d2f * np.outer(a.grad, a.grad),
+        _g(df) * a.grad,
+        _h(df) * a.hess + _h(d2f) * _outer(a.grad, a.grad),
     )
 
 
 def _lift(fn, dfn, d2fn, name: str, domain=None):
+    message = name + " of {} outside real domain"
+
     def apply(a):
         if not isinstance(a, Jet2):
             x = float(a)
-            if domain is not None and not domain(x):
-                raise DomainError(f"{name} of {x} outside real domain")
+            if domain is not None:
+                _require(domain(x), x, message)
             return fn(x)
-        if domain is not None and not domain(a.value):
-            raise DomainError(f"{name} of {a.value} outside real domain")
         x = a.value
-        return _chain(a, fn(x), dfn(x), d2fn(x))
+        if domain is not None:
+            _require(domain(x), x, message)
+        return _chain(a, _map(fn, x), _map(dfn, x), _map(d2fn, x))
 
     apply.__name__ = name
     return apply

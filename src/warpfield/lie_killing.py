@@ -187,17 +187,25 @@ def nabla_zeta_zeta(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndar
     return w, dw
 
 
-def eq22_residual(geom: Geometry, zeta, x: np.ndarray, p: Point) -> float:
-    """Gap in R(z, x, x, z) = g(nabla_x z, nabla_x z) + g(nabla_x nabla_z z, x)."""
+def eq22_residual(geom: Geometry, zeta, xs, p: Point) -> list[float]:
+    """Gap in R(z, x, x, z) = g(nabla_x z, nabla_x z) + g(nabla_x nabla_z z, x)
+    for each test vector x of ``xs``; the curvature, nabla_z z and the
+    covariant-derivative grids at p are computed once for all of them."""
     curv = riemann(geom, p)
-    zv = geom.field_values(zeta, p)
-    lhs = riemann_quad(curv, zv, x)
+    zj = as_field_jet(geom, zeta, p)
     g = geom.metric(p).g
-    nxz = covariant_derivative(geom, x, zeta, p)
+    gamma = geom.christoffel(p)
+    nz = nabla_grid(gamma, zj.val, zj.d)
     w, dw = nabla_zeta_zeta(geom, zeta, p)
-    nxw = x @ nabla_grid(geom.christoffel(p), w, dw)
-    rhs = float(nxz @ g @ nxz) + float(nxw @ g @ x)
-    return abs(lhs - rhs)
+    nw = nabla_grid(gamma, w, dw)
+    out = []
+    for x in xs:
+        lhs = riemann_quad(curv, zj.val, x)
+        nxz = x @ nz
+        nxw = x @ nw
+        rhs = float(nxz @ g @ nxz) + float(nxw @ g @ x)
+        out.append(abs(lhs - rhs))
+    return out
 
 
 def constant_length_stddev(geom: Geometry, zeta, points: list[Point]) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fieldexpr
 from .fieldexpr import Expr, eval_expr
-from .jets import Jet2, Point
+from .jets import DomainError, Jet2, Point
 from .sampling import SplitMix
 
 
@@ -79,23 +79,16 @@ class BlockMetric:
         return len(self.coords)
 
     def matrix(self, env: dict) -> np.ndarray:
+        """Entry values over an environment of real coordinates."""
         d = self.dim
-        out = np.empty((d, d), dtype=object if _is_jet_env(env, self.coords) else float)
+        out = np.empty((d, d))
         for i in range(d):
             for j in range(i, d):
-                v = eval_expr(self.entries[i][j], env)
-                out[i, j] = v
-                out[j, i] = v
+                out[i, j] = out[j, i] = eval_expr(self.entries[i][j], env)
         return out
 
     def center(self) -> Point:
         return Point(tuple(0.5 * (lo + hi) for lo, hi in self.box))
-
-
-def _is_jet_env(env: dict, names) -> bool:
-    for name in names:
-        return isinstance(env.get(name), Jet2)
-    return False
 
 
 def diagonal_block(label: str, coords, diag_exprs, box) -> BlockMetric:
@@ -179,9 +172,30 @@ class ProductStructure:
         self._check_point(p)
         return dict(zip(self.coord_names, p.coords))
 
-    def jet_env(self, p: Point) -> dict:
-        self._check_point(p)
-        return {name: Jet2.seed(p, k) for k, name in enumerate(self.coord_names)}
+    def jet_env(self, points: list[Point]) -> dict:
+        """Coordinate jets over ``points``, one sample per point."""
+        for p in points:
+            self._check_point(p)
+        coords = np.array([p.coords for p in points])
+        s, n = coords.shape
+        grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
+        hess = np.zeros((s, n, n))
+        return {name: Jet2(coords[:, k], grads[k], hess)
+                for k, name in enumerate(self.coord_names)}
+
+    def expr_jet(self, expr: Expr, env: dict, points: list[Point]) -> Jet2:
+        """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
+        constant jet.  A DomainError names the first point where the
+        expression leaves its real domain, and the expression."""
+        try:
+            j = eval_expr(expr, env)
+        except DomainError as err:
+            i = err.index or 0
+            at = ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names,
+                                                        points[i].coords))
+            raise DomainError(f"{err} at ({at}) in {fieldexpr.pretty(expr)}",
+                              index=i) from None
+        return j if isinstance(j, Jet2) else Jet2.constant(j, self.total_dim)
 
     def _check_point(self, p: Point):
         if p.dim != self.total_dim:
@@ -207,62 +221,58 @@ class ProductStructure:
         g = np.zeros((n, n))
         ginv = np.zeros((n, n))
         sl = self.slices[0]
-        base_m = self.base.matrix(env).astype(float)
+        base_m = self.base.matrix(env)
         g[sl, sl] = base_m
         ginv[sl, sl] = _block_inverse(base_m, self.base.label)
         warp_vals = self.warp_values(p)
         for i, f in enumerate(self.fibers):
             sl = self.slices[i + 1]
-            fm = f.matrix(env).astype(float) * warp_vals[i] ** 2
+            fm = f.matrix(env) * warp_vals[i] ** 2
             g[sl, sl] = fm
             ginv[sl, sl] = _block_inverse(fm, f.label)
         return MetricAt(g=g, ginv=ginv, point=p)
 
-    def metric_jet(self, p: Point) -> "MetricJet":
-        env = self.jet_env(p)
-        n = self.total_dim
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
-        d2g = np.zeros((n, n, n, n))
+    def metric_jet(self, points: list[Point]) -> list["MetricJet"]:
+        """Metric jets at each of ``points``, from one walk of every entry
+        and warp expression over the whole list."""
+        env = self.jet_env(points)
+        s, n = len(points), self.total_dim
+        g = np.zeros((s, n, n))
+        dg = np.zeros((s, n, n, n))
+        d2g = np.zeros((s, n, n, n, n))
 
-        def put(sl, jets_matrix):
-            d = jets_matrix.shape[0]
-            for a in range(d):
-                for b in range(a, d):
-                    jet = jets_matrix[a, b]
-                    if not isinstance(jet, Jet2):
-                        jet = Jet2.constant(jet, n)
-                    ia, ib = sl.start + a, sl.start + b
-                    g[ia, ib] = g[ib, ia] = jet.value
-                    dg[:, ia, ib] = dg[:, ib, ia] = jet.grad
-                    d2g[:, :, ia, ib] = d2g[:, :, ib, ia] = jet.hess
+        def put(sl, a, b, jet):
+            ia, ib = sl.start + a, sl.start + b
+            g[:, ia, ib] = g[:, ib, ia] = jet.value
+            dg[:, :, ia, ib] = dg[:, :, ib, ia] = jet.grad
+            d2g[:, :, :, ia, ib] = d2g[:, :, :, ib, ia] = jet.hess
 
-        put(self.slices[0], self.base.matrix(env))
+        def entries(block):
+            for a in range(block.dim):
+                for b in range(a, block.dim):
+                    yield a, b, self.expr_jet(block.entries[a][b], env, points)
+
+        for a, b, jet in entries(self.base):
+            put(self.slices[0], a, b, jet)
         for i, f in enumerate(self.fibers):
-            w = eval_expr(self.warps[i], env)
-            if not isinstance(w, Jet2):
-                w = Jet2.constant(w, n)
-            if w.value <= 0.0:
-                raise NonPositiveWarping(
-                    f"warping for {f.label} evaluates to {w.value} at {p.coords}"
-                )
+            w = self.expr_jet(self.warps[i], env, points)
+            vals = np.atleast_1d(w.value)
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                k = bad[0]
+                raise NonPositiveWarping(f"warping for {f.label} evaluates to "
+                                         f"{float(vals[k])} at {points[k].coords}")
             w2 = w * w
-            fm = f.matrix(env)
-            scaled = np.empty_like(fm)
-            d = f.dim
-            for a in range(d):
-                for b in range(d):
-                    e = fm[a, b]
-                    if not isinstance(e, Jet2):
-                        e = Jet2.constant(e, n)
-                    scaled[a, b] = w2 * e
-            put(self.slices[i + 1], scaled)
+            for a, b, jet in entries(f):
+                put(self.slices[i + 1], a, b, w2 * jet)
 
-        ginv = np.zeros((n, n))
+        ginv = np.zeros((s, n, n))
         for sl in self.slices:
-            ginv[sl, sl] = _block_inverse(g[sl, sl], "block")
-        dginv = -np.einsum("ka,dab,bl->dkl", ginv, dg, ginv)
-        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, dginv=dginv, point=p)
+            ginv[:, sl, sl] = _block_inverse(g[:, sl, sl], "block")
+        dginv = -np.einsum("ska,sdab,sbl->sdkl", ginv, dg, ginv)
+        return [MetricJet(g=g[k], dg=dg[k], d2g=d2g[k], ginv=ginv[k],
+                          dginv=dginv[k], point=p)
+                for k, p in enumerate(points)]
 
     def signature(self, p: Point) -> tuple[int, ...]:
         """Signs of the metric eigenvalues, block by block (+1/-1)."""
@@ -277,9 +287,11 @@ class ProductStructure:
 
 
 def _block_inverse(m: np.ndarray, label: str) -> np.ndarray:
-    det = float(np.linalg.det(m))
-    if abs(det) <= DET_FLOOR:
-        raise SingularMetric(f"singular metric block {label} (det={det})")
+    """Inverse of one block, or of a stack of blocks (S, d, d)."""
+    det = np.atleast_1d(np.linalg.det(m))
+    bad = np.flatnonzero(np.abs(det) <= DET_FLOOR)
+    if bad.size:
+        raise SingularMetric(f"singular metric block {label} (det={float(det[bad[0]])})")
     return np.linalg.inv(m)
 
 
@@ -311,13 +323,10 @@ def inner(gm: MetricAt, x: np.ndarray, y: np.ndarray) -> float:
 
 def grad_scalar(ps: ProductStructure, p: Point, h: Expr) -> np.ndarray:
     """Index-raised gradient: (grad h)^k = g^{kl} d_l h on ps's chart."""
-    env = ps.jet_env(p)
     extra = fieldexpr.variables_of(h) - set(ps.coord_names)
     if extra:
         raise GeometryError(f"scalar references unknown coordinates {sorted(extra)}")
-    j = eval_expr(h, env)
-    if not isinstance(j, Jet2):
-        return np.zeros(ps.total_dim)
+    j = ps.expr_jet(h, ps.jet_env([p]), [p])[0]
     gm = ps.metric_at(p)
     return gm.ginv @ j.grad
 

@@ -103,9 +103,10 @@ class CheckSpec:
 class RunContext:
     """Per-(manifest, run-config) bundle of cached geometry and sampling.
 
-    One geometry per chart block: the product carries the manifest's
-    shift, the base carries it only when P lives on the base, and the
-    fibers carry none.  The connection is chosen by ``kind`` at each call.
+    One geometry per chart block, each built with the sample points (or
+    their block coordinates): the product carries the manifest's shift,
+    the base carries it only when P lives on the base, and the fibers
+    carry none.  The connection is chosen by ``kind`` at each call.
     """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
@@ -115,13 +116,17 @@ class RunContext:
         self.samples = samples
         self.seed = seed
         self.tol = tol
-        self.geom = Geometry(self.ps, mf.torsion)
+        self._points = sample_points(self.ps, samples, self.rng("points:points"),
+                                     mf.exclusions)
+        self.geom = Geometry(self.ps, mf.torsion, self._points)
         base_shift = (mf.torsion.restrict_to_block()
                       if mf.torsion.location == "base" else None)
-        self._block_geoms = {"base": Geometry(self.ps.base_structure(), base_shift)}
-        self._block_geoms.update((i, Geometry(self.ps.fiber_structure(i)))
-                                 for i in range(len(self.ps.fibers)))
-        self._points: list[Point] | None = None
+        self._block_geoms = {"base": Geometry(self.ps.base_structure(), base_shift,
+                                              self.block_points(self._points, "base"))}
+        self._block_geoms.update(
+            (i, Geometry(self.ps.fiber_structure(i), None,
+                         self.block_points(self._points, i)))
+            for i in range(len(self.ps.fibers)))
 
     # ---- sampling ----
 
@@ -129,10 +134,6 @@ class RunContext:
         return SplitMix(subseed(self.seed, self.mf.name, label))
 
     def points(self) -> list[Point]:
-        if self._points is None:
-            self._points = sample_points(self.ps, self.samples,
-                                         self.rng("points:points"),
-                                         self.mf.exclusions)
         return self._points
 
     def block_points(self, pts: list[Point], block) -> list[Point]:

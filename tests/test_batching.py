@@ -1,0 +1,156 @@
+"""Jets over a point set equal the jets of each point on its own.
+
+The geometry evaluates every metric entry, warp and field component once
+per sample set; these tests pin that a point's result does not depend on
+the batch it was computed in, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import EXPR_CORPUS, corpus_points
+from warpfield import cli
+from warpfield.checks.util import rehome
+from warpfield.connections import Geometry
+from warpfield.fieldexpr import eval_expr, parse_expr
+from warpfield.fields import ProductField, VectorFieldDef, lift
+from warpfield.jets import DomainError, Jet2, Point
+from warpfield.manifest import load_manifest
+from warpfield.metric import ProductStructure
+from warpfield.suite import RunContext
+
+CORPUS = sorted(cli.corpus_dir().glob("*.wm"))
+
+
+def batch_env(names, rows):
+    coords = np.array(rows, dtype=float)
+    s, n = coords.shape
+    return {name: Jet2(coords[:, k], np.broadcast_to(np.eye(n)[k], (s, n)),
+                       np.zeros((s, n, n)))
+            for k, name in enumerate(names)}
+
+
+def assert_same_jet(batched: Jet2, single: Jet2):
+    assert batched.value == single.value or (np.isnan(batched.value)
+                                             and np.isnan(single.value))
+    assert np.array_equal(batched.grad, single.grad, equal_nan=True)
+    assert np.array_equal(batched.hess, single.hess, equal_nan=True)
+
+
+class TestExpressionBatches:
+    @pytest.mark.parametrize("src,names,box,consts", EXPR_CORPUS,
+                             ids=[c[0] for c in EXPR_CORPUS])
+    def test_batch_equals_each_point(self, src, names, box, consts):
+        expr = parse_expr(src, names, consts)
+        order, rows = corpus_points(box, 16, src + "#batch")
+        batched = eval_expr(expr, batch_env(order, rows))
+        for i, values in enumerate(rows):
+            p = Point(values)
+            single = eval_expr(expr, {n: Jet2.seed(p, k) for k, n in enumerate(order)})
+            assert_same_jet(batched[i], single)
+
+    def test_exponent_constant_at_some_samples_only(self):
+        # (y - 1)^3 has zero grad and hess at y = 1 only: there x^0 is the
+        # integer power (defined for x < 0), elsewhere exp(b log x)
+        expr = parse_expr("x^((y - 1)^3)", ("x", "y"))
+        rows = [(-2.0, 1.0), (1.5, 1.5), (0.5, 1.0), (2.0, 0.25)]
+        batched = eval_expr(expr, batch_env(("x", "y"), rows))
+        for i, values in enumerate(rows):
+            p = Point(values)
+            single = eval_expr(expr, {"x": Jet2.seed(p, 0), "y": Jet2.seed(p, 1)})
+            assert_same_jet(batched[i], single)
+
+    def test_domain_error_names_the_first_failing_sample(self):
+        expr = parse_expr("log(t)", ("t",))
+        with pytest.raises(DomainError) as err:
+            eval_expr(expr, batch_env(("t",), [(0.5,), (2.0,), (-0.25,), (-1.0,)]))
+        assert err.value.index == 2
+        assert str(err.value) == "log of -0.25 outside real domain"
+
+
+def geometries(mf):
+    """(geometry built with its sample points, the same without, fields)."""
+    ctx = RunContext(mf, samples=16)
+    out = [(ctx.geom, Geometry(ctx.ps, mf.torsion), ctx.points(),
+            [lift(f) for f in mf.fields.values()])]
+    for block in ["base"] + list(range(len(ctx.ps.fibers))):
+        fields = [rehome(f) for f in mf.fields.values() if f.block == block]
+        batched = ctx.block_geom(block)
+        out.append((batched, Geometry(batched.ps, batched.torsion),
+                    ctx.block_points(ctx.points(), block), fields))
+    return out
+
+
+class TestGeometryBatches:
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_sample_set_equals_batch_of_one(self, path):
+        for batched, alone, points, fields in geometries(load_manifest(path)):
+            assert batched.points == points
+            for p in points:
+                a, b = batched.metric_jet(p), alone.metric_jet(p)
+                for name in ("g", "dg", "d2g", "ginv", "dginv"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                assert np.array_equal(batched.metric(p).g, alone.metric(p).g)
+                assert np.array_equal(batched.metric(p).ginv, alone.metric(p).ginv)
+                for f in fields:
+                    fa, fb = batched.field_jet(f, p), alone.field_jet(f, p)
+                    assert np.array_equal(fa.val, fb.val)
+                    assert np.array_equal(fa.d, fb.d)
+                    assert np.array_equal(fa.d2, fb.d2)
+
+    def test_point_outside_the_set_is_a_batch_of_one(self, monkeypatch):
+        mf = load_manifest(cli.corpus_dir() / "mw2_fib.wm")
+        ctx = RunContext(mf, samples=4)
+        real = ProductStructure.metric_jet
+        sizes = []
+
+        def counted(ps, points):
+            sizes.append(len(points))
+            return real(ps, points)
+
+        monkeypatch.setattr(ProductStructure, "metric_jet", counted)
+        ctx.geom.metric_jet(ctx.points()[1])
+        off = Point(tuple(c + 1e-3 for c in ctx.points()[0].coords))
+        ctx.geom.metric(off)
+        ctx.geom.metric_jet(ctx.points()[3])
+        assert sizes == [4, 1]
+
+
+class TestFieldKeys:
+    def test_equal_fields_share_one_cache_entry(self, monkeypatch):
+        mf = load_manifest(cli.corpus_dir() / "mw2_fib.wm")
+        ctx = RunContext(mf, samples=4)
+        vfd = mf.fields["zeta_bx"]
+        first = lift(vfd)
+        rebuilt = ProductField((VectorFieldDef(vfd.block, vfd.components),))
+        assert rebuilt == first and rebuilt is not first
+        assert hash(rebuilt) == hash(first)
+        real = ProductField.jet
+        calls = []
+
+        def counted(field, ps, points):
+            calls.append(len(points))
+            return real(field, ps, points)
+
+        monkeypatch.setattr(ProductField, "jet", counted)
+        ctx.geom.field_jet(first, ctx.points()[0])
+        ctx.geom.field_jet(rebuilt, ctx.points()[2])
+        assert calls == [4]
+
+
+class TestOneMetricWalkPerKillingRun:
+    @pytest.mark.parametrize("kind", ["killing", "ssm", "2killing"])
+    def test_metric_jet_entered_once(self, kind, monkeypatch, capsys):
+        real = ProductStructure.metric_jet
+        sizes = []
+
+        def counted(ps, points):
+            sizes.append(len(points))
+            return real(ps, points)
+
+        monkeypatch.setattr(ProductStructure, "metric_jet", counted)
+        rc = cli.main(["killing", str(cli.corpus_dir() / "mw2_fib.wm"),
+                       "--field", "zeta_bx", "--kind", kind, "--samples", "64"])
+        assert "killing:zeta_bx" in capsys.readouterr().out
+        assert rc in (0, 1)
+        assert sizes == [64]

@@ -81,19 +81,32 @@ class TestExitCodes:
         assert proc.returncode == 0
 
     def test_domain_error_at_a_sample_point_is_usage_error(self, tmp_path, capsys):
+        from warpfield.manifest import load_manifest
+        from warpfield.metric import sample_points
+        from warpfield.sampling import DEFAULT_SEED, SplitMix, subseed
+        from warpfield.suite import RunContext
+
         # log(t) is defined at the chart centre but not on the whole box
         path = tmp_path / "log_box.wm"
         path.write_text("[base]\ndim = 1\ncoords = t\ng.t.t = 1\n"
                         "box.t = -0.5, 1.5\n\n[torsion]\nlocation = zero\n\n"
                         "[field.zeta_log]\nlocation = base\ncomp.t = log(t)\n")
-        for argv in (["verify", str(path), "--samples", "64"],
-                     ["killing", str(path), "--field", "zeta_log",
-                      "--samples", "16"]):
+        mf = load_manifest(path)
+        killing_rng = SplitMix(subseed(DEFAULT_SEED, mf.name, "cli-killing"))
+        for argv, points in (
+                (["verify", str(path), "--samples", "64"],
+                 RunContext(mf, samples=64).points()),
+                (["killing", str(path), "--field", "zeta_log", "--samples", "16"],
+                 sample_points(mf.structure, 16, killing_rng, mf.exclusions))):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert len(captured.err.strip().splitlines()) == 1
             assert captured.err.startswith("warpfield: log of -")
+            # the message names the first sample point outside the domain
+            # and the expression that left it
+            bad = next(p for p in points if p.coords[0] <= 0.0)
+            assert f"at (t={bad.coords[0]!r}) in log(t)" in captured.err
 
 
 class TestFlagBounds:

@@ -95,12 +95,12 @@ class TestMetricJet:
     def test_exponential_warp_derivative(self):
         # g_xx = e^{2t}: d_t g_xx = 2 at t = 0
         ps = grw()
-        mj = ps.metric_jet(Point((0.0, 0.2, -0.1)))
+        mj = ps.metric_jet([Point((0.0, 0.2, -0.1))])[0]
         assert mj.dg[0, 1, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_blocks_have_zero_derivatives(self):
         ps = ProductStructure(base=interval(), fibers=(flat2(),), warps=(ONE,))
-        mj = ps.metric_jet(Point((1.0, 0.3, 0.4)))
+        mj = ps.metric_jet([Point((1.0, 0.3, 0.4))])[0]
         assert not mj.dg.any()
         assert not mj.d2g.any()
 
@@ -110,14 +110,14 @@ class TestMetricJet:
         ps = ProductStructure(base=interval(1.0, (0.5, 4.0)), fibers=(flat2(),),
                               warps=(warp,))
         t = 1.3
-        mj = ps.metric_jet(Point((t, 0.1, 0.2)))
+        mj = ps.metric_jet([Point((t, 0.1, 0.2))])[0]
         assert mj.dg[0, 1, 1] == pytest.approx(4.0 * t ** 3, rel=1e-12)
 
     def test_jets_match_finite_differences(self):
         ps = grw()
         rng = SplitMix(11)
         for p in sample_points(ps, 8, rng):
-            mj = ps.metric_jet(p)
+            mj = ps.metric_jet([p])[0]
             for i in range(3):
                 for j in range(3):
                     fd = fd_jet(lambda q, i=i, j=j: ps.metric_at(q).g[i, j], p)
@@ -130,7 +130,7 @@ class TestMetricJet:
         # d(g^{-1}) = -g^{-1} dg g^{-1}
         ps = grw()
         p = Point((0.2, 0.1, -0.3))
-        mj = ps.metric_jet(p)
+        mj = ps.metric_jet([p])[0]
         for d in range(3):
             expected = -mj.ginv @ mj.dg[d] @ mj.ginv
             assert np.allclose(mj.dginv[d], expected, atol=1e-12)

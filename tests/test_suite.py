@@ -348,27 +348,26 @@ class TestNonFiniteResiduals:
 
 
 class TestOneGeometryPerBlock:
-    """Both connections read the same product geometry, so a run builds
-    each sample point's metric jet once."""
+    """Both connections read the same product geometry, so a run evaluates
+    each sample point's metric jet exactly once: one batched call covering
+    all of the sample points."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "static"])
     def test_one_metric_jet_per_sample_point(self, registry, corpus, name,
                                              monkeypatch):
-        from collections import Counter
-
         from warpfield.metric import ProductStructure
 
         mf = corpus[name]
         real = ProductStructure.metric_jet
-        calls = Counter()
+        calls = []
 
-        def counted(ps, p):
+        def counted(ps, points):
             if ps is mf.structure:
-                calls[p.coords] += 1
-            return real(ps, p)
+                calls.append([p.coords for p in points])
+            return real(ps, points)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
         run_checks(registry, mf, registry.specs, samples=16)
         points = RunContext(mf, samples=16).points()
         assert len({p.coords for p in points}) == 16
-        assert calls == Counter(p.coords for p in points)
+        assert calls == [[p.coords for p in points]]
