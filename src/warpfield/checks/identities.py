@@ -16,7 +16,7 @@ from ..connections import (
     torsion_of,
 )
 from ..curvature import trace_nabla
-from ..fields import ProductField, lift
+from ..fields import ProductField, lift, rehome
 from ..lie_killing import (
     lie_lie_matrix,
     lie_lie_matrix_nested,
@@ -26,24 +26,7 @@ from ..lie_killing import (
     nabla_quad,
 )
 from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
-from .util import embed, rehome, second_directional
-
-
-def _has_fibers(mf):
-    return len(mf.structure.fibers) >= 1
-
-
-def _multi_fiber(mf):
-    return len(mf.structure.fibers) >= 2
-
-
-def _torsion_base(mf):
-    return mf.torsion.location == "base"
-
-
-def _torsion_fiber(mf):
-    return isinstance(mf.torsion.location, int)
-
+from .util import embed, second_directional, shift_on_base, shift_on_fiber
 
 # ---- section 2 axioms ----
 
@@ -116,7 +99,7 @@ def _item_base_base(ctx, d: _Decomp, p, kind: str) -> float:
     lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yb), p, kind)
     base_geom = ctx.block_geom("base")
     pb = ctx.ps.block_point(p, "base")
-    if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
+    if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
         # base part shifts by -g_B(XB, YB) P when the shift lives on a fiber
         gb = base_geom.metric(pb).g
         sl = ctx.ps.block_slice("base")
@@ -142,7 +125,7 @@ def _item_mixed(ctx, d: _Decomp, p, kind: str) -> float:
         wj = ctx.geom.warp_jet(i, p)
         yiv = ctx.geom.field_values(lift(d.yi[i]), p)
         rhs = (float(xbv @ wj.grad) / wj.value) * yiv
-        if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
+        if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
             rhs = rhs + ctx.geom.pi_of(p, yiv) * xbv
         gaps.append(lhs - rhs)
     return max_abs(gaps)
@@ -157,7 +140,7 @@ def _item_mixed_swapped(ctx, d: _Decomp, p, kind: str) -> float:
         wj = ctx.geom.warp_jet(i, p)
         yiv = ctx.geom.field_values(lift(d.yi[i]), p)
         coeff = float(xbv @ wj.grad) / wj.value
-        if kind == SEMI_SYMMETRIC and _torsion_base(ctx.mf):
+        if kind == SEMI_SYMMETRIC and shift_on_base(ctx.mf):
             coeff += ctx.geom.pi_of(p, xbv)
         gaps.append(lhs - coeff * yiv)
     return max_abs(gaps)
@@ -172,7 +155,7 @@ def _item_cross_fiber(ctx, d: _Decomp, p, kind: str) -> float:
                 continue
             lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[j]), p, kind)
             rhs = np.zeros(ctx.ps.total_dim)
-            if kind == SEMI_SYMMETRIC and _torsion_fiber(ctx.mf):
+            if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
                 yjv = ctx.geom.field_values(lift(d.yi[j]), p)
                 xiv = ctx.geom.field_values(lift(d.xi[i]), p)
                 rhs = ctx.geom.pi_of(p, yjv) * xiv
@@ -198,7 +181,7 @@ def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
         rhs = -wj.value * gixy * _grad_warp(ctx, i, p) + embed(ctx.ps, i, nab_i)
         if kind == SEMI_SYMMETRIC:
             rhs = rhs - wj.value ** 2 * gixy * ctx.geom.p_vector(p)
-            if _torsion_fiber(ctx.mf):
+            if shift_on_fiber(ctx.mf):
                 rhs = rhs + ctx.geom.pi_of(p, yiv) * xiv
         gaps.append(lhs - rhs)
     return max_abs(gaps)
@@ -223,22 +206,21 @@ def _zeta_parts(ctx: RunContext, label: str):
     return parts
 
 
-def _factor_lie_matrices(ctx: RunContext, parts, p, base_kind: str):
-    """Base and fiber Lie-derivative matrices of the lifted parts."""
-    pb = ctx.ps.block_point(p, "base")
-    mb = lie_matrix(ctx.block_geom("base"), rehome(parts[0]), pb, base_kind)
-    mi = []
-    for i in range(len(ctx.ps.fibers)):
-        pi_ = ctx.ps.block_point(p, i)
-        mi.append(lie_matrix(ctx.block_geom(i), rehome(parts[i + 1]), pi_))
+def _factor_lie_matrices(ctx: RunContext, parts, k: int, base_kind: str):
+    """Base and fiber Lie-derivative matrices of the lifted parts at the
+    k-th sample point."""
+    mb = ctx.over_samples(lie_matrix, parts[0], "base", kind=base_kind)[k]
+    mi = [ctx.over_samples(lie_matrix, z, i, kind=LEVI_CIVITA)[k]
+          for i, z in enumerate(parts[1:])]
     return mb, mi
 
 
-def _lie_rhs_p_zero(ctx: RunContext, parts, p) -> np.ndarray:
+def _lie_rhs_p_zero(ctx: RunContext, parts, k: int) -> np.ndarray:
     """Factor assembly of (L_zeta g) with no connection shift."""
+    p = ctx.points()[k]
     n = ctx.ps.total_dim
     rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, p, LEVI_CIVITA)
+    mb, mi = _factor_lie_matrices(ctx, parts, k, LEVI_CIVITA)
     slb = ctx.ps.block_slice("base")
     rhs[slb, slb] = mb
     zbv = ctx.geom.field_values(lift(parts[0]), p)
@@ -251,11 +233,12 @@ def _lie_rhs_p_zero(ctx: RunContext, parts, p) -> np.ndarray:
     return rhs
 
 
-def _lie_rhs_shift_base(ctx: RunContext, parts, p) -> np.ndarray:
+def _lie_rhs_shift_base(ctx: RunContext, parts, k: int) -> np.ndarray:
     """Factor assembly of the shifted Lie derivative, base-located P."""
+    p = ctx.points()[k]
     n = ctx.ps.total_dim
     rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, p, SEMI_SYMMETRIC)
+    mb, mi = _factor_lie_matrices(ctx, parts, k, SEMI_SYMMETRIC)
     slb = ctx.ps.block_slice("base")
     rhs[slb, slb] = mb
     piv = ctx.geom.pi_covector(p)
@@ -275,11 +258,12 @@ def _lie_rhs_shift_base(ctx: RunContext, parts, p) -> np.ndarray:
     return rhs
 
 
-def _lie_rhs_shift_fiber(ctx: RunContext, parts, p) -> np.ndarray:
+def _lie_rhs_shift_fiber(ctx: RunContext, parts, k: int) -> np.ndarray:
     """Factor assembly of the shifted Lie derivative, fiber-located P."""
+    p = ctx.points()[k]
     n = ctx.ps.total_dim
     rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, p, LEVI_CIVITA)
+    mb, mi = _factor_lie_matrices(ctx, parts, k, LEVI_CIVITA)
     slb = ctx.ps.block_slice("base")
     rhs[slb, slb] = mb
     g_full = ctx.geom.metric(p).g
@@ -307,10 +291,8 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
         kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
-        vals = []
-        for p in ctx.points():
-            lhs = lie_matrix(ctx.geom, zeta, p, kind)
-            vals.append(max_abs(lhs - rhs_fn(ctx, parts, p)))
+        lhs = ctx.over_samples(lie_matrix, zeta, kind=kind)
+        vals = [max_abs(m - rhs_fn(ctx, parts, k)) for k, m in enumerate(lhs)]
         return residual_outcome(vals, ctx.tol.two)
 
     return run
@@ -397,26 +379,24 @@ def _eq25_check(label: str):
     def run(ctx: RunContext) -> Outcome:
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
+        n = ctx.ps.total_dim
+        lli = [ctx.over_samples(lie_lie_matrix, z, i) for i, z in enumerate(parts[1:])]
+        li = [ctx.over_samples(lie_matrix, z, i, kind=LEVI_CIVITA)
+              for i, z in enumerate(parts[1:])]
         vals = []
-        for p in ctx.points():
-            lhs = lie_lie_matrix(ctx.geom, zeta, p)
-            n = ctx.ps.total_dim
+        for k, (p, lhs, llb) in enumerate(zip(
+                ctx.points(), ctx.over_samples(lie_lie_matrix, zeta),
+                ctx.over_samples(lie_lie_matrix, parts[0], "base"))):
             rhs = np.zeros((n, n))
-            pb = ctx.ps.block_point(p, "base")
-            rhs[ctx.ps.block_slice("base"), ctx.ps.block_slice("base")] = (
-                lie_lie_matrix(ctx.block_geom("base"), rehome(parts[0]), pb))
+            rhs[ctx.ps.block_slice("base"), ctx.ps.block_slice("base")] = llb
             zbj = ctx.geom.field_jet(lift(parts[0]), p)
             for i in range(len(ctx.ps.fibers)):
                 sl = ctx.ps.block_slice(i)
-                pi_ = ctx.ps.block_point(p, i)
-                fgeom = ctx.block_geom(i)
-                gi = fgeom.metric(pi_).g
-                lli = lie_lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
-                li = lie_matrix(fgeom, rehome(parts[i + 1]), pi_)
+                gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
                 wj = ctx.geom.warp_jet(i, p)
                 zbf, zbzbf = second_directional(zbj, wj)
-                rhs[sl, sl] += (wj.value ** 2 * lli
-                                + 4.0 * wj.value * zbf * li
+                rhs[sl, sl] += (wj.value ** 2 * lli[i][k]
+                                + 4.0 * wj.value * zbf * li[i][k]
                                 + 2.0 * wj.value * zbzbf * gi
                                 + 2.0 * zbf ** 2 * gi)
             vals.append(max_abs(lhs - rhs))
@@ -466,26 +446,20 @@ def _eq27_check(label: str):
 # ---- first/second Lie derivative route agreement ----
 
 
-def _lie_route_check(ctx: RunContext) -> Outcome:
-    vals = []
-    combos = [ProductField(tuple(_zeta_parts(ctx, "route")))]
-    combos += list(ctx.field_combos().values())
-    for zeta in combos[:8]:
-        for p in ctx.points():
-            vals.append(max_abs(lie_matrix(ctx.geom, zeta, p)
-                                - lie_matrix_direct(ctx.geom, zeta, p)))
-    return residual_outcome(vals, ctx.tol.two)
+def _route_check(label: str, count: int, fn, other, **kw):
+    """fn against the independent route ``other`` on a synthesized field
+    and the first declared field combos, ``count`` fields in all."""
 
+    def run(ctx: RunContext) -> Outcome:
+        combos = [ProductField(tuple(_zeta_parts(ctx, label)))]
+        combos += list(ctx.field_combos().values())
+        vals = []
+        for zeta in combos[:count]:
+            vals.extend(max_abs(a - b) for a, b in zip(ctx.over_samples(fn, zeta, **kw),
+                                                       ctx.over_samples(other, zeta)))
+        return residual_outcome(vals, ctx.tol.two)
 
-def _lie_lie_route_check(ctx: RunContext) -> Outcome:
-    vals = []
-    combos = [ProductField(tuple(_zeta_parts(ctx, "route2")))]
-    combos += list(ctx.field_combos().values())
-    for zeta in combos[:6]:
-        for p in ctx.points():
-            vals.append(max_abs(lie_lie_matrix(ctx.geom, zeta, p)
-                                - lie_lie_matrix_nested(ctx.geom, zeta, p)))
-    return residual_outcome(vals, ctx.tol.two)
+    return run
 
 
 def build() -> list[CheckSpec]:
@@ -499,20 +473,25 @@ def build() -> list[CheckSpec]:
                   any_mf, _axiom_compat),
         CheckSpec("Lemma3.3", "Lemma3.3", "3", "identity",
                   "connection route of the metric Lie derivative matches the "
-                  "coordinate route", any_mf, _lie_route_check),
+                  "coordinate route", any_mf,
+                  _route_check("route", 8, lie_matrix, lie_matrix_direct,
+                               kind=LEVI_CIVITA)),
         CheckSpec("Prop6.2", "Prop6.2", "6", "identity",
                   "nested-covariant route of the second Lie derivative "
                   "matches the twice-applied coordinate route",
-                  any_mf, _lie_lie_route_check),
+                  any_mf, _route_check("route2", 6, lie_lie_matrix,
+                                       lie_lie_matrix_nested)),
     ]
 
     # connection decomposition items
-    base_shift = lambda mf: _has_fibers(mf) and _torsion_base(mf)
-    fiber_shift = lambda mf: _has_fibers(mf) and _torsion_fiber(mf)
-    base_shift_multi = lambda mf: _multi_fiber(mf) and _torsion_base(mf)
-    fiber_shift_multi = lambda mf: _multi_fiber(mf) and _torsion_fiber(mf)
-    warped1_base = lambda mf: len(mf.structure.fibers) == 1 and _torsion_base(mf)
-    warped1_fiber = lambda mf: len(mf.structure.fibers) == 1 and _torsion_fiber(mf)
+    has_fibers = lambda mf: mf.fiber_count >= 1
+    multi_fiber = lambda mf: mf.fiber_count >= 2
+    base_shift = lambda mf: has_fibers(mf) and shift_on_base(mf)
+    fiber_shift = lambda mf: has_fibers(mf) and shift_on_fiber(mf)
+    base_shift_multi = lambda mf: multi_fiber(mf) and shift_on_base(mf)
+    fiber_shift_multi = lambda mf: multi_fiber(mf) and shift_on_fiber(mf)
+    warped1_base = lambda mf: mf.fiber_count == 1 and shift_on_base(mf)
+    warped1_fiber = lambda mf: mf.fiber_count == 1 and shift_on_fiber(mf)
 
     items_base = [
         ("1", _item_base_base, "base-tangent arguments reduce to the base connection"),
@@ -566,7 +545,7 @@ def build() -> list[CheckSpec]:
         ("4b", _item_diagonal, "torsion-free fiber-diagonal decomposition"),
     ]
     for suffix, fn, title in lc_items:
-        applies = _multi_fiber if suffix == "4a" else _has_fibers
+        applies = multi_fiber if suffix == "4a" else has_fibers
         specs.append(CheckSpec(f"Lemma6.7.{suffix}", "Lemma6.7", "6", "identity",
                                title, applies, _decomp_check(fn, LEVI_CIVITA, "L67")))
 
@@ -586,7 +565,7 @@ def build() -> list[CheckSpec]:
                   warped1_fiber, _lie_decomposition_check(_lie_rhs_shift_fiber, True, "E11")),
         CheckSpec("Prop5.1", "Prop5.1", "5", "identity",
                   "Lie derivative of g decomposes with no shift",
-                  _has_fibers, _lie_decomposition_check(_lie_rhs_p_zero, False, "E18")),
+                  has_fibers, _lie_decomposition_check(_lie_rhs_p_zero, False, "E18")),
         CheckSpec("Cor4.5", "Cor4.5", "4", "identity",
                   "quadratic form of the shifted derivative decomposes (base shift)",
                   base_shift, _quad_decomposition_check("base", "E16")),
@@ -601,12 +580,12 @@ def build() -> list[CheckSpec]:
                   warped1_fiber, _quad_decomposition_check("fiber", "E13")),
         CheckSpec("Cor5.2", "Cor5.2", "5", "identity",
                   "quadratic Lie decomposition with no shift",
-                  _has_fibers, _quad_decomposition_check("none", "E19")),
+                  has_fibers, _quad_decomposition_check("none", "E19")),
         CheckSpec("Prop6.8", "Prop6.8", "6", "identity",
                   "second Lie derivative of g decomposes",
-                  _has_fibers, _eq25_check("E25")),
+                  has_fibers, _eq25_check("E25")),
         CheckSpec("Prop6.12", "Prop6.12", "6", "identity",
                   "frame trace of (nabla zeta)^2 decomposes into five terms",
-                  _has_fibers, _eq27_check("E27")),
+                  has_fibers, _eq27_check("E27")),
     ]
     return specs

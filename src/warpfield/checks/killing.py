@@ -13,12 +13,14 @@ manifests as well.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC
 from ..fieldexpr import eval_expr, num, pretty
 from ..fields import ProductField, VectorFieldDef, lift
-from ..lie_killing import lie_matrix, max_abs, nabla_quad, ssm_lie_matrix
+from ..lie_killing import lie_matrix, max_abs, nabla_quad
 from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
@@ -29,42 +31,21 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import embed, project_out, sample_max
-
-
-def _m(mf) -> int:
-    return len(mf.structure.fibers)
-
-
-def _torsion_base(mf) -> bool:
-    return mf.torsion.location == "base"
-
-
-def _torsion_fiber(mf) -> bool:
-    return isinstance(mf.torsion.location, int)
-
-
-def _torsion_zero(mf) -> bool:
-    return mf.torsion.is_zero
-
+from .util import (
+    embed,
+    factor_fields,
+    part_sums,
+    project_out,
+    shift_on_base,
+    shift_on_fiber,
+    warp_dir_max,
+)
 
 # ---- factor-level residual helpers ----
 
 
-def _warp_dir(ctx: RunContext, vfd_base: VectorFieldDef, i: int, p) -> float:
-    """zeta_B(f_i) at p for a base-lifted field."""
-    wj = ctx.geom.warp_jet(i, p)
-    zv = ctx.geom.field_values(lift(vfd_base), p)
-    return float(zv @ wj.grad)
-
-
 def _pi_of_field(ctx: RunContext, vfd: VectorFieldDef, p) -> float:
     return ctx.geom.pi_of(p, ctx.geom.field_values(lift(vfd), p))
-
-
-def _warp_hyp(ctx: RunContext, vfd_base: VectorFieldDef, fibers) -> float:
-    """max over points and the given fibers of |zeta_B(f_i)|."""
-    return max_abs(_warp_dir(ctx, vfd_base, i, p) for i in fibers for p in ctx.points())
 
 
 def _pi_hyp(ctx: RunContext, vfd: VectorFieldDef) -> float:
@@ -86,11 +67,11 @@ def _fiber_orth(ctx: RunContext, p, i: int, vec_i: np.ndarray,
 def _def_killing(ctx: RunContext) -> Outcome:
     """Symmetry and linearity in the field of the metric Lie derivative."""
     vals = []
-    for name, zeta in list(ctx.field_combos().items())[:6]:
-        for p in ctx.points():
-            m = lie_matrix(ctx.geom, zeta, p)
+    for zeta in list(ctx.field_combos().values())[:6]:
+        scaled = ctx.over_samples(lie_matrix, zeta.scaled(2.5), kind=LEVI_CIVITA)
+        for m, m_scaled in zip(ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA),
+                               scaled):
             vals.append(max_abs(m - m.T))
-            m_scaled = lie_matrix(ctx.geom, zeta.scaled(2.5), p)
             vals.append(max_abs(m_scaled - 2.5 * m))
     return residual_outcome(vals, ctx.tol.sym * 100,
                             note="symmetry and field-linearity of the derivative")
@@ -99,10 +80,10 @@ def _def_killing(ctx: RunContext) -> Outcome:
 def _def_ssm_lie(ctx: RunContext) -> Outcome:
     """Shifted Lie derivative equals the unshifted one plus pairing terms."""
     vals = []
-    for name, zeta in list(ctx.field_combos().items())[:6]:
-        for p in ctx.points():
-            m_bar = ssm_lie_matrix(ctx.geom, zeta, p)
-            m = lie_matrix(ctx.geom, zeta, p)
+    for zeta in list(ctx.field_combos().values())[:6]:
+        for p, m_bar, m in zip(ctx.points(),
+                               ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC),
+                               ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)):
             g = ctx.geom.metric(p).g
             piv = ctx.geom.pi_covector(p)
             zv = ctx.geom.field_values(zeta, p)
@@ -114,23 +95,37 @@ def _def_ssm_lie(ctx: RunContext) -> Outcome:
     return residual_outcome(vals, ctx.tol.alg)
 
 
-def _verdict_pairs(ctx: RunContext, label: str, kind: str) -> list[tuple[bool, bool]]:
+def _non_finite(ctx: RunContext) -> Outcome:
+    """A verdict-agreement check whose verdicts rest on a NaN or infinite
+    residual: two non-finite verdicts never count as agreeing."""
+    return Outcome(FAIL, max_abs=math.nan, mean_abs=math.nan,
+                   samples=len(ctx.points()), tolerance=0.0,
+                   note="non-finite residual behind a verdict")
+
+
+def _verdict_pairs(ctx: RunContext, label: str,
+                   kind: str) -> list[tuple[bool, bool]] | None:
     """Per field combo, the basis-pair Killing verdict and the verdict of
-    the quadratic form over 8 random test vectors per point."""
+    the quadratic form over 8 random test vectors per point; None when a
+    residual behind a verdict is not finite."""
     rng = ctx.rng(label)
     n = ctx.ps.total_dim
-    pairs = []
+    residuals = []
     for zeta in ctx.field_combos().values():
-        ms = [lie_matrix(ctx.geom, zeta, p, kind) for p in ctx.points()]
+        ms = ctx.over_samples(lie_matrix, zeta, kind=kind)
         quads = [0.5 * float(x @ m @ x) for m in ms
                  for x in (np.array(rng.vector(n)) for _ in range(8))]
-        pairs.append((max_abs(ms) <= ctx.tol.alg, max_abs(quads) <= ctx.tol.alg))
-    return pairs
+        residuals.append((max_abs(ms), max_abs(quads)))
+    if not np.isfinite(residuals).all():
+        return None
+    return [(bil <= ctx.tol.alg, quad <= ctx.tol.alg) for bil, quad in residuals]
 
 
 def _def_ssm_killing(ctx: RunContext) -> Outcome:
     """Basis-pair verdict agrees with the random-vector quadratic verdict."""
     pairs = _verdict_pairs(ctx, "def36", SEMI_SYMMETRIC)
+    if pairs is None:
+        return _non_finite(ctx)
     if not pairs:
         return inconclusive("no fields declared")
     mismatches = sum(bil != quad for bil, quad in pairs)
@@ -143,6 +138,8 @@ def _def_ssm_killing(ctx: RunContext) -> Outcome:
 def _quad_equivalence(kind: str, label: str):
     def run(ctx: RunContext) -> Outcome:
         pairs = _verdict_pairs(ctx, label, kind)
+        if pairs is None:
+            return _non_finite(ctx)
         mismatches = sum(bil != quad for bil, quad in pairs)
         both_pass = sum(bil and quad for bil, quad in pairs)
         both_fail = len(pairs) - mismatches - both_pass
@@ -161,7 +158,7 @@ def _remark_expansion(ctx: RunContext) -> Outcome:
     rng = ctx.rng("remark39")
     n = ctx.ps.total_dim
     vals = []
-    for name, zeta in list(ctx.field_combos().items())[:6]:
+    for zeta in list(ctx.field_combos().values())[:6]:
         for p in ctx.points():
             g = ctx.geom.metric(p).g
             zv = ctx.geom.field_values(zeta, p)
@@ -184,7 +181,7 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
     mismatches = 0
     agree_pass = 0
     agree_fail = 0
-    for name, zeta in ctx.field_combos().items():
+    for zeta in ctx.field_combos().values():
         gaps = []
         for p in ctx.points():
             g = ctx.geom.metric(p).g
@@ -197,8 +194,11 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
         if not max_abs(gaps) <= ctx.tol.hyp:
             continue
         admitted += 1
-        k = sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg
-        s = sample_max(ctx, ssm_lie_matrix, zeta) <= ctx.tol.alg
+        residuals = (ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA),
+                     ctx.sample_max(lie_matrix, zeta, kind=SEMI_SYMMETRIC))
+        if not np.isfinite(residuals).all():
+            return _non_finite(ctx)
+        k, s = (r <= ctx.tol.alg for r in residuals)
         if k != s:
             mismatches += 1
         elif k:
@@ -218,10 +218,10 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
 def _remark_zero_shift(ctx: RunContext) -> Outcome:
     """With no shift the two derivative routes coincide exactly."""
     vals = []
-    for name, zeta in list(ctx.field_combos().items())[:6]:
-        for p in ctx.points():
-            vals.append(max_abs(ssm_lie_matrix(ctx.geom, zeta, p)
-                                - lie_matrix(ctx.geom, zeta, p)))
+    for zeta in list(ctx.field_combos().values())[:6]:
+        vals.extend(max_abs(ms - m) for ms, m in zip(
+            ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC),
+            ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)))
     return residual_outcome(vals, 1e-15, note="exact coincidence at zero shift")
 
 
@@ -229,10 +229,10 @@ def _example_interval(ctx: RunContext) -> Outcome:
     """Constant-coefficient fields are the interval's Killing fields."""
     good = ctx.named_field("zeta_a")
     bad = ctx.named_field("zeta_lin")
-    good_k = sample_max(ctx, lie_matrix, good)
-    good_s = sample_max(ctx, ssm_lie_matrix, good)
-    bad_k = sample_max(ctx, lie_matrix, bad)
-    bad_s = sample_max(ctx, ssm_lie_matrix, bad)
+    good_k, bad_k = (ctx.sample_max(lie_matrix, z, kind=LEVI_CIVITA)
+                     for z in (good, bad))
+    good_s, bad_s = (ctx.sample_max(lie_matrix, z, kind=SEMI_SYMMETRIC)
+                     for z in (good, bad))
     ok = (good_k <= ctx.tol.alg and good_s <= ctx.tol.alg
           and abs(bad_k - 2.0) <= ctx.tol.alg and abs(bad_s - 2.0) <= ctx.tol.alg)
     return Outcome(PASS if ok else FAIL,
@@ -259,25 +259,22 @@ class SuffInstance:
 def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind,
                           draws: int = 6) -> list[float]:
     """Shifted/unshifted Killing residuals over the instance's cone."""
-    geom = ctx.geom
+    if inst.cone is None:
+        ms = ctx.over_samples(lie_matrix, inst.zeta, kind=kind)
+        if inst.restrict_blocks is None:
+            return [max_abs(m) for m in ms]
+        idx = np.concatenate([np.arange(ctx.ps.block_slice(b).start,
+                                        ctx.ps.block_slice(b).stop)
+                              for b in inst.restrict_blocks])
+        return [max_abs(m[np.ix_(idx, idx)]) for m in ms]
     rng = ctx.rng("cone:" + inst.name)
     vals = []
     for p in ctx.points():
-        if inst.cone is None and inst.restrict_blocks is None:
-            vals.append(max_abs(lie_matrix(geom, inst.zeta, p, kind)))
-            continue
-        if inst.restrict_blocks is not None:
-            m = lie_matrix(geom, inst.zeta, p, kind)
-            idx = np.concatenate([np.arange(ctx.ps.block_slice(b).start,
-                                            ctx.ps.block_slice(b).stop)
-                                  for b in inst.restrict_blocks])
-            vals.append(max_abs(m[np.ix_(idx, idx)]))
-            continue
         for _ in range(draws):
             x = inst.cone(p, rng)
             if x is None:
                 continue
-            vals.append(abs(nabla_quad(geom, inst.zeta, x, p, kind)))
+            vals.append(abs(nabla_quad(ctx.geom, inst.zeta, x, p, kind)))
     return vals
 
 
@@ -293,20 +290,13 @@ def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
                             note=note + f"; {len(admitted)} instance(s)")
 
 
-def _killing_fields(ctx: RunContext, block,
-                    kind: str = LEVI_CIVITA) -> list[tuple[str, VectorFieldDef]]:
-    """Declared fields of a block that are Killing on the block itself."""
-    return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
-            if sample_max(ctx, lie_matrix, vfd, block, kind=kind) <= ctx.tol.alg]
-
-
 def _orth_cone(ctx: RunContext, against: dict[int, VectorFieldDef],
                zero_blocks=()):
     """Random full vectors with fiber parts projected orthogonal to fields."""
 
     def cone(p, rng):
         x = np.zeros(ctx.ps.total_dim)
-        for block in ["base"] + list(range(_m(ctx.mf))):
+        for block in ["base"] + list(range(ctx.mf.fiber_count)):
             if block in zero_blocks:
                 continue
             sl = ctx.ps.block_slice(block)
@@ -323,7 +313,7 @@ def _orth_cone(ctx: RunContext, against: dict[int, VectorFieldDef],
 
 def _pure_cone(ctx: RunContext, condition=None):
     """Block-pure random vectors, optionally gated by a condition value."""
-    blocks = ["base"] + list(range(_m(ctx.mf)))
+    blocks = ["base"] + list(range(ctx.mf.fiber_count))
 
     def cone(p, rng):
         for _ in range(12):
@@ -346,7 +336,7 @@ def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> 
     gaps = []
     for p in ctx.points():
         wj = ctx.geom.warp_jet(i, p)
-        zbf = _warp_dir(ctx, zeta_b, i, p)
+        zbf = float(ctx.geom.field_values(lift(zeta_b), p) @ wj.grad)
         pizb = _pi_of_field(ctx, zeta_b, p)
         gaps.append(wj.value * zbf + wj.value ** 2 * pizb)
     return max_abs(gaps)
@@ -354,10 +344,12 @@ def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> 
 
 def _suff_base_shift(part: int):
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
+        m = ctx.mf.fiber_count
         instances: list[SuffInstance] = []
-        base_ssm = _killing_fields(ctx, "base", SEMI_SYMMETRIC)
-        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
+        base_ssm = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg,
+                                 kind=SEMI_SYMMETRIC)
+        per_fiber = {i: factor_fields(ctx, i, lie_matrix, ctx.tol.alg,
+                                      kind=LEVI_CIVITA) for i in range(m)}
 
         def shift_hyp(zb):
             return max_abs(_base_shift_coefficient(ctx, zb, i) for i in range(m))
@@ -411,11 +403,13 @@ def _suff_base_shift(part: int):
 
 def _suff_fiber_shift(part: str):
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
+        m = ctx.mf.fiber_count
         r = ctx.mf.torsion.location
         instances: list[SuffInstance] = []
-        base_k = _killing_fields(ctx, "base")
-        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
+        base_k = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg,
+                               kind=LEVI_CIVITA)
+        per_fiber = {i: factor_fields(ctx, i, lie_matrix, ctx.tol.alg,
+                                      kind=LEVI_CIVITA) for i in range(m)}
 
         def cond_r(zeta_r):
             def condition(p, block, x):
@@ -434,7 +428,7 @@ def _suff_fiber_shift(part: str):
 
         if part == "1":
             for name, zb in base_k:
-                hyp = _warp_hyp(ctx, zb, range(m))
+                hyp = warp_dir_max(ctx, zb, range(m))
                 instances.append(SuffInstance(name, lift(zb), hyp,
                                               cone=_pure_cone(ctx)))
         elif part == "2a":
@@ -455,14 +449,14 @@ def _suff_fiber_shift(part: str):
                     if i == r:
                         continue
                     for fname, zi in per_fiber[i]:
-                        hyp = _warp_hyp(ctx, zb, [i])
+                        hyp = warp_dir_max(ctx, zb, [i])
                         instances.append(SuffInstance(
                             f"{name}+{fname}", ProductField((zb, zi)), hyp,
                             cone=_pure_cone(ctx)))
         elif part == "3b":
             for name, zb in base_k:
                 for fname, zr in per_fiber.get(r, []):
-                    hyp = max_abs([_warp_hyp(ctx, zb, [r]), _pi_hyp(ctx, zr)])
+                    hyp = max_abs([warp_dir_max(ctx, zb, [r]), _pi_hyp(ctx, zr)])
                     instances.append(SuffInstance(
                         f"{name}+{fname}", ProductField((zb, zr)), hyp,
                         cone=_pure_cone(ctx, condition=cond_r(zr))))
@@ -482,7 +476,7 @@ def _suff_fiber_shift(part: str):
                 if not combo:
                     continue
                 zr = {i: z for i, (_, z) in combo}.get(r)
-                hyp = _warp_hyp(ctx, zb, [i for i, _ in combo])
+                hyp = warp_dir_max(ctx, zb, [i for i, _ in combo])
                 if zr is not None:
                     hyp = max_abs([hyp, _pi_hyp(ctx, zr)])
                 zeta = ProductField((zb,) + tuple(z for _, (_, z) in combo))
@@ -502,15 +496,17 @@ def _suff_fiber_shift(part: str):
 
 def _suff_no_shift(part: int):
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
+        m = ctx.mf.fiber_count
         instances: list[SuffInstance] = []
-        base_k = _killing_fields(ctx, "base")
-        per_fiber = {i: _killing_fields(ctx, i) for i in range(m)}
+        base_k = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg,
+                               kind=LEVI_CIVITA)
+        per_fiber = {i: factor_fields(ctx, i, lie_matrix, ctx.tol.alg,
+                                      kind=LEVI_CIVITA) for i in range(m)}
 
         if part == 1:
             for name, zb in base_k:
                 instances.append(SuffInstance(name, lift(zb),
-                                              _warp_hyp(ctx, zb, range(m))))
+                                              warp_dir_max(ctx, zb, range(m))))
         elif part == 2:
             for i in range(m):
                 for name, zi in per_fiber[i]:
@@ -519,8 +515,8 @@ def _suff_no_shift(part: int):
             for name, zb in base_k:
                 for i in range(m):
                     for fname, zi in per_fiber[i]:
-                        hyp_i = _warp_hyp(ctx, zb, [i])
-                        hyp_all = _warp_hyp(ctx, zb, range(m))
+                        hyp_i = warp_dir_max(ctx, zb, [i])
+                        hyp_all = warp_dir_max(ctx, zb, range(m))
                         if hyp_all <= ctx.tol.hyp:
                             instances.append(SuffInstance(
                                 f"{name}+{fname}", ProductField((zb, zi)), hyp_all))
@@ -541,7 +537,7 @@ def _suff_no_shift(part: int):
                     continue
                 zeta = ProductField((zb,) + tuple(z for _, (_, z) in combo))
                 instances.append(SuffInstance(name + "+fibers", zeta,
-                                              _warp_hyp(ctx, zb, range(m))))
+                                              warp_dir_max(ctx, zb, range(m))))
         return _sufficiency_outcome(
             ctx, instances, LEVI_CIVITA, ctx.tol.alg,
             note="no connection shift")
@@ -573,52 +569,39 @@ def _necessity(shift: str, part: int):
     factor directions, the factor restrictions must pass their checks."""
 
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
         kind = LEVI_CIVITA if shift == "none" else SEMI_SYMMETRIC
         base_kind = SEMI_SYMMETRIC if shift == "base" else LEVI_CIVITA
         r = ctx.mf.torsion.location if shift == "fiber" else None
-        base_fields = sorted(ctx.fields_on("base").items())
-        fiber_opts = [(i, fname, zi) for i in range(m)
-                      for fname, zi in sorted(ctx.fields_on(i).items())]
-        fiber_opts.append((None, "", None))
         vals = []
         admitted = 0
-        for bname, zb in base_fields + [("", None)]:
-            for i, fname, zi in fiber_opts:
-                parts = tuple(f for f in (zb, zi) if f is not None)
-                if not parts:
+        for zb, i, zi, zeta in part_sums(ctx):
+            if shift == "fiber" and zi is not None:
+                if not _pi_hyp(ctx, zi) <= ctx.tol.hyp:
                     continue
-                zeta = ProductField(parts)
-                if shift == "fiber" and zi is not None:
-                    if not _pi_hyp(ctx, zi) <= ctx.tol.hyp:
-                        continue
-                if part == 1:
-                    if zb is None:
-                        continue
-                    # the base conclusion reads off base-pure directions
-                    if not _block_pure_gate(ctx, kind, zeta,
-                                            ["base"]) <= ctx.tol.alg:
-                        continue
-                    admitted += 1
-                    vals.append(sample_max(ctx, lie_matrix, zb, "base",
-                                           kind=base_kind))
-                elif part == 2:
-                    if zi is None or (shift == "fiber" and i == r):
-                        continue
-                    if not _block_pure_gate(ctx, kind, zeta,
-                                            [i]) <= ctx.tol.alg:
-                        continue
-                    coeff_ok = True
-                    if zb is not None:
-                        if shift == "base":
-                            coeff_ok = (_base_shift_coefficient(ctx, zb, i)
-                                        <= ctx.tol.hyp)
-                        else:
-                            coeff_ok = _warp_hyp(ctx, zb, [i]) <= ctx.tol.hyp
-                    if not coeff_ok:
-                        continue
-                    admitted += 1
-                    vals.append(sample_max(ctx, lie_matrix, zi, block=i))
+            if part == 1:
+                if zb is None:
+                    continue
+                # the base conclusion reads off base-pure directions
+                if not _block_pure_gate(ctx, kind, zeta, ["base"]) <= ctx.tol.alg:
+                    continue
+                admitted += 1
+                vals.append(ctx.sample_max(lie_matrix, zb, "base", kind=base_kind))
+            elif part == 2:
+                if zi is None or (shift == "fiber" and i == r):
+                    continue
+                if not _block_pure_gate(ctx, kind, zeta, [i]) <= ctx.tol.alg:
+                    continue
+                coeff_ok = True
+                if zb is not None:
+                    if shift == "base":
+                        coeff_ok = (_base_shift_coefficient(ctx, zb, i)
+                                    <= ctx.tol.hyp)
+                    else:
+                        coeff_ok = warp_dir_max(ctx, zb, [i]) <= ctx.tol.hyp
+                if not coeff_ok:
+                    continue
+                admitted += 1
+                vals.append(ctx.sample_max(lie_matrix, zi, i, kind=LEVI_CIVITA))
         if admitted == 0 or not vals:
             return inconclusive("no product-level field passes the gate")
         return residual_outcome(vals, ctx.tol.alg,
@@ -704,7 +687,8 @@ def _witness_grw(ctx: RunContext) -> Outcome:
     ps = ctx.ps
     rng = ctx.rng("prop320")
     base_unit = VectorFieldDef("base", (num(1.0),))
-    fiber_killing = _killing_fields(ctx, 0)
+    fiber_killing = factor_fields(ctx, 0, lie_matrix, ctx.tol.alg,
+                                  kind=LEVI_CIVITA)
     jets = [ctx.geom.warp_jet(0, p) for p in ctx.points()]
     hyp = max_abs(float(wj.grad[0]) - wj.value for wj in jets)
     vals = []
@@ -734,7 +718,8 @@ def _witness_static(ctx: RunContext) -> Outcome:
     ps = ctx.ps
     rng = ctx.rng("prop324")
     s_unit = VectorFieldDef(0, (num(1.0),))
-    base_killing = _killing_fields(ctx, "base")
+    base_killing = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg,
+                                 kind=LEVI_CIVITA)
     if not base_killing:
         return inconclusive("no base isometry declared")
     vals = []
@@ -777,15 +762,17 @@ def _witness_static(ctx: RunContext) -> Outcome:
 
 def build() -> list[CheckSpec]:
     any_mf = lambda mf: True
-    shifted = lambda mf: not _torsion_zero(mf)
-    zero_shift = lambda mf: _torsion_zero(mf)
-    warped1_base = lambda mf: _m(mf) == 1 and _torsion_base(mf)
-    warped1_fiber = lambda mf: _m(mf) == 1 and _torsion_fiber(mf)
-    base_shift = lambda mf: _m(mf) >= 1 and _torsion_base(mf)
-    fiber_shift = lambda mf: _m(mf) >= 1 and _torsion_fiber(mf)
-    has_fibers = lambda mf: _m(mf) >= 1
-    interval_shape = lambda mf: (_m(mf) == 0 and mf.structure.base.dim == 1
-                                 and _torsion_base(mf)
+    shifted = lambda mf: not mf.torsion.is_zero
+    zero_shift = lambda mf: mf.torsion.is_zero
+    warped1_base = lambda mf: mf.fiber_count == 1 and shift_on_base(mf)
+    warped1_fiber = lambda mf: mf.fiber_count == 1 and shift_on_fiber(mf)
+    base_shift = lambda mf: mf.fiber_count >= 1 and shift_on_base(mf)
+    fiber_shift = lambda mf: mf.fiber_count >= 1 and shift_on_fiber(mf)
+    base_shift_multi = lambda mf: mf.fiber_count >= 2 and shift_on_base(mf)
+    fiber_shift_multi = lambda mf: mf.fiber_count >= 2 and shift_on_fiber(mf)
+    has_fibers = lambda mf: mf.fiber_count >= 1
+    interval_shape = lambda mf: (mf.fiber_count == 0 and mf.structure.base.dim == 1
+                                 and shift_on_base(mf)
                                  and {"zeta_a", "zeta_lin"} <= set(mf.fields))
 
     specs = [
@@ -836,7 +823,7 @@ def build() -> list[CheckSpec]:
                   _is_grw_shape, _builder_grw),
         CheckSpec("Prop3.20", "Prop3.20", "3", "witness",
                   "exponential warp admits the constant timelike field",
-                  lambda mf: _is_grw_shape(mf) and _torsion_base(mf),
+                  lambda mf: _is_grw_shape(mf) and shift_on_base(mf),
                   _witness_grw),
         CheckSpec("Prop3.21.1", "Prop3.21", "3", "sufficiency",
                   "base isometry with warp-orthogonal test cone",
@@ -858,7 +845,7 @@ def build() -> list[CheckSpec]:
                   _is_static_shape, _builder_static),
         CheckSpec("Prop3.24", "Prop3.24", "3", "witness",
                   "root-solved test vectors keep the static field shifted-Killing",
-                  lambda mf: _is_static_shape(mf) and _torsion_fiber(mf),
+                  lambda mf: _is_static_shape(mf) and shift_on_fiber(mf),
                   _witness_static),
         # multiply warped versions
         CheckSpec("Prop4.7.1", "Prop4.7", "4", "sufficiency",
@@ -872,7 +859,7 @@ def build() -> list[CheckSpec]:
                   base_shift, _suff_base_shift(3)),
         CheckSpec("Prop4.7.4", "Prop4.7", "4", "sufficiency",
                   "sum of fiber isometries on the orthogonal cone",
-                  lambda mf: _m(mf) >= 2 and _torsion_base(mf),
+                  base_shift_multi,
                   _suff_base_shift(4)),
         CheckSpec("Prop4.7.5", "Prop4.7", "4", "sufficiency",
                   "base plus all fiber isometries",
@@ -888,21 +875,21 @@ def build() -> list[CheckSpec]:
                   fiber_shift, _suff_fiber_shift("1")),
         CheckSpec("Prop4.9.2a", "Prop4.9", "4", "sufficiency",
                   "isometry of a fiber away from the shift",
-                  lambda mf: _m(mf) >= 2 and _torsion_fiber(mf),
+                  fiber_shift_multi,
                   _suff_fiber_shift("2a")),
         CheckSpec("Prop4.9.2b", "Prop4.9", "4", "sufficiency",
                   "isometry of the shift-carrying fiber on its cone",
                   fiber_shift, _suff_fiber_shift("2b")),
         CheckSpec("Prop4.9.3a", "Prop4.9", "4", "sufficiency",
                   "base plus away-fiber isometry with constant warp",
-                  lambda mf: _m(mf) >= 2 and _torsion_fiber(mf),
+                  fiber_shift_multi,
                   _suff_fiber_shift("3a")),
         CheckSpec("Prop4.9.3b", "Prop4.9", "4", "sufficiency",
                   "base plus shift-fiber isometry on its cone",
                   fiber_shift, _suff_fiber_shift("3b")),
         CheckSpec("Prop4.9.4", "Prop4.9", "4", "sufficiency",
                   "sum of fiber isometries on the condition cone",
-                  lambda mf: _m(mf) >= 2 and _torsion_fiber(mf),
+                  fiber_shift_multi,
                   _suff_fiber_shift("4")),
         CheckSpec("Prop4.9.5", "Prop4.9", "4", "sufficiency",
                   "base plus all fiber isometries on the condition cone",
@@ -925,7 +912,7 @@ def build() -> list[CheckSpec]:
                   has_fibers, _suff_no_shift(3)),
         CheckSpec("Prop5.3.4", "Prop5.3", "5", "sufficiency",
                   "sums of fiber isometries lift unconditionally",
-                  lambda mf: _m(mf) >= 2, _suff_no_shift(4)),
+                  lambda mf: mf.fiber_count >= 2, _suff_no_shift(4)),
         CheckSpec("Prop5.3.5", "Prop5.3", "5", "sufficiency",
                   "full combination under annihilated warps",
                   has_fibers, _suff_no_shift(5)),

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..connections import nabla_grid
+from ..connections import LEVI_CIVITA, nabla_grid
 from ..curvature import (
     DegeneratePlane,
     parallel_residual_at,
@@ -45,44 +45,37 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import over_samples, rehome, sample_max
-
-
-def _m(mf) -> int:
-    return len(mf.structure.fibers)
-
+from .util import factor_fields, part_sums, second_directional, warp_dir_max
 
 # ---- residual helpers ----
 
 
-def _two_killing_fields(ctx: RunContext, block) -> list[tuple[str, VectorFieldDef]]:
-    """Declared fields of a block that are 2-Killing on the block itself."""
-    return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
-            if sample_max(ctx, lie_lie_matrix, vfd, block=block) <= ctx.tol.two]
-
-
-def _warp_dir_max(ctx: RunContext, zb: VectorFieldDef, i: int) -> float:
-    geom = ctx.geom
-    return max_abs(geom.field_values(lift(zb), p) @ geom.warp_jet(i, p).grad
-                   for p in ctx.points())
-
-
 def _warp_constant(ctx: RunContext, i: int) -> bool:
-    return all(max_abs(ctx.geom.warp_jet(i, p).grad) <= 1e-12
-               for p in ctx.points()[:4])
+    return max_abs(ctx.geom.warp_jet(i, p).grad for p in ctx.points()) <= 1e-12
 
 
 def _fiber_homothety(ctx: RunContext, vfd: VectorFieldDef):
-    geom = ctx.block_geom(vfd.block)
-    pts = [ctx.ps.block_point(p, vfd.block) for p in ctx.points()]
-    return homothety_check(geom, rehome(vfd), pts, tol=ctx.tol.alg)
+    """Homothety fit of a fiber field's L g on the fiber itself."""
+    mats = ctx.over_samples(lie_matrix, vfd, vfd.block, kind=LEVI_CIVITA)
+    return homothety_check(ctx.block_geom(vfd.block),
+                           ctx.block_points(ctx.points(), vfd.block), mats,
+                           tol=ctx.tol.alg)
+
+
+def _homothetic_pick(ctx: RunContext, i: int):
+    """(field, factor) of the first 2-Killing field of fiber i that is
+    homothetic on the fiber, or None."""
+    for _, vfd in factor_fields(ctx, i, lie_lie_matrix, ctx.tol.two):
+        hom = _fiber_homothety(ctx, vfd)
+        if hom.homothetic:
+            return vfd, hom.factor
+    return None
 
 
 def _ricci_max(ctx: RunContext, zeta, block=None) -> float:
     """Signed max of Ric(zeta, zeta) over the samples; NaN propagates.
     With ``block``, a lifted field on its own block."""
-    return float(np.max(over_samples(
-        ctx, lambda geom, z, p: ricci_quadratic(geom, p, z), zeta, block=block)))
+    return float(np.max(ctx.over_samples(ricci_quadratic, zeta, block)))
 
 
 # ---- compact model predicate ----
@@ -132,10 +125,10 @@ def _def_two_killing(ctx: RunContext) -> Outcome:
     vals = []
     admitted = 0
     for name, zeta in ctx.field_combos().items():
-        if not sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg:
+        if not ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA) <= ctx.tol.alg:
             continue
         admitted += 1
-        vals.append(sample_max(ctx, lie_lie_matrix, zeta))
+        vals.append(ctx.sample_max(lie_lie_matrix, zeta))
     if admitted == 0:
         return inconclusive("no first-order isometry declared")
     return residual_outcome(vals, ctx.tol.two,
@@ -149,7 +142,7 @@ def _eq22_check(ctx: RunContext) -> Outcome:
     vals = []
     admitted = 0
     for name, zeta in ctx.field_combos().items():
-        if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
+        if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
             continue
         admitted += 1
         for p in ctx.points():
@@ -164,7 +157,7 @@ def _eq22_check(ctx: RunContext) -> Outcome:
 def _const_length_killing(ctx: RunContext):
     out = []
     for name, zeta in ctx.field_combos().items():
-        if not sample_max(ctx, lie_matrix, zeta) <= ctx.tol.alg:
+        if not ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA) <= ctx.tol.alg:
             continue
         if not constant_length_stddev(ctx.geom, zeta, ctx.points()) <= 1e-8:
             continue
@@ -193,7 +186,7 @@ def _eq23_check(ctx: RunContext) -> Outcome:
     vals = []
     signs = []
     fields = [(name, z) for name, z in _const_length_killing(ctx)
-              if sample_max(ctx, lie_lie_matrix, z) <= ctx.tol.two]
+              if ctx.sample_max(lie_lie_matrix, z) <= ctx.tol.two]
     for name, zeta in fields:
         for p in ctx.points():
             curv = riemann(ctx.geom, p)
@@ -223,7 +216,7 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
     admitted = 0
     for name, vfd in sorted(_periodic_fields(ctx).items()):
         zeta = lift(vfd)
-        if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
+        if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
             continue
         if not _ricci_max(ctx, zeta) <= ctx.tol.hyp:
             continue
@@ -241,28 +234,17 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
 
 def _cor_product_necessity(part: int):
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
-        base_fields = sorted(ctx.fields_on("base").items()) + [("", None)]
-        fiber_opts = [(i, n, f) for i in range(m)
-                      for n, f in sorted(ctx.fields_on(i).items())]
-        fiber_opts.append((None, "", None))
         vals = []
         admitted = 0
-        for bname, zb in base_fields:
-            for i, fname, zi in fiber_opts:
-                parts = tuple(f for f in (zb, zi) if f is not None)
-                if not parts:
-                    continue
-                zeta = ProductField(parts)
-                if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
-                    continue
-                admitted += 1
-                if part == 1 and zb is not None:
-                    vals.append(sample_max(ctx, lie_lie_matrix, zb, block="base"))
-                elif part == 2 and zi is not None:
-                    ok = zb is None or _warp_dir_max(ctx, zb, i) <= ctx.tol.hyp
-                    if ok:
-                        vals.append(sample_max(ctx, lie_lie_matrix, zi, block=i))
+        for zb, i, zi, zeta in part_sums(ctx):
+            if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
+                continue
+            admitted += 1
+            if part == 1 and zb is not None:
+                vals.append(ctx.sample_max(lie_lie_matrix, zb, "base"))
+            elif part == 2 and zi is not None:
+                if zb is None or warp_dir_max(ctx, zb, [i]) <= ctx.tol.hyp:
+                    vals.append(ctx.sample_max(lie_lie_matrix, zi, i))
         if admitted == 0 or not vals:
             return inconclusive("no second-order product field available")
         return residual_outcome(vals, ctx.tol.two,
@@ -274,19 +256,20 @@ def _cor_product_necessity(part: int):
 
 def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
     """Factor second-order fields with warp-annihilating base part."""
-    m = _m(ctx.mf)
+    m = ctx.mf.fiber_count
     vals = []
     admitted = 0
-    per_fiber = {i: _two_killing_fields(ctx, i) for i in range(m)}
-    for bname, zb in _two_killing_fields(ctx, "base"):
-        if not max_abs(_warp_dir_max(ctx, zb, i) for i in range(m)) <= ctx.tol.hyp:
+    per_fiber = {i: factor_fields(ctx, i, lie_lie_matrix, ctx.tol.two)
+                 for i in range(m)}
+    for bname, zb in factor_fields(ctx, "base", lie_lie_matrix, ctx.tol.two):
+        if not warp_dir_max(ctx, zb, range(m)) <= ctx.tol.hyp:
             continue
         combo = [per_fiber[i][0][1] for i in range(m) if per_fiber[i]]
         for parts in ([zb], [zb] + combo if combo else None):
             if parts is None:
                 continue
             admitted += 1
-            vals.append(sample_max(ctx, lie_lie_matrix, ProductField(tuple(parts))))
+            vals.append(ctx.sample_max(lie_lie_matrix, ProductField(tuple(parts))))
     if admitted == 0:
         return inconclusive("no warp-annihilating base field")
     return residual_outcome(vals, ctx.tol.two,
@@ -298,10 +281,7 @@ def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) 
     gaps = []
     for p in ctx.points():
         wj = ctx.geom.warp_jet(i, p)
-        zj = ctx.geom.field_jet(lift(zb), p)
-        zbf = float(zj.val @ wj.grad)
-        dzbf = zj.d @ wj.grad + wj.hess @ zj.val
-        zbzbf = float(zj.val @ dzbf)
+        zbf, zbzbf = second_directional(ctx.geom.field_jet(lift(zb), p), wj)
         gaps.append(wj.value * zbzbf + zbf * zbf + 2.0 * c_i * wj.value * zbf)
     return max_abs(gaps)
 
@@ -309,47 +289,34 @@ def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) 
 def _cor_homothety_route(ctx: RunContext) -> Outcome:
     """Second-order extension via homothetic fiber fields whose factors
     satisfy the warp coupling condition."""
-    m = _m(ctx.mf)
-    instances = []
-    for bname, zb in _two_killing_fields(ctx, "base"):
-        picks = []
-        hyps = []
-        ok = True
-        for i in range(m):
-            cands = []
-            for name, vfd in _two_killing_fields(ctx, i):
-                hom = _fiber_homothety(ctx, vfd)
-                if hom.homothetic:
-                    cands.append((name, vfd, hom.factor))
-            if not cands:
-                ok = False
-                break
-            name, vfd, c_i = cands[0]
-            picks.append(vfd)
-            hyps.append(_eq26_residual_max(ctx, zb, i, c_i))
-        if ok and picks:
-            instances.append((bname, zb, picks, max_abs(hyps)))
-    admitted = [(b, zb, picks) for b, zb, picks, hyp in instances
-                if hyp <= ctx.tol.hyp]
+    m = ctx.mf.fiber_count
+    fiber_picks = [_homothetic_pick(ctx, i) for i in range(m)]
+    admitted = []
+    if m and None not in fiber_picks:
+        for _, zb in factor_fields(ctx, "base", lie_lie_matrix, ctx.tol.two):
+            hyp = max_abs(_eq26_residual_max(ctx, zb, i, c_i)
+                          for i, (_, c_i) in enumerate(fiber_picks))
+            if hyp <= ctx.tol.hyp:
+                admitted.append((zb,) + tuple(vfd for vfd, _ in fiber_picks))
     if not admitted:
         return inconclusive("no instance satisfies the warp coupling condition")
-    vals = [sample_max(ctx, lie_lie_matrix, ProductField((zb,) + tuple(picks)))
-            for _, zb, picks in admitted]
+    vals = [ctx.sample_max(lie_lie_matrix, ProductField(parts)) for parts in admitted]
     return residual_outcome(vals, ctx.tol.two,
                             samples=len(vals) * len(ctx.points()),
                             note=f"{len(admitted)} coupled instance(s)")
 
 
 def _cor_fiber_sums(ctx: RunContext) -> Outcome:
-    m = _m(ctx.mf)
-    per_fiber = {i: _two_killing_fields(ctx, i) for i in range(m)}
+    m = ctx.mf.fiber_count
+    per_fiber = {i: factor_fields(ctx, i, lie_lie_matrix, ctx.tol.two)
+                 for i in range(m)}
     picks = [per_fiber[i][0][1] for i in range(m) if per_fiber[i]]
     if not picks:
         return inconclusive("no fiber second-order fields declared")
-    vals = [sample_max(ctx, lie_lie_matrix, ProductField(tuple(picks)))]
+    vals = [ctx.sample_max(lie_lie_matrix, ProductField(tuple(picks)))]
     # singles as well: each fiber field alone must extend
     for vfd in picks:
-        vals.append(sample_max(ctx, lie_lie_matrix, lift(vfd)))
+        vals.append(ctx.sample_max(lie_lie_matrix, lift(vfd)))
     return residual_outcome(vals, ctx.tol.two,
                             samples=len(vals) * len(ctx.points()),
                             note=f"sum of {len(picks)} fiber fields")
@@ -357,10 +324,10 @@ def _cor_fiber_sums(ctx: RunContext) -> Outcome:
 
 def _thm_parallel(case: int):
     def run(ctx: RunContext) -> Outcome:
-        m = _m(ctx.mf)
+        m = ctx.mf.fiber_count
         periodic = _periodic_fields(ctx)
         admissible = [(n, f) for n, f in sorted(periodic.items())
-                      if sample_max(ctx, lie_lie_matrix, f, block=f.block) <= ctx.tol.two
+                      if ctx.sample_max(lie_lie_matrix, f, f.block) <= ctx.tol.two
                       and _ricci_max(ctx, f, f.block) <= ctx.tol.hyp]
         base_fields = [(n, f) for n, f in admissible if f.block == "base"]
         fiber_fields: dict[int, list] = {i: [] for i in range(m)}
@@ -370,7 +337,7 @@ def _thm_parallel(case: int):
 
         def warp_ok(zb, fibers_with_parts):
             for j in range(m):
-                if zb is not None and not _warp_dir_max(ctx, zb, j) <= ctx.tol.hyp:
+                if zb is not None and not warp_dir_max(ctx, zb, [j]) <= ctx.tol.hyp:
                     return False
                 if j in fibers_with_parts and not _warp_constant(ctx, j):
                     return False
@@ -426,7 +393,7 @@ def _thm_sectional(part: int):
         else:
             fields = []
             for name, zeta in ctx.field_combos().items():
-                if not sample_max(ctx, lie_lie_matrix, zeta) <= ctx.tol.two:
+                if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
                 if max_abs(nabla_zeta_zeta(ctx.geom, zeta, p)[0]
                            for p in ctx.points()) <= ctx.tol.hyp:
@@ -511,19 +478,14 @@ def _witness_power_law(use_exponents: bool):
         if found is None:
             return inconclusive("no cube-root base field declared")
         name, zb, a, b = found
-        m = _m(ctx.mf)
         picks = []
         hyps = []
-        for i in range(m):
-            cands = []
-            for fname, vfd in _two_killing_fields(ctx, i):
-                hom = _fiber_homothety(ctx, vfd)
-                if hom.homothetic:
-                    cands.append((fname, vfd, hom.factor))
-            if not cands:
+        for i in range(ctx.mf.fiber_count):
+            pick = _homothetic_pick(ctx, i)
+            if pick is None:
                 return inconclusive(f"fiber {i + 1} has no homothetic "
                                     "second-order field")
-            fname, vfd, c_i = cands[0]
+            vfd, c_i = pick
             picks.append(vfd)
             if use_exponents:
                 p_i, phi_res = _recover_exponent(ctx, i, a, b)
@@ -534,7 +496,7 @@ def _witness_power_law(use_exponents: bool):
                 hyps.append(_eq28_residual_max(ctx, i, c_i, a, b))
         hyp = max_abs(hyps)
         zeta = ProductField((zb,) + tuple(picks))
-        vals = [max_abs(m) for m in over_samples(ctx, lie_lie_matrix, zeta)]
+        vals = [max_abs(m) for m in ctx.over_samples(lie_lie_matrix, zeta)]
         gap = "" if hyp <= ctx.tol.hyp else \
             f"; warp coupling residual {hyp:.3g} (hypothesis violated)"
         return residual_outcome(vals, ctx.tol.two,
@@ -580,7 +542,7 @@ def _builder_kasner(ctx: RunContext) -> Outcome:
     b = ctx.mf.constants.get("b")
     if a is None or b is None:
         return inconclusive("no linear-factor constants declared")
-    m = _m(ctx.mf)
+    m = ctx.mf.fiber_count
     exponents = []
     for i in range(m):
         p_i, res = _recover_exponent(ctx, i, a, b)
@@ -608,9 +570,9 @@ def _builder_kasner(ctx: RunContext) -> Outcome:
 
 def build() -> list[CheckSpec]:
     any_mf = lambda mf: True
-    has_fibers = lambda mf: _m(mf) >= 1
+    has_fibers = lambda mf: mf.fiber_count >= 1
     compact_model = modeled_compact
-    base1d = lambda mf: mf.structure.base.dim == 1 and _m(mf) >= 1
+    base1d = lambda mf: mf.structure.base.dim == 1 and mf.fiber_count >= 1
     kasner_shape = lambda mf: (base1d(mf)
                                and {"a", "b"} <= set(mf.constants)
                                and _lorentz_interval(mf))

@@ -1,14 +1,23 @@
-"""Shared helpers for the registered checks."""
+"""Shared helpers for the registered checks: the shift predicates, the
+factor-field classifier and the (base part, fiber part) enumeration."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..connections import Geometry
-from ..fields import ProductField, VectorFieldDef, lift
+from ..fields import FieldJet, ProductField, VectorFieldDef, lift
 from ..jets import Jet2, Point
 from ..lie_killing import max_abs
 from ..metric import ProductStructure
+
+
+def shift_on_base(mf) -> bool:
+    return mf.torsion.location == "base"
+
+
+def shift_on_fiber(mf) -> bool:
+    return isinstance(mf.torsion.location, int)
 
 
 def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
@@ -17,12 +26,7 @@ def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def rehome(vfd: VectorFieldDef) -> ProductField:
-    """View a lifted field as a field on its own block's structure."""
-    return lift(VectorFieldDef("base", vfd.components))
-
-
-def second_directional(fj, jet: Jet2) -> tuple[float, float]:
+def second_directional(fj: FieldJet, jet: Jet2) -> tuple[float, float]:
     """(zeta(h), zeta(zeta(h))) for a field with jet data fj."""
     first = float(fj.val @ jet.grad)
     dfirst = fj.d @ jet.grad + jet.hess @ fj.val
@@ -43,19 +47,30 @@ def project_out(ps: ProductStructure, geom_block: Geometry, p_block: Point,
     return vec_block - coef * against_block
 
 
-def over_samples(ctx, fn, zeta, block=None, **kw) -> list:
-    """fn(geom, zeta, p, **kw) at each sample point of the product geometry.
-
-    With ``block``, ``zeta`` is a lifted field on that block, evaluated on
-    the block's own geometry at each point's block coordinates.
-    """
-    if block is None:
-        return [fn(ctx.geom, zeta, p, **kw) for p in ctx.points()]
-    geom = ctx.block_geom(block)
-    zeta = rehome(zeta)
-    return [fn(geom, zeta, p, **kw) for p in ctx.block_points(ctx.points(), block)]
+def factor_fields(ctx, block, fn, tol: float, **kw) -> list[tuple[str, VectorFieldDef]]:
+    """Declared fields of a block, by name, whose residual ``fn`` (e.g.
+    ``lie_matrix`` with its ``kind``) on the block itself is within tol."""
+    return [(name, vfd) for name, vfd in sorted(ctx.fields_on(block).items())
+            if ctx.sample_max(fn, vfd, block, **kw) <= tol]
 
 
-def sample_max(ctx, fn, zeta, block=None, **kw) -> float:
-    """Max over the sample points of |fn(geom, zeta, p)| (see over_samples)."""
-    return max_abs(over_samples(ctx, fn, zeta, block, **kw))
+def warp_dir_max(ctx, zb: VectorFieldDef, fibers) -> float:
+    """Max over the sample points and the given fibers of |zb(f_i)| for
+    a base field zb."""
+    geom, zeta = ctx.geom, lift(zb)
+    return max_abs(float(geom.field_values(zeta, p) @ geom.warp_jet(i, p).grad)
+                   for i in fibers for p in ctx.points())
+
+
+def part_sums(ctx):
+    """(base part, fiber index, fiber part, their sum) over every declared
+    base field or none, times every declared fiber field or none (both
+    none skipped): base fields outer, fibers in index order, names sorted."""
+    fiber_opts = [(i, zi) for i in range(ctx.mf.fiber_count)
+                  for _, zi in sorted(ctx.fields_on(i).items())]
+    fiber_opts.append((None, None))
+    for zb in [zb for _, zb in sorted(ctx.fields_on("base").items())] + [None]:
+        for i, zi in fiber_opts:
+            parts = tuple(f for f in (zb, zi) if f is not None)
+            if parts:
+                yield zb, i, zi, ProductField(parts)

@@ -121,7 +121,7 @@ def trace_nabla(geom: Geometry, zeta, p: Point) -> float:
     return total
 
 
-def ricci_quadratic(geom: Geometry, p: Point, zeta,
+def ricci_quadratic(geom: Geometry, zeta, p: Point,
                     curv: CurvatureAt | None = None) -> float:
     if curv is None:
         curv = riemann(geom, p)

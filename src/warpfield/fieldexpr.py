@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .jets import FUNCTIONS, DomainError, Jet2
+from .jets import FUNCTIONS, DivisionByZero, DomainError, Jet2
 
 FUNCTION_NAMES = frozenset(FUNCTIONS) | {"pow"}
 
@@ -287,7 +287,7 @@ def eval_expr(e: Expr, env: dict):
             return a * b
         if e.op == "/":
             if not isinstance(b, Jet2) and float(b) == 0.0:
-                raise ZeroDivisionError("division by zero")
+                raise DivisionByZero("division by zero")
             return a / b
         return _power(a, b)
     raise TypeError(f"not an expression node: {e!r}")

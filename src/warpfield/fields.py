@@ -111,6 +111,11 @@ def lift(vfd: VectorFieldDef) -> ProductField:
     return ProductField.of(vfd)
 
 
+def rehome(vfd: VectorFieldDef) -> ProductField:
+    """View a lifted field as a field on its own block's structure."""
+    return lift(VectorFieldDef("base", vfd.components))
+
+
 def synth_field(ps: ProductStructure, block, rng: SplitMix, degree: int = 2) -> VectorFieldDef:
     """Deterministic random polynomial field on one block (generic test data)."""
     bm = ps.block_metric(block)

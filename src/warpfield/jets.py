@@ -41,6 +41,11 @@ class DomainError(ValueError):
         self.index = index
 
 
+class DivisionByZero(DomainError, ZeroDivisionError):
+    """Division by a zero value: a domain error that is still a
+    ZeroDivisionError."""
+
+
 @dataclass(frozen=True)
 class Point:
     """Evaluation locus: an ordered tuple of finite chart coordinates."""
@@ -86,8 +91,8 @@ def _map(fn, x):
     return fn(x)
 
 
-def _require(ok, values, message: str) -> None:
-    """Raise DomainError unless ``ok`` holds at every sample.
+def _require(ok, values, message: str, error=DomainError) -> None:
+    """Raise ``error`` (a DomainError) unless ``ok`` holds at every sample.
 
     The message is ``message`` formatted with the first failing value.
     """
@@ -96,7 +101,7 @@ def _require(ok, values, message: str) -> None:
     batched = isinstance(values, np.ndarray)
     i = int(np.argmin(ok)) if batched else 0
     bad = float(values[i]) if batched else float(values)
-    raise DomainError(message.format(bad), index=i if batched else None)
+    raise error(message.format(bad), index=i if batched else None)
 
 
 class Jet2:
@@ -172,8 +177,7 @@ class Jet2:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if np.any(o.value == 0.0):
-            raise ZeroDivisionError("jet division by zero value")
+        _require(o.value != 0.0, o.value, "division by zero", DivisionByZero)
         q = self.value / o.value
         qg = (self.grad - _g(q) * o.grad) / _g(o.value)
         qh = (self.hess - _sym_outer(qg, o.grad) - _h(q) * o.hess) / _h(o.value)

@@ -29,7 +29,6 @@ from .connections import (
 )
 from .curvature import riemann, riemann_quad
 from .jets import Point
-from .sampling import SplitMix
 
 
 def max_abs(values) -> float:
@@ -128,19 +127,6 @@ def lie_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
 # ---- residual checks ----
 
 
-def quadratic_form_max(geom: Geometry, zeta, points: list[Point], rng: SplitMix,
-                       kind: str = LEVI_CIVITA, draws: int = 32) -> float:
-    """max |g(nabla_x zeta, x)| over random test vectors (x-quantified form)."""
-    n = geom.ps.total_dim
-    quads = []
-    for p in points:
-        m = lie_matrix(geom, zeta, p, kind)
-        for _ in range(draws):
-            x = np.array(rng.vector(n))
-            quads.append(0.5 * float(x @ m @ x))
-    return max_abs(quads)
-
-
 @dataclass(frozen=True)
 class HomothetyResult:
     homothetic: bool
@@ -153,15 +139,15 @@ class HomothetyResult:
         return "homothetic" if self.homothetic else "not_homothetic"
 
 
-def homothety_check(geom: Geometry, zeta, points: list[Point],
+def homothety_check(geom: Geometry, points: list[Point], mats,
                     tol: float = 1e-8, stddev_tol: float = 1e-6) -> HomothetyResult:
-    """Least-squares fit of (L_zeta g) against g; accept when the fit is
+    """Least-squares fit of (L_zeta g) against g, given the Levi-Civita
+    matrices ``mats`` of L_zeta g at ``points``; accept when the fit is
     tight at every point and the fitted factor is stable across points."""
     factors = []
     residuals = []
-    for p in points:
+    for p, m in zip(points, mats):
         g = geom.metric(p).g
-        m = lie_matrix(geom, zeta, p)
         denom = float(np.sum(g * g))
         c = float(np.sum(m * g)) / denom
         factors.append(c)

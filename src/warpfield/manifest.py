@@ -306,14 +306,14 @@ def _build_field(fname, entries, structure, constants, header_line) -> VectorFie
 
 
 def _validate_center(manifest: Manifest) -> None:
-    from .jets import Point
+    from .jets import DomainError, Point
 
     ps = manifest.structure
     center = Point(tuple(0.5 * (lo + hi) for lo, hi in ps.box))
     try:
         ps.metric_at(center)
         ps.warp_values(center)
-    except GeometryError as err:
+    except (GeometryError, DomainError) as err:
         raise ManifestError(f"chart-center validation failed: {err}", 1) from None
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Geometry
-from .fields import ProductField, VectorFieldDef, lift, synth_field
+from .fields import ProductField, VectorFieldDef, lift, rehome, synth_field
 from .jets import Point
 from .lie_killing import max_abs
 from .manifest import Manifest
@@ -107,6 +107,10 @@ class RunContext:
     their block coordinates): the product carries the manifest's shift,
     the base carries it only when P lives on the base, and the fibers
     carry none.  The connection is chosen by ``kind`` at each call.
+
+    The run's table of per-field sample quantities (``over_samples``)
+    lives here too, so every check of one run shares it and nothing
+    outlives the run.
     """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
@@ -127,6 +131,7 @@ class RunContext:
             (i, Geometry(self.ps.fiber_structure(i), None,
                          self.block_points(self._points, i)))
             for i in range(len(self.ps.fibers)))
+        self._table: dict = {}
 
     # ---- sampling ----
 
@@ -143,12 +148,6 @@ class RunContext:
 
     def synth(self, block, label: str, degree: int = 2) -> VectorFieldDef:
         return synth_field(self.ps, block, self.rng(f"synth:{label}"), degree)
-
-    def synth_product(self, label: str, degree: int = 2) -> ProductField:
-        parts = [self.synth("base", label + ":base", degree)]
-        for i in range(len(self.ps.fibers)):
-            parts.append(self.synth(i, f"{label}:fiber{i}", degree))
-        return ProductField(tuple(parts))
 
     def named_field(self, name: str) -> ProductField:
         return lift(self.mf.fields[name])
@@ -170,6 +169,31 @@ class RunContext:
     def block_geom(self, block) -> Geometry:
         """The geometry of one block viewed as a standalone manifold."""
         return self._block_geoms["base" if block == "base" else int(block)]
+
+    # ---- per-field sample quantities ----
+
+    def over_samples(self, fn, zeta, block=None, **kw) -> list:
+        """fn(geom, zeta, p, **kw) at each sample point of the product.
+
+        With ``block``, ``zeta`` is a lifted field on that block, evaluated
+        on the block's own geometry at each point's block coordinates.
+        The first request for (fn, zeta, block, kw) evaluates it; later
+        ones return the same list, whose entries callers never modify.
+        """
+        key = (fn, zeta, block, tuple(sorted(kw.items())))
+        values = self._table.get(key)
+        if values is None:
+            if block is None:
+                geom, pts = self.geom, self._points
+            else:
+                geom, zeta = self.block_geom(block), rehome(zeta)
+                pts = self.block_points(self._points, block)
+            values = self._table[key] = [fn(geom, zeta, p, **kw) for p in pts]
+        return values
+
+    def sample_max(self, fn, zeta, block=None, **kw) -> float:
+        """Max over the sample points of |fn(geom, zeta, p)| (see over_samples)."""
+        return max_abs(self.over_samples(fn, zeta, block, **kw))
 
 
 class Registry:

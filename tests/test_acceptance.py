@@ -18,6 +18,7 @@ from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
 from warpfield.curvature import riemann, sectional
 from warpfield.fieldexpr import eval_expr, parse_expr
+from warpfield.fields import ProductField
 from warpfield.jets import Jet2, Point, fd_jet
 from warpfield.lie_killing import (
     lie_lie_matrix,
@@ -246,7 +247,9 @@ def test_criterion_08_oracle_equivalence(corpus):
         from warpfield.suite import RunContext
 
         ctx = RunContext(mf, samples=16)
-        zeta = ctx.synth_product("acc8")
+        zeta = ProductField(tuple(
+            [ctx.synth("base", "acc8:base")]
+            + [ctx.synth(i, f"acc8:fiber{i}") for i in range(mf.fiber_count)]))
         for p in ctx.points():
             worst = max(worst, float(np.max(np.abs(
                 lie_matrix(geom, zeta, p) - lie_matrix_direct(geom, zeta, p)))))

@@ -10,10 +10,9 @@ import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
 from warpfield import cli
-from warpfield.checks.util import rehome
 from warpfield.connections import Geometry
 from warpfield.fieldexpr import eval_expr, parse_expr
-from warpfield.fields import ProductField, VectorFieldDef, lift
+from warpfield.fields import ProductField, VectorFieldDef, lift, rehome
 from warpfield.jets import DomainError, Jet2, Point
 from warpfield.manifest import load_manifest
 from warpfield.metric import ProductStructure

@@ -25,6 +25,10 @@ def wm(name):
 
 FAST = ("--samples", "12")
 
+DIV_CONSTANT = ("[constants]\na = 1\n\n[base]\ndim = 1\ncoords = t\ng.t.t = 1\n"
+                "box.t = -1, 1\n\n[torsion]\nlocation = zero\n\n"
+                "[field.z]\nlocation = base\ncomp.t = t/(a - 1)\n")
+
 
 class TestExitCodes:
     def test_passing_check_exits_zero(self):
@@ -79,6 +83,33 @@ class TestExitCodes:
         proc = run_cli("killing", wm("torus_warp"), "--field",
                        "zeta_by+zeta_cv", *FAST)
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("body,argv,expected", [
+        # 1/t is undefined at the chart centre t = 0
+        ("[base]\ndim = 1\ncoords = t\ng.t.t = 1/t\nbox.t = -1, 1\n\n"
+         "[torsion]\nlocation = zero\n",
+         ["verify", "--samples", "4"], "chart-center validation failed"),
+        # a constant divisor that the declared constants make zero
+        (DIV_CONSTANT, ["verify"], "in t/(1 - 1)"),
+        (DIV_CONSTANT, ["killing", "--field", "z"], "in t/(1 - 1)"),
+        # a jet divisor that vanishes at every sample point
+        ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = 0.5, 1.5\n\n"
+         "[torsion]\nlocation = zero\n\n"
+         "[field.z]\nlocation = base\ncomp.t = 1/(t - t)\n",
+         ["killing", "--field", "z"], "in 1/(t - t)"),
+    ], ids=["centre", "constant-verify", "constant-killing", "jet-killing"])
+    def test_division_by_zero_is_usage_error(self, tmp_path, capsys, body, argv,
+                                             expected):
+        path = tmp_path / "div.wm"
+        path.write_text(body)
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert line.startswith("warpfield: ") and "division by zero" in line
+        assert expected in line
+        if argv[0] == "killing":
+            assert " at (t=" in line
 
     def test_domain_error_at_a_sample_point_is_usage_error(self, tmp_path, capsys):
         from warpfield.manifest import load_manifest

@@ -157,12 +157,12 @@ class TestRicciQuadratic:
     def test_flat(self):
         geom = Geometry(ProductStructure.single(flat()))
         zeta = np.array([0.3, -0.7])
-        assert ricci_quadratic(geom, Point((0.1, 0.2)), zeta) == pytest.approx(0.0)
+        assert ricci_quadratic(geom, zeta, Point((0.1, 0.2))) == pytest.approx(0.0)
 
     def test_sphere_polar_direction(self):
         geom = Geometry(sphere_structure())
-        assert ricci_quadratic(geom, Point((1.1, 2.0)),
-                               np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-9)
+        assert ricci_quadratic(geom, np.array([1.0, 0.0]),
+                               Point((1.1, 2.0))) == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_product_with_constant_warp(self):
         base = flat(("x", "y"))
@@ -172,5 +172,5 @@ class TestRicciQuadratic:
         geom = Geometry(ps)
         rng = SplitMix(2)
         z = np.array(rng.vector(4))
-        assert ricci_quadratic(geom, Point((0.1, 0.2, 0.3, 0.4)), z) == \
+        assert ricci_quadratic(geom, z, Point((0.1, 0.2, 0.3, 0.4))) == \
             pytest.approx(0.0, abs=1e-12)

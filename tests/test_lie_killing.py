@@ -14,7 +14,6 @@ from warpfield.lie_killing import (
     lie_matrix,
     lie_matrix_direct,
     max_abs,
-    quadratic_form_max,
     ssm_lie_matrix,
 )
 from warpfield.metric import ProductStructure, diagonal_block, sample_points
@@ -161,8 +160,15 @@ class TestKillingOutcomes:
         pts = sample_points(geom.ps, 16, SplitMix(9))
         rot = base_field(*ROT, coords=("x", "y"))
         dil = base_field(*DIL, coords=("x", "y"))
-        assert quadratic_form_max(geom, rot, pts, SplitMix(10)) <= 1e-9
-        assert quadratic_form_max(geom, dil, pts, SplitMix(11)) > 1e-3
+
+        def quadratic_form_max(zeta, rng):
+            # max |g(nabla_x zeta, x)| = max |x (L_zeta g) x| / 2 over draws
+            return max_abs(0.5 * float(x @ lie_matrix(geom, zeta, p) @ x)
+                           for p in pts
+                           for x in (np.array(rng.vector(2)) for _ in range(32)))
+
+        assert quadratic_form_max(rot, SplitMix(10)) <= 1e-9
+        assert quadratic_form_max(dil, SplitMix(11)) > 1e-3
 
 
 class TestSecondLie:
@@ -202,26 +208,30 @@ class TestSecondLie:
         assert bad.verdict != PASS and bad.max_abs >= 1e-1
 
 
+def lie_matrices(geom, comps, pts):
+    zeta = base_field(*comps, coords=("x", "y"))
+    return [lie_matrix(geom, zeta, p) for p in pts]
+
+
 class TestHomothety:
     def test_dilation_factor_two(self):
         geom = Geometry(plane())
         pts = sample_points(geom.ps, 32, SplitMix(16))
-        res = homothety_check(geom, base_field(*DIL, coords=("x", "y")), pts)
+        res = homothety_check(geom, pts, lie_matrices(geom, DIL, pts))
         assert res.homothetic
         assert res.factor == pytest.approx(2.0, abs=1e-12)
 
     def test_killing_field_factor_zero(self):
         geom = Geometry(plane())
         pts = sample_points(geom.ps, 32, SplitMix(17))
-        res = homothety_check(geom, base_field(*ROT, coords=("x", "y")), pts)
+        res = homothety_check(geom, pts, lie_matrices(geom, ROT, pts))
         assert res.homothetic
         assert res.factor == pytest.approx(0.0, abs=1e-12)
 
     def test_shear_not_homothetic(self):
         geom = Geometry(plane())
         pts = sample_points(geom.ps, 32, SplitMix(18))
-        res = homothety_check(geom, base_field("x^2", "0", coords=("x", "y")),
-                              pts)
+        res = homothety_check(geom, pts, lie_matrices(geom, ("x^2", "0"), pts))
         assert not res.homothetic
 
 

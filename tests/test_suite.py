@@ -1,12 +1,16 @@
 """Registry-level properties: census, vacuity, negative controls and
 cross-manifest behaviour of the checks."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from warpfield.cli import corpus_dir
+from warpfield.connections import LEVI_CIVITA
 from warpfield.fields import ProductField
-from warpfield.lie_killing import lie_lie_matrix, max_abs
+from warpfield.lie_killing import lie_lie_matrix, lie_matrix, max_abs
 from warpfield.manifest import load_manifest
 from warpfield.suite import (
     FAIL,
@@ -309,6 +313,15 @@ class TestSelection:
             registry.select("Prop9.99")
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` in every warpfield module that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module is not None and module_name.startswith("warpfield"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 class TestNonFiniteResiduals:
     """A NaN residual at any sample point, not only the first, must keep
     a check from passing."""
@@ -331,6 +344,29 @@ class TestNonFiniteResiduals:
         monkeypatch.setattr(twokilling, "lie_lie_matrix", poisoned)
         [res] = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
         assert res.verdict != PASS
+
+    @pytest.mark.parametrize("check,name", [
+        *(("Def3.6", n) for n in ("mw2_riem", "sphere", "grw_exp", "interval",
+                                  "kasner", "mw2_fib")),
+        *(("Prop3.10", n) for n in ("sphere", "interval", "kasner")),
+        ("Lemma3.7", "sphere"), ("Lemma3.8", "sphere"),
+    ])
+    def test_nan_behind_a_verdict_fails_the_agreement(self, registry, corpus,
+                                                      check, name, monkeypatch):
+        # two NaN residuals give two "not Killing" verdicts, which must not
+        # count as agreeing
+        mf = corpus[name]
+        poisoned_at = RunContext(mf, samples=16).points()[1].coords
+
+        def poisoned(geom, zeta, p, kind=LEVI_CIVITA):
+            m = lie_matrix(geom, zeta, p, kind)
+            return np.full_like(m, np.nan) if p.coords == poisoned_at else m
+
+        clean = run_checks(registry, mf, registry.select(check), samples=16)
+        assert [r.verdict for r in clean] == [PASS]
+        patch_everywhere(monkeypatch, lie_matrix, poisoned)
+        [res] = run_checks(registry, mf, registry.select(check), samples=16)
+        assert res.verdict == FAIL and np.isnan(res.max_abs)
 
     def test_reducer_propagates_nan(self):
         assert np.isnan(max_abs([0.0, float("nan"), 1.0]))
@@ -371,3 +407,29 @@ class TestOneGeometryPerBlock:
         points = RunContext(mf, samples=16).points()
         assert len({p.coords for p in points}) == 16
         assert calls == [[p.coords for p in points]]
+
+
+class TestRunTable:
+    """The run's table computes each field's L g and L L g once: across all
+    checks of a run, each (geometry, field, point, kind) is evaluated
+    exactly once."""
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
+    def test_each_lie_matrix_evaluated_once(self, registry, corpus, name,
+                                            monkeypatch):
+        calls = Counter()
+
+        def counted_lie(geom, zeta, p, kind=LEVI_CIVITA):
+            calls[("lie_matrix", id(geom), zeta, p.coords, kind)] += 1
+            return lie_matrix(geom, zeta, p, kind)
+
+        def counted_lie_lie(geom, zeta, p):
+            calls[("lie_lie_matrix", id(geom), zeta, p.coords)] += 1
+            return lie_lie_matrix(geom, zeta, p)
+
+        patch_everywhere(monkeypatch, lie_matrix, counted_lie)
+        patch_everywhere(monkeypatch, lie_lie_matrix, counted_lie_lie)
+        run_checks(registry, corpus[name], registry.specs, samples=16)
+        assert {key[0] for key in calls} == {"lie_matrix", "lie_lie_matrix"}
+        repeated = [key for key, n in calls.items() if n > 1]
+        assert repeated == []
