@@ -10,62 +10,75 @@ import numpy as np
 from ..connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
-    compat_residual,
     covariant_derivative,
     divergence,
-    torsion_of,
+    nabla_grid,
 )
 from ..curvature import trace_nabla
 from ..fields import ProductField, lift, rehome
 from ..lie_killing import (
+    form,
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
     lie_matrix_direct,
     max_abs,
-    nabla_quad,
 )
 from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
-from .util import embed, second_directional, shift_on_base, shift_on_fiber
+from .util import (
+    at_points,
+    embed,
+    lie_stack,
+    pair,
+    second_directional,
+    shift_on_base,
+    shift_on_fiber,
+)
 
 # ---- section 2 axioms ----
 
 
-def _axiom_torsion(ctx: RunContext) -> Outcome:
-    geom = ctx.geom
-    rng = ctx.rng("axiom-torsion")
-    n = ctx.ps.total_dim
+def _axiom_draws(ctx: RunContext, label: str, vectors: int) -> list[np.ndarray]:
+    """``vectors`` test-vector stacks (points, draws, n), drawn per point
+    and per draw in turn, with 256 draws in all (at least one per point)."""
     pts = ctx.points()
-    vals = []
-    draws = max(1, 256 // len(pts))
-    count = 0
-    for p in pts:
-        for _ in range(draws):
-            x = np.array(rng.vector(n))
-            y = np.array(rng.vector(n))
-            t = torsion_of(geom, x, y, p)
-            expected = geom.pi_of(p, y) * x - geom.pi_of(p, x) * y
-            vals.append(max_abs(t - expected))
-            count += 1
-    return residual_outcome(vals, ctx.tol.alg, samples=count)
+    xs = ctx.rng(label).block((len(pts), max(1, 256 // len(pts)), vectors,
+                               ctx.ps.total_dim))
+    return [xs[..., k, :] for k in range(vectors)]
+
+
+def _nabla_const(gamma: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """nabla_x y for constant test vectors (points, draws, n), with the
+    symbols gamma (points, 1, n, n, n)."""
+    return np.einsum("...a,...ak->...k", x, nabla_grid(gamma, y, 0.0))
+
+
+def _torsion_sides(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    """Torsion of the shifted connection on constant test vectors x, y and
+    its two-term form pi(y) x - pi(x) y: (points, draws, n) each."""
+    x, y = _axiom_draws(ctx, "axiom-torsion", 2)
+    gamma = at_points(ctx, ctx.geom.ssm_gamma)[:, None]
+    piv = at_points(ctx, ctx.geom.pi_covector)
+    return (_nabla_const(gamma, x, y) - _nabla_const(gamma, y, x),
+            pair(y, piv)[..., None] * x - pair(x, piv)[..., None] * y)
+
+
+def _axiom_torsion(ctx: RunContext) -> Outcome:
+    t, expected = _torsion_sides(ctx)
+    return residual_outcome(np.abs(t - expected).max(axis=-1).ravel(), ctx.tol.alg)
 
 
 def _axiom_compat(ctx: RunContext) -> Outcome:
+    """|x(g(y, z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant y, z."""
+    x, y, z = _axiom_draws(ctx, "axiom-compat", 3)
     geom = ctx.geom
-    rng = ctx.rng("axiom-compat")
-    n = ctx.ps.total_dim
-    pts = ctx.points()
-    vals = []
-    draws = max(1, 256 // len(pts))
-    count = 0
-    for p in pts:
-        for _ in range(draws):
-            x = np.array(rng.vector(n))
-            y = np.array(rng.vector(n))
-            z = np.array(rng.vector(n))
-            vals.append(compat_residual(geom, p, x, y, z, kind=SEMI_SYMMETRIC))
-            count += 1
-    return residual_outcome(vals, ctx.tol.alg, samples=count)
+    gamma = at_points(ctx, geom.ssm_gamma)[:, None]
+    g = at_points(ctx, lambda p: geom.metric(p).g)
+    dg = at_points(ctx, lambda p: geom.metric_jet(p).dg)
+    lead = np.einsum("sdc,scab,sda,sdb->sd", x, dg, y, z)
+    vals = (lead - form(g, _nabla_const(gamma, x, y), z)
+            - form(g, y, _nabla_const(gamma, x, z)))
+    return residual_outcome(np.abs(vals).ravel(), ctx.tol.alg)
 
 
 # ---- connection decomposition items ----
@@ -301,73 +314,43 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
 # ---- quadratic-form decompositions ----
 
 
-def _factor_quads(ctx, parts, x, p, base_kind):
-    """g_B(nabla^B_{XB} zB, XB) and the fiber analogues, for one x."""
-    pb = ctx.ps.block_point(p, "base")
-    xb = x[ctx.ps.block_slice("base")]
-    qb = nabla_quad(ctx.block_geom("base"), rehome(parts[0]), xb, pb, base_kind)
-    qi = []
-    ni = []
-    for i in range(len(ctx.ps.fibers)):
-        pi_ = ctx.ps.block_point(p, i)
-        fgeom = ctx.block_geom(i)
-        gi = fgeom.metric(pi_).g
-        xi = x[ctx.ps.block_slice(i)]
-        qi.append(nabla_quad(fgeom, rehome(parts[i + 1]), xi, pi_))
-        ni.append(float(xi @ gi @ xi))
-    return qb, qi, ni
-
-
 def _quad_decomposition_check(shift_location: str, label: str):
-    """Eq-19-style diagonal decompositions for each shift location."""
+    """Eq-19-style diagonal decompositions for each shift location: the
+    product quadratic form against the factor forms, 4 test vectors per
+    sample point."""
 
     def run(ctx: RunContext) -> Outcome:
+        ps, geom = ctx.ps, ctx.geom
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
-        rng = ctx.rng("quad:" + label)
-        n = ctx.ps.total_dim
-        use_shift = shift_location in ("base", "fiber")
-        geom = ctx.geom
-        kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
+        x = ctx.rng("quad:" + label).block((len(ctx.points()), 4, ps.total_dim))
+        kind = LEVI_CIVITA if shift_location == "none" else SEMI_SYMMETRIC
         base_kind = SEMI_SYMMETRIC if shift_location == "base" else LEVI_CIVITA
-        vals = []
-        for p in ctx.points():
-            zbv = geom.field_values(lift(parts[0]), p)
-            for _ in range(4):
-                x = np.array(rng.vector(n))
-                lhs = nabla_quad(geom, zeta, x, p, kind)
-                qb, qi, nxi = _factor_quads(ctx, parts, x, p, base_kind)
-                rhs = qb
-                for i in range(len(ctx.ps.fibers)):
-                    wj = ctx.geom.warp_jet(i, p)
-                    zbf = float(zbv @ wj.grad)
-                    rhs += wj.value ** 2 * qi[i] + wj.value * zbf * nxi[i]
-                if shift_location == "base":
-                    piv = geom.pi_covector(p)
-                    pizb = float(zbv @ piv)
-                    pixb = float(embed(ctx.ps, "base",
-                                       x[ctx.ps.block_slice("base")]) @ piv)
-                    for i in range(len(ctx.ps.fibers)):
-                        wj = ctx.geom.warp_jet(i, p)
-                        sl = ctx.ps.block_slice(i)
-                        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
-                        ziv = geom.field_values(lift(parts[i + 1]), p)[sl]
-                        gixz = float(x[sl] @ gi @ ziv)
-                        rhs += (wj.value ** 2 * pizb * nxi[i]
-                                - wj.value ** 2 * pixb * gixz)
-                elif shift_location == "fiber":
-                    piv = geom.pi_covector(p)
-                    g_full = geom.metric(p).g
-                    z_full = geom.field_values(zeta, p)
-                    nx_full = float(x @ g_full @ x)
-                    gxz = float(x @ g_full @ z_full)
-                    for i in range(len(ctx.ps.fibers)):
-                        sl = ctx.ps.block_slice(i)
-                        ziv = geom.field_values(lift(parts[i + 1]), p)
-                        pixi = float(piv[sl] @ x[sl])
-                        rhs += ctx.geom.pi_of(p, ziv) * nx_full - pixi * gxz
-                vals.append(abs(lhs - rhs))
-        return residual_outcome(vals, ctx.tol.two)
+        slb = ps.block_slice("base")
+        g = at_points(ctx, lambda p: geom.metric(p).g)
+        piv = at_points(ctx, geom.pi_covector)
+        zbv = at_points(ctx, lambda p: geom.field_values(lift(parts[0]), p))
+        gz = np.einsum("sab,sb->sa", g, at_points(ctx, lambda p: geom.field_values(zeta, p)))
+        lhs = 0.5 * form(lie_stack(ctx, zeta, kind=kind), x, x)
+        xb = x[..., slb]
+        rhs = 0.5 * form(lie_stack(ctx, parts[0], "base", kind=base_kind), xb, xb)
+        for i, zi in enumerate(parts[1:]):
+            sl = ps.block_slice(i)
+            xi = x[..., sl]
+            f = at_points(ctx, lambda p: geom.warp_jet(i, p).value)[:, None]
+            zbf = pair(zbv[:, None], at_points(ctx, lambda p: geom.warp_jet(i, p).grad))
+            gi = at_points(ctx, lambda p: ctx.block_geom(i).metric(ps.block_point(p, i)).g)
+            ziv = at_points(ctx, lambda p: geom.field_values(lift(zi), p))
+            nxi = form(gi, xi, xi)
+            rhs = rhs + f ** 2 * 0.5 * form(lie_stack(ctx, zi, i), xi, xi) + f * zbf * nxi
+            if shift_location == "base":
+                gixz = pair(xi, np.einsum("sab,sb->sa", gi, ziv[:, sl]))
+                rhs = rhs + (f ** 2 * pair(zbv[:, None], piv) * nxi
+                             - f ** 2 * pair(xb, piv[:, slb]) * gixz)
+            elif shift_location == "fiber":
+                rhs = rhs + (pair(ziv[:, None], piv) * form(g, x, x)
+                             - pair(xi, piv[:, sl]) * pair(x, gz))
+        return residual_outcome(np.abs(lhs - rhs).ravel(), ctx.tol.two)
 
     return run
 

@@ -20,7 +20,7 @@ import numpy as np
 from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC
 from ..fieldexpr import eval_expr, num, pretty
 from ..fields import ProductField, VectorFieldDef, lift
-from ..lie_killing import lie_matrix, max_abs, nabla_quad
+from ..lie_killing import form, lie_matrix, max_abs, nabla_quad
 from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
@@ -32,8 +32,11 @@ from ..suite import (
     residual_outcome,
 )
 from .util import (
+    at_points,
     embed,
     factor_fields,
+    lie_stack,
+    pair,
     part_sums,
     project_out,
     shift_on_base,
@@ -108,14 +111,12 @@ def _verdict_pairs(ctx: RunContext, label: str,
     """Per field combo, the basis-pair Killing verdict and the verdict of
     the quadratic form over 8 random test vectors per point; None when a
     residual behind a verdict is not finite."""
-    rng = ctx.rng(label)
-    n = ctx.ps.total_dim
+    combos = list(ctx.field_combos().values())
+    xs = ctx.rng(label).block((len(combos), len(ctx.points()), 8, ctx.ps.total_dim))
     residuals = []
-    for zeta in ctx.field_combos().values():
-        ms = ctx.over_samples(lie_matrix, zeta, kind=kind)
-        quads = [0.5 * float(x @ m @ x) for m in ms
-                 for x in (np.array(rng.vector(n)) for _ in range(8))]
-        residuals.append((max_abs(ms), max_abs(quads)))
+    for zeta, x in zip(combos, xs):
+        ms = lie_stack(ctx, zeta, kind=kind)
+        residuals.append((max_abs(ms), max_abs(0.5 * form(ms, x, x))))
     if not np.isfinite(residuals).all():
         return None
     return [(bil <= ctx.tol.alg, quad <= ctx.tol.alg) for bil, quad in residuals]
@@ -153,44 +154,49 @@ def _quad_equivalence(kind: str, label: str):
     return run
 
 
+def _pairing_gaps(ctx: RunContext, zeta, x: np.ndarray) -> np.ndarray:
+    """pi(zeta) g(x, x) - pi(x) g(x, zeta) at each sample point for its
+    test vectors x (points, draws, n)."""
+    g = at_points(ctx, lambda p: ctx.geom.metric(p).g)
+    piv = at_points(ctx, ctx.geom.pi_covector)
+    zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+    gz = np.einsum("sab,sb->sa", g, zv)
+    return (np.sum(zv * piv, axis=-1)[:, None] * form(g, x, x)
+            - pair(x, piv) * pair(x, gz))
+
+
+def _remark_sides(ctx: RunContext) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per field combo (the first 6), the shifted quadratic form and its
+    expansion at each sample point for 4 test vectors: (points, 4) each."""
+    combos = list(ctx.field_combos().values())[:6]
+    xs = ctx.rng("remark39").block((len(combos), len(ctx.points()), 4, ctx.ps.total_dim))
+    return [(0.5 * form(lie_stack(ctx, zeta, kind=SEMI_SYMMETRIC), x, x),
+             0.5 * form(lie_stack(ctx, zeta, kind=LEVI_CIVITA), x, x)
+             + _pairing_gaps(ctx, zeta, x))
+            for zeta, x in zip(combos, xs)]
+
+
 def _remark_expansion(ctx: RunContext) -> Outcome:
     """Quadratic form of the shifted derivative expands into pairing terms."""
-    rng = ctx.rng("remark39")
-    n = ctx.ps.total_dim
-    vals = []
-    for zeta in list(ctx.field_combos().values())[:6]:
-        for p in ctx.points():
-            g = ctx.geom.metric(p).g
-            zv = ctx.geom.field_values(zeta, p)
-            piv = ctx.geom.pi_covector(p)
-            for _ in range(4):
-                x = np.array(rng.vector(n))
-                lhs = nabla_quad(ctx.geom, zeta, x, p, SEMI_SYMMETRIC)
-                rhs = (nabla_quad(ctx.geom, zeta, x, p, LEVI_CIVITA)
-                       + float(zv @ piv) * float(x @ g @ x)
-                       - float(x @ piv) * float(x @ g @ zv))
-                vals.append(abs(lhs - rhs))
-    return residual_outcome(vals, ctx.tol.alg)
+    return residual_outcome([v for lhs, rhs in _remark_sides(ctx)
+                             for v in np.abs(lhs - rhs).ravel()], ctx.tol.alg)
+
+
+def _premise_gaps(ctx: RunContext) -> list[np.ndarray]:
+    """Per field combo, the pairing premise of Prop 3.10 at each sample
+    point for 8 test vectors: (points, 8)."""
+    combos = list(ctx.field_combos().values())
+    xs = ctx.rng("prop310").block((len(combos), len(ctx.points()), 8, ctx.ps.total_dim))
+    return [_pairing_gaps(ctx, zeta, x) for zeta, x in zip(combos, xs)]
 
 
 def _prop_equivalence(ctx: RunContext) -> Outcome:
     """When the pairing premise holds, the two Killing notions agree."""
-    rng = ctx.rng("prop310")
-    n = ctx.ps.total_dim
     admitted = 0
     mismatches = 0
     agree_pass = 0
     agree_fail = 0
-    for zeta in ctx.field_combos().values():
-        gaps = []
-        for p in ctx.points():
-            g = ctx.geom.metric(p).g
-            piv = ctx.geom.pi_covector(p)
-            zv = ctx.geom.field_values(zeta, p)
-            for _ in range(8):
-                x = np.array(rng.vector(n))
-                gaps.append(float(zv @ piv) * float(x @ g @ x)
-                            - float(x @ piv) * float(x @ g @ zv))
+    for zeta, gaps in zip(ctx.field_combos().values(), _premise_gaps(ctx)):
         if not max_abs(gaps) <= ctx.tol.hyp:
             continue
         admitted += 1
@@ -549,19 +555,13 @@ def _suff_no_shift(part: int):
 
 
 def _block_pure_gate(ctx: RunContext, kind, zeta: ProductField,
-                     blocks, draws: int = 8) -> float:
+                     block, draws: int = 8) -> float:
     """Max quadratic residual of the product check over pure vectors of
-    the given blocks (the directions the factor conclusions read off)."""
-    rng = ctx.rng("necgate")
-    quads = []
-    for p in ctx.points():
-        for block in blocks:
-            sl = ctx.ps.block_slice(block)
-            for _ in range(draws):
-                x = np.zeros(ctx.ps.total_dim)
-                x[sl] = np.array(rng.vector(sl.stop - sl.start))
-                quads.append(nabla_quad(ctx.geom, zeta, x, p, kind))
-    return max_abs(quads)
+    the given block (the directions the factor conclusions read off)."""
+    sl = ctx.ps.block_slice(block)
+    x = ctx.rng("necgate").block((len(ctx.points()), draws, sl.stop - sl.start))
+    ms = lie_stack(ctx, zeta, kind=kind)[:, sl, sl]
+    return max_abs(0.5 * form(ms, x, x))
 
 
 def _necessity(shift: str, part: int):
@@ -582,14 +582,14 @@ def _necessity(shift: str, part: int):
                 if zb is None:
                     continue
                 # the base conclusion reads off base-pure directions
-                if not _block_pure_gate(ctx, kind, zeta, ["base"]) <= ctx.tol.alg:
+                if not _block_pure_gate(ctx, kind, zeta, "base") <= ctx.tol.alg:
                     continue
                 admitted += 1
                 vals.append(ctx.sample_max(lie_matrix, zb, "base", kind=base_kind))
             elif part == 2:
                 if zi is None or (shift == "fiber" and i == r):
                     continue
-                if not _block_pure_gate(ctx, kind, zeta, [i]) <= ctx.tol.alg:
+                if not _block_pure_gate(ctx, kind, zeta, i) <= ctx.tol.alg:
                     continue
                 coeff_ok = True
                 if zb is not None:

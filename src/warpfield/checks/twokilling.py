@@ -16,24 +16,18 @@ import math
 import numpy as np
 
 from ..connections import LEVI_CIVITA, nabla_grid
-from ..curvature import (
-    DegeneratePlane,
-    parallel_residual_at,
-    ricci_quadratic,
-    riemann,
-    riemann_quad,
-    sectional,
-    trace_nabla,
-)
+from ..curvature import parallel_residual_at, ricci_quadratic, riemann, trace_nabla
 from ..fieldexpr import Bin, Call, Neg, Var, eval_expr, variables_of
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import (
     constant_length_stddev,
     eq22_residual,
+    form,
     homothety_check,
     lie_lie_matrix,
     lie_matrix,
     max_abs,
+    nabla_zeta_zeta,
 )
 from ..spacetimes import KASNER, SpacetimeSpec, build_spacetime
 from ..suite import (
@@ -45,7 +39,14 @@ from ..suite import (
     inconclusive,
     residual_outcome,
 )
-from .util import factor_fields, part_sums, second_directional, warp_dir_max
+from .util import (
+    at_points,
+    factor_fields,
+    pair,
+    part_sums,
+    second_directional,
+    warp_dir_max,
+)
 
 # ---- residual helpers ----
 
@@ -70,6 +71,16 @@ def _homothetic_pick(ctx: RunContext, i: int):
         if hom.homothetic:
             return vfd, hom.factor
     return None
+
+
+def _zeta_curvature(ctx: RunContext, zeta, slots: str) -> np.ndarray:
+    """The lowered curvature r_low[i, j, k, l] with zeta in the two index
+    ``slots`` at each sample point, the other two free: "il" gives
+    R(z, ., ., z) and "ik" gives R(z, ., z, .); (points, n, n)."""
+    zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+    r_low = at_points(ctx, lambda p: riemann(ctx.geom, p).r_low)
+    free = "".join(c for c in "ijkl" if c not in slots)
+    return np.einsum(f"sijkl,s{slots[0]},s{slots[1]}->s{free}", r_low, zv, zv)
 
 
 def _ricci_max(ctx: RunContext, zeta, block=None) -> float:
@@ -136,22 +147,23 @@ def _def_two_killing(ctx: RunContext) -> Outcome:
                             note=f"{admitted} isometries re-checked at second order")
 
 
-def _eq22_check(ctx: RunContext) -> Outcome:
-    rng = ctx.rng("eq22")
+def _eq22_values(ctx: RunContext, fields) -> list[np.ndarray]:
+    """Per field, the Eq-22 gap at each sample point along the coordinate
+    basis and 4 test vectors: (points, n + 4)."""
     n = ctx.ps.total_dim
-    vals = []
-    admitted = 0
-    for name, zeta in ctx.field_combos().items():
-        if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
-            continue
-        admitted += 1
-        for p in ctx.points():
-            xs = list(np.eye(n)) + [np.array(rng.vector(n)) for _ in range(4)]
-            vals.extend(eq22_residual(ctx.geom, zeta, xs, p))
-    if admitted == 0:
+    xs = ctx.rng("eq22").block((len(fields), len(ctx.points()), 4, n))
+    return [np.array([eq22_residual(ctx.geom, zeta, np.vstack([np.eye(n), x]), p)
+                      for p, x in zip(ctx.points(), xz)])
+            for zeta, xz in zip(fields, xs)]
+
+
+def _eq22_check(ctx: RunContext) -> Outcome:
+    fields = [zeta for zeta in ctx.field_combos().values()
+              if ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two]
+    if not fields:
         return inconclusive("no second-order-Killing field available")
-    return residual_outcome(vals, ctx.tol.two,
-                            note=f"{admitted} second-order fields")
+    return residual_outcome(np.concatenate([v.ravel() for v in _eq22_values(ctx, fields)]),
+                            ctx.tol.two, note=f"{len(fields)} second-order fields")
 
 
 def _const_length_killing(ctx: RunContext):
@@ -166,8 +178,6 @@ def _const_length_killing(ctx: RunContext):
 
 
 def _lemma_const_length(ctx: RunContext) -> Outcome:
-    from ..lie_killing import nabla_zeta_zeta
-
     vals = []
     fields = _const_length_killing(ctx)
     for name, zeta in fields:
@@ -181,28 +191,24 @@ def _lemma_const_length(ctx: RunContext) -> Outcome:
 
 
 def _eq23_check(ctx: RunContext) -> Outcome:
-    rng = ctx.rng("eq23")
-    n = ctx.ps.total_dim
-    vals = []
-    signs = []
-    fields = [(name, z) for name, z in _const_length_killing(ctx)
+    fields = [z for _, z in _const_length_killing(ctx)
               if ctx.sample_max(lie_lie_matrix, z) <= ctx.tol.two]
-    for name, zeta in fields:
-        for p in ctx.points():
-            curv = riemann(ctx.geom, p)
-            g = ctx.geom.metric(p).g
-            zj = ctx.geom.field_jet(zeta, p)
-            grid = nabla_grid(ctx.geom.christoffel(p), zj.val, zj.d)
-            for _ in range(6):
-                x = np.array(rng.vector(n))
-                lhs = riemann_quad(curv, zj.val, x)
-                nxz = x @ grid
-                vals.append(abs(lhs - float(nxz @ g @ nxz)))
-                signs.append(lhs)
     if not fields:
         return inconclusive("no constant-length second-order isometry")
-    least = float(np.min(signs))
-    out = residual_outcome(vals, ctx.tol.two,
+    geom = ctx.geom
+    xs = ctx.rng("eq23").block((len(fields), len(ctx.points()), 6, ctx.ps.total_dim))
+    g = at_points(ctx, lambda p: geom.metric(p).g)
+    gamma = at_points(ctx, geom.christoffel)
+    vals, signs = [], []
+    for zeta, x in zip(fields, xs):
+        zval = at_points(ctx, lambda p: geom.field_jet(zeta, p).val)
+        zd = at_points(ctx, lambda p: geom.field_jet(zeta, p).d)
+        nxz = x @ nabla_grid(gamma, zval, zd)
+        lhs = form(_zeta_curvature(ctx, zeta, "il"), x, x)
+        vals.append(np.abs(lhs - form(g, nxz, nxz)).ravel())
+        signs.append(lhs.ravel())
+    least = float(np.min(np.concatenate(signs)))
+    out = residual_outcome(np.concatenate(vals), ctx.tol.two,
                            note=f"min quadratic value {least:.3g}")
     if out.verdict == PASS and not least >= -ctx.tol.two:
         return Outcome(FAIL, max_abs=-least, mean_abs=out.mean_abs,
@@ -384,10 +390,6 @@ def _thm_parallel(case: int):
 
 def _thm_sectional(part: int):
     def run(ctx: RunContext) -> Outcome:
-        from ..lie_killing import nabla_zeta_zeta
-
-        rng = ctx.rng(f"thm614.{part}")
-        n = ctx.ps.total_dim
         if part == 2:
             fields = _const_length_killing(ctx)
         else:
@@ -400,18 +402,19 @@ def _thm_sectional(part: int):
                     fields.append((name, zeta))
         if not fields:
             return inconclusive("no field meets the curvature hypothesis")
+        xs = ctx.rng(f"thm614.{part}").block((len(fields), len(ctx.points()), 6,
+                                               ctx.ps.total_dim))
+        g = at_points(ctx, lambda p: ctx.geom.metric(p).g)
         values = []
-        for name, zeta in fields:
-            for p in ctx.points():
-                zv = ctx.geom.field_values(zeta, p)
-                curv = riemann(ctx.geom, p)
-                for _ in range(6):
-                    x = np.array(rng.vector(n))
-                    try:
-                        values.append(sectional(ctx.geom, p, zv, x, curv))
-                    except DegeneratePlane:
-                        continue
-        if not values:
+        for (_, zeta), x in zip(fields, xs):
+            # K = -R(z, x, z, x) / area^2, skipping degenerate planes
+            zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+            gz = np.einsum("sab,sb->sa", g, zv)
+            area2 = np.sum(zv * gz, axis=-1)[:, None] * form(g, x, x) - pair(x, gz) ** 2
+            kept = ~(np.abs(area2) <= 1e-10)
+            values.append(-form(_zeta_curvature(ctx, zeta, "ik"), x, x)[kept] / area2[kept])
+        values = np.concatenate(values)
+        if not values.size:
             return inconclusive("all sampled planes degenerate")
         worst_k = float(np.min(values))
         verdict = PASS if worst_k >= -ctx.tol.two else FAIL

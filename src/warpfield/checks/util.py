@@ -1,14 +1,15 @@
 """Shared helpers for the registered checks: the shift predicates, the
-factor-field classifier and the (base part, fiber part) enumeration."""
+factor-field classifier, the (base part, fiber part) enumeration and the
+per-point stacks that test-vector blocks are contracted with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..connections import Geometry
+from ..connections import LEVI_CIVITA, Geometry
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
 from ..jets import Jet2, Point
-from ..lie_killing import max_abs
+from ..lie_killing import lie_matrix, max_abs
 from ..metric import ProductStructure
 
 
@@ -24,6 +25,21 @@ def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
     out = np.zeros(ps.total_dim)
     out[ps.block_slice(block)] = vec
     return out
+
+
+def at_points(ctx, fn) -> np.ndarray:
+    """fn(p) at each sample point of the product, stacked on a leading axis."""
+    return np.array([fn(p) for p in ctx.points()])
+
+
+def lie_stack(ctx, zeta, block=None, kind: str = LEVI_CIVITA) -> np.ndarray:
+    """The run table's L_zeta g at the sample points: (points, n, n)."""
+    return np.asarray(ctx.over_samples(lie_matrix, zeta, block, kind=kind))
+
+
+def pair(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x . v for stacks of vectors x (..., draws, n) and one v (..., n) each."""
+    return np.einsum("...dn,...n->...d", x, v)
 
 
 def second_directional(fj: FieldJet, jet: Jet2) -> tuple[float, float]:

@@ -98,6 +98,7 @@ class Geometry:
         self._ssm: dict = {}
         self._field_jets: dict = {}
         self._warp_jets: dict = {}
+        self._per_point: dict = {}
 
     def _batch(self, p: Point) -> list[Point]:
         """The points one evaluation at p covers."""
@@ -200,6 +201,14 @@ class Geometry:
             got = self._warp_jets[key]
         return got
 
+    def per_point(self, compute, p: Point):
+        """compute(self, p), evaluated once per point and then looked up."""
+        key = (compute, p.coords)
+        got = self._per_point.get(key)
+        if got is None:
+            got = self._per_point[key] = compute(self, p)
+        return got
+
     def field_values(self, field, p: Point) -> np.ndarray:
         if isinstance(field, ProductField):
             return self.field_jet(field, p).val
@@ -220,9 +229,10 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
     """w[a, k] = (nabla_{e_a} Z)^k = d_a Z^k + gamma^k_aj Z^j.
 
     ``val`` and ``d[a, k] = d_a Z^k`` are the value and first partials of
-    Z; a contraction x @ w is nabla_x Z for any vector x.
+    Z; a contraction x @ w is nabla_x Z for any vector x.  Leading axes
+    of ``gamma``, ``val`` and ``d`` broadcast (stacks of points or vectors).
     """
-    return d + np.einsum("kaj,j->ak", gamma, val)
+    return d + np.einsum("...kaj,...j->...ak", gamma, val)
 
 
 def covariant_derivative(
@@ -249,19 +259,6 @@ def torsion_of(geom: Geometry, x, y, p: Point, kind: str = SEMI_SYMMETRIC) -> np
     return (covariant_derivative(geom, x, y, p, kind)
             - covariant_derivative(geom, y, x, p, kind)
             - lie_bracket(geom, x, y, p))
-
-
-def compat_residual(geom: Geometry, p: Point, x, y, z,
-                    kind: str = SEMI_SYMMETRIC) -> float:
-    """|x(g(y,z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant y, z."""
-    mj = geom.metric_jet(p)
-    xv = geom.field_values(x, p)
-    yv = geom.field_values(y, p)
-    zv = geom.field_values(z, p)
-    lead = np.einsum("d,dij,i,j->", xv, mj.dg, yv, zv)
-    dy = covariant_derivative(geom, xv, yv, p, kind)
-    dz = covariant_derivative(geom, xv, zv, p, kind)
-    return abs(float(lead - dy @ mj.g @ zv - yv @ mj.g @ dz))
 
 
 def divergence(geom: Geometry, field: ProductField, p: Point) -> float:

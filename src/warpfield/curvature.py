@@ -23,10 +23,6 @@ from .jets import Point
 from .metric import GeometryError
 
 
-class DegeneratePlane(GeometryError):
-    pass
-
-
 class FrameConstructionFailure(GeometryError):
     pass
 
@@ -40,6 +36,12 @@ class CurvatureAt:
 
 
 def riemann(geom: Geometry, p: Point) -> CurvatureAt:
+    """The curvature at p, computed once per (geometry, point)."""
+    return geom.per_point(curvature_at, p)
+
+
+def curvature_at(geom: Geometry, p: Point) -> CurvatureAt:
+    """Riemann and Ricci tensors at p from the Christoffel jet."""
     gamma, dgamma = geom.christoffel_jet(p)
     r_up = (np.einsum("iljk->lkij", dgamma)
             - np.einsum("jlik->lkij", dgamma)
@@ -54,23 +56,6 @@ def riemann(geom: Geometry, p: Point) -> CurvatureAt:
 def riemann_quad(curv: CurvatureAt, zeta: np.ndarray, x: np.ndarray) -> float:
     """R(zeta, x, x, zeta) from the lowered tensor."""
     return float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, x, zeta))
-
-
-def plane_area_sq(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> float:
-    g = geom.metric(p).g
-    return float((zeta @ g @ zeta) * (x @ g @ x) - (zeta @ g @ x) ** 2)
-
-
-def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray,
-              curv: CurvatureAt | None = None) -> float:
-    """K = -R(zeta, x, zeta, x) / area^2 of the spanned plane."""
-    a2 = plane_area_sq(geom, p, zeta, x)
-    if abs(a2) <= 1e-10:
-        raise DegeneratePlane(f"plane area^2 = {a2} at {p.coords}")
-    if curv is None:
-        curv = riemann(geom, p)
-    r = float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, zeta, x))
-    return -r / a2
 
 
 def frame_of_matrix(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

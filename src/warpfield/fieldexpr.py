@@ -19,6 +19,7 @@ multiplication so polynomial jets are exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -260,7 +261,10 @@ def _power(base, expo):
         return result
     if base <= 0.0:
         raise DomainError(f"non-integer power of non-positive base {base}")
-    return base ** e
+    try:
+        return base ** e
+    except OverflowError:
+        return math.inf
 
 
 def eval_expr(e: Expr, env: dict):

@@ -85,13 +85,27 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _map(fn, x):
-    """fn applied to each sample value as a Python float."""
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()], dtype=float)
-    return fn(x)
+    """fn applied to each sample value as a Python float; a result too
+    large for a float is inf, which the metric layer reports as an
+    overflow at its sample."""
+    try:
+        if isinstance(x, np.ndarray):
+            return np.array([fn(v) for v in x.tolist()], dtype=float)
+        return fn(x)
+    except OverflowError:
+        return _map(_inf_on_overflow(fn), x)
 
 
-def _require(ok, values, message: str, error=DomainError) -> None:
+def _inf_on_overflow(fn):
+    def guarded(x):
+        try:
+            return fn(x)
+        except OverflowError:
+            return math.inf
+    return guarded
+
+
+def require(ok, values, message: str, error=DomainError) -> None:
     """Raise ``error`` (a DomainError) unless ``ok`` holds at every sample.
 
     The message is ``message`` formatted with the first failing value.
@@ -132,6 +146,11 @@ class Jet2:
         grad = np.zeros(n)
         grad[k] = 1.0
         return Jet2(p.coords[k], grad, np.zeros((n, n)))
+
+    def finite(self):
+        """Per sample: the value and every partial are finite."""
+        return (np.isfinite(self.value) & np.isfinite(self.grad).all(-1)
+                & np.isfinite(self.hess).all((-2, -1)))
 
     def __getitem__(self, i: int) -> "Jet2":
         """The jet at sample i; a jet without a sample axis is the same
@@ -177,7 +196,7 @@ class Jet2:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        _require(o.value != 0.0, o.value, "division by zero", DivisionByZero)
+        require(o.value != 0.0, o.value, "division by zero", DivisionByZero)
         q = self.value / o.value
         qg = (self.grad - _g(q) * o.grad) / _g(o.value)
         qh = (self.hess - _sym_outer(qg, o.grad) - _h(q) * o.hess) / _h(o.value)
@@ -200,7 +219,7 @@ class Jet2:
         e = float(expo)
         if e == int(e) and abs(e) <= 64:
             return self._int_pow(int(e))
-        _require(np.logical_not(self.value <= 0.0), self.value,
+        require(np.logical_not(self.value <= 0.0), self.value,
                 "non-integer power of non-positive base {}")
         return _chain(
             self,
@@ -257,11 +276,11 @@ def _lift(fn, dfn, d2fn, name: str, domain=None):
         if not isinstance(a, Jet2):
             x = float(a)
             if domain is not None:
-                _require(domain(x), x, message)
-            return fn(x)
+                require(domain(x), x, message)
+            return _map(fn, x)
         x = a.value
         if domain is not None:
-            _require(domain(x), x, message)
+            require(domain(x), x, message)
         return _chain(a, _map(fn, x), _map(dfn, x), _map(d2fn, x))
 
     apply.__name__ = name
@@ -281,8 +300,11 @@ log = _lift(math.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x), "log",
 sqrt = _lift(math.sqrt, lambda x: 0.5 / math.sqrt(x),
              lambda x: -0.25 / math.sqrt(x) ** 3, "sqrt",
              domain=lambda x: x > 0.0)
-tanh = _lift(math.tanh, lambda x: 1.0 / math.cosh(x) ** 2,
-             lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2, "tanh")
+# past |x| = 355, cosh(x)^2 overflows while 1/cosh(x)^2 is 0.0 in double
+tanh = _lift(math.tanh,
+             lambda x: 1.0 / math.cosh(x) ** 2 if abs(x) < 355.0 else 0.0,
+             lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2 if abs(x) < 355.0 else 0.0,
+             "tanh")
 cbrt = _lift(
     _cbrt_val,
     lambda x: abs(x) ** (-2.0 / 3.0) / 3.0,
@@ -301,40 +323,3 @@ FUNCTIONS = {
     "cbrt": cbrt,
 }
 
-
-def fd_jet(f, p: Point, step: float = 1e-4) -> Jet2:
-    """Central-difference jet of a scalar point-function at p.
-
-    Independent of the jet arithmetic above; second-order accurate.  Used
-    as the cross-check for everything the jets produce.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    n = p.dim
-    x = np.array(p.coords)
-
-    def ev(delta):
-        return float(f(Point(tuple(x + delta))))
-
-    f0 = ev(np.zeros(n))
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for k in range(n):
-        dk = np.zeros(n)
-        dk[k] = step
-        fp = ev(dk)
-        fm = ev(-dk)
-        grad[k] = (fp - fm) / (2.0 * step)
-        hess[k, k] = (fp - 2.0 * f0 + fm) / (step * step)
-    for k in range(n):
-        for l in range(k + 1, n):
-            dk = np.zeros(n)
-            dk[k] = step
-            dl = np.zeros(n)
-            dl[l] = step
-            val = (ev(dk + dl) - ev(dk - dl) - ev(-dk + dl) + ev(-dk - dl)) / (
-                4.0 * step * step
-            )
-            hess[k, l] = val
-            hess[l, k] = val
-    return Jet2(f0, grad, hess)

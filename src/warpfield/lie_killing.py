@@ -27,7 +27,7 @@ from .connections import (
     covariant_derivative,
     nabla_grid,
 )
-from .curvature import riemann, riemann_quad
+from .curvature import riemann
 from .jets import Point
 
 
@@ -43,6 +43,12 @@ def max_abs(values) -> float:
         values = list(values)
     arr = np.abs(np.asarray(values, dtype=float))
     return float(arr.max()) if arr.size else math.nan
+
+
+def form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m(x, y) = x_a m_ab y_b for stacks of vectors x, y (..., draws, n)
+    against one matrix m (..., n, n) per stack."""
+    return np.sum((x @ m) * y, axis=-1)
 
 
 def lie_matrix(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
@@ -173,25 +179,18 @@ def nabla_zeta_zeta(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndar
     return w, dw
 
 
-def eq22_residual(geom: Geometry, zeta, xs, p: Point) -> list[float]:
+def eq22_residual(geom: Geometry, zeta, xs, p: Point) -> np.ndarray:
     """Gap in R(z, x, x, z) = g(nabla_x z, nabla_x z) + g(nabla_x nabla_z z, x)
-    for each test vector x of ``xs``; the curvature, nabla_z z and the
-    covariant-derivative grids at p are computed once for all of them."""
-    curv = riemann(geom, p)
+    for each row x of ``xs``; the curvature contracted with z, nabla_z z
+    and the covariant-derivative grids at p are computed once for all."""
+    xs = np.asarray(xs, dtype=float)
     zj = as_field_jet(geom, zeta, p)
     g = geom.metric(p).g
     gamma = geom.christoffel(p)
-    nz = nabla_grid(gamma, zj.val, zj.d)
-    w, dw = nabla_zeta_zeta(geom, zeta, p)
-    nw = nabla_grid(gamma, w, dw)
-    out = []
-    for x in xs:
-        lhs = riemann_quad(curv, zj.val, x)
-        nxz = x @ nz
-        nxw = x @ nw
-        rhs = float(nxz @ g @ nxz) + float(nxw @ g @ x)
-        out.append(abs(lhs - rhs))
-    return out
+    rzz = np.einsum("ijkl,i,l->jk", riemann(geom, p).r_low, zj.val, zj.val)
+    nxz = xs @ nabla_grid(gamma, zj.val, zj.d)
+    nw = nabla_grid(gamma, *nabla_zeta_zeta(geom, zeta, p))
+    return np.abs(form(rzz, xs, xs) - form(g, nxz, nxz) - form(nw @ g, xs, xs))
 
 
 def constant_length_stddev(geom: Geometry, zeta, points: list[Point]) -> float:

@@ -13,13 +13,14 @@ poles, cube-root singularities pushed to the edge, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fieldexpr
-from .fieldexpr import Expr, eval_expr
-from .jets import DomainError, Jet2, Point
+from .fieldexpr import Bin, Expr, Num, eval_expr
+from .jets import DomainError, Jet2, Point, require
 from .sampling import SplitMix
 
 
@@ -186,16 +187,50 @@ class ProductStructure:
     def expr_jet(self, expr: Expr, env: dict, points: list[Point]) -> Jet2:
         """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
         constant jet.  A DomainError names the first point where the
-        expression leaves its real domain, and the expression."""
+        expression leaves its real domain or overflows, and the expression."""
         try:
-            j = eval_expr(expr, env)
+            with np.errstate(over="ignore", invalid="ignore"):
+                j = eval_expr(expr, env)
+                j = j if isinstance(j, Jet2) else Jet2.constant(j, self.total_dim)
+                # the sum is finite unless an entry is inf or NaN (or it overflows)
+                if not np.isfinite(np.sum(j.value) + j.grad.sum() + j.hess.sum()):
+                    require(j.finite(), j.value, "overflow")
         except DomainError as err:
             i = err.index or 0
-            at = ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names,
-                                                        points[i].coords))
-            raise DomainError(f"{err} at ({at}) in {fieldexpr.pretty(expr)}",
-                              index=i) from None
-        return j if isinstance(j, Jet2) else Jet2.constant(j, self.total_dim)
+            raise DomainError(f"{err} at ({self.where(points[i])}) in "
+                              f"{fieldexpr.pretty(expr)}", index=i) from None
+        return j
+
+    def where(self, p: Point) -> str:
+        """p's coordinates by name, as error messages print them."""
+        return ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names, p.coords))
+
+    def _require_finite(self, points: list[Point], *arrays) -> None:
+        """DomainError at the first point where a metric array (sample axis
+        first, entry axes last) is not finite, naming that entry: a base
+        entry, or a fiber entry times its squared warp."""
+        for k, p in enumerate(points):
+            for a in arrays:
+                bad = np.argwhere(~np.isfinite(a[k]))
+                if bad.size:
+                    i, j = bad[0][-2:]
+                    b = next(b for b, sl in enumerate(self.slices) if i < sl.stop)
+                    start = self.slices[b].start
+                    e = self.blocks[b].entries[i - start][j - start]
+                    e = Bin("*", Bin("^", self.warps[b - 1], Num(2.0)), e) if b else e
+                    raise DomainError(f"overflow at ({self.where(p)}) in "
+                                      f"{fieldexpr.pretty(e)}", index=k)
+
+    def _block_inverse(self, m: np.ndarray, label: str, points: list[Point]) -> np.ndarray:
+        """Inverse of one block at one point, or of a stack of blocks
+        (S, d, d) at ``points``; a singular block is named with its point."""
+        det = np.atleast_1d(np.linalg.det(m))
+        bad = np.flatnonzero(np.abs(det) <= DET_FLOOR)
+        if bad.size:
+            k = bad[0]
+            raise SingularMetric(f"singular metric block {label} (det={float(det[k])}) "
+                                 f"at ({self.where(points[k])})")
+        return np.linalg.inv(m)
 
     def _check_point(self, p: Point):
         if p.dim != self.total_dim:
@@ -223,13 +258,17 @@ class ProductStructure:
         sl = self.slices[0]
         base_m = self.base.matrix(env)
         g[sl, sl] = base_m
-        ginv[sl, sl] = _block_inverse(base_m, self.base.label)
         warp_vals = self.warp_values(p)
         for i, f in enumerate(self.fibers):
-            sl = self.slices[i + 1]
-            fm = f.matrix(env) * warp_vals[i] ** 2
-            g[sl, sl] = fm
-            ginv[sl, sl] = _block_inverse(fm, f.label)
+            try:
+                w2 = warp_vals[i] ** 2
+            except OverflowError:
+                w2 = math.inf
+            with np.errstate(invalid="ignore"):
+                g[self.slices[i + 1], self.slices[i + 1]] = f.matrix(env) * w2
+        self._require_finite([p], g[None])
+        for sl, block in zip(self.slices, self.blocks):
+            ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, [p])
         return MetricAt(g=g, ginv=ginv, point=p)
 
     def metric_jet(self, points: list[Point]) -> list["MetricJet"]:
@@ -254,45 +293,29 @@ class ProductStructure:
 
         for a, b, jet in entries(self.base):
             put(self.slices[0], a, b, jet)
-        for i, f in enumerate(self.fibers):
-            w = self.expr_jet(self.warps[i], env, points)
-            vals = np.atleast_1d(w.value)
-            bad = np.flatnonzero(vals <= 0.0)
-            if bad.size:
-                k = bad[0]
-                raise NonPositiveWarping(f"warping for {f.label} evaluates to "
-                                         f"{float(vals[k])} at {points[k].coords}")
-            w2 = w * w
-            for a, b, jet in entries(f):
-                put(self.slices[i + 1], a, b, w2 * jet)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, f in enumerate(self.fibers):
+                w = self.expr_jet(self.warps[i], env, points)
+                vals = np.atleast_1d(w.value)
+                bad = np.flatnonzero(vals <= 0.0)
+                if bad.size:
+                    k = bad[0]
+                    raise NonPositiveWarping(f"warping for {f.label} evaluates to "
+                                             f"{float(vals[k])} at {points[k].coords}")
+                w2 = w * w
+                for a, b, jet in entries(f):
+                    put(self.slices[i + 1], a, b, w2 * jet)
+            finite = np.isfinite(np.sum(g) + np.sum(dg) + np.sum(d2g))
+        if not finite:
+            self._require_finite(points, g, dg, d2g)
 
         ginv = np.zeros((s, n, n))
-        for sl in self.slices:
-            ginv[:, sl, sl] = _block_inverse(g[:, sl, sl], "block")
+        for sl, block in zip(self.slices, self.blocks):
+            ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
         dginv = -np.einsum("ska,sdab,sbl->sdkl", ginv, dg, ginv)
         return [MetricJet(g=g[k], dg=dg[k], d2g=d2g[k], ginv=ginv[k],
                           dginv=dginv[k], point=p)
                 for k, p in enumerate(points)]
-
-    def signature(self, p: Point) -> tuple[int, ...]:
-        """Signs of the metric eigenvalues, block by block (+1/-1)."""
-        m = self.metric_at(p)
-        signs: list[int] = []
-        for sl in self.slices:
-            vals = np.linalg.eigvalsh(m.g[sl, sl])
-            if np.any(np.abs(vals) <= DET_FLOOR):
-                raise SingularMetric(f"near-zero metric eigenvalue at {p.coords}")
-            signs.extend(1 if v > 0 else -1 for v in vals)
-        return tuple(signs)
-
-
-def _block_inverse(m: np.ndarray, label: str) -> np.ndarray:
-    """Inverse of one block, or of a stack of blocks (S, d, d)."""
-    det = np.atleast_1d(np.linalg.det(m))
-    bad = np.flatnonzero(np.abs(det) <= DET_FLOOR)
-    if bad.size:
-        raise SingularMetric(f"singular metric block {label} (det={float(det[bad[0]])})")
-    return np.linalg.inv(m)
 
 
 @dataclass(frozen=True)
@@ -310,25 +333,6 @@ class MetricJet:
     ginv: np.ndarray
     dginv: np.ndarray   # (n, n, n)
     point: Point
-
-
-def inner(gm: MetricAt, x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = gm.g.shape[0]
-    if x.shape != (n,) or y.shape != (n,):
-        raise DimensionMismatch(f"vectors must have {n} components")
-    return float(x @ gm.g @ y)
-
-
-def grad_scalar(ps: ProductStructure, p: Point, h: Expr) -> np.ndarray:
-    """Index-raised gradient: (grad h)^k = g^{kl} d_l h on ps's chart."""
-    extra = fieldexpr.variables_of(h) - set(ps.coord_names)
-    if extra:
-        raise GeometryError(f"scalar references unknown coordinates {sorted(extra)}")
-    j = ps.expr_jet(h, ps.jet_env([p]), [p])[0]
-    gm = ps.metric_at(p)
-    return gm.ginv @ j.grad
 
 
 def sample_points(

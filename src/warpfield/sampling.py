@@ -8,6 +8,10 @@ platform.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _MASK = (1 << 64) - 1
 
 # splitmix-style update constants
@@ -52,6 +56,24 @@ class SplitMix:
 
     def vector(self, n: int, scale: float = 1.0) -> list[float]:
         return [self.symmetric(scale) for _ in range(n)]
+
+    def block(self, shape, scale: float = 1.0) -> np.ndarray:
+        """The next ``symmetric(scale)`` draws as an array of ``shape``,
+        filled in C order, leaving the state where the scalar draws would.
+
+        Draw k (from 1) mixes ``state + k * GAMMA``, so the whole block is
+        one pass of uint64 arithmetic, which wraps like ``_MASK``.
+        """
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        count = math.prod(shape)
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        lo, hi = -scale, scale
+        return (lo + (hi - lo) * ((z >> np.uint64(11)) * (2.0 ** -53))).reshape(shape)
 
 
 DEFAULT_SEED = 24181

@@ -204,9 +204,6 @@ class Registry:
             raise ValueError("duplicate check ids in registry")
         self.aliases = dict(aliases)
 
-    def results_covered(self) -> set[str]:
-        return {s.result for s in self.specs}
-
     def select(self, token: str) -> list[CheckSpec]:
         """Resolve one --props token to check specs (id, result or alias)."""
         token = self.aliases.get(token, token)

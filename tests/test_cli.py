@@ -30,6 +30,11 @@ DIV_CONSTANT = ("[constants]\na = 1\n\n[base]\ndim = 1\ncoords = t\ng.t.t = 1\n"
                 "[field.z]\nlocation = base\ncomp.t = t/(a - 1)\n")
 
 
+EXP_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = {box}\n\n"
+            "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
+            "warp = exp(t)\n\n[torsion]\nlocation = zero\n")
+
+
 class TestExitCodes:
     def test_passing_check_exits_zero(self):
         proc = run_cli("verify", wm("grw_exp"), "--props", "Prop3.20", *FAST)
@@ -110,6 +115,25 @@ class TestExitCodes:
         assert expected in line
         if argv[0] == "killing":
             assert " at (t=" in line
+
+    @pytest.mark.parametrize("box,message", [
+        # exp(500)^2 overflows at the chart centre
+        ("0, 1000", "chart-center validation failed: overflow at (t=500.0, x=0.0) "
+                    "in exp(t)^2*1"),
+        # the centre is fine; at sample points the squared warp overflows
+        # (t > 355) or leaves the fiber block singular (t < -100)
+        ("-700, 720", " at (t="),
+    ], ids=["centre", "sample"])
+    def test_overflow_is_one_line_usage_error(self, tmp_path, box, message):
+        # in a subprocess, so numpy warnings would reach stderr
+        path = tmp_path / "exp_warp.wm"
+        path.write_text(EXP_WARP.format(box=box))
+        proc = run_cli("verify", str(path), "--samples", "8")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("warpfield: ") and message in line
+        assert "overflow" in line or "singular metric block fiber.1" in line
 
     def test_domain_error_at_a_sample_point_is_usage_error(self, tmp_path, capsys):
         from warpfield.manifest import load_manifest

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import compat_residual
 from warpfield import fieldexpr as fe
 from warpfield.connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
     Geometry,
     TorsionSpec,
-    compat_residual,
     covariant_derivative,
     lie_bracket,
     torsion_of,

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import DegeneratePlane, sectional
 from warpfield import fieldexpr as fe
 from warpfield.connections import Geometry
 from warpfield.curvature import (
-    DegeneratePlane,
     frame_of_matrix,
     parallel_residual_at,
     riemann,
     ricci_quadratic,
-    sectional,
     trace_nabla,
 )
 from warpfield.fields import VectorFieldDef, lift

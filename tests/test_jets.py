@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
+from oracles import fd_jet
 from warpfield import jets
 from warpfield.fieldexpr import eval_expr, parse_expr
-from warpfield.jets import DomainError, Jet2, Point, fd_jet
+from warpfield.jets import DomainError, Jet2, Point
 
 
 def jet_env(names, values):
@@ -133,6 +134,19 @@ class TestFunctions:
     def test_log_domain(self):
         with pytest.raises(DomainError):
             jets.log(Jet2.seed(Point((-2.0,)), 0))
+
+    @pytest.mark.parametrize("t", [400.0, -1000.0])
+    def test_tanh_far_out_is_finite(self, t):
+        # cosh(t)^2 overflows there; tanh and its derivatives do not
+        j = jets.tanh(Jet2.seed(Point((t,)), 0))
+        assert (j.value, j.grad[0], j.hess[0, 0]) == (math.copysign(1.0, t), 0.0, 0.0)
+
+    def test_exp_overflow_is_inf(self):
+        # the metric layer reports a non-finite jet as an overflow at its point
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Hessian
+            j = jets.exp(Jet2(np.array([1.0, 800.0]), np.ones((2, 1)), np.zeros((2, 1, 1))))
+        assert np.isfinite(j.value[0]) and j.value[1] == math.inf
+        assert list(j.finite()) == [True, False]
 
 
 class TestFiniteDifferenceJet:

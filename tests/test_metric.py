@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fd_jet, grad_scalar, inner, signature
 from warpfield import fieldexpr as fe
 from warpfield.connections import Geometry, divergence
 from warpfield.fields import VectorFieldDef, lift
-from warpfield.jets import Point, fd_jet
+from warpfield.jets import DomainError, Point
 from warpfield.metric import (
     DimensionMismatch,
     NonPositiveWarping,
     ProductStructure,
     SingularMetric,
     diagonal_block,
-    grad_scalar,
-    inner,
     sample_points,
 )
 from warpfield.sampling import SplitMix
@@ -77,9 +76,32 @@ class TestAssembly:
         with pytest.raises(SingularMetric):
             ps.metric_at(Point((0.2,)))
 
+    def test_singular_block_names_block_and_point(self):
+        # g.t.t = (t - 0.25)^2 is singular at t = 0.25 only
+        block = diagonal_block("base", ("t",), (fe.parse_expr("(t - 0.25)^2", ("t",)),),
+                               ((-1.0, 1.0),))
+        ps = ProductStructure(base=block, fibers=(flat2(),), warps=(ONE,))
+        with pytest.raises(SingularMetric, match=r"block base \(det=0\.0\) at \(t=0\.25, "):
+            ps.metric_at(Point((0.25, 0.0, 0.0)))
+        with pytest.raises(SingularMetric, match=r"block base \(det=0\.0\) at \(t=0\.25, "):
+            ps.metric_jet([Point((0.5, 0.0, 0.0)), Point((0.25, 0.1, 0.2))])
+
+    @pytest.mark.parametrize("build", ["metric_at", "metric_jet"])
+    def test_overflowing_warp_names_point_and_expression(self, build):
+        # exp(t) is finite at t = 600, its square is not
+        ps = grw("exp(t)", (0.0, 1000.0))
+        pts = [Point((1.0, 0.0, 0.0)), Point((600.0, 0.5, 0.0))]
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match=r"^overflow at \(t=600\.0, x=0\.5, "
+                                                  r"y=0\.0\) in exp\(t\)\^2\*1$"):
+                if build == "metric_at":
+                    ps.metric_at(pts[1])
+                else:
+                    ps.metric_jet(pts)
+
     def test_signature_of_product(self):
         ps = grw()
-        assert ps.signature(Point((0.1, 0.0, 0.0))) == (-1, 1, 1)
+        assert signature(ps, Point((0.1, 0.0, 0.0))) == (-1, 1, 1)
 
     def test_duplicate_coordinates_rejected(self):
         from warpfield.metric import GeometryError

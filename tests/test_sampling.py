@@ -1,0 +1,172 @@
+"""Test-vector blocks: ``SplitMix.block`` against the scalar stream, and the
+checks that draw whole blocks against per-vector loops in the scalar order."""
+
+import numpy as np
+import pytest
+
+from warpfield.checks import identities, killing, twokilling
+from warpfield.cli import corpus_dir
+from warpfield.connections import (
+    LEVI_CIVITA,
+    SEMI_SYMMETRIC,
+    covariant_derivative,
+    nabla_grid,
+    torsion_of,
+)
+from warpfield.curvature import riemann, riemann_quad
+from warpfield.lie_killing import nabla_quad, nabla_zeta_zeta
+from warpfield.manifest import load_manifest
+from warpfield.sampling import SplitMix
+from warpfield.suite import RunContext, default_registry, run_checks
+
+# every check whose test vectors come from one block per run
+PORTED = ("Def3.6", "Lemma3.7", "Lemma3.8", "Remark3.9", "Prop3.10",
+          "Prop3.18", "Prop3.22", "Prop4.8", "Prop4.10", "Prop5.4",
+          "Cor3.15", "Cor3.16", "Cor4.5", "Cor4.6", "Cor5.2",
+          "Cor6.3", "Cor6.5", "Thm6.14", "Eq2", "NablaBarG")
+
+
+def manifest(name):
+    return load_manifest(corpus_dir() / f"{name}.wm")
+
+
+class TestBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 24181, 2 ** 64 - 1])
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 5, 3), (0, 3)])
+    def test_block_is_the_scalar_stream(self, seed, scale, shape):
+        fast, slow = SplitMix(seed), SplitMix(seed)
+        got = fast.block(shape, scale)
+        want = [slow.symmetric(scale) for _ in range(int(np.prod(shape)))]
+        assert got.shape == shape
+        assert np.array_equal(got, np.reshape(want, shape))
+        assert fast._state == slow._state
+
+    def test_blocks_continue_each_other(self):
+        one, two = SplitMix(5), SplitMix(5)
+        joined = np.concatenate([one.block((3, 4)), one.block((2, 4))])
+        assert np.array_equal(joined, two.block((5, 4)))
+
+    def test_ported_checks_draw_no_scalar_vectors(self, monkeypatch):
+        calls = []
+        real = SplitMix.vector
+
+        def counted(self, n, scale=1.0):
+            calls.append(n)
+            return real(self, n, scale)
+
+        monkeypatch.setattr(SplitMix, "vector", counted)
+        registry = default_registry()
+        mf = manifest("mw2_fib")
+        results = run_checks(registry, mf, registry.select_many(PORTED), samples=16)
+        assert sum(r.verdict == "pass" for r in results) >= 15
+        assert calls == []
+        # the cone checks still draw one vector at a time, so the count
+        # above would see a scalar draw
+        run_checks(registry, mf, registry.select("Prop4.9.1"), samples=16)
+        assert calls
+
+
+# ---- the ported kernels against per-vector loops in the scalar order ----
+
+
+def remark_loop(ctx):
+    geom, rng, n = ctx.geom, ctx.rng("remark39"), ctx.ps.total_dim
+    out = []
+    for zeta in list(ctx.field_combos().values())[:6]:
+        lhs, rhs = [], []
+        for p in ctx.points():
+            g, zv, piv = geom.metric(p).g, geom.field_values(zeta, p), geom.pi_covector(p)
+            for _ in range(4):
+                x = np.array(rng.vector(n))
+                lhs.append(nabla_quad(geom, zeta, x, p, SEMI_SYMMETRIC))
+                rhs.append(nabla_quad(geom, zeta, x, p, LEVI_CIVITA)
+                           + (zv @ piv) * (x @ g @ x) - (x @ piv) * (x @ g @ zv))
+        out += [lhs, rhs]
+    return out
+
+
+def premise_loop(ctx):
+    geom, rng, n = ctx.geom, ctx.rng("prop310"), ctx.ps.total_dim
+    out = []
+    for zeta in ctx.field_combos().values():
+        gaps = []
+        for p in ctx.points():
+            g, zv, piv = geom.metric(p).g, geom.field_values(zeta, p), geom.pi_covector(p)
+            for _ in range(8):
+                x = np.array(rng.vector(n))
+                gaps.append((zv @ piv) * (x @ g @ x) - (x @ piv) * (x @ g @ zv))
+        out.append(gaps)
+    return out
+
+
+def eq22_loop(ctx):
+    # every field combo, not only the second-order ones: the gaps are then
+    # far from zero and depend on which vector each slot received
+    geom, rng, n = ctx.geom, ctx.rng("eq22"), ctx.ps.total_dim
+    out = []
+    for zeta in ctx.field_combos().values():
+        gaps = []
+        for p in ctx.points():
+            g, zv = geom.metric(p).g, geom.field_values(zeta, p)
+            nw = nabla_grid(geom.christoffel(p), *nabla_zeta_zeta(geom, zeta, p))
+            for x in list(np.eye(n)) + [np.array(rng.vector(n)) for _ in range(4)]:
+                nxz = covariant_derivative(geom, x, zeta, p)
+                gaps.append(abs(riemann_quad(riemann(geom, p), zv, x)
+                                - nxz @ g @ nxz - (x @ nw) @ g @ x))
+        out.append(gaps)
+    return out
+
+
+def torsion_loop(ctx):
+    geom, rng, n = ctx.geom, ctx.rng("axiom-torsion"), ctx.ps.total_dim
+    t, expected = [], []
+    for p in ctx.points():
+        for _ in range(max(1, 256 // len(ctx.points()))):
+            x = np.array(rng.vector(n))
+            y = np.array(rng.vector(n))
+            t.append(torsion_of(geom, x, y, p))
+            expected.append(geom.pi_of(p, y) * x - geom.pi_of(p, x) * y)
+    return [t, expected]
+
+
+CASES = {
+    "Remark3.9": (remark_loop, lambda ctx: [side for sides in killing._remark_sides(ctx)
+                                            for side in sides]),
+    "Prop3.10": (premise_loop, killing._premise_gaps),
+    "Cor6.3": (eq22_loop,
+               lambda ctx: twokilling._eq22_values(ctx, list(ctx.field_combos().values()))),
+    "Eq2": (torsion_loop, lambda ctx: list(identities._torsion_sides(ctx))),
+}
+
+
+def worst_gap(name, check):
+    """Largest |ported - loop| / (1 + |loop|) over every value."""
+    loop, ported = CASES[check]
+    want = loop(RunContext(manifest(name), samples=8))
+    got = ported(RunContext(manifest(name), samples=8))
+    assert len(got) == len(want) > 0
+    worst = 0.0
+    for g, w in zip(got, want):
+        g, w = np.ravel(g), np.ravel(w)
+        assert g.shape == w.shape
+        worst = max(worst, float(np.max(np.abs(g - w) / (1.0 + np.abs(w)), initial=0.0)))
+    return worst
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("check", sorted(CASES))
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib"])
+    def test_block_checks_match_the_per_vector_loop(self, name, check):
+        assert worst_gap(name, check) <= 1e-12
+
+    @pytest.mark.parametrize("check", sorted(CASES))
+    def test_a_transposed_block_is_caught(self, check, monkeypatch):
+        real = SplitMix.block
+
+        def transposed(self, shape, scale=1.0):
+            *lead, a, b = shape
+            return np.swapaxes(real(self, (*lead, b, a), scale), -1, -2)
+
+        monkeypatch.setattr(SplitMix, "block", transposed)
+        assert worst_gap("grw_exp", check) > 1e-6

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import results_covered
 from warpfield.cli import corpus_dir
 from warpfield.connections import LEVI_CIVITA
 from warpfield.fields import ProductField
@@ -44,12 +45,12 @@ def corpus_results(registry, corpus):
 
 class TestCensus:
     def test_every_required_result_is_registered(self, registry):
-        covered = registry.results_covered()
+        covered = results_covered(registry)
         missing = [r for r in REQUIRED_RESULTS if r not in covered]
         assert missing == []
 
     def test_registered_results_are_required_or_axioms(self, registry):
-        extras = registry.results_covered() - set(REQUIRED_RESULTS)
+        extras = results_covered(registry) - set(REQUIRED_RESULTS)
         assert extras == {"Eq2", "NablaBarG"}
 
     def test_ids_unique(self, registry):
@@ -412,7 +413,7 @@ class TestOneGeometryPerBlock:
 class TestRunTable:
     """The run's table computes each field's L g and L L g once: across all
     checks of a run, each (geometry, field, point, kind) is evaluated
-    exactly once."""
+    exactly once, and so is each (geometry, point) curvature."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
     def test_each_lie_matrix_evaluated_once(self, registry, corpus, name,
@@ -431,5 +432,23 @@ class TestRunTable:
         patch_everywhere(monkeypatch, lie_lie_matrix, counted_lie_lie)
         run_checks(registry, corpus[name], registry.specs, samples=16)
         assert {key[0] for key in calls} == {"lie_matrix", "lie_lie_matrix"}
+        repeated = [key for key, n in calls.items() if n > 1]
+        assert repeated == []
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
+    def test_each_curvature_computed_once(self, registry, corpus, name,
+                                          monkeypatch):
+        import warpfield.curvature as curvature
+
+        calls = Counter()
+        real = curvature.curvature_at
+
+        def counted(geom, p):
+            calls[(id(geom), p.coords)] += 1
+            return real(geom, p)
+
+        monkeypatch.setattr(curvature, "curvature_at", counted)
+        run_checks(registry, corpus[name], registry.specs, samples=16)
+        assert calls
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
