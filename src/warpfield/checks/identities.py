@@ -57,8 +57,8 @@ def _torsion_sides(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
     """Torsion of the shifted connection on constant test vectors x, y and
     its two-term form pi(y) x - pi(x) y: (points, draws, n) each."""
     x, y = _axiom_draws(ctx, "axiom-torsion", 2)
-    gamma = at_points(ctx, ctx.geom.ssm_gamma)[:, None]
-    piv = at_points(ctx, ctx.geom.pi_covector)
+    gamma = ctx.geom.ssm_gamma()[:, None]
+    piv = ctx.geom.pi_covector()
     return (_nabla_const(gamma, x, y) - _nabla_const(gamma, y, x),
             pair(y, piv)[..., None] * x - pair(x, piv)[..., None] * y)
 
@@ -72,9 +72,9 @@ def _axiom_compat(ctx: RunContext) -> Outcome:
     """|x(g(y, z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant y, z."""
     x, y, z = _axiom_draws(ctx, "axiom-compat", 3)
     geom = ctx.geom
-    gamma = at_points(ctx, geom.ssm_gamma)[:, None]
-    g = at_points(ctx, lambda p: geom.metric(p).g)
-    dg = at_points(ctx, lambda p: geom.metric_jet(p).dg)
+    gamma = geom.ssm_gamma()[:, None]
+    g = geom.metric().g
+    dg = geom.metric_jet().dg
     lead = np.einsum("sdc,scab,sda,sdb->sd", x, dg, y, z)
     vals = (lead - form(g, _nabla_const(gamma, x, y), z)
             - form(g, y, _nabla_const(gamma, x, z)))
@@ -327,10 +327,10 @@ def _quad_decomposition_check(shift_location: str, label: str):
         kind = LEVI_CIVITA if shift_location == "none" else SEMI_SYMMETRIC
         base_kind = SEMI_SYMMETRIC if shift_location == "base" else LEVI_CIVITA
         slb = ps.block_slice("base")
-        g = at_points(ctx, lambda p: geom.metric(p).g)
-        piv = at_points(ctx, geom.pi_covector)
-        zbv = at_points(ctx, lambda p: geom.field_values(lift(parts[0]), p))
-        gz = np.einsum("sab,sb->sa", g, at_points(ctx, lambda p: geom.field_values(zeta, p)))
+        g = geom.metric().g
+        piv = geom.pi_covector()
+        zbv = geom.field_values(lift(parts[0]))
+        gz = np.einsum("sab,sb->sa", g, geom.field_values(zeta))
         lhs = 0.5 * form(lie_stack(ctx, zeta, kind=kind), x, x)
         xb = x[..., slb]
         rhs = 0.5 * form(lie_stack(ctx, parts[0], "base", kind=base_kind), xb, xb)
@@ -339,8 +339,8 @@ def _quad_decomposition_check(shift_location: str, label: str):
             xi = x[..., sl]
             f = at_points(ctx, lambda p: geom.warp_jet(i, p).value)[:, None]
             zbf = pair(zbv[:, None], at_points(ctx, lambda p: geom.warp_jet(i, p).grad))
-            gi = at_points(ctx, lambda p: ctx.block_geom(i).metric(ps.block_point(p, i)).g)
-            ziv = at_points(ctx, lambda p: geom.field_values(lift(zi), p))
+            gi = ctx.block_geom(i).metric().g
+            ziv = geom.field_values(lift(zi))
             nxi = form(gi, xi, xi)
             rhs = rhs + f ** 2 * 0.5 * form(lie_stack(ctx, zi, i), xi, xi) + f * zbf * nxi
             if shift_location == "base":

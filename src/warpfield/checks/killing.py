@@ -32,7 +32,6 @@ from ..suite import (
     residual_outcome,
 )
 from .util import (
-    at_points,
     embed,
     factor_fields,
     lie_stack,
@@ -157,9 +156,9 @@ def _quad_equivalence(kind: str, label: str):
 def _pairing_gaps(ctx: RunContext, zeta, x: np.ndarray) -> np.ndarray:
     """pi(zeta) g(x, x) - pi(x) g(x, zeta) at each sample point for its
     test vectors x (points, draws, n)."""
-    g = at_points(ctx, lambda p: ctx.geom.metric(p).g)
-    piv = at_points(ctx, ctx.geom.pi_covector)
-    zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+    g = ctx.geom.metric().g
+    piv = ctx.geom.pi_covector()
+    zv = ctx.geom.field_values(zeta)
     gz = np.einsum("sab,sb->sa", g, zv)
     return (np.sum(zv * piv, axis=-1)[:, None] * form(g, x, x)
             - pair(x, piv) * pair(x, gz))

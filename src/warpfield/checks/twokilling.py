@@ -77,7 +77,7 @@ def _zeta_curvature(ctx: RunContext, zeta, slots: str) -> np.ndarray:
     """The lowered curvature r_low[i, j, k, l] with zeta in the two index
     ``slots`` at each sample point, the other two free: "il" gives
     R(z, ., ., z) and "ik" gives R(z, ., z, .); (points, n, n)."""
-    zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+    zv = ctx.geom.field_values(zeta)
     r_low = at_points(ctx, lambda p: riemann(ctx.geom, p).r_low)
     free = "".join(c for c in "ijkl" if c not in slots)
     return np.einsum(f"sijkl,s{slots[0]},s{slots[1]}->s{free}", r_low, zv, zv)
@@ -181,9 +181,8 @@ def _lemma_const_length(ctx: RunContext) -> Outcome:
     vals = []
     fields = _const_length_killing(ctx)
     for name, zeta in fields:
-        for p in ctx.points():
-            w, _ = nabla_zeta_zeta(ctx.geom, zeta, p)
-            vals.append(max_abs(w))
+        w, _ = nabla_zeta_zeta(ctx.geom, zeta)
+        vals.extend(np.abs(w).max(axis=1))
     if not fields:
         return inconclusive("no constant-length isometry declared")
     return residual_outcome(vals, ctx.tol.two,
@@ -197,13 +196,12 @@ def _eq23_check(ctx: RunContext) -> Outcome:
         return inconclusive("no constant-length second-order isometry")
     geom = ctx.geom
     xs = ctx.rng("eq23").block((len(fields), len(ctx.points()), 6, ctx.ps.total_dim))
-    g = at_points(ctx, lambda p: geom.metric(p).g)
-    gamma = at_points(ctx, geom.christoffel)
+    g = geom.metric().g
+    gamma = geom.christoffel()
     vals, signs = [], []
     for zeta, x in zip(fields, xs):
-        zval = at_points(ctx, lambda p: geom.field_jet(zeta, p).val)
-        zd = at_points(ctx, lambda p: geom.field_jet(zeta, p).d)
-        nxz = x @ nabla_grid(gamma, zval, zd)
+        zj = geom.field_jet(zeta)
+        nxz = x @ nabla_grid(gamma, zj.val, zj.d)
         lhs = form(_zeta_curvature(ctx, zeta, "il"), x, x)
         vals.append(np.abs(lhs - form(g, nxz, nxz)).ravel())
         signs.append(lhs.ravel())
@@ -397,18 +395,17 @@ def _thm_sectional(part: int):
             for name, zeta in ctx.field_combos().items():
                 if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
-                if max_abs(nabla_zeta_zeta(ctx.geom, zeta, p)[0]
-                           for p in ctx.points()) <= ctx.tol.hyp:
+                if max_abs(nabla_zeta_zeta(ctx.geom, zeta)[0]) <= ctx.tol.hyp:
                     fields.append((name, zeta))
         if not fields:
             return inconclusive("no field meets the curvature hypothesis")
         xs = ctx.rng(f"thm614.{part}").block((len(fields), len(ctx.points()), 6,
                                                ctx.ps.total_dim))
-        g = at_points(ctx, lambda p: ctx.geom.metric(p).g)
+        g = ctx.geom.metric().g
         values = []
         for (_, zeta), x in zip(fields, xs):
             # K = -R(z, x, z, x) / area^2, skipping degenerate planes
-            zv = at_points(ctx, lambda p: ctx.geom.field_values(zeta, p))
+            zv = ctx.geom.field_values(zeta)
             gz = np.einsum("sab,sb->sa", g, zv)
             area2 = np.sum(zv * gz, axis=-1)[:, None] * form(g, x, x) - pair(x, gz) ** 2
             kept = ~(np.abs(area2) <= 1e-10)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import FieldJet, ProductField, VectorFieldDef, lift
 from .jets import Jet2, Point
-from .metric import DimensionMismatch, MetricAt, MetricJet, ProductStructure
+from .metric import DimensionMismatch, MetricJet, ProductStructure
 
 LEVI_CIVITA = "levi_civita"
 SEMI_SYMMETRIC = "semi_symmetric"
@@ -75,12 +75,15 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 
 
 class Geometry:
-    """Per-structure cache of pointwise metric/connection/field data.
+    """Metric, connection and field data of one structure over a sample set.
 
-    ``points`` is the sample set the geometry is evaluated on.  The first
-    cache miss at one of them fills the metric, metric-jet or field-jet
-    cache for all of them with one batched walk of the expressions; any
-    other point is evaluated the same way, as a batch of one.
+    ``points`` is the sample set.  Each quantity is computed once for all
+    of them, as a stack whose leading axis runs over the points
+    (``stack``), from the stacked metric and field jets; the accessors
+    take a point and return its row of the stack, or the whole stack when
+    the point is None (``at``).  Any other point is the sample set of a
+    geometry of its own, so it is evaluated by the same code as a batch of
+    one.
     """
 
     def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None = None,
@@ -89,117 +92,88 @@ class Geometry:
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
         self.points = list(points)
-        self._sampled = frozenset(p.coords for p in self.points)
+        self._rows_of: dict = {}
+        for k, p in enumerate(self.points):
+            self._rows_of.setdefault(p.coords, k)
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
-        self._metric: dict = {}
-        self._metric_jet: dict = {}
-        self._gamma: dict = {}
-        self._gamma_jet: dict = {}
-        self._ssm: dict = {}
-        self._field_jets: dict = {}
-        self._warp_jets: dict = {}
+        self._stacks: dict = {}
+        self._rows: dict = {}
+        self._alone: dict = {}
         self._per_point: dict = {}
 
-    def _batch(self, p: Point) -> list[Point]:
-        """The points one evaluation at p covers."""
-        return self.points if p.coords in self._sampled else [p]
-
-    def metric(self, p: Point) -> MetricAt:
-        """The value part of the metric jet at p."""
-        got = self._metric.get(p.coords)
+    def stack(self, compute, *args):
+        """compute(self, *args): a quantity at every sample point, sample
+        axis first, computed once per (compute, args)."""
+        key = (compute, args)
+        got = self._stacks.get(key)
         if got is None:
-            self.metric_jet(p)
-            got = self._metric[p.coords]
+            got = self._stacks[key] = compute(self, *args)
         return got
 
-    def metric_jet(self, p: Point) -> MetricJet:
-        got = self._metric_jet.get(p.coords)
+    def at(self, compute, p: Point | None, *args):
+        """p's row of ``stack(compute, *args)``, or the whole stack when p
+        is None; a point outside the sample set is the one point of its
+        own geometry.  Rows are kept: the checks read the metric and field
+        jets at every point many times over."""
+        if p is None:
+            return self.stack(compute, *args)
+        key = (compute, args, p.coords)
+        got = self._rows.get(key)
         if got is None:
-            batch = self._batch(p)
-            for q, mj in zip(batch, self.ps.metric_jet(batch)):
-                self._metric_jet[q.coords] = mj
-                self._metric[q.coords] = MetricAt(g=mj.g, ginv=mj.ginv, point=q)
-            got = self._metric_jet[p.coords]
+            k = self._rows_of.get(p.coords)
+            geom = self if k is not None else self._geometry_at(p)
+            got = self._rows[key] = _row(geom.stack(compute, *args), k or 0)
         return got
 
-    def christoffel(self, p: Point) -> np.ndarray:
+    def _geometry_at(self, p: Point) -> "Geometry":
+        got = self._alone.get(p.coords)
+        if got is None:
+            got = self._alone[p.coords] = Geometry(self.ps, self.torsion, [p])
+        return got
+
+    def metric_jet(self, p: Point | None = None) -> MetricJet:
+        return self.at(_metric_jets, p)
+
+    def metric(self, p: Point | None = None) -> MetricJet:
+        """The metric at p: the metric jet, read for its ``g`` and ``ginv``."""
+        return self.at(_metric_jets, p)
+
+    def christoffel(self, p: Point | None = None) -> np.ndarray:
         """Levi-Civita symbols gamma[k, i, j] at p."""
-        got = self._gamma.get(p.coords)
-        if got is None:
-            mj = self.metric_jet(p)
-            got = 0.5 * np.einsum("kl,lij->kij", mj.ginv, _bracket(mj.dg))
-            self._gamma[p.coords] = got
-        return got
+        return self.at(_christoffel, p)
 
-    def christoffel_jet(self, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    def christoffel_jet(self, p: Point | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(gamma[k,i,j], dgamma[d,k,i,j]) at p."""
-        got = self._gamma_jet.get(p.coords)
-        if got is None:
-            mj = self.metric_jet(p)
-            dgamma = 0.5 * (np.einsum("dkl,lij->dkij", mj.dginv, _bracket(mj.dg))
-                            + np.einsum("kl,dlij->dkij", mj.ginv, _bracket(mj.d2g)))
-            got = (self.christoffel(p), dgamma)
-            self._gamma_jet[p.coords] = got
-        return got
+        return self.at(_christoffel_jet, p)
 
     # ---- torsion field data ----
 
-    def p_vector(self, p: Point) -> np.ndarray:
-        if self._p_field is None:
-            return np.zeros(self.ps.total_dim)
-        return self.field_jet(self._p_field, p).val
+    def p_vector(self, p: Point | None = None) -> np.ndarray:
+        return self.at(_p_vector, p)
 
-    def pi_covector(self, p: Point) -> np.ndarray:
-        return self.metric(p).g @ self.p_vector(p)
+    def pi_covector(self, p: Point | None = None) -> np.ndarray:
+        return self.at(_pi_covector, p)
 
     def pi_of(self, p: Point, x: np.ndarray) -> float:
         return float(np.asarray(x, dtype=float) @ self.pi_covector(p))
 
-    def ssm_gamma(self, p: Point) -> np.ndarray:
+    def ssm_gamma(self, p: Point | None = None) -> np.ndarray:
         """Symbols of the shifted metric connection at p."""
-        got = self._ssm.get(p.coords)
-        if got is None:
-            gamma = self.christoffel(p).copy()
-            if not self.torsion.is_zero:
-                n = self.ps.total_dim
-                pv = self.p_vector(p)
-                piv = self.pi_covector(p)
-                gm = self.metric(p)
-                gamma = (gamma
-                         + np.einsum("ki,j->kij", np.eye(n), piv)
-                         - np.einsum("ij,k->kij", gm.g, pv))
-            self._ssm[p.coords] = gamma
-            got = gamma
-        return got
+        return self.at(_ssm_gamma, p)
 
-    def gamma_of(self, p: Point, kind: str) -> np.ndarray:
+    def gamma_of(self, p: Point | None, kind: str) -> np.ndarray:
         if kind == LEVI_CIVITA:
             return self.christoffel(p)
         if kind == SEMI_SYMMETRIC:
             return self.ssm_gamma(p)
         raise ValueError(f"unknown connection kind {kind!r}")
 
-    def field_jet(self, field: ProductField, p: Point) -> FieldJet:
-        key = (field, p.coords)
-        got = self._field_jets.get(key)
-        if got is None:
-            batch = self._batch(p)
-            for q, fj in zip(batch, field.jet(self.ps, batch)):
-                self._field_jets[(field, q.coords)] = fj
-            got = self._field_jets[key]
-        return got
+    def field_jet(self, field: ProductField, p: Point | None = None) -> FieldJet:
+        return self.at(_field_jets, p, field)
 
-    def warp_jet(self, i: int, p: Point) -> Jet2:
+    def warp_jet(self, i: int, p: Point | None = None) -> Jet2:
         """Jet of the i-th warping function at p."""
-        key = (i, p.coords)
-        got = self._warp_jets.get(key)
-        if got is None:
-            batch = self._batch(p)
-            jet = self.ps.expr_jet(self.ps.warps[i], self.ps.jet_env(batch), batch)
-            for k, q in enumerate(batch):
-                self._warp_jets[(i, q.coords)] = jet[k]
-            got = self._warp_jets[key]
-        return got
+        return self.at(_warp_jets, p, i)
 
     def per_point(self, compute, p: Point):
         """compute(self, p), evaluated once per point and then looked up."""
@@ -209,10 +183,64 @@ class Geometry:
             got = self._per_point[key] = compute(self, p)
         return got
 
-    def field_values(self, field, p: Point) -> np.ndarray:
+    def field_values(self, field, p: Point | None = None) -> np.ndarray:
         if isinstance(field, ProductField):
             return self.field_jet(field, p).val
         return np.asarray(field, dtype=float)
+
+
+def _row(stacked, k: int):
+    if isinstance(stacked, tuple):
+        return tuple(a[k] for a in stacked)
+    return stacked[k]
+
+
+# ---- stacks over a geometry's sample points (Geometry.stack) ----
+
+
+def _metric_jets(geom: Geometry) -> MetricJet:
+    return geom.ps.metric_jet(geom.points)
+
+
+def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
+    return field.jet(geom.ps, geom.points)
+
+
+def _warp_jets(geom: Geometry, i: int) -> Jet2:
+    ps = geom.ps
+    return ps.expr_jet(ps.warps[i], ps.jet_env(geom.points), geom.points)
+
+
+def _christoffel(geom: Geometry) -> np.ndarray:
+    mj = geom.metric_jet()
+    return 0.5 * np.einsum("skl,slij->skij", mj.ginv, _bracket(mj.dg))
+
+
+def _christoffel_jet(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    mj = geom.metric_jet()
+    dgamma = 0.5 * (np.einsum("sdkl,slij->sdkij", mj.dginv, _bracket(mj.dg))
+                    + np.einsum("skl,sdlij->sdkij", mj.ginv, _bracket(mj.d2g)))
+    return geom.christoffel(), dgamma
+
+
+def _p_vector(geom: Geometry) -> np.ndarray:
+    if geom._p_field is None:
+        return np.zeros((len(geom.points), geom.ps.total_dim))
+    return geom.field_jet(geom._p_field).val
+
+
+def _pi_covector(geom: Geometry) -> np.ndarray:
+    return (geom.metric().g @ geom.p_vector()[:, :, None])[:, :, 0]
+
+
+def _ssm_gamma(geom: Geometry) -> np.ndarray:
+    gamma = geom.christoffel()
+    if geom.torsion.is_zero:
+        return gamma
+    n = geom.ps.total_dim
+    return (gamma
+            + np.einsum("ki,sj->skij", np.eye(n), geom.pi_covector())
+            - np.einsum("sij,sk->skij", geom.metric().g, geom.p_vector()))
 
 
 def as_field_jet(geom: Geometry, field, p: Point) -> FieldJet:

@@ -59,11 +59,16 @@ class VectorFieldDef:
 
 @dataclass(frozen=True)
 class FieldJet:
-    """Component values with first and second partials on the product chart."""
+    """Component values with first and second partials on the product
+    chart, at a point or with a leading sample axis on every array."""
 
     val: np.ndarray  # (n,)
     d: np.ndarray    # (n, n): d[d, k] = d_d V^k
     d2: np.ndarray   # (n, n, n): d2[d, e, k]
+
+    def __getitem__(self, k: int) -> "FieldJet":
+        """The jet at sample k of a stacked jet."""
+        return FieldJet(self.val[k], self.d[k], self.d2[k])
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,9 @@ class ProductField:
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
 
-    def jet(self, ps: ProductStructure, points: list[Point]) -> list[FieldJet]:
-        """Component jets at each of ``points``, from one walk of every
-        component expression over the whole list."""
+    def jet(self, ps: ProductStructure, points: list[Point]) -> FieldJet:
+        """Component jets at ``points``, stacked on a leading sample axis,
+        from one walk of every component expression over the whole list."""
         env = ps.jet_env(points)
         s, n = len(points), ps.total_dim
         val = np.zeros((s, n))
@@ -104,7 +109,7 @@ class ProductField:
                 val[:, col] = j.value
                 d[:, :, col] = j.grad
                 d2[:, :, :, col] = j.hess
-        return [FieldJet(val=val[i], d=d[i], d2=d2[i]) for i in range(s)]
+        return FieldJet(val=val, d=d, d2=d2)
 
 
 def lift(vfd: VectorFieldDef) -> ProductField:

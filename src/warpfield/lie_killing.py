@@ -28,6 +28,7 @@ from .connections import (
     nabla_grid,
 )
 from .curvature import riemann
+from .fields import ProductField
 from .jets import Point
 
 
@@ -51,12 +52,23 @@ def form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum((x @ m) * y, axis=-1)
 
 
-def lie_matrix(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
+def lie_matrix(geom: Geometry, zeta: ProductField, p: Point | None = None,
+               kind: str = LEVI_CIVITA) -> np.ndarray:
     """(L_zeta g)(e_a, e_b) = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)
-    for the chosen connection."""
-    zj = as_field_jet(geom, zeta, p)
-    wg = nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d) @ geom.metric(p).g
-    return wg + wg.T
+    for the chosen connection, at p or, when p is None, at every sample
+    point (S, n, n); computed once per (geometry, field, kind)."""
+    return geom.at(_lie_matrices, p, zeta, kind)
+
+
+def _lie_matrices(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
+    zj = geom.field_jet(zeta)
+    wg = nabla_grid(geom.gamma_of(None, kind), zj.val, zj.d) @ geom.metric().g
+    return wg + _swap(wg)
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
 
 
 def ssm_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
@@ -100,34 +112,40 @@ def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point) -> np.ndarray:
     return _lie_of_tensor(h, dh, zj)
 
 
-def lie_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """Second Lie derivative of g from nested covariant derivatives.
+def lie_lie_matrix(geom: Geometry, zeta: ProductField,
+                   p: Point | None = None) -> np.ndarray:
+    """Second Lie derivative of g from nested covariant derivatives, at p
+    or, when p is None, at every sample point (S, n, n); computed once per
+    (geometry, field).
 
     With x, y extended as coordinate fields:
       (L L g)(x, y) = g(nabla_zeta nabla_x zeta - nabla_[zeta,x] zeta, y)
                       + (x <-> y) + 2 g(nabla_x zeta, nabla_y zeta).
     """
-    mj = geom.metric_jet(p)
-    zj = as_field_jet(geom, zeta, p)
-    gamma, dgamma = geom.christoffel_jet(p)
+    return geom.at(_lie_lie_matrices, p, zeta)
 
-    # w[a, k] = (nabla_{e_a} zeta)^k and its partials dw[m, a, k]
+
+def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
+    zj = geom.field_jet(zeta)
+    gamma, dgamma = geom.christoffel_jet()
+
+    # w[s, a, k] = (nabla_{e_a} zeta)^k and its partials dw[s, m, a, k]
     w = nabla_grid(gamma, zj.val, zj.d)
-    dw = (np.einsum("mak->mak", zj.d2)
-          + np.einsum("mkaj,j->mak", dgamma, zj.val)
-          + np.einsum("kaj,mj->mak", gamma, zj.d))
+    dw = (np.einsum("smak->smak", zj.d2)
+          + np.einsum("smkaj,sj->smak", dgamma, zj.val)
+          + np.einsum("skaj,smj->smak", gamma, zj.d))
 
     # nabla_zeta w_a
-    nzw = (np.einsum("m,mak->ak", zj.val, dw)
-           + np.einsum("kmj,m,aj->ak", gamma, zj.val, w))
+    nzw = (np.einsum("sm,smak->sak", zj.val, dw)
+           + np.einsum("skmj,sm,saj->sak", gamma, zj.val, w))
     # v_a = [zeta, e_a] = -d_a zeta; nabla_{v_a} zeta
     v = -zj.d
-    nvz = (np.einsum("ai,ik->ak", v, zj.d)
-           + np.einsum("kij,ai,j->ak", gamma, v, zj.val))
+    nvz = (np.einsum("sai,sik->sak", v, zj.d)
+           + np.einsum("skij,sai,sj->sak", gamma, v, zj.val))
 
-    g = geom.metric(p).g
+    g = geom.metric().g
     first = (nzw - nvz) @ g
-    return first + first.T + 2.0 * (w @ g @ w.T)
+    return first + _swap(first) + 2.0 * (w @ g @ _swap(w))
 
 
 # ---- residual checks ----
@@ -166,16 +184,24 @@ def homothety_check(geom: Geometry, points: list[Point], mats,
     return HomothetyResult(ok, mean_c, std_c, max_res)
 
 
-def nabla_zeta_zeta(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    """The field w = nabla_zeta zeta at p: (values, partials dw[m, k])."""
-    zj = as_field_jet(geom, zeta, p)
-    gamma, dgamma = geom.christoffel_jet(p)
-    w = zj.val @ zj.d + np.einsum("kij,i,j->k", gamma, zj.val, zj.val)
-    dw = (np.einsum("i,mik->mk", zj.val, zj.d2)
-          + np.einsum("mi,ik->mk", zj.d, zj.d)
-          + np.einsum("mkij,i,j->mk", dgamma, zj.val, zj.val)
-          + np.einsum("kij,mi,j->mk", gamma, zj.d, zj.val)
-          + np.einsum("kij,i,mj->mk", gamma, zj.val, zj.d))
+def nabla_zeta_zeta(geom: Geometry, zeta: ProductField,
+                    p: Point | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The field w = nabla_zeta zeta at p: (values, partials dw[m, k]), or,
+    when p is None, both stacked over the sample points; computed once per
+    (geometry, field)."""
+    return geom.at(_nabla_zeta_zetas, p, zeta)
+
+
+def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    zj = geom.field_jet(zeta)
+    gamma, dgamma = geom.christoffel_jet()
+    w = ((zj.val[:, None, :] @ zj.d)[:, 0]
+         + np.einsum("skij,si,sj->sk", gamma, zj.val, zj.val))
+    dw = (np.einsum("si,smik->smk", zj.val, zj.d2)
+          + np.einsum("smi,sik->smk", zj.d, zj.d)
+          + np.einsum("smkij,si,sj->smk", dgamma, zj.val, zj.val)
+          + np.einsum("skij,smi,sj->smk", gamma, zj.d, zj.val)
+          + np.einsum("skij,si,smj->smk", gamma, zj.val, zj.d))
     return w, dw
 
 

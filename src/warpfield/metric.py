@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -266,14 +267,17 @@ class ProductStructure:
                 w2 = math.inf
             with np.errstate(invalid="ignore"):
                 g[self.slices[i + 1], self.slices[i + 1]] = f.matrix(env) * w2
-        self._require_finite([p], g[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.sum(g))
+        if not finite:
+            self._require_finite([p], g[None])
         for sl, block in zip(self.slices, self.blocks):
             ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, [p])
         return MetricAt(g=g, ginv=ginv, point=p)
 
-    def metric_jet(self, points: list[Point]) -> list["MetricJet"]:
-        """Metric jets at each of ``points``, from one walk of every entry
-        and warp expression over the whole list."""
+    def metric_jet(self, points: list[Point]) -> "MetricJet":
+        """Metric jets at ``points``, stacked on a leading sample axis, from
+        one walk of every entry and warp expression over the whole list."""
         env = self.jet_env(points)
         s, n = len(points), self.total_dim
         g = np.zeros((s, n, n))
@@ -312,10 +316,7 @@ class ProductStructure:
         ginv = np.zeros((s, n, n))
         for sl, block in zip(self.slices, self.blocks):
             ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
-        dginv = -np.einsum("ska,sdab,sbl->sdkl", ginv, dg, ginv)
-        return [MetricJet(g=g[k], dg=dg[k], d2g=d2g[k], ginv=ginv[k],
-                          dginv=dginv[k], point=p)
-                for k, p in enumerate(points)]
+        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv)
 
 
 @dataclass(frozen=True)
@@ -327,12 +328,23 @@ class MetricAt:
 
 @dataclass(frozen=True)
 class MetricJet:
+    """The metric and its first two partials at a point, or at a list of
+    points with a leading sample axis on every array."""
+
     g: np.ndarray       # (n, n)
     dg: np.ndarray      # (n, n, n): dg[d, i, j] = d_d g_ij
     d2g: np.ndarray     # (n, n, n, n): d2g[d, e, i, j]
     ginv: np.ndarray
-    dginv: np.ndarray   # (n, n, n)
-    point: Point
+
+    def __getitem__(self, k: int) -> "MetricJet":
+        """The jet at sample k of a stacked jet."""
+        return MetricJet(self.g[k], self.dg[k], self.d2g[k], self.ginv[k])
+
+    @cached_property
+    def dginv(self) -> np.ndarray:
+        """(n, n, n): dginv[d, k, l] = d_d g^kl = -g^ka d_d g_ab g^bl,
+        computed on first use: only the Christoffel jet needs it."""
+        return -np.einsum("...ka,...dab,...bl->...dkl", self.ginv, self.dg, self.ginv)
 
 
 def sample_points(
@@ -341,25 +353,27 @@ def sample_points(
     rng: SplitMix,
     exclusions: dict[str, list[tuple[float, float]]] | None = None,
 ) -> list[Point]:
-    """Deterministic points from the 10%-inset sub-box, avoiding exclusions."""
+    """Deterministic points from the 10%-inset sub-box, avoiding exclusions.
+
+    Each candidate is one row of uniform draws, one per coordinate in
+    chart order, and a row with a coordinate inside an exclusion is
+    dropped.  Rows are drawn a block at a time, never more than are still
+    needed, so the generator ends where one draw at a time would leave it.
+    """
     exclusions = exclusions or {}
-    box = ps.box
-    names = ps.coord_names
+    lo, hi = np.array(ps.box).T
+    limit = 200 * count + 1000
     out: list[Point] = []
-    attempts = 0
+    drawn = 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count + 1000:
+        rows = min(count - len(out), limit - drawn)
+        if rows == 0:
             raise GeometryError("sampling rejected too many points; check exclusions")
-        coords = []
-        ok = True
-        for name, (lo, hi) in zip(names, box):
-            u = rng.uniform()
-            v = lo + (0.1 + 0.8 * u) * (hi - lo)
+        drawn += rows
+        v = lo + (0.1 + 0.8 * rng.uniforms((rows, len(lo)))) * (hi - lo)
+        ok = np.ones(rows, dtype=bool)
+        for k, name in enumerate(ps.coord_names):
             for (xlo, xhi) in exclusions.get(name, ()):
-                if xlo <= v <= xhi:
-                    ok = False
-            coords.append(v)
-        if ok:
-            out.append(Point(tuple(coords)))
+                ok &= ~((xlo <= v[:, k]) & (v[:, k] <= xhi))
+        out.extend(Point(tuple(row)) for row in v[ok].tolist())
     return out

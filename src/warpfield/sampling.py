@@ -57,9 +57,9 @@ class SplitMix:
     def vector(self, n: int, scale: float = 1.0) -> list[float]:
         return [self.symmetric(scale) for _ in range(n)]
 
-    def block(self, shape, scale: float = 1.0) -> np.ndarray:
-        """The next ``symmetric(scale)`` draws as an array of ``shape``,
-        filled in C order, leaving the state where the scalar draws would.
+    def uniforms(self, shape) -> np.ndarray:
+        """The next ``uniform()`` draws as an array of ``shape``, filled in C
+        order, leaving the state where the scalar draws would.
 
         Draw k (from 1) mixes ``state + k * GAMMA``, so the whole block is
         one pass of uint64 arithmetic, which wraps like ``_MASK``.
@@ -72,8 +72,13 @@ class SplitMix:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
         self._state = (self._state + count * _GAMMA) & _MASK
+        return ((z >> np.uint64(11)) * (2.0 ** -53)).reshape(shape)
+
+    def block(self, shape, scale: float = 1.0) -> np.ndarray:
+        """The next ``symmetric(scale)`` draws as an array of ``shape`` (see
+        ``uniforms``)."""
         lo, hi = -scale, scale
-        return (lo + (hi - lo) * ((z >> np.uint64(11)) * (2.0 ** -53))).reshape(shape)
+        return lo + (hi - lo) * self.uniforms(shape)
 
 
 DEFAULT_SEED = 24181

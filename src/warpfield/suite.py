@@ -179,6 +179,9 @@ class RunContext:
         on the block's own geometry at each point's block coordinates.
         The first request for (fn, zeta, block, kw) evaluates it; later
         ones return the same list, whose entries callers never modify.
+        ``fn`` is called point by point, so a replacement of it sees every
+        point; for ``lie_matrix`` and ``lie_lie_matrix`` each call is a row
+        of the geometry's stack, which the first call computes.
         """
         key = (fn, zeta, block, tuple(sorted(kw.items())))
         values = self._table.get(key)

@@ -1,14 +1,23 @@
 """Reference computations that only the tests use: central-difference
 jets, the index-raised gradient, the metric pairing, block signatures,
-metricity on constant vectors and the sectional curvature of one plane.
-Each is written for a single point and a single vector, independent of
-the batched paths the checks take."""
+metricity on constant vectors, the sectional curvature of one plane,
+one-draw-at-a-time point sampling, and the connection-layer formulas
+(Christoffel symbols and their partials, the shifted symbols, L_zeta g,
+L_zeta L_zeta g and nabla_zeta zeta) at a single point.  Each is written
+for a single point and a single vector, independent of the batched paths
+the checks take."""
 
 import numpy as np
 
 from warpfield import fieldexpr
-from warpfield.connections import SEMI_SYMMETRIC, Geometry, covariant_derivative
+from warpfield.connections import (
+    LEVI_CIVITA,
+    SEMI_SYMMETRIC,
+    Geometry,
+    covariant_derivative,
+)
 from warpfield.curvature import CurvatureAt, riemann
+from warpfield.fields import lift
 from warpfield.jets import Jet2, Point
 from warpfield.metric import (
     DET_FLOOR,
@@ -18,6 +27,7 @@ from warpfield.metric import (
     ProductStructure,
     SingularMetric,
 )
+from warpfield.sampling import SplitMix
 
 
 class DegeneratePlane(GeometryError):
@@ -125,3 +135,104 @@ def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray,
 
 def results_covered(registry) -> set[str]:
     return {s.result for s in registry.specs}
+
+
+def sample_points_scalar(ps: ProductStructure, count: int, rng: SplitMix,
+                         exclusions=None) -> list[Point]:
+    """``metric.sample_points`` drawing one uniform at a time."""
+    exclusions = exclusions or {}
+    out: list[Point] = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 200 * count + 1000:
+            raise GeometryError("sampling rejected too many points; check exclusions")
+        coords = []
+        ok = True
+        for name, (lo, hi) in zip(ps.coord_names, ps.box):
+            v = lo + (0.1 + 0.8 * rng.uniform()) * (hi - lo)
+            for (xlo, xhi) in exclusions.get(name, ()):
+                if xlo <= v <= xhi:
+                    ok = False
+            coords.append(v)
+        if ok:
+            out.append(Point(tuple(coords)))
+    return out
+
+
+# ---- the connection layer at one point ----
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """t[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over the last three
+    axes (leading axes: further partials)."""
+    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+
+
+def christoffel_at(geom: Geometry, p: Point) -> np.ndarray:
+    """gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+    mj = geom.metric_jet(p)
+    return 0.5 * np.einsum("kl,lij->kij", mj.ginv, _bracket(mj.dg))
+
+
+def dchristoffel_at(geom: Geometry, p: Point) -> np.ndarray:
+    """dgamma[d, k, i, j] = d_d gamma[k, i, j]."""
+    mj = geom.metric_jet(p)
+    dginv = -np.einsum("ka,dab,bl->dkl", mj.ginv, mj.dg, mj.ginv)
+    return 0.5 * (np.einsum("dkl,lij->dkij", dginv, _bracket(mj.dg))
+                  + np.einsum("kl,dlij->dkij", mj.ginv, _bracket(mj.d2g)))
+
+
+def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
+    """gamma + delta^k_i pi_j - g_ij P^k."""
+    gamma = christoffel_at(geom, p)
+    if geom.torsion.is_zero:
+        return gamma
+    n = geom.ps.total_dim
+    g = geom.metric_jet(p).g
+    pv = geom.field_jet(lift(geom.torsion.field), p).val
+    return (gamma + np.einsum("ki,j->kij", np.eye(n), g @ pv)
+            - np.einsum("ij,k->kij", g, pv))
+
+
+def _gamma_at(geom: Geometry, p: Point, kind: str) -> np.ndarray:
+    return christoffel_at(geom, p) if kind == LEVI_CIVITA else ssm_gamma_at(geom, p)
+
+
+def lie_matrix_at(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
+    """(L_zeta g)_ab = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)."""
+    zj = geom.field_jet(zeta, p)
+    w = zj.d + np.einsum("kaj,j->ak", _gamma_at(geom, p, kind), zj.val)
+    wg = w @ geom.metric_jet(p).g
+    return wg + wg.T
+
+
+def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+    """(L L g)(x, y) from nested Levi-Civita covariant derivatives."""
+    zj = geom.field_jet(zeta, p)
+    gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
+    w = zj.d + np.einsum("kaj,j->ak", gamma, zj.val)
+    dw = (np.einsum("mak->mak", zj.d2)
+          + np.einsum("mkaj,j->mak", dgamma, zj.val)
+          + np.einsum("kaj,mj->mak", gamma, zj.d))
+    nzw = (np.einsum("m,mak->ak", zj.val, dw)
+           + np.einsum("kmj,m,aj->ak", gamma, zj.val, w))
+    v = -zj.d
+    nvz = (np.einsum("ai,ik->ak", v, zj.d)
+           + np.einsum("kij,ai,j->ak", gamma, v, zj.val))
+    g = geom.metric_jet(p).g
+    first = (nzw - nvz) @ g
+    return first + first.T + 2.0 * (w @ g @ w.T)
+
+
+def nabla_zeta_zeta_at(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(nabla_zeta zeta)^k and its partials dw[m, k]."""
+    zj = geom.field_jet(zeta, p)
+    gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
+    w = zj.val @ zj.d + np.einsum("kij,i,j->k", gamma, zj.val, zj.val)
+    dw = (np.einsum("i,mik->mk", zj.val, zj.d2)
+          + np.einsum("mi,ik->mk", zj.d, zj.d)
+          + np.einsum("mkij,i,j->mk", dgamma, zj.val, zj.val)
+          + np.einsum("kij,mi,j->mk", gamma, zj.d, zj.val)
+          + np.einsum("kij,i,mj->mk", gamma, zj.val, zj.d))
+    return w, dw

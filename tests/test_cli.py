@@ -184,6 +184,21 @@ class TestFlagBounds:
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith("warpfield: --")
 
+    def test_parser_is_reused_after_a_usage_error(self, capsys):
+        from warpfield.cli import build_parser
+
+        good = ["killing", "sphere.wm", "--field", "zeta_phi", "--samples", "4"]
+        assert main(good) == 0
+        first = capsys.readouterr()
+        assert main(["verify", "sphere.wm", "--samples", "0"]) == 2
+        bad = capsys.readouterr()
+        assert bad.out == ""
+        assert len(bad.err.strip().splitlines()) == 1
+        assert main(good) == 0
+        again = capsys.readouterr()
+        assert again.out == first.out and again.err == first.err == ""
+        assert build_parser() is build_parser()
+
     def test_one_sample_runs(self, capsys):
         assert main(["killing", "sphere.wm", "--field", "zeta_phi",
                      "--samples", "1"]) == 0

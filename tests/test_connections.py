@@ -180,14 +180,15 @@ class TestCompatibility:
                 z = np.array(rng.vector(3))
                 assert compat_residual(geom, p, x, y, z, kind=kind) <= 1e-8
 
-    def test_corrupted_symbols_detected(self):
+    def test_corrupted_symbols_detected(self, monkeypatch):
         # a deliberate 1e-2 perturbation must push the residual above 1e-3
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE,)))
         geom = Geometry(grw(), ts)
         p = Point((0.2, 0.1, 0.3))
         bad = geom.ssm_gamma(p).copy()
         bad[1, 0, 1] += 1e-2
-        geom._ssm[p.coords] = bad
+        real = geom.ssm_gamma
+        monkeypatch.setattr(geom, "ssm_gamma", lambda q=None: bad if q == p else real(q))
         rng = SplitMix(7)
         worst = 0.0
         for _ in range(32):

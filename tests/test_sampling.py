@@ -1,8 +1,11 @@
-"""Test-vector blocks: ``SplitMix.block`` against the scalar stream, and the
-checks that draw whole blocks against per-vector loops in the scalar order."""
+"""Test-vector blocks: ``SplitMix.block`` against the scalar stream, sample
+points drawn as one block against one draw at a time, and the checks that
+draw whole blocks against per-vector loops in the scalar order."""
 
 import numpy as np
 import pytest
+
+from oracles import sample_points_scalar
 
 from warpfield.checks import identities, killing, twokilling
 from warpfield.cli import corpus_dir
@@ -16,6 +19,7 @@ from warpfield.connections import (
 from warpfield.curvature import riemann, riemann_quad
 from warpfield.lie_killing import nabla_quad, nabla_zeta_zeta
 from warpfield.manifest import load_manifest
+from warpfield.metric import GeometryError, sample_points
 from warpfield.sampling import SplitMix
 from warpfield.suite import RunContext, default_registry, run_checks
 
@@ -46,6 +50,12 @@ class TestBlock:
         one, two = SplitMix(5), SplitMix(5)
         joined = np.concatenate([one.block((3, 4)), one.block((2, 4))])
         assert np.array_equal(joined, two.block((5, 4)))
+
+    def test_uniforms_are_the_scalar_stream(self):
+        fast, slow = SplitMix(2 ** 64 - 1), SplitMix(2 ** 64 - 1)
+        got = fast.uniforms((5, 3))
+        assert np.array_equal(got, np.reshape([slow.uniform() for _ in range(15)], (5, 3)))
+        assert fast._state == slow._state
 
     def test_ported_checks_draw_no_scalar_vectors(self, monkeypatch):
         calls = []
@@ -152,6 +162,41 @@ def worst_gap(name, check):
         assert g.shape == w.shape
         worst = max(worst, float(np.max(np.abs(g - w) / (1.0 + np.abs(w)), initial=0.0)))
     return worst
+
+
+CORPUS = sorted(corpus_dir().glob("*.wm"))
+
+
+class TestSamplePoints:
+    """Sample points are drawn as rows of one uniform block; they and the
+    generator's final state are those of one draw at a time."""
+
+    @pytest.mark.parametrize("count", [1, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 24181, 2 ** 64 - 1])
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_rows_are_the_scalar_draws(self, path, seed, count):
+        mf = load_manifest(path)
+        fast, slow = SplitMix(seed), SplitMix(seed)
+        got = sample_points(mf.structure, count, fast, mf.exclusions)
+        want = sample_points_scalar(mf.structure, count, slow, mf.exclusions)
+        assert [p.coords for p in got] == [p.coords for p in want]
+        assert fast._state == slow._state
+
+    def test_excluded_rows_are_dropped(self):
+        mf = manifest("interval")
+        assert mf.exclusions
+        rng = SplitMix(3)
+        points = sample_points(mf.structure, 64, rng, mf.exclusions)
+        assert len(points) == 64
+        assert not any(0.42 <= p.coords[0] <= 0.58 for p in points)
+
+    def test_rejection_limit_raises(self):
+        mf = manifest("interval")
+        everything = {"t": [(-1e9, 1e9)]}
+        with pytest.raises(GeometryError, match="rejected too many points"):
+            sample_points(mf.structure, 4, SplitMix(1), everything)
+        with pytest.raises(GeometryError, match="rejected too many points"):
+            sample_points_scalar(mf.structure, 4, SplitMix(1), everything)
 
 
 class TestDrawOrder:

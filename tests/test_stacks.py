@@ -1,0 +1,123 @@
+"""The geometry's stacks: every connection-layer quantity is computed once
+per sample set as one array, and each of its rows is bit for bit the
+single-point reference formula in ``oracles``."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from oracles import (
+    christoffel_at,
+    dchristoffel_at,
+    lie_lie_matrix_at,
+    lie_matrix_at,
+    nabla_zeta_zeta_at,
+    ssm_gamma_at,
+)
+from warpfield import connections, lie_killing
+from warpfield.cli import corpus_dir
+from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC
+from warpfield.jets import Point
+from warpfield.lie_killing import lie_lie_matrix, lie_matrix, nabla_zeta_zeta
+from warpfield.manifest import load_manifest
+from warpfield.suite import RunContext, default_registry, run_checks
+
+CORPUS = sorted(corpus_dir().glob("*.wm"))
+KINDS = (LEVI_CIVITA, SEMI_SYMMETRIC)
+
+
+def stacks_and_references(geom, fields):
+    """(name, stack, references at geom's points, one list per array)."""
+    pts = geom.points
+    gamma, dgamma = geom.christoffel_jet()
+    yield "christoffel", geom.christoffel(), [christoffel_at(geom, p) for p in pts]
+    yield "christoffel_jet.gamma", gamma, [christoffel_at(geom, p) for p in pts]
+    yield "christoffel_jet.dgamma", dgamma, [dchristoffel_at(geom, p) for p in pts]
+    yield "ssm_gamma", geom.ssm_gamma(), [ssm_gamma_at(geom, p) for p in pts]
+    for f in fields:
+        for kind in KINDS:
+            yield (f"lie_matrix {kind}", lie_matrix(geom, f, None, kind),
+                   [lie_matrix_at(geom, f, p, kind) for p in pts])
+        yield "lie_lie_matrix", lie_lie_matrix(geom, f), [lie_lie_matrix_at(geom, f, p)
+                                                          for p in pts]
+        w, dw = nabla_zeta_zeta(geom, f)
+        refs = [nabla_zeta_zeta_at(geom, f, p) for p in pts]
+        yield "nabla_zeta_zeta.w", w, [r[0] for r in refs]
+        yield "nabla_zeta_zeta.dw", dw, [r[1] for r in refs]
+
+
+class TestStacksEqualReferences:
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_stack_rows_are_the_single_point_formulas(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        fields = list(ctx.field_combos().values())
+        assert fields
+        for name, stack, refs in stacks_and_references(ctx.geom, fields):
+            assert stack.shape == (16,) + refs[0].shape, name
+            assert np.array_equal(stack, np.array(refs)), name
+
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_point_accessors_are_rows(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        geom = ctx.geom
+        f = next(iter(ctx.field_combos().values()))
+        for k, p in enumerate(ctx.points()):
+            assert np.array_equal(geom.christoffel(p), geom.christoffel()[k])
+            assert np.array_equal(geom.christoffel_jet(p)[1], geom.christoffel_jet()[1][k])
+            assert np.array_equal(geom.ssm_gamma(p), geom.ssm_gamma()[k])
+            for kind in KINDS:
+                assert np.array_equal(lie_matrix(geom, f, p, kind),
+                                      lie_matrix(geom, f, None, kind)[k])
+            assert np.array_equal(lie_lie_matrix(geom, f, p), lie_lie_matrix(geom, f)[k])
+            assert np.array_equal(nabla_zeta_zeta(geom, f, p)[1],
+                                  nabla_zeta_zeta(geom, f)[1][k])
+
+    @pytest.mark.parametrize("name", ["mw2_fib", "grw_exp", "sphere"])
+    def test_point_outside_the_sample_set(self, name):
+        ctx = RunContext(load_manifest(corpus_dir() / f"{name}.wm"), samples=16)
+        geom = ctx.geom
+        off = Point(tuple(0.5 * (a + b) for a, b in
+                          zip(ctx.points()[0].coords, ctx.points()[1].coords)))
+        assert off.coords not in {p.coords for p in ctx.points()}
+        f = next(iter(ctx.field_combos().values()))
+        assert np.array_equal(geom.christoffel(off), christoffel_at(geom, off))
+        assert np.array_equal(geom.christoffel_jet(off)[1], dchristoffel_at(geom, off))
+        assert np.array_equal(geom.ssm_gamma(off), ssm_gamma_at(geom, off))
+        for kind in KINDS:
+            assert np.array_equal(lie_matrix(geom, f, off, kind),
+                                  lie_matrix_at(geom, f, off, kind))
+        assert np.array_equal(lie_lie_matrix(geom, f, off), lie_lie_matrix_at(geom, f, off))
+        for got, want in zip(nabla_zeta_zeta(geom, f, off), nabla_zeta_zeta_at(geom, f, off)):
+            assert np.array_equal(got, want)
+        # the sample set's stacks do not grow a row for it
+        assert geom.christoffel().shape[0] == 16
+
+
+STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
+          (connections, "_ssm_gamma"), (lie_killing, "_lie_matrices"),
+          (lie_killing, "_lie_lie_matrices"), (lie_killing, "_nabla_zeta_zetas"))
+
+
+class TestStacksComputedOnce:
+    """Across all checks of a run, each geometry computes its Christoffel
+    stacks once, and each (geometry, field, kind) Lie stack once."""
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
+    def test_each_stack_computed_once(self, name, monkeypatch):
+        calls = Counter()
+
+        def counting(attr, real):
+            def counted(geom, *args):
+                calls[(attr, id(geom), args)] += 1
+                return real(geom, *args)
+            return counted
+
+        for module, attr in STACKS:
+            monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+        registry = default_registry()
+        run_checks(registry, load_manifest(corpus_dir() / f"{name}.wm"),
+                   registry.specs, samples=16)
+        assert {key[0] for key in calls} == {attr for _, attr in STACKS}
+        repeated = [key for key, n in calls.items() if n > 1]
+        assert repeated == []
