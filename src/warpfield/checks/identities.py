@@ -10,25 +10,26 @@ import numpy as np
 from ..connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
+    bilinear,
     covariant_derivative,
     divergence,
+    dot,
+    matvec,
     nabla_grid,
 )
 from ..curvature import trace_nabla
-from ..fields import ProductField, lift, rehome
+from ..fields import ProductField, lift
 from ..lie_killing import (
     form,
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
     lie_matrix_direct,
-    max_abs,
+    point_max,
 )
 from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
 from .util import (
-    at_points,
     embed,
-    lie_stack,
     pair,
     second_directional,
     shift_on_base,
@@ -82,8 +83,8 @@ def _axiom_compat(ctx: RunContext) -> Outcome:
 
 
 # ---- connection decomposition items ----
-# Item evaluators return the max residual at one point; the registered
-# checks aggregate them over the sample set.
+# Item evaluators return the max residual at each sample point (S,); the
+# registered checks aggregate them.
 
 
 class _Decomp:
@@ -101,110 +102,100 @@ class _Decomp:
         return list(range(len(self.ps.fibers)))
 
 
-def _grad_warp(ctx: RunContext, i: int, p) -> np.ndarray:
-    """Product-level index-raised gradient of the i-th warp (base block)."""
-    wj = ctx.geom.warp_jet(i, p)
-    gm = ctx.geom.metric(p)
-    return gm.ginv @ wj.grad
-
-
-def _item_base_base(ctx, d: _Decomp, p, kind: str) -> float:
-    lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yb), p, kind)
+def _item_base_base(ctx, d: _Decomp, kind: str) -> np.ndarray:
+    geom = ctx.geom
+    lhs = covariant_derivative(geom, lift(d.xb), lift(d.yb), None, kind)
     base_geom = ctx.block_geom("base")
-    pb = ctx.ps.block_point(p, "base")
+    xb, yb = ctx.rehomed(d.xb), ctx.rehomed(d.yb)
     if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
         # base part shifts by -g_B(XB, YB) P when the shift lives on a fiber
-        gb = base_geom.metric(pb).g
+        gb = base_geom.metric().g
         sl = ctx.ps.block_slice("base")
-        xbv = ctx.geom.field_values(lift(d.xb), p)[sl]
-        ybv = ctx.geom.field_values(lift(d.yb), p)[sl]
+        xbv = geom.field_values(lift(d.xb))[:, sl]
+        ybv = geom.field_values(lift(d.yb))[:, sl]
         full = (embed(ctx.ps, "base",
-                      covariant_derivative(base_geom, rehome(d.xb), rehome(d.yb),
-                                           pb, LEVI_CIVITA))
-                - float(xbv @ gb @ ybv) * ctx.geom.p_vector(p))
+                      covariant_derivative(base_geom, xb, yb, None, LEVI_CIVITA))
+                - bilinear(gb, xbv, ybv)[:, None] * geom.p_vector())
     else:
-        full = embed(ctx.ps, "base",
-                     covariant_derivative(base_geom, rehome(d.xb), rehome(d.yb),
-                                          pb, kind))
-    return max_abs(lhs - full)
+        full = embed(ctx.ps, "base", covariant_derivative(base_geom, xb, yb, None, kind))
+    return point_max(lhs - full)
 
 
-def _item_mixed(ctx, d: _Decomp, p, kind: str) -> float:
+def _item_mixed(ctx, d: _Decomp, kind: str) -> np.ndarray:
     """nabla_{XB} Yi against the warp-ratio formula (plus fiber-shift term)."""
+    geom = ctx.geom
     gaps = []
-    xbv = ctx.geom.field_values(lift(d.xb), p)
+    xbv = geom.field_values(lift(d.xb))
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(ctx.geom, lift(d.xb), lift(d.yi[i]), p, kind)
-        wj = ctx.geom.warp_jet(i, p)
-        yiv = ctx.geom.field_values(lift(d.yi[i]), p)
-        rhs = (float(xbv @ wj.grad) / wj.value) * yiv
+        lhs = covariant_derivative(geom, lift(d.xb), lift(d.yi[i]), None, kind)
+        wj = geom.warp_jet(i)
+        yiv = geom.field_values(lift(d.yi[i]))
+        rhs = (dot(xbv, wj.grad) / wj.value)[:, None] * yiv
         if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
-            rhs = rhs + ctx.geom.pi_of(p, yiv) * xbv
+            rhs = rhs + geom.pi_of(None, yiv)[:, None] * xbv
         gaps.append(lhs - rhs)
-    return max_abs(gaps)
+    return point_max(np.stack(gaps, axis=1))
 
 
-def _item_mixed_swapped(ctx, d: _Decomp, p, kind: str) -> float:
+def _item_mixed_swapped(ctx, d: _Decomp, kind: str) -> np.ndarray:
     """nabla_{Yi} XB against the warp-ratio formula (plus base-shift term)."""
+    geom = ctx.geom
     gaps = []
-    xbv = ctx.geom.field_values(lift(d.xb), p)
+    xbv = geom.field_values(lift(d.xb))
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(ctx.geom, lift(d.yi[i]), lift(d.xb), p, kind)
-        wj = ctx.geom.warp_jet(i, p)
-        yiv = ctx.geom.field_values(lift(d.yi[i]), p)
-        coeff = float(xbv @ wj.grad) / wj.value
+        lhs = covariant_derivative(geom, lift(d.yi[i]), lift(d.xb), None, kind)
+        wj = geom.warp_jet(i)
+        yiv = geom.field_values(lift(d.yi[i]))
+        coeff = dot(xbv, wj.grad) / wj.value
         if kind == SEMI_SYMMETRIC and shift_on_base(ctx.mf):
-            coeff += ctx.geom.pi_of(p, xbv)
-        gaps.append(lhs - coeff * yiv)
-    return max_abs(gaps)
+            coeff = coeff + geom.pi_of(None, xbv)
+        gaps.append(lhs - coeff[:, None] * yiv)
+    return point_max(np.stack(gaps, axis=1))
 
 
-def _item_cross_fiber(ctx, d: _Decomp, p, kind: str) -> float:
+def _item_cross_fiber(ctx, d: _Decomp, kind: str) -> np.ndarray:
     """nabla_{Xi} Yj for i != j: zero, or pi(Yj) Xi under a fiber shift."""
+    geom = ctx.geom
     gaps = []
     for i in d.fiber_pairs():
         for j in d.fiber_pairs():
             if i == j:
                 continue
-            lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[j]), p, kind)
-            rhs = np.zeros(ctx.ps.total_dim)
+            lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[j]), None, kind)
             if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
-                yjv = ctx.geom.field_values(lift(d.yi[j]), p)
-                xiv = ctx.geom.field_values(lift(d.xi[i]), p)
-                rhs = ctx.geom.pi_of(p, yjv) * xiv
-            gaps.append(lhs - rhs)
-    return max_abs(gaps)
+                yjv = geom.field_values(lift(d.yi[j]))
+                lhs = lhs - geom.pi_of(None, yjv)[:, None] * geom.field_values(lift(d.xi[i]))
+            gaps.append(lhs)
+    return point_max(np.stack(gaps, axis=1))
 
 
-def _item_diagonal(ctx, d: _Decomp, p, kind: str) -> float:
+def _item_diagonal(ctx, d: _Decomp, kind: str) -> np.ndarray:
     """nabla_{Xi} Yi: fiber connection minus the grad-warp and shift terms."""
+    geom = ctx.geom
     gaps = []
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(ctx.geom, lift(d.xi[i]), lift(d.yi[i]), p, kind)
-        wj = ctx.geom.warp_jet(i, p)
-        pi_ = ctx.ps.block_point(p, i)
+        lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[i]), None, kind)
+        wj = geom.warp_jet(i)
         fgeom = ctx.block_geom(i)
-        gi = fgeom.metric(pi_).g
         sl = ctx.ps.block_slice(i)
-        xiv = ctx.geom.field_values(lift(d.xi[i]), p)
-        yiv = ctx.geom.field_values(lift(d.yi[i]), p)
-        gixy = float(xiv[sl] @ gi @ yiv[sl])
-        nab_i = covariant_derivative(fgeom, rehome(d.xi[i]), rehome(d.yi[i]),
-                                     pi_, LEVI_CIVITA)
-        rhs = -wj.value * gixy * _grad_warp(ctx, i, p) + embed(ctx.ps, i, nab_i)
+        xiv = geom.field_values(lift(d.xi[i]))
+        yiv = geom.field_values(lift(d.yi[i]))
+        gixy = bilinear(fgeom.metric().g, xiv[:, sl], yiv[:, sl])
+        nab_i = covariant_derivative(fgeom, ctx.rehomed(d.xi[i]), ctx.rehomed(d.yi[i]),
+                                     None, LEVI_CIVITA)
+        grad_warp = matvec(geom.metric().ginv, wj.grad)
+        rhs = (-wj.value * gixy)[:, None] * grad_warp + embed(ctx.ps, i, nab_i)
         if kind == SEMI_SYMMETRIC:
-            rhs = rhs - wj.value ** 2 * gixy * ctx.geom.p_vector(p)
+            rhs = rhs - (wj.value ** 2 * gixy)[:, None] * geom.p_vector()
             if shift_on_fiber(ctx.mf):
-                rhs = rhs + ctx.geom.pi_of(p, yiv) * xiv
+                rhs = rhs + geom.pi_of(None, yiv)[:, None] * xiv
         gaps.append(lhs - rhs)
-    return max_abs(gaps)
+    return point_max(np.stack(gaps, axis=1))
 
 
 def _decomp_check(item_fn, kind: str, label: str):
     def run(ctx: RunContext) -> Outcome:
-        d = _Decomp(ctx, label)
-        return residual_outcome([item_fn(ctx, d, p, kind) for p in ctx.points()],
-                                ctx.tol.alg)
+        return residual_outcome(item_fn(ctx, _Decomp(ctx, label), kind), ctx.tol.alg)
 
     return run
 
@@ -219,83 +210,67 @@ def _zeta_parts(ctx: RunContext, label: str):
     return parts
 
 
-def _factor_lie_matrices(ctx: RunContext, parts, k: int, base_kind: str):
-    """Base and fiber Lie-derivative matrices of the lifted parts at the
-    k-th sample point."""
-    mb = ctx.over_samples(lie_matrix, parts[0], "base", kind=base_kind)[k]
-    mi = [ctx.over_samples(lie_matrix, z, i, kind=LEVI_CIVITA)[k]
-          for i, z in enumerate(parts[1:])]
-    return mb, mi
+def _lie_rhs_base(ctx: RunContext, parts, base_kind: str) -> np.ndarray:
+    """The base block's L g on the base block of a zero stack (S, n, n)."""
+    n = ctx.ps.total_dim
+    rhs = np.zeros((len(ctx.points()), n, n))
+    slb = ctx.ps.block_slice("base")
+    rhs[:, slb, slb] = ctx.over_samples(lie_matrix, parts[0], "base", kind=base_kind)
+    return rhs
 
 
-def _lie_rhs_p_zero(ctx: RunContext, parts, k: int) -> np.ndarray:
+def _fiber_terms(ctx: RunContext, parts, i: int):
+    """(f_i, zB(f_i), g_i, L g of the i-th fiber part) at each sample point,
+    with f_i and zB(f_i) shaped to scale a stack of matrices."""
+    wj = ctx.geom.warp_jet(i)
+    zbf = dot(ctx.geom.field_values(lift(parts[0])), wj.grad)
+    return (wj.value[:, None, None], zbf[:, None, None], ctx.block_geom(i).metric().g,
+            ctx.over_samples(lie_matrix, parts[i + 1], i, kind=LEVI_CIVITA))
+
+
+def _lie_rhs_p_zero(ctx: RunContext, parts) -> np.ndarray:
     """Factor assembly of (L_zeta g) with no connection shift."""
-    p = ctx.points()[k]
-    n = ctx.ps.total_dim
-    rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, k, LEVI_CIVITA)
-    slb = ctx.ps.block_slice("base")
-    rhs[slb, slb] = mb
-    zbv = ctx.geom.field_values(lift(parts[0]), p)
+    rhs = _lie_rhs_base(ctx, parts, LEVI_CIVITA)
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = ctx.geom.warp_jet(i, p)
-        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
-        zbf = float(zbv @ wj.grad)
-        rhs[sl, sl] += wj.value ** 2 * mi[i] + 2.0 * wj.value * zbf * gi
+        f, zbf, gi, mi = _fiber_terms(ctx, parts, i)
+        rhs[:, sl, sl] += f ** 2 * mi + 2.0 * f * zbf * gi
     return rhs
 
 
-def _lie_rhs_shift_base(ctx: RunContext, parts, k: int) -> np.ndarray:
+def _lie_rhs_shift_base(ctx: RunContext, parts) -> np.ndarray:
     """Factor assembly of the shifted Lie derivative, base-located P."""
-    p = ctx.points()[k]
-    n = ctx.ps.total_dim
-    rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, k, SEMI_SYMMETRIC)
+    rhs = _lie_rhs_base(ctx, parts, SEMI_SYMMETRIC)
     slb = ctx.ps.block_slice("base")
-    rhs[slb, slb] = mb
-    piv = ctx.geom.pi_covector(p)
-    zbv = ctx.geom.field_values(lift(parts[0]), p)
-    pizb = float(zbv @ piv)
+    piv = ctx.geom.pi_covector()
+    pizb = ctx.geom.pi_of(None, ctx.geom.field_values(lift(parts[0])))[:, None, None]
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = ctx.geom.warp_jet(i, p)
-        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
-        ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
-        zbf = float(zbv @ wj.grad)
-        rhs[sl, sl] += (wj.value ** 2 * mi[i]
-                        + 2.0 * (wj.value * zbf + wj.value ** 2 * pizb) * gi)
-        gz = wj.value ** 2 * (gi @ ziv)
-        rhs[sl, slb] -= np.outer(gz, piv[slb])
-        rhs[slb, sl] -= np.outer(piv[slb], gz)
+        f, zbf, gi, mi = _fiber_terms(ctx, parts, i)
+        ziv = ctx.geom.field_values(lift(parts[i + 1]))[:, sl]
+        rhs[:, sl, sl] += f ** 2 * mi + 2.0 * (f * zbf + f ** 2 * pizb) * gi
+        gz = f[:, 0] ** 2 * matvec(gi, ziv)
+        rhs[:, sl, slb] -= gz[:, :, None] * piv[:, None, slb]
+        rhs[:, slb, sl] -= piv[:, slb, None] * gz[:, None, :]
     return rhs
 
 
-def _lie_rhs_shift_fiber(ctx: RunContext, parts, k: int) -> np.ndarray:
+def _lie_rhs_shift_fiber(ctx: RunContext, parts) -> np.ndarray:
     """Factor assembly of the shifted Lie derivative, fiber-located P."""
-    p = ctx.points()[k]
-    n = ctx.ps.total_dim
-    rhs = np.zeros((n, n))
-    mb, mi = _factor_lie_matrices(ctx, parts, k, LEVI_CIVITA)
-    slb = ctx.ps.block_slice("base")
-    rhs[slb, slb] = mb
-    g_full = ctx.geom.metric(p).g
-    zeta = ProductField(tuple(parts))
-    z_full = ctx.geom.field_values(zeta, p)
-    gz_full = g_full @ z_full
-    piv = ctx.geom.pi_covector(p)
-    zbv = ctx.geom.field_values(lift(parts[0]), p)
+    rhs = _lie_rhs_base(ctx, parts, LEVI_CIVITA)
+    geom = ctx.geom
+    g_full = geom.metric().g
+    gz_full = matvec(g_full, geom.field_values(ProductField(tuple(parts))))
+    piv = geom.pi_covector()
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
-        wj = ctx.geom.warp_jet(i, p)
-        gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
-        ziv = ctx.geom.field_values(lift(parts[i + 1]), p)
-        zbf = float(zbv @ wj.grad)
-        rhs[sl, sl] += wj.value ** 2 * mi[i] + 2.0 * wj.value * zbf * gi
-        rhs += 2.0 * ctx.geom.pi_of(p, ziv) * g_full
-        pi_i = np.zeros(n)
-        pi_i[sl] = piv[sl]
-        rhs -= np.outer(gz_full, pi_i) + np.outer(pi_i, gz_full)
+        f, zbf, gi, mi = _fiber_terms(ctx, parts, i)
+        ziv = geom.field_values(lift(parts[i + 1]))
+        rhs[:, sl, sl] += f ** 2 * mi + 2.0 * f * zbf * gi
+        rhs += 2.0 * geom.pi_of(None, ziv)[:, None, None] * g_full
+        pi_i = np.zeros_like(piv)
+        pi_i[:, sl] = piv[:, sl]
+        rhs -= gz_full[:, :, None] * pi_i[:, None, :] + pi_i[:, :, None] * gz_full[:, None, :]
     return rhs
 
 
@@ -305,8 +280,7 @@ def _lie_decomposition_check(rhs_fn, use_shift: bool, label: str):
         zeta = ProductField(tuple(parts))
         kind = SEMI_SYMMETRIC if use_shift else LEVI_CIVITA
         lhs = ctx.over_samples(lie_matrix, zeta, kind=kind)
-        vals = [max_abs(m - rhs_fn(ctx, parts, k)) for k, m in enumerate(lhs)]
-        return residual_outcome(vals, ctx.tol.two)
+        return residual_outcome(point_max(lhs - rhs_fn(ctx, parts)), ctx.tol.two)
 
     return run
 
@@ -331,18 +305,21 @@ def _quad_decomposition_check(shift_location: str, label: str):
         piv = geom.pi_covector()
         zbv = geom.field_values(lift(parts[0]))
         gz = np.einsum("sab,sb->sa", g, geom.field_values(zeta))
-        lhs = 0.5 * form(lie_stack(ctx, zeta, kind=kind), x, x)
+        lhs = 0.5 * form(ctx.over_samples(lie_matrix, zeta, kind=kind), x, x)
         xb = x[..., slb]
-        rhs = 0.5 * form(lie_stack(ctx, parts[0], "base", kind=base_kind), xb, xb)
+        rhs = 0.5 * form(ctx.over_samples(lie_matrix, parts[0], "base", kind=base_kind),
+                         xb, xb)
         for i, zi in enumerate(parts[1:]):
             sl = ps.block_slice(i)
             xi = x[..., sl]
-            f = at_points(ctx, lambda p: geom.warp_jet(i, p).value)[:, None]
-            zbf = pair(zbv[:, None], at_points(ctx, lambda p: geom.warp_jet(i, p).grad))
+            wj = geom.warp_jet(i)
+            f = wj.value[:, None]
+            zbf = pair(zbv[:, None], wj.grad)
             gi = ctx.block_geom(i).metric().g
             ziv = geom.field_values(lift(zi))
             nxi = form(gi, xi, xi)
-            rhs = rhs + f ** 2 * 0.5 * form(lie_stack(ctx, zi, i), xi, xi) + f * zbf * nxi
+            li = ctx.over_samples(lie_matrix, zi, i, kind=LEVI_CIVITA)
+            rhs = rhs + f ** 2 * 0.5 * form(li, xi, xi) + f * zbf * nxi
             if shift_location == "base":
                 gixz = pair(xi, np.einsum("sab,sb->sa", gi, ziv[:, sl]))
                 rhs = rhs + (f ** 2 * pair(zbv[:, None], piv) * nxi
@@ -362,28 +339,23 @@ def _eq25_check(label: str):
     def run(ctx: RunContext) -> Outcome:
         parts = _zeta_parts(ctx, label)
         zeta = ProductField(tuple(parts))
-        n = ctx.ps.total_dim
-        lli = [ctx.over_samples(lie_lie_matrix, z, i) for i, z in enumerate(parts[1:])]
-        li = [ctx.over_samples(lie_matrix, z, i, kind=LEVI_CIVITA)
-              for i, z in enumerate(parts[1:])]
-        vals = []
-        for k, (p, lhs, llb) in enumerate(zip(
-                ctx.points(), ctx.over_samples(lie_lie_matrix, zeta),
-                ctx.over_samples(lie_lie_matrix, parts[0], "base"))):
-            rhs = np.zeros((n, n))
-            rhs[ctx.ps.block_slice("base"), ctx.ps.block_slice("base")] = llb
-            zbj = ctx.geom.field_jet(lift(parts[0]), p)
-            for i in range(len(ctx.ps.fibers)):
-                sl = ctx.ps.block_slice(i)
-                gi = ctx.block_geom(i).metric(ctx.ps.block_point(p, i)).g
-                wj = ctx.geom.warp_jet(i, p)
-                zbf, zbzbf = second_directional(zbj, wj)
-                rhs[sl, sl] += (wj.value ** 2 * lli[i][k]
-                                + 4.0 * wj.value * zbf * li[i][k]
-                                + 2.0 * wj.value * zbzbf * gi
-                                + 2.0 * zbf ** 2 * gi)
-            vals.append(max_abs(lhs - rhs))
-        return residual_outcome(vals, ctx.tol.second_order)
+        slb = ctx.ps.block_slice("base")
+        rhs = np.zeros_like(ctx.over_samples(lie_lie_matrix, zeta))
+        rhs[:, slb, slb] = ctx.over_samples(lie_lie_matrix, parts[0], "base")
+        zbj = ctx.geom.field_jet(lift(parts[0]))
+        for i, zi in enumerate(parts[1:]):
+            sl = ctx.ps.block_slice(i)
+            gi = ctx.block_geom(i).metric().g
+            wj = ctx.geom.warp_jet(i)
+            f = wj.value[:, None, None]
+            zbf, zbzbf = (v[:, None, None] for v in second_directional(zbj, wj))
+            rhs[:, sl, sl] += (f ** 2 * ctx.over_samples(lie_lie_matrix, zi, i)
+                               + 4.0 * f * zbf * ctx.over_samples(lie_matrix, zi, i,
+                                                                  kind=LEVI_CIVITA)
+                               + 2.0 * f * zbzbf * gi
+                               + 2.0 * zbf ** 2 * gi)
+        lhs = ctx.over_samples(lie_lie_matrix, zeta)
+        return residual_outcome(point_max(lhs - rhs), ctx.tol.second_order)
 
     return run
 
@@ -398,28 +370,29 @@ def _eq27_check(label: str):
         combos = [_zeta_parts(ctx, label), _zeta_parts(ctx, label + "2")]
         for parts in combos:
             zeta = ProductField(tuple(parts))
+            zb, zis = lift(parts[0]), [lift(z) for z in parts[1:]]
             for p in ctx.points():
                 lhs = trace_nabla(ctx.geom, zeta, p)
                 pb = ctx.ps.block_point(p, "base")
-                rhs = trace_nabla(base_geom, rehome(parts[0]), pb)
+                rhs = trace_nabla(base_geom, ctx.rehomed(parts[0]), pb)
                 gb = base_geom.metric(pb).g
-                zbj = ctx.geom.field_jet(lift(parts[0]), p)
+                zbj = ctx.geom.field_jet(zb, p)
                 for i in range(len(ctx.ps.fibers)):
                     pi_ = ctx.ps.block_point(p, i)
                     fgeom = ctx.block_geom(i)
                     gi = fgeom.metric(pi_).g
                     sl = ctx.ps.block_slice(i)
-                    ziv = ctx.geom.field_values(lift(parts[i + 1]), p)[sl]
+                    ziv = ctx.geom.field_values(zis[i], p)[sl]
                     wj = ctx.geom.warp_jet(i, p)
                     zbf = float(zbj.val @ wj.grad)
                     gradf_b = np.linalg.solve(gb, wj.grad[ctx.ps.block_slice("base")])
                     gf2 = float(gradf_b @ gb @ gradf_b)
                     ni = gi.shape[0]
-                    rhs += (trace_nabla(fgeom, rehome(parts[i + 1]), pi_)
+                    rhs += (trace_nabla(fgeom, ctx.rehomed(parts[i + 1]), pi_)
                             + 2.0 * float(ziv @ gi @ ziv) * gf2
                             + ni / wj.value ** 2 * zbf ** 2
                             + 2.0 * zbf / wj.value
-                            * divergence(fgeom, rehome(parts[i + 1]), pi_))
+                            * divergence(fgeom, ctx.rehomed(parts[i + 1]), pi_))
                 vals.append(abs(lhs - rhs))
         return residual_outcome(vals, ctx.tol.trace)
 
@@ -430,17 +403,17 @@ def _eq27_check(label: str):
 
 
 def _route_check(label: str, count: int, fn, other, **kw):
-    """fn against the independent route ``other`` on a synthesized field
-    and the first declared field combos, ``count`` fields in all."""
+    """fn's stack against the independent per-point route ``other`` on a
+    synthesized field and the first declared field combos, ``count``
+    fields in all."""
 
     def run(ctx: RunContext) -> Outcome:
         combos = [ProductField(tuple(_zeta_parts(ctx, label)))]
         combos += list(ctx.field_combos().values())
-        vals = []
-        for zeta in combos[:count]:
-            vals.extend(max_abs(a - b) for a, b in zip(ctx.over_samples(fn, zeta, **kw),
-                                                       ctx.over_samples(other, zeta)))
-        return residual_outcome(vals, ctx.tol.two)
+        vals = [point_max(ctx.over_samples(fn, zeta, **kw)
+                          - np.array([other(ctx.geom, zeta, p) for p in ctx.points()]))
+                for zeta in combos[:count]]
+        return residual_outcome(np.concatenate(vals), ctx.tol.two)
 
     return run
 

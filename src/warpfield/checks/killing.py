@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC
+from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC, dot, matvec
 from ..fieldexpr import eval_expr, num, pretty
 from ..fields import ProductField, VectorFieldDef, lift
-from ..lie_killing import form, lie_matrix, max_abs, nabla_quad
+from ..lie_killing import form, lie_matrix, max_abs, nabla_quad, point_max
 from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
@@ -34,7 +34,6 @@ from ..suite import (
 from .util import (
     embed,
     factor_fields,
-    lie_stack,
     pair,
     part_sums,
     project_out,
@@ -46,13 +45,14 @@ from .util import (
 # ---- factor-level residual helpers ----
 
 
-def _pi_of_field(ctx: RunContext, vfd: VectorFieldDef, p) -> float:
+def _pi_of_field(ctx: RunContext, vfd: VectorFieldDef, p=None):
+    """pi(zeta) at p, or at each sample point when p is None."""
     return ctx.geom.pi_of(p, ctx.geom.field_values(lift(vfd), p))
 
 
 def _pi_hyp(ctx: RunContext, vfd: VectorFieldDef) -> float:
     """max over points of |pi(zeta)|."""
-    return max_abs(_pi_of_field(ctx, vfd, p) for p in ctx.points())
+    return max_abs(_pi_of_field(ctx, vfd))
 
 
 def _fiber_orth(ctx: RunContext, p, i: int, vec_i: np.ndarray,
@@ -70,31 +70,30 @@ def _def_killing(ctx: RunContext) -> Outcome:
     """Symmetry and linearity in the field of the metric Lie derivative."""
     vals = []
     for zeta in list(ctx.field_combos().values())[:6]:
-        scaled = ctx.over_samples(lie_matrix, zeta.scaled(2.5), kind=LEVI_CIVITA)
-        for m, m_scaled in zip(ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA),
-                               scaled):
-            vals.append(max_abs(m - m.T))
-            vals.append(max_abs(m_scaled - 2.5 * m))
-    return residual_outcome(vals, ctx.tol.sym * 100,
+        m = ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)
+        m_scaled = ctx.over_samples(lie_matrix, zeta.scaled(2.5), kind=LEVI_CIVITA)
+        vals.append(np.stack([point_max(m - np.swapaxes(m, 1, 2)),
+                              point_max(m_scaled - 2.5 * m)], axis=1).ravel())
+    return residual_outcome(np.concatenate(vals), ctx.tol.sym * 100,
                             note="symmetry and field-linearity of the derivative")
 
 
 def _def_ssm_lie(ctx: RunContext) -> Outcome:
     """Shifted Lie derivative equals the unshifted one plus pairing terms."""
+    geom = ctx.geom
+    g = geom.metric().g
+    piv = geom.pi_covector()
     vals = []
     for zeta in list(ctx.field_combos().values())[:6]:
-        for p, m_bar, m in zip(ctx.points(),
-                               ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC),
-                               ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)):
-            g = ctx.geom.metric(p).g
-            piv = ctx.geom.pi_covector(p)
-            zv = ctx.geom.field_values(zeta, p)
-            pizeta = float(zv @ piv)
-            gz = g @ zv
-            expected = (m + 2.0 * pizeta * g
-                        - np.outer(gz, piv) - np.outer(piv, gz))
-            vals.append(max_abs(m_bar - expected))
-    return residual_outcome(vals, ctx.tol.alg)
+        m_bar = ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC)
+        m = ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)
+        zv = geom.field_values(zeta)
+        pizeta = dot(zv, piv)[:, None, None]
+        gz = matvec(g, zv)
+        expected = (m + 2.0 * pizeta * g
+                    - gz[:, :, None] * piv[:, None, :] - piv[:, :, None] * gz[:, None, :])
+        vals.append(point_max(m_bar - expected))
+    return residual_outcome(np.concatenate(vals), ctx.tol.alg)
 
 
 def _non_finite(ctx: RunContext) -> Outcome:
@@ -114,7 +113,7 @@ def _verdict_pairs(ctx: RunContext, label: str,
     xs = ctx.rng(label).block((len(combos), len(ctx.points()), 8, ctx.ps.total_dim))
     residuals = []
     for zeta, x in zip(combos, xs):
-        ms = lie_stack(ctx, zeta, kind=kind)
+        ms = ctx.over_samples(lie_matrix, zeta, kind=kind)
         residuals.append((max_abs(ms), max_abs(0.5 * form(ms, x, x))))
     if not np.isfinite(residuals).all():
         return None
@@ -169,8 +168,8 @@ def _remark_sides(ctx: RunContext) -> list[tuple[np.ndarray, np.ndarray]]:
     expansion at each sample point for 4 test vectors: (points, 4) each."""
     combos = list(ctx.field_combos().values())[:6]
     xs = ctx.rng("remark39").block((len(combos), len(ctx.points()), 4, ctx.ps.total_dim))
-    return [(0.5 * form(lie_stack(ctx, zeta, kind=SEMI_SYMMETRIC), x, x),
-             0.5 * form(lie_stack(ctx, zeta, kind=LEVI_CIVITA), x, x)
+    return [(0.5 * form(ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC), x, x),
+             0.5 * form(ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA), x, x)
              + _pairing_gaps(ctx, zeta, x))
             for zeta, x in zip(combos, xs)]
 
@@ -222,12 +221,11 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
 
 def _remark_zero_shift(ctx: RunContext) -> Outcome:
     """With no shift the two derivative routes coincide exactly."""
-    vals = []
-    for zeta in list(ctx.field_combos().values())[:6]:
-        vals.extend(max_abs(ms - m) for ms, m in zip(
-            ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC),
-            ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA)))
-    return residual_outcome(vals, 1e-15, note="exact coincidence at zero shift")
+    vals = [point_max(ctx.over_samples(lie_matrix, zeta, kind=SEMI_SYMMETRIC)
+                       - ctx.over_samples(lie_matrix, zeta, kind=LEVI_CIVITA))
+            for zeta in list(ctx.field_combos().values())[:6]]
+    return residual_outcome(np.concatenate(vals), 1e-15,
+                            note="exact coincidence at zero shift")
 
 
 def _example_interval(ctx: RunContext) -> Outcome:
@@ -267,11 +265,11 @@ def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind,
     if inst.cone is None:
         ms = ctx.over_samples(lie_matrix, inst.zeta, kind=kind)
         if inst.restrict_blocks is None:
-            return [max_abs(m) for m in ms]
+            return list(point_max(ms))
         idx = np.concatenate([np.arange(ctx.ps.block_slice(b).start,
                                         ctx.ps.block_slice(b).stop)
                               for b in inst.restrict_blocks])
-        return [max_abs(m[np.ix_(idx, idx)]) for m in ms]
+        return list(point_max(ms[:, idx][:, :, idx]))
     rng = ctx.rng("cone:" + inst.name)
     vals = []
     for p in ctx.points():
@@ -338,13 +336,9 @@ def _pure_cone(ctx: RunContext, condition=None):
 
 def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> float:
     """max over points of |f_i zeta_B(f_i) + f_i^2 pi(zeta_B)|."""
-    gaps = []
-    for p in ctx.points():
-        wj = ctx.geom.warp_jet(i, p)
-        zbf = float(ctx.geom.field_values(lift(zeta_b), p) @ wj.grad)
-        pizb = _pi_of_field(ctx, zeta_b, p)
-        gaps.append(wj.value * zbf + wj.value ** 2 * pizb)
-    return max_abs(gaps)
+    wj = ctx.geom.warp_jet(i)
+    zbf = dot(ctx.geom.field_values(lift(zeta_b)), wj.grad)
+    return max_abs(wj.value * zbf + wj.value ** 2 * _pi_of_field(ctx, zeta_b))
 
 
 def _suff_base_shift(part: int):
@@ -559,7 +553,7 @@ def _block_pure_gate(ctx: RunContext, kind, zeta: ProductField,
     the given block (the directions the factor conclusions read off)."""
     sl = ctx.ps.block_slice(block)
     x = ctx.rng("necgate").block((len(ctx.points()), draws, sl.stop - sl.start))
-    ms = lie_stack(ctx, zeta, kind=kind)[:, sl, sl]
+    ms = ctx.over_samples(lie_matrix, zeta, kind=kind)[:, sl, sl]
     return max_abs(0.5 * form(ms, x, x))
 
 
@@ -688,8 +682,8 @@ def _witness_grw(ctx: RunContext) -> Outcome:
     base_unit = VectorFieldDef("base", (num(1.0),))
     fiber_killing = factor_fields(ctx, 0, lie_matrix, ctx.tol.alg,
                                   kind=LEVI_CIVITA)
-    jets = [ctx.geom.warp_jet(0, p) for p in ctx.points()]
-    hyp = max_abs(float(wj.grad[0]) - wj.value for wj in jets)
+    wj = ctx.geom.warp_jet(0)
+    hyp = max_abs(wj.grad[:, 0] - wj.value)
     vals = []
     for a in (1.0, -1.0, 2.0, -2.0):
         for zname, z2 in [(None, None)] + fiber_killing:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..connections import LEVI_CIVITA, nabla_grid
-from ..curvature import parallel_residual_at, ricci_quadratic, riemann, trace_nabla
+from ..curvature import parallel_residual, ricci_quadratic, riemann, trace_nabla
 from ..fieldexpr import Bin, Call, Neg, Var, eval_expr, variables_of
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import (
@@ -28,6 +28,7 @@ from ..lie_killing import (
     lie_matrix,
     max_abs,
     nabla_zeta_zeta,
+    point_max,
 )
 from ..spacetimes import KASNER, SpacetimeSpec, build_spacetime
 from ..suite import (
@@ -40,7 +41,6 @@ from ..suite import (
     residual_outcome,
 )
 from .util import (
-    at_points,
     factor_fields,
     pair,
     part_sums,
@@ -52,15 +52,13 @@ from .util import (
 
 
 def _warp_constant(ctx: RunContext, i: int) -> bool:
-    return max_abs(ctx.geom.warp_jet(i, p).grad for p in ctx.points()) <= 1e-12
+    return max_abs(ctx.geom.warp_jet(i).grad) <= 1e-12
 
 
 def _fiber_homothety(ctx: RunContext, vfd: VectorFieldDef):
     """Homothety fit of a fiber field's L g on the fiber itself."""
     mats = ctx.over_samples(lie_matrix, vfd, vfd.block, kind=LEVI_CIVITA)
-    return homothety_check(ctx.block_geom(vfd.block),
-                           ctx.block_points(ctx.points(), vfd.block), mats,
-                           tol=ctx.tol.alg)
+    return homothety_check(ctx.block_geom(vfd.block), mats, tol=ctx.tol.alg)
 
 
 def _homothetic_pick(ctx: RunContext, i: int):
@@ -78,7 +76,7 @@ def _zeta_curvature(ctx: RunContext, zeta, slots: str) -> np.ndarray:
     ``slots`` at each sample point, the other two free: "il" gives
     R(z, ., ., z) and "ik" gives R(z, ., z, .); (points, n, n)."""
     zv = ctx.geom.field_values(zeta)
-    r_low = at_points(ctx, lambda p: riemann(ctx.geom, p).r_low)
+    r_low = riemann(ctx.geom).r_low
     free = "".join(c for c in "ijkl" if c not in slots)
     return np.einsum(f"sijkl,s{slots[0]},s{slots[1]}->s{free}", r_low, zv, zv)
 
@@ -150,10 +148,10 @@ def _def_two_killing(ctx: RunContext) -> Outcome:
 def _eq22_values(ctx: RunContext, fields) -> list[np.ndarray]:
     """Per field, the Eq-22 gap at each sample point along the coordinate
     basis and 4 test vectors: (points, n + 4)."""
-    n = ctx.ps.total_dim
-    xs = ctx.rng("eq22").block((len(fields), len(ctx.points()), 4, n))
-    return [np.array([eq22_residual(ctx.geom, zeta, np.vstack([np.eye(n), x]), p)
-                      for p, x in zip(ctx.points(), xz)])
+    s, n = len(ctx.points()), ctx.ps.total_dim
+    xs = ctx.rng("eq22").block((len(fields), s, 4, n))
+    basis = np.broadcast_to(np.eye(n), (s, n, n))
+    return [eq22_residual(ctx.geom, zeta, np.concatenate([basis, xz], axis=1))
             for zeta, xz in zip(fields, xs)]
 
 
@@ -171,7 +169,7 @@ def _const_length_killing(ctx: RunContext):
     for name, zeta in ctx.field_combos().items():
         if not ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA) <= ctx.tol.alg:
             continue
-        if not constant_length_stddev(ctx.geom, zeta, ctx.points()) <= 1e-8:
+        if not constant_length_stddev(ctx.geom, zeta) <= 1e-8:
             continue
         out.append((name, zeta))
     return out
@@ -225,13 +223,12 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
         if not _ricci_max(ctx, zeta) <= ctx.tol.hyp:
             continue
         admitted += 1
-        for p in ctx.points():
-            vals.append(parallel_residual_at(ctx.geom, zeta, p))
-            vals.append(abs(trace_nabla(ctx.geom, zeta, p)))
+        traces = [abs(trace_nabla(ctx.geom, zeta, p)) for p in ctx.points()]
+        vals.append(np.stack([parallel_residual(ctx.geom, zeta), traces], axis=1).ravel())
     if admitted == 0:
         return inconclusive("no admissible field on the compact model")
     return residual_outcome(
-        vals, ctx.tol.trace,
+        np.concatenate(vals), ctx.tol.trace,
         note=f"{admitted} fields; compactness modeled by periodic boxes, "
              "not verified")
 
@@ -282,12 +279,9 @@ def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
 
 
 def _eq26_residual_max(ctx: RunContext, zb: VectorFieldDef, i: int, c_i: float) -> float:
-    gaps = []
-    for p in ctx.points():
-        wj = ctx.geom.warp_jet(i, p)
-        zbf, zbzbf = second_directional(ctx.geom.field_jet(lift(zb), p), wj)
-        gaps.append(wj.value * zbzbf + zbf * zbf + 2.0 * c_i * wj.value * zbf)
-    return max_abs(gaps)
+    wj = ctx.geom.warp_jet(i)
+    zbf, zbzbf = second_directional(ctx.geom.field_jet(lift(zb)), wj)
+    return max_abs(wj.value * zbzbf + zbf * zbf + 2.0 * c_i * wj.value * zbf)
 
 
 def _cor_homothety_route(ctx: RunContext) -> Outcome:
@@ -374,13 +368,9 @@ def _thm_parallel(case: int):
                 combos.append(tuple(picks))
         if not combos:
             return inconclusive("no admissible combination on the compact model")
-        vals = []
-        for parts in combos:
-            zeta = ProductField(tuple(parts))
-            for p in ctx.points():
-                vals.append(parallel_residual_at(ctx.geom, zeta, p))
+        vals = [parallel_residual(ctx.geom, ProductField(tuple(parts))) for parts in combos]
         return residual_outcome(
-            vals, ctx.tol.two,
+            np.concatenate(vals), ctx.tol.two,
             note=f"{len(combos)} combination(s); compactness modeled, not verified")
 
     return run
@@ -496,7 +486,7 @@ def _witness_power_law(use_exponents: bool):
                 hyps.append(_eq28_residual_max(ctx, i, c_i, a, b))
         hyp = max_abs(hyps)
         zeta = ProductField((zb,) + tuple(picks))
-        vals = [max_abs(m) for m in ctx.over_samples(lie_lie_matrix, zeta)]
+        vals = point_max(ctx.over_samples(lie_lie_matrix, zeta))
         gap = "" if hyp <= ctx.tol.hyp else \
             f"; warp coupling residual {hyp:.3g} (hypothesis violated)"
         return residual_outcome(vals, ctx.tol.two,

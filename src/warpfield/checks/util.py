@@ -1,15 +1,15 @@
 """Shared helpers for the registered checks: the shift predicates, the
 factor-field classifier, the (base part, fiber part) enumeration and the
-per-point stacks that test-vector blocks are contracted with."""
+contractions that stacks over the sample set are combined with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..connections import LEVI_CIVITA, Geometry
+from ..connections import Geometry, dot, matvec
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
 from ..jets import Jet2, Point
-from ..lie_killing import lie_matrix, max_abs
+from ..lie_killing import max_abs
 from ..metric import ProductStructure
 
 
@@ -22,19 +22,10 @@ def shift_on_fiber(mf) -> bool:
 
 
 def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(ps.total_dim)
-    out[ps.block_slice(block)] = vec
+    """A block's vector (or a stack of them) in the product's coordinates."""
+    out = np.zeros(vec.shape[:-1] + (ps.total_dim,))
+    out[..., ps.block_slice(block)] = vec
     return out
-
-
-def at_points(ctx, fn) -> np.ndarray:
-    """fn(p) at each sample point of the product, stacked on a leading axis."""
-    return np.array([fn(p) for p in ctx.points()])
-
-
-def lie_stack(ctx, zeta, block=None, kind: str = LEVI_CIVITA) -> np.ndarray:
-    """The run table's L_zeta g at the sample points: (points, n, n)."""
-    return np.asarray(ctx.over_samples(lie_matrix, zeta, block, kind=kind))
 
 
 def pair(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -42,11 +33,12 @@ def pair(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...dn,...n->...d", x, v)
 
 
-def second_directional(fj: FieldJet, jet: Jet2) -> tuple[float, float]:
-    """(zeta(h), zeta(zeta(h))) for a field with jet data fj."""
-    first = float(fj.val @ jet.grad)
-    dfirst = fj.d @ jet.grad + jet.hess @ fj.val
-    return first, float(fj.val @ dfirst)
+def second_directional(fj: FieldJet, jet: Jet2):
+    """(zeta(h), zeta(zeta(h))) for a field with jet data fj, at each
+    sample point of stacked jets."""
+    first = dot(fj.val, jet.grad)
+    dfirst = matvec(fj.d, jet.grad) + matvec(jet.hess, fj.val)
+    return first, dot(fj.val, dfirst)
 
 
 def project_out(ps: ProductStructure, geom_block: Geometry, p_block: Point,
@@ -73,9 +65,9 @@ def factor_fields(ctx, block, fn, tol: float, **kw) -> list[tuple[str, VectorFie
 def warp_dir_max(ctx, zb: VectorFieldDef, fibers) -> float:
     """Max over the sample points and the given fibers of |zb(f_i)| for
     a base field zb."""
-    geom, zeta = ctx.geom, lift(zb)
-    return max_abs(float(geom.field_values(zeta, p) @ geom.warp_jet(i, p).grad)
-                   for i in fibers for p in ctx.points())
+    geom = ctx.geom
+    zv = geom.field_values(lift(zb))
+    return max_abs([dot(zv, geom.warp_jet(i).grad) for i in fibers])
 
 
 def part_sums(ctx):

@@ -16,13 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry
 from .fields import ProductField
 from .jets import DomainError
-from .lie_killing import lie_lie_matrix, lie_matrix
+from .lie_killing import lie_lie_matrix, lie_matrix, point_max
 from .manifest import Manifest, ManifestError, load_manifest
 from .metric import GeometryError, sample_points
 from .report import jsonl_report, text_report
@@ -176,8 +174,7 @@ def cmd_killing(args) -> int:
         name, bound = ("ssm_killing" if args.kind == "ssm" else "killing"), tol.alg
         kind = SEMI_SYMMETRIC if args.kind == "ssm" else LEVI_CIVITA
         mats = lie_matrix(geom, zeta, None, kind)
-    # the largest |entry| at each sample point; NaN if any entry is NaN
-    out = residual_outcome(np.abs(mats).max(axis=(1, 2)), bound)
+    out = residual_outcome(point_max(mats), bound)
     result = CheckResult(
         check=f"{name}:{args.field}", result=name, manifest=mf.name,
         verdict=out.verdict, max_abs=out.max_abs, mean_abs=out.mean_abs,

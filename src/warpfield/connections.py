@@ -97,9 +97,7 @@ class Geometry:
             self._rows_of.setdefault(p.coords, k)
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._stacks: dict = {}
-        self._rows: dict = {}
         self._alone: dict = {}
-        self._per_point: dict = {}
 
     def stack(self, compute, *args):
         """compute(self, *args): a quantity at every sample point, sample
@@ -113,17 +111,12 @@ class Geometry:
     def at(self, compute, p: Point | None, *args):
         """p's row of ``stack(compute, *args)``, or the whole stack when p
         is None; a point outside the sample set is the one point of its
-        own geometry.  Rows are kept: the checks read the metric and field
-        jets at every point many times over."""
+        own geometry."""
         if p is None:
             return self.stack(compute, *args)
-        key = (compute, args, p.coords)
-        got = self._rows.get(key)
-        if got is None:
-            k = self._rows_of.get(p.coords)
-            geom = self if k is not None else self._geometry_at(p)
-            got = self._rows[key] = _row(geom.stack(compute, *args), k or 0)
-        return got
+        k = self._rows_of.get(p.coords)
+        geom = self if k is not None else self._geometry_at(p)
+        return _row(geom.stack(compute, *args), k or 0)
 
     def _geometry_at(self, p: Point) -> "Geometry":
         got = self._alone.get(p.coords)
@@ -154,8 +147,9 @@ class Geometry:
     def pi_covector(self, p: Point | None = None) -> np.ndarray:
         return self.at(_pi_covector, p)
 
-    def pi_of(self, p: Point, x: np.ndarray) -> float:
-        return float(np.asarray(x, dtype=float) @ self.pi_covector(p))
+    def pi_of(self, p: Point | None, x: np.ndarray):
+        """pi(x) = g(x, P) at p, or row by row over the sample set."""
+        return dot(np.asarray(x, dtype=float), self.pi_covector(p))
 
     def ssm_gamma(self, p: Point | None = None) -> np.ndarray:
         """Symbols of the shifted metric connection at p."""
@@ -174,14 +168,6 @@ class Geometry:
     def warp_jet(self, i: int, p: Point | None = None) -> Jet2:
         """Jet of the i-th warping function at p."""
         return self.at(_warp_jets, p, i)
-
-    def per_point(self, compute, p: Point):
-        """compute(self, p), evaluated once per point and then looked up."""
-        key = (compute, p.coords)
-        got = self._per_point.get(key)
-        if got is None:
-            got = self._per_point[key] = compute(self, p)
-        return got
 
     def field_values(self, field, p: Point | None = None) -> np.ndarray:
         if isinstance(field, ProductField):
@@ -207,8 +193,13 @@ def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
 
 
 def _warp_jets(geom: Geometry, i: int) -> Jet2:
+    """The i-th warp's jet; a constant warp's jet, which has no sample
+    axis, is broadcast along one."""
     ps = geom.ps
-    return ps.expr_jet(ps.warps[i], ps.jet_env(geom.points), geom.points)
+    j = ps.expr_jet(ps.warps[i], ps.jet_env(geom.points), geom.points)
+    s, n = len(geom.points), ps.total_dim
+    return Jet2(np.broadcast_to(j.value, (s,)), np.broadcast_to(j.grad, (s, n)),
+                np.broadcast_to(j.hess, (s, n, n)))
 
 
 def _christoffel(geom: Geometry) -> np.ndarray:
@@ -243,12 +234,32 @@ def _ssm_gamma(geom: Geometry) -> np.ndarray:
             - np.einsum("sij,sk->skij", geom.metric().g, geom.p_vector()))
 
 
-def as_field_jet(geom: Geometry, field, p: Point) -> FieldJet:
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, row by row for stacks (leading axes
+    broadcast).  The matmul form sums in the order ``a @ b`` does on a
+    single pair of vectors, so a row of the stack is that value bit for
+    bit; an einsum or ``np.sum(a * b)`` is not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def bilinear(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x m y, row by row as ``x @ m @ y``."""
+    return ((x[..., None, :] @ m) @ y[..., :, None])[..., 0, 0]
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v for stacks of matrices and vectors, row by row as ``m @ v``."""
+    return (m @ v[..., None])[..., 0]
+
+
+def as_field_jet(geom: Geometry, field, p: Point | None = None) -> FieldJet:
+    """A field's jet at p, or stacked over the sample set when p is None;
+    a constant vector is the coordinate extension with zero partials."""
     if isinstance(field, ProductField):
         return geom.field_jet(field, p)
     vec = np.asarray(field, dtype=float)
     n = geom.ps.total_dim
-    if vec.shape != (n,):
+    if vec.shape[-1:] != (n,):
         raise DimensionMismatch(f"vector must have {n} components")
     return FieldJet(val=vec, d=np.zeros((n, n)), d2=np.zeros((n, n, n)))
 
@@ -264,29 +275,17 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def covariant_derivative(
-    geom: Geometry, x, z, p: Point, kind: str = LEVI_CIVITA
+    geom: Geometry, x, z, p: Point | None = None, kind: str = LEVI_CIVITA
 ) -> np.ndarray:
-    """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j at p.
+    """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j at p, or stacked
+    over the sample set when p is None.
 
     ``x`` and ``z`` are product fields or constant chart vectors; a
     constant vector is the coordinate extension with zero derivatives.
     """
     zj = as_field_jet(geom, z, p)
-    return geom.field_values(x, p) @ nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d)
-
-
-def lie_bracket(geom: Geometry, x, y, p: Point) -> np.ndarray:
-    """[x, y]^k = x^i d_i y^k - y^i d_i x^k at p."""
-    xj = as_field_jet(geom, x, p)
-    yj = as_field_jet(geom, y, p)
-    return xj.val @ yj.d - yj.val @ xj.d
-
-
-def torsion_of(geom: Geometry, x, y, p: Point, kind: str = SEMI_SYMMETRIC) -> np.ndarray:
-    """nabla_x y - nabla_y x - [x, y] at p."""
-    return (covariant_derivative(geom, x, y, p, kind)
-            - covariant_derivative(geom, y, x, p, kind)
-            - lie_bracket(geom, x, y, p))
+    xv = geom.field_values(x, p)
+    return (xv[..., None, :] @ nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d))[..., 0, :]
 
 
 def divergence(geom: Geometry, field: ProductField, p: Point) -> float:

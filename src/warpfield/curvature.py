@@ -1,4 +1,4 @@
-"""Riemann and Ricci tensors, sectional curvature, frames and traces.
+"""Riemann and Ricci tensors, frames and traces.
 
 Index conventions, with ``gamma[k, i, j]`` the Levi-Civita symbols:
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Geometry, as_field_jet, covariant_derivative, nabla_grid
+from .connections import Geometry, as_field_jet, bilinear, covariant_derivative, nabla_grid
 from .jets import Point
 from .metric import GeometryError
 
@@ -28,34 +28,36 @@ class FrameConstructionFailure(GeometryError):
 
 
 @dataclass(frozen=True)
-class CurvatureAt:
+class Curvature:
+    """Riemann and Ricci tensors at a point, or with a leading sample axis
+    on every array."""
+
     r_up: np.ndarray    # (n, n, n, n) [l, k, i, j]
     r_low: np.ndarray   # (n, n, n, n) [i, j, k, l]
     ricci: np.ndarray   # (n, n)
-    point: Point
+
+    def __getitem__(self, k: int) -> "Curvature":
+        """The curvature at sample k of a stacked one."""
+        return Curvature(self.r_up[k], self.r_low[k], self.ricci[k])
 
 
-def riemann(geom: Geometry, p: Point) -> CurvatureAt:
-    """The curvature at p, computed once per (geometry, point)."""
-    return geom.per_point(curvature_at, p)
+def riemann(geom: Geometry, p: Point | None = None) -> Curvature:
+    """The curvature at p, or stacked over the sample set when p is None;
+    computed once per geometry."""
+    return geom.at(_curvatures, p)
 
 
-def curvature_at(geom: Geometry, p: Point) -> CurvatureAt:
-    """Riemann and Ricci tensors at p from the Christoffel jet."""
-    gamma, dgamma = geom.christoffel_jet(p)
-    r_up = (np.einsum("iljk->lkij", dgamma)
-            - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("lim,mjk->lkij", gamma, gamma)
-            - np.einsum("ljm,mik->lkij", gamma, gamma))
-    g = geom.metric(p).g
-    r_low = np.einsum("lm,mkij->ijkl", g, r_up)
-    ricci = np.einsum("aiaj->ij", r_up)
-    return CurvatureAt(r_up=r_up, r_low=r_low, ricci=ricci, point=p)
-
-
-def riemann_quad(curv: CurvatureAt, zeta: np.ndarray, x: np.ndarray) -> float:
-    """R(zeta, x, x, zeta) from the lowered tensor."""
-    return float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, x, zeta))
+def _curvatures(geom: Geometry) -> Curvature:
+    """Riemann and Ricci tensors at every sample point from the
+    Christoffel jet."""
+    gamma, dgamma = geom.christoffel_jet()
+    r_up = (np.einsum("siljk->slkij", dgamma)
+            - np.einsum("sjlik->slkij", dgamma)
+            + np.einsum("slim,smjk->slkij", gamma, gamma)
+            - np.einsum("sljm,smik->slkij", gamma, gamma))
+    r_low = np.einsum("slm,smkij->sijkl", geom.metric().g, r_up)
+    ricci = np.einsum("saiaj->sij", r_up)
+    return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
 
 
 def frame_of_matrix(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,26 +91,21 @@ def product_frame(geom: Geometry, p: Point) -> tuple[np.ndarray, np.ndarray]:
     return frame, eps
 
 
-def parallel_residual_at(geom: Geometry, zeta, p: Point) -> float:
-    """max |(nabla_{e_a} zeta)^k| over the coordinate basis."""
+def parallel_residual(geom: Geometry, zeta, p: Point | None = None):
+    """max |(nabla_{e_a} zeta)^k| over the coordinate basis at p, or at
+    each sample point when p is None."""
     zj = as_field_jet(geom, zeta, p)
-    return float(np.max(np.abs(nabla_grid(geom.christoffel(p), zj.val, zj.d))))
+    return np.abs(nabla_grid(geom.christoffel(p), zj.val, zj.d)).max(axis=(-2, -1))
 
 
 def trace_nabla(geom: Geometry, zeta, p: Point) -> float:
     """Sum over a frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta)."""
     frame, eps = product_frame(geom, p)
-    g = geom.metric(p).g
-    total = 0.0
-    for a in range(frame.shape[0]):
-        w = covariant_derivative(geom, frame[a], zeta, p)
-        total += eps[a] * float(w @ g @ w)
-    return total
+    w = covariant_derivative(geom, frame, zeta, p)   # row a: nabla_{E_a} zeta
+    return float(sum(eps * bilinear(geom.metric(p).g, w, w)))
 
 
-def ricci_quadratic(geom: Geometry, zeta, p: Point,
-                    curv: CurvatureAt | None = None) -> float:
-    if curv is None:
-        curv = riemann(geom, p)
+def ricci_quadratic(geom: Geometry, zeta, p: Point | None = None):
+    """Ric(zeta, zeta) at p, or at each sample point when p is None."""
     zv = geom.field_values(zeta, p)
-    return float(zv @ curv.ricci @ zv)
+    return bilinear(riemann(geom, p).ricci, zv, zv)

@@ -24,6 +24,7 @@ from .connections import (
     SEMI_SYMMETRIC,
     Geometry,
     as_field_jet,
+    bilinear,
     covariant_derivative,
     nabla_grid,
 )
@@ -44,6 +45,12 @@ def max_abs(values) -> float:
         values = list(values)
     arr = np.abs(np.asarray(values, dtype=float))
     return float(arr.max()) if arr.size else math.nan
+
+
+def point_max(stack: np.ndarray) -> np.ndarray:
+    """Per sample point, the largest |entry| of a stack whose leading axis
+    runs over the points; NaN propagates as in ``max_abs``."""
+    return np.abs(stack).reshape(len(stack), -1).max(axis=1)
 
 
 def form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -163,23 +170,17 @@ class HomothetyResult:
         return "homothetic" if self.homothetic else "not_homothetic"
 
 
-def homothety_check(geom: Geometry, points: list[Point], mats,
-                    tol: float = 1e-8, stddev_tol: float = 1e-6) -> HomothetyResult:
+def homothety_check(geom: Geometry, mats, tol: float = 1e-8,
+                    stddev_tol: float = 1e-6) -> HomothetyResult:
     """Least-squares fit of (L_zeta g) against g, given the Levi-Civita
-    matrices ``mats`` of L_zeta g at ``points``; accept when the fit is
-    tight at every point and the fitted factor is stable across points."""
-    factors = []
-    residuals = []
-    for p, m in zip(points, mats):
-        g = geom.metric(p).g
-        denom = float(np.sum(g * g))
-        c = float(np.sum(m * g)) / denom
-        factors.append(c)
-        residuals.append(m - c * g)
-    factors = np.asarray(factors)
+    matrices ``mats`` of L_zeta g at the geometry's sample points (S, n, n);
+    accept when the fit is tight at every point and the fitted factor is
+    stable across points."""
+    g = geom.metric().g
+    factors = np.sum(mats * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
+    max_res = max_abs(mats - factors[:, None, None] * g)
     mean_c = float(factors.mean())
     std_c = float(factors.std())
-    max_res = max_abs(residuals)
     ok = max_res <= tol and std_c <= stddev_tol
     return HomothetyResult(ok, mean_c, std_c, max_res)
 
@@ -205,23 +206,23 @@ def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, n
     return w, dw
 
 
-def eq22_residual(geom: Geometry, zeta, xs, p: Point) -> np.ndarray:
+def eq22_residual(geom: Geometry, zeta, xs, p: Point | None = None) -> np.ndarray:
     """Gap in R(z, x, x, z) = g(nabla_x z, nabla_x z) + g(nabla_x nabla_z z, x)
-    for each row x of ``xs``; the curvature contracted with z, nabla_z z
-    and the covariant-derivative grids at p are computed once for all."""
+    for each row x of ``xs`` (m, n) at p, or, when p is None, for each
+    sample point's rows (S, m, n); the curvature contracted with z,
+    nabla_z z and the covariant-derivative grids are computed once for
+    all rows."""
     xs = np.asarray(xs, dtype=float)
     zj = as_field_jet(geom, zeta, p)
     g = geom.metric(p).g
     gamma = geom.christoffel(p)
-    rzz = np.einsum("ijkl,i,l->jk", riemann(geom, p).r_low, zj.val, zj.val)
+    rzz = np.einsum("...ijkl,...i,...l->...jk", riemann(geom, p).r_low, zj.val, zj.val)
     nxz = xs @ nabla_grid(gamma, zj.val, zj.d)
     nw = nabla_grid(gamma, *nabla_zeta_zeta(geom, zeta, p))
     return np.abs(form(rzz, xs, xs) - form(g, nxz, nxz) - form(nw @ g, xs, xs))
 
 
-def constant_length_stddev(geom: Geometry, zeta, points: list[Point]) -> float:
-    vals = []
-    for p in points:
-        zv = geom.field_values(zeta, p)
-        vals.append(float(zv @ geom.metric(p).g @ zv))
-    return float(np.std(np.asarray(vals)))
+def constant_length_stddev(geom: Geometry, zeta) -> float:
+    """Spread of g(zeta, zeta) over the geometry's sample points."""
+    zv = geom.field_values(zeta)
+    return float(np.std(bilinear(geom.metric().g, zv, zv)))

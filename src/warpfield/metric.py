@@ -206,6 +206,10 @@ class ProductStructure:
         """p's coordinates by name, as error messages print them."""
         return ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names, p.coords))
 
+    def _warp_message(self, fiber: BlockMetric, warp: Expr, v: float, p: Point) -> str:
+        return (f"warping for {fiber.label} evaluates to {v} at ({self.where(p)}) "
+                f"in {fieldexpr.pretty(warp)}")
+
     def _require_finite(self, points: list[Point], *arrays) -> None:
         """DomainError at the first point where a metric array (sample axis
         first, entry axes last) is not finite, naming that entry: a base
@@ -245,9 +249,7 @@ class ProductStructure:
         for w, f in zip(self.warps, self.fibers):
             v = float(eval_expr(w, env))
             if v <= 0.0:
-                raise NonPositiveWarping(
-                    f"warping for {f.label} evaluates to {v} at {p.coords}"
-                )
+                raise NonPositiveWarping(self._warp_message(f, w, v, p))
             vals.append(v)
         return tuple(vals)
 
@@ -304,8 +306,8 @@ class ProductStructure:
                 bad = np.flatnonzero(vals <= 0.0)
                 if bad.size:
                     k = bad[0]
-                    raise NonPositiveWarping(f"warping for {f.label} evaluates to "
-                                             f"{float(vals[k])} at {points[k].coords}")
+                    raise NonPositiveWarping(self._warp_message(f, self.warps[i],
+                                                                float(vals[k]), points[k]))
                 w2 = w * w
                 for a, b, jet in entries(f):
                     put(self.slices[i + 1], a, b, w2 * jet)

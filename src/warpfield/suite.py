@@ -107,10 +107,8 @@ class RunContext:
     their block coordinates): the product carries the manifest's shift,
     the base carries it only when P lives on the base, and the fibers
     carry none.  The connection is chosen by ``kind`` at each call.
-
-    The run's table of per-field sample quantities (``over_samples``)
-    lives here too, so every check of one run shares it and nothing
-    outlives the run.
+    Every check of one run reads the same geometries, so each stack is
+    computed once per run, and nothing outlives the run.
     """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
@@ -131,7 +129,8 @@ class RunContext:
             (i, Geometry(self.ps.fiber_structure(i), None,
                          self.block_points(self._points, i)))
             for i in range(len(self.ps.fibers)))
-        self._table: dict = {}
+        self._combos: dict[str, ProductField] | None = None
+        self._rehomed: dict[VectorFieldDef, ProductField] = {}
 
     # ---- sampling ----
 
@@ -156,15 +155,26 @@ class RunContext:
         return {name: f for name, f in self.mf.fields.items() if f.block == block}
 
     def field_combos(self) -> dict[str, ProductField]:
-        """Named manifest fields plus pairwise cross-block sums."""
-        combos = {name: lift(f) for name, f in self.mf.fields.items()}
-        names = sorted(self.mf.fields)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                fa, fb = self.mf.fields[a], self.mf.fields[b]
-                if fa.block != fb.block:
-                    combos[f"{a}+{b}"] = ProductField((fa, fb))
-        return combos
+        """Named manifest fields plus pairwise cross-block sums, built once
+        per run; callers never modify the dict."""
+        if self._combos is None:
+            fields = self.mf.fields
+            combos = {name: lift(f) for name, f in fields.items()}
+            names = sorted(fields)
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    if fields[a].block != fields[b].block:
+                        combos[f"{a}+{b}"] = ProductField((fields[a], fields[b]))
+            self._combos = combos
+        return self._combos
+
+    def rehomed(self, vfd: VectorFieldDef) -> ProductField:
+        """A lifted field viewed on its own block's geometry (``rehome``),
+        built once per run."""
+        got = self._rehomed.get(vfd)
+        if got is None:
+            got = self._rehomed[vfd] = rehome(vfd)
+        return got
 
     def block_geom(self, block) -> Geometry:
         """The geometry of one block viewed as a standalone manifold."""
@@ -172,30 +182,21 @@ class RunContext:
 
     # ---- per-field sample quantities ----
 
-    def over_samples(self, fn, zeta, block=None, **kw) -> list:
-        """fn(geom, zeta, p, **kw) at each sample point of the product.
+    def over_samples(self, fn, zeta, block=None, **kw):
+        """fn(geom, zeta, None, **kw): fn's stack over the sample points of
+        the product, sample axis first.
 
         With ``block``, ``zeta`` is a lifted field on that block, evaluated
-        on the block's own geometry at each point's block coordinates.
-        The first request for (fn, zeta, block, kw) evaluates it; later
-        ones return the same list, whose entries callers never modify.
-        ``fn`` is called point by point, so a replacement of it sees every
-        point; for ``lie_matrix`` and ``lie_lie_matrix`` each call is a row
-        of the geometry's stack, which the first call computes.
+        on the block's own geometry at the points' block coordinates.  The
+        geometry computes each stack once and returns it on every later
+        request; callers never modify it.
         """
-        key = (fn, zeta, block, tuple(sorted(kw.items())))
-        values = self._table.get(key)
-        if values is None:
-            if block is None:
-                geom, pts = self.geom, self._points
-            else:
-                geom, zeta = self.block_geom(block), rehome(zeta)
-                pts = self.block_points(self._points, block)
-            values = self._table[key] = [fn(geom, zeta, p, **kw) for p in pts]
-        return values
+        if block is None:
+            return fn(self.geom, zeta, None, **kw)
+        return fn(self.block_geom(block), self.rehomed(zeta), None, **kw)
 
     def sample_max(self, fn, zeta, block=None, **kw) -> float:
-        """Max over the sample points of |fn(geom, zeta, p)| (see over_samples)."""
+        """Max over the sample points of |fn| (see over_samples)."""
         return max_abs(self.over_samples(fn, zeta, block, **kw))
 
 

@@ -2,10 +2,11 @@
 jets, the index-raised gradient, the metric pairing, block signatures,
 metricity on constant vectors, the sectional curvature of one plane,
 one-draw-at-a-time point sampling, and the connection-layer formulas
-(Christoffel symbols and their partials, the shifted symbols, L_zeta g,
-L_zeta L_zeta g and nabla_zeta zeta) at a single point.  Each is written
-for a single point and a single vector, independent of the batched paths
-the checks take."""
+(Christoffel symbols and their partials, the shifted symbols, the
+covariant derivative, the Lie bracket, torsion, L_zeta g, L_zeta
+L_zeta g, nabla_zeta zeta and the curvature) at a single point.  Each is
+written for a single point and a single vector, independent of the
+batched paths the checks take."""
 
 import numpy as np
 
@@ -14,9 +15,11 @@ from warpfield.connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
     Geometry,
+    as_field_jet,
     covariant_derivative,
+    nabla_grid,
 )
-from warpfield.curvature import CurvatureAt, riemann
+from warpfield.curvature import Curvature, riemann
 from warpfield.fields import lift
 from warpfield.jets import Jet2, Point
 from warpfield.metric import (
@@ -122,7 +125,7 @@ def plane_area_sq(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> 
 
 
 def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray,
-              curv: CurvatureAt | None = None) -> float:
+              curv: Curvature | None = None) -> float:
     """K = -R(zeta, x, zeta, x) / area^2 of the spanned plane."""
     a2 = plane_area_sq(geom, p, zeta, x)
     if abs(a2) <= 1e-10:
@@ -236,3 +239,43 @@ def nabla_zeta_zeta_at(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.n
           + np.einsum("kij,mi,j->mk", gamma, zj.d, zj.val)
           + np.einsum("kij,i,mj->mk", gamma, zj.val, zj.d))
     return w, dw
+
+
+def covariant_derivative_at(geom: Geometry, x, z, p: Point,
+                            kind: str = LEVI_CIVITA) -> np.ndarray:
+    """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j as one vector-matrix
+    product at p."""
+    zj = as_field_jet(geom, z, p)
+    return geom.field_values(x, p) @ nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d)
+
+
+def lie_bracket(geom: Geometry, x, y, p: Point) -> np.ndarray:
+    """[x, y]^k = x^i d_i y^k - y^i d_i x^k at p."""
+    xj = as_field_jet(geom, x, p)
+    yj = as_field_jet(geom, y, p)
+    return xj.val @ yj.d - yj.val @ xj.d
+
+
+def torsion_of(geom: Geometry, x, y, p: Point, kind: str = SEMI_SYMMETRIC) -> np.ndarray:
+    """nabla_x y - nabla_y x - [x, y] at p."""
+    return (covariant_derivative_at(geom, x, y, p, kind)
+            - covariant_derivative_at(geom, y, x, p, kind)
+            - lie_bracket(geom, x, y, p))
+
+
+def curvature_at(geom: Geometry, p: Point) -> Curvature:
+    """Riemann and Ricci tensors at p from the Christoffel jet."""
+    gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
+    r_up = (np.einsum("iljk->lkij", dgamma)
+            - np.einsum("jlik->lkij", dgamma)
+            + np.einsum("lim,mjk->lkij", gamma, gamma)
+            - np.einsum("ljm,mik->lkij", gamma, gamma))
+    g = geom.metric_jet(p).g
+    r_low = np.einsum("lm,mkij->ijkl", g, r_up)
+    ricci = np.einsum("aiaj->ij", r_up)
+    return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
+
+
+def riemann_quad(curv: Curvature, zeta: np.ndarray, x: np.ndarray) -> float:
+    """R(zeta, x, x, zeta) from the lowered tensor."""
+    return float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, x, zeta))

@@ -34,6 +34,11 @@ EXP_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = {box}\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
             "warp = exp(t)\n\n[torsion]\nlocation = zero\n")
 
+NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
+            "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
+            "warp = t\n\n[torsion]\nlocation = zero\n\n"
+            "[field.z]\nlocation = base\ncomp.t = 1\n")
+
 
 class TestExitCodes:
     def test_passing_check_exits_zero(self):
@@ -134,6 +139,20 @@ class TestExitCodes:
         [line] = proc.stderr.splitlines()
         assert line.startswith("warpfield: ") and message in line
         assert "overflow" in line or "singular metric block fiber.1" in line
+
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "8"],
+                                      ["killing", "--field", "z"]],
+                             ids=["verify", "killing"])
+    def test_non_positive_warp_names_point_and_expression(self, tmp_path, argv):
+        # the warp is positive at the chart centre but not at every sample
+        path = tmp_path / "neg_warp.wm"
+        path.write_text(NEG_WARP)
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("warpfield: warping for fiber.1 evaluates to -")
+        assert " at (t=" in line and line.endswith(" in t")
 
     def test_domain_error_at_a_sample_point_is_usage_error(self, tmp_path, capsys):
         from warpfield.manifest import load_manifest

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import compat_residual
+from oracles import compat_residual, lie_bracket, torsion_of
 from warpfield import fieldexpr as fe
 from warpfield.connections import (
     LEVI_CIVITA,
@@ -11,8 +11,6 @@ from warpfield.connections import (
     Geometry,
     TorsionSpec,
     covariant_derivative,
-    lie_bracket,
-    torsion_of,
 )
 from warpfield.fields import VectorFieldDef, lift
 from warpfield.jets import Point

@@ -8,7 +8,7 @@ from warpfield import fieldexpr as fe
 from warpfield.connections import Geometry
 from warpfield.curvature import (
     frame_of_matrix,
-    parallel_residual_at,
+    parallel_residual,
     riemann,
     ricci_quadratic,
     trace_nabla,
@@ -125,19 +125,19 @@ class TestParallelAndTrace:
     def test_constant_field_is_parallel(self):
         geom = Geometry(ProductStructure.single(flat()))
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
-        assert parallel_residual_at(geom, zeta, Point((0.2, 0.4))) == 0.0
+        assert parallel_residual(geom, zeta, Point((0.2, 0.4))) == 0.0
 
     def test_constant_interval_field_is_parallel(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
         geom = Geometry(ProductStructure.single(base))
         zeta = lift(VectorFieldDef("base", (fe.num(1.5),)))
-        assert parallel_residual_at(geom, zeta, Point((0.7,))) == 0.0
+        assert parallel_residual(geom, zeta, Point((0.7,))) == 0.0
 
     def test_rotation_is_not_parallel(self):
         geom = Geometry(ProductStructure.single(flat()))
         rot = lift(VectorFieldDef("base", (fe.parse_expr("-y", ("x", "y")),
                                            fe.parse_expr("x", ("x", "y")))))
-        assert parallel_residual_at(geom, rot, Point((0.2, 0.4))) == pytest.approx(1.0)
+        assert parallel_residual(geom, rot, Point((0.2, 0.4))) == pytest.approx(1.0)
 
     def test_trace_of_scaling_field(self):
         # nabla(t dt) = dt on the unit interval: trace 1

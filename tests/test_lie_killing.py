@@ -208,30 +208,33 @@ class TestSecondLie:
         assert bad.verdict != PASS and bad.max_abs >= 1e-1
 
 
-def lie_matrices(geom, comps, pts):
-    zeta = base_field(*comps, coords=("x", "y"))
-    return [lie_matrix(geom, zeta, p) for p in pts]
+def sampled_plane(seed, count):
+    """The plane's geometry over ``count`` sample points."""
+    ps = plane()
+    return Geometry(ps, points=sample_points(ps, count, SplitMix(seed)))
+
+
+def lie_matrices(geom, comps):
+    """L g of a plane field at every sample point of geom."""
+    return lie_matrix(geom, base_field(*comps, coords=("x", "y")))
 
 
 class TestHomothety:
     def test_dilation_factor_two(self):
-        geom = Geometry(plane())
-        pts = sample_points(geom.ps, 32, SplitMix(16))
-        res = homothety_check(geom, pts, lie_matrices(geom, DIL, pts))
+        geom = sampled_plane(16, 32)
+        res = homothety_check(geom, lie_matrices(geom, DIL))
         assert res.homothetic
         assert res.factor == pytest.approx(2.0, abs=1e-12)
 
     def test_killing_field_factor_zero(self):
-        geom = Geometry(plane())
-        pts = sample_points(geom.ps, 32, SplitMix(17))
-        res = homothety_check(geom, pts, lie_matrices(geom, ROT, pts))
+        geom = sampled_plane(17, 32)
+        res = homothety_check(geom, lie_matrices(geom, ROT))
         assert res.homothetic
         assert res.factor == pytest.approx(0.0, abs=1e-12)
 
     def test_shear_not_homothetic(self):
-        geom = Geometry(plane())
-        pts = sample_points(geom.ps, 32, SplitMix(18))
-        res = homothety_check(geom, pts, lie_matrices(geom, ("x^2", "0"), pts))
+        geom = sampled_plane(18, 32)
+        res = homothety_check(geom, lie_matrices(geom, ("x^2", "0")))
         assert not res.homothetic
 
 
@@ -263,9 +266,8 @@ class TestCurvatureCoupling:
         assert worst > 1e-2
 
     def test_constant_length_detector(self):
-        geom = Geometry(plane())
-        pts = sample_points(geom.ps, 16, SplitMix(23))
+        geom = sampled_plane(23, 16)
         const = base_field("1", "0", coords=("x", "y"))
         rot = base_field(*ROT, coords=("x", "y"))
-        assert constant_length_stddev(geom, const, pts) <= 1e-12
-        assert constant_length_stddev(geom, rot, pts) > 1e-3
+        assert constant_length_stddev(geom, const) <= 1e-12
+        assert constant_length_stddev(geom, rot) > 1e-3

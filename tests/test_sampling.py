@@ -5,7 +5,7 @@ draw whole blocks against per-vector loops in the scalar order."""
 import numpy as np
 import pytest
 
-from oracles import sample_points_scalar
+from oracles import riemann_quad, sample_points_scalar, torsion_of
 
 from warpfield.checks import identities, killing, twokilling
 from warpfield.cli import corpus_dir
@@ -14,9 +14,8 @@ from warpfield.connections import (
     SEMI_SYMMETRIC,
     covariant_derivative,
     nabla_grid,
-    torsion_of,
 )
-from warpfield.curvature import riemann, riemann_quad
+from warpfield.curvature import riemann
 from warpfield.lie_killing import nabla_quad, nabla_zeta_zeta
 from warpfield.manifest import load_manifest
 from warpfield.metric import GeometryError, sample_points

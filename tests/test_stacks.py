@@ -9,15 +9,19 @@ import pytest
 
 from oracles import (
     christoffel_at,
+    covariant_derivative_at,
+    curvature_at,
     dchristoffel_at,
     lie_lie_matrix_at,
     lie_matrix_at,
     nabla_zeta_zeta_at,
     ssm_gamma_at,
 )
-from warpfield import connections, lie_killing
+from warpfield import connections, curvature, lie_killing
 from warpfield.cli import corpus_dir
-from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC
+from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC, covariant_derivative
+from warpfield.curvature import riemann
+from warpfield.fields import ProductField, lift
 from warpfield.jets import Point
 from warpfield.lie_killing import lie_lie_matrix, lie_matrix, nabla_zeta_zeta
 from warpfield.manifest import load_manifest
@@ -77,9 +81,7 @@ class TestStacksEqualReferences:
     def test_point_outside_the_sample_set(self, name):
         ctx = RunContext(load_manifest(corpus_dir() / f"{name}.wm"), samples=16)
         geom = ctx.geom
-        off = Point(tuple(0.5 * (a + b) for a, b in
-                          zip(ctx.points()[0].coords, ctx.points()[1].coords)))
-        assert off.coords not in {p.coords for p in ctx.points()}
+        off = off_sample_point(ctx)
         f = next(iter(ctx.field_combos().values()))
         assert np.array_equal(geom.christoffel(off), christoffel_at(geom, off))
         assert np.array_equal(geom.christoffel_jet(off)[1], dchristoffel_at(geom, off))
@@ -94,14 +96,73 @@ class TestStacksEqualReferences:
         assert geom.christoffel().shape[0] == 16
 
 
+def off_sample_point(ctx) -> Point:
+    """The midpoint of the first two sample points, not itself one."""
+    a, b = ctx.points()[0].coords, ctx.points()[1].coords
+    off = Point(tuple(0.5 * (x + y) for x, y in zip(a, b)))
+    assert off.coords not in {p.coords for p in ctx.points()}
+    return off
+
+
+CURVATURE = ("r_up", "r_low", "ricci")
+
+
+class TestCurvatureStack:
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_rows_are_the_single_point_curvature(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        geom = ctx.geom
+        stack = riemann(geom)
+        refs = [curvature_at(geom, p) for p in ctx.points()]
+        for name in CURVATURE:
+            assert np.array_equal(getattr(stack, name),
+                                  np.array([getattr(r, name) for r in refs])), name
+        for k, p in enumerate(ctx.points()):
+            for name in CURVATURE:
+                assert np.array_equal(getattr(riemann(geom, p), name),
+                                      getattr(stack, name)[k]), name
+        off = off_sample_point(ctx)
+        for name in CURVATURE:
+            assert np.array_equal(getattr(riemann(geom, off), name),
+                                  getattr(curvature_at(geom, off), name)), name
+        assert riemann(geom).r_low.shape[0] == 16
+
+
+def synthesized_fields(ctx):
+    """A synthesized field on each block, lifted, and their sum."""
+    blocks = ["base"] + list(range(ctx.mf.fiber_count))
+    parts = [ctx.synth(b, f"stacks:{b}") for b in blocks]
+    return [lift(v) for v in parts] + [ProductField(tuple(parts))]
+
+
+class TestCovariantDerivativeStack:
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_rows_are_the_single_point_derivative(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        geom = ctx.geom
+        fields = synthesized_fields(ctx)
+        const = np.linspace(-1.0, 1.0, ctx.ps.total_dim)
+        for kind in KINDS:
+            for x in fields + [const]:
+                for z in fields + [const]:
+                    got = covariant_derivative(geom, x, z, None, kind)
+                    want = [covariant_derivative_at(geom, x, z, p, kind)
+                            for p in ctx.points()]
+                    assert np.array_equal(got, np.array(want)), kind
+                    assert np.array_equal(covariant_derivative(geom, x, z, ctx.points()[3],
+                                                               kind), want[3])
+
+
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
-          (connections, "_ssm_gamma"), (lie_killing, "_lie_matrices"),
-          (lie_killing, "_lie_lie_matrices"), (lie_killing, "_nabla_zeta_zetas"))
+          (connections, "_ssm_gamma"), (curvature, "_curvatures"),
+          (lie_killing, "_lie_matrices"), (lie_killing, "_lie_lie_matrices"),
+          (lie_killing, "_nabla_zeta_zetas"))
 
 
 class TestStacksComputedOnce:
     """Across all checks of a run, each geometry computes its Christoffel
-    stacks once, and each (geometry, field, kind) Lie stack once."""
+    and curvature stacks once, and each (geometry, field, kind) Lie stack
+    once."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
     def test_each_stack_computed_once(self, name, monkeypatch):

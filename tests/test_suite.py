@@ -323,6 +323,13 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
+def poison_row_1(stack):
+    """A copy of a stack over the sample points with row 1 set to NaN."""
+    out = np.array(stack, dtype=float)
+    out[1] = np.nan
+    return out
+
+
 class TestNonFiniteResiduals:
     """A NaN residual at any sample point, not only the first, must keep
     a check from passing."""
@@ -333,12 +340,11 @@ class TestNonFiniteResiduals:
         import warpfield.checks.twokilling as twokilling
 
         mf = corpus[name]
-        poisoned_at = RunContext(mf, samples=16).points()[1].coords
         real = twokilling.lie_lie_matrix
 
-        def poisoned(geom, zeta, p):
+        def poisoned(geom, zeta, p=None):
             m = real(geom, zeta, p)
-            return np.full_like(m, np.nan) if p.coords == poisoned_at else m
+            return poison_row_1(m) if p is None else m
 
         clean = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
         assert [r.verdict for r in clean] == [PASS]
@@ -357,16 +363,34 @@ class TestNonFiniteResiduals:
         # two NaN residuals give two "not Killing" verdicts, which must not
         # count as agreeing
         mf = corpus[name]
-        poisoned_at = RunContext(mf, samples=16).points()[1].coords
 
-        def poisoned(geom, zeta, p, kind=LEVI_CIVITA):
+        def poisoned(geom, zeta, p=None, kind=LEVI_CIVITA):
             m = lie_matrix(geom, zeta, p, kind)
-            return np.full_like(m, np.nan) if p.coords == poisoned_at else m
+            return poison_row_1(m) if p is None else m
 
         clean = run_checks(registry, mf, registry.select(check), samples=16)
         assert [r.verdict for r in clean] == [PASS]
         patch_everywhere(monkeypatch, lie_matrix, poisoned)
         [res] = run_checks(registry, mf, registry.select(check), samples=16)
+        assert res.verdict == FAIL and np.isnan(res.max_abs)
+
+    @pytest.mark.parametrize("name", ["sphere", "mw2_riem", "grw_exp"])
+    def test_nan_in_one_curvature_row_fails_the_pairing(self, registry, corpus,
+                                                        name, monkeypatch):
+        import warpfield.curvature as curvature
+
+        mf = corpus[name]
+        real = curvature._curvatures
+
+        def poisoned(geom):
+            c = real(geom)
+            return curvature.Curvature(*(poison_row_1(a)
+                                         for a in (c.r_up, c.r_low, c.ricci)))
+
+        clean = run_checks(registry, mf, registry.select("Cor6.3"), samples=16)
+        assert [r.verdict for r in clean] == [PASS]
+        monkeypatch.setattr(curvature, "_curvatures", poisoned)
+        [res] = run_checks(registry, mf, registry.select("Cor6.3"), samples=16)
         assert res.verdict == FAIL and np.isnan(res.max_abs)
 
     def test_reducer_propagates_nan(self):
@@ -411,27 +435,30 @@ class TestOneGeometryPerBlock:
 
 
 class TestRunTable:
-    """The run's table computes each field's L g and L L g once: across all
-    checks of a run, each (geometry, field, point, kind) is evaluated
-    exactly once, and so is each (geometry, point) curvature."""
+    """Every check of a run reads the same geometries' stacks: across all
+    checks of a run, each (geometry, field, kind) Lie stack and each
+    geometry's curvature is computed exactly once, and each field is
+    rehomed onto its block once."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
     def test_each_lie_matrix_evaluated_once(self, registry, corpus, name,
                                             monkeypatch):
+        from warpfield import lie_killing
+
         calls = Counter()
 
-        def counted_lie(geom, zeta, p, kind=LEVI_CIVITA):
-            calls[("lie_matrix", id(geom), zeta, p.coords, kind)] += 1
-            return lie_matrix(geom, zeta, p, kind)
+        def counting(attr):
+            real = getattr(lie_killing, attr)
 
-        def counted_lie_lie(geom, zeta, p):
-            calls[("lie_lie_matrix", id(geom), zeta, p.coords)] += 1
-            return lie_lie_matrix(geom, zeta, p)
+            def counted(geom, *args):
+                calls[(attr, id(geom), args)] += 1
+                return real(geom, *args)
+            return counted
 
-        patch_everywhere(monkeypatch, lie_matrix, counted_lie)
-        patch_everywhere(monkeypatch, lie_lie_matrix, counted_lie_lie)
+        for attr in ("_lie_matrices", "_lie_lie_matrices"):
+            monkeypatch.setattr(lie_killing, attr, counting(attr))
         run_checks(registry, corpus[name], registry.specs, samples=16)
-        assert {key[0] for key in calls} == {"lie_matrix", "lie_lie_matrix"}
+        assert {key[0] for key in calls} == {"_lie_matrices", "_lie_lie_matrices"}
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
 
@@ -441,13 +468,29 @@ class TestRunTable:
         import warpfield.curvature as curvature
 
         calls = Counter()
-        real = curvature.curvature_at
+        real = curvature._curvatures
 
-        def counted(geom, p):
-            calls[(id(geom), p.coords)] += 1
-            return real(geom, p)
+        def counted(geom):
+            calls[id(geom)] += 1
+            return real(geom)
 
-        monkeypatch.setattr(curvature, "curvature_at", counted)
+        monkeypatch.setattr(curvature, "_curvatures", counted)
+        run_checks(registry, corpus[name], registry.specs, samples=16)
+        assert calls
+        repeated = [key for key, n in calls.items() if n > 1]
+        assert repeated == []
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
+    def test_each_field_rehomed_once(self, registry, corpus, name, monkeypatch):
+        from warpfield.fields import rehome
+
+        calls = Counter()
+
+        def counted(vfd):
+            calls[vfd] += 1
+            return rehome(vfd)
+
+        patch_everywhere(monkeypatch, rehome, counted)
         run_checks(registry, corpus[name], registry.specs, samples=16)
         assert calls
         repeated = [key for key, n in calls.items() if n > 1]
