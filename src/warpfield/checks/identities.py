@@ -17,7 +17,7 @@ from ..connections import (
     matvec,
     nabla_grid,
 )
-from ..curvature import trace_nabla
+from ..curvature import FrameConstructionFailure, trace_nabla
 from ..fields import ProductField, lift
 from ..lie_killing import (
     form,
@@ -27,7 +27,7 @@ from ..lie_killing import (
     lie_matrix_direct,
     point_max,
 )
-from ..suite import CheckSpec, Outcome, RunContext, residual_outcome
+from ..suite import CheckSpec, Outcome, RunContext, inconclusive, residual_outcome
 from .util import (
     embed,
     pair,
@@ -363,38 +363,37 @@ def _eq25_check(label: str):
 # ---- frame trace decomposition (Eq 27 shape) ----
 
 
+def _eq27_sides(ctx: RunContext, parts) -> tuple[np.ndarray, np.ndarray]:
+    """The product frame trace of (nabla zeta)^2 and its five-term factor
+    assembly at each sample point (S,) each."""
+    geom, base_geom = ctx.geom, ctx.block_geom("base")
+    lhs = trace_nabla(geom, ProductField(tuple(parts)))
+    gb = base_geom.metric().g
+    zbv = geom.field_values(lift(parts[0]))
+    rhs = trace_nabla(base_geom, ctx.rehomed(parts[0]))
+    for i, zi in enumerate(parts[1:]):
+        fgeom = ctx.block_geom(i)
+        gi = fgeom.metric().g
+        ziv = geom.field_values(lift(zi))[:, ctx.ps.block_slice(i)]
+        wj = geom.warp_jet(i)
+        zbf = dot(zbv, wj.grad)
+        gradf_b = np.linalg.solve(gb, wj.grad[:, ctx.ps.block_slice("base"), None])[..., 0]
+        gf2 = bilinear(gb, gradf_b, gradf_b)
+        rhs = rhs + (trace_nabla(fgeom, ctx.rehomed(zi))
+                     + 2.0 * bilinear(gi, ziv, ziv) * gf2
+                     + gi.shape[-1] / wj.value ** 2 * zbf ** 2
+                     + 2.0 * zbf / wj.value * divergence(fgeom, ctx.rehomed(zi)))
+    return lhs, rhs
+
+
 def _eq27_check(label: str):
     def run(ctx: RunContext) -> Outcome:
-        base_geom = ctx.block_geom("base")
-        vals = []
-        combos = [_zeta_parts(ctx, label), _zeta_parts(ctx, label + "2")]
-        for parts in combos:
-            zeta = ProductField(tuple(parts))
-            zb, zis = lift(parts[0]), [lift(z) for z in parts[1:]]
-            for p in ctx.points():
-                lhs = trace_nabla(ctx.geom, zeta, p)
-                pb = ctx.ps.block_point(p, "base")
-                rhs = trace_nabla(base_geom, ctx.rehomed(parts[0]), pb)
-                gb = base_geom.metric(pb).g
-                zbj = ctx.geom.field_jet(zb, p)
-                for i in range(len(ctx.ps.fibers)):
-                    pi_ = ctx.ps.block_point(p, i)
-                    fgeom = ctx.block_geom(i)
-                    gi = fgeom.metric(pi_).g
-                    sl = ctx.ps.block_slice(i)
-                    ziv = ctx.geom.field_values(zis[i], p)[sl]
-                    wj = ctx.geom.warp_jet(i, p)
-                    zbf = float(zbj.val @ wj.grad)
-                    gradf_b = np.linalg.solve(gb, wj.grad[ctx.ps.block_slice("base")])
-                    gf2 = float(gradf_b @ gb @ gradf_b)
-                    ni = gi.shape[0]
-                    rhs += (trace_nabla(fgeom, ctx.rehomed(parts[i + 1]), pi_)
-                            + 2.0 * float(ziv @ gi @ ziv) * gf2
-                            + ni / wj.value ** 2 * zbf ** 2
-                            + 2.0 * zbf / wj.value
-                            * divergence(fgeom, ctx.rehomed(parts[i + 1]), pi_))
-                vals.append(abs(lhs - rhs))
-        return residual_outcome(vals, ctx.tol.trace)
+        try:
+            sides = [_eq27_sides(ctx, _zeta_parts(ctx, lb)) for lb in (label, label + "2")]
+        except FrameConstructionFailure as err:
+            return inconclusive(str(err))
+        return residual_outcome(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in sides]),
+                                ctx.tol.trace)
 
     return run
 
@@ -403,15 +402,14 @@ def _eq27_check(label: str):
 
 
 def _route_check(label: str, count: int, fn, other, **kw):
-    """fn's stack against the independent per-point route ``other`` on a
-    synthesized field and the first declared field combos, ``count``
+    """fn's stack against the stack of the independent route ``other`` on
+    a synthesized field and the first declared field combos, ``count``
     fields in all."""
 
     def run(ctx: RunContext) -> Outcome:
         combos = [ProductField(tuple(_zeta_parts(ctx, label)))]
         combos += list(ctx.field_combos().values())
-        vals = [point_max(ctx.over_samples(fn, zeta, **kw)
-                          - np.array([other(ctx.geom, zeta, p) for p in ctx.points()]))
+        vals = [point_max(ctx.over_samples(fn, zeta, **kw) - ctx.over_samples(other, zeta))
                 for zeta in combos[:count]]
         return residual_outcome(np.concatenate(vals), ctx.tol.two)
 
@@ -461,12 +459,8 @@ def build() -> list[CheckSpec]:
         specs.append(CheckSpec(f"Lemma4.1.{suffix}", "Lemma4.1", "4", "identity",
                                title, applies,
                                _decomp_check(fn, SEMI_SYMMETRIC, "L41")))
-    for suffix, fn, title in [
-        ("1", _item_base_base, items_base[0][2]),
-        ("2", _item_mixed, items_base[1][2]),
-        ("3", _item_mixed_swapped, items_base[2][2]),
-        ("4", _item_diagonal, items_base[4][2]),
-    ]:
+    # the single-fiber lemma has every item but the cross-fiber one
+    for suffix, (_, fn, title) in zip("1234", items_base[:3] + items_base[4:]):
         specs.append(CheckSpec(f"Lemma3.1.{suffix}", "Lemma3.1", "3", "identity",
                                title, warped1_base,
                                _decomp_check(fn, SEMI_SYMMETRIC, "L31")))
@@ -483,12 +477,7 @@ def build() -> list[CheckSpec]:
         specs.append(CheckSpec(f"Lemma4.2.{suffix}", "Lemma4.2", "4", "identity",
                                title, applies,
                                _decomp_check(fn, SEMI_SYMMETRIC, "L42")))
-    for suffix, fn, title in [
-        ("1", _item_base_base, items_fiber[0][2]),
-        ("2", _item_mixed, items_fiber[1][2]),
-        ("3", _item_mixed_swapped, items_fiber[2][2]),
-        ("4", _item_diagonal, items_fiber[4][2]),
-    ]:
+    for suffix, (_, fn, title) in zip("1234", items_fiber[:3] + items_fiber[4:]):
         specs.append(CheckSpec(f"Lemma3.2.{suffix}", "Lemma3.2", "3", "identity",
                                title, warped1_fiber,
                                _decomp_check(fn, SEMI_SYMMETRIC, "L32")))

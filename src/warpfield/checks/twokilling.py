@@ -16,7 +16,13 @@ import math
 import numpy as np
 
 from ..connections import LEVI_CIVITA, nabla_grid
-from ..curvature import parallel_residual, ricci_quadratic, riemann, trace_nabla
+from ..curvature import (
+    FrameConstructionFailure,
+    parallel_residual,
+    ricci_quadratic,
+    riemann,
+    trace_nabla,
+)
 from ..fieldexpr import Bin, Call, Neg, Var, eval_expr, variables_of
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import (
@@ -45,6 +51,7 @@ from .util import (
     pair,
     part_sums,
     second_directional,
+    timelike_line,
     warp_dir_max,
 )
 
@@ -223,7 +230,10 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
         if not _ricci_max(ctx, zeta) <= ctx.tol.hyp:
             continue
         admitted += 1
-        traces = [abs(trace_nabla(ctx.geom, zeta, p)) for p in ctx.points()]
+        try:
+            traces = np.abs(trace_nabla(ctx.geom, zeta))
+        except FrameConstructionFailure as err:
+            return inconclusive(str(err))
         vals.append(np.stack([parallel_residual(ctx.geom, zeta), traces], axis=1).ravel())
     if admitted == 0:
         return inconclusive("no admissible field on the compact model")
@@ -565,7 +575,7 @@ def build() -> list[CheckSpec]:
     base1d = lambda mf: mf.structure.base.dim == 1 and mf.fiber_count >= 1
     kasner_shape = lambda mf: (base1d(mf)
                                and {"a", "b"} <= set(mf.constants)
-                               and _lorentz_interval(mf))
+                               and timelike_line(mf.structure.base, 0.321))
     cbrt_family = lambda mf: base1d(mf) and {"a", "b"} <= set(mf.constants)
 
     specs = [
@@ -634,14 +644,3 @@ def build() -> list[CheckSpec]:
                   kasner_shape, _witness_power_law(use_exponents=True)),
     ]
     return specs
-
-
-def _lorentz_interval(mf) -> bool:
-    ps = mf.structure
-    if ps.base.dim != 1:
-        return False
-    try:
-        v = float(eval_expr(ps.base.entries[0][0], {ps.base.coords[0]: 0.321}))
-    except Exception:
-        return False
-    return v == -1.0

@@ -1,14 +1,16 @@
-"""Shared helpers for the registered checks: the shift predicates, the
-factor-field classifier, the (base part, fiber part) enumeration and the
-contractions that stacks over the sample set are combined with."""
+"""Shared helpers for the registered checks: the shift and timelike-line
+predicates, the factor-field classifier, the (base part, fiber part)
+enumeration and the contractions that stacks over the sample set are
+combined with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..connections import Geometry, dot, matvec
+from ..connections import dot, matvec
+from ..fieldexpr import eval_expr
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
-from ..jets import Jet2, Point
+from ..jets import Jet2
 from ..lie_killing import max_abs
 from ..metric import ProductStructure
 
@@ -19,6 +21,17 @@ def shift_on_base(mf) -> bool:
 
 def shift_on_fiber(mf) -> bool:
     return isinstance(mf.torsion.location, int)
+
+
+def timelike_line(block, at: float = 0.123) -> bool:
+    """A one-dimensional block whose metric entry, probed at coordinate
+    value ``at``, is -1."""
+    if block.dim != 1:
+        return False
+    try:
+        return float(eval_expr(block.entries[0][0], {block.coords[0]: at})) == -1.0
+    except Exception:
+        return False
 
 
 def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
@@ -41,18 +54,15 @@ def second_directional(fj: FieldJet, jet: Jet2):
     return first, dot(fj.val, dfirst)
 
 
-def project_out(ps: ProductStructure, geom_block: Geometry, p_block: Point,
-                vec_block: np.ndarray, against_block: np.ndarray) -> np.ndarray | None:
-    """Component of vec g-orthogonal to ``against`` inside one block.
-
-    Returns None when ``against`` is null there (cannot project).
-    """
-    g = geom_block.metric(p_block).g
-    denom = float(against_block @ g @ against_block)
+def project_out(g: np.ndarray, vec: np.ndarray, against: np.ndarray) -> np.ndarray | None:
+    """Component of vec g-orthogonal to ``against`` (one block's metric and
+    vectors at one point); None when ``against`` is null there (cannot
+    project)."""
+    denom = float(against @ g @ against)
     if abs(denom) < 1e-12:
         return None
-    coef = float(vec_block @ g @ against_block) / denom
-    return vec_block - coef * against_block
+    coef = float(vec @ g @ against) / denom
+    return vec - coef * against
 
 
 def factor_fields(ctx, block, fn, tol: float, **kw) -> list[tuple[str, VectorFieldDef]]:

@@ -288,8 +288,14 @@ def covariant_derivative(
     return (xv[..., None, :] @ nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d))[..., 0, :]
 
 
-def divergence(geom: Geometry, field: ProductField, p: Point) -> float:
-    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
-    fj = as_field_jet(geom, field, p)
-    gamma = geom.christoffel(p)
-    return float(np.trace(fj.d) + np.einsum("kkm,m->", gamma, fj.val))
+def divergence(geom: Geometry, field: ProductField, p: Point | None = None):
+    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V) at p,
+    or at each sample point when p is None; computed once per (geometry,
+    field)."""
+    return geom.at(_divergences, p, field)
+
+
+def _divergences(geom: Geometry, field: ProductField) -> np.ndarray:
+    fj = as_field_jet(geom, field)
+    return (np.trace(fj.d, axis1=-2, axis2=-1)
+            + np.einsum("skkm,sm->s", geom.christoffel(), fj.val))

@@ -13,12 +13,11 @@ g_lm r_up[m, k, i, j]`` (pair first, argument, then the metric slot).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Geometry, as_field_jet, bilinear, covariant_derivative, nabla_grid
+from .connections import Geometry, as_field_jet, bilinear, nabla_grid
 from .jets import Point
 from .metric import GeometryError
 
@@ -60,34 +59,39 @@ def _curvatures(geom: Geometry) -> Curvature:
     return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
 
 
-def frame_of_matrix(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-orthonormal frame rows E_a with signs eps_a = g(E_a, E_a)."""
-    d = g.shape[0]
-    frame = np.zeros((d, d))
-    eps = np.zeros(d)
-    for a in range(d):
-        v = np.zeros(d)
-        v[a] = 1.0
+def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-orthonormal frame rows E_a with signs eps_a = g(E_a, E_a), of
+    one matrix or row by row of a stack (S, d, d): every row goes through
+    the same Gram-Schmidt steps.  A null direction raises, with
+    ``where(k)`` naming the first row k where it was met."""
+    if g.ndim == 2:
+        frame, eps = frame_of_matrix(g[None], where)
+        return frame[0], eps[0]
+    frame, eps = np.zeros(g.shape), np.zeros(g.shape[:2])
+    for a in range(g.shape[-1]):
+        v = np.zeros(g.shape[:2])
+        v[:, a] = 1.0
         for b in range(a):
-            v = v - eps[b] * float(v @ g @ frame[b]) * frame[b]
-        n2 = float(v @ g @ v)
-        if abs(n2) < 1e-12:
-            raise FrameConstructionFailure("null direction met during frame build")
-        frame[a] = v / math.sqrt(abs(n2))
-        eps[a] = 1.0 if n2 > 0 else -1.0
+            v = v - (eps[:, b] * bilinear(g, v, frame[:, b]))[:, None] * frame[:, b]
+        n2 = bilinear(g, v, v)
+        null = np.flatnonzero(np.abs(n2) < 1e-12)
+        if null.size:
+            raise FrameConstructionFailure("null direction met during frame build"
+                                           + (where(null[0]) if where else ""))
+        frame[:, a] = v / np.sqrt(np.abs(n2))[:, None]
+        eps[:, a] = np.where(n2 > 0, 1.0, -1.0)
     return frame, eps
 
 
-def product_frame(geom: Geometry, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block frame of the assembled metric (fiber legs carry 1/warp)."""
-    g = geom.metric(p).g
-    n = g.shape[0]
-    frame = np.zeros((n, n))
-    eps = np.zeros(n)
-    for sl in geom.ps.slices:
-        bf, be = frame_of_matrix(g[sl, sl])
-        frame[sl, sl] = bf
-        eps[sl] = be
+def product_frame(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block frame of the assembled metric at every sample point (fiber
+    legs carry 1/warp); a null direction names its block and point."""
+    g = geom.metric().g
+    frame, eps = np.zeros(g.shape), np.zeros(g.shape[:2])
+    for block, sl in zip(geom.ps.blocks, geom.ps.slices):
+        frame[:, sl, sl], eps[:, sl] = frame_of_matrix(
+            g[:, sl, sl], lambda k: f" of block {block.label} at "
+                                    f"({geom.ps.where(geom.points[k])})")
     return frame, eps
 
 
@@ -98,11 +102,21 @@ def parallel_residual(geom: Geometry, zeta, p: Point | None = None):
     return np.abs(nabla_grid(geom.christoffel(p), zj.val, zj.d)).max(axis=(-2, -1))
 
 
-def trace_nabla(geom: Geometry, zeta, p: Point) -> float:
-    """Sum over a frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta)."""
-    frame, eps = product_frame(geom, p)
-    w = covariant_derivative(geom, frame, zeta, p)   # row a: nabla_{E_a} zeta
-    return float(sum(eps * bilinear(geom.metric(p).g, w, w)))
+def trace_nabla(geom: Geometry, zeta, p: Point | None = None):
+    """Sum over a frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta) at p,
+    or at each sample point when p is None; computed once per (geometry,
+    field)."""
+    return geom.at(_trace_nablas, p, zeta)
+
+
+def _trace_nablas(geom: Geometry, zeta) -> np.ndarray:
+    frame, eps = product_frame(geom)
+    zj = as_field_jet(geom, zeta)
+    grid = nabla_grid(geom.christoffel(), zj.val, zj.d)
+    w = (frame[..., None, :] @ grid[:, None])[..., 0, :]   # row a: nabla_{E_a} zeta
+    # Python's sum adds the frame terms in frame order (np.sum would add
+    # them pairwise for n >= 8)
+    return sum((eps * bilinear(geom.metric().g[:, None], w, w)).T)
 
 
 def ricci_quadratic(geom: Geometry, zeta, p: Point | None = None):

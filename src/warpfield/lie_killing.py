@@ -25,7 +25,6 @@ from .connections import (
     Geometry,
     as_field_jet,
     bilinear,
-    covariant_derivative,
     nabla_grid,
 )
 from .curvature import riemann
@@ -68,9 +67,14 @@ def lie_matrix(geom: Geometry, zeta: ProductField, p: Point | None = None,
 
 
 def _lie_matrices(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
-    zj = geom.field_jet(zeta)
-    wg = nabla_grid(geom.gamma_of(None, kind), zj.val, zj.d) @ geom.metric().g
+    wg = geom.stack(_nabla_grids, zeta, kind) @ geom.metric().g
     return wg + _swap(wg)
+
+
+def _nabla_grids(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
+    """w[s, a, k] = (nabla_{e_a} zeta)^k at every sample point."""
+    zj = geom.field_jet(zeta)
+    return nabla_grid(geom.gamma_of(None, kind), zj.val, zj.d)
 
 
 def _swap(m: np.ndarray) -> np.ndarray:
@@ -83,39 +87,43 @@ def ssm_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
     return lie_matrix(geom, zeta, p, SEMI_SYMMETRIC)
 
 
-def nabla_quad(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) -> float:
-    """g(nabla_x zeta, x), half the Lie derivative's quadratic form."""
-    g = geom.metric(p).g
-    return float(covariant_derivative(geom, x, zeta, p, kind) @ g @ x)
+def nabla_quads(geom: Geometry, zeta: ProductField, ks: np.ndarray, xs: np.ndarray,
+                kind: str = LEVI_CIVITA) -> np.ndarray:
+    """g(nabla_x zeta, x), half the Lie derivative's quadratic form, for
+    each test vector ``xs[m]`` at sample point ``ks[m]``: one gathered
+    contraction with the stacked grid of nabla zeta."""
+    w = geom.stack(_nabla_grids, zeta, kind)[ks]
+    return bilinear(geom.metric().g[ks], (xs[:, None, :] @ w)[:, 0], xs)
 
 
-def lie_matrix_direct(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """Coordinate-route (L_zeta g)_ab; independent of the connection code."""
+def lie_matrix_direct(geom: Geometry, zeta, p: Point | None = None) -> np.ndarray:
+    """Coordinate-route (L_zeta g)_ab at p, or at every sample point when p
+    is None; independent of the connection code."""
     mj = geom.metric_jet(p)
     zj = as_field_jet(geom, zeta, p)
-    return (np.einsum("c,cab->ab", zj.val, mj.dg)
-            + zj.d @ mj.g
-            + (zj.d @ mj.g).T)
+    dzg = zj.d @ mj.g
+    return np.einsum("...c,...cab->...ab", zj.val, mj.dg) + dzg + _swap(dzg)
 
 
 def _lie_of_tensor(h: np.ndarray, dh: np.ndarray, zj) -> np.ndarray:
     """One coordinate-route Lie step applied to a 2-tensor with jets."""
-    return (np.einsum("c,cab->ab", zj.val, dh)
-            + np.einsum("ac,cb->ab", zj.d, h)
-            + np.einsum("bc,ac->ab", zj.d, h))
+    return (np.einsum("...c,...cab->...ab", zj.val, dh)
+            + np.einsum("...ac,...cb->...ab", zj.d, h)
+            + np.einsum("...bc,...ac->...ab", zj.d, h))
 
 
-def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
+def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point | None = None) -> np.ndarray:
+    """(L_zeta L_zeta g)_ab by applying the coordinate formula twice, at p
+    or at every sample point when p is None."""
     mj = geom.metric_jet(p)
     zj = as_field_jet(geom, zeta, p)
     h = lie_matrix_direct(geom, zeta, p)
-    dh = (np.einsum("mc,cab->mab", zj.d, mj.dg)
-          + np.einsum("c,mcab->mab", zj.val, mj.d2g)
-          + np.einsum("mac,cb->mab", zj.d2, mj.g)
-          + np.einsum("ac,mcb->mab", zj.d, mj.dg)
-          + np.einsum("mbc,ac->mab", zj.d2, mj.g)
-          + np.einsum("bc,mac->mab", zj.d, mj.dg))
+    dh = (np.einsum("...mc,...cab->...mab", zj.d, mj.dg)
+          + np.einsum("...c,...mcab->...mab", zj.val, mj.d2g)
+          + np.einsum("...mac,...cb->...mab", zj.d2, mj.g)
+          + np.einsum("...ac,...mcb->...mab", zj.d, mj.dg)
+          + np.einsum("...mbc,...ac->...mab", zj.d2, mj.g)
+          + np.einsum("...bc,...mac->...mab", zj.d, mj.dg))
     return _lie_of_tensor(h, dh, zj)
 
 

@@ -4,9 +4,13 @@ metricity on constant vectors, the sectional curvature of one plane,
 one-draw-at-a-time point sampling, and the connection-layer formulas
 (Christoffel symbols and their partials, the shifted symbols, the
 covariant derivative, the Lie bracket, torsion, L_zeta g, L_zeta
-L_zeta g, nabla_zeta zeta and the curvature) at a single point.  Each is
-written for a single point and a single vector, independent of the
-batched paths the checks take."""
+L_zeta g, nabla_zeta zeta and the curvature), the coordinate routes of
+L_zeta g and L_zeta L_zeta g, the quadratic form g(nabla_x zeta, x), the
+pseudo-orthonormal frame, the frame trace and the divergence at a single
+point.  Each is written for a single point and a single vector,
+independent of the batched paths the checks take."""
+
+import math
 
 import numpy as np
 
@@ -16,10 +20,11 @@ from warpfield.connections import (
     SEMI_SYMMETRIC,
     Geometry,
     as_field_jet,
+    bilinear,
     covariant_derivative,
     nabla_grid,
 )
-from warpfield.curvature import Curvature, riemann
+from warpfield.curvature import Curvature, FrameConstructionFailure, riemann
 from warpfield.fields import lift
 from warpfield.jets import Jet2, Point
 from warpfield.metric import (
@@ -279,3 +284,77 @@ def curvature_at(geom: Geometry, p: Point) -> Curvature:
 def riemann_quad(curv: Curvature, zeta: np.ndarray, x: np.ndarray) -> float:
     """R(zeta, x, x, zeta) from the lowered tensor."""
     return float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, x, zeta))
+
+
+def nabla_quad_at(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) -> float:
+    """g(nabla_x zeta, x), half the Lie derivative's quadratic form."""
+    g = geom.metric(p).g
+    return float(covariant_derivative_at(geom, x, zeta, p, kind) @ g @ x)
+
+
+# ---- the coordinate routes at one point ----
+
+
+def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+    """(L_zeta g)_ab = zeta^c d_c g_ab + d_a zeta^c g_cb + d_b zeta^c g_ac."""
+    mj = geom.metric_jet(p)
+    zj = as_field_jet(geom, zeta, p)
+    return (np.einsum("c,cab->ab", zj.val, mj.dg)
+            + zj.d @ mj.g
+            + (zj.d @ mj.g).T)
+
+
+def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+    """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
+    mj = geom.metric_jet(p)
+    zj = as_field_jet(geom, zeta, p)
+    h = lie_matrix_direct_at(geom, zeta, p)
+    dh = (np.einsum("mc,cab->mab", zj.d, mj.dg)
+          + np.einsum("c,mcab->mab", zj.val, mj.d2g)
+          + np.einsum("mac,cb->mab", zj.d2, mj.g)
+          + np.einsum("ac,mcb->mab", zj.d, mj.dg)
+          + np.einsum("mbc,ac->mab", zj.d2, mj.g)
+          + np.einsum("bc,mac->mab", zj.d, mj.dg))
+    return (np.einsum("c,cab->ab", zj.val, dh)
+            + np.einsum("ac,cb->ab", zj.d, h)
+            + np.einsum("bc,ac->ab", zj.d, h))
+
+
+# ---- frames and traces at one point ----
+
+
+def frame_of_matrix_at(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-orthonormal frame rows E_a with signs eps_a = g(E_a, E_a)."""
+    d = g.shape[0]
+    frame = np.zeros((d, d))
+    eps = np.zeros(d)
+    for a in range(d):
+        v = np.zeros(d)
+        v[a] = 1.0
+        for b in range(a):
+            v = v - eps[b] * float(v @ g @ frame[b]) * frame[b]
+        n2 = float(v @ g @ v)
+        if abs(n2) < 1e-12:
+            raise FrameConstructionFailure("null direction met during frame build")
+        frame[a] = v / math.sqrt(abs(n2))
+        eps[a] = 1.0 if n2 > 0 else -1.0
+    return frame, eps
+
+
+def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
+    """Sum over the per-block frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta)."""
+    g = geom.metric(p).g
+    n = g.shape[0]
+    frame = np.zeros((n, n))
+    eps = np.zeros(n)
+    for sl in geom.ps.slices:
+        frame[sl, sl], eps[sl] = frame_of_matrix_at(g[sl, sl])
+    w = np.array([covariant_derivative_at(geom, e, zeta, p) for e in frame])
+    return float(sum(eps * bilinear(g, w, w)))
+
+
+def divergence_at(geom: Geometry, field, p: Point) -> float:
+    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
+    fj = as_field_jet(geom, field, p)
+    gamma = christoffel_at(geom, p)
+    return float(np.trace(fj.d) + np.einsum("kkm,m->", gamma, fj.val))

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from warpfield.cli import corpus_dir, main, resolve_manifest
+from warpfield.manifest import load_manifest
+from warpfield.suite import default_registry
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -33,6 +35,13 @@ DIV_CONSTANT = ("[constants]\na = 1\n\n[base]\ndim = 1\ncoords = t\ng.t.t = 1\n"
 EXP_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = {box}\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
             "warp = exp(t)\n\n[torsion]\nlocation = zero\n")
+
+# a fiber in light-cone coordinates: its coordinate directions are null
+LIGHT_CONE = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
+              "[fiber.1]\ndim = 2\ncoords = u, v\ng.u.v = 1\nbox.u = -1, 1\n"
+              "box.v = -1, 1\nwarp = 1 + x^2\n\n[torsion]\nlocation = zero\n\n"
+              "[field.z]\nlocation = base\ncomp.x = 1\n\n"
+              "[field.w]\nlocation = fiber.1\ncomp.u = 1\n")
 
 NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
@@ -181,6 +190,31 @@ class TestExitCodes:
             # and the expression that left it
             bad = next(p for p in points if p.coords[0] <= 0.0)
             assert f"at (t={bad.coords[0]!r}) in log(t)" in captured.err
+
+
+class TestNullFrame:
+    """A frame trace over a block whose coordinate directions are null."""
+
+    def test_frame_trace_is_inconclusive_naming_block_and_point(self, tmp_path, capsys):
+        path = tmp_path / "light_cone.wm"
+        path.write_text(LIGHT_CONE)
+        # an explicitly selected check that is inconclusive exits 1
+        assert main(["verify", str(path), "--props", "Prop6.12", "--samples", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [row] = captured.out.splitlines()[1:-1]
+        assert row.startswith("----  Prop6.12")
+        assert "null direction" in row and "fiber.1" in row and "(x=" in row
+
+    def test_full_run_reports_every_applicable_check(self, tmp_path, capsys):
+        path = tmp_path / "light_cone.wm"
+        path.write_text(LIGHT_CONE)
+        assert main(["verify", str(path), "--samples", "8"]) in (0, 1)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split()[1] for line in captured.out.splitlines()[1:-1]]
+        mf = load_manifest(path)
+        assert rows == sorted(s.id for s in default_registry().specs if s.applies(mf))
 
 
 class TestFlagBounds:

@@ -5,7 +5,7 @@ draw whole blocks against per-vector loops in the scalar order."""
 import numpy as np
 import pytest
 
-from oracles import riemann_quad, sample_points_scalar, torsion_of
+from oracles import nabla_quad_at, riemann_quad, sample_points_scalar, torsion_of
 
 from warpfield.checks import identities, killing, twokilling
 from warpfield.cli import corpus_dir
@@ -16,7 +16,7 @@ from warpfield.connections import (
     nabla_grid,
 )
 from warpfield.curvature import riemann
-from warpfield.lie_killing import nabla_quad, nabla_zeta_zeta
+from warpfield.lie_killing import nabla_zeta_zeta
 from warpfield.manifest import load_manifest
 from warpfield.metric import GeometryError, sample_points
 from warpfield.sampling import SplitMix
@@ -88,8 +88,8 @@ def remark_loop(ctx):
             g, zv, piv = geom.metric(p).g, geom.field_values(zeta, p), geom.pi_covector(p)
             for _ in range(4):
                 x = np.array(rng.vector(n))
-                lhs.append(nabla_quad(geom, zeta, x, p, SEMI_SYMMETRIC))
-                rhs.append(nabla_quad(geom, zeta, x, p, LEVI_CIVITA)
+                lhs.append(nabla_quad_at(geom, zeta, x, p, SEMI_SYMMETRIC))
+                rhs.append(nabla_quad_at(geom, zeta, x, p, LEVI_CIVITA)
                            + (zv @ piv) * (x @ g @ x) - (x @ piv) * (x @ g @ zv))
         out += [lhs, rhs]
     return out

@@ -1,6 +1,7 @@
 """The geometry's stacks: every connection-layer quantity is computed once
 per sample set as one array, and each of its rows is bit for bit the
-single-point reference formula in ``oracles``."""
+single-point reference formula in ``oracles``.  The checks read only
+these stacks: no check looks a quantity up by point."""
 
 from collections import Counter
 
@@ -12,18 +13,37 @@ from oracles import (
     covariant_derivative_at,
     curvature_at,
     dchristoffel_at,
+    divergence_at,
     lie_lie_matrix_at,
+    lie_lie_matrix_nested_at,
     lie_matrix_at,
+    lie_matrix_direct_at,
+    nabla_quad_at,
     nabla_zeta_zeta_at,
     ssm_gamma_at,
+    trace_nabla_at,
 )
 from warpfield import connections, curvature, lie_killing
+from warpfield.checks import killing
 from warpfield.cli import corpus_dir
-from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC, covariant_derivative
-from warpfield.curvature import riemann
+from warpfield.connections import (
+    LEVI_CIVITA,
+    SEMI_SYMMETRIC,
+    Geometry,
+    covariant_derivative,
+    divergence,
+)
+from warpfield.curvature import riemann, trace_nabla
 from warpfield.fields import ProductField, lift
 from warpfield.jets import Point
-from warpfield.lie_killing import lie_lie_matrix, lie_matrix, nabla_zeta_zeta
+from warpfield.lie_killing import (
+    lie_lie_matrix,
+    lie_lie_matrix_nested,
+    lie_matrix,
+    lie_matrix_direct,
+    nabla_quads,
+    nabla_zeta_zeta,
+)
 from warpfield.manifest import load_manifest
 from warpfield.suite import RunContext, default_registry, run_checks
 
@@ -182,3 +202,95 @@ class TestStacksComputedOnce:
         assert {key[0] for key in calls} == {attr for _, attr in STACKS}
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
+
+
+# ---- the quantities behind the cones, witnesses, frame traces and
+# coordinate routes ----
+
+
+FIELD_STACKS = (("trace_nabla", trace_nabla, trace_nabla_at),
+                ("divergence", divergence, divergence_at),
+                ("lie_matrix_direct", lie_matrix_direct, lie_matrix_direct_at),
+                ("lie_lie_matrix_nested", lie_lie_matrix_nested, lie_lie_matrix_nested_at))
+
+
+class TestCheckQuantityStacks:
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_rows_are_the_single_point_formulas(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        geom, pts = ctx.geom, ctx.points()
+        off = off_sample_point(ctx)
+        for f in list(ctx.field_combos().values()) + synthesized_fields(ctx):
+            for name, stacked, reference in FIELD_STACKS:
+                assert np.array_equal(stacked(geom, f, None),
+                                      np.array([reference(geom, f, p) for p in pts])), name
+                assert np.array_equal(stacked(geom, f, off), reference(geom, f, off)), name
+
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_gathered_quadratic_forms_are_the_single_vector_form(self, path):
+        ctx = RunContext(load_manifest(path), samples=16)
+        geom, pts, n = ctx.geom, ctx.points(), ctx.ps.total_dim
+        off = off_sample_point(ctx)
+        alone = Geometry(ctx.ps, ctx.mf.torsion, [off])
+        rng = ctx.rng("test:nabla_quads")
+        ks = np.array([rng.next_u64() % len(pts) for _ in range(40)])
+        xs = rng.block((40, n))
+        for f in list(ctx.field_combos().values()) + synthesized_fields(ctx):
+            for kind in KINDS:
+                got = nabla_quads(geom, f, ks, xs, kind)
+                want = [nabla_quad_at(geom, f, x, pts[k], kind) for k, x in zip(ks, xs)]
+                assert np.array_equal(got, np.array(want)), kind
+                assert np.array_equal(nabla_quads(alone, f, np.zeros(1, int), xs[:1], kind),
+                                      [nabla_quad_at(geom, f, xs[0], off, kind)]), kind
+
+
+class TestNoPointLookups:
+    """A full run reads every geometric quantity from the stacks: no check
+    looks one up by point, and no cone builds a field per draw (the shift
+    lives on a fiber in mw2_fib, whose cones are block-pure, and on the
+    base in mw2_grw, whose cones are orthogonal)."""
+
+    @pytest.mark.parametrize("name", ["mw2_fib", "mw2_grw"])
+    def test_full_run(self, name, monkeypatch):
+        keyed = Counter()
+        real_at = Geometry.at
+
+        def at(geom, compute, p, *args):
+            if p is not None:
+                keyed[compute.__name__] += 1
+            return real_at(geom, compute, p, *args)
+
+        drawing = []   # the sample row of the draw in progress
+        draws = []
+        built = []
+        real_post_init = ProductField.__post_init__
+
+        def post_init(field):
+            if drawing:
+                built.append(field)
+            real_post_init(field)
+
+        def watched(make_cone):
+            def make(*args, **kw):
+                cone = make_cone(*args, **kw)
+
+                def draw(k, rng):
+                    draws.append(k)
+                    drawing.append(k)
+                    try:
+                        return cone(k, rng)
+                    finally:
+                        drawing.pop()
+                return draw
+            return make
+
+        monkeypatch.setattr(Geometry, "at", at)
+        monkeypatch.setattr(ProductField, "__post_init__", post_init)
+        for attr in ("_orth_cone", "_pure_cone"):
+            monkeypatch.setattr(killing, attr, watched(getattr(killing, attr)))
+        registry = default_registry()
+        run_checks(registry, load_manifest(corpus_dir() / f"{name}.wm"),
+                   registry.specs, samples=16)
+        assert sorted(set(draws)) == list(range(16))
+        assert keyed == Counter()
+        assert built == []
