@@ -74,7 +74,7 @@ def _axiom_compat(ctx: RunContext) -> Outcome:
     x, y, z = _axiom_draws(ctx, "axiom-compat", 3)
     geom = ctx.geom
     gamma = geom.ssm_gamma()[:, None]
-    g = geom.metric().g
+    g = geom.metric_jet().g
     dg = geom.metric_jet().dg
     lead = np.einsum("sdc,scab,sda,sdb->sd", x, dg, y, z)
     vals = (lead - form(g, _nabla_const(gamma, x, y), z)
@@ -104,20 +104,20 @@ class _Decomp:
 
 def _item_base_base(ctx, d: _Decomp, kind: str) -> np.ndarray:
     geom = ctx.geom
-    lhs = covariant_derivative(geom, lift(d.xb), lift(d.yb), None, kind)
+    lhs = covariant_derivative(geom, lift(d.xb), lift(d.yb), kind)
     base_geom = ctx.block_geom("base")
     xb, yb = ctx.rehomed(d.xb), ctx.rehomed(d.yb)
     if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
         # base part shifts by -g_B(XB, YB) P when the shift lives on a fiber
-        gb = base_geom.metric().g
+        gb = base_geom.metric_jet().g
         sl = ctx.ps.block_slice("base")
         xbv = geom.field_values(lift(d.xb))[:, sl]
         ybv = geom.field_values(lift(d.yb))[:, sl]
         full = (embed(ctx.ps, "base",
-                      covariant_derivative(base_geom, xb, yb, None, LEVI_CIVITA))
+                      covariant_derivative(base_geom, xb, yb, LEVI_CIVITA))
                 - bilinear(gb, xbv, ybv)[:, None] * geom.p_vector())
     else:
-        full = embed(ctx.ps, "base", covariant_derivative(base_geom, xb, yb, None, kind))
+        full = embed(ctx.ps, "base", covariant_derivative(base_geom, xb, yb, kind))
     return point_max(lhs - full)
 
 
@@ -127,12 +127,12 @@ def _item_mixed(ctx, d: _Decomp, kind: str) -> np.ndarray:
     gaps = []
     xbv = geom.field_values(lift(d.xb))
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(geom, lift(d.xb), lift(d.yi[i]), None, kind)
+        lhs = covariant_derivative(geom, lift(d.xb), lift(d.yi[i]), kind)
         wj = geom.warp_jet(i)
         yiv = geom.field_values(lift(d.yi[i]))
         rhs = (dot(xbv, wj.grad) / wj.value)[:, None] * yiv
         if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
-            rhs = rhs + geom.pi_of(None, yiv)[:, None] * xbv
+            rhs = rhs + geom.pi_of(yiv)[:, None] * xbv
         gaps.append(lhs - rhs)
     return point_max(np.stack(gaps, axis=1))
 
@@ -143,12 +143,12 @@ def _item_mixed_swapped(ctx, d: _Decomp, kind: str) -> np.ndarray:
     gaps = []
     xbv = geom.field_values(lift(d.xb))
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(geom, lift(d.yi[i]), lift(d.xb), None, kind)
+        lhs = covariant_derivative(geom, lift(d.yi[i]), lift(d.xb), kind)
         wj = geom.warp_jet(i)
         yiv = geom.field_values(lift(d.yi[i]))
         coeff = dot(xbv, wj.grad) / wj.value
         if kind == SEMI_SYMMETRIC and shift_on_base(ctx.mf):
-            coeff = coeff + geom.pi_of(None, xbv)
+            coeff = coeff + geom.pi_of(xbv)
         gaps.append(lhs - coeff[:, None] * yiv)
     return point_max(np.stack(gaps, axis=1))
 
@@ -161,10 +161,10 @@ def _item_cross_fiber(ctx, d: _Decomp, kind: str) -> np.ndarray:
         for j in d.fiber_pairs():
             if i == j:
                 continue
-            lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[j]), None, kind)
+            lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[j]), kind)
             if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
                 yjv = geom.field_values(lift(d.yi[j]))
-                lhs = lhs - geom.pi_of(None, yjv)[:, None] * geom.field_values(lift(d.xi[i]))
+                lhs = lhs - geom.pi_of(yjv)[:, None] * geom.field_values(lift(d.xi[i]))
             gaps.append(lhs)
     return point_max(np.stack(gaps, axis=1))
 
@@ -174,21 +174,21 @@ def _item_diagonal(ctx, d: _Decomp, kind: str) -> np.ndarray:
     geom = ctx.geom
     gaps = []
     for i in d.fiber_pairs():
-        lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[i]), None, kind)
+        lhs = covariant_derivative(geom, lift(d.xi[i]), lift(d.yi[i]), kind)
         wj = geom.warp_jet(i)
         fgeom = ctx.block_geom(i)
         sl = ctx.ps.block_slice(i)
         xiv = geom.field_values(lift(d.xi[i]))
         yiv = geom.field_values(lift(d.yi[i]))
-        gixy = bilinear(fgeom.metric().g, xiv[:, sl], yiv[:, sl])
+        gixy = bilinear(fgeom.metric_jet().g, xiv[:, sl], yiv[:, sl])
         nab_i = covariant_derivative(fgeom, ctx.rehomed(d.xi[i]), ctx.rehomed(d.yi[i]),
-                                     None, LEVI_CIVITA)
-        grad_warp = matvec(geom.metric().ginv, wj.grad)
+                                     LEVI_CIVITA)
+        grad_warp = matvec(geom.metric_jet().ginv, wj.grad)
         rhs = (-wj.value * gixy)[:, None] * grad_warp + embed(ctx.ps, i, nab_i)
         if kind == SEMI_SYMMETRIC:
             rhs = rhs - (wj.value ** 2 * gixy)[:, None] * geom.p_vector()
             if shift_on_fiber(ctx.mf):
-                rhs = rhs + geom.pi_of(None, yiv)[:, None] * xiv
+                rhs = rhs + geom.pi_of(yiv)[:, None] * xiv
         gaps.append(lhs - rhs)
     return point_max(np.stack(gaps, axis=1))
 
@@ -224,7 +224,7 @@ def _fiber_terms(ctx: RunContext, parts, i: int):
     with f_i and zB(f_i) shaped to scale a stack of matrices."""
     wj = ctx.geom.warp_jet(i)
     zbf = dot(ctx.geom.field_values(lift(parts[0])), wj.grad)
-    return (wj.value[:, None, None], zbf[:, None, None], ctx.block_geom(i).metric().g,
+    return (wj.value[:, None, None], zbf[:, None, None], ctx.block_geom(i).metric_jet().g,
             ctx.over_samples(lie_matrix, parts[i + 1], i, kind=LEVI_CIVITA))
 
 
@@ -243,7 +243,7 @@ def _lie_rhs_shift_base(ctx: RunContext, parts) -> np.ndarray:
     rhs = _lie_rhs_base(ctx, parts, SEMI_SYMMETRIC)
     slb = ctx.ps.block_slice("base")
     piv = ctx.geom.pi_covector()
-    pizb = ctx.geom.pi_of(None, ctx.geom.field_values(lift(parts[0])))[:, None, None]
+    pizb = ctx.geom.pi_of(ctx.geom.field_values(lift(parts[0])))[:, None, None]
     for i in range(len(ctx.ps.fibers)):
         sl = ctx.ps.block_slice(i)
         f, zbf, gi, mi = _fiber_terms(ctx, parts, i)
@@ -259,7 +259,7 @@ def _lie_rhs_shift_fiber(ctx: RunContext, parts) -> np.ndarray:
     """Factor assembly of the shifted Lie derivative, fiber-located P."""
     rhs = _lie_rhs_base(ctx, parts, LEVI_CIVITA)
     geom = ctx.geom
-    g_full = geom.metric().g
+    g_full = geom.metric_jet().g
     gz_full = matvec(g_full, geom.field_values(ProductField(tuple(parts))))
     piv = geom.pi_covector()
     for i in range(len(ctx.ps.fibers)):
@@ -267,7 +267,7 @@ def _lie_rhs_shift_fiber(ctx: RunContext, parts) -> np.ndarray:
         f, zbf, gi, mi = _fiber_terms(ctx, parts, i)
         ziv = geom.field_values(lift(parts[i + 1]))
         rhs[:, sl, sl] += f ** 2 * mi + 2.0 * f * zbf * gi
-        rhs += 2.0 * geom.pi_of(None, ziv)[:, None, None] * g_full
+        rhs += 2.0 * geom.pi_of(ziv)[:, None, None] * g_full
         pi_i = np.zeros_like(piv)
         pi_i[:, sl] = piv[:, sl]
         rhs -= gz_full[:, :, None] * pi_i[:, None, :] + pi_i[:, :, None] * gz_full[:, None, :]
@@ -301,7 +301,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
         kind = LEVI_CIVITA if shift_location == "none" else SEMI_SYMMETRIC
         base_kind = SEMI_SYMMETRIC if shift_location == "base" else LEVI_CIVITA
         slb = ps.block_slice("base")
-        g = geom.metric().g
+        g = geom.metric_jet().g
         piv = geom.pi_covector()
         zbv = geom.field_values(lift(parts[0]))
         gz = np.einsum("sab,sb->sa", g, geom.field_values(zeta))
@@ -315,7 +315,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
             wj = geom.warp_jet(i)
             f = wj.value[:, None]
             zbf = pair(zbv[:, None], wj.grad)
-            gi = ctx.block_geom(i).metric().g
+            gi = ctx.block_geom(i).metric_jet().g
             ziv = geom.field_values(lift(zi))
             nxi = form(gi, xi, xi)
             li = ctx.over_samples(lie_matrix, zi, i, kind=LEVI_CIVITA)
@@ -345,7 +345,7 @@ def _eq25_check(label: str):
         zbj = ctx.geom.field_jet(lift(parts[0]))
         for i, zi in enumerate(parts[1:]):
             sl = ctx.ps.block_slice(i)
-            gi = ctx.block_geom(i).metric().g
+            gi = ctx.block_geom(i).metric_jet().g
             wj = ctx.geom.warp_jet(i)
             f = wj.value[:, None, None]
             zbf, zbzbf = (v[:, None, None] for v in second_directional(zbj, wj))
@@ -368,12 +368,12 @@ def _eq27_sides(ctx: RunContext, parts) -> tuple[np.ndarray, np.ndarray]:
     assembly at each sample point (S,) each."""
     geom, base_geom = ctx.geom, ctx.block_geom("base")
     lhs = trace_nabla(geom, ProductField(tuple(parts)))
-    gb = base_geom.metric().g
+    gb = base_geom.metric_jet().g
     zbv = geom.field_values(lift(parts[0]))
     rhs = trace_nabla(base_geom, ctx.rehomed(parts[0]))
     for i, zi in enumerate(parts[1:]):
         fgeom = ctx.block_geom(i)
-        gi = fgeom.metric().g
+        gi = fgeom.metric_jet().g
         ziv = geom.field_values(lift(zi))[:, ctx.ps.block_slice(i)]
         wj = geom.warp_jet(i)
         zbf = dot(zbv, wj.grad)

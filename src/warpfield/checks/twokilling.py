@@ -201,7 +201,7 @@ def _eq23_check(ctx: RunContext) -> Outcome:
         return inconclusive("no constant-length second-order isometry")
     geom = ctx.geom
     xs = ctx.rng("eq23").block((len(fields), len(ctx.points()), 6, ctx.ps.total_dim))
-    g = geom.metric().g
+    g = geom.metric_jet().g
     gamma = geom.christoffel()
     vals, signs = [], []
     for zeta, x in zip(fields, xs):
@@ -401,7 +401,7 @@ def _thm_sectional(part: int):
             return inconclusive("no field meets the curvature hypothesis")
         xs = ctx.rng(f"thm614.{part}").block((len(fields), len(ctx.points()), 6,
                                                ctx.ps.total_dim))
-        g = ctx.geom.metric().g
+        g = ctx.geom.metric_jet().g
         values = []
         for (_, zeta), x in zip(fields, xs):
             # K = -R(z, x, z, x) / area^2, skipping degenerate planes
@@ -451,12 +451,12 @@ def _cbrt_base_field(ctx: RunContext):
 def _eq28_residual_max(ctx: RunContext, i: int, c_i: float, a: float, b: float) -> float:
     gaps = []
     slb = ctx.ps.block_slice("base").start
-    for p in ctx.points():
-        wj = ctx.geom.warp_jet(i, p)
+    wj = ctx.geom.warp_jet(i)
+    for k, p in enumerate(ctx.points()):
         t = p.coords[slb]
-        f = wj.value
-        fdot = float(wj.grad[slb])
-        fddot = float(wj.hess[slb, slb])
+        f = float(wj.value[k])
+        fdot = float(wj.grad[k, slb])
+        fddot = float(wj.hess[k, slb, slb])
         s = a * t - b
         s23 = math.copysign(abs(s) ** (2.0 / 3.0), 1.0)
         gaps.append((a / 3.0) * f * fdot
@@ -508,14 +508,14 @@ def _witness_power_law(use_exponents: bool):
 def _recover_exponent(ctx: RunContext, i: int, a: float, b: float):
     """Fit p with warp = ((a t - b)/a)^p; None when unstable."""
     slb = ctx.ps.block_slice("base").start
+    warp = ctx.geom.warp_jet(i).value
     vals = []
-    for p in ctx.points():
+    for k, p in enumerate(ctx.points()):
         t = p.coords[slb]
         phi = (a * t - b) / a
         if phi <= 0 or abs(math.log(phi)) < 1e-3:
             continue
-        w = ctx.geom.warp_jet(i, p).value
-        vals.append(math.log(w) / math.log(phi))
+        vals.append(math.log(warp[k]) / math.log(phi))
     if len(vals) < 8:
         return None, math.inf
     arr = np.asarray(vals)

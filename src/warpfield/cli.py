@@ -173,7 +173,7 @@ def cmd_killing(args) -> int:
     else:
         name, bound = ("ssm_killing" if args.kind == "ssm" else "killing"), tol.alg
         kind = SEMI_SYMMETRIC if args.kind == "ssm" else LEVI_CIVITA
-        mats = lie_matrix(geom, zeta, None, kind)
+        mats = lie_matrix(geom, zeta, kind)
     out = residual_outcome(point_max(mats), bound)
     result = CheckResult(
         check=f"{name}:{args.field}", result=name, manifest=mf.name,

@@ -79,25 +79,19 @@ class Geometry:
 
     ``points`` is the sample set.  Each quantity is computed once for all
     of them, as a stack whose leading axis runs over the points
-    (``stack``), from the stacked metric and field jets; the accessors
-    take a point and return its row of the stack, or the whole stack when
-    the point is None (``at``).  Any other point is the sample set of a
-    geometry of its own, so it is evaluated by the same code as a batch of
-    one.
+    (``stack``), from the stacked metric and field jets; every accessor
+    returns that stack.  Any other point is the sample set of a geometry
+    of its own, ``Geometry(ps, torsion, [p])``.
     """
 
-    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None = None,
-                 points: list[Point] = ()):
+    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None,
+                 points: list[Point]):
         self.ps = ps
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
         self.points = list(points)
-        self._rows_of: dict = {}
-        for k, p in enumerate(self.points):
-            self._rows_of.setdefault(p.coords, k)
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._stacks: dict = {}
-        self._alone: dict = {}
 
     def stack(self, compute, *args):
         """compute(self, *args): a quantity at every sample point, sample
@@ -108,77 +102,52 @@ class Geometry:
             got = self._stacks[key] = compute(self, *args)
         return got
 
-    def at(self, compute, p: Point | None, *args):
-        """p's row of ``stack(compute, *args)``, or the whole stack when p
-        is None; a point outside the sample set is the one point of its
-        own geometry."""
-        if p is None:
-            return self.stack(compute, *args)
-        k = self._rows_of.get(p.coords)
-        geom = self if k is not None else self._geometry_at(p)
-        return _row(geom.stack(compute, *args), k or 0)
+    def metric_jet(self) -> MetricJet:
+        """The metric (``g``, ``ginv``) and its first two partials."""
+        return self.stack(_metric_jets)
 
-    def _geometry_at(self, p: Point) -> "Geometry":
-        got = self._alone.get(p.coords)
-        if got is None:
-            got = self._alone[p.coords] = Geometry(self.ps, self.torsion, [p])
-        return got
+    def christoffel(self) -> np.ndarray:
+        """Levi-Civita symbols gamma[s, k, i, j]."""
+        return self.stack(_christoffel)
 
-    def metric_jet(self, p: Point | None = None) -> MetricJet:
-        return self.at(_metric_jets, p)
-
-    def metric(self, p: Point | None = None) -> MetricJet:
-        """The metric at p: the metric jet, read for its ``g`` and ``ginv``."""
-        return self.at(_metric_jets, p)
-
-    def christoffel(self, p: Point | None = None) -> np.ndarray:
-        """Levi-Civita symbols gamma[k, i, j] at p."""
-        return self.at(_christoffel, p)
-
-    def christoffel_jet(self, p: Point | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma[k,i,j], dgamma[d,k,i,j]) at p."""
-        return self.at(_christoffel_jet, p)
+    def christoffel_jet(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma[s, k, i, j], dgamma[s, d, k, i, j])."""
+        return self.stack(_christoffel_jet)
 
     # ---- torsion field data ----
 
-    def p_vector(self, p: Point | None = None) -> np.ndarray:
-        return self.at(_p_vector, p)
+    def p_vector(self) -> np.ndarray:
+        return self.stack(_p_vector)
 
-    def pi_covector(self, p: Point | None = None) -> np.ndarray:
-        return self.at(_pi_covector, p)
+    def pi_covector(self) -> np.ndarray:
+        return self.stack(_pi_covector)
 
-    def pi_of(self, p: Point | None, x: np.ndarray):
-        """pi(x) = g(x, P) at p, or row by row over the sample set."""
-        return dot(np.asarray(x, dtype=float), self.pi_covector(p))
+    def pi_of(self, x: np.ndarray):
+        """pi(x) = g(x, P), row by row over the sample set."""
+        return dot(np.asarray(x, dtype=float), self.pi_covector())
 
-    def ssm_gamma(self, p: Point | None = None) -> np.ndarray:
-        """Symbols of the shifted metric connection at p."""
-        return self.at(_ssm_gamma, p)
+    def ssm_gamma(self) -> np.ndarray:
+        """Symbols of the shifted metric connection."""
+        return self.stack(_ssm_gamma)
 
-    def gamma_of(self, p: Point | None, kind: str) -> np.ndarray:
+    def gamma_of(self, kind: str) -> np.ndarray:
         if kind == LEVI_CIVITA:
-            return self.christoffel(p)
+            return self.christoffel()
         if kind == SEMI_SYMMETRIC:
-            return self.ssm_gamma(p)
+            return self.ssm_gamma()
         raise ValueError(f"unknown connection kind {kind!r}")
 
-    def field_jet(self, field: ProductField, p: Point | None = None) -> FieldJet:
-        return self.at(_field_jets, p, field)
+    def field_jet(self, field: ProductField) -> FieldJet:
+        return self.stack(_field_jets, field)
 
-    def warp_jet(self, i: int, p: Point | None = None) -> Jet2:
-        """Jet of the i-th warping function at p."""
-        return self.at(_warp_jets, p, i)
+    def warp_jet(self, i: int) -> Jet2:
+        """Jet of the i-th warping function."""
+        return self.stack(_warp_jets, i)
 
-    def field_values(self, field, p: Point | None = None) -> np.ndarray:
+    def field_values(self, field) -> np.ndarray:
         if isinstance(field, ProductField):
-            return self.field_jet(field, p).val
+            return self.field_jet(field).val
         return np.asarray(field, dtype=float)
-
-
-def _row(stacked, k: int):
-    if isinstance(stacked, tuple):
-        return tuple(a[k] for a in stacked)
-    return stacked[k]
 
 
 # ---- stacks over a geometry's sample points (Geometry.stack) ----
@@ -221,7 +190,7 @@ def _p_vector(geom: Geometry) -> np.ndarray:
 
 
 def _pi_covector(geom: Geometry) -> np.ndarray:
-    return (geom.metric().g @ geom.p_vector()[:, :, None])[:, :, 0]
+    return (geom.metric_jet().g @ geom.p_vector()[:, :, None])[:, :, 0]
 
 
 def _ssm_gamma(geom: Geometry) -> np.ndarray:
@@ -231,7 +200,7 @@ def _ssm_gamma(geom: Geometry) -> np.ndarray:
     n = geom.ps.total_dim
     return (gamma
             + np.einsum("ki,sj->skij", np.eye(n), geom.pi_covector())
-            - np.einsum("sij,sk->skij", geom.metric().g, geom.p_vector()))
+            - np.einsum("sij,sk->skij", geom.metric_jet().g, geom.p_vector()))
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,11 +221,11 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def as_field_jet(geom: Geometry, field, p: Point | None = None) -> FieldJet:
-    """A field's jet at p, or stacked over the sample set when p is None;
-    a constant vector is the coordinate extension with zero partials."""
+def as_field_jet(geom: Geometry, field) -> FieldJet:
+    """A field's jet stacked over the sample set; a constant vector is the
+    coordinate extension with zero partials."""
     if isinstance(field, ProductField):
-        return geom.field_jet(field, p)
+        return geom.field_jet(field)
     vec = np.asarray(field, dtype=float)
     n = geom.ps.total_dim
     if vec.shape[-1:] != (n,):
@@ -274,25 +243,21 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d + np.einsum("...kaj,...j->...ak", gamma, val)
 
 
-def covariant_derivative(
-    geom: Geometry, x, z, p: Point | None = None, kind: str = LEVI_CIVITA
-) -> np.ndarray:
-    """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j at p, or stacked
-    over the sample set when p is None.
+def covariant_derivative(geom: Geometry, x, z, kind: str = LEVI_CIVITA) -> np.ndarray:
+    """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j over the sample set.
 
     ``x`` and ``z`` are product fields or constant chart vectors; a
     constant vector is the coordinate extension with zero derivatives.
     """
-    zj = as_field_jet(geom, z, p)
-    xv = geom.field_values(x, p)
-    return (xv[..., None, :] @ nabla_grid(geom.gamma_of(p, kind), zj.val, zj.d))[..., 0, :]
+    zj = as_field_jet(geom, z)
+    xv = geom.field_values(x)
+    return (xv[..., None, :] @ nabla_grid(geom.gamma_of(kind), zj.val, zj.d))[..., 0, :]
 
 
-def divergence(geom: Geometry, field: ProductField, p: Point | None = None):
-    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V) at p,
-    or at each sample point when p is None; computed once per (geometry,
-    field)."""
-    return geom.at(_divergences, p, field)
+def divergence(geom: Geometry, field: ProductField) -> np.ndarray:
+    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V) at
+    each sample point; computed once per (geometry, field)."""
+    return geom.stack(_divergences, field)
 
 
 def _divergences(geom: Geometry, field: ProductField) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Geometry, as_field_jet, bilinear, nabla_grid
-from .jets import Point
 from .metric import GeometryError
 
 
@@ -28,22 +27,18 @@ class FrameConstructionFailure(GeometryError):
 
 @dataclass(frozen=True)
 class Curvature:
-    """Riemann and Ricci tensors at a point, or with a leading sample axis
-    on every array."""
+    """Riemann and Ricci tensors, with a leading sample axis on every
+    array."""
 
-    r_up: np.ndarray    # (n, n, n, n) [l, k, i, j]
-    r_low: np.ndarray   # (n, n, n, n) [i, j, k, l]
-    ricci: np.ndarray   # (n, n)
-
-    def __getitem__(self, k: int) -> "Curvature":
-        """The curvature at sample k of a stacked one."""
-        return Curvature(self.r_up[k], self.r_low[k], self.ricci[k])
+    r_up: np.ndarray    # (s, n, n, n, n) [s, l, k, i, j]
+    r_low: np.ndarray   # (s, n, n, n, n) [s, i, j, k, l]
+    ricci: np.ndarray   # (s, n, n)
 
 
-def riemann(geom: Geometry, p: Point | None = None) -> Curvature:
-    """The curvature at p, or stacked over the sample set when p is None;
-    computed once per geometry."""
-    return geom.at(_curvatures, p)
+def riemann(geom: Geometry) -> Curvature:
+    """The curvature stacked over the sample set; computed once per
+    geometry."""
+    return geom.stack(_curvatures)
 
 
 def _curvatures(geom: Geometry) -> Curvature:
@@ -54,7 +49,7 @@ def _curvatures(geom: Geometry) -> Curvature:
             - np.einsum("sjlik->slkij", dgamma)
             + np.einsum("slim,smjk->slkij", gamma, gamma)
             - np.einsum("sljm,smik->slkij", gamma, gamma))
-    r_low = np.einsum("slm,smkij->sijkl", geom.metric().g, r_up)
+    r_low = np.einsum("slm,smkij->sijkl", geom.metric_jet().g, r_up)
     ricci = np.einsum("saiaj->sij", r_up)
     return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
 
@@ -86,7 +81,7 @@ def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:
 def product_frame(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-block frame of the assembled metric at every sample point (fiber
     legs carry 1/warp); a null direction names its block and point."""
-    g = geom.metric().g
+    g = geom.metric_jet().g
     frame, eps = np.zeros(g.shape), np.zeros(g.shape[:2])
     for block, sl in zip(geom.ps.blocks, geom.ps.slices):
         frame[:, sl, sl], eps[:, sl] = frame_of_matrix(
@@ -95,18 +90,17 @@ def product_frame(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     return frame, eps
 
 
-def parallel_residual(geom: Geometry, zeta, p: Point | None = None):
-    """max |(nabla_{e_a} zeta)^k| over the coordinate basis at p, or at
-    each sample point when p is None."""
-    zj = as_field_jet(geom, zeta, p)
-    return np.abs(nabla_grid(geom.christoffel(p), zj.val, zj.d)).max(axis=(-2, -1))
+def parallel_residual(geom: Geometry, zeta) -> np.ndarray:
+    """max |(nabla_{e_a} zeta)^k| over the coordinate basis at each sample
+    point."""
+    zj = as_field_jet(geom, zeta)
+    return np.abs(nabla_grid(geom.christoffel(), zj.val, zj.d)).max(axis=(-2, -1))
 
 
-def trace_nabla(geom: Geometry, zeta, p: Point | None = None):
-    """Sum over a frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta) at p,
-    or at each sample point when p is None; computed once per (geometry,
-    field)."""
-    return geom.at(_trace_nablas, p, zeta)
+def trace_nabla(geom: Geometry, zeta) -> np.ndarray:
+    """Sum over a frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta) at
+    each sample point; computed once per (geometry, field)."""
+    return geom.stack(_trace_nablas, zeta)
 
 
 def _trace_nablas(geom: Geometry, zeta) -> np.ndarray:
@@ -116,10 +110,10 @@ def _trace_nablas(geom: Geometry, zeta) -> np.ndarray:
     w = (frame[..., None, :] @ grid[:, None])[..., 0, :]   # row a: nabla_{E_a} zeta
     # Python's sum adds the frame terms in frame order (np.sum would add
     # them pairwise for n >= 8)
-    return sum((eps * bilinear(geom.metric().g[:, None], w, w)).T)
+    return sum((eps * bilinear(geom.metric_jet().g[:, None], w, w)).T)
 
 
-def ricci_quadratic(geom: Geometry, zeta, p: Point | None = None):
-    """Ric(zeta, zeta) at p, or at each sample point when p is None."""
-    zv = geom.field_values(zeta, p)
-    return bilinear(riemann(geom, p).ricci, zv, zv)
+def ricci_quadratic(geom: Geometry, zeta) -> np.ndarray:
+    """Ric(zeta, zeta) at each sample point."""
+    zv = geom.field_values(zeta)
+    return bilinear(riemann(geom).ricci, zv, zv)

@@ -66,10 +66,6 @@ class FieldJet:
     d: np.ndarray    # (n, n): d[d, k] = d_d V^k
     d2: np.ndarray   # (n, n, n): d2[d, e, k]
 
-    def __getitem__(self, k: int) -> "FieldJet":
-        """The jet at sample k of a stacked jet."""
-        return FieldJet(self.val[k], self.d[k], self.d2[k])
-
 
 @dataclass(frozen=True)
 class ProductField:

@@ -29,7 +29,6 @@ from .connections import (
 )
 from .curvature import riemann
 from .fields import ProductField
-from .jets import Point
 
 
 def max_abs(values) -> float:
@@ -58,23 +57,22 @@ def form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum((x @ m) * y, axis=-1)
 
 
-def lie_matrix(geom: Geometry, zeta: ProductField, p: Point | None = None,
-               kind: str = LEVI_CIVITA) -> np.ndarray:
+def lie_matrix(geom: Geometry, zeta: ProductField, kind: str = LEVI_CIVITA) -> np.ndarray:
     """(L_zeta g)(e_a, e_b) = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)
-    for the chosen connection, at p or, when p is None, at every sample
-    point (S, n, n); computed once per (geometry, field, kind)."""
-    return geom.at(_lie_matrices, p, zeta, kind)
+    for the chosen connection at every sample point (S, n, n); computed
+    once per (geometry, field, kind)."""
+    return geom.stack(_lie_matrices, zeta, kind)
 
 
 def _lie_matrices(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
-    wg = geom.stack(_nabla_grids, zeta, kind) @ geom.metric().g
+    wg = geom.stack(_nabla_grids, zeta, kind) @ geom.metric_jet().g
     return wg + _swap(wg)
 
 
 def _nabla_grids(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
     """w[s, a, k] = (nabla_{e_a} zeta)^k at every sample point."""
     zj = geom.field_jet(zeta)
-    return nabla_grid(geom.gamma_of(None, kind), zj.val, zj.d)
+    return nabla_grid(geom.gamma_of(kind), zj.val, zj.d)
 
 
 def _swap(m: np.ndarray) -> np.ndarray:
@@ -82,9 +80,9 @@ def _swap(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-def ssm_lie_matrix(geom: Geometry, zeta, p: Point) -> np.ndarray:
+def ssm_lie_matrix(geom: Geometry, zeta) -> np.ndarray:
     """Shifted-connection Lie derivative of g on the coordinate basis."""
-    return lie_matrix(geom, zeta, p, SEMI_SYMMETRIC)
+    return lie_matrix(geom, zeta, SEMI_SYMMETRIC)
 
 
 def nabla_quads(geom: Geometry, zeta: ProductField, ks: np.ndarray, xs: np.ndarray,
@@ -93,14 +91,14 @@ def nabla_quads(geom: Geometry, zeta: ProductField, ks: np.ndarray, xs: np.ndarr
     each test vector ``xs[m]`` at sample point ``ks[m]``: one gathered
     contraction with the stacked grid of nabla zeta."""
     w = geom.stack(_nabla_grids, zeta, kind)[ks]
-    return bilinear(geom.metric().g[ks], (xs[:, None, :] @ w)[:, 0], xs)
+    return bilinear(geom.metric_jet().g[ks], (xs[:, None, :] @ w)[:, 0], xs)
 
 
-def lie_matrix_direct(geom: Geometry, zeta, p: Point | None = None) -> np.ndarray:
-    """Coordinate-route (L_zeta g)_ab at p, or at every sample point when p
-    is None; independent of the connection code."""
-    mj = geom.metric_jet(p)
-    zj = as_field_jet(geom, zeta, p)
+def lie_matrix_direct(geom: Geometry, zeta) -> np.ndarray:
+    """Coordinate-route (L_zeta g)_ab at every sample point; independent of
+    the connection code."""
+    mj = geom.metric_jet()
+    zj = as_field_jet(geom, zeta)
     dzg = zj.d @ mj.g
     return np.einsum("...c,...cab->...ab", zj.val, mj.dg) + dzg + _swap(dzg)
 
@@ -112,12 +110,12 @@ def _lie_of_tensor(h: np.ndarray, dh: np.ndarray, zj) -> np.ndarray:
             + np.einsum("...bc,...ac->...ab", zj.d, h))
 
 
-def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point | None = None) -> np.ndarray:
-    """(L_zeta L_zeta g)_ab by applying the coordinate formula twice, at p
-    or at every sample point when p is None."""
-    mj = geom.metric_jet(p)
-    zj = as_field_jet(geom, zeta, p)
-    h = lie_matrix_direct(geom, zeta, p)
+def lie_lie_matrix_nested(geom: Geometry, zeta) -> np.ndarray:
+    """(L_zeta L_zeta g)_ab by applying the coordinate formula twice, at
+    every sample point."""
+    mj = geom.metric_jet()
+    zj = as_field_jet(geom, zeta)
+    h = lie_matrix_direct(geom, zeta)
     dh = (np.einsum("...mc,...cab->...mab", zj.d, mj.dg)
           + np.einsum("...c,...mcab->...mab", zj.val, mj.d2g)
           + np.einsum("...mac,...cb->...mab", zj.d2, mj.g)
@@ -127,17 +125,15 @@ def lie_lie_matrix_nested(geom: Geometry, zeta, p: Point | None = None) -> np.nd
     return _lie_of_tensor(h, dh, zj)
 
 
-def lie_lie_matrix(geom: Geometry, zeta: ProductField,
-                   p: Point | None = None) -> np.ndarray:
-    """Second Lie derivative of g from nested covariant derivatives, at p
-    or, when p is None, at every sample point (S, n, n); computed once per
-    (geometry, field).
+def lie_lie_matrix(geom: Geometry, zeta: ProductField) -> np.ndarray:
+    """Second Lie derivative of g from nested covariant derivatives at
+    every sample point (S, n, n); computed once per (geometry, field).
 
     With x, y extended as coordinate fields:
       (L L g)(x, y) = g(nabla_zeta nabla_x zeta - nabla_[zeta,x] zeta, y)
                       + (x <-> y) + 2 g(nabla_x zeta, nabla_y zeta).
     """
-    return geom.at(_lie_lie_matrices, p, zeta)
+    return geom.stack(_lie_lie_matrices, zeta)
 
 
 def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
@@ -158,7 +154,7 @@ def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
     nvz = (np.einsum("sai,sik->sak", v, zj.d)
            + np.einsum("skij,sai,sj->sak", gamma, v, zj.val))
 
-    g = geom.metric().g
+    g = geom.metric_jet().g
     first = (nzw - nvz) @ g
     return first + _swap(first) + 2.0 * (w @ g @ _swap(w))
 
@@ -184,7 +180,7 @@ def homothety_check(geom: Geometry, mats, tol: float = 1e-8,
     matrices ``mats`` of L_zeta g at the geometry's sample points (S, n, n);
     accept when the fit is tight at every point and the fitted factor is
     stable across points."""
-    g = geom.metric().g
+    g = geom.metric_jet().g
     factors = np.sum(mats * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
     max_res = max_abs(mats - factors[:, None, None] * g)
     mean_c = float(factors.mean())
@@ -193,12 +189,10 @@ def homothety_check(geom: Geometry, mats, tol: float = 1e-8,
     return HomothetyResult(ok, mean_c, std_c, max_res)
 
 
-def nabla_zeta_zeta(geom: Geometry, zeta: ProductField,
-                    p: Point | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The field w = nabla_zeta zeta at p: (values, partials dw[m, k]), or,
-    when p is None, both stacked over the sample points; computed once per
-    (geometry, field)."""
-    return geom.at(_nabla_zeta_zetas, p, zeta)
+def nabla_zeta_zeta(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    """The field w = nabla_zeta zeta: (values, partials dw[s, m, k]), both
+    stacked over the sample points; computed once per (geometry, field)."""
+    return geom.stack(_nabla_zeta_zetas, zeta)
 
 
 def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
@@ -214,23 +208,22 @@ def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, n
     return w, dw
 
 
-def eq22_residual(geom: Geometry, zeta, xs, p: Point | None = None) -> np.ndarray:
+def eq22_residual(geom: Geometry, zeta, xs) -> np.ndarray:
     """Gap in R(z, x, x, z) = g(nabla_x z, nabla_x z) + g(nabla_x nabla_z z, x)
-    for each row x of ``xs`` (m, n) at p, or, when p is None, for each
-    sample point's rows (S, m, n); the curvature contracted with z,
-    nabla_z z and the covariant-derivative grids are computed once for
-    all rows."""
+    for each sample point's rows x of ``xs`` (S, m, n); the curvature
+    contracted with z, nabla_z z and the covariant-derivative grids are
+    computed once for all rows."""
     xs = np.asarray(xs, dtype=float)
-    zj = as_field_jet(geom, zeta, p)
-    g = geom.metric(p).g
-    gamma = geom.christoffel(p)
-    rzz = np.einsum("...ijkl,...i,...l->...jk", riemann(geom, p).r_low, zj.val, zj.val)
+    zj = as_field_jet(geom, zeta)
+    g = geom.metric_jet().g
+    gamma = geom.christoffel()
+    rzz = np.einsum("...ijkl,...i,...l->...jk", riemann(geom).r_low, zj.val, zj.val)
     nxz = xs @ nabla_grid(gamma, zj.val, zj.d)
-    nw = nabla_grid(gamma, *nabla_zeta_zeta(geom, zeta, p))
+    nw = nabla_grid(gamma, *nabla_zeta_zeta(geom, zeta))
     return np.abs(form(rzz, xs, xs) - form(g, nxz, nxz) - form(nw @ g, xs, xs))
 
 
 def constant_length_stddev(geom: Geometry, zeta) -> float:
     """Spread of g(zeta, zeta) over the geometry's sample points."""
     zv = geom.field_values(zeta)
-    return float(np.std(bilinear(geom.metric().g, zv, zv)))
+    return float(np.std(bilinear(geom.metric_jet().g, zv, zv)))

@@ -183,8 +183,8 @@ class RunContext:
     # ---- per-field sample quantities ----
 
     def over_samples(self, fn, zeta, block=None, **kw):
-        """fn(geom, zeta, None, **kw): fn's stack over the sample points of
-        the product, sample axis first.
+        """fn(geom, zeta, **kw): fn's stack over the sample points of the
+        product, sample axis first.
 
         With ``block``, ``zeta`` is a lifted field on that block, evaluated
         on the block's own geometry at the points' block coordinates.  The
@@ -192,8 +192,8 @@ class RunContext:
         request; callers never modify it.
         """
         if block is None:
-            return fn(self.geom, zeta, None, **kw)
-        return fn(self.block_geom(block), self.rehomed(zeta), None, **kw)
+            return fn(self.geom, zeta, **kw)
+        return fn(self.block_geom(block), self.rehomed(zeta), **kw)
 
     def sample_max(self, fn, zeta, block=None, **kw) -> float:
         """Max over the sample points of |fn| (see over_samples)."""

@@ -8,9 +8,11 @@ L_zeta g, nabla_zeta zeta and the curvature), the coordinate routes of
 L_zeta g and L_zeta L_zeta g, the quadratic form g(nabla_x zeta, x), the
 pseudo-orthonormal frame, the frame trace and the divergence at a single
 point.  Each is written for a single point and a single vector,
-independent of the batched paths the checks take."""
+independent of the batched paths the checks take; it reads the metric
+and field jets at p as the one row of p's own geometry, ``one_point``."""
 
 import math
+import weakref
 
 import numpy as np
 
@@ -25,13 +27,14 @@ from warpfield.connections import (
     nabla_grid,
 )
 from warpfield.curvature import Curvature, FrameConstructionFailure, riemann
-from warpfield.fields import lift
+from warpfield.fields import FieldJet, ProductField, lift
 from warpfield.jets import Jet2, Point
 from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
     GeometryError,
     MetricAt,
+    MetricJet,
     ProductStructure,
     SingularMetric,
 )
@@ -111,33 +114,55 @@ def signature(ps: ProductStructure, p: Point) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def compat_residual(geom: Geometry, p: Point, x, y, z,
-                    kind: str = SEMI_SYMMETRIC) -> float:
-    """|x(g(y,z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant y, z."""
-    mj = geom.metric_jet(p)
-    xv = geom.field_values(x, p)
-    yv = geom.field_values(y, p)
-    zv = geom.field_values(z, p)
+_POINT_GEOMETRIES: "weakref.WeakKeyDictionary[Geometry, dict]" = weakref.WeakKeyDictionary()
+
+
+def one_point(geom: Geometry, p: Point) -> Geometry:
+    """The geometry of the single point p: geom's structure and shift over
+    the sample set [p], so each of its stacks has one row.  Built once per
+    (geom, p), so the formulas below share its jets."""
+    alone = _POINT_GEOMETRIES.setdefault(geom, {})
+    if p.coords not in alone:
+        alone[p.coords] = Geometry(geom.ps, geom.torsion, [p])
+    return alone[p.coords]
+
+
+def metric_jet_at(geom: Geometry, p: Point) -> MetricJet:
+    return one_point(geom, p).metric_jet()[0]
+
+
+def field_jet_at(geom: Geometry, field, p: Point) -> FieldJet:
+    """A field's jet at p; a constant vector is the coordinate extension
+    with zero partials."""
+    fj = as_field_jet(one_point(geom, p), field)
+    if not isinstance(field, ProductField):
+        return fj
+    return FieldJet(fj.val[0], fj.d[0], fj.d2[0])
+
+
+def compat_residual(geom: Geometry, x, y, z, kind: str = SEMI_SYMMETRIC) -> float:
+    """|x(g(y,z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant x, y, z
+    at the one point of geom."""
+    mj = geom.metric_jet()[0]
+    xv, yv, zv = (np.asarray(v, dtype=float) for v in (x, y, z))
     lead = np.einsum("d,dij,i,j->", xv, mj.dg, yv, zv)
-    dy = covariant_derivative(geom, xv, yv, p, kind)
-    dz = covariant_derivative(geom, xv, zv, p, kind)
+    dy = covariant_derivative(geom, xv, yv, kind)[0]
+    dz = covariant_derivative(geom, xv, zv, kind)[0]
     return abs(float(lead - dy @ mj.g @ zv - yv @ mj.g @ dz))
 
 
 def plane_area_sq(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> float:
-    g = geom.metric(p).g
+    g = metric_jet_at(geom, p).g
     return float((zeta @ g @ zeta) * (x @ g @ x) - (zeta @ g @ x) ** 2)
 
 
-def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray,
-              curv: Curvature | None = None) -> float:
+def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> float:
     """K = -R(zeta, x, zeta, x) / area^2 of the spanned plane."""
     a2 = plane_area_sq(geom, p, zeta, x)
     if abs(a2) <= 1e-10:
         raise DegeneratePlane(f"plane area^2 = {a2} at {p.coords}")
-    if curv is None:
-        curv = riemann(geom, p)
-    r = float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, zeta, x))
+    r_low = riemann(one_point(geom, p)).r_low[0]
+    r = float(np.einsum("ijkl,i,j,k,l->", r_low, zeta, x, zeta, x))
     return -r / a2
 
 
@@ -179,13 +204,13 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 
 def christoffel_at(geom: Geometry, p: Point) -> np.ndarray:
     """gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    mj = geom.metric_jet(p)
+    mj = metric_jet_at(geom, p)
     return 0.5 * np.einsum("kl,lij->kij", mj.ginv, _bracket(mj.dg))
 
 
 def dchristoffel_at(geom: Geometry, p: Point) -> np.ndarray:
     """dgamma[d, k, i, j] = d_d gamma[k, i, j]."""
-    mj = geom.metric_jet(p)
+    mj = metric_jet_at(geom, p)
     dginv = -np.einsum("ka,dab,bl->dkl", mj.ginv, mj.dg, mj.ginv)
     return 0.5 * (np.einsum("dkl,lij->dkij", dginv, _bracket(mj.dg))
                   + np.einsum("kl,dlij->dkij", mj.ginv, _bracket(mj.d2g)))
@@ -197,8 +222,8 @@ def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
     if geom.torsion.is_zero:
         return gamma
     n = geom.ps.total_dim
-    g = geom.metric_jet(p).g
-    pv = geom.field_jet(lift(geom.torsion.field), p).val
+    g = metric_jet_at(geom, p).g
+    pv = field_jet_at(geom, lift(geom.torsion.field), p).val
     return (gamma + np.einsum("ki,j->kij", np.eye(n), g @ pv)
             - np.einsum("ij,k->kij", g, pv))
 
@@ -209,15 +234,15 @@ def _gamma_at(geom: Geometry, p: Point, kind: str) -> np.ndarray:
 
 def lie_matrix_at(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
     """(L_zeta g)_ab = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)."""
-    zj = geom.field_jet(zeta, p)
+    zj = field_jet_at(geom, zeta, p)
     w = zj.d + np.einsum("kaj,j->ak", _gamma_at(geom, p, kind), zj.val)
-    wg = w @ geom.metric_jet(p).g
+    wg = w @ metric_jet_at(geom, p).g
     return wg + wg.T
 
 
 def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L L g)(x, y) from nested Levi-Civita covariant derivatives."""
-    zj = geom.field_jet(zeta, p)
+    zj = field_jet_at(geom, zeta, p)
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
     w = zj.d + np.einsum("kaj,j->ak", gamma, zj.val)
     dw = (np.einsum("mak->mak", zj.d2)
@@ -228,14 +253,14 @@ def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     v = -zj.d
     nvz = (np.einsum("ai,ik->ak", v, zj.d)
            + np.einsum("kij,ai,j->ak", gamma, v, zj.val))
-    g = geom.metric_jet(p).g
+    g = metric_jet_at(geom, p).g
     first = (nzw - nvz) @ g
     return first + first.T + 2.0 * (w @ g @ w.T)
 
 
 def nabla_zeta_zeta_at(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndarray]:
     """(nabla_zeta zeta)^k and its partials dw[m, k]."""
-    zj = geom.field_jet(zeta, p)
+    zj = field_jet_at(geom, zeta, p)
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
     w = zj.val @ zj.d + np.einsum("kij,i,j->k", gamma, zj.val, zj.val)
     dw = (np.einsum("i,mik->mk", zj.val, zj.d2)
@@ -250,14 +275,14 @@ def covariant_derivative_at(geom: Geometry, x, z, p: Point,
                             kind: str = LEVI_CIVITA) -> np.ndarray:
     """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j as one vector-matrix
     product at p."""
-    zj = as_field_jet(geom, z, p)
-    return geom.field_values(x, p) @ nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d)
+    zj = field_jet_at(geom, z, p)
+    return field_jet_at(geom, x, p).val @ nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d)
 
 
 def lie_bracket(geom: Geometry, x, y, p: Point) -> np.ndarray:
     """[x, y]^k = x^i d_i y^k - y^i d_i x^k at p."""
-    xj = as_field_jet(geom, x, p)
-    yj = as_field_jet(geom, y, p)
+    xj = field_jet_at(geom, x, p)
+    yj = field_jet_at(geom, y, p)
     return xj.val @ yj.d - yj.val @ xj.d
 
 
@@ -275,20 +300,20 @@ def curvature_at(geom: Geometry, p: Point) -> Curvature:
             - np.einsum("jlik->lkij", dgamma)
             + np.einsum("lim,mjk->lkij", gamma, gamma)
             - np.einsum("ljm,mik->lkij", gamma, gamma))
-    g = geom.metric_jet(p).g
+    g = metric_jet_at(geom, p).g
     r_low = np.einsum("lm,mkij->ijkl", g, r_up)
     ricci = np.einsum("aiaj->ij", r_up)
     return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
 
 
-def riemann_quad(curv: Curvature, zeta: np.ndarray, x: np.ndarray) -> float:
+def riemann_quad(r_low: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:
     """R(zeta, x, x, zeta) from the lowered tensor."""
-    return float(np.einsum("ijkl,i,j,k,l->", curv.r_low, zeta, x, x, zeta))
+    return float(np.einsum("ijkl,i,j,k,l->", r_low, zeta, x, x, zeta))
 
 
 def nabla_quad_at(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) -> float:
     """g(nabla_x zeta, x), half the Lie derivative's quadratic form."""
-    g = geom.metric(p).g
+    g = metric_jet_at(geom, p).g
     return float(covariant_derivative_at(geom, x, zeta, p, kind) @ g @ x)
 
 
@@ -297,8 +322,8 @@ def nabla_quad_at(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) ->
 
 def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L_zeta g)_ab = zeta^c d_c g_ab + d_a zeta^c g_cb + d_b zeta^c g_ac."""
-    mj = geom.metric_jet(p)
-    zj = as_field_jet(geom, zeta, p)
+    mj = metric_jet_at(geom, p)
+    zj = field_jet_at(geom, zeta, p)
     return (np.einsum("c,cab->ab", zj.val, mj.dg)
             + zj.d @ mj.g
             + (zj.d @ mj.g).T)
@@ -306,8 +331,8 @@ def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
 
 def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
-    mj = geom.metric_jet(p)
-    zj = as_field_jet(geom, zeta, p)
+    mj = metric_jet_at(geom, p)
+    zj = field_jet_at(geom, zeta, p)
     h = lie_matrix_direct_at(geom, zeta, p)
     dh = (np.einsum("mc,cab->mab", zj.d, mj.dg)
           + np.einsum("c,mcab->mab", zj.val, mj.d2g)
@@ -343,7 +368,7 @@ def frame_of_matrix_at(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
     """Sum over the per-block frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta)."""
-    g = geom.metric(p).g
+    g = metric_jet_at(geom, p).g
     n = g.shape[0]
     frame = np.zeros((n, n))
     eps = np.zeros(n)
@@ -355,6 +380,6 @@ def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
 
 def divergence_at(geom: Geometry, field, p: Point) -> float:
     """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
-    fj = as_field_jet(geom, field, p)
+    fj = field_jet_at(geom, field, p)
     gamma = christoffel_at(geom, p)
     return float(np.trace(fj.d) + np.einsum("kkm,m->", gamma, fj.val))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
+from oracles import one_point
 from warpfield import cli
-from warpfield.connections import Geometry
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField, VectorFieldDef, lift, rehome
 from warpfield.jets import DomainError, Jet2, Point
@@ -68,34 +68,31 @@ class TestExpressionBatches:
 
 
 def geometries(mf):
-    """(geometry built with its sample points, the same without, fields)."""
+    """(geometry built with its sample points, its points, fields) of the
+    product and of each block."""
     ctx = RunContext(mf, samples=16)
-    out = [(ctx.geom, Geometry(ctx.ps, mf.torsion), ctx.points(),
-            [lift(f) for f in mf.fields.values()])]
+    out = [(ctx.geom, ctx.points(), [lift(f) for f in mf.fields.values()])]
     for block in ["base"] + list(range(len(ctx.ps.fibers))):
         fields = [rehome(f) for f in mf.fields.values() if f.block == block]
-        batched = ctx.block_geom(block)
-        out.append((batched, Geometry(batched.ps, batched.torsion),
-                    ctx.block_points(ctx.points(), block), fields))
+        out.append((ctx.block_geom(block), ctx.block_points(ctx.points(), block), fields))
     return out
 
 
 class TestGeometryBatches:
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
     def test_sample_set_equals_batch_of_one(self, path):
-        for batched, alone, points, fields in geometries(load_manifest(path)):
+        for batched, points, fields in geometries(load_manifest(path)):
             assert batched.points == points
-            for p in points:
-                a, b = batched.metric_jet(p), alone.metric_jet(p)
+            for k, p in enumerate(points):
+                alone = one_point(batched, p)
+                a, b = batched.metric_jet()[k], alone.metric_jet()[0]
                 for name in ("g", "dg", "d2g", "ginv", "dginv"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
-                assert np.array_equal(batched.metric(p).g, alone.metric(p).g)
-                assert np.array_equal(batched.metric(p).ginv, alone.metric(p).ginv)
                 for f in fields:
-                    fa, fb = batched.field_jet(f, p), alone.field_jet(f, p)
-                    assert np.array_equal(fa.val, fb.val)
-                    assert np.array_equal(fa.d, fb.d)
-                    assert np.array_equal(fa.d2, fb.d2)
+                    fa, fb = batched.field_jet(f), alone.field_jet(f)
+                    assert np.array_equal(fa.val[k], fb.val[0])
+                    assert np.array_equal(fa.d[k], fb.d[0])
+                    assert np.array_equal(fa.d2[k], fb.d2[0])
 
     def test_point_outside_the_set_is_a_batch_of_one(self, monkeypatch):
         mf = load_manifest(cli.corpus_dir() / "mw2_fib.wm")
@@ -108,10 +105,10 @@ class TestGeometryBatches:
             return real(ps, points)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
-        ctx.geom.metric_jet(ctx.points()[1])
+        ctx.geom.metric_jet()
         off = Point(tuple(c + 1e-3 for c in ctx.points()[0].coords))
-        ctx.geom.metric(off)
-        ctx.geom.metric_jet(ctx.points()[3])
+        one_point(ctx.geom, off).metric_jet()
+        ctx.geom.metric_jet()
         assert sizes == [4, 1]
 
 
@@ -132,8 +129,8 @@ class TestFieldKeys:
             return real(field, ps, points)
 
         monkeypatch.setattr(ProductField, "jet", counted)
-        ctx.geom.field_jet(first, ctx.points()[0])
-        ctx.geom.field_jet(rebuilt, ctx.points()[2])
+        ctx.geom.field_jet(first)
+        ctx.geom.field_jet(rebuilt)
         assert calls == [4]
 
 

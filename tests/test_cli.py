@@ -43,6 +43,11 @@ LIGHT_CONE = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
               "[field.z]\nlocation = base\ncomp.x = 1\n\n"
               "[field.w]\nlocation = fiber.1\ncomp.u = 1\n")
 
+# one warped fiber and no [field.*] section
+NO_FIELDS = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
+             "[fiber.1]\ndim = 1\ncoords = y\ng.y.y = 1\nbox.y = -1, 1\n"
+             "warp = 1 + x^2\n")
+
 NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
             "warp = t\n\n[torsion]\nlocation = zero\n\n"
@@ -215,6 +220,26 @@ class TestNullFrame:
         rows = [line.split()[1] for line in captured.out.splitlines()[1:-1]]
         mf = load_manifest(path)
         assert rows == sorted(s.id for s in default_registry().specs if s.applies(mf))
+
+
+class TestNoFields:
+    """A manifest that declares no fields: the field checks are
+    inconclusive, not a traceback."""
+
+    def test_full_run_has_no_traceback(self, tmp_path, capsys):
+        path = tmp_path / "no_fields.wm"
+        path.write_text(NO_FIELDS)
+        assert main(["verify", str(path), "--samples", "8"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("check", ["Def3.4", "Def3.5", "Remark3.11"])
+    def test_field_check_is_inconclusive(self, tmp_path, capsys, check):
+        path = tmp_path / "no_fields.wm"
+        path.write_text(NO_FIELDS)
+        rc = main(["verify", str(path), "--props", check, "--samples", "8"])
+        [row] = capsys.readouterr().out.splitlines()[1:-1]
+        assert row.startswith(f"----  {check}") and "no fields declared" in row
+        assert rc == main(["verify", str(path), "--props", "Def3.6", "--samples", "8"])
 
 
 class TestFlagBounds:

@@ -36,30 +36,29 @@ def sphere_structure():
 
 class TestRiemann:
     def test_flat_space_is_flat(self):
-        geom = Geometry(ProductStructure.single(flat(("x", "y", "z"))))
-        curv = riemann(geom, Point((0.1, 0.2, 0.3)))
-        assert np.max(np.abs(curv.r_low)) <= 1e-12
-        assert np.max(np.abs(curv.ricci)) <= 1e-12
+        geom = Geometry(ProductStructure.single(flat(("x", "y", "z"))), None,
+                        [Point((0.1, 0.2, 0.3))])
+        curv = riemann(geom)
+        assert np.max(np.abs(curv.r_low[0])) <= 1e-12
+        assert np.max(np.abs(curv.ricci[0])) <= 1e-12
 
     def test_one_dimensional_chart_is_flat(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base))
-        curv = riemann(geom, Point((0.8,)))
-        assert not curv.r_low.any()
+        geom = Geometry(ProductStructure.single(base), None, [Point((0.8,))])
+        assert not riemann(geom).r_low[0].any()
 
     def test_sphere_components(self):
-        geom = Geometry(sphere_structure())
-        for theta in np.linspace(0.5, 2.5, 16):
-            curv = riemann(geom, Point((theta, 1.3)))
-            assert curv.r_low[0, 1, 1, 0] == pytest.approx(
+        thetas = np.linspace(0.5, 2.5, 16)
+        geom = Geometry(sphere_structure(), None, [Point((theta, 1.3)) for theta in thetas])
+        for theta, r_low in zip(thetas, riemann(geom).r_low):
+            assert r_low[0, 1, 1, 0] == pytest.approx(
                 math.sin(theta) ** 2, abs=1e-9)
 
     def test_sphere_ricci(self):
-        geom = Geometry(sphere_structure())
-        p = Point((1.1, 2.0))
-        curv = riemann(geom, p)
-        assert curv.ricci[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert curv.ricci[1, 1] == pytest.approx(math.sin(1.1) ** 2, abs=1e-9)
+        geom = Geometry(sphere_structure(), None, [Point((1.1, 2.0))])
+        ricci = riemann(geom).ricci[0]
+        assert ricci[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert ricci[1, 1] == pytest.approx(math.sin(1.1) ** 2, abs=1e-9)
 
     def test_symmetries_and_first_bianchi(self):
         base = diagonal_block("base", ("t",), (fe.num(-1.0),), ((-0.75, 0.75),))
@@ -67,10 +66,8 @@ class TestRiemann:
         fib2 = BlockMetric("fiber.1", fib.coords, fib.entries, fib.box)
         ps = ProductStructure(base=base, fibers=(fib2,),
                               warps=(fe.parse_expr("exp(t)", ("t",)),))
-        geom = Geometry(ps)
-        rng = SplitMix(13)
-        for p in sample_points(ps, 8, rng):
-            r = riemann(geom, p).r_low
+        geom = Geometry(ps, None, sample_points(ps, 8, SplitMix(13)))
+        for r in riemann(geom).r_low:
             assert np.max(np.abs(r + np.einsum("jikl->ijkl", r))) <= 1e-8
             assert np.max(np.abs(r + np.einsum("ijlk->ijkl", r))) <= 1e-8
             assert np.max(np.abs(r - np.einsum("klij->ijkl", r))) <= 1e-8
@@ -80,19 +77,19 @@ class TestRiemann:
 
 class TestSectional:
     def test_unit_sphere(self):
-        geom = Geometry(sphere_structure())
+        geom = Geometry(sphere_structure(), None, [])
         k = sectional(geom, Point((1.2, 0.8)),
                       np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert k == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_torus(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [])
         k = sectional(geom, Point((0.2, 0.4)),
                       np.array([1.0, 0.3]), np.array([-0.2, 1.0]))
         assert k == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_plane_rejected(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [])
         v = np.array([1.0, 0.5])
         with pytest.raises(DegeneratePlane):
             sectional(geom, Point((0.2, 0.4)), v, 2.0 * v)
@@ -123,53 +120,53 @@ class TestFrames:
 
 class TestParallelAndTrace:
     def test_constant_field_is_parallel(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
-        assert parallel_residual(geom, zeta, Point((0.2, 0.4))) == 0.0
+        assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_constant_interval_field_is_parallel(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base))
+        geom = Geometry(ProductStructure.single(base), None, [Point((0.7,))])
         zeta = lift(VectorFieldDef("base", (fe.num(1.5),)))
-        assert parallel_residual(geom, zeta, Point((0.7,))) == 0.0
+        assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_rotation_is_not_parallel(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
         rot = lift(VectorFieldDef("base", (fe.parse_expr("-y", ("x", "y")),
                                            fe.parse_expr("x", ("x", "y")))))
-        assert parallel_residual(geom, rot, Point((0.2, 0.4))) == pytest.approx(1.0)
+        assert parallel_residual(geom, rot)[0] == pytest.approx(1.0)
 
     def test_trace_of_scaling_field(self):
         # nabla(t dt) = dt on the unit interval: trace 1
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base))
+        geom = Geometry(ProductStructure.single(base), None, [Point((0.7,))])
         zeta = lift(VectorFieldDef("base", (fe.parse_expr("t", ("t",)),)))
-        assert trace_nabla(geom, zeta, Point((0.7,))) == pytest.approx(1.0)
+        assert trace_nabla(geom, zeta)[0] == pytest.approx(1.0)
 
     def test_trace_of_parallel_field_vanishes(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
-        assert trace_nabla(geom, zeta, Point((0.2, 0.4))) == 0.0
+        assert trace_nabla(geom, zeta)[0] == 0.0
 
 
 class TestRicciQuadratic:
     def test_flat(self):
-        geom = Geometry(ProductStructure.single(flat()))
+        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.1, 0.2))])
         zeta = np.array([0.3, -0.7])
-        assert ricci_quadratic(geom, zeta, Point((0.1, 0.2))) == pytest.approx(0.0)
+        assert ricci_quadratic(geom, zeta)[0] == pytest.approx(0.0)
 
     def test_sphere_polar_direction(self):
-        geom = Geometry(sphere_structure())
-        assert ricci_quadratic(geom, np.array([1.0, 0.0]),
-                               Point((1.1, 2.0))) == pytest.approx(1.0, abs=1e-9)
+        geom = Geometry(sphere_structure(), None, [Point((1.1, 2.0))])
+        assert ricci_quadratic(geom, np.array([1.0, 0.0]))[0] == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_flat_product_with_constant_warp(self):
         base = flat(("x", "y"))
         fib = diagonal_block("fiber.1", ("u", "v"), (ONE, ONE),
                              ((-1.0, 1.0), (-1.0, 1.0)))
         ps = ProductStructure(base=base, fibers=(fib,), warps=(fe.num(2.0),))
-        geom = Geometry(ps)
+        geom = Geometry(ps, None, [Point((0.1, 0.2, 0.3, 0.4))])
         rng = SplitMix(2)
         z = np.array(rng.vector(4))
-        assert ricci_quadratic(geom, z, Point((0.1, 0.2, 0.3, 0.4))) == \
+        assert ricci_quadratic(geom, z)[0] == \
             pytest.approx(0.0, abs=1e-12)

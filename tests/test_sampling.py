@@ -81,11 +81,12 @@ class TestBlock:
 
 def remark_loop(ctx):
     geom, rng, n = ctx.geom, ctx.rng("remark39"), ctx.ps.total_dim
+    gs, pivs = geom.metric_jet().g, geom.pi_covector()
     out = []
     for zeta in list(ctx.field_combos().values())[:6]:
         lhs, rhs = [], []
-        for p in ctx.points():
-            g, zv, piv = geom.metric(p).g, geom.field_values(zeta, p), geom.pi_covector(p)
+        for k, p in enumerate(ctx.points()):
+            g, zv, piv = gs[k], geom.field_values(zeta)[k], pivs[k]
             for _ in range(4):
                 x = np.array(rng.vector(n))
                 lhs.append(nabla_quad_at(geom, zeta, x, p, SEMI_SYMMETRIC))
@@ -97,11 +98,12 @@ def remark_loop(ctx):
 
 def premise_loop(ctx):
     geom, rng, n = ctx.geom, ctx.rng("prop310"), ctx.ps.total_dim
+    gs, pivs = geom.metric_jet().g, geom.pi_covector()
     out = []
     for zeta in ctx.field_combos().values():
         gaps = []
-        for p in ctx.points():
-            g, zv, piv = geom.metric(p).g, geom.field_values(zeta, p), geom.pi_covector(p)
+        for k in range(len(ctx.points())):
+            g, zv, piv = gs[k], geom.field_values(zeta)[k], pivs[k]
             for _ in range(8):
                 x = np.array(rng.vector(n))
                 gaps.append((zv @ piv) * (x @ g @ x) - (x @ piv) * (x @ g @ zv))
@@ -113,15 +115,17 @@ def eq22_loop(ctx):
     # every field combo, not only the second-order ones: the gaps are then
     # far from zero and depend on which vector each slot received
     geom, rng, n = ctx.geom, ctx.rng("eq22"), ctx.ps.total_dim
+    gs, gammas, r_lows = geom.metric_jet().g, geom.christoffel(), riemann(geom).r_low
     out = []
     for zeta in ctx.field_combos().values():
         gaps = []
-        for p in ctx.points():
-            g, zv = geom.metric(p).g, geom.field_values(zeta, p)
-            nw = nabla_grid(geom.christoffel(p), *nabla_zeta_zeta(geom, zeta, p))
+        w, dw = nabla_zeta_zeta(geom, zeta)
+        for k in range(len(ctx.points())):
+            g, zv = gs[k], geom.field_values(zeta)[k]
+            nw = nabla_grid(gammas[k], w[k], dw[k])
             for x in list(np.eye(n)) + [np.array(rng.vector(n)) for _ in range(4)]:
-                nxz = covariant_derivative(geom, x, zeta, p)
-                gaps.append(abs(riemann_quad(riemann(geom, p), zv, x)
+                nxz = covariant_derivative(geom, x, zeta)[k]
+                gaps.append(abs(riemann_quad(r_lows[k], zv, x)
                                 - nxz @ g @ nxz - (x @ nw) @ g @ x))
         out.append(gaps)
     return out
@@ -130,12 +134,12 @@ def eq22_loop(ctx):
 def torsion_loop(ctx):
     geom, rng, n = ctx.geom, ctx.rng("axiom-torsion"), ctx.ps.total_dim
     t, expected = [], []
-    for p in ctx.points():
+    for k, p in enumerate(ctx.points()):
         for _ in range(max(1, 256 // len(ctx.points()))):
             x = np.array(rng.vector(n))
             y = np.array(rng.vector(n))
             t.append(torsion_of(geom, x, y, p))
-            expected.append(geom.pi_of(p, y) * x - geom.pi_of(p, x) * y)
+            expected.append(geom.pi_of(y)[k] * x - geom.pi_of(x)[k] * y)
     return [t, expected]
 
 

@@ -1,8 +1,10 @@
 """The geometry's stacks: every connection-layer quantity is computed once
 per sample set as one array, and each of its rows is bit for bit the
-single-point reference formula in ``oracles``.  The checks read only
-these stacks: no check looks a quantity up by point."""
+single-point reference formula in ``oracles`` and the one row of that
+point's own geometry.  The geometry is asked for stacks only: no accessor
+takes a point, and a run builds no geometry beyond its own."""
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -20,6 +22,7 @@ from oracles import (
     lie_matrix_direct_at,
     nabla_quad_at,
     nabla_zeta_zeta_at,
+    one_point,
     ssm_gamma_at,
     trace_nabla_at,
 )
@@ -61,7 +64,7 @@ def stacks_and_references(geom, fields):
     yield "ssm_gamma", geom.ssm_gamma(), [ssm_gamma_at(geom, p) for p in pts]
     for f in fields:
         for kind in KINDS:
-            yield (f"lie_matrix {kind}", lie_matrix(geom, f, None, kind),
+            yield (f"lie_matrix {kind}", lie_matrix(geom, f, kind),
                    [lie_matrix_at(geom, f, p, kind) for p in pts])
         yield "lie_lie_matrix", lie_lie_matrix(geom, f), [lie_lie_matrix_at(geom, f, p)
                                                           for p in pts]
@@ -82,19 +85,22 @@ class TestStacksEqualReferences:
             assert np.array_equal(stack, np.array(refs)), name
 
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
-    def test_point_accessors_are_rows(self, path):
+    def test_point_geometries_are_rows(self, path):
+        # a point's result does not depend on the batch it was computed in,
+        # which is what the single-point oracle comparisons rest on
         ctx = RunContext(load_manifest(path), samples=16)
         geom = ctx.geom
         f = next(iter(ctx.field_combos().values()))
         for k, p in enumerate(ctx.points()):
-            assert np.array_equal(geom.christoffel(p), geom.christoffel()[k])
-            assert np.array_equal(geom.christoffel_jet(p)[1], geom.christoffel_jet()[1][k])
-            assert np.array_equal(geom.ssm_gamma(p), geom.ssm_gamma()[k])
+            alone = one_point(geom, p)
+            assert np.array_equal(alone.christoffel()[0], geom.christoffel()[k])
+            assert np.array_equal(alone.christoffel_jet()[1][0], geom.christoffel_jet()[1][k])
+            assert np.array_equal(alone.ssm_gamma()[0], geom.ssm_gamma()[k])
             for kind in KINDS:
-                assert np.array_equal(lie_matrix(geom, f, p, kind),
-                                      lie_matrix(geom, f, None, kind)[k])
-            assert np.array_equal(lie_lie_matrix(geom, f, p), lie_lie_matrix(geom, f)[k])
-            assert np.array_equal(nabla_zeta_zeta(geom, f, p)[1],
+                assert np.array_equal(lie_matrix(alone, f, kind)[0],
+                                      lie_matrix(geom, f, kind)[k])
+            assert np.array_equal(lie_lie_matrix(alone, f)[0], lie_lie_matrix(geom, f)[k])
+            assert np.array_equal(nabla_zeta_zeta(alone, f)[1][0],
                                   nabla_zeta_zeta(geom, f)[1][k])
 
     @pytest.mark.parametrize("name", ["mw2_fib", "grw_exp", "sphere"])
@@ -102,16 +108,17 @@ class TestStacksEqualReferences:
         ctx = RunContext(load_manifest(corpus_dir() / f"{name}.wm"), samples=16)
         geom = ctx.geom
         off = off_sample_point(ctx)
+        alone = one_point(geom, off)
         f = next(iter(ctx.field_combos().values()))
-        assert np.array_equal(geom.christoffel(off), christoffel_at(geom, off))
-        assert np.array_equal(geom.christoffel_jet(off)[1], dchristoffel_at(geom, off))
-        assert np.array_equal(geom.ssm_gamma(off), ssm_gamma_at(geom, off))
+        assert np.array_equal(alone.christoffel()[0], christoffel_at(geom, off))
+        assert np.array_equal(alone.christoffel_jet()[1][0], dchristoffel_at(geom, off))
+        assert np.array_equal(alone.ssm_gamma()[0], ssm_gamma_at(geom, off))
         for kind in KINDS:
-            assert np.array_equal(lie_matrix(geom, f, off, kind),
+            assert np.array_equal(lie_matrix(alone, f, kind)[0],
                                   lie_matrix_at(geom, f, off, kind))
-        assert np.array_equal(lie_lie_matrix(geom, f, off), lie_lie_matrix_at(geom, f, off))
-        for got, want in zip(nabla_zeta_zeta(geom, f, off), nabla_zeta_zeta_at(geom, f, off)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(lie_lie_matrix(alone, f)[0], lie_lie_matrix_at(geom, f, off))
+        for got, want in zip(nabla_zeta_zeta(alone, f), nabla_zeta_zeta_at(geom, f, off)):
+            assert np.array_equal(got[0], want)
         # the sample set's stacks do not grow a row for it
         assert geom.christoffel().shape[0] == 16
 
@@ -139,11 +146,11 @@ class TestCurvatureStack:
                                   np.array([getattr(r, name) for r in refs])), name
         for k, p in enumerate(ctx.points()):
             for name in CURVATURE:
-                assert np.array_equal(getattr(riemann(geom, p), name),
+                assert np.array_equal(getattr(riemann(one_point(geom, p)), name)[0],
                                       getattr(stack, name)[k]), name
         off = off_sample_point(ctx)
         for name in CURVATURE:
-            assert np.array_equal(getattr(riemann(geom, off), name),
+            assert np.array_equal(getattr(riemann(one_point(geom, off)), name)[0],
                                   getattr(curvature_at(geom, off), name)), name
         assert riemann(geom).r_low.shape[0] == 16
 
@@ -165,12 +172,13 @@ class TestCovariantDerivativeStack:
         for kind in KINDS:
             for x in fields + [const]:
                 for z in fields + [const]:
-                    got = covariant_derivative(geom, x, z, None, kind)
+                    got = covariant_derivative(geom, x, z, kind)
                     want = [covariant_derivative_at(geom, x, z, p, kind)
                             for p in ctx.points()]
                     assert np.array_equal(got, np.array(want)), kind
-                    assert np.array_equal(covariant_derivative(geom, x, z, ctx.points()[3],
-                                                               kind), want[3])
+                    alone = one_point(geom, ctx.points()[3])
+                    assert np.array_equal(covariant_derivative(alone, x, z, kind)[0],
+                                          want[3])
 
 
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
@@ -220,18 +228,19 @@ class TestCheckQuantityStacks:
         ctx = RunContext(load_manifest(path), samples=16)
         geom, pts = ctx.geom, ctx.points()
         off = off_sample_point(ctx)
+        alone = one_point(geom, off)
         for f in list(ctx.field_combos().values()) + synthesized_fields(ctx):
             for name, stacked, reference in FIELD_STACKS:
-                assert np.array_equal(stacked(geom, f, None),
+                assert np.array_equal(stacked(geom, f),
                                       np.array([reference(geom, f, p) for p in pts])), name
-                assert np.array_equal(stacked(geom, f, off), reference(geom, f, off)), name
+                assert np.array_equal(stacked(alone, f)[0], reference(geom, f, off)), name
 
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
     def test_gathered_quadratic_forms_are_the_single_vector_form(self, path):
         ctx = RunContext(load_manifest(path), samples=16)
         geom, pts, n = ctx.geom, ctx.points(), ctx.ps.total_dim
         off = off_sample_point(ctx)
-        alone = Geometry(ctx.ps, ctx.mf.torsion, [off])
+        alone = one_point(geom, off)
         rng = ctx.rng("test:nabla_quads")
         ks = np.array([rng.next_u64() % len(pts) for _ in range(40)])
         xs = rng.block((40, n))
@@ -245,20 +254,20 @@ class TestCheckQuantityStacks:
 
 
 class TestNoPointLookups:
-    """A full run reads every geometric quantity from the stacks: no check
-    looks one up by point, and no cone builds a field per draw (the shift
-    lives on a fiber in mw2_fib, whose cones are block-pure, and on the
-    base in mw2_grw, whose cones are orthogonal)."""
+    """A full run reads every geometric quantity from the stacks of the run's
+    own geometries, one for the product and one per block, and no cone
+    builds a field per draw (the shift lives on a fiber in mw2_fib, whose
+    cones are block-pure, and on the base in mw2_grw, whose cones are
+    orthogonal)."""
 
     @pytest.mark.parametrize("name", ["mw2_fib", "mw2_grw"])
     def test_full_run(self, name, monkeypatch):
-        keyed = Counter()
-        real_at = Geometry.at
+        geometries = []
+        real_init = Geometry.__init__
 
-        def at(geom, compute, p, *args):
-            if p is not None:
-                keyed[compute.__name__] += 1
-            return real_at(geom, compute, p, *args)
+        def init(geom, *args):
+            geometries.append(geom)
+            real_init(geom, *args)
 
         drawing = []   # the sample row of the draw in progress
         draws = []
@@ -284,13 +293,38 @@ class TestNoPointLookups:
                 return draw
             return make
 
-        monkeypatch.setattr(Geometry, "at", at)
+        monkeypatch.setattr(Geometry, "__init__", init)
         monkeypatch.setattr(ProductField, "__post_init__", post_init)
         for attr in ("_orth_cone", "_pure_cone"):
             monkeypatch.setattr(killing, attr, watched(getattr(killing, attr)))
         registry = default_registry()
-        run_checks(registry, load_manifest(corpus_dir() / f"{name}.wm"),
-                   registry.specs, samples=16)
+        mf = load_manifest(corpus_dir() / f"{name}.wm")
+        run_checks(registry, mf, registry.specs, samples=16)
         assert sorted(set(draws)) == list(range(16))
-        assert keyed == Counter()
+        assert len(geometries) == 2 + mf.fiber_count
         assert built == []
+
+
+def _takes_a_point(fn) -> bool:
+    return any(name == "p" or param.annotation in (Point, "Point", "Point | None")
+               for name, param in inspect.signature(fn).parameters.items())
+
+
+class TestOneCallingConvention:
+    """Every quantity is asked for as fn(geom, ...) and answered with its
+    stack over the geometry's sample set: no Geometry method and no
+    public function of the connection, curvature and Lie layers takes a
+    point."""
+
+    def test_no_accessor_takes_a_point(self):
+        fns = [f for f in vars(Geometry).values() if inspect.isfunction(f)]
+        for module in (connections, curvature, lie_killing):
+            fns += [f for name, f in vars(module).items()
+                    if inspect.isfunction(f) and f.__module__ == module.__name__
+                    and not name.startswith("_")]
+        assert len(fns) > 25
+        assert [f.__qualname__ for f in fns if _takes_a_point(f)] == []
+
+    def test_points_are_required(self):
+        with pytest.raises(TypeError):
+            Geometry(load_manifest(corpus_dir() / "sphere.wm").structure, None)

@@ -155,12 +155,12 @@ class TestSufficiencyNegativeControls:
         zeta = ctx.named_field("zeta_rot")
         worst = 0.0
         rng = ctx.rng("negctl")
-        for p in ctx.points():
+        g = ctx.geom.metric_jet().g
+        for k in range(len(ctx.points())):
             x = np.zeros(ctx.ps.total_dim)
             x[0] = 1.0
             x[1:] = np.array(rng.vector(2))
-            g = ctx.geom.metric(p).g
-            q = covariant_derivative(ctx.geom, x, zeta, p, SEMI_SYMMETRIC) @ g @ x
+            q = covariant_derivative(ctx.geom, x, zeta, SEMI_SYMMETRIC)[k] @ g[k] @ x
             worst = max(worst, abs(q))
         assert worst > 1e-3
 
@@ -171,8 +171,7 @@ class TestSufficiencyNegativeControls:
         from warpfield.lie_killing import lie_matrix
 
         zeta = ProductField((mf.fields["zeta_bx"], mf.fields["zeta_cv"]))
-        worst = max(float(np.max(np.abs(lie_matrix(ctx.geom, zeta, p))))
-                    for p in ctx.points())
+        worst = max(float(np.max(np.abs(m))) for m in lie_matrix(ctx.geom, zeta))
         assert worst > 1e-3
 
     def test_homothetic_non_isometry_breaks_second_order_sum(self, corpus):
@@ -181,8 +180,7 @@ class TestSufficiencyNegativeControls:
         mf = corpus["mw2_riem"]
         ctx = RunContext(mf, samples=16)
         zeta = ProductField((mf.fields["zeta_dil1"], mf.fields["zeta_cw2"]))
-        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom, zeta, p))))
-                    for p in ctx.points())
+        worst = max(float(np.max(np.abs(m))) for m in lie_lie_matrix(ctx.geom, zeta))
         assert worst > 1e-2
 
     def test_coupled_warp_with_wrong_homothety_factor(self, corpus):
@@ -246,8 +244,7 @@ comp.y = {-lam * a / 3.0}*y
         assert _eq28_residual_max(ctx, 0, hom.factor, a, b) <= 1e-9
         # yet the combined field is not second-order Killing
         zeta = ProductField((mf.fields["zeta_cbrt"], mf.fields["zeta_dil"]))
-        worst = max(float(np.max(np.abs(lie_lie_matrix(ctx.geom, zeta, p))))
-                    for p in ctx.points())
+        worst = max(float(np.max(np.abs(m))) for m in lie_lie_matrix(ctx.geom, zeta))
         assert worst > 1e-3
 
 
@@ -263,10 +260,10 @@ class TestUnrestrictedQuantifierDiagnostics:
         zeta = ctx.named_field("zeta_rot1")
         worst = 0.0
         rng = ctx.rng("diag49")
-        for p in ctx.points():
+        g = ctx.geom.metric_jet().g
+        for k in range(len(ctx.points())):
             x = np.array(rng.vector(ctx.ps.total_dim))
-            g = ctx.geom.metric(p).g
-            q = covariant_derivative(ctx.geom, x, zeta, p, SEMI_SYMMETRIC) @ g @ x
+            q = covariant_derivative(ctx.geom, x, zeta, SEMI_SYMMETRIC)[k] @ g[k] @ x
             worst = max(worst, abs(q))
         assert worst > 1e-3
 
@@ -278,11 +275,10 @@ class TestUnrestrictedQuantifierDiagnostics:
         from warpfield.connections import SEMI_SYMMETRIC, covariant_derivative
 
         zeta = ctx.named_field("zeta_w")
-        p = ctx.points()[0]
         x = np.zeros(ctx.ps.total_dim)
         x[0] = 1.0
-        g = ctx.geom.metric(p).g
-        q = covariant_derivative(ctx.geom, x, zeta, p, SEMI_SYMMETRIC) @ g @ x
+        g = ctx.geom.metric_jet().g[0]
+        q = covariant_derivative(ctx.geom, x, zeta, SEMI_SYMMETRIC)[0] @ g @ x
         assert abs(q) > 1e-3
 
 
@@ -342,9 +338,8 @@ class TestNonFiniteResiduals:
         mf = corpus[name]
         real = twokilling.lie_lie_matrix
 
-        def poisoned(geom, zeta, p=None):
-            m = real(geom, zeta, p)
-            return poison_row_1(m) if p is None else m
+        def poisoned(geom, zeta):
+            return poison_row_1(real(geom, zeta))
 
         clean = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
         assert [r.verdict for r in clean] == [PASS]
@@ -364,9 +359,8 @@ class TestNonFiniteResiduals:
         # count as agreeing
         mf = corpus[name]
 
-        def poisoned(geom, zeta, p=None, kind=LEVI_CIVITA):
-            m = lie_matrix(geom, zeta, p, kind)
-            return poison_row_1(m) if p is None else m
+        def poisoned(geom, zeta, kind=LEVI_CIVITA):
+            return poison_row_1(lie_matrix(geom, zeta, kind))
 
         clean = run_checks(registry, mf, registry.select(check), samples=16)
         assert [r.verdict for r in clean] == [PASS]
