@@ -158,7 +158,11 @@ def _metric_jets(geom: Geometry) -> MetricJet:
 
 
 def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
-    return field.jet(geom.ps, geom.points)
+    """A sum of parts adds the parts' own stacks, each zero off its block."""
+    if len(field.parts) < 2:
+        return field.jet(geom.ps, geom.points)
+    parts = [geom.field_jet(lift(part)) for part in field.parts]
+    return FieldJet(*(sum(arrays) for arrays in zip(*((p.val, p.d, p.d2) for p in parts))))
 
 
 def _warp_jets(geom: Geometry, i: int) -> Jet2:

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .jets import FUNCTIONS, DivisionByZero, DomainError, Jet2
+from .jets import FUNCTIONS, DivisionByZero, DomainError, Jet2, int_pow
 
 FUNCTION_NAMES = frozenset(FUNCTIONS) | {"pow"}
 
@@ -248,17 +248,7 @@ def _power(base, expo):
         return base ** e
     if e == int(e) and abs(e) <= 64:
         # repeated multiplication, matching the jet path bit for bit
-        k = int(e)
-        if k < 0:
-            return 1.0 / _power(base, -k)
-        result = 1.0
-        b = base
-        while k:
-            if k & 1:
-                result = result * b
-            b = b * b
-            k >>= 1
-        return result
+        return int_pow(base, int(e)) if e else 1.0
     if base <= 0.0:
         raise DomainError(f"non-integer power of non-positive base {base}")
     try:

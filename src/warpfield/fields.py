@@ -9,6 +9,7 @@ the decomposition statements quantify over.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,34 +83,33 @@ class ProductField:
     def __hash__(self):
         return self._hash
 
-    @staticmethod
-    def of(*parts: VectorFieldDef) -> "ProductField":
-        return ProductField(tuple(parts))
-
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
 
     def jet(self, ps: ProductStructure, points: list[Point]) -> FieldJet:
-        """Component jets at ``points``, stacked on a leading sample axis,
-        from one walk of every component expression over the whole list."""
-        env = ps.jet_env(points)
+        """Component jets at ``points``, stacked on a leading sample axis.
+        Each part is walked once over the whole list, in its own block's
+        ``jet_env``; its partials in other blocks stay zero."""
         s, n = len(points), ps.total_dim
-        val = np.zeros((s, n))
-        d = np.zeros((s, n, n))
-        d2 = np.zeros((s, n, n, n))
-        for part in self.parts:
-            sl = ps.block_slice(part.block)
-            for k, comp in enumerate(part.components):
-                j = ps.expr_jet(comp, env, points)
-                col = sl.start + k
-                val[:, col] = j.value
-                d[:, :, col] = j.grad
-                d2[:, :, :, col] = j.hess
-        return FieldJet(val=val, d=d, d2=d2)
+
+        def assemble(jet):
+            val, d, d2 = (np.zeros((s,) + (n,) * r) for r in (1, 2, 3))
+            for part in self.parts:
+                sl = ps.block_slice(part.block)
+                env = ps.jet_env(points, part.block)
+                for k, comp in enumerate(part.components):
+                    j = jet(comp, env)
+                    col = sl.start + k
+                    val[:, col] = j.value
+                    d[:, sl, col] = j.grad
+                    d2[:, sl, sl, col] = j.hess
+            return val, d, d2
+
+        return FieldJet(*ps.walk(assemble, points))
 
 
 def lift(vfd: VectorFieldDef) -> ProductField:
-    return ProductField.of(vfd)
+    return ProductField((vfd,))
 
 
 def rehome(vfd: VectorFieldDef) -> ProductField:
@@ -127,16 +127,10 @@ def synth_field(ps: ProductStructure, block, rng: SplitMix, degree: int = 2) -> 
             terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
                                        fieldexpr.var(name)))
         if degree >= 2:
-            names = list(bm.coords)
-            for i in range(len(names)):
-                for j in range(i, len(names)):
+            for i, a in enumerate(bm.coords):
+                for b in bm.coords[i:]:
                     coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
                     terms.append(fieldexpr.mul(
-                        coeff,
-                        fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
-                    ))
-        expr = terms[0]
-        for t in terms[1:]:
-            expr = fieldexpr.add(expr, t)
-        comps.append(expr)
+                        coeff, fieldexpr.mul(fieldexpr.var(a), fieldexpr.var(b))))
+        comps.append(functools.reduce(fieldexpr.add, terms))
     return VectorFieldDef(block, tuple(comps))

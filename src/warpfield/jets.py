@@ -1,21 +1,21 @@
 """Order-2 forward-mode automatic differentiation over a set of points.
 
-A ``Jet2`` carries values together with their full gradients and
-Hessians with respect to the chart coordinates.  All tensor quantities
-downstream (metric derivatives, Christoffel symbols, curvature, second
-Lie derivatives) are assembled from this arithmetic, which is exact to
+A ``Jet2`` carries values together with their gradients and Hessians in
+n coordinate directions: the chart's, or one block's for an expression
+in that block's coordinates alone.  All tensor quantities downstream
+(metric derivatives, Christoffel symbols, curvature, second Lie
+derivatives) are assembled from this arithmetic, which is exact to
 round-off: no truncation error, unlike finite differences.
 
 A jet has a leading sample axis: ``value`` has shape (S,), ``grad``
 (S, n) and ``hess`` (S, n, n), so one walk of an expression tree
 evaluates it at S points (vectorized forward mode, Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  A jet seeded at a
-single :class:`Point`, and a constant, has no sample axis: a float
-value, grad (n,) and hess (n, n).  Both broadcast against each other,
-and every operation acts on each sample alone, in the same order as for
-one point; the transcendental functions and non-integer powers call
-``math`` and Python ``**`` once per sample.  A result at one point is
-therefore bit-identical whichever batch it was computed in.
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13).  A constant jet has
+no sample axis and broadcasts.  Every operation acts on each sample, and
+each entry (i, j) of a Hessian on entries i and j of the gradients, alone;
+the transcendental functions and non-integer powers call ``math`` and
+Python ``**`` once per sample.  A result is therefore bit-identical
+whichever batch, and whichever set of directions, it was computed in.
 
 The Hessian is stored dense and kept bit-exactly symmetric: every update
 below combines symmetric matrices and symmetrized outer products only.
@@ -137,16 +137,6 @@ class Jet2:
     def constant(value: float, n: int) -> "Jet2":
         return Jet2(value, np.zeros(n), np.zeros((n, n)))
 
-    @staticmethod
-    def seed(p: Point, k: int) -> "Jet2":
-        """Jet of the k-th coordinate function at p: value x_k, grad e_k."""
-        n = p.dim
-        if not 0 <= k < n:
-            raise IndexError(f"coordinate index {k} out of range for dim {n}")
-        grad = np.zeros(n)
-        grad[k] = 1.0
-        return Jet2(p.coords[k], grad, np.zeros((n, n)))
-
     def finite(self):
         """Per sample: the value and every partial are finite."""
         return (np.isfinite(self.value) & np.isfinite(self.grad).all(-1)
@@ -159,32 +149,33 @@ class Jet2:
             return self
         return Jet2(self.value[i], self.grad[i], self.hess[i])
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(float(other), self.n)
-
     # ---- arithmetic ----
+    # A float operand acts on the value, gradient and Hessian directly: its
+    # zero partials would add and multiply to zeros, so every entry equals
+    # that of the constant-jet product rule (up to the sign of a zero).
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def __add__(self, o):
+        if not isinstance(o, Jet2):
+            return Jet2(self.value + float(o), self.grad, self.hess)
         return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
+    def __sub__(self, o):
+        if not isinstance(o, Jet2):
+            return Jet2(self.value - float(o), self.grad, self.hess)
         return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet2(o.value - self.value, o.grad - self.grad, o.hess - self.hess)
+        return Jet2(float(other) - self.value, -self.grad, -self.hess)
 
     def __neg__(self):
         return Jet2(-self.value, -self.grad, -self.hess)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
+    def __mul__(self, o):
+        if not isinstance(o, Jet2):
+            c = float(o)
+            return Jet2(self.value * c, c * self.grad, c * self.hess)
         return Jet2(
             self.value * o.value,
             _g(self.value) * o.grad + _g(o.value) * self.grad,
@@ -194,8 +185,11 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
+    def __truediv__(self, o):
+        if not isinstance(o, Jet2):
+            c = float(o)
+            require(c != 0.0, c, "division by zero", DivisionByZero)
+            return Jet2(self.value / c, self.grad / c, self.hess / c)
         require(o.value != 0.0, o.value, "division by zero", DivisionByZero)
         q = self.value / o.value
         qg = (self.grad - _g(q) * o.grad) / _g(o.value)
@@ -203,7 +197,7 @@ class Jet2:
         return Jet2(q, qg, qh)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return Jet2.constant(float(other), self.n) / self
 
     def __pow__(self, expo):
         if isinstance(expo, Jet2):
@@ -218,7 +212,7 @@ class Jet2:
             expo = first
         e = float(expo)
         if e == int(e) and abs(e) <= 64:
-            return self._int_pow(int(e))
+            return int_pow(self, int(e)) if e else Jet2.constant(1.0, self.n)
         require(np.logical_not(self.value <= 0.0), self.value,
                 "non-integer power of non-positive base {}")
         return _chain(
@@ -228,20 +222,23 @@ class Jet2:
             _map(lambda x: e * (e - 1.0) * x ** (e - 2.0), self.value),
         )
 
-    def _int_pow(self, k: int) -> "Jet2":
-        if k < 0:
-            return 1.0 / self._int_pow(-k)
-        result = Jet2.constant(1.0, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad.tolist()!r})"
+
+
+def int_pow(base, k: int):
+    """base^k for an integer k != 0 by repeated squaring, a negative k as
+    1 / base^-k; a float and each sample of a jet take the same steps."""
+    if k < 0:
+        return 1.0 / int_pow(base, -k)
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _per_sample(op, *jets: Jet2) -> Jet2:

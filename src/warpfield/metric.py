@@ -89,9 +89,6 @@ class BlockMetric:
                 out[i, j] = out[j, i] = eval_expr(self.entries[i][j], env)
         return out
 
-    def center(self) -> Point:
-        return Point(tuple(0.5 * (lo + hi) for lo, hi in self.box))
-
 
 def diagonal_block(label: str, coords, diag_exprs, box) -> BlockMetric:
     d = len(coords)
@@ -146,10 +143,6 @@ class ProductStructure:
             out.extend(b.box)
         return tuple(out)
 
-    @staticmethod
-    def single(block: BlockMetric) -> "ProductStructure":
-        return ProductStructure(base=block)
-
     def fiber_structure(self, i: int) -> "ProductStructure":
         return ProductStructure(base=self.fibers[i])
 
@@ -174,16 +167,18 @@ class ProductStructure:
         self._check_point(p)
         return dict(zip(self.coord_names, p.coords))
 
-    def jet_env(self, points: list[Point]) -> dict:
-        """Coordinate jets over ``points``, one sample per point."""
+    def jet_env(self, points: list[Point], block=None) -> dict:
+        """Coordinate jets over ``points``, one sample per point, with
+        partials in ``block``'s coordinates or, by default, the chart's."""
         for p in points:
             self._check_point(p)
-        coords = np.array([p.coords for p in points])
+        sl = slice(None) if block is None else self.block_slice(block)
+        coords = np.array([p.coords for p in points])[:, sl]
         s, n = coords.shape
         grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
         hess = np.zeros((s, n, n))
         return {name: Jet2(coords[:, k], grads[k], hess)
-                for k, name in enumerate(self.coord_names)}
+                for k, name in enumerate(self.coord_names[sl])}
 
     def expr_jet(self, expr: Expr, env: dict, points: list[Point]) -> Jet2:
         """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
@@ -191,16 +186,32 @@ class ProductStructure:
         expression leaves its real domain or overflows, and the expression."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                j = eval_expr(expr, env)
-                j = j if isinstance(j, Jet2) else Jet2.constant(j, self.total_dim)
-                # the sum is finite unless an entry is inf or NaN (or it overflows)
-                if not np.isfinite(np.sum(j.value) + j.grad.sum() + j.hess.sum()):
-                    require(j.finite(), j.value, "overflow")
+                j = _jet_of(expr, env)
+                require(j.finite(), j.value, "overflow")
         except DomainError as err:
             i = err.index or 0
             raise DomainError(f"{err} at ({self.where(points[i])}) in "
                               f"{fieldexpr.pretty(expr)}", index=i) from None
         return j
+
+    def walk(self, assemble, points: list[Point], overflow=None) -> tuple:
+        """``assemble(jet)``: arrays, sample axis first, from the jets
+        ``jet(expr, env)`` of expressions over ``jet_env``s of ``points``.
+        Only the arrays are tested: if one is not finite, or an error is
+        raised, they are assembled again from ``expr_jet``, which raises the
+        first error in walk order; arrays still not finite go to ``overflow``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                arrays = assemble(_jet_of)
+                # the sum is finite unless an entry is inf or NaN (or it overflows)
+                if np.isfinite(sum(np.sum(a) for a in arrays)):
+                    return arrays
+            except (DomainError, NonPositiveWarping):
+                pass
+            arrays = assemble(lambda expr, env: self.expr_jet(expr, env, points))
+        if overflow is not None:
+            overflow(points, *arrays)
+        return arrays
 
     def where(self, p: Point) -> str:
         """p's coordinates by name, as error messages print them."""
@@ -275,46 +286,40 @@ class ProductStructure:
             self._require_finite([p], g[None])
         for sl, block in zip(self.slices, self.blocks):
             ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, [p])
-        return MetricAt(g=g, ginv=ginv, point=p)
+        return MetricAt(g=g, ginv=ginv)
 
     def metric_jet(self, points: list[Point]) -> "MetricJet":
         """Metric jets at ``points``, stacked on a leading sample axis, from
         one walk of every entry and warp expression over the whole list."""
         env = self.jet_env(points)
         s, n = len(points), self.total_dim
-        g = np.zeros((s, n, n))
-        dg = np.zeros((s, n, n, n))
-        d2g = np.zeros((s, n, n, n, n))
 
-        def put(sl, a, b, jet):
-            ia, ib = sl.start + a, sl.start + b
-            g[:, ia, ib] = g[:, ib, ia] = jet.value
-            dg[:, :, ia, ib] = dg[:, :, ib, ia] = jet.grad
-            d2g[:, :, :, ia, ib] = d2g[:, :, :, ib, ia] = jet.hess
+        def assemble(jet):
+            g, dg, d2g = (np.zeros((s,) + (n,) * r) for r in (2, 3, 4))
 
-        def entries(block):
-            for a in range(block.dim):
-                for b in range(a, block.dim):
-                    yield a, b, self.expr_jet(block.entries[a][b], env, points)
+            def put(sl, block, w2=None):
+                for a in range(block.dim):
+                    for b in range(a, block.dim):
+                        j = jet(block.entries[a][b], env)
+                        j = j if w2 is None else w2 * j
+                        ia, ib = sl.start + a, sl.start + b
+                        g[:, ia, ib] = g[:, ib, ia] = j.value
+                        dg[:, :, ia, ib] = dg[:, :, ib, ia] = j.grad
+                        d2g[:, :, :, ia, ib] = d2g[:, :, :, ib, ia] = j.hess
 
-        for a, b, jet in entries(self.base):
-            put(self.slices[0], a, b, jet)
-        with np.errstate(over="ignore", invalid="ignore"):
+            put(self.slices[0], self.base)
             for i, f in enumerate(self.fibers):
-                w = self.expr_jet(self.warps[i], env, points)
+                w = jet(self.warps[i], env)
                 vals = np.atleast_1d(w.value)
                 bad = np.flatnonzero(vals <= 0.0)
                 if bad.size:
                     k = bad[0]
                     raise NonPositiveWarping(self._warp_message(f, self.warps[i],
                                                                 float(vals[k]), points[k]))
-                w2 = w * w
-                for a, b, jet in entries(f):
-                    put(self.slices[i + 1], a, b, w2 * jet)
-            finite = np.isfinite(np.sum(g) + np.sum(dg) + np.sum(d2g))
-        if not finite:
-            self._require_finite(points, g, dg, d2g)
+                put(self.slices[i + 1], f, w * w)
+            return g, dg, d2g
 
+        g, dg, d2g = self.walk(assemble, points, self._require_finite)
         ginv = np.zeros((s, n, n))
         for sl, block in zip(self.slices, self.blocks):
             ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
@@ -325,7 +330,6 @@ class ProductStructure:
 class MetricAt:
     g: np.ndarray
     ginv: np.ndarray
-    point: Point
 
 
 @dataclass(frozen=True)
@@ -338,15 +342,17 @@ class MetricJet:
     d2g: np.ndarray     # (n, n, n, n): d2g[d, e, i, j]
     ginv: np.ndarray
 
-    def __getitem__(self, k: int) -> "MetricJet":
-        """The jet at sample k of a stacked jet."""
-        return MetricJet(self.g[k], self.dg[k], self.d2g[k], self.ginv[k])
-
     @cached_property
     def dginv(self) -> np.ndarray:
         """(n, n, n): dginv[d, k, l] = d_d g^kl = -g^ka d_d g_ab g^bl,
         computed on first use: only the Christoffel jet needs it."""
         return -np.einsum("...ka,...dab,...bl->...dkl", self.ginv, self.dg, self.ginv)
+
+
+def _jet_of(expr: Expr, env: dict) -> Jet2:
+    """``expr`` over a ``jet_env``; a constant becomes a constant jet."""
+    j = eval_expr(expr, env)
+    return j if isinstance(j, Jet2) else Jet2.constant(j, len(env))
 
 
 def sample_points(

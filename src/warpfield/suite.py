@@ -131,6 +131,7 @@ class RunContext:
             for i in range(len(self.ps.fibers)))
         self._combos: dict[str, ProductField] | None = None
         self._rehomed: dict[VectorFieldDef, ProductField] = {}
+        self._synth: dict[tuple, VectorFieldDef] = {}
 
     # ---- sampling ----
 
@@ -146,7 +147,12 @@ class RunContext:
     # ---- fields ----
 
     def synth(self, block, label: str, degree: int = 2) -> VectorFieldDef:
-        return synth_field(self.ps, block, self.rng(f"synth:{label}"), degree)
+        """synth_field's draw from the stream of ``label``, once per run: a
+        repeat is the same object, so the geometry finds its stacks by ``is``."""
+        key = (block, label, degree)
+        if key not in self._synth:
+            self._synth[key] = synth_field(self.ps, block, self.rng(f"synth:{label}"), degree)
+        return self._synth[key]
 
     def named_field(self, name: str) -> ProductField:
         return lift(self.mf.fields[name])

@@ -1,5 +1,7 @@
 """Reference computations that only the tests use: central-difference
-jets, the index-raised gradient, the metric pairing, block signatures,
+jets, coordinate jets at one point, rows of a stacked metric jet, field
+jets walked in the whole chart's coordinates, the index-raised
+gradient, the metric pairing, block signatures,
 metricity on constant vectors, the sectional curvature of one plane,
 one-draw-at-a-time point sampling, and the connection-layer formulas
 (Christoffel symbols and their partials, the shifted symbols, the
@@ -83,6 +85,21 @@ def fd_jet(f, p: Point, step: float = 1e-4) -> Jet2:
     return Jet2(f0, grad, hess)
 
 
+def seed(p: Point, k: int) -> Jet2:
+    """Jet of the k-th coordinate function at p alone: value x_k, grad e_k."""
+    n = p.dim
+    if not 0 <= k < n:
+        raise IndexError(f"coordinate index {k} out of range for dim {n}")
+    grad = np.zeros(n)
+    grad[k] = 1.0
+    return Jet2(p.coords[k], grad, np.zeros((n, n)))
+
+
+def metric_row(mj: MetricJet, k: int) -> MetricJet:
+    """The jet at sample k of a stacked metric jet."""
+    return MetricJet(mj.g[k], mj.dg[k], mj.d2g[k], mj.ginv[k])
+
+
 def grad_scalar(ps: ProductStructure, p: Point, h) -> np.ndarray:
     """Index-raised gradient: (grad h)^k = g^{kl} d_l h on ps's chart."""
     extra = fieldexpr.variables_of(h) - set(ps.coord_names)
@@ -128,7 +145,27 @@ def one_point(geom: Geometry, p: Point) -> Geometry:
 
 
 def metric_jet_at(geom: Geometry, p: Point) -> MetricJet:
-    return one_point(geom, p).metric_jet()[0]
+    return metric_row(one_point(geom, p).metric_jet(), 0)
+
+
+def field_jet_full(ps: ProductStructure, field: ProductField, points) -> FieldJet:
+    """A field's jets at ``points`` from one walk of every component in the
+    whole chart's ``jet_env``, each tested by ``expr_jet``: the walk before
+    parts were walked in their own block's coordinates."""
+    env = ps.jet_env(points)
+    s, n = len(points), ps.total_dim
+    val = np.zeros((s, n))
+    d = np.zeros((s, n, n))
+    d2 = np.zeros((s, n, n, n))
+    for part in field.parts:
+        sl = ps.block_slice(part.block)
+        for k, comp in enumerate(part.components):
+            j = ps.expr_jet(comp, env, points)
+            col = sl.start + k
+            val[:, col] = j.value
+            d[:, :, col] = j.grad
+            d2[:, :, :, col] = j.hess
+    return FieldJet(val=val, d=d, d2=d2)
 
 
 def field_jet_at(geom: Geometry, field, p: Point) -> FieldJet:
@@ -143,7 +180,7 @@ def field_jet_at(geom: Geometry, field, p: Point) -> FieldJet:
 def compat_residual(geom: Geometry, x, y, z, kind: str = SEMI_SYMMETRIC) -> float:
     """|x(g(y,z)) - g(nabla_x y, z) - g(y, nabla_x z)| for constant x, y, z
     at the one point of geom."""
-    mj = geom.metric_jet()[0]
+    mj = metric_row(geom.metric_jet(), 0)
     xv, yv, zv = (np.asarray(v, dtype=float) for v in (x, y, z))
     lead = np.einsum("d,dij,i,j->", xv, mj.dg, yv, zv)
     dy = covariant_derivative(geom, xv, yv, kind)[0]

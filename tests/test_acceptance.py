@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
-from oracles import fd_jet, results_covered, sectional
+from oracles import fd_jet, results_covered, sectional, seed
 from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
 from warpfield.curvature import riemann
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField
-from warpfield.jets import Jet2, Point
+from warpfield.jets import Point
 from warpfield.lie_killing import (
     lie_lie_matrix,
     lie_matrix,
@@ -232,7 +232,7 @@ def test_criterion_08_oracle_equivalence(corpus):
 
         for values in pts:
             p = Point(values)
-            j = eval_expr(expr, {n: Jet2.seed(p, k)
+            j = eval_expr(expr, {n: seed(p, k)
                                  for k, n in enumerate(order)})
             fd = fd_jet(scalar, p)
             assert np.max(np.abs(j.grad - fd.grad)) <= \

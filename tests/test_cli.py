@@ -48,6 +48,12 @@ NO_FIELDS = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
              "[fiber.1]\ndim = 1\ncoords = y\ng.y.y = 1\nbox.y = -1, 1\n"
              "warp = 1 + x^2\n")
 
+# a base field whose component overflows at sample points far from the centre
+FIELD_OVERFLOW = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -30, 30\n\n"
+                  "[fiber.1]\ndim = 1\ncoords = u\ng.u.u = 1\nbox.u = -1, 1\n"
+                  "warp = 1 + x^2\n\n[torsion]\nlocation = zero\n\n"
+                  "[field.z]\nlocation = base\ncomp.x = exp(x^4)\n")
+
 NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
             "warp = t\n\n[torsion]\nlocation = zero\n\n"
@@ -240,6 +246,25 @@ class TestNoFields:
         [row] = capsys.readouterr().out.splitlines()[1:-1]
         assert row.startswith(f"----  {check}") and "no fields declared" in row
         assert rc == main(["verify", str(path), "--props", "Def3.6", "--samples", "8"])
+
+
+class TestFieldOverflow:
+    """A field component that overflows at a sample point names that point
+    and the component, on one line, whichever check walks it first."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--samples", "8"], "overflow at (x=-22.555221645980055) in exp(x^4)"),
+        (["killing", "--field", "z", "--kind", "2killing", "--samples", "8"],
+         "overflow at (x=14.959318425496505, u=0.36596041779613775) in exp(x^4)"),
+    ], ids=["verify", "killing"])
+    def test_overflow_is_one_line_usage_error(self, tmp_path, argv, message):
+        # in a subprocess, so numpy warnings would reach stderr
+        path = tmp_path / "field_overflow.wm"
+        path.write_text(FIELD_OVERFLOW)
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"warpfield: {message}"]
 
 
 class TestFlagBounds:

@@ -50,7 +50,7 @@ def basis(n, k):
 
 class TestChristoffel:
     def test_flat_space_vanishes(self):
-        geom = Geometry(ProductStructure.single(flat(("x", "y", "z"))), None,
+        geom = Geometry(ProductStructure(base=flat(("x", "y", "z"))), None,
                         [Point((0.1, 0.2, 0.3))])
         assert not geom.christoffel()[0].any()
 
@@ -63,7 +63,7 @@ class TestChristoffel:
 
     def test_sphere_symbol(self):
         thetas = np.linspace(0.5, 2.5, 16)
-        geom = Geometry(ProductStructure.single(sphere()), None,
+        geom = Geometry(ProductStructure(base=sphere()), None,
                         [Point((theta, 1.0)) for theta in thetas])
         for theta, gam in zip(thetas, geom.christoffel()):
             assert gam[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta),
@@ -81,7 +81,7 @@ class TestShiftedConnection:
         assert np.array_equal(geom.ssm_gamma(), geom.christoffel())
 
     def test_flat_plane_shift_symbols(self):
-        ps = ProductStructure.single(flat())
+        ps = ProductStructure(base=flat())
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE, fe.num(0.0))))
         geom = Geometry(ps, ts, [Point((0.2, -0.4))])
         sg = geom.ssm_gamma()[0]
@@ -109,7 +109,7 @@ class TestShiftedConnection:
 
 class TestCovariantDerivative:
     def test_flat_constant_fields(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.1, 0.2))])
+        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.1, 0.2))])
         out = covariant_derivative(geom, basis(2, 0), basis(2, 1))[0]
         assert not out.any()
 
@@ -131,7 +131,7 @@ class TestTorsion:
     def setup_method(self):
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE, fe.num(0.0))))
         self.p = Point((0.2, -0.3))
-        self.geom = Geometry(ProductStructure.single(flat()), ts, [self.p])
+        self.geom = Geometry(ProductStructure(base=flat()), ts, [self.p])
 
     def test_levi_civita_torsion_free(self):
         rng = SplitMix(4)
@@ -193,13 +193,13 @@ class TestCompatibility:
 
 class TestLieBracket:
     def test_constant_fields_commute(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [])
+        geom = Geometry(ProductStructure(base=flat()), None, [])
         assert not lie_bracket(geom, basis(2, 0), basis(2, 1),
                                Point((0.1, 0.2))).any()
 
     def test_textbook_bracket(self):
         # [dx, x dy] = dy
-        geom = Geometry(ProductStructure.single(flat()), None, [])
+        geom = Geometry(ProductStructure(base=flat()), None, [])
         xy = lift(VectorFieldDef("base", (fe.num(0.0),
                                           fe.parse_expr("x", ("x", "y")))))
         out = lie_bracket(geom, basis(2, 0), xy, Point((0.4, -0.2)))
@@ -208,7 +208,7 @@ class TestLieBracket:
     def test_scaling_field_bracket(self):
         # [u dt, dt] = -u' dt for u = (2t - 1)^{1/3}
         base = diagonal_block("base", ("t",), (ONE,), ((0.6, 1.8),))
-        geom = Geometry(ProductStructure.single(base), None, [])
+        geom = Geometry(ProductStructure(base=base), None, [])
         u = lift(VectorFieldDef("base", (fe.parse_expr("cbrt(2*t - 1)", ("t",)),)))
         t = 1.1
         out = lie_bracket(geom, u, basis(1, 0), Point((t,)))

