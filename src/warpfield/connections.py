@@ -158,11 +158,21 @@ def _metric_jets(geom: Geometry) -> MetricJet:
 
 
 def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
-    """A sum of parts adds the parts' own stacks, each zero off its block."""
+    """A sum of parts copies each part's block entries from the part's own
+    stack; every entry off the parts' blocks is +0."""
     if len(field.parts) < 2:
         return field.jet(geom.ps, geom.points)
-    parts = [geom.field_jet(lift(part)) for part in field.parts]
-    return FieldJet(*(sum(arrays) for arrays in zip(*((p.val, p.d, p.d2) for p in parts))))
+    s, n = len(geom.points), geom.ps.total_dim
+    val = np.zeros((s, n))
+    d = np.zeros((s, n, n))
+    d2 = np.zeros((s, n, n, n))
+    for part in field.parts:
+        sl = geom.ps.block_slice(part.block)
+        pj = geom.field_jet(lift(part))
+        val[:, sl] = pj.val[:, sl]
+        d[:, sl, sl] = pj.d[:, sl, sl]
+        d2[:, sl, sl, sl] = pj.d2[:, sl, sl, sl]
+    return FieldJet(val=val, d=d, d2=d2)
 
 
 def _warp_jets(geom: Geometry, i: int) -> Jet2:

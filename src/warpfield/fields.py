@@ -9,7 +9,6 @@ the decomposition statements quantify over.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +92,9 @@ class ProductField:
         s, n = len(points), ps.total_dim
 
         def assemble(jet):
-            val, d, d2 = (np.zeros((s,) + (n,) * r) for r in (1, 2, 3))
+            val = np.zeros((s, n))
+            d = np.zeros((s, n, n))
+            d2 = np.zeros((s, n, n, n))
             for part in self.parts:
                 sl = ps.block_slice(part.block)
                 env = ps.jet_env(points, part.block)
@@ -127,10 +128,16 @@ def synth_field(ps: ProductStructure, block, rng: SplitMix, degree: int = 2) -> 
             terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
                                        fieldexpr.var(name)))
         if degree >= 2:
-            for i, a in enumerate(bm.coords):
-                for b in bm.coords[i:]:
+            names = list(bm.coords)
+            for i in range(len(names)):
+                for j in range(i, len(names)):
                     coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
                     terms.append(fieldexpr.mul(
-                        coeff, fieldexpr.mul(fieldexpr.var(a), fieldexpr.var(b))))
-        comps.append(functools.reduce(fieldexpr.add, terms))
+                        coeff,
+                        fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
+                    ))
+        expr = terms[0]
+        for t in terms[1:]:
+            expr = fieldexpr.add(expr, t)
+        comps.append(expr)
     return VectorFieldDef(block, tuple(comps))

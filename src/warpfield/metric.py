@@ -295,7 +295,9 @@ class ProductStructure:
         s, n = len(points), self.total_dim
 
         def assemble(jet):
-            g, dg, d2g = (np.zeros((s,) + (n,) * r) for r in (2, 3, 4))
+            g = np.zeros((s, n, n))
+            dg = np.zeros((s, n, n, n))
+            d2g = np.zeros((s, n, n, n, n))
 
             def put(sl, block, w2=None):
                 for a in range(block.dim):

@@ -13,12 +13,11 @@ checkouts can be compared for byte-identical reports:
 
 Usage, from the root of a checkout::
 
-    python tests/tools/report_digest.py [--src DIR] [--records FILE]
+    python tests/tools/report_digest.py [--src DIR]
 
 ``--src`` is the ``src`` directory whose warpfield is run (default: this
 checkout's); the corpus and the wide-chart generator are read from this
-checkout.  ``--records`` also writes one JSON record per invocation, to
-find the first one that differs.  Pytest does not collect this file.
+checkout.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -83,19 +82,14 @@ def run(key: str, argv: list[str]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--records", type=Path)
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     digest = hashlib.sha256()
     count = 0
-    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        sink = (stack.enter_context(args.records.open("w", encoding="utf-8"))
-                if args.records else None)
+    with tempfile.TemporaryDirectory() as tmp:
         for key, argv in invocations(Path(tmp)):
             line = json.dumps(run(key, argv), sort_keys=True) + "\n"
             digest.update(line.encode("utf-8"))
-            if sink:
-                sink.write(line)
             count += 1
     print(f"{count} invocations  sha256 {digest.hexdigest()}")
     return 0
