@@ -29,11 +29,20 @@ from ..lie_killing import (
 )
 from ..suite import CheckSpec, Outcome, RunContext, inconclusive, residual_outcome
 from .util import (
+    any_mf,
+    base_shift,
+    base_shift_multi,
     embed,
+    fiber_shift,
+    fiber_shift_multi,
+    has_fibers,
+    multi_fiber,
     pair,
     second_directional,
     shift_on_base,
     shift_on_fiber,
+    warped1_base,
+    warped1_fiber,
 )
 
 # ---- section 2 axioms ----
@@ -417,7 +426,6 @@ def _route_check(label: str, count: int, fn, other, **kw):
 
 
 def build() -> list[CheckSpec]:
-    any_mf = lambda mf: True
     specs = [
         CheckSpec("Eq2", "Eq2", "2", "axiom",
                   "torsion of the shifted connection has the two-term form",
@@ -438,15 +446,6 @@ def build() -> list[CheckSpec]:
     ]
 
     # connection decomposition items
-    has_fibers = lambda mf: mf.fiber_count >= 1
-    multi_fiber = lambda mf: mf.fiber_count >= 2
-    base_shift = lambda mf: has_fibers(mf) and shift_on_base(mf)
-    fiber_shift = lambda mf: has_fibers(mf) and shift_on_fiber(mf)
-    base_shift_multi = lambda mf: multi_fiber(mf) and shift_on_base(mf)
-    fiber_shift_multi = lambda mf: multi_fiber(mf) and shift_on_fiber(mf)
-    warped1_base = lambda mf: mf.fiber_count == 1 and shift_on_base(mf)
-    warped1_fiber = lambda mf: mf.fiber_count == 1 and shift_on_fiber(mf)
-
     items_base = [
         ("1", _item_base_base, "base-tangent arguments reduce to the base connection"),
         ("2", _item_mixed, "mixed base-fiber derivative is the warp ratio"),

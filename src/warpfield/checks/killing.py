@@ -33,8 +33,15 @@ from ..suite import (
     residual_outcome,
 )
 from .util import (
+    any_mf,
+    base_shift,
+    base_shift_multi,
     embed,
     factor_fields,
+    fiber_shift,
+    fiber_shift_multi,
+    has_fibers,
+    multi_fiber,
     pair,
     part_sums,
     project_out,
@@ -42,6 +49,8 @@ from .util import (
     shift_on_fiber,
     timelike_line,
     warp_dir_max,
+    warped1_base,
+    warped1_fiber,
 )
 
 # ---- factor-level residual helpers ----
@@ -347,7 +356,7 @@ def _pure_cone(ctx: RunContext, condition=None):
     return cone
 
 
-# ---- shift-on-base sufficiency (single and multiple fibers) ----
+# ---- the five instance shapes of the sufficiency statements ----
 
 
 def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> float:
@@ -359,52 +368,57 @@ def _base_shift_coefficient(ctx: RunContext, zeta_b: VectorFieldDef, i: int) -> 
 
 def _isometries(ctx: RunContext, base_kind: str):
     """The declared base fields whose ``lie_matrix`` of ``base_kind``
-    vanishes on the base, per fiber the fields whose Levi-Civita one
-    vanishes on the fiber, and the first of those of each fiber that has
-    one: their names joined by "+" and a dict fiber -> field."""
+    vanishes on the base, and per fiber the fields whose Levi-Civita one
+    vanishes on the fiber."""
     base = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg, kind=base_kind)
     per_fiber = {i: factor_fields(ctx, i, lie_matrix, ctx.tol.alg, kind=LEVI_CIVITA)
                  for i in range(ctx.mf.fiber_count)}
-    firsts = [(i,) + fs[0] for i, fs in per_fiber.items() if fs]
-    return base, per_fiber, "+".join(n for _, n, _ in firsts), {i: z for i, _, z in firsts}
+    return base, per_fiber
+
+
+def _shapes(ctx: RunContext, part: int, base_kind: str, fibers=None):
+    """Part 1-5 of a sufficiency statement as (name, base field or None,
+    {fiber: field}) per instance: 1 a base isometry zeta_B; 2 an isometry
+    zeta_i of one of ``fibers`` (default every fiber); 3 zeta_B + zeta_i;
+    4 the sum of the first isometry of each fiber that has one, when two
+    or more do; 5 zeta_B plus that sum."""
+    base, per_fiber = _isometries(ctx, base_kind)
+    fibers = range(ctx.mf.fiber_count) if fibers is None else fibers
+    singles = [(name, i, zi) for i in fibers for name, zi in per_fiber[i]]
+    firsts = {i: fs[0] for i, fs in per_fiber.items() if fs}
+    picks = {i: zi for i, (_, zi) in firsts.items()}
+    if part == 1:
+        return [(name, zb, {}) for name, zb in base]
+    if part == 2:
+        return [(name, None, {i: zi}) for name, i, zi in singles]
+    if part == 3:
+        return [(f"{name}+{fname}", zb, {i: zi})
+                for name, zb in base for fname, i, zi in singles]
+    if part == 4:
+        names = "+".join(name for name, _ in firsts.values())
+        return [(names, None, picks)] if len(picks) >= 2 else []
+    return [(name + "+fibers", zb, picks) for name, zb in base] if picks else []
+
+
+def _sum_field(zb: VectorFieldDef | None, zf: dict[int, VectorFieldDef]) -> ProductField:
+    return ProductField(((zb,) if zb is not None else ()) + tuple(zf.values()))
 
 
 def _suff_base_shift(part: int):
+    """Props 3.17/4.7: hypothesis f_i zeta_B(f_i) + f_i^2 pi(zeta_B) = 0,
+    test vectors orthogonal to the fiber fields."""
+
     def run(ctx: RunContext) -> Outcome:
         m = ctx.mf.fiber_count
-        instances: list[SuffInstance] = []
-        base_ssm, per_fiber, names, picks = _isometries(ctx, SEMI_SYMMETRIC)
-
-        def shift_hyp(zb):
-            return max_abs(_base_shift_coefficient(ctx, zb, i) for i in range(m))
-
-        if part == 1:
-            for name, zb in base_ssm:
-                hyp = shift_hyp(zb)
-                instances.append(SuffInstance(name, lift(zb), hyp))
-        elif part == 2:
-            for i in range(m):
-                for name, zi in per_fiber[i]:
-                    instances.append(SuffInstance(
-                        name, lift(zi), 0.0, cone=_orth_cone(ctx, {i: zi})))
-        elif part == 3:
-            for name, zb in base_ssm:
-                for i in range(m):
-                    for fname, zi in per_fiber[i]:
-                        hyp = _base_shift_coefficient(ctx, zb, i)
-                        instances.append(SuffInstance(
-                            f"{name}+{fname}", ProductField((zb, zi)), hyp,
-                            cone=_orth_cone(ctx, {i: zi},
-                                            zero_blocks=[j for j in range(m)
-                                                         if j != i])))
-        elif part == 4 and len(picks) >= 2:
-            instances.append(SuffInstance(names, ProductField(tuple(picks.values())), 0.0,
-                                          cone=_orth_cone(ctx, picks)))
-        elif part == 5 and picks:
-            for name, zb in base_ssm:
-                instances.append(SuffInstance(
-                    name + "+fibers", ProductField((zb,) + tuple(picks.values())),
-                    shift_hyp(zb), cone=_orth_cone(ctx, picks)))
+        instances = []
+        for name, zb, zf in _shapes(ctx, part, SEMI_SYMMETRIC):
+            # part 3 compensates its own fiber's warp and draws no other fiber
+            warps = list(zf) if part == 3 else range(m)
+            hyp = 0.0 if zb is None else max_abs(
+                _base_shift_coefficient(ctx, zb, i) for i in warps)
+            cone = _orth_cone(ctx, zf, zero_blocks=[j for j in range(m)
+                                                    if j not in warps]) if zf else None
+            instances.append(SuffInstance(name, _sum_field(zb, zf), hyp, cone=cone))
         return _sufficiency_outcome(
             ctx, instances, SEMI_SYMMETRIC, ctx.tol.alg,
             note="test vectors orthogonal to the fiber fields where required")
@@ -412,81 +426,46 @@ def _suff_base_shift(part: int):
     return run
 
 
-# ---- shift-on-fiber sufficiency (block-pure test vectors) ----
+def _pi_condition(ctx: RunContext, r: int, zeta_r: VectorFieldDef):
+    """pi(zeta_r) g_r(x_r, x_r) - pi(x_r) g_r(x_r, zeta_r) for a block-pure
+    vector x at sample row k; 0 off the shift fiber r."""
+    sl = ctx.ps.block_slice(r)
+    piv = ctx.geom.pi_covector()[:, sl]
+    gi, ziv = _fiber_rows(ctx, r, zeta_r)
+    pizr = _pi_of_field(ctx, zeta_r)
+
+    def condition(k, block, x):
+        if block != r:
+            return 0.0
+        xr = x[sl]
+        return (pizr[k] * float(xr @ gi[k] @ xr)
+                - float(piv[k] @ xr) * float(xr @ gi[k] @ ziv[k]))
+
+    return condition
 
 
-def _suff_fiber_shift(part: str):
+def _suff_fiber_shift(part: int, at_shift: bool | None = None):
+    """Props 3.21/4.9: hypotheses zeta_B(f_i) = 0 and, when the shift
+    fiber r carries a field, pi(zeta_r) = 0; block-pure test vectors, on
+    r's pairing cone when zeta_r is present.  ``at_shift`` restricts parts
+    2 and 3 to the fibers away from r (False) or to r (True)."""
+
     def run(ctx: RunContext) -> Outcome:
         m = ctx.mf.fiber_count
         r = ctx.mf.torsion.location
-        instances: list[SuffInstance] = []
-        base_k, per_fiber, names, picks = _isometries(ctx, LEVI_CIVITA)
-
-        def cond_r(zeta_r):
-            sl = ctx.ps.block_slice(r)
-            piv = ctx.geom.pi_covector()[:, sl]
-            gi, ziv = _fiber_rows(ctx, r, zeta_r)
-            pizr = _pi_of_field(ctx, zeta_r)
-
-            def condition(k, block, x):
-                if block != r:
-                    return 0.0
-                xr = x[sl]
-                return (pizr[k] * float(xr @ gi[k] @ xr)
-                        - float(piv[k] @ xr) * float(xr @ gi[k] @ ziv[k]))
-
-            return condition
-
-        if part == "1":
-            for name, zb in base_k:
-                hyp = warp_dir_max(ctx, zb, range(m))
-                instances.append(SuffInstance(name, lift(zb), hyp,
-                                              cone=_pure_cone(ctx)))
-        elif part == "2a":
-            for i in range(m):
-                if i == r:
-                    continue
-                for name, zi in per_fiber[i]:
-                    instances.append(SuffInstance(name, lift(zi), 0.0,
-                                                  cone=_pure_cone(ctx)))
-        elif part == "2b":
-            for name, zr in per_fiber.get(r, []):
-                instances.append(SuffInstance(
-                    name, lift(zr), _pi_hyp(ctx, zr),
-                    cone=_pure_cone(ctx, condition=cond_r(zr))))
-        elif part == "3a":
-            for name, zb in base_k:
-                for i in range(m):
-                    if i == r:
-                        continue
-                    for fname, zi in per_fiber[i]:
-                        hyp = warp_dir_max(ctx, zb, [i])
-                        instances.append(SuffInstance(
-                            f"{name}+{fname}", ProductField((zb, zi)), hyp,
-                            cone=_pure_cone(ctx)))
-        elif part == "3b":
-            for name, zb in base_k:
-                for fname, zr in per_fiber.get(r, []):
-                    hyp = max_abs([warp_dir_max(ctx, zb, [r]), _pi_hyp(ctx, zr)])
-                    instances.append(SuffInstance(
-                        f"{name}+{fname}", ProductField((zb, zr)), hyp,
-                        cone=_pure_cone(ctx, condition=cond_r(zr))))
-        elif part == "4" and len(picks) >= 2:
-            zr = picks.get(r)
-            hyp = _pi_hyp(ctx, zr) if zr is not None else 0.0
-            cone = _pure_cone(ctx, condition=cond_r(zr) if zr is not None else None)
-            instances.append(SuffInstance(names, ProductField(tuple(picks.values())), hyp,
-                                          cone=cone))
-        elif part == "5" and picks:
-            zr = picks.get(r)
-            for name, zb in base_k:
-                hyp = warp_dir_max(ctx, zb, list(picks))
-                if zr is not None:
-                    hyp = max_abs([hyp, _pi_hyp(ctx, zr)])
-                cone = _pure_cone(ctx, condition=cond_r(zr) if zr is not None else None)
-                instances.append(SuffInstance(
-                    name + "+fibers", ProductField((zb,) + tuple(picks.values())), hyp,
-                    cone=cone))
+        fibers = (None if at_shift is None
+                  else [i for i in range(m) if (i == r) == at_shift])
+        instances = []
+        for name, zb, zf in _shapes(ctx, part, LEVI_CIVITA, fibers):
+            # the warps of the fibers present, or of every fiber for zeta_B alone
+            hyps = [] if zb is None else [warp_dir_max(ctx, zb, list(zf) or range(m))]
+            zr = zf.get(r)
+            if zr is not None:
+                hyps.append(_pi_hyp(ctx, zr))
+            cone = _pure_cone(ctx, condition=None if zr is None
+                              else _pi_condition(ctx, r, zr))
+            instances.append(SuffInstance(name, _sum_field(zb, zf),
+                                          max_abs(hyps) if hyps else 0.0, cone=cone))
         return _sufficiency_outcome(
             ctx, instances, SEMI_SYMMETRIC, ctx.tol.alg,
             note="block-pure test vectors on the condition cone")
@@ -494,43 +473,21 @@ def _suff_fiber_shift(part: str):
     return run
 
 
-# ---- no-shift sufficiency ----
-
-
 def _suff_no_shift(part: int):
+    """Prop 5.3: hypothesis zeta_B(f_i) = 0 for every fiber; part 3 falls
+    back to the base and its fiber's directions when only its own warp is
+    annihilated."""
+
     def run(ctx: RunContext) -> Outcome:
         m = ctx.mf.fiber_count
-        instances: list[SuffInstance] = []
-        base_k, per_fiber, names, picks = _isometries(ctx, LEVI_CIVITA)
-
-        if part == 1:
-            for name, zb in base_k:
-                instances.append(SuffInstance(name, lift(zb),
-                                              warp_dir_max(ctx, zb, range(m))))
-        elif part == 2:
-            for i in range(m):
-                for name, zi in per_fiber[i]:
-                    instances.append(SuffInstance(name, lift(zi), 0.0))
-        elif part == 3:
-            for name, zb in base_k:
-                for i in range(m):
-                    for fname, zi in per_fiber[i]:
-                        hyp_i = warp_dir_max(ctx, zb, [i])
-                        hyp_all = warp_dir_max(ctx, zb, range(m))
-                        if hyp_all <= ctx.tol.hyp:
-                            instances.append(SuffInstance(
-                                f"{name}+{fname}", ProductField((zb, zi)), hyp_all))
-                        else:
-                            instances.append(SuffInstance(
-                                f"{name}+{fname}", ProductField((zb, zi)), hyp_i,
-                                restrict_blocks=["base", i]))
-        elif part == 4 and len(picks) >= 2:
-            instances.append(SuffInstance(names, ProductField(tuple(picks.values())), 0.0))
-        elif part == 5 and picks:
-            for name, zb in base_k:
-                instances.append(SuffInstance(
-                    name + "+fibers", ProductField((zb,) + tuple(picks.values())),
-                    warp_dir_max(ctx, zb, range(m))))
+        instances = []
+        for name, zb, zf in _shapes(ctx, part, LEVI_CIVITA):
+            hyp = 0.0 if zb is None else warp_dir_max(ctx, zb, range(m))
+            restrict = None
+            if part == 3 and not hyp <= ctx.tol.hyp:
+                hyp, restrict = warp_dir_max(ctx, zb, list(zf)), ["base", *zf]
+            instances.append(SuffInstance(name, _sum_field(zb, zf), hyp,
+                                          restrict_blocks=restrict))
         return _sufficiency_outcome(
             ctx, instances, LEVI_CIVITA, ctx.tol.alg,
             note="no connection shift")
@@ -732,16 +689,8 @@ def _witness_static(ctx: RunContext) -> Outcome:
 
 
 def build() -> list[CheckSpec]:
-    any_mf = lambda mf: True
     shifted = lambda mf: not mf.torsion.is_zero
     zero_shift = lambda mf: mf.torsion.is_zero
-    warped1_base = lambda mf: mf.fiber_count == 1 and shift_on_base(mf)
-    warped1_fiber = lambda mf: mf.fiber_count == 1 and shift_on_fiber(mf)
-    base_shift = lambda mf: mf.fiber_count >= 1 and shift_on_base(mf)
-    fiber_shift = lambda mf: mf.fiber_count >= 1 and shift_on_fiber(mf)
-    base_shift_multi = lambda mf: mf.fiber_count >= 2 and shift_on_base(mf)
-    fiber_shift_multi = lambda mf: mf.fiber_count >= 2 and shift_on_fiber(mf)
-    has_fibers = lambda mf: mf.fiber_count >= 1
     interval_shape = lambda mf: (mf.fiber_count == 0 and mf.structure.base.dim == 1
                                  and shift_on_base(mf)
                                  and {"zeta_a", "zeta_lin"} <= set(mf.fields))
@@ -798,13 +747,13 @@ def build() -> list[CheckSpec]:
                   _witness_grw),
         CheckSpec("Prop3.21.1", "Prop3.21", "3", "sufficiency",
                   "base isometry with warp-orthogonal test cone",
-                  warped1_fiber, _suff_fiber_shift("1")),
+                  warped1_fiber, _suff_fiber_shift(1)),
         CheckSpec("Prop3.21.2", "Prop3.21", "3", "sufficiency",
                   "fiber field along fiber-pure directions",
-                  warped1_fiber, _suff_fiber_shift("2b")),
+                  warped1_fiber, _suff_fiber_shift(2, at_shift=True)),
         CheckSpec("Prop3.21.3", "Prop3.21", "3", "sufficiency",
                   "combined instance on the condition cone",
-                  warped1_fiber, _suff_fiber_shift("5")),
+                  warped1_fiber, _suff_fiber_shift(5)),
         CheckSpec("Prop3.22.1", "Prop3.22", "3", "necessity",
                   "base restriction when the fiber pairing vanishes",
                   warped1_fiber, _necessity("fiber", 1)),
@@ -843,28 +792,28 @@ def build() -> list[CheckSpec]:
                   base_shift, _necessity("base", 2)),
         CheckSpec("Prop4.9.1", "Prop4.9", "4", "sufficiency",
                   "base isometry over block-pure directions",
-                  fiber_shift, _suff_fiber_shift("1")),
+                  fiber_shift, _suff_fiber_shift(1)),
         CheckSpec("Prop4.9.2a", "Prop4.9", "4", "sufficiency",
                   "isometry of a fiber away from the shift",
                   fiber_shift_multi,
-                  _suff_fiber_shift("2a")),
+                  _suff_fiber_shift(2, at_shift=False)),
         CheckSpec("Prop4.9.2b", "Prop4.9", "4", "sufficiency",
                   "isometry of the shift-carrying fiber on its cone",
-                  fiber_shift, _suff_fiber_shift("2b")),
+                  fiber_shift, _suff_fiber_shift(2, at_shift=True)),
         CheckSpec("Prop4.9.3a", "Prop4.9", "4", "sufficiency",
                   "base plus away-fiber isometry with constant warp",
                   fiber_shift_multi,
-                  _suff_fiber_shift("3a")),
+                  _suff_fiber_shift(3, at_shift=False)),
         CheckSpec("Prop4.9.3b", "Prop4.9", "4", "sufficiency",
                   "base plus shift-fiber isometry on its cone",
-                  fiber_shift, _suff_fiber_shift("3b")),
+                  fiber_shift, _suff_fiber_shift(3, at_shift=True)),
         CheckSpec("Prop4.9.4", "Prop4.9", "4", "sufficiency",
                   "sum of fiber isometries on the condition cone",
                   fiber_shift_multi,
-                  _suff_fiber_shift("4")),
+                  _suff_fiber_shift(4)),
         CheckSpec("Prop4.9.5", "Prop4.9", "4", "sufficiency",
                   "base plus all fiber isometries on the condition cone",
-                  fiber_shift, _suff_fiber_shift("5")),
+                  fiber_shift, _suff_fiber_shift(5)),
         CheckSpec("Prop4.10.1", "Prop4.10", "4", "necessity",
                   "base restriction when the shift pairing vanishes",
                   fiber_shift, _necessity("fiber", 1)),
@@ -883,7 +832,7 @@ def build() -> list[CheckSpec]:
                   has_fibers, _suff_no_shift(3)),
         CheckSpec("Prop5.3.4", "Prop5.3", "5", "sufficiency",
                   "sums of fiber isometries lift unconditionally",
-                  lambda mf: mf.fiber_count >= 2, _suff_no_shift(4)),
+                  multi_fiber, _suff_no_shift(4)),
         CheckSpec("Prop5.3.5", "Prop5.3", "5", "sufficiency",
                   "full combination under annihilated warps",
                   has_fibers, _suff_no_shift(5)),

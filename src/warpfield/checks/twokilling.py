@@ -47,7 +47,9 @@ from ..suite import (
     residual_outcome,
 )
 from .util import (
+    any_mf,
     factor_fields,
+    has_fibers,
     pair,
     part_sums,
     second_directional,
@@ -569,8 +571,6 @@ def _builder_kasner(ctx: RunContext) -> Outcome:
 
 
 def build() -> list[CheckSpec]:
-    any_mf = lambda mf: True
-    has_fibers = lambda mf: mf.fiber_count >= 1
     compact_model = modeled_compact
     base1d = lambda mf: mf.structure.base.dim == 1 and mf.fiber_count >= 1
     kasner_shape = lambda mf: (base1d(mf)

@@ -1,5 +1,5 @@
-"""Shared helpers for the registered checks: the shift and timelike-line
-predicates, the factor-field classifier, the (base part, fiber part)
+"""Shared helpers for the registered checks: the shift, manifest-shape
+and timelike-line predicates, the factor-field classifier, the (base part, fiber part)
 enumeration and the contractions that stacks over the sample set are
 combined with."""
 
@@ -21,6 +21,42 @@ def shift_on_base(mf) -> bool:
 
 def shift_on_fiber(mf) -> bool:
     return isinstance(mf.torsion.location, int)
+
+
+def any_mf(mf) -> bool:
+    return True
+
+
+def has_fibers(mf) -> bool:
+    return mf.fiber_count >= 1
+
+
+def multi_fiber(mf) -> bool:
+    return mf.fiber_count >= 2
+
+
+def base_shift(mf) -> bool:
+    return has_fibers(mf) and shift_on_base(mf)
+
+
+def fiber_shift(mf) -> bool:
+    return has_fibers(mf) and shift_on_fiber(mf)
+
+
+def base_shift_multi(mf) -> bool:
+    return multi_fiber(mf) and shift_on_base(mf)
+
+
+def fiber_shift_multi(mf) -> bool:
+    return multi_fiber(mf) and shift_on_fiber(mf)
+
+
+def warped1_base(mf) -> bool:
+    return mf.fiber_count == 1 and shift_on_base(mf)
+
+
+def warped1_fiber(mf) -> bool:
+    return mf.fiber_count == 1 and shift_on_fiber(mf)
 
 
 def timelike_line(block, at: float = 0.123) -> bool:

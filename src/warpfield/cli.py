@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .connections import LEVI_CIVITA, SEMI_SYMMETRIC, Geometry
 from .fields import ProductField
@@ -195,9 +197,12 @@ def main(argv=None) -> int:
         print(f"warpfield: {problem}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_killing(args)
+        # a non-finite residual fails its check through max_abs, so numpy's
+        # floating-point warnings would only repeat the report on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "verify":
+                return cmd_verify(args)
+            return cmd_killing(args)
     except (ManifestError, FileNotFoundError, GeometryError, DomainError) as err:
         print(f"warpfield: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -30,7 +30,6 @@ class Curvature:
     """Riemann and Ricci tensors, with a leading sample axis on every
     array."""
 
-    r_up: np.ndarray    # (s, n, n, n, n) [s, l, k, i, j]
     r_low: np.ndarray   # (s, n, n, n, n) [s, i, j, k, l]
     ricci: np.ndarray   # (s, n, n)
 
@@ -51,7 +50,7 @@ def _curvatures(geom: Geometry) -> Curvature:
             - np.einsum("sljm,smik->slkij", gamma, gamma))
     r_low = np.einsum("slm,smkij->sijkl", geom.metric_jet().g, r_up)
     ricci = np.einsum("saiaj->sij", r_up)
-    return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
+    return Curvature(r_low=r_low, ricci=ricci)
 
 
 def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:

@@ -166,12 +166,6 @@ def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
 class HomothetyResult:
     homothetic: bool
     factor: float
-    factor_stddev: float
-    max_residual: float
-
-    @property
-    def verdict(self) -> str:
-        return "homothetic" if self.homothetic else "not_homothetic"
 
 
 def homothety_check(geom: Geometry, mats, tol: float = 1e-8,
@@ -183,10 +177,8 @@ def homothety_check(geom: Geometry, mats, tol: float = 1e-8,
     g = geom.metric_jet().g
     factors = np.sum(mats * g, axis=(-2, -1)) / np.sum(g * g, axis=(-2, -1))
     max_res = max_abs(mats - factors[:, None, None] * g)
-    mean_c = float(factors.mean())
-    std_c = float(factors.std())
-    ok = max_res <= tol and std_c <= stddev_tol
-    return HomothetyResult(ok, mean_c, std_c, max_res)
+    ok = max_res <= tol and float(factors.std()) <= stddev_tol
+    return HomothetyResult(ok, float(factors.mean()))
 
 
 def nabla_zeta_zeta(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:

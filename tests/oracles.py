@@ -340,7 +340,7 @@ def curvature_at(geom: Geometry, p: Point) -> Curvature:
     g = metric_jet_at(geom, p).g
     r_low = np.einsum("lm,mkij->ijkl", g, r_up)
     ricci = np.einsum("aiaj->ij", r_up)
-    return Curvature(r_up=r_up, r_low=r_low, ricci=ricci)
+    return Curvature(r_low=r_low, ricci=ricci)
 
 
 def riemann_quad(r_low: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:

@@ -54,6 +54,13 @@ FIELD_OVERFLOW = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -30, 30\n\n"
                   "warp = 1 + x^2\n\n[torsion]\nlocation = zero\n\n"
                   "[field.z]\nlocation = base\ncomp.x = exp(x^4)\n")
 
+# a fiber field that is finite at every sample point, but whose second Lie
+# derivative overflows there
+LIE_OVERFLOW = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
+                "[fiber.1]\ndim = 1\ncoords = v\ng.v.v = 1\nbox.v = -1, 1\n"
+                "warp = 1 + x^2\n\n"
+                "[field.q]\nlocation = fiber.1\ncomp.v = exp(v^2*800)\n")
+
 NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
             "[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\n"
             "warp = t\n\n[torsion]\nlocation = zero\n\n"
@@ -265,6 +272,24 @@ class TestFieldOverflow:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"warpfield: {message}"]
+
+
+class TestResidualOverflow:
+    """A residual that overflows inside a stack fails its check; stderr
+    stays empty."""
+
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "8"],
+                                      ["killing", "--field", "q", "--kind", "2killing",
+                                       "--samples", "8"]],
+                             ids=["verify", "killing"])
+    def test_fails_without_warnings(self, tmp_path, argv):
+        # in a subprocess, so numpy warnings would reach stderr
+        path = tmp_path / "lie_overflow.wm"
+        path.write_text(LIE_OVERFLOW)
+        proc = run_cli(argv[0], str(path), *argv[1:])
+        assert proc.returncode == 1
+        assert "FAIL" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestFlagBounds:

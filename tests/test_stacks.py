@@ -131,7 +131,7 @@ def off_sample_point(ctx) -> Point:
     return off
 
 
-CURVATURE = ("r_up", "r_low", "ricci")
+CURVATURE = ("r_low", "ricci")
 
 
 class TestCurvatureStack:

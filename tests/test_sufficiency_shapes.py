@@ -1,0 +1,165 @@
+"""The five instance shapes of the sufficiency statements (Props
+3.17/4.7, 3.21/4.9 and 5.3): zeta_B, one zeta_i, zeta_B + zeta_i, the sum
+of the fibers' first isometries, and zeta_B plus that sum.  Every
+sufficiency check enumerates its instances through ``killing._shapes``;
+the (name, blocks) lists it returns are pinned, per check, to the
+instances the three hand-written builders it replaced produced (16
+samples, seed 24181): six corpus manifests and one with two fibers of
+which only one has an isometry."""
+
+import pytest
+
+from warpfield.checks import killing
+from warpfield.cli import corpus_dir
+from warpfield.manifest import load_manifest, parse_manifest
+from warpfield.suite import RunContext
+
+# manifest -> check id -> [(instance name, blocks of its parts)]
+SHAPES = {
+    "mw2_grw": {
+        "Prop4.7.1": [("zeta_a", ("base",))],
+        "Prop4.7.2": [("zeta_rot1", (0,)), ("zeta_w2", (1,))],
+        "Prop4.7.3": [("zeta_a+zeta_rot1", ("base", 0)), ("zeta_a+zeta_w2", ("base", 1))],
+        "Prop4.7.4": [("zeta_rot1+zeta_w2", (0, 1))],
+        "Prop4.7.5": [("zeta_a+fibers", ("base", 0, 1))],
+        "Prop5.3.1": [("zeta_a", ("base",))],
+        "Prop5.3.2": [("zeta_rot1", (0,)), ("zeta_w2", (1,))],
+        "Prop5.3.3": [("zeta_a+zeta_rot1", ("base", 0)), ("zeta_a+zeta_w2", ("base", 1))],
+        "Prop5.3.4": [("zeta_rot1+zeta_w2", (0, 1))],
+        "Prop5.3.5": [("zeta_a+fibers", ("base", 0, 1))],
+    },
+    "mw2_fib": {
+        "Prop4.9.1": [("zeta_brot", ("base",)), ("zeta_bx", ("base",))],
+        "Prop4.9.2a": [("zeta_rot1", (0,))],
+        "Prop4.9.2b": [("zeta_rot2", (1,)), ("zeta_v", (1,)), ("zeta_w", (1,))],
+        "Prop4.9.3a": [
+            ("zeta_brot+zeta_rot1", ("base", 0)),
+            ("zeta_bx+zeta_rot1", ("base", 0)),
+        ],
+        "Prop4.9.3b": [
+            ("zeta_brot+zeta_rot2", ("base", 1)),
+            ("zeta_brot+zeta_v", ("base", 1)),
+            ("zeta_brot+zeta_w", ("base", 1)),
+            ("zeta_bx+zeta_rot2", ("base", 1)),
+            ("zeta_bx+zeta_v", ("base", 1)),
+            ("zeta_bx+zeta_w", ("base", 1)),
+        ],
+        "Prop4.9.4": [("zeta_rot1+zeta_rot2", (0, 1))],
+        "Prop4.9.5": [
+            ("zeta_brot+fibers", ("base", 0, 1)),
+            ("zeta_bx+fibers", ("base", 0, 1)),
+        ],
+        "Prop5.3.1": [("zeta_brot", ("base",)), ("zeta_bx", ("base",))],
+        "Prop5.3.2": [
+            ("zeta_rot1", (0,)),
+            ("zeta_rot2", (1,)),
+            ("zeta_v", (1,)),
+            ("zeta_w", (1,)),
+        ],
+        "Prop5.3.3": [
+            ("zeta_brot+zeta_rot1", ("base", 0)),
+            ("zeta_brot+zeta_rot2", ("base", 1)),
+            ("zeta_brot+zeta_v", ("base", 1)),
+            ("zeta_brot+zeta_w", ("base", 1)),
+            ("zeta_bx+zeta_rot1", ("base", 0)),
+            ("zeta_bx+zeta_rot2", ("base", 1)),
+            ("zeta_bx+zeta_v", ("base", 1)),
+            ("zeta_bx+zeta_w", ("base", 1)),
+        ],
+        "Prop5.3.4": [("zeta_rot1+zeta_rot2", (0, 1))],
+        "Prop5.3.5": [
+            ("zeta_brot+fibers", ("base", 0, 1)),
+            ("zeta_bx+fibers", ("base", 0, 1)),
+        ],
+    },
+    "mw3_fib": {
+        "Prop4.9.1": [],
+        "Prop4.9.2a": [("zeta_sph", (1,))],
+        "Prop4.9.2b": [("zeta_cw3", (2,))],
+        "Prop4.9.3a": [],
+        "Prop4.9.3b": [],
+        "Prop4.9.4": [("zeta_sph+zeta_cw3", (1, 2))],
+        "Prop4.9.5": [],
+        "Prop5.3.1": [],
+        "Prop5.3.2": [("zeta_sph", (1,)), ("zeta_cw3", (2,))],
+        "Prop5.3.3": [],
+        "Prop5.3.4": [("zeta_sph+zeta_cw3", (1, 2))],
+        "Prop5.3.5": [],
+    },
+    "torus_warp": {
+        "Prop5.3.1": [("zeta_bx", ("base",)), ("zeta_by", ("base",))],
+        "Prop5.3.2": [("zeta_cv", (0,))],
+        "Prop5.3.3": [("zeta_bx+zeta_cv", ("base", 0)), ("zeta_by+zeta_cv", ("base", 0))],
+        "Prop5.3.5": [("zeta_bx+fibers", ("base", 0)), ("zeta_by+fibers", ("base", 0))],
+    },
+    "grw_exp": {
+        "Prop3.17.1": [("zeta_a", ("base",))],
+        "Prop3.17.2": [("zeta_rot", (0,)), ("zeta_tx", (0,))],
+        "Prop3.17.3": [("zeta_a+zeta_rot", ("base", 0)), ("zeta_a+zeta_tx", ("base", 0))],
+        "Prop4.7.1": [("zeta_a", ("base",))],
+        "Prop4.7.2": [("zeta_rot", (0,)), ("zeta_tx", (0,))],
+        "Prop4.7.3": [("zeta_a+zeta_rot", ("base", 0)), ("zeta_a+zeta_tx", ("base", 0))],
+        "Prop4.7.5": [("zeta_a+fibers", ("base", 0))],
+        "Prop5.3.1": [("zeta_a", ("base",))],
+        "Prop5.3.2": [("zeta_rot", (0,)), ("zeta_tx", (0,))],
+        "Prop5.3.3": [("zeta_a+zeta_rot", ("base", 0)), ("zeta_a+zeta_tx", ("base", 0))],
+        "Prop5.3.5": [("zeta_a+fibers", ("base", 0))],
+    },
+    "static": {
+        "Prop3.21.1": [("zeta_bx", ("base",)), ("zeta_rot", ("base",))],
+        "Prop3.21.2": [("zeta_s", (0,))],
+        "Prop3.21.3": [("zeta_bx+fibers", ("base", 0)), ("zeta_rot+fibers", ("base", 0))],
+        "Prop4.9.1": [("zeta_bx", ("base",)), ("zeta_rot", ("base",))],
+        "Prop4.9.2b": [("zeta_s", (0,))],
+        "Prop4.9.3b": [("zeta_bx+zeta_s", ("base", 0)), ("zeta_rot+zeta_s", ("base", 0))],
+        "Prop4.9.5": [("zeta_bx+fibers", ("base", 0)), ("zeta_rot+fibers", ("base", 0))],
+        "Prop5.3.1": [("zeta_bx", ("base",)), ("zeta_rot", ("base",))],
+        "Prop5.3.2": [("zeta_s", (0,))],
+        "Prop5.3.3": [("zeta_bx+zeta_s", ("base", 0)), ("zeta_rot+zeta_s", ("base", 0))],
+        "Prop5.3.5": [("zeta_bx+fibers", ("base", 0)), ("zeta_rot+fibers", ("base", 0))],
+    },
+    # two fibers, an isometry on the second only: part 4 has no sum to take
+    "one_pick": {
+        "Prop5.3.1": [("zb", ("base",))],
+        "Prop5.3.2": [("zv", (1,))],
+        "Prop5.3.3": [("zb+zv", ("base", 1))],
+        "Prop5.3.4": [],
+        "Prop5.3.5": [("zb+fibers", ("base", 1))],
+    },
+}
+
+
+ONE_PICK = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = 0.5, 1.5\n\n"
+            "[fiber.1]\ndim = 1\ncoords = u\ng.u.u = 1\nbox.u = -1, 1\nwarp = 1 + x^2\n\n"
+            "[fiber.2]\ndim = 1\ncoords = v\ng.v.v = 1\nbox.v = -1, 1\nwarp = 1 + x^2\n\n"
+            "[field.zb]\nlocation = base\ncomp.x = 1\n\n"
+            "[field.zv]\nlocation = fiber.2\ncomp.v = 1\n")
+
+
+def manifest(name):
+    if name == "one_pick":
+        return parse_manifest(ONE_PICK, name=name)
+    return load_manifest(corpus_dir() / f"{name}.wm")
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_each_check_enumerates_the_recorded_shapes(name, monkeypatch):
+    mf = manifest(name)
+    ctx = RunContext(mf, samples=16)
+    real = killing._shapes
+    calls = []
+
+    def recording(*args, **kw):
+        shapes = real(*args, **kw)
+        calls.append([(n, (("base",) if zb is not None else ()) + tuple(zf))
+                      for n, zb, zf in shapes])
+        return shapes
+
+    monkeypatch.setattr(killing, "_shapes", recording)
+    got = {}
+    for spec in killing.build():
+        if spec.kind == "sufficiency" and spec.applies(mf):
+            calls.clear()
+            spec.run(ctx)
+            [got[spec.id]] = calls
+    assert got == SHAPES[name]

@@ -401,7 +401,7 @@ class TestNonFiniteResiduals:
         def poisoned(geom):
             c = real(geom)
             return curvature.Curvature(*(poison_row_1(a)
-                                         for a in (c.r_up, c.r_low, c.ricci)))
+                                         for a in (c.r_low, c.ricci)))
 
         clean = run_checks(registry, mf, registry.select("Cor6.3"), samples=16)
         assert [r.verdict for r in clean] == [PASS]
