@@ -11,6 +11,7 @@ from ..connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
     bilinear,
+    contract_first,
     covariant_derivative,
     divergence,
     dot,
@@ -37,7 +38,6 @@ from .util import (
     fiber_shift_multi,
     has_fibers,
     multi_fiber,
-    pair,
     second_directional,
     shift_on_base,
     shift_on_fiber,
@@ -60,7 +60,7 @@ def _axiom_draws(ctx: RunContext, label: str, vectors: int) -> list[np.ndarray]:
 def _nabla_const(gamma: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """nabla_x y for constant test vectors (points, draws, n), with the
     symbols gamma (points, 1, n, n, n)."""
-    return np.einsum("...a,...ak->...k", x, nabla_grid(gamma, y, 0.0))
+    return (x[..., None, :] @ nabla_grid(gamma, y, 0.0))[..., 0, :]
 
 
 def _torsion_sides(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +70,7 @@ def _torsion_sides(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
     gamma = ctx.geom.ssm_gamma()[:, None]
     piv = ctx.geom.pi_covector()
     return (_nabla_const(gamma, x, y) - _nabla_const(gamma, y, x),
-            pair(y, piv)[..., None] * x - pair(x, piv)[..., None] * y)
+            matvec(y, piv)[..., None] * x - matvec(x, piv)[..., None] * y)
 
 
 def _axiom_torsion(ctx: RunContext) -> Outcome:
@@ -85,7 +85,7 @@ def _axiom_compat(ctx: RunContext) -> Outcome:
     gamma = geom.ssm_gamma()[:, None]
     g = geom.metric_jet().g
     dg = geom.metric_jet().dg
-    lead = np.einsum("sdc,scab,sda,sdb->sd", x, dg, y, z)
+    lead = bilinear(contract_first(x, dg), y, z)
     vals = (lead - form(g, _nabla_const(gamma, x, y), z)
             - form(g, y, _nabla_const(gamma, x, z)))
     return residual_outcome(np.abs(vals).ravel(), ctx.tol.alg)
@@ -313,7 +313,7 @@ def _quad_decomposition_check(shift_location: str, label: str):
         g = geom.metric_jet().g
         piv = geom.pi_covector()
         zbv = geom.field_values(lift(parts[0]))
-        gz = np.einsum("sab,sb->sa", g, geom.field_values(zeta))
+        gz = matvec(g, geom.field_values(zeta))
         lhs = 0.5 * form(ctx.over_samples(lie_matrix, zeta, kind=kind), x, x)
         xb = x[..., slb]
         rhs = 0.5 * form(ctx.over_samples(lie_matrix, parts[0], "base", kind=base_kind),
@@ -323,19 +323,19 @@ def _quad_decomposition_check(shift_location: str, label: str):
             xi = x[..., sl]
             wj = geom.warp_jet(i)
             f = wj.value[:, None]
-            zbf = pair(zbv[:, None], wj.grad)
+            zbf = matvec(zbv[:, None], wj.grad)
             gi = ctx.block_geom(i).metric_jet().g
             ziv = geom.field_values(lift(zi))
             nxi = form(gi, xi, xi)
             li = ctx.over_samples(lie_matrix, zi, i, kind=LEVI_CIVITA)
             rhs = rhs + f ** 2 * 0.5 * form(li, xi, xi) + f * zbf * nxi
             if shift_location == "base":
-                gixz = pair(xi, np.einsum("sab,sb->sa", gi, ziv[:, sl]))
-                rhs = rhs + (f ** 2 * pair(zbv[:, None], piv) * nxi
-                             - f ** 2 * pair(xb, piv[:, slb]) * gixz)
+                gixz = matvec(xi, matvec(gi, ziv[:, sl]))
+                rhs = rhs + (f ** 2 * matvec(zbv[:, None], piv) * nxi
+                             - f ** 2 * matvec(xb, piv[:, slb]) * gixz)
             elif shift_location == "fiber":
-                rhs = rhs + (pair(ziv[:, None], piv) * form(g, x, x)
-                             - pair(xi, piv[:, sl]) * pair(x, gz))
+                rhs = rhs + (matvec(ziv[:, None], piv) * form(g, x, x)
+                             - matvec(xi, piv[:, sl]) * matvec(x, gz))
         return residual_outcome(np.abs(lhs - rhs).ravel(), ctx.tol.two)
 
     return run

@@ -42,7 +42,6 @@ from .util import (
     fiber_shift_multi,
     has_fibers,
     multi_fiber,
-    pair,
     part_sums,
     project_out,
     shift_on_base,
@@ -181,9 +180,9 @@ def _pairing_gaps(ctx: RunContext, zeta, x: np.ndarray) -> np.ndarray:
     g = ctx.geom.metric_jet().g
     piv = ctx.geom.pi_covector()
     zv = ctx.geom.field_values(zeta)
-    gz = np.einsum("sab,sb->sa", g, zv)
+    gz = matvec(g, zv)
     return (np.sum(zv * piv, axis=-1)[:, None] * form(g, x, x)
-            - pair(x, piv) * pair(x, gz))
+            - matvec(x, piv) * matvec(x, gz))
 
 
 def _remark_sides(ctx: RunContext) -> list[tuple[np.ndarray, np.ndarray]]:

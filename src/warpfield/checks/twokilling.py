@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from ..connections import LEVI_CIVITA, nabla_grid
+from ..connections import LEVI_CIVITA, matvec, nabla_grid
 from ..curvature import (
     FrameConstructionFailure,
     parallel_residual,
     ricci_quadratic,
     riemann,
+    riemann_along,
     trace_nabla,
 )
 from ..fieldexpr import Bin, Call, Neg, Var, eval_expr, variables_of
@@ -50,7 +51,6 @@ from .util import (
     any_mf,
     factor_fields,
     has_fibers,
-    pair,
     part_sums,
     second_directional,
     timelike_line,
@@ -85,9 +85,10 @@ def _zeta_curvature(ctx: RunContext, zeta, slots: str) -> np.ndarray:
     ``slots`` at each sample point, the other two free: "il" gives
     R(z, ., ., z) and "ik" gives R(z, ., z, .); (points, n, n)."""
     zv = ctx.geom.field_values(zeta)
-    r_low = riemann(ctx.geom).r_low
-    free = "".join(c for c in "ijkl" if c not in slots)
-    return np.einsum(f"sijkl,s{slots[0]},s{slots[1]}->s{free}", r_low, zv, zv)
+    rz = riemann_along(riemann(ctx.geom).r_low, zv)
+    if slots == "il":
+        return matvec(rz, zv[:, None])
+    return (zv[:, None, None, :] @ rz)[:, :, 0]
 
 
 def _ricci_max(ctx: RunContext, zeta, block=None) -> float:
@@ -408,8 +409,8 @@ def _thm_sectional(part: int):
         for (_, zeta), x in zip(fields, xs):
             # K = -R(z, x, z, x) / area^2, skipping degenerate planes
             zv = ctx.geom.field_values(zeta)
-            gz = np.einsum("sab,sb->sa", g, zv)
-            area2 = np.sum(zv * gz, axis=-1)[:, None] * form(g, x, x) - pair(x, gz) ** 2
+            gz = matvec(g, zv)
+            area2 = np.sum(zv * gz, axis=-1)[:, None] * form(g, x, x) - matvec(x, gz) ** 2
             kept = ~(np.abs(area2) <= 1e-10)
             values.append(-form(_zeta_curvature(ctx, zeta, "ik"), x, x)[kept] / area2[kept])
         values = np.concatenate(values)

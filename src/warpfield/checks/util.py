@@ -77,11 +77,6 @@ def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x . v for stacks of vectors x (..., draws, n) and one v (..., n) each."""
-    return np.einsum("...dn,...n->...d", x, v)
-
-
 def second_directional(fj: FieldJet, jet: Jet2):
     """(zeta(h), zeta(zeta(h))) for a field with jet data fj, at each
     sample point of stacked jets."""

@@ -69,9 +69,8 @@ class TorsionSpec:
 def _bracket(dg: np.ndarray) -> np.ndarray:
     """t[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over the last three
     axes of ``dg[..., d, i, j]``; gamma = g^-1 t / 2."""
-    return (np.einsum("...ijl->...lij", dg)
-            + np.einsum("...jil->...lij", dg)
-            - dg)
+    t = np.moveaxis(dg, -1, -3)
+    return t + np.swapaxes(t, -1, -2) - dg
 
 
 class Geometry:
@@ -187,13 +186,13 @@ def _warp_jets(geom: Geometry, i: int) -> Jet2:
 
 def _christoffel(geom: Geometry) -> np.ndarray:
     mj = geom.metric_jet()
-    return 0.5 * np.einsum("skl,slij->skij", mj.ginv, _bracket(mj.dg))
+    return 0.5 * contract_first(mj.ginv, _bracket(mj.dg))
 
 
 def _christoffel_jet(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     mj = geom.metric_jet()
-    dgamma = 0.5 * (np.einsum("sdkl,slij->sdkij", mj.dginv, _bracket(mj.dg))
-                    + np.einsum("skl,sdlij->sdkij", mj.ginv, _bracket(mj.d2g)))
+    dgamma = 0.5 * (contract_first(mj.dginv, _bracket(mj.dg)[:, None])
+                    + contract_first(mj.ginv[:, None], _bracket(mj.d2g)))
     return geom.christoffel(), dgamma
 
 
@@ -213,8 +212,8 @@ def _ssm_gamma(geom: Geometry) -> np.ndarray:
         return gamma
     n = geom.ps.total_dim
     return (gamma
-            + np.einsum("ki,sj->skij", np.eye(n), geom.pi_covector())
-            - np.einsum("sij,sk->skij", geom.metric_jet().g, geom.p_vector()))
+            + np.eye(n)[:, :, None] * geom.pi_covector()[:, None, None, :]
+            - geom.metric_jet().g[:, None] * geom.p_vector()[:, :, None, None])
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,6 +222,13 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     single pair of vectors, so a row of the stack is that value bit for
     bit; an einsum or ``np.sum(a * b)`` is not."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[..., k, i, j] = m[..., k, l] t[..., l, i, j]: one ``m @ t`` per
+    row with t's last two axes flattened (leading axes broadcast)."""
+    out = m @ t.reshape(t.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + t.shape[-2:])
 
 
 def bilinear(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,7 +260,8 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
     Z; a contraction x @ w is nabla_x Z for any vector x.  Leading axes
     of ``gamma``, ``val`` and ``d`` broadcast (stacks of points or vectors).
     """
-    return d + np.einsum("...kaj,...j->...ak", gamma, val)
+    kw = gamma.reshape(gamma.shape[:-3] + (-1, gamma.shape[-1])) @ val[..., None]
+    return d + np.swapaxes(kw.reshape(kw.shape[:-2] + gamma.shape[-3:-1]), -1, -2)
 
 
 def covariant_derivative(geom: Geometry, x, z, kind: str = LEVI_CIVITA) -> np.ndarray:
@@ -276,5 +283,4 @@ def divergence(geom: Geometry, field: ProductField) -> np.ndarray:
 
 def _divergences(geom: Geometry, field: ProductField) -> np.ndarray:
     fj = as_field_jet(geom, field)
-    return (np.trace(fj.d, axis1=-2, axis2=-1)
-            + np.einsum("skkm,sm->s", geom.christoffel(), fj.val))
+    return np.trace(nabla_grid(geom.christoffel(), fj.val, fj.d), axis1=-2, axis2=-1)

@@ -44,13 +44,22 @@ def _curvatures(geom: Geometry) -> Curvature:
     """Riemann and Ricci tensors at every sample point from the
     Christoffel jet."""
     gamma, dgamma = geom.christoffel_jet()
-    r_up = (np.einsum("siljk->slkij", dgamma)
-            - np.einsum("sjlik->slkij", dgamma)
-            + np.einsum("slim,smjk->slkij", gamma, gamma)
-            - np.einsum("sljm,smik->slkij", gamma, gamma))
-    r_low = np.einsum("slm,smkij->sijkl", geom.metric_jet().g, r_up)
-    ricci = np.einsum("saiaj->sij", r_up)
-    return Curvature(r_low=r_low, ricci=ricci)
+    s, n = gamma.shape[:2]
+    # a[l, i, j, k] = d_i gamma[l, j, k] + gamma[l, i, m] gamma[m, j, k], and
+    # q[l, i, j, k] = a - (i <-> j) = r_up[l, k, i, j]
+    a = np.swapaxes(dgamma, 1, 2) + (gamma.reshape(s, n * n, n)
+                                     @ gamma.reshape(s, n, n * n)).reshape(dgamma.shape)
+    q = a - np.swapaxes(a, 2, 3)
+    r_low = np.moveaxis(q, 1, -1).reshape(s, -1, n) @ np.swapaxes(geom.metric_jet().g, 1, 2)
+    ricci = np.swapaxes(np.trace(q, axis1=1, axis2=2), 1, 2)
+    return Curvature(r_low=r_low.reshape(dgamma.shape), ricci=ricci)
+
+
+def riemann_along(r_low: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z^i r_low[i, j, k, l] at every sample point (S, n, n, n), for a stack
+    of vectors z (S, n) or one vector (n,)."""
+    rz = z[..., None, :] @ r_low.reshape(r_low.shape[:2] + (-1,))
+    return rz.reshape(r_low.shape[:1] + r_low.shape[2:])
 
 
 def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:

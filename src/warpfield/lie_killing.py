@@ -25,9 +25,11 @@ from .connections import (
     Geometry,
     as_field_jet,
     bilinear,
+    contract_first,
+    matvec,
     nabla_grid,
 )
-from .curvature import riemann
+from .curvature import riemann, riemann_along
 from .fields import ProductField
 
 
@@ -80,6 +82,11 @@ def _swap(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
+def _along(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = v[..., l] t[..., l, i, j]."""
+    return contract_first(v[..., None, :], t)[..., 0, :, :]
+
+
 def ssm_lie_matrix(geom: Geometry, zeta) -> np.ndarray:
     """Shifted-connection Lie derivative of g on the coordinate basis."""
     return lie_matrix(geom, zeta, SEMI_SYMMETRIC)
@@ -100,14 +107,12 @@ def lie_matrix_direct(geom: Geometry, zeta) -> np.ndarray:
     mj = geom.metric_jet()
     zj = as_field_jet(geom, zeta)
     dzg = zj.d @ mj.g
-    return np.einsum("...c,...cab->...ab", zj.val, mj.dg) + dzg + _swap(dzg)
+    return _along(zj.val, mj.dg) + dzg + _swap(dzg)
 
 
 def _lie_of_tensor(h: np.ndarray, dh: np.ndarray, zj) -> np.ndarray:
     """One coordinate-route Lie step applied to a 2-tensor with jets."""
-    return (np.einsum("...c,...cab->...ab", zj.val, dh)
-            + np.einsum("...ac,...cb->...ab", zj.d, h)
-            + np.einsum("...bc,...ac->...ab", zj.d, h))
+    return _along(zj.val, dh) + zj.d @ h + h @ _swap(zj.d)
 
 
 def lie_lie_matrix_nested(geom: Geometry, zeta) -> np.ndarray:
@@ -116,12 +121,13 @@ def lie_lie_matrix_nested(geom: Geometry, zeta) -> np.ndarray:
     mj = geom.metric_jet()
     zj = as_field_jet(geom, zeta)
     h = lie_matrix_direct(geom, zeta)
-    dh = (np.einsum("...mc,...cab->...mab", zj.d, mj.dg)
-          + np.einsum("...c,...mcab->...mab", zj.val, mj.d2g)
-          + np.einsum("...mac,...cb->...mab", zj.d2, mj.g)
-          + np.einsum("...ac,...mcb->...mab", zj.d, mj.dg)
-          + np.einsum("...mbc,...ac->...mab", zj.d2, mj.g)
-          + np.einsum("...bc,...mac->...mab", zj.d, mj.dg))
+    g = mj.g[..., None, :, :]
+    dh = (contract_first(zj.d, mj.dg)
+          + _along(zj.val[..., None, :], mj.d2g)
+          + zj.d2 @ g
+          + zj.d[..., None, :, :] @ mj.dg
+          + g @ _swap(zj.d2)
+          + mj.dg @ _swap(zj.d)[..., None, :, :])
     return _lie_of_tensor(h, dh, zj)
 
 
@@ -136,26 +142,25 @@ def lie_lie_matrix(geom: Geometry, zeta: ProductField) -> np.ndarray:
     return geom.stack(_lie_lie_matrices, zeta)
 
 
-def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
+def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    """w[s, a, k] = (nabla_{e_a} zeta)^k (Levi-Civita) and its partials
+    dw[s, m, a, k].  Not a stack: dw holds S n^3 floats per field, and
+    the two stacks built from it are each computed once anyway."""
     zj = geom.field_jet(zeta)
     gamma, dgamma = geom.christoffel_jet()
+    dw = nabla_grid(dgamma, zj.val[:, None], zj.d2) + nabla_grid(gamma[:, None], zj.d, 0.0)
+    return geom.stack(_nabla_grids, zeta, LEVI_CIVITA), dw
 
-    # w[s, a, k] = (nabla_{e_a} zeta)^k and its partials dw[s, m, a, k]
-    w = nabla_grid(gamma, zj.val, zj.d)
-    dw = (np.einsum("smak->smak", zj.d2)
-          + np.einsum("smkaj,sj->smak", dgamma, zj.val)
-          + np.einsum("skaj,smj->smak", gamma, zj.d))
 
-    # nabla_zeta w_a
-    nzw = (np.einsum("sm,smak->sak", zj.val, dw)
-           + np.einsum("skmj,sm,saj->sak", gamma, zj.val, w))
-    # v_a = [zeta, e_a] = -d_a zeta; nabla_{v_a} zeta
-    v = -zj.d
-    nvz = (np.einsum("sai,sik->sak", v, zj.d)
-           + np.einsum("skij,sai,sj->sak", gamma, v, zj.val))
-
+def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
+    zj = geom.field_jet(zeta)
+    w, dw = _nabla_grid_jets(geom, zeta)
+    # nabla_zeta w_a = zeta(w_a) + w_a gz, gz[j, k] = zeta^m gamma^k_mj
+    gz = _swap((zj.val[:, None, None, :] @ geom.christoffel())[:, :, 0])
+    nzw = _along(zj.val, dw) + w @ gz
+    # v_a = [zeta, e_a] = -d_a zeta, so nabla_{v_a} zeta = -(d zeta) w
     g = geom.metric_jet().g
-    first = (nzw - nvz) @ g
+    first = (nzw + zj.d @ w) @ g
     return first + _swap(first) + 2.0 * (w @ g @ _swap(w))
 
 
@@ -188,16 +193,11 @@ def nabla_zeta_zeta(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.
 
 
 def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    """zeta^a w[a, k] and its partials, from the grid jet of nabla zeta."""
     zj = geom.field_jet(zeta)
-    gamma, dgamma = geom.christoffel_jet()
-    w = ((zj.val[:, None, :] @ zj.d)[:, 0]
-         + np.einsum("skij,si,sj->sk", gamma, zj.val, zj.val))
-    dw = (np.einsum("si,smik->smk", zj.val, zj.d2)
-          + np.einsum("smi,sik->smk", zj.d, zj.d)
-          + np.einsum("smkij,si,sj->smk", dgamma, zj.val, zj.val)
-          + np.einsum("skij,smi,sj->smk", gamma, zj.d, zj.val)
-          + np.einsum("skij,si,smj->smk", gamma, zj.val, zj.d))
-    return w, dw
+    w, dw = _nabla_grid_jets(geom, zeta)
+    val = zj.val[:, None, :]
+    return (val @ w)[:, 0], zj.d @ w + (val[:, None] @ dw)[:, :, 0]
 
 
 def eq22_residual(geom: Geometry, zeta, xs) -> np.ndarray:
@@ -209,7 +209,7 @@ def eq22_residual(geom: Geometry, zeta, xs) -> np.ndarray:
     zj = as_field_jet(geom, zeta)
     g = geom.metric_jet().g
     gamma = geom.christoffel()
-    rzz = np.einsum("...ijkl,...i,...l->...jk", riemann(geom).r_low, zj.val, zj.val)
+    rzz = matvec(riemann_along(riemann(geom).r_low, zj.val), zj.val[..., None, :])
     nxz = xs @ nabla_grid(gamma, zj.val, zj.d)
     nw = nabla_grid(gamma, *nabla_zeta_zeta(geom, zeta))
     return np.abs(form(rzz, xs, xs) - form(g, nxz, nxz) - form(nw @ g, xs, xs))

@@ -348,7 +348,8 @@ class MetricJet:
     def dginv(self) -> np.ndarray:
         """(n, n, n): dginv[d, k, l] = d_d g^kl = -g^ka d_d g_ab g^bl,
         computed on first use: only the Christoffel jet needs it."""
-        return -np.einsum("...ka,...dab,...bl->...dkl", self.ginv, self.dg, self.ginv)
+        gi = self.ginv[..., None, :, :]
+        return -(gi @ self.dg @ gi)
 
 
 def _jet_of(expr: Expr, env: dict) -> Jet2:

@@ -11,7 +11,11 @@ L_zeta g and L_zeta L_zeta g, the quadratic form g(nabla_x zeta, x), the
 pseudo-orthonormal frame, the frame trace and the divergence at a single
 point.  Each is written for a single point and a single vector,
 independent of the batched paths the checks take; it reads the metric
-and field jets at p as the one row of p's own geometry, ``one_point``."""
+and field jets at p as the one row of p's own geometry, ``one_point``.
+The connection-layer formulas sum as matrix products of that point's
+arrays, in the order a row of the geometry's stacks sums, so they equal
+the rows bit for bit; ``test_contractions`` checks each product against
+the index formula it states."""
 
 import math
 import weakref
@@ -242,15 +246,17 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 def christoffel_at(geom: Geometry, p: Point) -> np.ndarray:
     """gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
     mj = metric_jet_at(geom, p)
-    return 0.5 * np.einsum("kl,lij->kij", mj.ginv, _bracket(mj.dg))
+    n = len(mj.g)
+    return 0.5 * (mj.ginv @ _bracket(mj.dg).reshape(n, n * n)).reshape(n, n, n)
 
 
 def dchristoffel_at(geom: Geometry, p: Point) -> np.ndarray:
-    """dgamma[d, k, i, j] = d_d gamma[k, i, j]."""
+    """dgamma[d, k, i, j] = d_d gamma[k, i, j], with d_d g^kl = -g^ka d_d g_ab g^bl."""
     mj = metric_jet_at(geom, p)
-    dginv = -np.einsum("ka,dab,bl->dkl", mj.ginv, mj.dg, mj.ginv)
-    return 0.5 * (np.einsum("dkl,lij->dkij", dginv, _bracket(mj.dg))
-                  + np.einsum("kl,dlij->dkij", mj.ginv, _bracket(mj.d2g)))
+    n = len(mj.g)
+    dginv = -(mj.ginv @ mj.dg @ mj.ginv)
+    return 0.5 * (dginv @ _bracket(mj.dg).reshape(n, n * n)
+                  + mj.ginv @ _bracket(mj.d2g).reshape(n, n, n * n)).reshape((n,) * 4)
 
 
 def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
@@ -261,8 +267,7 @@ def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
     n = geom.ps.total_dim
     g = metric_jet_at(geom, p).g
     pv = field_jet_at(geom, lift(geom.torsion.field), p).val
-    return (gamma + np.einsum("ki,j->kij", np.eye(n), g @ pv)
-            - np.einsum("ij,k->kij", g, pv))
+    return gamma + np.eye(n)[:, :, None] * (g @ pv) - g * pv[:, None, None]
 
 
 def _gamma_at(geom: Geometry, p: Point, kind: str) -> np.ndarray:
@@ -272,40 +277,37 @@ def _gamma_at(geom: Geometry, p: Point, kind: str) -> np.ndarray:
 def lie_matrix_at(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
     """(L_zeta g)_ab = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)."""
     zj = field_jet_at(geom, zeta, p)
-    w = zj.d + np.einsum("kaj,j->ak", _gamma_at(geom, p, kind), zj.val)
-    wg = w @ metric_jet_at(geom, p).g
+    wg = nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d) @ metric_jet_at(geom, p).g
     return wg + wg.T
 
 
-def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
-    """(L L g)(x, y) from nested Levi-Civita covariant derivatives."""
-    zj = field_jet_at(geom, zeta, p)
+def _grid_jet_at(geom: Geometry, zj: FieldJet, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """w[a, k] = (nabla_{e_a} zeta)^k and its partials dw[m, a, k] =
+    d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj d_m zeta^j."""
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
-    w = zj.d + np.einsum("kaj,j->ak", gamma, zj.val)
-    dw = (np.einsum("mak->mak", zj.d2)
-          + np.einsum("mkaj,j->mak", dgamma, zj.val)
-          + np.einsum("kaj,mj->mak", gamma, zj.d))
-    nzw = (np.einsum("m,mak->ak", zj.val, dw)
-           + np.einsum("kmj,m,aj->ak", gamma, zj.val, w))
-    v = -zj.d
-    nvz = (np.einsum("ai,ik->ak", v, zj.d)
-           + np.einsum("kij,ai,j->ak", gamma, v, zj.val))
+    return (nabla_grid(gamma, zj.val, zj.d),
+            nabla_grid(dgamma, zj.val, zj.d2) + nabla_grid(gamma, zj.d, 0.0))
+
+
+def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+    """(L L g)(x, y) from nested Levi-Civita covariant derivatives:
+    nabla_zeta w_a = zeta(w_a) + w_a gz with gz[j, k] = zeta^m gamma^k_mj,
+    and nabla_{[zeta, e_a]} zeta = -d_a zeta^i w[i, k]."""
+    zj = field_jet_at(geom, zeta, p)
+    n = len(zj.val)
+    w, dw = _grid_jet_at(geom, zj, p)
+    gz = (zj.val[None, None] @ christoffel_at(geom, p))[:, 0].T
+    nzw = (zj.val[None] @ dw.reshape(n, n * n)).reshape(n, n) + w @ gz
     g = metric_jet_at(geom, p).g
-    first = (nzw - nvz) @ g
+    first = (nzw + zj.d @ w) @ g
     return first + first.T + 2.0 * (w @ g @ w.T)
 
 
 def nabla_zeta_zeta_at(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    """(nabla_zeta zeta)^k and its partials dw[m, k]."""
+    """(nabla_zeta zeta)^k = zeta^a w[a, k] and its partials dw[m, k]."""
     zj = field_jet_at(geom, zeta, p)
-    gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
-    w = zj.val @ zj.d + np.einsum("kij,i,j->k", gamma, zj.val, zj.val)
-    dw = (np.einsum("i,mik->mk", zj.val, zj.d2)
-          + np.einsum("mi,ik->mk", zj.d, zj.d)
-          + np.einsum("mkij,i,j->mk", dgamma, zj.val, zj.val)
-          + np.einsum("kij,mi,j->mk", gamma, zj.d, zj.val)
-          + np.einsum("kij,i,mj->mk", gamma, zj.val, zj.d))
-    return w, dw
+    w, dw = _grid_jet_at(geom, zj, p)
+    return (zj.val[None] @ w)[0], zj.d @ w + (zj.val[None, None] @ dw)[:, 0]
 
 
 def covariant_derivative_at(geom: Geometry, x, z, p: Point,
@@ -331,16 +333,17 @@ def torsion_of(geom: Geometry, x, y, p: Point, kind: str = SEMI_SYMMETRIC) -> np
 
 
 def curvature_at(geom: Geometry, p: Point) -> Curvature:
-    """Riemann and Ricci tensors at p from the Christoffel jet."""
+    """Riemann and Ricci tensors at p from the Christoffel jet:
+    q[l, i, j, k] = r_up[l, k, i, j] is a - (i <-> j) with a[l, i, j, k] =
+    d_i gamma[l, j, k] + gamma[l, i, m] gamma[m, j, k]."""
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
-    r_up = (np.einsum("iljk->lkij", dgamma)
-            - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("lim,mjk->lkij", gamma, gamma)
-            - np.einsum("ljm,mik->lkij", gamma, gamma))
+    n = len(gamma)
+    a = np.swapaxes(dgamma, 0, 1) + (gamma.reshape(n * n, n)
+                                     @ gamma.reshape(n, n * n)).reshape((n,) * 4)
+    q = a - np.swapaxes(a, 1, 2)
     g = metric_jet_at(geom, p).g
-    r_low = np.einsum("lm,mkij->ijkl", g, r_up)
-    ricci = np.einsum("aiaj->ij", r_up)
-    return Curvature(r_low=r_low, ricci=ricci)
+    r_low = (np.moveaxis(q, 0, -1).reshape(-1, n) @ g.T).reshape((n,) * 4)
+    return Curvature(r_low=r_low, ricci=np.trace(q).T)
 
 
 def riemann_quad(r_low: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:
@@ -361,7 +364,8 @@ def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L_zeta g)_ab = zeta^c d_c g_ab + d_a zeta^c g_cb + d_b zeta^c g_ac."""
     mj = metric_jet_at(geom, p)
     zj = field_jet_at(geom, zeta, p)
-    return (np.einsum("c,cab->ab", zj.val, mj.dg)
+    n = len(mj.g)
+    return ((zj.val[None] @ mj.dg.reshape(n, n * n)).reshape(n, n)
             + zj.d @ mj.g
             + (zj.d @ mj.g).T)
 
@@ -370,16 +374,17 @@ def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
     mj = metric_jet_at(geom, p)
     zj = field_jet_at(geom, zeta, p)
+    n = len(mj.g)
     h = lie_matrix_direct_at(geom, zeta, p)
-    dh = (np.einsum("mc,cab->mab", zj.d, mj.dg)
-          + np.einsum("c,mcab->mab", zj.val, mj.d2g)
-          + np.einsum("mac,cb->mab", zj.d2, mj.g)
-          + np.einsum("ac,mcb->mab", zj.d, mj.dg)
-          + np.einsum("mbc,ac->mab", zj.d2, mj.g)
-          + np.einsum("bc,mac->mab", zj.d, mj.dg))
-    return (np.einsum("c,cab->ab", zj.val, dh)
-            + np.einsum("ac,cb->ab", zj.d, h)
-            + np.einsum("bc,ac->ab", zj.d, h))
+    dh = ((zj.d @ mj.dg.reshape(n, n * n)).reshape(n, n, n)
+          + (zj.val[None, None] @ mj.d2g.reshape(n, n, n * n)).reshape(n, n, n)
+          + zj.d2 @ mj.g
+          + zj.d @ mj.dg
+          + mj.g @ np.swapaxes(zj.d2, 1, 2)
+          + mj.dg @ zj.d.T)
+    return ((zj.val[None] @ dh.reshape(n, n * n)).reshape(n, n)
+            + zj.d @ h
+            + h @ zj.d.T)
 
 
 # ---- frames and traces at one point ----
@@ -418,5 +423,4 @@ def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
 def divergence_at(geom: Geometry, field, p: Point) -> float:
     """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
     fj = field_jet_at(geom, field, p)
-    gamma = christoffel_at(geom, p)
-    return float(np.trace(fj.d) + np.einsum("kkm,m->", gamma, fj.val))
+    return float(np.trace(nabla_grid(christoffel_at(geom, p), fj.val, fj.d)))

@@ -11,10 +11,13 @@ import pytest
 from conftest import EXPR_CORPUS, corpus_points
 from oracles import metric_row, one_point, seed
 from warpfield import cli
+from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC
+from warpfield.curvature import riemann
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField, VectorFieldDef, lift, rehome
 from warpfield.jets import DomainError, Jet2, Point
-from warpfield.manifest import load_manifest
+from warpfield.lie_killing import lie_lie_matrix, lie_matrix
+from warpfield.manifest import load_manifest, parse_manifest
 from warpfield.metric import ProductStructure
 from warpfield.suite import RunContext
 
@@ -150,3 +153,97 @@ class TestOneMetricWalkPerKillingRun:
         assert "killing:zeta_bx" in capsys.readouterr().out
         assert rc in (0, 1)
         assert sizes == [64]
+
+
+# A chart of total dimension 10, shaped like the benchmark's wide charts:
+# a non-flat 2-d base with a connection shift and four warped 2-d fibers.
+WIDE = """
+[base]
+dim = 2
+coords = u, v
+g.u.u = 1 + 0.25*v^2
+g.v.v = 1
+box.u = 0.5, 1.5
+box.v = 0.5, 1.5
+
+[fiber.1]
+dim = 2
+coords = x1, y1
+g.x1.x1 = 1
+g.y1.y1 = 1
+box.x1 = -1, 1
+box.y1 = -1, 1
+warp = exp(0.4*u)
+
+[fiber.2]
+dim = 2
+coords = x2, y2
+g.x2.x2 = 1
+g.y2.y2 = sin(x2)^2
+box.x2 = 0.4, 2.7
+box.y2 = -1, 1
+warp = 2 + cos(0.9*v)
+
+[fiber.3]
+dim = 2
+coords = x3, y3
+g.x3.x3 = 1
+g.y3.y3 = 1
+box.x3 = -1, 1
+box.y3 = -1, 1
+warp = 1 + 0.5*u^2 + 0.3*v^2
+
+[fiber.4]
+dim = 2
+coords = x4, y4
+g.x4.x4 = 1 + 0.2*y4^2
+g.y4.y4 = 1
+box.x4 = -1, 1
+box.y4 = -1, 1
+warp = 2 + tanh(u*v)
+
+[torsion]
+location = base
+comp.u = 1.1
+comp.v = 0.3*u
+
+[field.zeta_bv]
+location = base
+comp.u = 0.8*v
+comp.v = u
+
+[field.zeta_rot1]
+location = fiber.1
+comp.x1 = -y1
+comp.y1 = x1
+
+[field.zeta_phi2]
+location = fiber.2
+comp.y2 = 1
+
+[field.zeta_cb4]
+location = fiber.4
+comp.y4 = cbrt(y4 - 2)
+"""
+
+
+class TestWideChartBatches:
+    def test_sample_set_equals_batch_of_one_at_dimension_10(self):
+        mf = parse_manifest(WIDE, name="wide")
+        ctx = RunContext(mf, samples=16)
+        geom = ctx.geom
+        assert ctx.ps.total_dim == 10
+        fields = [lift(f) for f in mf.fields.values()]
+        fields.append(ProductField(tuple(mf.fields.values())))
+        gamma, dgamma = geom.christoffel_jet()
+        r_low = riemann(geom).r_low
+        for k, p in enumerate(ctx.points()):
+            alone = one_point(geom, p)
+            assert np.array_equal(alone.christoffel_jet()[0][0], gamma[k])
+            assert np.array_equal(alone.christoffel_jet()[1][0], dgamma[k])
+            assert np.array_equal(riemann(alone).r_low[0], r_low[k])
+            for f in fields:
+                for kind in (LEVI_CIVITA, SEMI_SYMMETRIC):
+                    assert np.array_equal(lie_matrix(alone, f, kind)[0],
+                                          lie_matrix(geom, f, kind)[k]), kind
+                assert np.array_equal(lie_lie_matrix(alone, f)[0], lie_lie_matrix(geom, f)[k])

@@ -163,3 +163,27 @@ def test_each_check_enumerates_the_recorded_shapes(name, monkeypatch):
             spec.run(ctx)
             [got[spec.id]] = calls
     assert got == SHAPES[name]
+
+
+# A base (x, y), fiber 1 (u) warped by exp(y), fiber 2 (v, w) warped by
+# 1 + x^2 and carrying the shift: zeta_B = d_y moves fiber 1's warp, which
+# the fiber-shift gates of parts 3 and 5 do not read.
+PARTS_3_5 = ("[base]\ndim = 2\ncoords = x, y\ng.x.x = 1\ng.y.y = 1\n"
+             "box.x = 0.5, 1.5\nbox.y = -0.5, 0.5\n\n"
+             "[fiber.1]\ndim = 1\ncoords = u\ng.u.u = 1\nbox.u = -1, 1\nwarp = exp(y)\n\n"
+             "[fiber.2]\ndim = 2\ncoords = v, w\ng.v.v = 1\ng.w.w = 1\n"
+             "box.v = -1, 1\nbox.w = -1, 1\nwarp = 1 + x^2\n\n"
+             "[torsion]\nlocation = fiber.2\ncomp.w = 1\n\n"
+             "[field.zb]\nlocation = base\ncomp.y = 1\n\n"
+             "[field.zr]\nlocation = fiber.2\ncomp.v = 1\n")
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND line on the sufficiency "
+                   "variants: the fiber shift draws part 3 over every block and gates "
+                   "zeta_B in part 5 only on the picked fibers' warps")
+@pytest.mark.parametrize("check", ["Prop4.9.3b", "Prop4.9.5"])
+def test_fiber_shift_parts_3_and_5_gate_on_every_warp(check):
+    mf = parse_manifest(PARTS_3_5, name="parts_3_5")
+    [spec] = [s for s in killing.build() if s.id == check]
+    assert spec.applies(mf)
+    assert spec.run(RunContext(mf, samples=16)).verdict != "fail"

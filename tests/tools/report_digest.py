@@ -13,11 +13,14 @@ checkouts can be compared for byte-identical reports:
 
 Usage, from the root of a checkout::
 
-    python tests/tools/report_digest.py [--src DIR]
+    python tests/tools/report_digest.py [--src DIR] [--verdicts]
 
 ``--src`` is the ``src`` directory whose warpfield is run (default: this
 checkout's); the corpus and the wide-chart generator are read from this
-checkout.  Pytest does not collect this file.
+checkout.  ``--verdicts`` hashes only each invocation's key, exit code
+and (check, verdict) pairs, so a change that moves residuals in their
+last digits can still show that no verdict moved.  Pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -79,16 +82,38 @@ def run(key: str, argv: list[str]) -> dict:
     return {"key": key, "exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+MARKS = {"PASS": "pass", "FAIL": "fail", "----": "inconclusive"}
+
+
+def verdicts(record: dict) -> dict:
+    """The key, exit code and (check, verdict) pairs of one record."""
+    pairs = []
+    for line in record["stdout"].splitlines():
+        if line.startswith("{"):
+            obj = json.loads(line)
+            if obj["kind"] == "check":
+                pairs.append([obj["check"], obj["verdict"]])
+        elif " max=" in line:
+            mark, check = line.split()[:2]
+            pairs.append([check, MARKS[mark]])
+    return {"key": record["key"], "exit": record["exit"], "verdicts": pairs}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="hash key, exit code and verdicts only")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     digest = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in invocations(Path(tmp)):
-            line = json.dumps(run(key, argv), sort_keys=True) + "\n"
+            record = run(key, argv)
+            if args.verdicts:
+                record = verdicts(record)
+            line = json.dumps(record, sort_keys=True) + "\n"
             digest.update(line.encode("utf-8"))
             count += 1
     print(f"{count} invocations  sha256 {digest.hexdigest()}")
