@@ -10,5 +10,5 @@ tested numerically at sampled chart points.
 
 __version__ = "0.1.0"
 
-from .jets import Jet2, Point  # noqa: F401
+from .jets import Jet2  # noqa: F401
 from .metric import BlockMetric, ProductStructure  # noqa: F401

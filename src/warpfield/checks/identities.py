@@ -28,7 +28,15 @@ from ..lie_killing import (
     lie_matrix_direct,
     point_max,
 )
-from ..suite import CheckSpec, Outcome, RunContext, inconclusive, residual_outcome
+from ..suite import (
+    SECOND_ORDER_TOL,
+    TRACE_TOL,
+    CheckSpec,
+    Outcome,
+    RunContext,
+    inconclusive,
+    residual_outcome,
+)
 from .util import (
     any_mf,
     base_shift,
@@ -364,7 +372,7 @@ def _eq25_check(label: str):
                                + 2.0 * f * zbzbf * gi
                                + 2.0 * zbf ** 2 * gi)
         lhs = ctx.over_samples(lie_lie_matrix, zeta)
-        return residual_outcome(point_max(lhs - rhs), ctx.tol.second_order)
+        return residual_outcome(point_max(lhs - rhs), SECOND_ORDER_TOL)
 
     return run
 
@@ -402,7 +410,7 @@ def _eq27_check(label: str):
         except FrameConstructionFailure as err:
             return inconclusive(str(err))
         return residual_outcome(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in sides]),
-                                ctx.tol.trace)
+                                TRACE_TOL)
 
     return run
 

@@ -25,7 +25,9 @@ from ..lie_killing import form, lie_matrix, max_abs, nabla_quads, point_max
 from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
+    HYP_TOL,
     PASS,
+    SYM_TOL,
     CheckSpec,
     Outcome,
     RunContext,
@@ -94,7 +96,7 @@ def _def_killing(ctx: RunContext) -> Outcome:
                               point_max(m_scaled - 2.5 * m)], axis=1).ravel())
     if not vals:
         return inconclusive("no fields declared")
-    return residual_outcome(np.concatenate(vals), ctx.tol.sym * 100,
+    return residual_outcome(np.concatenate(vals), SYM_TOL * 100,
                             note="symmetry and field-linearity of the derivative")
 
 
@@ -217,7 +219,7 @@ def _prop_equivalence(ctx: RunContext) -> Outcome:
     agree_pass = 0
     agree_fail = 0
     for zeta, gaps in zip(ctx.field_combos().values(), _premise_gaps(ctx)):
-        if not max_abs(gaps) <= ctx.tol.hyp:
+        if not max_abs(gaps) <= HYP_TOL:
             continue
         admitted += 1
         residuals = (ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA),
@@ -305,7 +307,7 @@ def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind,
 
 def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
                          kind, tol, note: str) -> Outcome:
-    admitted = [i for i in instances if i.hyp <= ctx.tol.hyp]
+    admitted = [i for i in instances if i.hyp <= HYP_TOL]
     if not admitted:
         return inconclusive("no instance satisfies the hypotheses")
     vals = []
@@ -348,7 +350,7 @@ def _pure_cone(ctx: RunContext, condition=None):
             sl = ctx.ps.block_slice(block)
             x = np.zeros(ctx.ps.total_dim)
             x[sl] = np.array(rng.vector(sl.stop - sl.start))
-            if condition is None or abs(condition(k, block, x)) <= ctx.tol.hyp:
+            if condition is None or abs(condition(k, block, x)) <= HYP_TOL:
                 return x
         return None
 
@@ -483,7 +485,7 @@ def _suff_no_shift(part: int):
         for name, zb, zf in _shapes(ctx, part, LEVI_CIVITA):
             hyp = 0.0 if zb is None else warp_dir_max(ctx, zb, range(m))
             restrict = None
-            if part == 3 and not hyp <= ctx.tol.hyp:
+            if part == 3 and not hyp <= HYP_TOL:
                 hyp, restrict = warp_dir_max(ctx, zb, list(zf)), ["base", *zf]
             instances.append(SuffInstance(name, _sum_field(zb, zf), hyp,
                                           restrict_blocks=restrict))
@@ -519,7 +521,7 @@ def _necessity(shift: str, part: int):
         admitted = 0
         for zb, i, zi, zeta in part_sums(ctx):
             if shift == "fiber" and zi is not None:
-                if not _pi_hyp(ctx, zi) <= ctx.tol.hyp:
+                if not _pi_hyp(ctx, zi) <= HYP_TOL:
                     continue
             if part == 1:
                 if zb is None:
@@ -537,10 +539,9 @@ def _necessity(shift: str, part: int):
                 coeff_ok = True
                 if zb is not None:
                     if shift == "base":
-                        coeff_ok = (_base_shift_coefficient(ctx, zb, i)
-                                    <= ctx.tol.hyp)
+                        coeff_ok = _base_shift_coefficient(ctx, zb, i) <= HYP_TOL
                     else:
-                        coeff_ok = warp_dir_max(ctx, zb, [i]) <= ctx.tol.hyp
+                        coeff_ok = warp_dir_max(ctx, zb, [i]) <= HYP_TOL
                 if not coeff_ok:
                     continue
                 admitted += 1
@@ -582,8 +583,7 @@ def _builder_grw(ctx: RunContext) -> Outcome:
         b = rebuilt.metric_at(p).g
         vals.append(max_abs(a - b))
         vals.append(abs(a[0, 0] + 1.0))
-        env = {c: v for c, v in zip(ps.coord_names, p.coords)}
-        fiber_m = ps.fibers[0].matrix(env).astype(float)
+        fiber_m = ps.fibers[0].matrix(ps.env(p)).astype(float)
         vals.append(max_abs(a[sl, sl] - float(warp[k]) ** 2 * fiber_m))
     return residual_outcome(vals, 1e-10,
                             note="programmatic rebuild matches the manifest")

@@ -40,7 +40,9 @@ from ..lie_killing import (
 from ..spacetimes import KASNER, SpacetimeSpec, build_spacetime
 from ..suite import (
     FAIL,
+    HYP_TOL,
     PASS,
+    TRACE_TOL,
     CheckSpec,
     Outcome,
     RunContext,
@@ -230,7 +232,7 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
         zeta = lift(vfd)
         if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
             continue
-        if not _ricci_max(ctx, zeta) <= ctx.tol.hyp:
+        if not _ricci_max(ctx, zeta) <= HYP_TOL:
             continue
         admitted += 1
         try:
@@ -241,7 +243,7 @@ def _lemma_compact_parallel(ctx: RunContext) -> Outcome:
     if admitted == 0:
         return inconclusive("no admissible field on the compact model")
     return residual_outcome(
-        np.concatenate(vals), ctx.tol.trace,
+        np.concatenate(vals), TRACE_TOL,
         note=f"{admitted} fields; compactness modeled by periodic boxes, "
              "not verified")
 
@@ -257,7 +259,7 @@ def _cor_product_necessity(part: int):
             if part == 1 and zb is not None:
                 vals.append(ctx.sample_max(lie_lie_matrix, zb, "base"))
             elif part == 2 and zi is not None:
-                if zb is None or warp_dir_max(ctx, zb, [i]) <= ctx.tol.hyp:
+                if zb is None or warp_dir_max(ctx, zb, [i]) <= HYP_TOL:
                     vals.append(ctx.sample_max(lie_lie_matrix, zi, i))
         if admitted == 0 or not vals:
             return inconclusive("no second-order product field available")
@@ -276,7 +278,7 @@ def _cor_sufficiency_annihilated(ctx: RunContext) -> Outcome:
     per_fiber = {i: factor_fields(ctx, i, lie_lie_matrix, ctx.tol.two)
                  for i in range(m)}
     for bname, zb in factor_fields(ctx, "base", lie_lie_matrix, ctx.tol.two):
-        if not warp_dir_max(ctx, zb, range(m)) <= ctx.tol.hyp:
+        if not warp_dir_max(ctx, zb, range(m)) <= HYP_TOL:
             continue
         combo = [per_fiber[i][0][1] for i in range(m) if per_fiber[i]]
         for parts in ([zb], [zb] + combo if combo else None):
@@ -307,7 +309,7 @@ def _cor_homothety_route(ctx: RunContext) -> Outcome:
         for _, zb in factor_fields(ctx, "base", lie_lie_matrix, ctx.tol.two):
             hyp = max_abs(_eq26_residual_max(ctx, zb, i, c_i)
                           for i, (_, c_i) in enumerate(fiber_picks))
-            if hyp <= ctx.tol.hyp:
+            if hyp <= HYP_TOL:
                 admitted.append((zb,) + tuple(vfd for vfd, _ in fiber_picks))
     if not admitted:
         return inconclusive("no instance satisfies the warp coupling condition")
@@ -339,7 +341,7 @@ def _thm_parallel(case: int):
         periodic = _periodic_fields(ctx)
         admissible = [(n, f) for n, f in sorted(periodic.items())
                       if ctx.sample_max(lie_lie_matrix, f, f.block) <= ctx.tol.two
-                      and _ricci_max(ctx, f, f.block) <= ctx.tol.hyp]
+                      and _ricci_max(ctx, f, f.block) <= HYP_TOL]
         base_fields = [(n, f) for n, f in admissible if f.block == "base"]
         fiber_fields: dict[int, list] = {i: [] for i in range(m)}
         for n, f in admissible:
@@ -348,7 +350,7 @@ def _thm_parallel(case: int):
 
         def warp_ok(zb, fibers_with_parts):
             for j in range(m):
-                if zb is not None and not warp_dir_max(ctx, zb, [j]) <= ctx.tol.hyp:
+                if zb is not None and not warp_dir_max(ctx, zb, [j]) <= HYP_TOL:
                     return False
                 if j in fibers_with_parts and not _warp_constant(ctx, j):
                     return False
@@ -398,7 +400,7 @@ def _thm_sectional(part: int):
             for name, zeta in ctx.field_combos().items():
                 if not ctx.sample_max(lie_lie_matrix, zeta) <= ctx.tol.two:
                     continue
-                if max_abs(nabla_zeta_zeta(ctx.geom, zeta)[0]) <= ctx.tol.hyp:
+                if max_abs(nabla_zeta_zeta(ctx.geom, zeta)[0]) <= HYP_TOL:
                     fields.append((name, zeta))
         if not fields:
             return inconclusive("no field meets the curvature hypothesis")
@@ -437,10 +439,10 @@ def _cbrt_base_field(ctx: RunContext):
     if a is None or b is None or ctx.ps.base.dim != 1:
         return None
     tname = ctx.ps.base.coords[0]
+    times = ctx.points()[:, ctx.ps.block_slice("base").start].tolist()
     for name, vfd in sorted(ctx.fields_on("base").items()):
         ok = True
-        for p in ctx.points():
-            t = p.coords[ctx.ps.block_slice("base").start]
+        for t in times:
             want = math.copysign(abs(a * t - b) ** (1.0 / 3.0), a * t - b)
             got = float(eval_expr(vfd.components[0], {tname: t}))
             if abs(got - want) > 1e-10:
@@ -455,8 +457,7 @@ def _eq28_residual_max(ctx: RunContext, i: int, c_i: float, a: float, b: float) 
     gaps = []
     slb = ctx.ps.block_slice("base").start
     wj = ctx.geom.warp_jet(i)
-    for k, p in enumerate(ctx.points()):
-        t = p.coords[slb]
+    for k, t in enumerate(ctx.points()[:, slb].tolist()):
         f = float(wj.value[k])
         fdot = float(wj.grad[k, slb])
         fddot = float(wj.hess[k, slb, slb])
@@ -500,7 +501,7 @@ def _witness_power_law(use_exponents: bool):
         hyp = max_abs(hyps)
         zeta = ProductField((zb,) + tuple(picks))
         vals = point_max(ctx.over_samples(lie_lie_matrix, zeta))
-        gap = "" if hyp <= ctx.tol.hyp else \
+        gap = "" if hyp <= HYP_TOL else \
             f"; warp coupling residual {hyp:.3g} (hypothesis violated)"
         return residual_outcome(vals, ctx.tol.two,
                                 note=f"extension of {name}{gap}")
@@ -513,8 +514,7 @@ def _recover_exponent(ctx: RunContext, i: int, a: float, b: float):
     slb = ctx.ps.block_slice("base").start
     warp = ctx.geom.warp_jet(i).value
     vals = []
-    for k, p in enumerate(ctx.points()):
-        t = p.coords[slb]
+    for k, t in enumerate(ctx.points()[:, slb].tolist()):
         phi = (a * t - b) / a
         if phi <= 0 or abs(math.log(phi)) < 1e-3:
             continue
@@ -531,8 +531,7 @@ def _eq29_residual_max(ctx: RunContext, i: int, p_i: float, c_i: float,
                        a: float, b: float) -> float:
     gaps = []
     slb = ctx.ps.block_slice("base").start
-    for p in ctx.points():
-        t = p.coords[slb]
+    for t in ctx.points()[:, slb].tolist():
         s = a * t - b
         phi = s / a
         s23 = abs(s) ** (2.0 / 3.0)

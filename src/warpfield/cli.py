@@ -140,9 +140,8 @@ def cmd_verify(args) -> int:
     except KeyError as err:
         print(f"warpfield: {err}", file=sys.stderr)
         return USAGE_ERROR
-    results = run_checks(registry, mf, specs, samples=args.samples,
-                         seed=args.seed, tol=_tolerances(args),
-                         explicit=explicit)
+    results = run_checks(mf, specs, samples=args.samples, seed=args.seed,
+                         tol=_tolerances(args), explicit=explicit)
     _emit(args, mf.name, results)
     return _exit_code(results, explicit)
 
@@ -176,11 +175,8 @@ def cmd_killing(args) -> int:
         name, bound = ("ssm_killing" if args.kind == "ssm" else "killing"), tol.alg
         kind = SEMI_SYMMETRIC if args.kind == "ssm" else LEVI_CIVITA
         mats = lie_matrix(geom, zeta, kind)
-    out = residual_outcome(point_max(mats), bound)
-    result = CheckResult(
-        check=f"{name}:{args.field}", result=name, manifest=mf.name,
-        verdict=out.verdict, max_abs=out.max_abs, mean_abs=out.mean_abs,
-        samples=out.samples, tolerance=out.tolerance, note=out.note)
+    result = CheckResult.of(f"{name}:{args.field}", name, mf.name,
+                            residual_outcome(point_max(mats), bound))
     _emit(args, mf.name, [result])
     return 0 if result.passed else 1
 

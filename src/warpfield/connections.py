@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldJet, ProductField, VectorFieldDef, lift
-from .jets import Jet2, Point
+from .jets import Jet2
 from .metric import DimensionMismatch, MetricJet, ProductStructure
 
 LEVI_CIVITA = "levi_civita"
@@ -76,19 +76,19 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 class Geometry:
     """Metric, connection and field data of one structure over a sample set.
 
-    ``points`` is the sample set.  Each quantity is computed once for all
-    of them, as a stack whose leading axis runs over the points
+    ``points`` is the sample set, an (S, n) array with one point per row;
+    its width is checked here, once.  Each quantity is computed once for
+    all of them, as a stack whose leading axis runs over the points
     (``stack``), from the stacked metric and field jets; every accessor
     returns that stack.  Any other point is the sample set of a geometry
     of its own, ``Geometry(ps, torsion, [p])``.
     """
 
-    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None,
-                 points: list[Point]):
+    def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None, points):
         self.ps = ps
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
-        self.points = list(points)
+        self.points = ps.sample_set(points)
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._stacks: dict = {}
 

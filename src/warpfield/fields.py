@@ -15,7 +15,6 @@ import numpy as np
 
 from . import fieldexpr
 from .fieldexpr import Expr
-from .jets import Point
 from .metric import GeometryError, ProductStructure
 from .sampling import SplitMix
 
@@ -85,10 +84,10 @@ class ProductField:
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
 
-    def jet(self, ps: ProductStructure, points: list[Point]) -> FieldJet:
-        """Component jets at ``points``, stacked on a leading sample axis.
-        Each part is walked once over the whole list, in its own block's
-        ``jet_env``; its partials in other blocks stay zero."""
+    def jet(self, ps: ProductStructure, points: np.ndarray) -> FieldJet:
+        """Component jets at the rows of ``points``, stacked on a leading
+        sample axis.  Each part is walked once over all of them, in its own
+        block's ``jet_env``; its partials in other blocks stay zero."""
         s, n = len(points), ps.total_dim
 
         def assemble(jet):

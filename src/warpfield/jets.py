@@ -24,7 +24,6 @@ below combines symmetric matrices and symmetrized outer products only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,24 +43,6 @@ class DomainError(ValueError):
 class DivisionByZero(DomainError, ZeroDivisionError):
     """Division by a zero value: a domain error that is still a
     ZeroDivisionError."""
-
-
-@dataclass(frozen=True)
-class Point:
-    """Evaluation locus: an ordered tuple of finite chart coordinates."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) == 0:
-            raise ValueError("point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError(f"non-finite coordinate in {self.coords}")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
 
 def _g(v):

@@ -9,8 +9,11 @@ coordinate scope, with the named constants substituted as literals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .connections import TorsionSpec
 from .fieldexpr import ExprError, num, parse_expr
@@ -82,6 +85,8 @@ def _parse_interval(value: str, line: int) -> tuple[float, float]:
     lo, hi = (_parse_float(s, line) for s in parts)
     if not lo < hi:
         raise ManifestError(f"empty interval {value!r}", line)
+    if not math.isfinite(hi - lo):
+        raise ManifestError(f"interval {value!r} must be finite and of finite width", line)
     return lo, hi
 
 
@@ -247,7 +252,7 @@ def _parse_location(value: str, structure: ProductStructure, line: int):
     raise ManifestError(f"bad location {value!r}", line)
 
 
-def _collect_components(entries, block, constants, default_zero=True):
+def _collect_components(entries):
     comps: dict[str, tuple] = {}
     loc_value = None
     loc_line = None
@@ -279,7 +284,7 @@ def _components_for(block, comps, constants):
 
 
 def _build_torsion(entries, structure, constants, header_line) -> TorsionSpec:
-    loc_value, loc_line, comps = _collect_components(entries, None, constants)
+    loc_value, loc_line, comps = _collect_components(entries)
     if loc_value is None:
         raise ManifestError("[torsion] needs a location", header_line)
     loc = _parse_location(loc_value, structure, loc_line)
@@ -293,7 +298,7 @@ def _build_torsion(entries, structure, constants, header_line) -> TorsionSpec:
 
 
 def _build_field(fname, entries, structure, constants, header_line) -> VectorFieldDef:
-    loc_value, loc_line, comps = _collect_components(entries, None, constants)
+    loc_value, loc_line, comps = _collect_components(entries)
     if loc_value is None:
         raise ManifestError(f"[field.{fname}] needs a location", header_line)
     loc = _parse_location(loc_value, structure, loc_line)
@@ -306,10 +311,10 @@ def _build_field(fname, entries, structure, constants, header_line) -> VectorFie
 
 
 def _validate_center(manifest: Manifest) -> None:
-    from .jets import DomainError, Point
+    from .jets import DomainError
 
     ps = manifest.structure
-    center = Point(tuple(0.5 * (lo + hi) for lo, hi in ps.box))
+    center = np.array([0.5 * (lo + hi) for lo, hi in ps.box])
     try:
         ps.metric_at(center)
         ps.warp_values(center)

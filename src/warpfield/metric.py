@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fieldexpr
 from .fieldexpr import Bin, Expr, Num, eval_expr
-from .jets import DomainError, Jet2, Point, require
+from .jets import DomainError, Jet2, require
 from .sampling import SplitMix
 
 
@@ -160,27 +160,31 @@ class ProductStructure:
             return self.base
         return self.fibers[int(block)]
 
-    def block_point(self, p: Point, block) -> Point:
-        return Point(tuple(p.coords[self.block_slice(block)]))
+    def sample_set(self, points) -> np.ndarray:
+        """``points`` as an (S, n) float array, one point of the chart per
+        row; S may be 0."""
+        points = np.asarray(points, dtype=float)
+        if points.size and points.shape[1:] != (self.total_dim,):
+            raise DimensionMismatch(f"points must be rows of {self.total_dim} "
+                                    f"coordinates, got shape {points.shape}")
+        return points.reshape(-1, self.total_dim)
 
-    def env(self, p: Point) -> dict:
-        self._check_point(p)
-        return dict(zip(self.coord_names, p.coords))
+    def env(self, p: np.ndarray) -> dict:
+        """The row p's coordinates by name, as Python floats."""
+        return dict(zip(self.coord_names, p.tolist()))
 
-    def jet_env(self, points: list[Point], block=None) -> dict:
-        """Coordinate jets over ``points``, one sample per point, with
-        partials in ``block``'s coordinates or, by default, the chart's."""
-        for p in points:
-            self._check_point(p)
+    def jet_env(self, points: np.ndarray, block=None) -> dict:
+        """Coordinate jets over the rows of ``points``, one sample per row,
+        with partials in ``block``'s coordinates or, by default, the chart's."""
         sl = slice(None) if block is None else self.block_slice(block)
-        coords = np.array([p.coords for p in points])[:, sl]
+        coords = points[:, sl]
         s, n = coords.shape
         grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
         hess = np.zeros((s, n, n))
         return {name: Jet2(coords[:, k], grads[k], hess)
                 for k, name in enumerate(self.coord_names[sl])}
 
-    def expr_jet(self, expr: Expr, env: dict, points: list[Point]) -> Jet2:
+    def expr_jet(self, expr: Expr, env: dict, points: np.ndarray) -> Jet2:
         """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
         constant jet.  A DomainError names the first point where the
         expression leaves its real domain or overflows, and the expression."""
@@ -194,7 +198,7 @@ class ProductStructure:
                               f"{fieldexpr.pretty(expr)}", index=i) from None
         return j
 
-    def walk(self, assemble, points: list[Point], overflow=None) -> tuple:
+    def walk(self, assemble, points: np.ndarray, overflow=None) -> tuple:
         """``assemble(jet)``: arrays, sample axis first, from the jets
         ``jet(expr, env)`` of expressions over ``jet_env``s of ``points``.
         Only the arrays are tested: if one is not finite, or an error is
@@ -213,15 +217,15 @@ class ProductStructure:
             overflow(points, *arrays)
         return arrays
 
-    def where(self, p: Point) -> str:
-        """p's coordinates by name, as error messages print them."""
-        return ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names, p.coords))
+    def where(self, p: np.ndarray) -> str:
+        """The row p's coordinates by name, as error messages print them."""
+        return ", ".join(f"{c}={v!r}" for c, v in self.env(p).items())
 
-    def _warp_message(self, fiber: BlockMetric, warp: Expr, v: float, p: Point) -> str:
+    def _warp_message(self, fiber: BlockMetric, warp: Expr, v: float, p: np.ndarray) -> str:
         return (f"warping for {fiber.label} evaluates to {v} at ({self.where(p)}) "
                 f"in {fieldexpr.pretty(warp)}")
 
-    def _require_finite(self, points: list[Point], *arrays) -> None:
+    def _require_finite(self, points: np.ndarray, *arrays) -> None:
         """DomainError at the first point where a metric array (sample axis
         first, entry axes last) is not finite, naming that entry: a base
         entry, or a fiber entry times its squared warp."""
@@ -237,7 +241,7 @@ class ProductStructure:
                     raise DomainError(f"overflow at ({self.where(p)}) in "
                                       f"{fieldexpr.pretty(e)}", index=k)
 
-    def _block_inverse(self, m: np.ndarray, label: str, points: list[Point]) -> np.ndarray:
+    def _block_inverse(self, m: np.ndarray, label: str, points: np.ndarray) -> np.ndarray:
         """Inverse of one block at one point, or of a stack of blocks
         (S, d, d) at ``points``; a singular block is named with its point."""
         det = np.atleast_1d(np.linalg.det(m))
@@ -248,13 +252,7 @@ class ProductStructure:
                                  f"at ({self.where(points[k])})")
         return np.linalg.inv(m)
 
-    def _check_point(self, p: Point):
-        if p.dim != self.total_dim:
-            raise DimensionMismatch(
-                f"point has {p.dim} coordinates, chart has {self.total_dim}"
-            )
-
-    def warp_values(self, p: Point) -> tuple[float, ...]:
+    def warp_values(self, p: np.ndarray) -> tuple[float, ...]:
         env = self.env(p)
         vals = []
         for w, f in zip(self.warps, self.fibers):
@@ -264,7 +262,7 @@ class ProductStructure:
             vals.append(v)
         return tuple(vals)
 
-    def metric_at(self, p: Point) -> "MetricAt":
+    def metric_at(self, p: np.ndarray) -> "MetricAt":
         env = self.env(p)
         n = self.total_dim
         g = np.zeros((n, n))
@@ -283,14 +281,15 @@ class ProductStructure:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.sum(g))
         if not finite:
-            self._require_finite([p], g[None])
+            self._require_finite(p[None], g[None])
         for sl, block in zip(self.slices, self.blocks):
-            ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, [p])
+            ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, p[None])
         return MetricAt(g=g, ginv=ginv)
 
-    def metric_jet(self, points: list[Point]) -> "MetricJet":
-        """Metric jets at ``points``, stacked on a leading sample axis, from
-        one walk of every entry and warp expression over the whole list."""
+    def metric_jet(self, points) -> "MetricJet":
+        """Metric jets at the rows of ``points``, stacked on a leading sample
+        axis, from one walk of every entry and warp expression over them all."""
+        points = self.sample_set(points)
         env = self.jet_env(points)
         s, n = len(points), self.total_dim
 
@@ -363,8 +362,9 @@ def sample_points(
     count: int,
     rng: SplitMix,
     exclusions: dict[str, list[tuple[float, float]]] | None = None,
-) -> list[Point]:
-    """Deterministic points from the 10%-inset sub-box, avoiding exclusions.
+) -> np.ndarray:
+    """Deterministic points from the 10%-inset sub-box, avoiding exclusions:
+    an (count, n) array, one point per row.
 
     Each candidate is one row of uniform draws, one per coordinate in
     chart order, and a row with a coordinate inside an exclusion is
@@ -374,7 +374,7 @@ def sample_points(
     exclusions = exclusions or {}
     lo, hi = np.array(ps.box).T
     limit = 200 * count + 1000
-    out: list[Point] = []
+    out = np.empty((0, len(lo)))
     drawn = 0
     while len(out) < count:
         rows = min(count - len(out), limit - drawn)
@@ -386,5 +386,5 @@ def sample_points(
         for k, name in enumerate(ps.coord_names):
             for (xlo, xhi) in exclusions.get(name, ()):
                 ok &= ~((xlo <= v[:, k]) & (v[:, k] <= xhi))
-        out.extend(Point(tuple(row)) for row in v[ok].tolist())
+        out = np.concatenate((out, v[ok]))
     return out

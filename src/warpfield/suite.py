@@ -16,7 +16,6 @@ import numpy as np
 
 from .connections import Geometry
 from .fields import ProductField, VectorFieldDef, lift, rehome, synth_field
-from .jets import Point
 from .lie_killing import max_abs
 from .manifest import Manifest
 from .metric import sample_points
@@ -31,10 +30,12 @@ INCONCLUSIVE = "inconclusive"
 class Tolerances:
     alg: float = 1e-8        # first-order identities
     two: float = 1e-7        # second-derivative identities
-    trace: float = 1e-6      # frame-trace decomposition
-    second_order: float = 1e-6   # second Lie-derivative decomposition
-    sym: float = 1e-12       # bilinear symmetry
-    hyp: float = 1e-9        # hypothesis residual gate
+
+
+TRACE_TOL = 1e-6             # frame-trace decomposition
+SECOND_ORDER_TOL = 1e-6      # second Lie-derivative decomposition
+SYM_TOL = 1e-12              # bilinear symmetry
+HYP_TOL = 1e-9               # hypothesis residual gate
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,11 @@ class CheckResult:
     tolerance: float
     note: str = ""
 
+    @staticmethod
+    def of(check: str, result: str, manifest: str, out: Outcome) -> "CheckResult":
+        return CheckResult(check, result, manifest, out.verdict, out.max_abs,
+                           out.mean_abs, out.samples, out.tolerance, out.note)
+
     @property
     def passed(self) -> bool:
         return self.verdict == PASS
@@ -104,7 +110,7 @@ class RunContext:
     """Per-(manifest, run-config) bundle of cached geometry and sampling.
 
     One geometry per chart block, each built with the sample points (or
-    their block coordinates): the product carries the manifest's shift,
+    their block's columns): the product carries the manifest's shift,
     the base carries it only when P lives on the base, and the fibers
     carry none.  The connection is chosen by ``kind`` at each call.
     Every check of one run reads the same geometries, so each stack is
@@ -118,16 +124,14 @@ class RunContext:
         self.samples = samples
         self.seed = seed
         self.tol = tol
-        self._points = sample_points(self.ps, samples, self.rng("points:points"),
-                                     mf.exclusions)
-        self.geom = Geometry(self.ps, mf.torsion, self._points)
+        points = sample_points(self.ps, samples, self.rng("points:points"), mf.exclusions)
+        self.geom = Geometry(self.ps, mf.torsion, points)
         base_shift = (mf.torsion.restrict_to_block()
                       if mf.torsion.location == "base" else None)
         self._block_geoms = {"base": Geometry(self.ps.base_structure(), base_shift,
-                                              self.block_points(self._points, "base"))}
+                                              points[:, self.ps.block_slice("base")])}
         self._block_geoms.update(
-            (i, Geometry(self.ps.fiber_structure(i), None,
-                         self.block_points(self._points, i)))
+            (i, Geometry(self.ps.fiber_structure(i), None, points[:, self.ps.block_slice(i)]))
             for i in range(len(self.ps.fibers)))
         self._combos: dict[str, ProductField] | None = None
         self._rehomed: dict[VectorFieldDef, ProductField] = {}
@@ -138,11 +142,9 @@ class RunContext:
     def rng(self, label: str) -> SplitMix:
         return SplitMix(subseed(self.seed, self.mf.name, label))
 
-    def points(self) -> list[Point]:
-        return self._points
-
-    def block_points(self, pts: list[Point], block) -> list[Point]:
-        return [self.ps.block_point(p, block) for p in pts]
+    def points(self) -> np.ndarray:
+        """The sample set (S, n), one point per row."""
+        return self.geom.points
 
     # ---- fields ----
 
@@ -232,7 +234,7 @@ class Registry:
         return [s for s in self.specs if s.id in seen]
 
 
-def run_checks(registry: Registry, mf: Manifest, specs: list[CheckSpec],
+def run_checks(mf: Manifest, specs: list[CheckSpec],
                samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                tol: Tolerances = Tolerances(),
                explicit: bool = False) -> list[CheckResult]:
@@ -246,17 +248,11 @@ def run_checks(registry: Registry, mf: Manifest, specs: list[CheckSpec],
     for spec in sorted(specs, key=lambda s: s.id):
         if not spec.applies(mf):
             if explicit:
-                results.append(CheckResult(
-                    check=spec.id, result=spec.result, manifest=mf.name,
-                    verdict=INCONCLUSIVE, max_abs=0.0, mean_abs=0.0,
-                    samples=0, tolerance=0.0,
-                    note="manifest shape does not admit this check"))
+                results.append(CheckResult.of(
+                    spec.id, spec.result, mf.name,
+                    inconclusive("manifest shape does not admit this check")))
             continue
-        out = spec.run(ctx)
-        results.append(CheckResult(
-            check=spec.id, result=spec.result, manifest=mf.name,
-            verdict=out.verdict, max_abs=out.max_abs, mean_abs=out.mean_abs,
-            samples=out.samples, tolerance=out.tolerance, note=out.note))
+        results.append(CheckResult.of(spec.id, spec.result, mf.name, spec.run(ctx)))
     return results
 
 

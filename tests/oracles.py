@@ -34,7 +34,7 @@ from warpfield.connections import (
 )
 from warpfield.curvature import Curvature, FrameConstructionFailure, riemann
 from warpfield.fields import FieldJet, ProductField, lift
-from warpfield.jets import Jet2, Point
+from warpfield.jets import Jet2
 from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
@@ -51,19 +51,20 @@ class DegeneratePlane(GeometryError):
     pass
 
 
-def fd_jet(f, p: Point, step: float = 1e-4) -> Jet2:
-    """Central-difference jet of a scalar point-function at p.
+def fd_jet(f, p, step: float = 1e-4) -> Jet2:
+    """Central-difference jet at the point p of a scalar function of a
+    coordinate row.
 
     Independent of the jet arithmetic; second-order accurate.  Used
     as the cross-check for everything the jets produce.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    n = p.dim
-    x = np.array(p.coords)
+    x = np.asarray(p, dtype=float)
+    n = len(x)
 
     def ev(delta):
-        return float(f(Point(tuple(x + delta))))
+        return float(f(x + delta))
 
     f0 = ev(np.zeros(n))
     grad = np.zeros(n)
@@ -89,14 +90,15 @@ def fd_jet(f, p: Point, step: float = 1e-4) -> Jet2:
     return Jet2(f0, grad, hess)
 
 
-def seed(p: Point, k: int) -> Jet2:
-    """Jet of the k-th coordinate function at p alone: value x_k, grad e_k."""
-    n = p.dim
+def seed(p, k: int) -> Jet2:
+    """Jet of the k-th coordinate function at the point p alone: value x_k,
+    grad e_k."""
+    n = len(p)
     if not 0 <= k < n:
         raise IndexError(f"coordinate index {k} out of range for dim {n}")
     grad = np.zeros(n)
     grad[k] = 1.0
-    return Jet2(p.coords[k], grad, np.zeros((n, n)))
+    return Jet2(p[k], grad, np.zeros((n, n)))
 
 
 def metric_row(mj: MetricJet, k: int) -> MetricJet:
@@ -104,12 +106,12 @@ def metric_row(mj: MetricJet, k: int) -> MetricJet:
     return MetricJet(mj.g[k], mj.dg[k], mj.d2g[k], mj.ginv[k])
 
 
-def grad_scalar(ps: ProductStructure, p: Point, h) -> np.ndarray:
+def grad_scalar(ps: ProductStructure, p: np.ndarray, h) -> np.ndarray:
     """Index-raised gradient: (grad h)^k = g^{kl} d_l h on ps's chart."""
     extra = fieldexpr.variables_of(h) - set(ps.coord_names)
     if extra:
         raise GeometryError(f"scalar references unknown coordinates {sorted(extra)}")
-    j = ps.expr_jet(h, ps.jet_env([p]), [p])[0]
+    j = ps.expr_jet(h, ps.jet_env(p[None]), p[None])[0]
     gm = ps.metric_at(p)
     return gm.ginv @ j.grad
 
@@ -123,14 +125,14 @@ def inner(gm: MetricAt, x: np.ndarray, y: np.ndarray) -> float:
     return float(x @ gm.g @ y)
 
 
-def signature(ps: ProductStructure, p: Point) -> tuple[int, ...]:
+def signature(ps: ProductStructure, p: np.ndarray) -> tuple[int, ...]:
     """Signs of the metric eigenvalues, block by block (+1/-1)."""
     m = ps.metric_at(p)
     signs: list[int] = []
     for sl in ps.slices:
         vals = np.linalg.eigvalsh(m.g[sl, sl])
         if np.any(np.abs(vals) <= DET_FLOOR):
-            raise SingularMetric(f"near-zero metric eigenvalue at {p.coords}")
+            raise SingularMetric(f"near-zero metric eigenvalue at {p.tolist()}")
         signs.extend(1 if v > 0 else -1 for v in vals)
     return tuple(signs)
 
@@ -138,17 +140,18 @@ def signature(ps: ProductStructure, p: Point) -> tuple[int, ...]:
 _POINT_GEOMETRIES: "weakref.WeakKeyDictionary[Geometry, dict]" = weakref.WeakKeyDictionary()
 
 
-def one_point(geom: Geometry, p: Point) -> Geometry:
+def one_point(geom: Geometry, p) -> Geometry:
     """The geometry of the single point p: geom's structure and shift over
     the sample set [p], so each of its stacks has one row.  Built once per
     (geom, p), so the formulas below share its jets."""
     alone = _POINT_GEOMETRIES.setdefault(geom, {})
-    if p.coords not in alone:
-        alone[p.coords] = Geometry(geom.ps, geom.torsion, [p])
-    return alone[p.coords]
+    key = tuple(np.asarray(p, dtype=float).tolist())
+    if key not in alone:
+        alone[key] = Geometry(geom.ps, geom.torsion, [p])
+    return alone[key]
 
 
-def metric_jet_at(geom: Geometry, p: Point) -> MetricJet:
+def metric_jet_at(geom: Geometry, p: np.ndarray) -> MetricJet:
     return metric_row(one_point(geom, p).metric_jet(), 0)
 
 
@@ -172,7 +175,7 @@ def field_jet_full(ps: ProductStructure, field: ProductField, points) -> FieldJe
     return FieldJet(val=val, d=d, d2=d2)
 
 
-def field_jet_at(geom: Geometry, field, p: Point) -> FieldJet:
+def field_jet_at(geom: Geometry, field, p: np.ndarray) -> FieldJet:
     """A field's jet at p; a constant vector is the coordinate extension
     with zero partials."""
     fj = as_field_jet(one_point(geom, p), field)
@@ -192,16 +195,16 @@ def compat_residual(geom: Geometry, x, y, z, kind: str = SEMI_SYMMETRIC) -> floa
     return abs(float(lead - dy @ mj.g @ zv - yv @ mj.g @ dz))
 
 
-def plane_area_sq(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> float:
+def plane_area_sq(geom: Geometry, p: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:
     g = metric_jet_at(geom, p).g
     return float((zeta @ g @ zeta) * (x @ g @ x) - (zeta @ g @ x) ** 2)
 
 
-def sectional(geom: Geometry, p: Point, zeta: np.ndarray, x: np.ndarray) -> float:
+def sectional(geom: Geometry, p: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:
     """K = -R(zeta, x, zeta, x) / area^2 of the spanned plane."""
     a2 = plane_area_sq(geom, p, zeta, x)
     if abs(a2) <= 1e-10:
-        raise DegeneratePlane(f"plane area^2 = {a2} at {p.coords}")
+        raise DegeneratePlane(f"plane area^2 = {a2} at {tuple(p)}")
     r_low = riemann(one_point(geom, p)).r_low[0]
     r = float(np.einsum("ijkl,i,j,k,l->", r_low, zeta, x, zeta, x))
     return -r / a2
@@ -212,10 +215,10 @@ def results_covered(registry) -> set[str]:
 
 
 def sample_points_scalar(ps: ProductStructure, count: int, rng: SplitMix,
-                         exclusions=None) -> list[Point]:
+                         exclusions=None) -> np.ndarray:
     """``metric.sample_points`` drawing one uniform at a time."""
     exclusions = exclusions or {}
-    out: list[Point] = []
+    out: list[list[float]] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
@@ -230,8 +233,8 @@ def sample_points_scalar(ps: ProductStructure, count: int, rng: SplitMix,
                     ok = False
             coords.append(v)
         if ok:
-            out.append(Point(tuple(coords)))
-    return out
+            out.append(coords)
+    return np.array(out)
 
 
 # ---- the connection layer at one point ----
@@ -243,14 +246,14 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
     return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
 
 
-def christoffel_at(geom: Geometry, p: Point) -> np.ndarray:
+def christoffel_at(geom: Geometry, p: np.ndarray) -> np.ndarray:
     """gamma[k, i, j] = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
     mj = metric_jet_at(geom, p)
     n = len(mj.g)
     return 0.5 * (mj.ginv @ _bracket(mj.dg).reshape(n, n * n)).reshape(n, n, n)
 
 
-def dchristoffel_at(geom: Geometry, p: Point) -> np.ndarray:
+def dchristoffel_at(geom: Geometry, p: np.ndarray) -> np.ndarray:
     """dgamma[d, k, i, j] = d_d gamma[k, i, j], with d_d g^kl = -g^ka d_d g_ab g^bl."""
     mj = metric_jet_at(geom, p)
     n = len(mj.g)
@@ -259,7 +262,7 @@ def dchristoffel_at(geom: Geometry, p: Point) -> np.ndarray:
                   + mj.ginv @ _bracket(mj.d2g).reshape(n, n, n * n)).reshape((n,) * 4)
 
 
-def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
+def ssm_gamma_at(geom: Geometry, p: np.ndarray) -> np.ndarray:
     """gamma + delta^k_i pi_j - g_ij P^k."""
     gamma = christoffel_at(geom, p)
     if geom.torsion.is_zero:
@@ -270,18 +273,18 @@ def ssm_gamma_at(geom: Geometry, p: Point) -> np.ndarray:
     return gamma + np.eye(n)[:, :, None] * (g @ pv) - g * pv[:, None, None]
 
 
-def _gamma_at(geom: Geometry, p: Point, kind: str) -> np.ndarray:
+def _gamma_at(geom: Geometry, p: np.ndarray, kind: str) -> np.ndarray:
     return christoffel_at(geom, p) if kind == LEVI_CIVITA else ssm_gamma_at(geom, p)
 
 
-def lie_matrix_at(geom: Geometry, zeta, p: Point, kind: str = LEVI_CIVITA) -> np.ndarray:
+def lie_matrix_at(geom: Geometry, zeta, p: np.ndarray, kind: str = LEVI_CIVITA) -> np.ndarray:
     """(L_zeta g)_ab = g(nabla_a zeta, e_b) + g(nabla_b zeta, e_a)."""
     zj = field_jet_at(geom, zeta, p)
     wg = nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d) @ metric_jet_at(geom, p).g
     return wg + wg.T
 
 
-def _grid_jet_at(geom: Geometry, zj: FieldJet, p: Point) -> tuple[np.ndarray, np.ndarray]:
+def _grid_jet_at(geom: Geometry, zj: FieldJet, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w[a, k] = (nabla_{e_a} zeta)^k and its partials dw[m, a, k] =
     d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj d_m zeta^j."""
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
@@ -289,7 +292,7 @@ def _grid_jet_at(geom: Geometry, zj: FieldJet, p: Point) -> tuple[np.ndarray, np
             nabla_grid(dgamma, zj.val, zj.d2) + nabla_grid(gamma, zj.d, 0.0))
 
 
-def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+def lie_lie_matrix_at(geom: Geometry, zeta, p: np.ndarray) -> np.ndarray:
     """(L L g)(x, y) from nested Levi-Civita covariant derivatives:
     nabla_zeta w_a = zeta(w_a) + w_a gz with gz[j, k] = zeta^m gamma^k_mj,
     and nabla_{[zeta, e_a]} zeta = -d_a zeta^i w[i, k]."""
@@ -303,14 +306,14 @@ def lie_lie_matrix_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
     return first + first.T + 2.0 * (w @ g @ w.T)
 
 
-def nabla_zeta_zeta_at(geom: Geometry, zeta, p: Point) -> tuple[np.ndarray, np.ndarray]:
+def nabla_zeta_zeta_at(geom: Geometry, zeta, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nabla_zeta zeta)^k = zeta^a w[a, k] and its partials dw[m, k]."""
     zj = field_jet_at(geom, zeta, p)
     w, dw = _grid_jet_at(geom, zj, p)
     return (zj.val[None] @ w)[0], zj.d @ w + (zj.val[None, None] @ dw)[:, 0]
 
 
-def covariant_derivative_at(geom: Geometry, x, z, p: Point,
+def covariant_derivative_at(geom: Geometry, x, z, p: np.ndarray,
                             kind: str = LEVI_CIVITA) -> np.ndarray:
     """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j as one vector-matrix
     product at p."""
@@ -318,21 +321,21 @@ def covariant_derivative_at(geom: Geometry, x, z, p: Point,
     return field_jet_at(geom, x, p).val @ nabla_grid(_gamma_at(geom, p, kind), zj.val, zj.d)
 
 
-def lie_bracket(geom: Geometry, x, y, p: Point) -> np.ndarray:
+def lie_bracket(geom: Geometry, x, y, p: np.ndarray) -> np.ndarray:
     """[x, y]^k = x^i d_i y^k - y^i d_i x^k at p."""
     xj = field_jet_at(geom, x, p)
     yj = field_jet_at(geom, y, p)
     return xj.val @ yj.d - yj.val @ xj.d
 
 
-def torsion_of(geom: Geometry, x, y, p: Point, kind: str = SEMI_SYMMETRIC) -> np.ndarray:
+def torsion_of(geom: Geometry, x, y, p: np.ndarray, kind: str = SEMI_SYMMETRIC) -> np.ndarray:
     """nabla_x y - nabla_y x - [x, y] at p."""
     return (covariant_derivative_at(geom, x, y, p, kind)
             - covariant_derivative_at(geom, y, x, p, kind)
             - lie_bracket(geom, x, y, p))
 
 
-def curvature_at(geom: Geometry, p: Point) -> Curvature:
+def curvature_at(geom: Geometry, p: np.ndarray) -> Curvature:
     """Riemann and Ricci tensors at p from the Christoffel jet:
     q[l, i, j, k] = r_up[l, k, i, j] is a - (i <-> j) with a[l, i, j, k] =
     d_i gamma[l, j, k] + gamma[l, i, m] gamma[m, j, k]."""
@@ -351,7 +354,7 @@ def riemann_quad(r_low: np.ndarray, zeta: np.ndarray, x: np.ndarray) -> float:
     return float(np.einsum("ijkl,i,j,k,l->", r_low, zeta, x, x, zeta))
 
 
-def nabla_quad_at(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) -> float:
+def nabla_quad_at(geom: Geometry, zeta, x, p: np.ndarray, kind: str = LEVI_CIVITA) -> float:
     """g(nabla_x zeta, x), half the Lie derivative's quadratic form."""
     g = metric_jet_at(geom, p).g
     return float(covariant_derivative_at(geom, x, zeta, p, kind) @ g @ x)
@@ -360,7 +363,7 @@ def nabla_quad_at(geom: Geometry, zeta, x, p: Point, kind: str = LEVI_CIVITA) ->
 # ---- the coordinate routes at one point ----
 
 
-def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+def lie_matrix_direct_at(geom: Geometry, zeta, p: np.ndarray) -> np.ndarray:
     """(L_zeta g)_ab = zeta^c d_c g_ab + d_a zeta^c g_cb + d_b zeta^c g_ac."""
     mj = metric_jet_at(geom, p)
     zj = field_jet_at(geom, zeta, p)
@@ -370,7 +373,7 @@ def lie_matrix_direct_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
             + (zj.d @ mj.g).T)
 
 
-def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: Point) -> np.ndarray:
+def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: np.ndarray) -> np.ndarray:
     """(L_zeta L_zeta g)_ab by applying the coordinate formula twice."""
     mj = metric_jet_at(geom, p)
     zj = field_jet_at(geom, zeta, p)
@@ -408,7 +411,7 @@ def frame_of_matrix_at(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return frame, eps
 
 
-def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
+def trace_nabla_at(geom: Geometry, zeta, p: np.ndarray) -> float:
     """Sum over the per-block frame of eps_a g(nabla_{E_a} zeta, nabla_{E_a} zeta)."""
     g = metric_jet_at(geom, p).g
     n = g.shape[0]
@@ -420,7 +423,7 @@ def trace_nabla_at(geom: Geometry, zeta, p: Point) -> float:
     return float(sum(eps * bilinear(g, w, w)))
 
 
-def divergence_at(geom: Geometry, field, p: Point) -> float:
+def divergence_at(geom: Geometry, field, p: np.ndarray) -> float:
     """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
     fj = field_jet_at(geom, field, p)
     return float(np.trace(nabla_grid(christoffel_at(geom, p), fj.val, fj.d)))

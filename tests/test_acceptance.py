@@ -20,7 +20,6 @@ from warpfield.connections import Geometry
 from warpfield.curvature import riemann
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField
-from warpfield.jets import Point
 from warpfield.lie_killing import (
     lie_lie_matrix,
     lie_matrix,
@@ -62,7 +61,7 @@ def full_results(registry, corpus):
     out = {}
     for name, mf in corpus.items():
         out[name] = {r.check: r for r in
-                     run_checks(registry, mf, registry.specs, samples=64)}
+                     run_checks(mf, registry.specs, samples=64)}
     return out
 
 
@@ -84,7 +83,7 @@ def test_criterion_01_connection_decomposition(registry, corpus):
     shapes = set()
     worst = 0.0
     for name, mf in corpus.items():
-        results = run_checks(registry, mf, specs, samples=64)
+        results = run_checks(mf, specs, samples=64)
         for r in results:
             assert r.verdict == "pass", (name, r.check, r.max_abs)
             worst = max(worst, r.max_abs)
@@ -159,7 +158,7 @@ def test_criterion_05_second_order_witnesses(corpus, full_results):
     for fname in ("zeta_cbrt", "zeta_cbrt21", "zeta_cbrtm13"):
         res = two_killing(lift(mf.fields[fname]), pts)
         assert res.verdict == PASS, (fname, res.max_abs)
-    later = [p for p in pts if p.coords[0] >= 0.5]
+    later = pts[pts[:, 0] >= 0.5]
     bad = two_killing(lift(mf.fields["zeta_sq"]), later)
     assert bad.verdict != PASS and bad.max_abs >= 1e-1
     assert full_results["kasner"]["Prop6.17"].verdict == "pass"
@@ -228,13 +227,12 @@ def test_criterion_08_oracle_equivalence(corpus):
         order, pts = corpus_points(box, 64, src + "#acc")
 
         def scalar(point):
-            return eval_expr(expr, dict(zip(order, point.coords)))
+            return eval_expr(expr, dict(zip(order, point.tolist())))
 
         for values in pts:
-            p = Point(values)
-            j = eval_expr(expr, {n: seed(p, k)
+            j = eval_expr(expr, {n: seed(values, k)
                                  for k, n in enumerate(order)})
-            fd = fd_jet(scalar, p)
+            fd = fd_jet(scalar, values)
             assert np.max(np.abs(j.grad - fd.grad)) <= \
                 TOL_FD * (1.0 + np.max(np.abs(j.grad)))
             assert np.max(np.abs(j.hess - fd.hess)) <= \

@@ -15,7 +15,7 @@ from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC
 from warpfield.curvature import riemann
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField, VectorFieldDef, lift, rehome
-from warpfield.jets import DomainError, Jet2, Point
+from warpfield.jets import DomainError, Jet2
 from warpfield.lie_killing import lie_lie_matrix, lie_matrix
 from warpfield.manifest import load_manifest, parse_manifest
 from warpfield.metric import ProductStructure
@@ -47,8 +47,7 @@ class TestExpressionBatches:
         order, rows = corpus_points(box, 16, src + "#batch")
         batched = eval_expr(expr, batch_env(order, rows))
         for i, values in enumerate(rows):
-            p = Point(values)
-            single = eval_expr(expr, {n: seed(p, k) for k, n in enumerate(order)})
+            single = eval_expr(expr, {n: seed(values, k) for k, n in enumerate(order)})
             assert_same_jet(batched[i], single)
 
     def test_exponent_constant_at_some_samples_only(self):
@@ -58,8 +57,7 @@ class TestExpressionBatches:
         rows = [(-2.0, 1.0), (1.5, 1.5), (0.5, 1.0), (2.0, 0.25)]
         batched = eval_expr(expr, batch_env(("x", "y"), rows))
         for i, values in enumerate(rows):
-            p = Point(values)
-            single = eval_expr(expr, {"x": seed(p, 0), "y": seed(p, 1)})
+            single = eval_expr(expr, {"x": seed(values, 0), "y": seed(values, 1)})
             assert_same_jet(batched[i], single)
 
     def test_domain_error_names_the_first_failing_sample(self):
@@ -72,12 +70,12 @@ class TestExpressionBatches:
 
 def geometries(mf):
     """(geometry built with its sample points, its points, fields) of the
-    product and of each block."""
+    product and of each block, whose points are the block's columns."""
     ctx = RunContext(mf, samples=16)
     out = [(ctx.geom, ctx.points(), [lift(f) for f in mf.fields.values()])]
     for block in ["base"] + list(range(len(ctx.ps.fibers))):
         fields = [rehome(f) for f in mf.fields.values() if f.block == block]
-        out.append((ctx.block_geom(block), ctx.block_points(ctx.points(), block), fields))
+        out.append((ctx.block_geom(block), ctx.points()[:, ctx.ps.block_slice(block)], fields))
     return out
 
 
@@ -85,7 +83,7 @@ class TestGeometryBatches:
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
     def test_sample_set_equals_batch_of_one(self, path):
         for batched, points, fields in geometries(load_manifest(path)):
-            assert batched.points == points
+            assert np.array_equal(batched.points, points)
             for k, p in enumerate(points):
                 alone = one_point(batched, p)
                 a, b = metric_row(batched.metric_jet(), k), metric_row(alone.metric_jet(), 0)
@@ -109,7 +107,7 @@ class TestGeometryBatches:
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
         ctx.geom.metric_jet()
-        off = Point(tuple(c + 1e-3 for c in ctx.points()[0].coords))
+        off = ctx.points()[0] + 1e-3
         one_point(ctx.geom, off).metric_jet()
         ctx.geom.metric_jet()
         assert sizes == [4, 1]

@@ -66,6 +66,11 @@ NEG_WARP = ("[base]\ndim = 1\ncoords = t\ng.t.t = 1\nbox.t = -0.5, 1.5\n\n"
             "warp = t\n\n[torsion]\nlocation = zero\n\n"
             "[field.z]\nlocation = base\ncomp.t = 1\n")
 
+# a warped product whose chart box is given per coordinate
+BOXED = ("[base]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = {x}\n\n"
+         "[fiber.1]\ndim = 1\ncoords = u\ng.u.u = 1\nbox.u = {u}\n"
+         "warp = 1 + x^2\n\n[torsion]\nlocation = zero\n")
+
 
 class TestExitCodes:
     def test_passing_check_exits_zero(self):
@@ -206,8 +211,8 @@ class TestExitCodes:
             assert captured.err.startswith("warpfield: log of -")
             # the message names the first sample point outside the domain
             # and the expression that left it
-            bad = next(p for p in points if p.coords[0] <= 0.0)
-            assert f"at (t={bad.coords[0]!r}) in log(t)" in captured.err
+            bad = next(t for t in points[:, 0].tolist() if t <= 0.0)
+            assert f"at (t={bad!r}) in log(t)" in captured.err
 
 
 class TestNullFrame:
@@ -290,6 +295,26 @@ class TestResidualOverflow:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
         assert proc.stderr == ""
+
+
+class TestNonFiniteBox:
+    """A box bound that is not finite, or a box too wide for its width to
+    be finite, is a manifest error on the line that declares it."""
+
+    @pytest.mark.parametrize("x,u,line", [
+        ("0, inf", "-1, 1", 5),
+        ("0.5, 1.5", "-1e308, 1e308", 11),
+    ], ids=["infinite-bound", "overflowing-width"])
+    def test_is_one_line_usage_error(self, tmp_path, x, u, line):
+        # in a subprocess, so a traceback would reach stderr
+        path = tmp_path / "boxed.wm"
+        path.write_text(BOXED.format(x=x, u=u))
+        proc = run_cli("verify", str(path), "--samples", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [msg] = proc.stderr.splitlines()
+        assert msg.startswith(f"warpfield: line {line}: interval ")
+        assert "finite" in msg
 
 
 class TestFlagBounds:

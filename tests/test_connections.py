@@ -13,7 +13,6 @@ from warpfield.connections import (
     covariant_derivative,
 )
 from warpfield.fields import VectorFieldDef, lift
-from warpfield.jets import Point
 from warpfield.metric import BlockMetric, ProductStructure, diagonal_block, sample_points
 from warpfield.sampling import SplitMix
 
@@ -51,11 +50,11 @@ def basis(n, k):
 class TestChristoffel:
     def test_flat_space_vanishes(self):
         geom = Geometry(ProductStructure(base=flat(("x", "y", "z"))), None,
-                        [Point((0.1, 0.2, 0.3))])
+                        [(0.1, 0.2, 0.3)])
         assert not geom.christoffel()[0].any()
 
     def test_warped_product_symbol(self):
-        geom = Geometry(grw(), None, [Point((0.4, 0.1, -0.2))])
+        geom = Geometry(grw(), None, [(0.4, 0.1, -0.2)])
         gam = geom.christoffel()[0]
         # Gamma^x_{tx} = f'/f = 1 for f = e^t
         assert gam[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -64,26 +63,26 @@ class TestChristoffel:
     def test_sphere_symbol(self):
         thetas = np.linspace(0.5, 2.5, 16)
         geom = Geometry(ProductStructure(base=sphere()), None,
-                        [Point((theta, 1.0)) for theta in thetas])
+                        [(theta, 1.0) for theta in thetas])
         for theta, gam in zip(thetas, geom.christoffel()):
             assert gam[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta),
                                                  abs=1e-10)
 
     def test_levi_civita_symmetric(self):
-        geom = Geometry(grw(), None, [Point((0.3, 0.5, -0.4))])
+        geom = Geometry(grw(), None, [(0.3, 0.5, -0.4)])
         gam = geom.christoffel()[0]
         assert np.allclose(gam, np.transpose(gam, (0, 2, 1)), atol=1e-14)
 
 
 class TestShiftedConnection:
     def test_zero_shift_equals_levi_civita(self):
-        geom = Geometry(grw(), TorsionSpec.zero(), [Point((0.2, 0.1, 0.3))])
+        geom = Geometry(grw(), TorsionSpec.zero(), [(0.2, 0.1, 0.3)])
         assert np.array_equal(geom.ssm_gamma(), geom.christoffel())
 
     def test_flat_plane_shift_symbols(self):
         ps = ProductStructure(base=flat())
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE, fe.num(0.0))))
-        geom = Geometry(ps, ts, [Point((0.2, -0.4))])
+        geom = Geometry(ps, ts, [(0.2, -0.4)])
         sg = geom.ssm_gamma()[0]
         assert sg[1, 1, 0] == pytest.approx(1.0)   # shifted y-y-x symbol
         assert sg[0, 1, 1] == pytest.approx(-1.0)  # shifted x-y-y symbol
@@ -91,7 +90,7 @@ class TestShiftedConnection:
     def test_timelike_shift_offsets_symbol(self):
         ps = grw()
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE,)))
-        geom = Geometry(ps, ts, [Point((0.2, 0.1, 0.3))])
+        geom = Geometry(ps, ts, [(0.2, 0.1, 0.3)])
         delta = geom.ssm_gamma()[0, 1, 1, 0] - geom.christoffel()[0, 1, 1, 0]
         # the offset is the covector value g(dt, P) = -1
         assert delta == pytest.approx(-1.0, abs=1e-12)
@@ -109,20 +108,20 @@ class TestShiftedConnection:
 
 class TestCovariantDerivative:
     def test_flat_constant_fields(self):
-        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.1, 0.2))])
+        geom = Geometry(ProductStructure(base=flat()), None, [(0.1, 0.2)])
         out = covariant_derivative(geom, basis(2, 0), basis(2, 1))[0]
         assert not out.any()
 
     def test_warped_mixed_derivative(self):
         # nabla_{dt} dx = (f'/f) dx = dx for f = e^t
-        geom = Geometry(grw(), None, [Point((0.3, 0.1, 0.2))])
+        geom = Geometry(grw(), None, [(0.3, 0.1, 0.2)])
         out = covariant_derivative(geom, basis(3, 0), basis(3, 1))[0]
         assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_shift_compensation(self):
         # with P = dt and f = e^t: shifted nabla_{dx} dt = (1 + g(dt,dt)) dx = 0
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE,)))
-        geom = Geometry(grw(), ts, [Point((0.3, 0.1, 0.2))])
+        geom = Geometry(grw(), ts, [(0.3, 0.1, 0.2)])
         out = covariant_derivative(geom, basis(3, 1), basis(3, 0), SEMI_SYMMETRIC)[0]
         assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -130,7 +129,7 @@ class TestCovariantDerivative:
 class TestTorsion:
     def setup_method(self):
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE, fe.num(0.0))))
-        self.p = Point((0.2, -0.3))
+        self.p = (0.2, -0.3)
         self.geom = Geometry(ProductStructure(base=flat()), ts, [self.p])
 
     def test_levi_civita_torsion_free(self):
@@ -177,7 +176,7 @@ class TestCompatibility:
     def test_corrupted_symbols_detected(self, monkeypatch):
         # a deliberate 1e-2 perturbation must push the residual above 1e-3
         ts = TorsionSpec("base", VectorFieldDef("base", (ONE,)))
-        geom = Geometry(grw(), ts, [Point((0.2, 0.1, 0.3))])
+        geom = Geometry(grw(), ts, [(0.2, 0.1, 0.3)])
         bad = geom.ssm_gamma().copy()
         bad[0, 1, 0, 1] += 1e-2
         monkeypatch.setattr(geom, "ssm_gamma", lambda: bad)
@@ -195,14 +194,14 @@ class TestLieBracket:
     def test_constant_fields_commute(self):
         geom = Geometry(ProductStructure(base=flat()), None, [])
         assert not lie_bracket(geom, basis(2, 0), basis(2, 1),
-                               Point((0.1, 0.2))).any()
+                               (0.1, 0.2)).any()
 
     def test_textbook_bracket(self):
         # [dx, x dy] = dy
         geom = Geometry(ProductStructure(base=flat()), None, [])
         xy = lift(VectorFieldDef("base", (fe.num(0.0),
                                           fe.parse_expr("x", ("x", "y")))))
-        out = lie_bracket(geom, basis(2, 0), xy, Point((0.4, -0.2)))
+        out = lie_bracket(geom, basis(2, 0), xy, (0.4, -0.2))
         assert np.allclose(out, [0.0, 1.0], atol=1e-14)
 
     def test_scaling_field_bracket(self):
@@ -211,6 +210,6 @@ class TestLieBracket:
         geom = Geometry(ProductStructure(base=base), None, [])
         u = lift(VectorFieldDef("base", (fe.parse_expr("cbrt(2*t - 1)", ("t",)),)))
         t = 1.1
-        out = lie_bracket(geom, u, basis(1, 0), Point((t,)))
+        out = lie_bracket(geom, u, basis(1, 0), (t,))
         udot = (2.0 / 3.0) * (2.0 * t - 1.0) ** (-2.0 / 3.0)
         assert out[0] == pytest.approx(-udot, rel=1e-10)

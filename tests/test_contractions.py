@@ -34,7 +34,6 @@ from warpfield.connections import (
 )
 from warpfield.curvature import riemann
 from warpfield.fields import FieldJet, lift
-from warpfield.jets import Point
 from warpfield.manifest import parse_manifest
 from warpfield.metric import MetricJet
 
@@ -67,7 +66,7 @@ def random_geometry(n: int, s: int, seed: int = 0):
     metric jet and field jets (the field's and the shift's) are random."""
     rng = np.random.default_rng(1000 * n + s + seed)
     mf = parse_manifest(chart(n))
-    geom = Geometry(mf.structure, mf.torsion, [Point((0.0,) * n)] * s)
+    geom = Geometry(mf.structure, mf.torsion, [(0.0,) * n] * s)
     g = rng.uniform(-1, 1, (s, n, n))
     g = g + np.swapaxes(g, 1, 2) + 2 * n * np.eye(n)
     geom._stacks[(connections._metric_jets, ())] = MetricJet(

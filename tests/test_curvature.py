@@ -14,7 +14,6 @@ from warpfield.curvature import (
     trace_nabla,
 )
 from warpfield.fields import VectorFieldDef, lift
-from warpfield.jets import Point
 from warpfield.metric import BlockMetric, ProductStructure, diagonal_block, sample_points
 from warpfield.sampling import SplitMix
 
@@ -37,25 +36,25 @@ def sphere_structure():
 class TestRiemann:
     def test_flat_space_is_flat(self):
         geom = Geometry(ProductStructure(base=flat(("x", "y", "z"))), None,
-                        [Point((0.1, 0.2, 0.3))])
+                        [(0.1, 0.2, 0.3)])
         curv = riemann(geom)
         assert np.max(np.abs(curv.r_low[0])) <= 1e-12
         assert np.max(np.abs(curv.ricci[0])) <= 1e-12
 
     def test_one_dimensional_chart_is_flat(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure(base=base), None, [Point((0.8,))])
+        geom = Geometry(ProductStructure(base=base), None, [(0.8,)])
         assert not riemann(geom).r_low[0].any()
 
     def test_sphere_components(self):
         thetas = np.linspace(0.5, 2.5, 16)
-        geom = Geometry(sphere_structure(), None, [Point((theta, 1.3)) for theta in thetas])
+        geom = Geometry(sphere_structure(), None, [(theta, 1.3) for theta in thetas])
         for theta, r_low in zip(thetas, riemann(geom).r_low):
             assert r_low[0, 1, 1, 0] == pytest.approx(
                 math.sin(theta) ** 2, abs=1e-9)
 
     def test_sphere_ricci(self):
-        geom = Geometry(sphere_structure(), None, [Point((1.1, 2.0))])
+        geom = Geometry(sphere_structure(), None, [(1.1, 2.0)])
         ricci = riemann(geom).ricci[0]
         assert ricci[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert ricci[1, 1] == pytest.approx(math.sin(1.1) ** 2, abs=1e-9)
@@ -78,13 +77,13 @@ class TestRiemann:
 class TestSectional:
     def test_unit_sphere(self):
         geom = Geometry(sphere_structure(), None, [])
-        k = sectional(geom, Point((1.2, 0.8)),
+        k = sectional(geom, (1.2, 0.8),
                       np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert k == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_torus(self):
         geom = Geometry(ProductStructure(base=flat()), None, [])
-        k = sectional(geom, Point((0.2, 0.4)),
+        k = sectional(geom, (0.2, 0.4),
                       np.array([1.0, 0.3]), np.array([-0.2, 1.0]))
         assert k == pytest.approx(0.0, abs=1e-12)
 
@@ -92,7 +91,7 @@ class TestSectional:
         geom = Geometry(ProductStructure(base=flat()), None, [])
         v = np.array([1.0, 0.5])
         with pytest.raises(DegeneratePlane):
-            sectional(geom, Point((0.2, 0.4)), v, 2.0 * v)
+            sectional(geom, (0.2, 0.4), v, 2.0 * v)
 
 
 class TestFrames:
@@ -120,18 +119,18 @@ class TestFrames:
 
 class TestParallelAndTrace:
     def test_constant_field_is_parallel(self):
-        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [(0.2, 0.4)])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
         assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_constant_interval_field_is_parallel(self):
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure(base=base), None, [Point((0.7,))])
+        geom = Geometry(ProductStructure(base=base), None, [(0.7,)])
         zeta = lift(VectorFieldDef("base", (fe.num(1.5),)))
         assert parallel_residual(geom, zeta)[0] == 0.0
 
     def test_rotation_is_not_parallel(self):
-        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [(0.2, 0.4)])
         rot = lift(VectorFieldDef("base", (fe.parse_expr("-y", ("x", "y")),
                                            fe.parse_expr("x", ("x", "y")))))
         assert parallel_residual(geom, rot)[0] == pytest.approx(1.0)
@@ -139,24 +138,24 @@ class TestParallelAndTrace:
     def test_trace_of_scaling_field(self):
         # nabla(t dt) = dt on the unit interval: trace 1
         base = diagonal_block("base", ("t",), (ONE,), ((0.25, 1.75),))
-        geom = Geometry(ProductStructure(base=base), None, [Point((0.7,))])
+        geom = Geometry(ProductStructure(base=base), None, [(0.7,)])
         zeta = lift(VectorFieldDef("base", (fe.parse_expr("t", ("t",)),)))
         assert trace_nabla(geom, zeta)[0] == pytest.approx(1.0)
 
     def test_trace_of_parallel_field_vanishes(self):
-        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.2, 0.4))])
+        geom = Geometry(ProductStructure(base=flat()), None, [(0.2, 0.4)])
         zeta = lift(VectorFieldDef("base", (ONE, fe.num(0.0))))
         assert trace_nabla(geom, zeta)[0] == 0.0
 
 
 class TestRicciQuadratic:
     def test_flat(self):
-        geom = Geometry(ProductStructure(base=flat()), None, [Point((0.1, 0.2))])
+        geom = Geometry(ProductStructure(base=flat()), None, [(0.1, 0.2)])
         zeta = np.array([0.3, -0.7])
         assert ricci_quadratic(geom, zeta)[0] == pytest.approx(0.0)
 
     def test_sphere_polar_direction(self):
-        geom = Geometry(sphere_structure(), None, [Point((1.1, 2.0))])
+        geom = Geometry(sphere_structure(), None, [(1.1, 2.0)])
         assert ricci_quadratic(geom, np.array([1.0, 0.0]))[0] == \
             pytest.approx(1.0, abs=1e-9)
 
@@ -165,7 +164,7 @@ class TestRicciQuadratic:
         fib = diagonal_block("fiber.1", ("u", "v"), (ONE, ONE),
                              ((-1.0, 1.0), (-1.0, 1.0)))
         ps = ProductStructure(base=base, fibers=(fib,), warps=(fe.num(2.0),))
-        geom = Geometry(ps, None, [Point((0.1, 0.2, 0.3, 0.4))])
+        geom = Geometry(ps, None, [(0.1, 0.2, 0.3, 0.4)])
         rng = SplitMix(2)
         z = np.array(rng.vector(4))
         assert ricci_quadratic(geom, z)[0] == \

@@ -114,14 +114,14 @@ class TestOneWalkPerPart:
         walks = Counter()
 
         def counted(field, ps, points):
-            # a geometry hands every walk its own list of sample points, and
+            # a geometry hands every walk its own sample array, and
             # all of a run's geometries live until the run ends
             assert len(field.parts) == 1
             walks[(id(points), field.parts[0])] += 1
             return real(field, ps, points)
 
         monkeypatch.setattr(ProductField, "jet", counted)
-        run_checks(registry, mf, registry.specs, samples=16)
+        run_checks(mf, registry.specs, samples=16)
         assert walks and max(walks.values()) == 1
 
     def test_synth_returns_one_object_per_draw(self):

@@ -17,7 +17,7 @@ from warpfield.fieldexpr import (
     pretty,
     variables_of,
 )
-from warpfield.jets import DomainError, Point
+from warpfield.jets import DomainError
 
 
 class TestParsing:
@@ -108,7 +108,7 @@ class TestEvaluation:
         assert eval_expr(parse_expr("t^2", ("t",)), {"t": 3.0}) == 9.0
 
     def test_jet_exp(self):
-        env = {"t": seed(Point((0.0,)), 0)}
+        env = {"t": seed((0.0,), 0)}
         j = eval_expr(parse_expr("exp(t)", ("t",)), env)
         assert j.value == 1.0
         assert j.grad[0] == 1.0
@@ -139,8 +139,7 @@ class TestEvaluation:
         order, pts = corpus_points(box, 64, src + "#realjet")
         for values in pts:
             real = eval_expr(expr, dict(zip(order, values)))
-            p = Point(values)
-            jenv = {name: seed(p, k) for k, name in enumerate(order)}
+            jenv = {name: seed(values, k) for k, name in enumerate(order)}
             assert eval_expr(expr, jenv).value == real
 
 

@@ -11,7 +11,6 @@ from warpfield.connections import (
     covariant_derivative,
 )
 from warpfield.fields import ProductField, VectorFieldDef, lift
-from warpfield.jets import Point
 from warpfield.lie_killing import (
     constant_length_stddev,
     eq22_residual,
@@ -66,7 +65,7 @@ def sampled(ps, seed, count, torsion=None):
 
 def at_point(ps, *coords, torsion=None):
     """ps's geometry over the one point ``coords``."""
-    return Geometry(ps, torsion, [Point(coords)])
+    return Geometry(ps, torsion, [coords])
 
 
 class TestLieMetric:
@@ -140,7 +139,7 @@ class TestShiftedLieMetric:
             rotv = at_p.field_values(zeta)[0, 1:]
             for u in (1.0, -1.0, 2.0):
                 raw = np.array(rng.vector(2))
-                gi = one_point(g0, ps.block_point(p, 0)).metric_jet().g[0]
+                gi = one_point(g0, p[ps.block_slice(0)]).metric_jet().g[0]
                 coef = float(raw @ gi @ rotv) / float(rotv @ gi @ rotv)
                 x2 = raw - coef * rotv
                 x = np.concatenate(([u], x2))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from warpfield.cli import corpus_dir
@@ -130,9 +131,7 @@ class TestCorpus:
         signs = set()
         for m in mfs:
             if m.fiber_count >= 1:
-                from warpfield.jets import Point
-
                 ps = m.structure
-                center = Point(tuple(0.5 * (lo + hi) for lo, hi in ps.box))
+                center = np.array([0.5 * (lo + hi) for lo, hi in ps.box])
                 signs.add(1 if ps.metric_at(center).g[0, 0] > 0 else -1)
         assert signs == {1, -1}

@@ -7,7 +7,7 @@ from oracles import fd_jet, grad_scalar, inner, metric_row, signature
 from warpfield import fieldexpr as fe
 from warpfield.connections import Geometry, divergence
 from warpfield.fields import VectorFieldDef, lift
-from warpfield.jets import DomainError, Point
+from warpfield.jets import DomainError
 from warpfield.metric import (
     DimensionMismatch,
     NonPositiveWarping,
@@ -39,13 +39,13 @@ def grw(warp_src="exp(t)", box=(-0.75, 0.75)):
 class TestAssembly:
     def test_lorentzian_warped_metric_at_origin(self):
         ps = grw()
-        m = ps.metric_at(Point((0.0, 0.2, -0.1)))
+        m = ps.metric_at(np.array((0.0, 0.2, -0.1)))
         assert np.allclose(np.diag(m.g), [-1.0, 1.0, 1.0])
         assert np.allclose(m.g @ m.ginv, np.eye(3), atol=1e-12)
 
     def test_unit_warp_gives_direct_product(self):
         ps = ProductStructure(base=interval(), fibers=(flat2(),), warps=(ONE,))
-        m = ps.metric_at(Point((1.0, 0.3, 0.4)))
+        m = ps.metric_at(np.array((1.0, 0.3, 0.4)))
         assert np.array_equal(m.g, np.diag([1.0, 1.0, 1.0]))
 
     def test_power_law_scaling(self):
@@ -53,12 +53,12 @@ class TestAssembly:
         warp = fe.parse_expr("t^2", ("t",))
         ps = ProductStructure(base=interval(1.0, (0.5, 4.0)), fibers=(flat2(),),
                               warps=(warp,))
-        m = ps.metric_at(Point((3.0, 0.1, 0.2)))
+        m = ps.metric_at(np.array((3.0, 0.1, 0.2)))
         assert m.g[1, 1] == pytest.approx(81.0, abs=1e-12)
 
     def test_off_block_entries_exactly_zero(self):
         ps = grw()
-        m = ps.metric_at(Point((0.3, 0.2, -0.1)))
+        m = ps.metric_at(np.array((0.3, 0.2, -0.1)))
         assert m.g[0, 1] == 0.0 and m.g[0, 2] == 0.0
         assert m.ginv[0, 1] == 0.0 and m.ginv[0, 2] == 0.0
 
@@ -67,14 +67,14 @@ class TestAssembly:
         ps = ProductStructure(base=interval(1.0, (-1.0, 1.0)),
                               fibers=(flat2(),), warps=(warp,))
         with pytest.raises(NonPositiveWarping):
-            ps.metric_at(Point((-0.5, 0.0, 0.0)))
+            ps.metric_at(np.array((-0.5, 0.0, 0.0)))
 
     def test_singular_metric_rejected(self):
         zero = fe.num(0.0)
         block = diagonal_block("base", ("x",), (zero,), ((-1.0, 1.0),))
         ps = ProductStructure(base=block)
         with pytest.raises(SingularMetric):
-            ps.metric_at(Point((0.2,)))
+            ps.metric_at(np.array((0.2,)))
 
     def test_singular_block_names_block_and_point(self):
         # g.t.t = (t - 0.25)^2 is singular at t = 0.25 only
@@ -82,15 +82,15 @@ class TestAssembly:
                                ((-1.0, 1.0),))
         ps = ProductStructure(base=block, fibers=(flat2(),), warps=(ONE,))
         with pytest.raises(SingularMetric, match=r"block base \(det=0\.0\) at \(t=0\.25, "):
-            ps.metric_at(Point((0.25, 0.0, 0.0)))
+            ps.metric_at(np.array((0.25, 0.0, 0.0)))
         with pytest.raises(SingularMetric, match=r"block base \(det=0\.0\) at \(t=0\.25, "):
-            ps.metric_jet([Point((0.5, 0.0, 0.0)), Point((0.25, 0.1, 0.2))])
+            ps.metric_jet([np.array((0.5, 0.0, 0.0)), np.array((0.25, 0.1, 0.2))])
 
     @pytest.mark.parametrize("build", ["metric_at", "metric_jet"])
     def test_overflowing_warp_names_point_and_expression(self, build):
         # exp(t) is finite at t = 600, its square is not
         ps = grw("exp(t)", (0.0, 1000.0))
-        pts = [Point((1.0, 0.0, 0.0)), Point((600.0, 0.5, 0.0))]
+        pts = [np.array((1.0, 0.0, 0.0)), np.array((600.0, 0.5, 0.0))]
         with np.errstate(all="raise"):
             with pytest.raises(DomainError, match=r"^overflow at \(t=600\.0, x=0\.5, "
                                                   r"y=0\.0\) in exp\(t\)\^2\*1$"):
@@ -101,7 +101,7 @@ class TestAssembly:
 
     def test_signature_of_product(self):
         ps = grw()
-        assert signature(ps, Point((0.1, 0.0, 0.0))) == (-1, 1, 1)
+        assert signature(ps, np.array((0.1, 0.0, 0.0))) == (-1, 1, 1)
 
     def test_duplicate_coordinates_rejected(self):
         from warpfield.metric import GeometryError
@@ -112,17 +112,27 @@ class TestAssembly:
                                                     ((-1, 1),)),),
                              warps=(ONE,))
 
+    @pytest.mark.parametrize("points", [np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(3)],
+                             ids=["narrow", "wide", "bare-row"])
+    def test_sample_set_width_checked(self, points):
+        # a sample set is an (S, 3) array on this chart, one point per row
+        ps = grw()
+        with pytest.raises(DimensionMismatch, match="rows of 3 coordinates"):
+            Geometry(ps, None, points)
+        with pytest.raises(DimensionMismatch, match="rows of 3 coordinates"):
+            ps.metric_jet(points)
+
 
 class TestMetricJet:
     def test_exponential_warp_derivative(self):
         # g_xx = e^{2t}: d_t g_xx = 2 at t = 0
         ps = grw()
-        mj = metric_row(ps.metric_jet([Point((0.0, 0.2, -0.1))]), 0)
+        mj = metric_row(ps.metric_jet([np.array((0.0, 0.2, -0.1))]), 0)
         assert mj.dg[0, 1, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_blocks_have_zero_derivatives(self):
         ps = ProductStructure(base=interval(), fibers=(flat2(),), warps=(ONE,))
-        mj = metric_row(ps.metric_jet([Point((1.0, 0.3, 0.4))]), 0)
+        mj = metric_row(ps.metric_jet([np.array((1.0, 0.3, 0.4))]), 0)
         assert not mj.dg.any()
         assert not mj.d2g.any()
 
@@ -132,7 +142,7 @@ class TestMetricJet:
         ps = ProductStructure(base=interval(1.0, (0.5, 4.0)), fibers=(flat2(),),
                               warps=(warp,))
         t = 1.3
-        mj = metric_row(ps.metric_jet([Point((t, 0.1, 0.2))]), 0)
+        mj = metric_row(ps.metric_jet([np.array((t, 0.1, 0.2))]), 0)
         assert mj.dg[0, 1, 1] == pytest.approx(4.0 * t ** 3, rel=1e-12)
 
     def test_jets_match_finite_differences(self):
@@ -151,7 +161,7 @@ class TestMetricJet:
     def test_inverse_derivative_identity(self):
         # d(g^{-1}) = -g^{-1} dg g^{-1}
         ps = grw()
-        p = Point((0.2, 0.1, -0.3))
+        p = np.array((0.2, 0.1, -0.3))
         mj = metric_row(ps.metric_jet([p]), 0)
         for d in range(3):
             expected = -mj.ginv @ mj.dg[d] @ mj.ginv
@@ -161,24 +171,24 @@ class TestMetricJet:
 class TestInnerAndGrad:
     def test_lorentzian_inner(self):
         ps = grw()
-        m = ps.metric_at(Point((0.0, 0.0, 0.0)))
+        m = ps.metric_at(np.array((0.0, 0.0, 0.0)))
         dt = np.array([1.0, 0.0, 0.0])
         assert inner(m, dt, dt) == -1.0
 
     def test_inner_with_zero(self):
         ps = grw()
-        m = ps.metric_at(Point((0.0, 0.0, 0.0)))
+        m = ps.metric_at(np.array((0.0, 0.0, 0.0)))
         assert inner(m, np.array([0.3, -0.2, 0.5]), np.zeros(3)) == 0.0
 
     def test_warped_fiber_inner(self):
         ps = grw(box=(-0.5, 1.5))
-        m = ps.metric_at(Point((1.0, 0.0, 0.0)))
+        m = ps.metric_at(np.array((1.0, 0.0, 0.0)))
         dx = np.array([0.0, 1.0, 0.0])
         assert inner(m, dx, dx) == pytest.approx(math.e ** 2, rel=1e-12)
 
     def test_inner_symmetric_and_dim_checked(self):
         ps = grw()
-        m = ps.metric_at(Point((0.1, 0.2, 0.3)))
+        m = ps.metric_at(np.array((0.1, 0.2, 0.3)))
         rng = SplitMix(3)
         x = np.array(rng.vector(3))
         y = np.array(rng.vector(3))
@@ -188,24 +198,24 @@ class TestInnerAndGrad:
 
     def test_euclidean_gradient(self):
         ps = ProductStructure(base=interval(1.0))
-        g = grad_scalar(ps, Point((0.7,)), fe.parse_expr("t", ("t",)))
+        g = grad_scalar(ps, np.array((0.7,)), fe.parse_expr("t", ("t",)))
         assert np.allclose(g, [1.0])
 
     def test_lorentzian_gradient_sign(self):
         ps = ProductStructure(base=interval(-1.0))
-        g = grad_scalar(ps, Point((0.7,)), fe.parse_expr("t", ("t",)))
+        g = grad_scalar(ps, np.array((0.7,)), fe.parse_expr("t", ("t",)))
         assert np.allclose(g, [-1.0])
 
     def test_constant_gradient_vanishes(self):
         ps = ProductStructure(base=interval(1.0))
-        g = grad_scalar(ps, Point((0.7,)), fe.num(5.0))
+        g = grad_scalar(ps, np.array((0.7,)), fe.num(5.0))
         assert not g.any()
 
 
 class TestDivergence:
     def setup_method(self):
         self.geom = Geometry(ProductStructure(base=flat2("base", ("x", "y"))), None,
-                             [Point((0.3, 0.4))])
+                             [np.array((0.3, 0.4))])
 
     def test_coordinate_divergence(self):
         v = lift(VectorFieldDef("base", (fe.parse_expr("x", ("x", "y")),
@@ -223,8 +233,8 @@ class TestDivergence:
         p = self.geom.points[0]
         assert divergence(self.geom, v)[0] == pytest.approx(2.0)
         # cross-check against central differences of the component functions
-        fd0 = fd_jet(lambda q: q.coords[0], p)
-        fd1 = fd_jet(lambda q: q.coords[1], p)
+        fd0 = fd_jet(lambda q: q[0], p)
+        fd1 = fd_jet(lambda q: q[1], p)
         assert fd0.grad[0] + fd1.grad[1] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -233,17 +243,17 @@ class TestSampling:
         ps = grw()
         pts = sample_points(ps, 64, SplitMix(5))
         for p in pts:
-            for v, (lo, hi) in zip(p.coords, ps.box):
+            for v, (lo, hi) in zip(p, ps.box):
                 width = hi - lo
                 assert lo + 0.1 * width <= v <= lo + 0.9 * width
 
     def test_exclusions_respected(self):
         ps = ProductStructure(base=interval(1.0))
         pts = sample_points(ps, 200, SplitMix(5), {"t": [(0.4, 0.6)]})
-        assert all(not (0.4 <= p.coords[0] <= 0.6) for p in pts)
+        assert all(not (0.4 <= p[0] <= 0.6) for p in pts)
 
     def test_deterministic(self):
         ps = grw()
         a = sample_points(ps, 16, SplitMix(9))
         b = sample_points(ps, 16, SplitMix(9))
-        assert [p.coords for p in a] == [q.coords for q in b]
+        assert np.array_equal(a, b)

@@ -67,12 +67,12 @@ class TestBlock:
         monkeypatch.setattr(SplitMix, "vector", counted)
         registry = default_registry()
         mf = manifest("mw2_fib")
-        results = run_checks(registry, mf, registry.select_many(PORTED), samples=16)
+        results = run_checks(mf, registry.select_many(PORTED), samples=16)
         assert sum(r.verdict == "pass" for r in results) >= 15
         assert calls == []
         # the cone checks still draw one vector at a time, so the count
         # above would see a scalar draw
-        run_checks(registry, mf, registry.select("Prop4.9.1"), samples=16)
+        run_checks(mf, registry.select("Prop4.9.1"), samples=16)
         assert calls
 
 
@@ -182,7 +182,7 @@ class TestSamplePoints:
         fast, slow = SplitMix(seed), SplitMix(seed)
         got = sample_points(mf.structure, count, fast, mf.exclusions)
         want = sample_points_scalar(mf.structure, count, slow, mf.exclusions)
-        assert [p.coords for p in got] == [p.coords for p in want]
+        assert got.tolist() == want.tolist()
         assert fast._state == slow._state
 
     def test_excluded_rows_are_dropped(self):
@@ -191,7 +191,7 @@ class TestSamplePoints:
         rng = SplitMix(3)
         points = sample_points(mf.structure, 64, rng, mf.exclusions)
         assert len(points) == 64
-        assert not any(0.42 <= p.coords[0] <= 0.58 for p in points)
+        assert not any(0.42 <= t <= 0.58 for t in points[:, 0].tolist())
 
     def test_rejection_limit_raises(self):
         mf = manifest("interval")

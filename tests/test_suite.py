@@ -41,7 +41,7 @@ def corpus():
 def corpus_results(registry, corpus):
     out = {}
     for name, mf in corpus.items():
-        out[name] = run_checks(registry, mf, registry.specs, samples=24)
+        out[name] = run_checks(mf, registry.specs, samples=24)
     return out
 
 
@@ -148,7 +148,7 @@ class TestVerdictTable:
         assert table["seed"] == 24181
         got = {}
         for name, mf in corpus.items():
-            results = run_checks(registry, mf, registry.specs, samples=16, seed=24181)
+            results = run_checks(mf, registry.specs, samples=16, seed=24181)
             got[name] = {"exit": _exit_code(results, explicit=False),
                          "verdicts": {r.check: r.verdict for r in results}}
         assert got == table["entries"]
@@ -307,14 +307,14 @@ class TestUnrestrictedQuantifierDiagnostics:
 class TestDeterminism:
     def test_identical_runs_identical_results(self, registry, corpus):
         mf = corpus["grw_exp"]
-        a = run_checks(registry, mf, registry.specs, samples=16)
-        b = run_checks(registry, mf, registry.specs, samples=16)
+        a = run_checks(mf, registry.specs, samples=16)
+        b = run_checks(mf, registry.specs, samples=16)
         assert a == b
 
     def test_seed_changes_samples_not_verdicts(self, registry, corpus):
         mf = corpus["grw_exp"]
-        a = run_checks(registry, mf, registry.specs, samples=16, seed=1)
-        b = run_checks(registry, mf, registry.specs, samples=16, seed=2)
+        a = run_checks(mf, registry.specs, samples=16, seed=1)
+        b = run_checks(mf, registry.specs, samples=16, seed=2)
         assert [r.verdict for r in a] == [r.verdict for r in b]
 
 
@@ -363,10 +363,10 @@ class TestNonFiniteResiduals:
         def poisoned(geom, zeta):
             return poison_row_1(real(geom, zeta))
 
-        clean = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
+        clean = run_checks(mf, registry.select("Def6.1"), samples=16)
         assert [r.verdict for r in clean] == [PASS]
         monkeypatch.setattr(twokilling, "lie_lie_matrix", poisoned)
-        [res] = run_checks(registry, mf, registry.select("Def6.1"), samples=16)
+        [res] = run_checks(mf, registry.select("Def6.1"), samples=16)
         assert res.verdict != PASS
 
     @pytest.mark.parametrize("check,name", [
@@ -384,10 +384,10 @@ class TestNonFiniteResiduals:
         def poisoned(geom, zeta, kind=LEVI_CIVITA):
             return poison_row_1(lie_matrix(geom, zeta, kind))
 
-        clean = run_checks(registry, mf, registry.select(check), samples=16)
+        clean = run_checks(mf, registry.select(check), samples=16)
         assert [r.verdict for r in clean] == [PASS]
         patch_everywhere(monkeypatch, lie_matrix, poisoned)
-        [res] = run_checks(registry, mf, registry.select(check), samples=16)
+        [res] = run_checks(mf, registry.select(check), samples=16)
         assert res.verdict == FAIL and np.isnan(res.max_abs)
 
     @pytest.mark.parametrize("name", ["sphere", "mw2_riem", "grw_exp"])
@@ -403,10 +403,10 @@ class TestNonFiniteResiduals:
             return curvature.Curvature(*(poison_row_1(a)
                                          for a in (c.r_low, c.ricci)))
 
-        clean = run_checks(registry, mf, registry.select("Cor6.3"), samples=16)
+        clean = run_checks(mf, registry.select("Cor6.3"), samples=16)
         assert [r.verdict for r in clean] == [PASS]
         monkeypatch.setattr(curvature, "_curvatures", poisoned)
-        [res] = run_checks(registry, mf, registry.select("Cor6.3"), samples=16)
+        [res] = run_checks(mf, registry.select("Cor6.3"), samples=16)
         assert res.verdict == FAIL and np.isnan(res.max_abs)
 
     def test_reducer_propagates_nan(self):
@@ -440,14 +440,14 @@ class TestOneGeometryPerBlock:
 
         def counted(ps, points):
             if ps is mf.structure:
-                calls.append([p.coords for p in points])
+                calls.append(points.tolist())
             return real(ps, points)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
-        run_checks(registry, mf, registry.specs, samples=16)
+        run_checks(mf, registry.specs, samples=16)
         points = RunContext(mf, samples=16).points()
-        assert len({p.coords for p in points}) == 16
-        assert calls == [[p.coords for p in points]]
+        assert len({tuple(p) for p in points.tolist()}) == 16
+        assert calls == [points.tolist()]
 
 
 class TestRunTable:
@@ -473,7 +473,7 @@ class TestRunTable:
 
         for attr in ("_lie_matrices", "_lie_lie_matrices"):
             monkeypatch.setattr(lie_killing, attr, counting(attr))
-        run_checks(registry, corpus[name], registry.specs, samples=16)
+        run_checks(corpus[name], registry.specs, samples=16)
         assert {key[0] for key in calls} == {"_lie_matrices", "_lie_lie_matrices"}
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
@@ -491,7 +491,7 @@ class TestRunTable:
             return real(geom)
 
         monkeypatch.setattr(curvature, "_curvatures", counted)
-        run_checks(registry, corpus[name], registry.specs, samples=16)
+        run_checks(corpus[name], registry.specs, samples=16)
         assert calls
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
@@ -507,7 +507,7 @@ class TestRunTable:
             return rehome(vfd)
 
         patch_everywhere(monkeypatch, rehome, counted)
-        run_checks(registry, corpus[name], registry.specs, samples=16)
+        run_checks(corpus[name], registry.specs, samples=16)
         assert calls
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
