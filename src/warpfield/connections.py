@@ -264,23 +264,35 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
     return d + np.swapaxes(kw.reshape(kw.shape[:-2] + gamma.shape[-3:-1]), -1, -2)
 
 
+def nabla(geom: Geometry, z, kind: str = LEVI_CIVITA) -> np.ndarray:
+    """w[s, a, k] = (nabla_{e_a} z)^k over the sample set, for the chosen
+    connection; a contraction x @ w is nabla_x z for any vector x.
+
+    Stacked once per (geometry, field, kind).  A constant chart vector z,
+    the coordinate extension with zero derivatives, is not a stack key
+    and is contracted on each call.
+    """
+    if isinstance(z, ProductField):
+        return geom.stack(_nablas, z, kind)
+    return _nablas(geom, z, kind)
+
+
+def _nablas(geom: Geometry, z, kind: str) -> np.ndarray:
+    zj = as_field_jet(geom, z)
+    return nabla_grid(geom.gamma_of(kind), zj.val, zj.d)
+
+
 def covariant_derivative(geom: Geometry, x, z, kind: str = LEVI_CIVITA) -> np.ndarray:
     """(nabla_x z)^k = x^i d_i z^k + gamma^k_ij x^i z^j over the sample set.
 
     ``x`` and ``z`` are product fields or constant chart vectors; a
     constant vector is the coordinate extension with zero derivatives.
     """
-    zj = as_field_jet(geom, z)
     xv = geom.field_values(x)
-    return (xv[..., None, :] @ nabla_grid(geom.gamma_of(kind), zj.val, zj.d))[..., 0, :]
+    return (xv[..., None, :] @ nabla(geom, z, kind))[..., 0, :]
 
 
 def divergence(geom: Geometry, field: ProductField) -> np.ndarray:
-    """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V) at
-    each sample point; computed once per (geometry, field)."""
-    return geom.stack(_divergences, field)
-
-
-def _divergences(geom: Geometry, field: ProductField) -> np.ndarray:
-    fj = as_field_jet(geom, field)
-    return np.trace(nabla_grid(geom.christoffel(), fj.val, fj.d), axis1=-2, axis2=-1)
+    """div V = d_k V^k + gamma^k_km V^m, the Levi-Civita trace of nabla V,
+    at each sample point."""
+    return np.trace(nabla(geom, field), axis1=-2, axis2=-1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import Geometry, as_field_jet, bilinear, nabla_grid
+from .connections import Geometry, bilinear, matvec, nabla
 from .metric import GeometryError
 
 
@@ -62,6 +62,17 @@ def riemann_along(r_low: np.ndarray, z: np.ndarray) -> np.ndarray:
     return rz.reshape(r_low.shape[:1] + r_low.shape[2:])
 
 
+def zeta_curvature(geom: Geometry, zeta, slots: str) -> np.ndarray:
+    """The lowered curvature r_low[i, j, k, l] with zeta in the two index
+    ``slots`` at each sample point, the other two free: "il" gives
+    R(z, ., ., z) and "ik" gives R(z, ., z, .); (S, n, n)."""
+    zv = geom.field_values(zeta)
+    rz = riemann_along(riemann(geom).r_low, zv)
+    if slots == "il":
+        return matvec(rz, zv[..., None, :])
+    return (zv[..., None, None, :] @ rz)[..., 0, :]
+
+
 def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-orthonormal frame rows E_a with signs eps_a = g(E_a, E_a), of
     one matrix or row by row of a stack (S, d, d): every row goes through
@@ -101,8 +112,7 @@ def product_frame(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
 def parallel_residual(geom: Geometry, zeta) -> np.ndarray:
     """max |(nabla_{e_a} zeta)^k| over the coordinate basis at each sample
     point."""
-    zj = as_field_jet(geom, zeta)
-    return np.abs(nabla_grid(geom.christoffel(), zj.val, zj.d)).max(axis=(-2, -1))
+    return np.abs(nabla(geom, zeta)).max(axis=(-2, -1))
 
 
 def trace_nabla(geom: Geometry, zeta) -> np.ndarray:
@@ -113,9 +123,8 @@ def trace_nabla(geom: Geometry, zeta) -> np.ndarray:
 
 def _trace_nablas(geom: Geometry, zeta) -> np.ndarray:
     frame, eps = product_frame(geom)
-    zj = as_field_jet(geom, zeta)
-    grid = nabla_grid(geom.christoffel(), zj.val, zj.d)
-    w = (frame[..., None, :] @ grid[:, None])[..., 0, :]   # row a: nabla_{E_a} zeta
+    # row a: nabla_{E_a} zeta
+    w = (frame[..., None, :] @ nabla(geom, zeta)[:, None])[..., 0, :]
     # Python's sum adds the frame terms in frame order (np.sum would add
     # them pairwise for n >= 8)
     return sum((eps * bilinear(geom.metric_jet().g[:, None], w, w)).T)

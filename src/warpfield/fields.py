@@ -117,8 +117,9 @@ def rehome(vfd: VectorFieldDef) -> ProductField:
     return lift(VectorFieldDef("base", vfd.components))
 
 
-def synth_field(ps: ProductStructure, block, rng: SplitMix, degree: int = 2) -> VectorFieldDef:
-    """Deterministic random polynomial field on one block (generic test data)."""
+def synth_field(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
+    """Deterministic random quadratic polynomial field on one block
+    (generic test data)."""
     bm = ps.block_metric(block)
     comps = []
     for _ in range(bm.dim):
@@ -126,15 +127,14 @@ def synth_field(ps: ProductStructure, block, rng: SplitMix, degree: int = 2) -> 
         for name in bm.coords:
             terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
                                        fieldexpr.var(name)))
-        if degree >= 2:
-            names = list(bm.coords)
-            for i in range(len(names)):
-                for j in range(i, len(names)):
-                    coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
-                    terms.append(fieldexpr.mul(
-                        coeff,
-                        fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
-                    ))
+        names = list(bm.coords)
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
+                terms.append(fieldexpr.mul(
+                    coeff,
+                    fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
+                ))
         expr = terms[0]
         for t in terms[1:]:
             expr = fieldexpr.add(expr, t)

@@ -50,7 +50,12 @@ class Outcome:
 
 def residual_outcome(values, tol: float, samples: int | None = None,
                      note: str = "") -> Outcome:
-    arr = np.abs(np.asarray(list(values), dtype=float))
+    """The verdict on residuals ``values``: an array, or a list of arrays
+    and numbers, each read flattened in C order, in list order.  Pass when
+    the largest |value| is within ``tol``; NaN or no value never passes."""
+    parts = [values] if isinstance(values, np.ndarray) else values
+    arr = np.abs(np.concatenate([np.ravel(v) for v in parts], dtype=float)
+                 if len(parts) else np.zeros(0))
     if arr.size == 0:
         return Outcome(INCONCLUSIVE, note=note or "no admissible samples")
     worst = max_abs(arr)
@@ -97,13 +102,17 @@ class CheckResult:
 @dataclass(frozen=True)
 class CheckSpec:
     id: str
-    result: str       # the numbered statement this check belongs to
-    section: str
     kind: str         # identity | sufficiency | necessity | equivalence |
                       # definition | witness | builder | modeled | axiom
     title: str
     applies: object   # Manifest -> bool
     run: object       # RunContext -> Outcome
+
+    @property
+    def result(self) -> str:
+        """The numbered statement this check belongs to: the id up to its
+        item suffix (``Prop4.9.2a`` belongs to ``Prop4.9``)."""
+        return ".".join(self.id.split(".")[:2])
 
 
 class RunContext:
@@ -148,12 +157,12 @@ class RunContext:
 
     # ---- fields ----
 
-    def synth(self, block, label: str, degree: int = 2) -> VectorFieldDef:
+    def synth(self, block, label: str) -> VectorFieldDef:
         """synth_field's draw from the stream of ``label``, once per run: a
         repeat is the same object, so the geometry finds its stacks by ``is``."""
-        key = (block, label, degree)
+        key = (block, label)
         if key not in self._synth:
-            self._synth[key] = synth_field(self.ps, block, self.rng(f"synth:{label}"), degree)
+            self._synth[key] = synth_field(self.ps, block, self.rng(f"synth:{label}"))
         return self._synth[key]
 
     def named_field(self, name: str) -> ProductField:

@@ -299,7 +299,8 @@ class TestResidualOverflow:
 
 class TestNonFiniteBox:
     """A box bound that is not finite, or a box too wide for its width to
-    be finite, is a manifest error on the line that declares it."""
+    be finite, is a manifest error on the line that declares it; a finite
+    box near the float limit is validated at a centre inside it."""
 
     @pytest.mark.parametrize("x,u,line", [
         ("0, inf", "-1, 1", 5),
@@ -315,6 +316,17 @@ class TestNonFiniteBox:
         [msg] = proc.stderr.splitlines()
         assert msg.startswith(f"warpfield: line {line}: interval ")
         assert "finite" in msg
+
+    def test_centre_of_a_box_near_the_float_limit_is_inside_it(self, tmp_path):
+        # lo + hi overflows here; the centre check must name a point of the box
+        path = tmp_path / "boxed.wm"
+        path.write_text(BOXED.format(x="1e308, 1.5e308", u="-1, 1"))
+        proc = run_cli("verify", str(path), "--samples", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [msg] = proc.stderr.splitlines()
+        assert msg.startswith("warpfield: line 1: chart-center validation failed: ")
+        assert "x=1.25e+308" in msg
 
 
 class TestFlagBounds:

@@ -11,19 +11,23 @@ The geometry-level stacks run on random metric and field jets put in
 place of the ones a manifest would give, so the formulas are exercised
 on general data (no symmetry the metric would have is assumed).
 
-The source scan at the end keeps it that way: no ``np.einsum`` call
-with two or more operands remains in ``src/warpfield``."""
+The source scans at the end keep it that way: no ``np.einsum`` call
+with two or more operands remains in ``src/warpfield``.  They also keep
+one evaluation path per quantity: the grid of nabla z is contracted
+(``nabla_grid``) only in ``connections``, ``lie_killing`` and the
+constant-vector axioms, and no check reads the metric one point at a
+time (``metric_at``).  Every report goes through one reducer,
+``residual_outcome``, which reads a list of residual arrays as their
+concatenation."""
 
 import ast
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from warpfield import connections, lie_killing
 from warpfield.checks.identities import _nabla_const
-from warpfield.checks.twokilling import _zeta_curvature
 from warpfield.connections import (
     Geometry,
     bilinear,
@@ -32,10 +36,11 @@ from warpfield.connections import (
     matvec,
     nabla_grid,
 )
-from warpfield.curvature import riemann
+from warpfield.curvature import riemann, zeta_curvature
 from warpfield.fields import FieldJet, lift
 from warpfield.manifest import parse_manifest
 from warpfield.metric import MetricJet
+from warpfield.suite import residual_outcome
 
 DIMS = (1, 2, 3, 6, 10)
 SAMPLES = (1, 16)
@@ -195,9 +200,8 @@ def test_curvature_along_a_field(n, s):
     geom, field = random_geometry(n, s)
     r_low = riemann(geom).r_low
     zv = geom.field_values(field)
-    ctx = SimpleNamespace(geom=geom)
     for slots, free in (("il", "jk"), ("ik", "jl")):
-        close(_zeta_curvature(ctx, field, slots),
+        close(zeta_curvature(geom, field, slots),
               np.einsum(f"sijkl,s{slots[0]},s{slots[1]}->s{free}", r_low, zv, zv))
 
 
@@ -283,22 +287,54 @@ def test_eq22_residual(n, s):
 # ---- the source scan ----
 
 
-def einsum_calls(tree: ast.AST):
+def calls_to(tree: ast.AST, name: str):
+    """Calls of ``name`` as a bare function or as an attribute."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "einsum"):
-            yield node
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                yield node
 
 
 def test_no_multi_operand_einsum_in_the_package():
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
-        for call in einsum_calls(ast.parse(path.read_text(encoding="utf-8"))):
+        for call in calls_to(ast.parse(path.read_text(encoding="utf-8")), "einsum"):
             if len(call.args) > 2 or any(isinstance(a, ast.Starred) for a in call.args):
                 offenders.append(f"{path.relative_to(SRC)}:{call.lineno}")
     assert offenders == []
 
 
 def test_the_source_scan_sees_a_two_operand_einsum():
-    calls = list(einsum_calls(ast.parse('np.einsum("ij,j->i", a, b)\nnp.einsum("ii", a)')))
+    calls = list(calls_to(ast.parse('np.einsum("ij,j->i", a, b)\nnp.einsum("ii", a)'), "einsum"))
     assert [len(c.args) - 1 for c in calls] == [2, 1]
+
+
+def callers(name: str) -> set[str]:
+    """The modules of ``src/warpfield`` that call ``name``."""
+    return {path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+            if any(calls_to(ast.parse(path.read_text(encoding="utf-8")), name))}
+
+
+def test_one_nabla_grid_path():
+    assert callers("nabla_grid") <= {"connections.py", "lie_killing.py",
+                                     "checks/identities.py"}
+
+
+def test_no_check_reads_the_metric_one_point_at_a_time():
+    assert not {path for path in callers("metric_at") if path.startswith("checks/")}
+
+
+def test_the_call_scan_sees_functions_and_methods():
+    tree = ast.parse("nabla_grid(g, v, d)\nps.metric_at(p)\nmetric_at")
+    assert [len(list(calls_to(tree, n))) for n in ("nabla_grid", "metric_at")] == [1, 1]
+
+
+def test_residual_outcome_reads_a_list_as_its_concatenation():
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1, 1, (16, 3)), rng.uniform(-1, 1, (4, 2, 5)).transpose(2, 0, 1)
+    for tol in (0.5, 2.0):
+        want = residual_outcome(np.concatenate([a.ravel(), b.ravel()]), tol, note="n")
+        assert residual_outcome([a, b], tol, note="n") == want
+    assert residual_outcome([a, 0.25, b], 2.0) == residual_outcome(
+        np.concatenate([a.ravel(), [0.25], b.ravel()]), 2.0)

@@ -131,4 +131,3 @@ class TestOneWalkPerPart:
         fresh = synth_field(ctx.ps, "base", ctx.rng("synth:L"))
         assert fresh == first and fresh is not first
         assert ctx.synth(0, "L") != first
-        assert ctx.synth("base", "L", degree=1) != first
