@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldJet, ProductField, VectorFieldDef, lift
-from .jets import Jet2
+from .fields import FieldJet, ProductField, VectorFieldDef, lift, rehome
+from .jets import DomainError, Jet2
 from .metric import DimensionMismatch, MetricJet, ProductStructure
 
 LEVI_CIVITA = "levi_civita"
@@ -59,12 +59,6 @@ class TorsionSpec:
                 raise DimensionMismatch(f"torsion fiber index {idx} out of range")
         self.field.validate(ps)
 
-    def restrict_to_block(self) -> "TorsionSpec":
-        """The same P viewed on its own block as a standalone manifold."""
-        if self.is_zero:
-            return self
-        return TorsionSpec("base", VectorFieldDef("base", self.field.components))
-
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
     """t[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over the last three
@@ -76,21 +70,25 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 class Geometry:
     """Metric, connection and field data of one structure over a sample set.
 
-    ``points`` is the sample set, an (S, n) array with one point per row;
-    its width is checked here, once.  Each quantity is computed once for
-    all of them, as a stack whose leading axis runs over the points
-    (``stack``), from the stacked metric and field jets; every accessor
-    returns that stack.  Any other point is the sample set of a geometry
-    of its own, ``Geometry(ps, torsion, [p])``.
+    ``points`` is the sample set, a read-only (S, n) array with one point
+    per row; its width is checked here, once.  Each quantity is computed
+    once for all of them, as a stack whose leading axis runs over the
+    points (``stack``), from the stacked metric and field jets; every
+    accessor returns that stack, and a field's jet is copied part by part
+    from the blocks' own geometries (``block``).  Any other point is the
+    sample set of a geometry of its own, ``Geometry(ps, torsion, [p])``.
     """
 
     def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None, points):
         self.ps = ps
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
-        self.points = ps.sample_set(points)
+        self.points = ps.sample_set(points).view()
+        self.points.flags.writeable = False  # so ps keeps its jet_envs
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._stacks: dict = {}
+        self._blocks: dict = {}
+        self._rehomed: dict[VectorFieldDef, ProductField] = {}
 
     def stack(self, compute, *args):
         """compute(self, *args): a quantity at every sample point, sample
@@ -139,6 +137,23 @@ class Geometry:
     def field_jet(self, field: ProductField) -> FieldJet:
         return self.stack(_field_jets, field)
 
+    def block(self, b) -> "Geometry":
+        """Block b ('base' or a fiber index) as a standalone manifold over
+        its columns of the sample set, built once.  The base carries the
+        shift only when P lives on the base; a fiber carries none."""
+        key = "base" if b == "base" else int(b)
+        if key not in self._blocks:
+            shift = self.torsion if key == self.torsion.location == "base" else None
+            self._blocks[key] = Geometry(self.ps.block_structure(key), shift,
+                                         self.points[:, self.ps.block_slice(key)])
+        return self._blocks[key]
+
+    def rehomed(self, vfd: VectorFieldDef) -> ProductField:
+        """A lifted part as a field on its own block's geometry, built once."""
+        if vfd not in self._rehomed:
+            self._rehomed[vfd] = rehome(vfd)
+        return self._rehomed[vfd]
+
     def warp_jet(self, i: int) -> Jet2:
         """Jet of the i-th warping function."""
         return self.stack(_warp_jets, i)
@@ -157,9 +172,11 @@ def _metric_jets(geom: Geometry) -> MetricJet:
 
 
 def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
-    """A sum of parts copies each part's block entries from the part's own
-    stack; every entry off the parts' blocks is +0."""
-    if len(field.parts) < 2:
+    """A one-block chart walks the field.  Otherwise each part's block
+    entries are copied from its block geometry's stack, and every entry
+    off the parts' blocks is +0; an error raised there is raised again by
+    the walk over this geometry's points, which names the chart point."""
+    if not geom.ps.fibers:
         return field.jet(geom.ps, geom.points)
     s, n = len(geom.points), geom.ps.total_dim
     val = np.zeros((s, n))
@@ -167,10 +184,11 @@ def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
     d2 = np.zeros((s, n, n, n))
     for part in field.parts:
         sl = geom.ps.block_slice(part.block)
-        pj = geom.field_jet(lift(part))
-        val[:, sl] = pj.val[:, sl]
-        d[:, sl, sl] = pj.d[:, sl, sl]
-        d2[:, sl, sl, sl] = pj.d2[:, sl, sl, sl]
+        try:
+            pj = geom.block(part.block).field_jet(geom.rehomed(part))
+        except DomainError:
+            return field.jet(geom.ps, geom.points)
+        val[:, sl], d[:, sl, sl], d2[:, sl, sl, sl] = pj.val, pj.d, pj.d2
     return FieldJet(val=val, d=d, d2=d2)
 
 

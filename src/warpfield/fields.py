@@ -89,14 +89,14 @@ class ProductField:
         sample axis.  Each part is walked once over all of them, in its own
         block's ``jet_env``; its partials in other blocks stay zero."""
         s, n = len(points), ps.total_dim
+        envs = [ps.jet_env(points, part.block) for part in self.parts]
 
         def assemble(jet):
             val = np.zeros((s, n))
             d = np.zeros((s, n, n))
             d2 = np.zeros((s, n, n, n))
-            for part in self.parts:
+            for part, env in zip(self.parts, envs):
                 sl = ps.block_slice(part.block)
-                env = ps.jet_env(points, part.block)
                 for k, comp in enumerate(part.components):
                     j = jet(comp, env)
                     col = sl.start + k

@@ -14,6 +14,7 @@ poles, cube-root singularities pushed to the edge, ...).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +43,7 @@ class DimensionMismatch(GeometryError):
 
 
 DET_FLOOR = 1e-10
+ZERO = Num(0.0)
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,7 @@ class ProductStructure:
                 raise GeometryError(f"warping references non-base coordinates {sorted(extra)}")
         object.__setattr__(self, "coord_names", tuple(names))
         object.__setattr__(self, "slices", tuple(slices))
+        object.__setattr__(self, "_envs", {})  # jet_env's, by sample set
 
     @property
     def total_dim(self) -> int:
@@ -143,11 +146,8 @@ class ProductStructure:
             out.extend(b.box)
         return tuple(out)
 
-    def fiber_structure(self, i: int) -> "ProductStructure":
-        return ProductStructure(base=self.fibers[i])
-
-    def base_structure(self) -> "ProductStructure":
-        return ProductStructure(base=self.base)
+    def block_structure(self, block) -> "ProductStructure":
+        return ProductStructure(base=self.block_metric(block))
 
     # block ids: 'base' or 0-based fiber index
     def block_slice(self, block) -> slice:
@@ -162,9 +162,11 @@ class ProductStructure:
 
     def sample_set(self, points) -> np.ndarray:
         """``points`` as an (S, n) float array, one point of the chart per
-        row; S may be 0."""
+        row; S may be 0.  Such an array is returned as it is."""
         points = np.asarray(points, dtype=float)
-        if points.size and points.shape[1:] != (self.total_dim,):
+        if points.shape[1:] == (self.total_dim,):
+            return points
+        if points.size:
             raise DimensionMismatch(f"points must be rows of {self.total_dim} "
                                     f"coordinates, got shape {points.shape}")
         return points.reshape(-1, self.total_dim)
@@ -175,14 +177,22 @@ class ProductStructure:
 
     def jet_env(self, points: np.ndarray, block=None) -> dict:
         """Coordinate jets over the rows of ``points``, one sample per row,
-        with partials in ``block``'s coordinates or, by default, the chart's."""
-        sl = slice(None) if block is None else self.block_slice(block)
-        coords = points[:, sl]
-        s, n = coords.shape
-        grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
-        hess = np.zeros((s, n, n))
-        return {name: Jet2(coords[:, k], grads[k], hess)
-                for k, name in enumerate(self.coord_names[sl])}
+        with partials in ``block``'s coordinates or, by default, the chart's;
+        kept while a read-only sample set (a geometry's) lives."""
+        key = (id(points), block)
+        env = self._envs.get(key)
+        if env is None:
+            sl = slice(None) if block is None else self.block_slice(block)
+            coords = points[:, sl].T.copy()  # a kept env must not hold points
+            n, s = coords.shape
+            grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
+            hess = np.zeros((s, n, n))
+            env = {name: Jet2(coords[k], grads[k], hess)
+                   for k, name in enumerate(self.coord_names[sl])}
+            if not points.flags.writeable:
+                self._envs[key] = env
+                weakref.finalize(points, self._envs.pop, key)
+        return env
 
     def expr_jet(self, expr: Expr, env: dict, points: np.ndarray) -> Jet2:
         """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
@@ -288,36 +298,46 @@ class ProductStructure:
 
     def metric_jet(self, points) -> "MetricJet":
         """Metric jets at the rows of ``points``, stacked on a leading sample
-        axis, from one walk of every entry and warp expression over them all."""
+        axis, from one walk of every entry and warp expression over them all
+        in its block's ``jet_env``; a fiber entry times w^2 is put together
+        block by block, each partial from the same operands as in the chart."""
         points = self.sample_set(points)
-        env = self.jet_env(points)
+        envs = [self.jet_env(points, b) for b in ("base", *range(len(self.fibers)))]
         s, n = len(points), self.total_dim
+        bs = self.slices[0]
 
         def assemble(jet):
             g = np.zeros((s, n, n))
             dg = np.zeros((s, n, n, n))
             d2g = np.zeros((s, n, n, n, n))
 
-            def put(sl, block, w2=None):
-                for a in range(block.dim):
-                    for b in range(a, block.dim):
-                        j = jet(block.entries[a][b], env)
-                        j = j if w2 is None else w2 * j
-                        ia, ib = sl.start + a, sl.start + b
-                        g[:, ia, ib] = g[:, ib, ia] = j.value
-                        dg[:, :, ia, ib] = dg[:, :, ib, ia] = j.grad
-                        d2g[:, :, :, ia, ib] = d2g[:, :, :, ib, ia] = j.hess
+            def put(sl, block, env, w2=None):
+                for a, b in ((a, b) for a in range(block.dim) for b in range(a, block.dim)
+                             if block.entries[a][b] != ZERO):
+                    j = jet(block.entries[a][b], env)
+                    ia, ib = sl.start + a, sl.start + b
+                    if w2 is not None:  # w2 * j: its base partials here, j's scaled below
+                        wv, jv = np.asarray(w2.value)[..., None], np.asarray(j.value)[..., None]
+                        cross = w2.grad[..., :, None] * j.grad[..., None, :]
+                        dg[:, bs, ia, ib] = dg[:, bs, ib, ia] = jv * w2.grad
+                        d2g[:, bs, bs, ia, ib] = d2g[:, bs, bs, ib, ia] = jv[..., None] * w2.hess
+                        d2g[:, bs, sl, ia, ib] = d2g[:, bs, sl, ib, ia] = cross
+                        d2g[:, sl, bs, ia, ib] = d2g[:, sl, bs, ib, ia] = cross.swapaxes(-1, -2)
+                        j = Jet2(w2.value * j.value, wv * j.grad, wv[..., None] * j.hess)
+                    g[:, ia, ib] = g[:, ib, ia] = j.value
+                    dg[:, sl, ia, ib] = dg[:, sl, ib, ia] = j.grad
+                    d2g[:, sl, sl, ia, ib] = d2g[:, sl, sl, ib, ia] = j.hess
 
-            put(self.slices[0], self.base)
+            put(bs, self.base, envs[0])
             for i, f in enumerate(self.fibers):
-                w = jet(self.warps[i], env)
+                w = jet(self.warps[i], envs[0])
                 vals = np.atleast_1d(w.value)
                 bad = np.flatnonzero(vals <= 0.0)
                 if bad.size:
                     k = bad[0]
                     raise NonPositiveWarping(self._warp_message(f, self.warps[i],
                                                                 float(vals[k]), points[k]))
-                put(self.slices[i + 1], f, w * w)
+                put(self.slices[i + 1], f, envs[i + 1], w * w)
             return g, dg, d2g
 
         g, dg, d2g = self.walk(assemble, points, self._require_finite)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import Geometry
-from .fields import ProductField, VectorFieldDef, lift, rehome, synth_field
+from .fields import ProductField, VectorFieldDef, lift, synth_field
 from .lie_killing import max_abs
 from .manifest import Manifest
 from .metric import sample_points
@@ -118,12 +118,12 @@ class CheckSpec:
 class RunContext:
     """Per-(manifest, run-config) bundle of cached geometry and sampling.
 
-    One geometry per chart block, each built with the sample points (or
-    their block's columns): the product carries the manifest's shift,
-    the base carries it only when P lives on the base, and the fibers
-    carry none.  The connection is chosen by ``kind`` at each call.
-    Every check of one run reads the same geometries, so each stack is
-    computed once per run, and nothing outlives the run.
+    The product geometry over the sample points carries the manifest's
+    shift; its block geometries (``block_geom``) view each block as a
+    standalone manifold, and the product copies each lifted part's jet
+    from its block's geometry.  The connection is chosen by ``kind`` at
+    each call.  Every check of one run reads the same geometries, so each
+    stack is computed once per run, and nothing outlives the run.
     """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
@@ -135,15 +135,7 @@ class RunContext:
         self.tol = tol
         points = sample_points(self.ps, samples, self.rng("points:points"), mf.exclusions)
         self.geom = Geometry(self.ps, mf.torsion, points)
-        base_shift = (mf.torsion.restrict_to_block()
-                      if mf.torsion.location == "base" else None)
-        self._block_geoms = {"base": Geometry(self.ps.base_structure(), base_shift,
-                                              points[:, self.ps.block_slice("base")])}
-        self._block_geoms.update(
-            (i, Geometry(self.ps.fiber_structure(i), None, points[:, self.ps.block_slice(i)]))
-            for i in range(len(self.ps.fibers)))
         self._combos: dict[str, ProductField] | None = None
-        self._rehomed: dict[VectorFieldDef, ProductField] = {}
         self._synth: dict[tuple, VectorFieldDef] = {}
 
     # ---- sampling ----
@@ -186,16 +178,12 @@ class RunContext:
         return self._combos
 
     def rehomed(self, vfd: VectorFieldDef) -> ProductField:
-        """A lifted field viewed on its own block's geometry (``rehome``),
-        built once per run."""
-        got = self._rehomed.get(vfd)
-        if got is None:
-            got = self._rehomed[vfd] = rehome(vfd)
-        return got
+        """A lifted field on its own block's geometry, once per run."""
+        return self.geom.rehomed(vfd)
 
     def block_geom(self, block) -> Geometry:
         """The geometry of one block viewed as a standalone manifold."""
-        return self._block_geoms["base" if block == "base" else int(block)]
+        return self.geom.block(block)
 
     # ---- per-field sample quantities ----
 

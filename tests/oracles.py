@@ -1,6 +1,6 @@
 """Reference computations that only the tests use: central-difference
-jets, coordinate jets at one point, rows of a stacked metric jet, field
-jets walked in the whole chart's coordinates, the index-raised
+jets, coordinate jets at one point, rows of a stacked metric jet, metric
+and field jets walked in the whole chart's coordinates, the index-raised
 gradient, the metric pairing, block signatures,
 metricity on constant vectors, the sectional curvature of one plane,
 one-draw-at-a-time point sampling, and the connection-layer formulas
@@ -41,6 +41,7 @@ from warpfield.metric import (
     GeometryError,
     MetricAt,
     MetricJet,
+    NonPositiveWarping,
     ProductStructure,
     SingularMetric,
 )
@@ -173,6 +174,49 @@ def field_jet_full(ps: ProductStructure, field: ProductField, points) -> FieldJe
             d[:, :, col] = j.grad
             d2[:, :, :, col] = j.hess
     return FieldJet(val=val, d=d, d2=d2)
+
+
+def metric_jet_full(ps: ProductStructure, points) -> MetricJet:
+    """Metric jets at ``points`` from one walk of every entry and warp
+    expression in the whole chart's ``jet_env``, a fiber entry scaled by
+    its squared warp as a product of chart jets: the walk before each
+    block was walked in its own coordinates."""
+    points = ps.sample_set(points)
+    env = ps.jet_env(points)
+    s, n = len(points), ps.total_dim
+
+    def assemble(jet):
+        g = np.zeros((s, n, n))
+        dg = np.zeros((s, n, n, n))
+        d2g = np.zeros((s, n, n, n, n))
+
+        def put(sl, block, w2=None):
+            for a in range(block.dim):
+                for b in range(a, block.dim):
+                    j = jet(block.entries[a][b], env)
+                    j = j if w2 is None else w2 * j
+                    ia, ib = sl.start + a, sl.start + b
+                    g[:, ia, ib] = g[:, ib, ia] = j.value
+                    dg[:, :, ia, ib] = dg[:, :, ib, ia] = j.grad
+                    d2g[:, :, :, ia, ib] = d2g[:, :, :, ib, ia] = j.hess
+
+        put(ps.slices[0], ps.base)
+        for i, f in enumerate(ps.fibers):
+            w = jet(ps.warps[i], env)
+            vals = np.atleast_1d(w.value)
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                k = bad[0]
+                raise NonPositiveWarping(ps._warp_message(f, ps.warps[i],
+                                                          float(vals[k]), points[k]))
+            put(ps.slices[i + 1], f, w * w)
+        return g, dg, d2g
+
+    g, dg, d2g = ps.walk(assemble, points, ps._require_finite)
+    ginv = np.zeros((s, n, n))
+    for sl, block in zip(ps.slices, ps.blocks):
+        ginv[:, sl, sl] = ps._block_inverse(g[:, sl, sl], block.label, points)
+    return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv)
 
 
 def field_jet_at(geom: Geometry, field, p: np.ndarray) -> FieldJet:

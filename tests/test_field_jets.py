@@ -5,19 +5,27 @@ whole-chart walk of ``oracles.field_jet_full`` is the reference: a stack
 equals it with the same sign of zero in every entry in a part's block,
 and every other entry is +0."""
 
+import ast
+import gc
 import operator
-from collections import Counter
+import weakref
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import field_jet_full
 from warpfield.cli import corpus_dir
+from warpfield.connections import Geometry
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField, lift, synth_field
 from warpfield.jets import DivisionByZero, Jet2
 from warpfield.manifest import load_manifest
+from warpfield.metric import ProductStructure
 from warpfield.suite import RunContext, default_registry, run_checks
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "warpfield"
 
 CORPUS = sorted(corpus_dir().glob("*.wm"))
 
@@ -124,6 +132,24 @@ class TestOneWalkPerPart:
         run_checks(mf, registry.specs, samples=16)
         assert walks and max(walks.values()) == 1
 
+    def test_full_run_walks_each_block_expression_once(self, monkeypatch):
+        # across the product and block geometries of one run: a part's
+        # components over the same block columns are walked once
+        mf = load_manifest(corpus_dir() / "mw2_fib.wm")
+        real = ProductField.jet
+        walks = Counter()
+
+        def counted(field, ps, points):
+            for part in field.parts:
+                cols = points[:, ps.block_slice(part.block)]
+                walks[(ps.block_metric(part.block).coords, part.components,
+                       cols.tobytes())] += 1
+            return real(field, ps, points)
+
+        monkeypatch.setattr(ProductField, "jet", counted)
+        run_checks(mf, default_registry().specs, samples=16)
+        assert walks and max(walks.values()) == 1
+
     def test_synth_returns_one_object_per_draw(self):
         ctx = RunContext(load_manifest(corpus_dir() / "mw2_fib.wm"), samples=4)
         first = ctx.synth("base", "L")
@@ -131,3 +157,69 @@ class TestOneWalkPerPart:
         fresh = synth_field(ctx.ps, "base", ctx.rng("synth:L"))
         assert fresh == first and fresh is not first
         assert ctx.synth(0, "L") != first
+
+
+class TestOneEnvPerBlock:
+    def test_full_run_builds_each_block_env_once_per_geometry(self, monkeypatch):
+        mf = load_manifest(corpus_dir() / "mw2_fib.wm")
+        real = ProductStructure.jet_env
+        seen = []  # keeps every structure, sample set and env alive: ids stay unique
+
+        def recorded(ps, points, block=None):
+            env = real(ps, points, block)
+            seen.append((ps, points, block, env))
+            return env
+
+        monkeypatch.setattr(ProductStructure, "jet_env", recorded)
+        run_checks(mf, default_registry().specs, samples=16)
+        envs = defaultdict(set)
+        for ps, points, block, env in seen:
+            envs[(id(ps), id(points), block)].add(id(env))
+        assert envs and all(len(built) == 1 for built in envs.values())
+
+    def test_a_kept_env_does_not_outlive_its_sample_set(self):
+        ps = load_manifest(corpus_dir() / "mw2_fib.wm").structure
+        geom = Geometry(ps, None, np.zeros((4, ps.total_dim)))
+        assert ps.jet_env(geom.points, 0) is ps.jet_env(geom.points, 0)
+        points = weakref.ref(geom.points)
+        geom.metric_jet()
+        del geom
+        gc.collect()
+        assert points() is None
+        writeable = np.zeros((4, ps.total_dim))
+        assert ps.jet_env(writeable) is not ps.jet_env(writeable)
+
+
+def constructions(source: str, name: str) -> set[str]:
+    """The qualified names of the functions (or ``<module>``) whose own
+    bodies call ``name``, as a bare name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_geometries_are_built_only_by_the_run_the_cli_and_block():
+    # a second geometry over the same block columns would walk them again
+    sites = {f"{path.relative_to(SRC).as_posix()}:{site}"
+             for path in sorted(SRC.rglob("*.py"))
+             for site in constructions(path.read_text(encoding="utf-8"), "Geometry")}
+    assert sites == {"suite.py:RunContext.__init__", "cli.py:cmd_killing",
+                     "connections.py:Geometry.block"}
+
+
+def test_the_construction_scan_names_the_enclosing_function():
+    source = ("class G:\n    def block(self):\n        return G()\n"
+              "G()\ndef f(y):\n    return [m.G() for _ in y]\n")
+    assert constructions(source, "G") == {"G.block", "<module>", "f"}

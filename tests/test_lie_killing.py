@@ -133,7 +133,7 @@ class TestShiftedLieMetric:
                                fe.parse_expr("x", ("x", "y")))),
         ))
         rng = SplitMix(6)
-        g0 = Geometry(ps.fiber_structure(0), None, [])
+        g0 = Geometry(ps.block_structure(0), None, [])
         for p in sample_points(ps, 16, rng):
             at_p = one_point(geom, p)
             rotv = at_p.field_values(zeta)[0, 1:]

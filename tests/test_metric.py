@@ -1,13 +1,17 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import fd_jet, grad_scalar, inner, metric_row, signature
+from oracles import fd_jet, grad_scalar, inner, metric_jet_full, metric_row, signature
 from warpfield import fieldexpr as fe
+from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry, divergence
 from warpfield.fields import VectorFieldDef, lift
 from warpfield.jets import DomainError
+from warpfield.manifest import load_manifest, parse_manifest
 from warpfield.metric import (
     DimensionMismatch,
     NonPositiveWarping,
@@ -17,6 +21,7 @@ from warpfield.metric import (
     sample_points,
 )
 from warpfield.sampling import SplitMix
+from warpfield.suite import RunContext
 
 ONE = fe.num(1.0)
 NEG = fe.num(-1.0)
@@ -99,6 +104,23 @@ class TestAssembly:
                 else:
                     ps.metric_jet(pts)
 
+    @pytest.mark.parametrize("build", ["structure", "geometry"])
+    def test_overflowing_fiber_entry_names_chart_point_and_entry(self, build):
+        # exp(x) and exp(t)^2 are finite at the second point, their product
+        # is not; the first point is the chart centre, where both are small
+        fiber = diagonal_block("fiber.1", ("x", "y"), (fe.parse_expr("exp(x)", ("x", "y")), ONE),
+                               ((-1000.0, 1000.0), (-1.0, 1.0)))
+        ps = ProductStructure(base=interval(-1.0, (0.0, 200.0)), fibers=(fiber,),
+                              warps=(fe.parse_expr("exp(t)", ("t",)),))
+        pts = np.array([(100.0, 0.0, 0.0), (150.0, 600.0, 0.5)])
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match=r"^overflow at \(t=150\.0, x=600\.0, "
+                                                  r"y=0\.5\) in exp\(t\)\^2\*exp\(x\)$"):
+                if build == "structure":
+                    ps.metric_jet(pts)
+                else:
+                    Geometry(ps, None, pts).metric_jet()
+
     def test_signature_of_product(self):
         ps = grw()
         assert signature(ps, np.array((0.1, 0.0, 0.0))) == (-1, 1, 1)
@@ -166,6 +188,58 @@ class TestMetricJet:
         for d in range(3):
             expected = -mj.ginv @ mj.dg[d] @ mj.ginv
             assert np.allclose(mj.dginv[d], expected, atol=1e-12)
+
+
+def wide_manifests():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "widechart.py"
+    spec = importlib.util.spec_from_file_location("widechart", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_manifest(module.wide_manifest(1, i), f"wide{i}") for i in range(2)]
+
+
+CHARTS = [load_manifest(p) for p in sorted(corpus_dir().glob("*.wm"))] + wide_manifests()
+
+
+def entry_directions(ps: ProductStructure) -> np.ndarray:
+    """inside[d, i, j]: entries i and j share a block, and d is one of its
+    coordinates or, for a fiber, of the base's."""
+    n = ps.total_dim
+    inside = np.zeros((n, n, n), dtype=bool)
+    for k, sl in enumerate(ps.slices):
+        inside[sl, sl, sl] = True
+        if k:
+            inside[ps.slices[0], sl, sl] = True
+    return inside
+
+
+class TestBlockWalk:
+    """Each block is walked in its own coordinates and w^2 g_F is put
+    together block by block; the whole-chart walk of
+    ``oracles.metric_jet_full`` is the reference.  The sign of an in-block
+    zero is not pinned: the chart walk picks up -0 from a warp's partials
+    in the fibers' directions."""
+
+    @pytest.mark.parametrize("samples", [1, 16])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_equals_the_whole_chart_walk(self, mf, samples):
+        points = RunContext(mf, samples=samples).points()
+        got = mf.structure.metric_jet(points)
+        ref = metric_jet_full(mf.structure, points)
+        for name in ("g", "dg", "d2g", "ginv"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("samples", [1, 16])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_entries_outside_the_blocks_are_plus_zero(self, mf, samples):
+        ps = mf.structure
+        mj = ps.metric_jet(RunContext(mf, samples=samples).points())
+        inside = entry_directions(ps)
+        same_block = inside.any(axis=0)
+        outside = [(mj.g, ~same_block), (mj.ginv, ~same_block), (mj.dg, ~inside),
+                   (mj.d2g, ~(inside[:, None] & inside[None, :]))]
+        for a, off in outside:
+            assert not a[:, off].any() and not np.signbit(a[:, off]).any()
 
 
 class TestInnerAndGrad:
