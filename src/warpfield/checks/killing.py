@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC, dot, matvec
+from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC, bilinear, dot, matvec
 from ..fieldexpr import num, pretty
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import form, lie_matrix, max_abs, nabla_quads, point_max
@@ -74,13 +74,10 @@ def _fiber_rows(ctx: RunContext, i: int, against: VectorFieldDef):
             ctx.geom.field_values(lift(against))[:, ctx.ps.block_slice(i)])
 
 
-def _quads(ctx: RunContext, zeta: ProductField, drawn, kind) -> np.ndarray:
-    """|g(nabla_x zeta, x)| for the drawn (sample row, vector) pairs, in
-    draw order, from one gathered contraction."""
-    if not drawn:
-        return np.zeros(0)
-    ks, xs = zip(*drawn)
-    return np.abs(nabla_quads(ctx.geom, zeta, np.array(ks), np.array(xs), kind))
+def _kept(xs: np.ndarray, keep: np.ndarray):
+    """(sample rows, vectors) of the kept draws of a stack xs (S, ..., n)
+    whose leading axis runs over the sample rows, in C order."""
+    return np.nonzero(keep)[0], xs[keep]
 
 
 # ---- definitional and equivalence checks ----
@@ -276,13 +273,12 @@ class SuffInstance:
     name: str
     zeta: ProductField
     hyp: float
-    cone: object = None  # callable (sample row, rng) -> vector | None
+    cone: object = None  # callable rng -> (sample rows, vectors)
     restrict_blocks: list | None = None
 
 
 def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind) -> np.ndarray:
-    """Shifted/unshifted Killing residuals over the instance's cone, 6
-    draws per sample point."""
+    """Shifted/unshifted Killing residuals over the instance's cone."""
     if inst.cone is None:
         ms = ctx.over_samples(lie_matrix, inst.zeta, kind=kind)
         if inst.restrict_blocks is None:
@@ -291,14 +287,8 @@ def _conclusion_residuals(ctx: RunContext, inst: SuffInstance, kind) -> np.ndarr
                                         ctx.ps.block_slice(b).stop)
                               for b in inst.restrict_blocks])
         return point_max(ms[:, idx][:, :, idx])
-    rng = ctx.rng("cone:" + inst.name)
-    drawn = []
-    for k in range(len(ctx.points())):
-        for _ in range(6):
-            x = inst.cone(k, rng)
-            if x is not None:
-                drawn.append((k, x))
-    return _quads(ctx, inst.zeta, drawn, kind)
+    ks, xs = inst.cone(ctx.rng("cone:" + inst.name))
+    return np.abs(nabla_quads(ctx.geom, inst.zeta, ks, xs, kind))
 
 
 def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
@@ -313,40 +303,55 @@ def _sufficiency_outcome(ctx: RunContext, instances: list[SuffInstance],
 
 def _orth_cone(ctx: RunContext, against: dict[int, VectorFieldDef],
                zero_blocks=()):
-    """Random full vectors with fiber parts projected orthogonal to fields."""
-    rows = {i: _fiber_rows(ctx, i, z) for i, z in against.items()}
+    """6 random full vectors per sample row, one block of draws, with
+    fiber parts projected orthogonal to fields; a draw whose field is null
+    at its row keeps no vector."""
+    cols = [c for b in ["base", *range(ctx.mf.fiber_count)] if b not in zero_blocks
+            for c in range(ctx.ps.total_dim)[ctx.ps.block_slice(b)]]
+    rows = {i: _fiber_rows(ctx, i, z) for i, z in against.items() if i not in zero_blocks}
 
-    def cone(k, rng):
-        x = np.zeros(ctx.ps.total_dim)
-        for block in ["base"] + list(range(ctx.mf.fiber_count)):
-            if block in zero_blocks:
-                continue
-            sl = ctx.ps.block_slice(block)
-            v = np.array(rng.vector(sl.stop - sl.start))
-            if block in rows:
-                g, z = rows[block]
-                v = project_out(g[k], v, z[k])
-                if v is None:
-                    return None
-            x[sl] = v
-        return x
+    def cone(rng):
+        x = np.zeros((len(ctx.points()), 6, ctx.ps.total_dim))
+        x[..., cols] = rng.block(x.shape[:-1] + (len(cols),))
+        keep = np.ones(x.shape[:-1], dtype=bool)
+        for i, (g, z) in rows.items():
+            sl = ctx.ps.block_slice(i)
+            x[..., sl], null = project_out(g[:, None], x[..., sl], z[:, None])
+            keep &= ~null
+        return _kept(x, keep)
 
     return cone
 
 
-def _pure_cone(ctx: RunContext, condition=None):
-    """Block-pure random vectors, optionally gated by a condition value."""
-    blocks = ["base"] + list(range(ctx.mf.fiber_count))
+def _pure_cone(ctx: RunContext, zeta_r: VectorFieldDef | None = None):
+    """6 block-pure random vectors per sample row, each the first of 12
+    attempts on the condition cone: given a field zeta_r of the shift fiber
+    r, a vector x of r must meet |pi(zeta_r) g_r(x, x) - pi(x) g_r(x,
+    zeta_r)| <= HYP_TOL.  An attempt is one row of uniforms: column 0 picks
+    the block, the block's columns give the entries.  A draw with no
+    attempt on the cone keeps no vector."""
+    blocks = ["base", *range(ctx.mf.fiber_count)]
+    if zeta_r is not None:
+        r = ctx.mf.torsion.location
+        rs = ctx.ps.block_slice(r)
+        g, z = (a[:, None, None] for a in _fiber_rows(ctx, r, zeta_r))
+        piv = ctx.geom.pi_covector()[:, None, None, rs]
+        pizr = _pi_of_field(ctx, zeta_r)[:, None, None]
 
-    def cone(k, rng):
-        for _ in range(12):
-            block = blocks[rng.next_u64() % len(blocks)]
+    def cone(rng):
+        u = rng.uniforms((len(ctx.points()), 6, 12, 1 + ctx.ps.total_dim))
+        pick = np.floor(u[..., 0] * len(blocks))
+        x = np.zeros(u[..., 1:].shape)
+        for b, block in enumerate(blocks):
             sl = ctx.ps.block_slice(block)
-            x = np.zeros(ctx.ps.total_dim)
-            x[sl] = np.array(rng.vector(sl.stop - sl.start))
-            if condition is None or abs(condition(k, block, x)) <= HYP_TOL:
-                return x
-        return None
+            x[..., sl] = np.where((pick == b)[..., None], -1.0 + 2.0 * u[..., 1:][..., sl], 0.0)
+        on = np.ones(pick.shape, dtype=bool)
+        if zeta_r is not None:
+            xr = x[..., rs]
+            gap = pizr * bilinear(g, xr, xr) - dot(xr, piv) * bilinear(g, xr, z)
+            on = (pick != blocks.index(r)) | (np.abs(gap) <= HYP_TOL)
+        first = np.argmax(on, axis=-1)[..., None, None]
+        return _kept(np.take_along_axis(x, first, axis=2)[..., 0, :], on.any(axis=-1))
 
     return cone
 
@@ -421,24 +426,6 @@ def _suff_base_shift(part: int):
     return run
 
 
-def _pi_condition(ctx: RunContext, r: int, zeta_r: VectorFieldDef):
-    """pi(zeta_r) g_r(x_r, x_r) - pi(x_r) g_r(x_r, zeta_r) for a block-pure
-    vector x at sample row k; 0 off the shift fiber r."""
-    sl = ctx.ps.block_slice(r)
-    piv = ctx.geom.pi_covector()[:, sl]
-    gi, ziv = _fiber_rows(ctx, r, zeta_r)
-    pizr = _pi_of_field(ctx, zeta_r)
-
-    def condition(k, block, x):
-        if block != r:
-            return 0.0
-        xr = x[sl]
-        return (pizr[k] * float(xr @ gi[k] @ xr)
-                - float(piv[k] @ xr) * float(xr @ gi[k] @ ziv[k]))
-
-    return condition
-
-
 def _suff_fiber_shift(part: int, at_shift: bool | None = None):
     """Props 3.21/4.9: hypotheses zeta_B(f_i) = 0 and, when the shift
     fiber r carries a field, pi(zeta_r) = 0; block-pure test vectors, on
@@ -457,10 +444,9 @@ def _suff_fiber_shift(part: int, at_shift: bool | None = None):
             zr = zf.get(r)
             if zr is not None:
                 hyps.append(_pi_hyp(ctx, zr))
-            cone = _pure_cone(ctx, condition=None if zr is None
-                              else _pi_condition(ctx, r, zr))
             instances.append(SuffInstance(name, _sum_field(zb, zf),
-                                          max_abs(hyps) if hyps else 0.0, cone=cone))
+                                          max_abs(hyps) if hyps else 0.0,
+                                          cone=_pure_cone(ctx, zr)))
         return _sufficiency_outcome(
             ctx, instances, SEMI_SYMMETRIC, ctx.tol.alg,
             note="block-pure test vectors on the condition cone")
@@ -603,23 +589,21 @@ def _witness_grw(ctx: RunContext) -> Outcome:
                                   kind=LEVI_CIVITA)
     wj = ctx.geom.warp_jet(0)
     hyp = max_abs(wj.grad[:, 0] - wj.value)
+    # at each sample row, the base components u of the 4 test vectors
+    base = embed(ps, "base", np.array([[1.0], [-1.0], [2.0], [-2.0]]))
     vals = []
     for a in (1.0, -1.0, 2.0, -2.0):
         for zname, z2 in [(None, None)] + fiber_killing:
             parts = (base_unit.scaled(a),) + ((z2,) if z2 is not None else ())
-            rows = _fiber_rows(ctx, 0, z2) if z2 is not None else None
-            drawn = []
-            for k in range(len(ctx.points())):
-                for u in (1.0, -1.0, 2.0, -2.0):
-                    x2 = np.array(rng.vector(ps.fibers[0].dim))
-                    if float(x2 @ x2) < 0.25:
-                        x2 = x2 + 0.6 * np.sign(x2 + 1e-9)
-                    if rows is not None:
-                        x2 = project_out(rows[0][k], x2, rows[1][k])
-                        if x2 is None:
-                            continue
-                    drawn.append((k, embed(ps, "base", np.array([u])) + embed(ps, 0, x2)))
-            vals.append(_quads(ctx, ProductField(parts), drawn, SEMI_SYMMETRIC))
+            x2 = rng.block((len(ctx.points()), 4, ps.fibers[0].dim))
+            x2 = np.where(dot(x2, x2)[..., None] < 0.25, x2 + 0.6 * np.sign(x2 + 1e-9), x2)
+            null = np.zeros(x2.shape[:-1], dtype=bool)
+            if z2 is not None:
+                g, z = _fiber_rows(ctx, 0, z2)
+                x2, null = project_out(g[:, None], x2, z[:, None])
+            ks, xs = _kept(base + embed(ps, 0, x2), ~null)
+            vals.append(np.abs(nabla_quads(ctx.geom, ProductField(parts), ks, xs,
+                                           SEMI_SYMMETRIC)))
     note = f"warp-compensation gap {hyp:.3g}"
     return residual_outcome(vals, ctx.tol.alg, note=note)
 
@@ -635,39 +619,44 @@ def _witness_static(ctx: RunContext) -> Outcome:
     if not base_killing:
         return inconclusive("no base isometry declared")
     vals = []
-    gb = ctx.block_geom("base").metric_jet().g
-    wj = ctx.geom.warp_jet(0)
+    gb = ctx.block_geom("base").metric_jet().g[:, None]
+    wv = ctx.geom.warp_jet(0).value[:, None]
     for a in (1.0, -1.0, 2.0):
         for bname, z1 in base_killing:
             z1v = ctx.geom.field_values(lift(z1))
-            z1f = dot(z1v, wj.grad)
-            z1v = z1v[:, ps.block_slice("base")]
-            drawn = []
-            for k in range(len(ctx.points())):
-                for _ in range(6):
-                    x1 = np.array(rng.vector(ps.base.dim))
-                    gx1z1 = float(x1 @ gb[k] @ z1v[k])
-                    nx1 = float(x1 @ gb[k] @ x1)
-                    # u f g1(X1,z1) - u^2 z1(f) - a f |X1|^2 = 0
-                    cc = wj.value[k] * gx1z1
-                    bb = -z1f[k]
-                    dd = -a * wj.value[k] * nx1
-                    roots = np.roots([bb, cc, dd]) if abs(bb) > 1e-14 else (
-                        [-dd / cc] if abs(cc) > 1e-12 else [])
-                    for u in np.atleast_1d(roots):
-                        if abs(np.imag(u)) > 1e-12:
-                            continue
-                        u = float(np.real(u))
-                        if not 0.05 <= abs(u) <= 50.0:
-                            continue
-                        drawn.append((k, embed(ps, "base", x1)
-                                      + embed(ps, 0, np.array([u]))))
-            vals.extend(_quads(ctx, ProductField((z1, s_unit.scaled(a))), drawn,
-                               SEMI_SYMMETRIC))
-    if not vals:
+            z1f = dot(z1v, ctx.geom.warp_jet(0).grad)[:, None]
+            z1v = z1v[:, None, ps.block_slice("base")]
+            x1 = rng.block((len(ctx.points()), 6, ps.base.dim))
+            # u f g1(X1,z1) - u^2 z1(f) - a f |X1|^2 = 0
+            us = _real_roots(np.broadcast_to(-z1f, x1.shape[:-1]),
+                             wv * bilinear(gb, x1, z1v),
+                             -a * wv * bilinear(gb, x1, x1))
+            ks, xs = _kept(embed(ps, "base", x1)[:, :, None] + embed(ps, 0, us[..., None]),
+                           (0.05 <= np.abs(us)) & (np.abs(us) <= 50.0))
+            vals.append(np.abs(nabla_quads(ctx.geom, ProductField((z1, s_unit.scaled(a))),
+                                           ks, xs, SEMI_SYMMETRIC)))
+    count = sum(len(v) for v in vals)
+    if not count:
         return inconclusive("condition has no usable roots")
     return residual_outcome(vals, ctx.tol.alg,
-                            note=f"{len(vals)} root-solved test vectors")
+                            note=f"{count} root-solved test vectors")
+
+
+def _real_roots(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The real roots of b u^2 + c u + d, two slots per entry of the
+    coefficient stacks in the order ``np.roots`` gives them, NaN in a slot
+    with no root: the eigenvalues of the companion matrix when |b| > 1e-14,
+    else -d / c when |c| > 1e-12.  A root with |imaginary part| > 1e-12 is
+    not real; a quadratic with a non-finite coefficient has none."""
+    quad = np.abs(b) > 1e-14
+    top = np.stack([-c, -d], axis=-1) / np.where(quad, b, 1.0)[..., None]
+    quad &= np.isfinite(top).all(axis=-1)
+    eig = np.linalg.eigvals(np.stack([np.where(quad[..., None], top, 0.0),
+                                      np.broadcast_to([1.0, 0.0], top.shape)], axis=-2))
+    roots = np.where(quad[..., None] & (np.abs(eig.imag) <= 1e-12), eig.real, np.nan)
+    lin = ~quad & (np.abs(c) > 1e-12)
+    roots[..., 0] = np.where(lin, -d / np.where(lin, c, 1.0), roots[..., 0])
+    return roots
 
 
 def build() -> list[CheckSpec]:

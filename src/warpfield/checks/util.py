@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..connections import dot, matvec
+from ..connections import bilinear, dot, matvec
 from ..fieldexpr import eval_expr
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
 from ..jets import Jet2
@@ -85,15 +85,16 @@ def second_directional(fj: FieldJet, jet: Jet2):
     return first, dot(fj.val, dfirst)
 
 
-def project_out(g: np.ndarray, vec: np.ndarray, against: np.ndarray) -> np.ndarray | None:
-    """Component of vec g-orthogonal to ``against`` (one block's metric and
-    vectors at one point); None when ``against`` is null there (cannot
-    project)."""
-    denom = float(against @ g @ against)
-    if abs(denom) < 1e-12:
-        return None
-    coef = float(vec @ g @ against) / denom
-    return vec - coef * against
+def project_out(g: np.ndarray, vec: np.ndarray,
+                against: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(component of each vec g-orthogonal to ``against``, null) row by
+    row over stacks of one block's metric and vectors (leading axes
+    broadcast); ``null`` marks the rows where ``against`` is null, which
+    cannot be projected on."""
+    denom = bilinear(g, against, against)
+    null = np.abs(denom) < 1e-12
+    coef = bilinear(g, vec, against) / np.where(null, 1.0, denom)
+    return vec - coef[..., None] * against, np.broadcast_to(null, coef.shape)
 
 
 def factor_fields(ctx, block, fn, tol: float, **kw) -> list[tuple[str, VectorFieldDef]]:

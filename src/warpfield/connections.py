@@ -193,13 +193,14 @@ def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
 
 
 def _warp_jets(geom: Geometry, i: int) -> Jet2:
-    """The i-th warp's jet; a constant warp's jet, which has no sample
-    axis, is broadcast along one."""
-    ps = geom.ps
-    j = ps.expr_jet(ps.warps[i], ps.jet_env(geom.points), geom.points)
-    s, n = len(geom.points), ps.total_dim
-    return Jet2(np.broadcast_to(j.value, (s,)), np.broadcast_to(j.grad, (s, n)),
-                np.broadcast_to(j.hess, (s, n, n)))
+    """The i-th warp's jet at chart width, embedded from the one the
+    metric walk took in the base's coordinates; a constant warp's value,
+    which has no sample axis, is broadcast along one."""
+    j = geom.metric_jet().warps[i]
+    s, n, bs = len(geom.points), geom.ps.total_dim, geom.ps.block_slice("base")
+    grad, hess = np.zeros((s, n)), np.zeros((s, n, n))
+    grad[:, bs], hess[:, bs, bs] = j.grad, j.hess
+    return Jet2(np.broadcast_to(j.value, (s,)), grad, hess)
 
 
 def _christoffel(geom: Geometry) -> np.ndarray:

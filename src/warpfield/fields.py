@@ -9,6 +9,7 @@ the decomposition statements quantify over.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +120,20 @@ def rehome(vfd: VectorFieldDef) -> ProductField:
 
 def synth_field(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
     """Deterministic random quadratic polynomial field on one block
-    (generic test data)."""
+    (generic test data): per component a constant, the linear and then
+    the quadratic coefficients, from one block of draws read as Python
+    floats, so ``round`` rounds them as it would the scalar draws."""
     bm = ps.block_metric(block)
+    names = list(bm.coords)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    draws = iter(rng.block(bm.dim * (1 + len(names) + len(pairs))).tolist())
     comps = []
     for _ in range(bm.dim):
-        terms = [fieldexpr.num(round(rng.symmetric(), 3))]
-        for name in bm.coords:
-            terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
-                                       fieldexpr.var(name)))
-        names = list(bm.coords)
-        for i in range(len(names)):
-            for j in range(i, len(names)):
-                coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
-                terms.append(fieldexpr.mul(
-                    coeff,
-                    fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
-                ))
-        expr = terms[0]
-        for t in terms[1:]:
-            expr = fieldexpr.add(expr, t)
-        comps.append(expr)
+        terms = [fieldexpr.num(round(next(draws), 3))]
+        terms += [fieldexpr.mul(fieldexpr.num(round(next(draws), 3)), fieldexpr.var(a))
+                  for a in names]
+        terms += [fieldexpr.mul(fieldexpr.num(round(0.5 * next(draws), 3)),
+                                fieldexpr.mul(fieldexpr.var(a), fieldexpr.var(b)))
+                  for a, b in pairs]
+        comps.append(functools.reduce(fieldexpr.add, terms))
     return VectorFieldDef(block, tuple(comps))

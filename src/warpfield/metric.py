@@ -300,11 +300,13 @@ class ProductStructure:
         """Metric jets at the rows of ``points``, stacked on a leading sample
         axis, from one walk of every entry and warp expression over them all
         in its block's ``jet_env``; a fiber entry times w^2 is put together
-        block by block, each partial from the same operands as in the chart."""
+        block by block, each partial from the same operands as in the chart.
+        The warps' jets, in the base's coordinates, are kept as ``warps``."""
         points = self.sample_set(points)
         envs = [self.jet_env(points, b) for b in ("base", *range(len(self.fibers)))]
         s, n = len(points), self.total_dim
         bs = self.slices[0]
+        warps = {}
 
         def assemble(jet):
             g = np.zeros((s, n, n))
@@ -331,6 +333,7 @@ class ProductStructure:
             put(bs, self.base, envs[0])
             for i, f in enumerate(self.fibers):
                 w = jet(self.warps[i], envs[0])
+                warps[i] = w
                 vals = np.atleast_1d(w.value)
                 bad = np.flatnonzero(vals <= 0.0)
                 if bad.size:
@@ -344,7 +347,7 @@ class ProductStructure:
         ginv = np.zeros((s, n, n))
         for sl, block in zip(self.slices, self.blocks):
             ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
-        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv)
+        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, warps=tuple(warps.values()))
 
 
 @dataclass(frozen=True)
@@ -362,6 +365,7 @@ class MetricJet:
     dg: np.ndarray      # (n, n, n): dg[d, i, j] = d_d g_ij
     d2g: np.ndarray     # (n, n, n, n): d2g[d, e, i, j]
     ginv: np.ndarray
+    warps: tuple = ()   # per fiber, the warp's Jet2 in the base's coordinates
 
     @cached_property
     def dginv(self) -> np.ndarray:

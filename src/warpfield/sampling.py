@@ -33,7 +33,13 @@ def subseed(seed: int, *labels: str) -> int:
 
 
 class SplitMix:
-    """64-bit shift-based generator with a fixed update sequence."""
+    """64-bit shift-based generator with a fixed update sequence.
+
+    The package draws only blocks of a fixed count (``uniforms``,
+    ``block``).  The scalar draws (``next_u64``, ``uniform``, ``symmetric``,
+    ``vector``) remain as the reference stream the tests compare the blocks
+    with, draw for draw; ``vector`` also remains because the benchmark's
+    tracer wraps it."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK

@@ -15,7 +15,13 @@ and field jets at p as the one row of p's own geometry, ``one_point``.
 The connection-layer formulas sum as matrix products of that point's
 arrays, in the order a row of the geometry's stacks sums, so they equal
 the rows bit for bit; ``test_contractions`` checks each product against
-the index formula it states."""
+the index formula it states.
+
+The warp jets walked in the whole chart's coordinates, and the test
+vectors of the orthogonal cone, of the witnesses Prop3.20 and Prop3.24
+and of ``synth_field`` drawn one scalar draw per Python call, are the
+earlier code of the package, kept as the references its array forms
+are compared with."""
 
 import math
 import weakref
@@ -23,6 +29,8 @@ import weakref
 import numpy as np
 
 from warpfield import fieldexpr
+from warpfield.checks.killing import _fiber_rows
+from warpfield.checks.util import embed, factor_fields
 from warpfield.connections import (
     LEVI_CIVITA,
     SEMI_SYMMETRIC,
@@ -30,11 +38,14 @@ from warpfield.connections import (
     as_field_jet,
     bilinear,
     covariant_derivative,
+    dot,
     nabla_grid,
 )
 from warpfield.curvature import Curvature, FrameConstructionFailure, riemann
-from warpfield.fields import FieldJet, ProductField, lift
+from warpfield.fieldexpr import num
+from warpfield.fields import FieldJet, ProductField, VectorFieldDef, lift
 from warpfield.jets import Jet2
+from warpfield.lie_killing import lie_matrix, max_abs, nabla_quads
 from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
@@ -46,6 +57,7 @@ from warpfield.metric import (
     SingularMetric,
 )
 from warpfield.sampling import SplitMix
+from warpfield.suite import inconclusive, residual_outcome
 
 
 class DegeneratePlane(GeometryError):
@@ -471,3 +483,176 @@ def divergence_at(geom: Geometry, field, p: np.ndarray) -> float:
     """div V = d_k V^k + gamma^k_km V^m (Levi-Civita trace of nabla V)."""
     fj = field_jet_at(geom, field, p)
     return float(np.trace(nabla_grid(christoffel_at(geom, p), fj.val, fj.d)))
+
+
+# ---- test vectors drawn one at a time (the sequential draws before
+# every cone and witness took a fixed count of draws as one block) ----
+
+
+def project_out_at(g: np.ndarray, vec: np.ndarray, against: np.ndarray) -> np.ndarray | None:
+    """Component of vec g-orthogonal to ``against`` (one block's metric and
+    vectors at one point); None when ``against`` is null there (cannot
+    project)."""
+    denom = float(against @ g @ against)
+    if abs(denom) < 1e-12:
+        return None
+    coef = float(vec @ g @ against) / denom
+    return vec - coef * against
+
+
+def quads(ctx, zeta: ProductField, drawn, kind) -> np.ndarray:
+    """|g(nabla_x zeta, x)| for the drawn (sample row, vector) pairs, in
+    draw order, from one gathered contraction."""
+    if not drawn:
+        return np.zeros(0)
+    ks, xs = zip(*drawn)
+    return np.abs(nabla_quads(ctx.geom, zeta, np.array(ks), np.array(xs), kind))
+
+
+def cone_draws(ctx, cone):
+    """A per-row cone ``cone(k, rng)`` as a cone of the checks, rng ->
+    (sample rows, vectors): 6 draws per sample point, in row order."""
+    def draws(rng):
+        drawn = []
+        for k in range(len(ctx.points())):
+            for _ in range(6):
+                x = cone(k, rng)
+                if x is not None:
+                    drawn.append((k, x))
+        ks = np.array([k for k, _ in drawn], dtype=int)
+        return ks, np.array([x for _, x in drawn]).reshape(len(ks), ctx.ps.total_dim)
+    return draws
+
+
+def orth_cone(ctx, against: dict, zero_blocks=()):
+    """Random full vectors with fiber parts projected orthogonal to fields."""
+    rows = {i: _fiber_rows(ctx, i, z) for i, z in against.items()}
+
+    def cone(k, rng):
+        x = np.zeros(ctx.ps.total_dim)
+        for block in ["base"] + list(range(ctx.mf.fiber_count)):
+            if block in zero_blocks:
+                continue
+            sl = ctx.ps.block_slice(block)
+            v = np.array(rng.vector(sl.stop - sl.start))
+            if block in rows:
+                g, z = rows[block]
+                v = project_out_at(g[k], v, z[k])
+                if v is None:
+                    return None
+            x[sl] = v
+        return x
+
+    return cone
+
+
+def witness_grw(ctx):
+    """Designated configuration: constant timelike field plus a fiber
+    isometry, tested along shift-compensated directions."""
+    ps = ctx.ps
+    rng = ctx.rng("prop320")
+    base_unit = VectorFieldDef("base", (num(1.0),))
+    fiber_killing = factor_fields(ctx, 0, lie_matrix, ctx.tol.alg,
+                                  kind=LEVI_CIVITA)
+    wj = ctx.geom.warp_jet(0)
+    hyp = max_abs(wj.grad[:, 0] - wj.value)
+    vals = []
+    for a in (1.0, -1.0, 2.0, -2.0):
+        for zname, z2 in [(None, None)] + fiber_killing:
+            parts = (base_unit.scaled(a),) + ((z2,) if z2 is not None else ())
+            rows = _fiber_rows(ctx, 0, z2) if z2 is not None else None
+            drawn = []
+            for k in range(len(ctx.points())):
+                for u in (1.0, -1.0, 2.0, -2.0):
+                    x2 = np.array(rng.vector(ps.fibers[0].dim))
+                    if float(x2 @ x2) < 0.25:
+                        x2 = x2 + 0.6 * np.sign(x2 + 1e-9)
+                    if rows is not None:
+                        x2 = project_out_at(rows[0][k], x2, rows[1][k])
+                        if x2 is None:
+                            continue
+                    drawn.append((k, embed(ps, "base", np.array([u])) + embed(ps, 0, x2)))
+            vals.append(quads(ctx, ProductField(parts), drawn, SEMI_SYMMETRIC))
+    note = f"warp-compensation gap {hyp:.3g}"
+    return residual_outcome(vals, ctx.tol.alg, note=note)
+
+
+def witness_static(ctx):
+    """Designated configuration: base isometry plus constant timelike
+    fiber field, tested along roots of the printed vector condition."""
+    ps = ctx.ps
+    rng = ctx.rng("prop324")
+    s_unit = VectorFieldDef(0, (num(1.0),))
+    base_killing = factor_fields(ctx, "base", lie_matrix, ctx.tol.alg,
+                                 kind=LEVI_CIVITA)
+    if not base_killing:
+        return inconclusive("no base isometry declared")
+    vals = []
+    gb = ctx.block_geom("base").metric_jet().g
+    wj = ctx.geom.warp_jet(0)
+    for a in (1.0, -1.0, 2.0):
+        for bname, z1 in base_killing:
+            z1v = ctx.geom.field_values(lift(z1))
+            z1f = dot(z1v, wj.grad)
+            z1v = z1v[:, ps.block_slice("base")]
+            drawn = []
+            for k in range(len(ctx.points())):
+                for _ in range(6):
+                    x1 = np.array(rng.vector(ps.base.dim))
+                    gx1z1 = float(x1 @ gb[k] @ z1v[k])
+                    nx1 = float(x1 @ gb[k] @ x1)
+                    # u f g1(X1,z1) - u^2 z1(f) - a f |X1|^2 = 0
+                    cc = wj.value[k] * gx1z1
+                    bb = -z1f[k]
+                    dd = -a * wj.value[k] * nx1
+                    roots = np.roots([bb, cc, dd]) if abs(bb) > 1e-14 else (
+                        [-dd / cc] if abs(cc) > 1e-12 else [])
+                    for u in np.atleast_1d(roots):
+                        if abs(np.imag(u)) > 1e-12:
+                            continue
+                        u = float(np.real(u))
+                        if not 0.05 <= abs(u) <= 50.0:
+                            continue
+                        drawn.append((k, embed(ps, "base", x1)
+                                      + embed(ps, 0, np.array([u]))))
+            vals.extend(quads(ctx, ProductField((z1, s_unit.scaled(a))), drawn,
+                              SEMI_SYMMETRIC))
+    if not vals:
+        return inconclusive("condition has no usable roots")
+    return residual_outcome(vals, ctx.tol.alg,
+                            note=f"{len(vals)} root-solved test vectors")
+
+
+def synth_field_scalar(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
+    """Deterministic random quadratic polynomial field on one block
+    (generic test data), one scalar draw per coefficient."""
+    bm = ps.block_metric(block)
+    comps = []
+    for _ in range(bm.dim):
+        terms = [fieldexpr.num(round(rng.symmetric(), 3))]
+        for name in bm.coords:
+            terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
+                                       fieldexpr.var(name)))
+        names = list(bm.coords)
+        for i in range(len(names)):
+            for j in range(i, len(names)):
+                coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
+                terms.append(fieldexpr.mul(
+                    coeff,
+                    fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
+                ))
+        expr = terms[0]
+        for t in terms[1:]:
+            expr = fieldexpr.add(expr, t)
+        comps.append(expr)
+    return VectorFieldDef(block, tuple(comps))
+
+
+def warp_jet_full(geom: Geometry, i: int) -> Jet2:
+    """The i-th warp's jet walked in the whole chart's ``jet_env``; a
+    constant warp's jet, which has no sample axis, is broadcast along one."""
+    ps = geom.ps
+    j = ps.expr_jet(ps.warps[i], ps.jet_env(geom.points), geom.points)
+    s, n = len(geom.points), ps.total_dim
+    return Jet2(np.broadcast_to(j.value, (s,)), np.broadcast_to(j.grad, (s, n)),
+                np.broadcast_to(j.hess, (s, n, n)))

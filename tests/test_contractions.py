@@ -15,10 +15,10 @@ The source scans at the end keep it that way: no ``np.einsum`` call
 with two or more operands remains in ``src/warpfield``.  They also keep
 one evaluation path per quantity: the grid of nabla z is contracted
 (``nabla_grid``) only in ``connections``, ``lie_killing`` and the
-constant-vector axioms, and no check reads the metric one point at a
-time (``metric_at``).  Every report goes through one reducer,
-``residual_outcome``, which reads a list of residual arrays as their
-concatenation."""
+constant-vector axioms, no check reads the metric one point at a time
+(``metric_at``), and no module but ``sampling`` makes a scalar draw.
+Every report goes through one reducer, ``residual_outcome``, which reads
+a list of residual arrays as their concatenation."""
 
 import ast
 from pathlib import Path
@@ -325,9 +325,20 @@ def test_no_check_reads_the_metric_one_point_at_a_time():
     assert not {path for path in callers("metric_at") if path.startswith("checks/")}
 
 
+SCALAR_DRAWS = ("vector", "next_u64", "uniform", "symmetric")
+
+
+def test_no_scalar_draws_outside_the_sampling_module():
+    """Every draw outside ``sampling`` is a block of a fixed count: the
+    scalar draws stay only as the reference the tests compare with."""
+    assert {path for name in SCALAR_DRAWS for path in callers(name)} <= {"sampling.py"}
+
+
 def test_the_call_scan_sees_functions_and_methods():
     tree = ast.parse("nabla_grid(g, v, d)\nps.metric_at(p)\nmetric_at")
     assert [len(list(calls_to(tree, n))) for n in ("nabla_grid", "metric_at")] == [1, 1]
+    tree = ast.parse("rng.vector(3)\nrng.next_u64() % 2\nround(rng.symmetric(), 3)")
+    assert [len(list(calls_to(tree, n))) for n in SCALAR_DRAWS] == [1, 1, 0, 1]
 
 
 def test_residual_outcome_reads_a_list_as_its_concatenation():

@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fd_jet, grad_scalar, inner, metric_jet_full, metric_row, signature
+from oracles import (
+    fd_jet,
+    grad_scalar,
+    inner,
+    metric_jet_full,
+    metric_row,
+    signature,
+    warp_jet_full,
+)
 from warpfield import fieldexpr as fe
 from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry, divergence
@@ -240,6 +248,21 @@ class TestBlockWalk:
                    (mj.d2g, ~(inside[:, None] & inside[None, :]))]
         for a, off in outside:
             assert not a[:, off].any() and not np.signbit(a[:, off]).any()
+
+
+class TestWarpJets:
+    """``Geometry.warp_jet`` embeds the warp jets of the metric walk, taken
+    in the base's coordinates, at chart width; the walk in the whole
+    chart's ``jet_env`` (``oracles.warp_jet_full``) is the reference."""
+
+    @pytest.mark.parametrize("samples", [1, 16])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_equals_the_whole_chart_walk(self, mf, samples):
+        geom = RunContext(mf, samples=samples).geom
+        for i in range(mf.fiber_count):
+            got, ref = geom.warp_jet(i), warp_jet_full(geom, i)
+            for name in ("value", "grad", "hess"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (i, name)
 
 
 class TestInnerAndGrad:

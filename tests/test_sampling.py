@@ -1,11 +1,18 @@
 """Test-vector blocks: ``SplitMix.block`` against the scalar stream, sample
-points drawn as one block against one draw at a time, and the checks that
-draw whole blocks against per-vector loops in the scalar order."""
+points and ``synth_field`` coefficients drawn as one block against one
+draw at a time, and the checks that draw whole blocks against per-vector
+loops in the scalar order."""
 
 import numpy as np
 import pytest
 
-from oracles import nabla_quad_at, riemann_quad, sample_points_scalar, torsion_of
+from oracles import (
+    nabla_quad_at,
+    riemann_quad,
+    sample_points_scalar,
+    synth_field_scalar,
+    torsion_of,
+)
 
 from warpfield.checks import identities, killing, twokilling
 from warpfield.cli import corpus_dir
@@ -16,6 +23,7 @@ from warpfield.connections import (
     nabla_grid,
 )
 from warpfield.curvature import riemann
+from warpfield.fields import synth_field
 from warpfield.lie_killing import nabla_zeta_zeta
 from warpfield.manifest import load_manifest
 from warpfield.metric import GeometryError, sample_points
@@ -58,22 +66,26 @@ class TestBlock:
 
     def test_ported_checks_draw_no_scalar_vectors(self, monkeypatch):
         calls = []
-        real = SplitMix.vector
+        real_vector, real_u64 = SplitMix.vector, SplitMix.next_u64
 
-        def counted(self, n, scale=1.0):
+        def vector(self, n, scale=1.0):
             calls.append(n)
-            return real(self, n, scale)
+            return real_vector(self, n, scale)
 
-        monkeypatch.setattr(SplitMix, "vector", counted)
+        def next_u64(self):
+            calls.append(1)
+            return real_u64(self)
+
+        monkeypatch.setattr(SplitMix, "vector", vector)
+        monkeypatch.setattr(SplitMix, "next_u64", next_u64)
         registry = default_registry()
         mf = manifest("mw2_fib")
         results = run_checks(mf, registry.select_many(PORTED), samples=16)
         assert sum(r.verdict == "pass" for r in results) >= 15
         assert calls == []
-        # the cone checks still draw one vector at a time, so the count
-        # above would see a scalar draw
+        # nor do the cone checks, whose vectors take a fixed count of draws
         run_checks(mf, registry.select("Prop4.9.1"), samples=16)
-        assert calls
+        assert calls == []
 
 
 # ---- the ported kernels against per-vector loops in the scalar order ----
@@ -200,6 +212,20 @@ class TestSamplePoints:
             sample_points(mf.structure, 4, SplitMix(1), everything)
         with pytest.raises(GeometryError, match="rejected too many points"):
             sample_points_scalar(mf.structure, 4, SplitMix(1), everything)
+
+
+class TestSynthField:
+    """``synth_field`` reads its coefficients from one block of draws; the
+    fields and the generator's final state are those of one draw at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 24181, 2 ** 64 - 1])
+    @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+    def test_fields_are_the_scalar_draws(self, path, seed):
+        ps = load_manifest(path).structure
+        for block in ["base", *range(len(ps.fibers))]:
+            fast, slow = SplitMix(seed), SplitMix(seed)
+            assert synth_field(ps, block, fast) == synth_field_scalar(ps, block, slow)
+            assert fast._state == slow._state
 
 
 class TestDrawOrder:

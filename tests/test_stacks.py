@@ -253,10 +253,10 @@ class TestCheckQuantityStacks:
 
 class TestNoPointLookups:
     """A full run reads every geometric quantity from the stacks of the run's
-    own geometries, one for the product and one per block, and no cone
-    builds a field per draw (the shift lives on a fiber in mw2_fib, whose
-    cones are block-pure, and on the base in mw2_grw, whose cones are
-    orthogonal)."""
+    own geometries, one for the product and one per block; every cone
+    gives vectors at every sample row and builds no field while drawing
+    (the shift lives on a fiber in mw2_fib, whose cones are block-pure,
+    and on the base in mw2_grw, whose cones are orthogonal)."""
 
     @pytest.mark.parametrize("name", ["mw2_fib", "mw2_grw"])
     def test_full_run(self, name, monkeypatch):
@@ -267,8 +267,8 @@ class TestNoPointLookups:
             geometries.append(geom)
             real_init(geom, *args)
 
-        drawing = []   # the sample row of the draw in progress
-        draws = []
+        drawing = []   # set while a cone draws
+        rows = []      # the sample rows of every cone's vectors
         built = []
         real_post_init = ProductField.__post_init__
 
@@ -281,13 +281,15 @@ class TestNoPointLookups:
             def make(*args, **kw):
                 cone = make_cone(*args, **kw)
 
-                def draw(k, rng):
-                    draws.append(k)
-                    drawing.append(k)
+                def draw(rng):
+                    drawing.append(True)
                     try:
-                        return cone(k, rng)
+                        ks, xs = cone(rng)
                     finally:
                         drawing.pop()
+                    assert xs.shape == (len(ks), args[0].ps.total_dim)
+                    rows.append(sorted(set(ks.tolist())))
+                    return ks, xs
                 return draw
             return make
 
@@ -298,7 +300,7 @@ class TestNoPointLookups:
         registry = default_registry()
         mf = load_manifest(corpus_dir() / f"{name}.wm")
         run_checks(mf, registry.specs, samples=16)
-        assert sorted(set(draws)) == list(range(16))
+        assert rows and all(r == list(range(16)) for r in rows)
         assert len(geometries) == 2 + mf.fiber_count
         assert built == []
 

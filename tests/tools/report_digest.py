@@ -13,14 +13,16 @@ checkouts can be compared for byte-identical reports:
 
 Usage, from the root of a checkout::
 
-    python tests/tools/report_digest.py [--src DIR] [--verdicts]
+    python tests/tools/report_digest.py [--src DIR] [--verdicts] [--dump FILE]
 
 ``--src`` is the ``src`` directory whose warpfield is run (default: this
 checkout's); the corpus and the wide-chart generator are read from this
 checkout.  ``--verdicts`` hashes only each invocation's key, exit code
 and (check, verdict) pairs, so a change that moves residuals in their
 last digits can still show that no verdict moved.  Pytest does not
-collect this file.
+collect this file.  ``--dump FILE`` also writes the hashed records to FILE,
+one JSON object per line in invocation order, so the dumps of two
+checkouts can be diffed row by row.
 """
 
 from __future__ import annotations
@@ -104,17 +106,23 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--verdicts", action="store_true",
                         help="hash key, exit code and verdicts only")
+    parser.add_argument("--dump", type=Path,
+                        help="write the hashed records to this JSONL file")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     digest = hashlib.sha256()
     count = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        dump = (stack.enter_context(args.dump.open("w", encoding="utf-8"))
+                if args.dump else None)
         for key, argv in invocations(Path(tmp)):
             record = run(key, argv)
             if args.verdicts:
                 record = verdicts(record)
             line = json.dumps(record, sort_keys=True) + "\n"
             digest.update(line.encode("utf-8"))
+            if dump:
+                dump.write(line)
             count += 1
     print(f"{count} invocations  sha256 {digest.hexdigest()}")
     return 0
