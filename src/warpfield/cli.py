@@ -117,6 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message) -> int:
+    print(f"warpfield: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _emit(args, mf_name: str, results: list[CheckResult]) -> None:
     fn = jsonl_report if args.format == "jsonl" else text_report
     sys.stdout.write(fn(mf_name, __version__, args.seed, args.samples, results))
@@ -134,12 +139,13 @@ def cmd_verify(args) -> int:
     mf = load_manifest(resolve_manifest(args.manifest))
     registry = default_registry()
     tokens = [t.strip() for t in args.props.split(",") if t.strip()]
+    if not tokens:
+        return _usage_error(f"--props {args.props!r} names no check")
     explicit = tokens != ["all"]
     try:
         specs = registry.select_many(tokens)
     except KeyError as err:
-        print(f"warpfield: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(err.args[0])
     results = run_checks(mf, specs, samples=args.samples, seed=args.seed,
                          tol=_tolerances(args), explicit=explicit)
     _emit(args, mf.name, results)
@@ -162,8 +168,7 @@ def cmd_killing(args) -> int:
     try:
         zeta = _field_combo(mf, args.field)
     except (KeyError, GeometryError) as err:
-        print(f"warpfield: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(err.args[0])  # str() of a KeyError quotes it
     tol = _tolerances(args)
     rng = SplitMix(subseed(args.seed, mf.name, "cli-killing"))
     points = sample_points(mf.structure, args.samples, rng, mf.exclusions)
@@ -190,8 +195,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if err.code not in (0,) else 0
     problem = _flag_error(args)
     if problem:
-        print(f"warpfield: {problem}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(problem)
     try:
         # a non-finite residual fails its check through max_abs, so numpy's
         # floating-point warnings would only repeat the report on stderr
@@ -200,8 +204,7 @@ def main(argv=None) -> int:
                 return cmd_verify(args)
             return cmd_killing(args)
     except (ManifestError, FileNotFoundError, GeometryError, DomainError) as err:
-        print(f"warpfield: {err}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(err)
 
 
 if __name__ == "__main__":

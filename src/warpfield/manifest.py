@@ -5,13 +5,19 @@ Sections ``[constants]``, ``[base]``, ``[fiber.N]``, ``[torsion]``,
 README for the full key list.  Full-line and trailing ``#`` comments are
 ignored.  Every expression is parsed once, against its own block's
 coordinate scope, with the named constants substituted as literals.
+``load_manifest`` parses a given (text, file name) once per process and
+hands every caller the same read-only ``Manifest``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,20 +33,30 @@ KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=\s*(.*)$")
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+# Distinct (text, file name) pairs whose parse load_manifest keeps.
+LOAD_CACHE_SIZE = 64
+
+
 class ManifestError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """A manifest that cannot be read or parsed; ``line`` is the line at
+    fault, or None when the file as a whole cannot be read."""
+
+    def __init__(self, message: str, line: int | None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class Manifest:
+    """A parsed manifest.  It is read-only, because load_manifest hands the
+    same object to every caller that loads the same text and name."""
+
     name: str
-    constants: dict[str, float]
+    constants: Mapping[str, float]
     structure: ProductStructure
     torsion: TorsionSpec
-    fields: dict[str, VectorFieldDef]
-    exclusions: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    fields: Mapping[str, VectorFieldDef]
+    exclusions: Mapping[str, tuple[tuple[float, float], ...]]
 
     @property
     def fiber_count(self) -> int:
@@ -230,8 +246,10 @@ def parse_manifest(text: str, name: str = "<manifest>") -> Manifest:
                 raise ManifestError(f"exclusion names unknown coordinate {key!r}", ln)
             exclusions.setdefault(key, []).append(_parse_interval(value, ln))
 
-    manifest = Manifest(name=name, constants=constants, structure=structure,
-                        torsion=torsion, fields=fields, exclusions=exclusions)
+    manifest = Manifest(
+        name=name, constants=MappingProxyType(constants), structure=structure,
+        torsion=torsion, fields=MappingProxyType(fields),
+        exclusions=MappingProxyType({k: tuple(v) for k, v in exclusions.items()}))
     _validate_center(manifest)
     return manifest
 
@@ -323,7 +341,22 @@ def _validate_center(manifest: Manifest) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    from pathlib import Path
-
+    """The manifest at ``path``, named after the file's stem.  The text is
+    read on every call and its parse looked up by (text, name), so an
+    edited file is parsed afresh; a file that cannot be read as UTF-8 text
+    is a ManifestError naming the path."""
     p = Path(path)
-    return parse_manifest(p.read_text(encoding="utf-8"), name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ManifestError(f"cannot read {p}: {err.strerror or err}", None) from None
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"{p} is not UTF-8 text ({err.reason} at byte "
+                            f"offset {err.start})", None) from None
+    return _parsed(text, p.stem)
+
+
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _parsed(text: str, name: str) -> Manifest:
+    # a manifest that raises is not kept, so it raises again on every load
+    return parse_manifest(text, name)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,10 +107,24 @@ class TestExitCodes:
     def test_unknown_check_id_is_usage_error(self):
         proc = run_cli("verify", wm("interval"), "--props", "PropX")
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["warpfield: unknown check id 'PropX'"]
 
     def test_unknown_field_is_usage_error(self):
         proc = run_cli("killing", wm("interval"), "--field", "nope")
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "warpfield: unknown field 'nope' (manifest declares ['zeta_a', "
+            "'zeta_cbrt', 'zeta_cbrt21', 'zeta_cbrtm13', 'zeta_lin', 'zeta_sq'])"]
+
+    @pytest.mark.parametrize("props", ["", ",", " , "])
+    def test_empty_check_selection_is_usage_error(self, capsys, props):
+        # an explicit selection of no check must not pass vacuously
+        assert main(["verify", wm("interval"), "--props", props]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"warpfield: --props {props!r} names no check"]
 
     def test_bad_flag_is_usage_error(self):
         proc = run_cli("verify", wm("interval"), "--format", "yaml")
@@ -213,6 +228,45 @@ class TestExitCodes:
             # and the expression that left it
             bad = next(t for t in points[:, 0].tolist() if t <= 0.0)
             assert f"at (t={bad!r}) in log(t)" in captured.err
+
+
+class TestUnreadableManifest:
+    """A manifest path that cannot be read as UTF-8 text is one usage-error
+    line naming the path, for either command."""
+
+    COMMANDS = [["verify", "--samples", "4"], ["killing", "--field", "z"]]
+
+    def check(self, capsys, path, argv, reason):
+        assert main([argv[0], str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("warpfield: ") and str(path) in line
+        assert reason in line
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["verify", "killing"])
+    def test_directory(self, tmp_path, capsys, argv):
+        path = tmp_path / "dir.wm"
+        path.mkdir()
+        self.check(capsys, path, argv, "Is a directory")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["verify", "killing"])
+    def test_not_utf8(self, tmp_path, capsys, argv):
+        path = tmp_path / "binary.wm"
+        path.write_bytes(b"\xff\xfe\x00")
+        self.check(capsys, path, argv, "not UTF-8 text")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=["verify", "killing"])
+    def test_no_read_permission(self, tmp_path, capsys, argv):
+        path = tmp_path / "locked.wm"
+        path.write_text(NO_FIELDS)
+        path.chmod(0)
+        try:
+            if os.access(path, os.R_OK):
+                pytest.skip("this user reads files whatever their mode")
+            self.check(capsys, path, argv, "Permission denied")
+        finally:
+            path.chmod(0o600)
 
 
 class TestNullFrame:

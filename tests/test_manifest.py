@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from warpfield.cli import corpus_dir
+from warpfield import manifest
+from warpfield.cli import corpus_dir, main
 from warpfield.manifest import ManifestError, load_manifest, parse_manifest
 
 GRW = """
@@ -135,3 +138,86 @@ class TestCorpus:
                 center = np.array([0.5 * (lo + hi) for lo, hi in ps.box])
                 signs.add(1 if ps.metric_at(center).g[0, 0] > 0 else -1)
         assert signs == {1, -1}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Names parsed from here on, one entry per parse_manifest call, with
+    the load cache emptied first."""
+    names = []
+
+    def counted(text, name="<manifest>"):
+        names.append(name)
+        return parse_manifest(text, name)
+
+    manifest._parsed.cache_clear()
+    monkeypatch.setattr(manifest, "parse_manifest", counted)
+    return names
+
+
+class TestLoadCache:
+    def test_same_file_loads_one_object(self, tmp_path, parses):
+        path = tmp_path / "grw.wm"
+        path.write_text(GRW)
+        assert load_manifest(path) is load_manifest(path)
+        assert parses == ["grw"]
+
+    def test_rewritten_file_is_parsed_afresh(self, tmp_path, parses):
+        path = tmp_path / "grw.wm"
+        path.write_text(GRW)
+        before = load_manifest(path)
+        path.write_text(GRW.replace("a = 1", "a = 2"))
+        after = load_manifest(path)
+        assert after is not before
+        assert (before.constants["a"], after.constants["a"]) == (1.0, 2.0)
+        assert parses == ["grw", "grw"]
+
+    def test_same_text_under_two_names(self, tmp_path, parses):
+        (tmp_path / "one.wm").write_text(GRW)
+        (tmp_path / "two.wm").write_text(GRW)
+        one, two = load_manifest(tmp_path / "one.wm"), load_manifest(tmp_path / "two.wm")
+        assert (one.name, two.name) == ("one", "two")
+        assert parses == ["one", "two"]
+
+    def test_failed_manifest_is_not_kept(self, tmp_path, parses):
+        path = tmp_path / "grw.wm"
+        path.write_text(GRW.replace("box.t = -0.75, 0.75\n", ""))
+        for _ in range(2):
+            with pytest.raises(ManifestError, match="missing box"):
+                load_manifest(path)
+        path.write_text(GRW)
+        assert load_manifest(path).structure.total_dim == 3
+        assert parses == ["grw"] * 3
+
+    def test_killing_sweep_parses_once(self, tmp_path, capsys, parses):
+        path = tmp_path / "sweep.wm"
+        path.write_text(GRW + "\n[field.zeta_x]\nlocation = fiber.1\ncomp.x = 1\n")
+        for field in ("zeta_a", "zeta_x"):
+            for kind in ("killing", "ssm", "2killing"):
+                assert main(["killing", str(path), "--field", field, "--kind", kind,
+                             "--samples", "4"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert parses == ["sweep"]
+
+
+class TestReadOnly:
+    def test_attributes_cannot_be_assigned(self):
+        mf = parse_manifest(GRW, "grw")
+        with pytest.raises(FrozenInstanceError):
+            mf.name = "other"
+        with pytest.raises(FrozenInstanceError):
+            mf.fields = {}
+
+    def test_mappings_cannot_be_assigned_into(self):
+        mf = parse_manifest(GRW, "grw")
+        with pytest.raises(TypeError):
+            mf.fields["zeta_b"] = mf.fields["zeta_a"]
+        with pytest.raises(TypeError):
+            mf.constants["a"] = 2.0
+        with pytest.raises(TypeError):
+            mf.exclusions["t"] = ()
+        assert dict(mf.constants) == {"a": 1.0} and set(mf.fields) == {"zeta_a"}
+
+    def test_exclusions_are_tuples(self):
+        mf = parse_manifest(GRW + "\n[exclude]\nx = -0.5, -0.25\nx = 0.25, 0.5\n", "grw")
+        assert mf.exclusions["x"] == ((-0.5, -0.25), (0.25, 0.5))
