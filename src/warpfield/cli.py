@@ -46,11 +46,13 @@ def corpus_dir() -> Path:
 
 
 def resolve_manifest(path_text: str) -> Path:
+    """The path as given; a bare file name that names no file here is
+    looked up in the corpus, and any other path only as given."""
     p = Path(path_text)
     if p.exists():
         return p
     candidate = corpus_dir() / p.name
-    if candidate.exists():
+    if path_text == p.name and candidate.exists():
         return candidate
     raise FileNotFoundError(f"manifest not found: {path_text}")
 

@@ -14,7 +14,8 @@ Identifiers resolve, in order, to declared coordinates, named constants
 names.  Evaluation is generic over real or :class:`~warpfield.jets.Jet2`
 bindings, and one walk over jets with a sample axis evaluates the tree at
 every sample point; an integral exponent is evaluated by repeated
-multiplication so polynomial jets are exact.
+multiplication so polynomial jets are exact.  The parser never builds a
+``Quadratic``: that node is the component of a synthetic field.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .jets import FUNCTIONS, DivisionByZero, DomainError, Jet2, int_pow
 
@@ -87,12 +90,24 @@ class Call:
     arg: object
 
 
-Expr = object  # Num | Var | Neg | Bin | Call
+@dataclass(frozen=True)
+class Quadratic:
+    """const + c1*m1 + c2*m2 + ..., summed left to right, where each
+    monomial m is one coordinate name or a product of two: a degree-2
+    polynomial, evaluated and printed as that chain of ``Bin`` nodes."""
+
+    const: float
+    terms: tuple[tuple[float, tuple[str, ...]], ...]  # (coefficient, monomial)
+
+
+Expr = object  # Num | Var | Neg | Bin | Call | Quadratic
 
 
 def variables_of(e: Expr) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))
+    if isinstance(e, Quadratic):
+        return frozenset(name for _, mono in e.terms for name in mono)
     if isinstance(e, Neg):
         return variables_of(e.arg)
     if isinstance(e, Bin):
@@ -257,15 +272,30 @@ def _power(base, expo):
         return math.inf
 
 
+def _binding(env: dict, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise MissingBindingError(f"no binding for variable '{name}'") from None
+
+
+def _monomial(env: dict, mono: tuple[str, ...]):
+    if len(mono) == 1:
+        return _binding(env, mono[0])
+    return _binding(env, mono[0]) * _binding(env, mono[1])
+
+
 def eval_expr(e: Expr, env: dict):
     """Evaluate over an environment of real or Jet2 bindings."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise MissingBindingError(f"no binding for variable '{e.name}'") from None
+        return _binding(env, e.name)
+    if isinstance(e, Quadratic):
+        acc = e.const
+        for c, mono in e.terms:
+            acc = acc + c * _monomial(env, mono)
+        return acc
     if isinstance(e, Neg):
         return -eval_expr(e.arg, env)
     if isinstance(e, Call):
@@ -287,6 +317,29 @@ def eval_expr(e: Expr, env: dict):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def fold_quadratics(nodes, env: dict):
+    """The jets of ``Quadratic`` nodes over the same monomials in a
+    ``jet_env``, in one fold: (value, grad, hess), each with the node axis
+    last.  Each monomial's jet is taken once and the terms are added in
+    the order ``eval_expr`` adds them, so every entry takes the operations,
+    and has the bits, of its node's own walk.  None unless every node is a
+    ``Quadratic`` with at least one term, over the monomials of the first."""
+    monos = [m for _, m in nodes[0].terms] if isinstance(nodes[0], Quadratic) else []
+    if not monos or any(not isinstance(q, Quadratic) or [m for _, m in q.terms] != monos
+                        for q in nodes):
+        return None
+    coeffs = np.array([[c for c, _ in q.terms] for q in nodes]).T  # (term, node)
+    val = np.array([q.const for q in nodes])
+    for t, (c, mono) in enumerate(zip(coeffs, monos)):
+        m = _monomial(env, mono)
+        tv, tg, th = m.value[..., None] * c, m.grad[..., None] * c, m.hess[..., None] * c
+        if t:
+            val, grad, hess = val + tv, grad + tg, hess + th
+        else:
+            val, grad, hess = tv + val, tg, th
+    return val, grad, hess
+
+
 # ---- printing ----
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -295,6 +348,8 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 def _prec(e: Expr) -> int:
     if isinstance(e, Bin):
         return _PREC[e.op]
+    if isinstance(e, Quadratic):
+        return _PREC["+"] if e.terms else 5
     if isinstance(e, Neg):
         return 3
     return 5
@@ -319,6 +374,9 @@ def pretty(e: Expr) -> str:
         return f"-{inner}"
     if isinstance(e, Call):
         return f"{e.fn}({pretty(e.arg)})"
+    if isinstance(e, Quadratic):
+        return " + ".join([_fmt_num(e.const)]
+                          + ["*".join([_fmt_num(c), *mono]) for c, mono in e.terms])
     if isinstance(e, Bin):
         p = _PREC[e.op]
         lhs = pretty(e.lhs)
@@ -340,19 +398,11 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# small constructors used when fields are synthesized programmatically
+# small constructors used when fields are built programmatically
 
 
 def num(v: float) -> Expr:
     return Num(float(v))
-
-
-def var(name: str) -> Expr:
-    return Var(name)
-
-
-def add(a: Expr, b: Expr) -> Expr:
-    return Bin("+", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:

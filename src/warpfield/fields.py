@@ -9,14 +9,13 @@ the decomposition statements quantify over.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fieldexpr
 from .fieldexpr import Expr
-from .metric import GeometryError, ProductStructure
+from .metric import GeometryError, ProductStructure, jet_of
 from .sampling import SplitMix
 
 
@@ -88,7 +87,9 @@ class ProductField:
     def jet(self, ps: ProductStructure, points: np.ndarray) -> FieldJet:
         """Component jets at the rows of ``points``, stacked on a leading
         sample axis.  Each part is walked once over all of them, in its own
-        block's ``jet_env``; its partials in other blocks stay zero."""
+        block's ``jet_env``; its partials in other blocks stay zero.  A part
+        of ``Quadratic`` components is one fold, except on the walk's retry,
+        which walks each component so that an error names it."""
         s, n = len(points), ps.total_dim
         envs = [ps.jet_env(points, part.block) for part in self.parts]
 
@@ -98,6 +99,10 @@ class ProductField:
             d2 = np.zeros((s, n, n, n))
             for part, env in zip(self.parts, envs):
                 sl = ps.block_slice(part.block)
+                folded = jet is jet_of and fieldexpr.fold_quadratics(part.components, env)
+                if folded:
+                    val[:, sl], d[:, sl, sl], d2[:, sl, sl, sl] = folded
+                    continue
                 for k, comp in enumerate(part.components):
                     j = jet(comp, env)
                     col = sl.start + k
@@ -120,20 +125,18 @@ def rehome(vfd: VectorFieldDef) -> ProductField:
 
 def synth_field(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
     """Deterministic random quadratic polynomial field on one block
-    (generic test data): per component a constant, the linear and then
-    the quadratic coefficients, from one block of draws read as Python
-    floats, so ``round`` rounds them as it would the scalar draws."""
+    (generic test data): per component one ``Quadratic`` node, its
+    constant, linear and then quadratic coefficients from one block of
+    draws read as Python floats, so ``round`` rounds them as it would the
+    scalar draws."""
     bm = ps.block_metric(block)
     names = list(bm.coords)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
     draws = iter(rng.block(bm.dim * (1 + len(names) + len(pairs))).tolist())
     comps = []
     for _ in range(bm.dim):
-        terms = [fieldexpr.num(round(next(draws), 3))]
-        terms += [fieldexpr.mul(fieldexpr.num(round(next(draws), 3)), fieldexpr.var(a))
-                  for a in names]
-        terms += [fieldexpr.mul(fieldexpr.num(round(0.5 * next(draws), 3)),
-                                fieldexpr.mul(fieldexpr.var(a), fieldexpr.var(b)))
-                  for a, b in pairs]
-        comps.append(functools.reduce(fieldexpr.add, terms))
+        const = round(next(draws), 3)
+        terms = [(round(next(draws), 3), (a,)) for a in names]
+        terms += [(round(0.5 * next(draws), 3), pair) for pair in pairs]
+        comps.append(fieldexpr.Quadratic(const, tuple(terms)))
     return VectorFieldDef(block, tuple(comps))

@@ -200,7 +200,7 @@ class ProductStructure:
         expression leaves its real domain or overflows, and the expression."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                j = _jet_of(expr, env)
+                j = jet_of(expr, env)
                 require(j.finite(), j.value, "overflow")
         except DomainError as err:
             i = err.index or 0
@@ -216,7 +216,7 @@ class ProductStructure:
         first error in walk order; arrays still not finite go to ``overflow``."""
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                arrays = assemble(_jet_of)
+                arrays = assemble(jet_of)
                 # the sum is finite unless an entry is inf or NaN (or it overflows)
                 if np.isfinite(sum(np.sum(a) for a in arrays)):
                     return arrays
@@ -375,8 +375,9 @@ class MetricJet:
         return -(gi @ self.dg @ gi)
 
 
-def _jet_of(expr: Expr, env: dict) -> Jet2:
-    """``expr`` over a ``jet_env``; a constant becomes a constant jet."""
+def jet_of(expr: Expr, env: dict) -> Jet2:
+    """``expr`` over a ``jet_env``; a constant becomes a constant jet.  The
+    first pass of ``ProductStructure.walk`` hands this to ``assemble``."""
     j = eval_expr(expr, env)
     return j if isinstance(j, Jet2) else Jet2.constant(j, len(env))
 

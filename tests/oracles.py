@@ -625,25 +625,27 @@ def witness_static(ctx):
 
 def synth_field_scalar(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
     """Deterministic random quadratic polynomial field on one block
-    (generic test data), one scalar draw per coefficient."""
+    (generic test data), one scalar draw per coefficient, each component a
+    left-to-right sum of ``Bin`` nodes: the tree that ``synth_field``'s
+    ``Quadratic`` nodes print and evaluate as."""
     bm = ps.block_metric(block)
     comps = []
     for _ in range(bm.dim):
         terms = [fieldexpr.num(round(rng.symmetric(), 3))]
         for name in bm.coords:
             terms.append(fieldexpr.mul(fieldexpr.num(round(rng.symmetric(), 3)),
-                                       fieldexpr.var(name)))
+                                       fieldexpr.Var(name)))
         names = list(bm.coords)
         for i in range(len(names)):
             for j in range(i, len(names)):
                 coeff = fieldexpr.num(round(0.5 * rng.symmetric(), 3))
                 terms.append(fieldexpr.mul(
                     coeff,
-                    fieldexpr.mul(fieldexpr.var(names[i]), fieldexpr.var(names[j])),
+                    fieldexpr.mul(fieldexpr.Var(names[i]), fieldexpr.Var(names[j])),
                 ))
         expr = terms[0]
         for t in terms[1:]:
-            expr = fieldexpr.add(expr, t)
+            expr = fieldexpr.Bin("+", expr, t)
         comps.append(expr)
     return VectorFieldDef(block, tuple(comps))
 

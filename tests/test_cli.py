@@ -473,6 +473,29 @@ class TestResolution:
     def test_bare_names_resolve_to_corpus(self):
         assert resolve_manifest("interval.wm").exists()
 
+    def test_bare_name_runs_the_corpus_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--props", "Example3.12", "--samples", "4"]
+        assert main(["verify", "interval.wm", *argv]) == 0
+        bare = capsys.readouterr()
+        assert main(["verify", wm("interval"), *argv]) == 0
+        assert capsys.readouterr() == bare and bare.out
+
+    @pytest.mark.parametrize("path", ["/no/such/dir/interval.wm", "no/such/interval.wm",
+                                      "./interval.wm"])
+    @pytest.mark.parametrize("argv", [["verify", "--props", "Example3.12", "--samples", "4"],
+                                      ["killing", "--field", "z", "--samples", "4"]],
+                             ids=["verify", "killing"])
+    def test_path_with_a_directory_is_not_looked_up_in_the_corpus(
+            self, tmp_path, monkeypatch, capsys, path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"warpfield: manifest not found: {path}"]
+        with pytest.raises(FileNotFoundError):
+            resolve_manifest(path)
+
     def test_env_relocation(self, tmp_path, monkeypatch):
         target = tmp_path / "relocated.wm"
         target.write_text((corpus_dir() / "interval.wm").read_text())

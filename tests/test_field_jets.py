@@ -18,6 +18,7 @@ import pytest
 from oracles import field_jet_full
 from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
+from warpfield import fieldexpr, metric, suite
 from warpfield.fieldexpr import eval_expr, parse_expr
 from warpfield.fields import ProductField, lift, synth_field
 from warpfield.jets import DivisionByZero, Jet2
@@ -149,6 +150,29 @@ class TestOneWalkPerPart:
         monkeypatch.setattr(ProductField, "jet", counted)
         run_checks(mf, default_registry().specs, samples=16)
         assert walks and max(walks.values()) == 1
+
+    def test_full_run_folds_every_synthetic_part(self, monkeypatch):
+        # a synthetic part is one fold of its Quadratic components: none of
+        # them enters eval_expr, so none is walked as a tree of Bin nodes
+        mf = load_manifest(corpus_dir() / "mw2_fib.wm")
+        real_synth, real_eval = suite.synth_field, fieldexpr.eval_expr
+        drawn, walked = [], []  # both keep their objects alive: ids stay unique
+
+        def recorded(ps, block, rng):
+            drawn.append(real_synth(ps, block, rng))
+            return drawn[-1]
+
+        def counted(e, env):
+            walked.append(e)
+            return real_eval(e, env)
+
+        monkeypatch.setattr(suite, "synth_field", recorded)
+        monkeypatch.setattr(fieldexpr, "eval_expr", counted)
+        monkeypatch.setattr(metric, "eval_expr", counted)
+        run_checks(mf, default_registry().specs, samples=16)
+        synthetic = {id(c) for vfd in drawn for c in vfd.components}
+        assert synthetic and walked
+        assert not [e for e in walked if id(e) in synthetic]
 
     def test_synth_returns_one_object_per_draw(self):
         ctx = RunContext(load_manifest(corpus_dir() / "mw2_fib.wm"), samples=4)

@@ -23,7 +23,8 @@ from warpfield.connections import (
     nabla_grid,
 )
 from warpfield.curvature import riemann
-from warpfield.fields import synth_field
+from warpfield.fieldexpr import Bin, Num, Var, pretty
+from warpfield.fields import lift, synth_field
 from warpfield.lie_killing import nabla_zeta_zeta
 from warpfield.manifest import load_manifest
 from warpfield.metric import GeometryError, sample_points
@@ -214,18 +215,51 @@ class TestSamplePoints:
             sample_points_scalar(mf.structure, 4, SplitMix(1), everything)
 
 
+def tree_terms(e) -> tuple:
+    """A left-to-right sum of ``Bin`` nodes as the ``(const, terms)`` of a
+    ``Quadratic``: the constant, then (coefficient, monomial) per term."""
+    terms = []
+    while isinstance(e, Bin) and e.op == "+":
+        terms.append(e.rhs)
+        e = e.lhs
+    assert isinstance(e, Num)
+    out = []
+    for t in reversed(terms):
+        assert isinstance(t, Bin) and t.op == "*" and isinstance(t.lhs, Num)
+        mono = t.rhs
+        if isinstance(mono, Bin):
+            assert mono.op == "*"
+            mono = (mono.lhs, mono.rhs)
+        else:
+            mono = (mono,)
+        assert all(isinstance(v, Var) for v in mono)
+        out.append((t.lhs.value, tuple(v.name for v in mono)))
+    return e.value, tuple(out)
+
+
 class TestSynthField:
     """``synth_field`` reads its coefficients from one block of draws; the
-    fields and the generator's final state are those of one draw at a time."""
+    coefficients, their order, the jets and the generator's final state
+    are those of the tree that one draw at a time builds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 24181, 2 ** 64 - 1])
     @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
     def test_fields_are_the_scalar_draws(self, path, seed):
         ps = load_manifest(path).structure
+        pts = SplitMix(seed).block((4, ps.total_dim))
         for block in ["base", *range(len(ps.fibers))]:
             fast, slow = SplitMix(seed), SplitMix(seed)
-            assert synth_field(ps, block, fast) == synth_field_scalar(ps, block, slow)
+            node, tree = synth_field(ps, block, fast), synth_field_scalar(ps, block, slow)
             assert fast._state == slow._state
+            assert node.block == tree.block
+            assert [pretty(c) for c in node.components] == [pretty(c) for c in tree.components]
+            # repr tells -0.0 from 0.0
+            assert [repr((q.const, q.terms)) for q in node.components] == \
+                [repr(tree_terms(t)) for t in tree.components]
+            got, ref = lift(node).jet(ps, pts), lift(tree).jet(ps, pts)
+            for name in ("val", "d", "d2"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestDrawOrder:
