@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..connections import bilinear, dot, matvec
-from ..fieldexpr import eval_expr
+from ..fieldexpr import eval_expr, variables_of
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
-from ..jets import Jet2
+from ..jets import DomainError, Jet2
 from ..lie_killing import max_abs
 from ..metric import ProductStructure
 
@@ -59,14 +59,13 @@ def warped1_fiber(mf) -> bool:
     return mf.fiber_count == 1 and shift_on_fiber(mf)
 
 
-def timelike_line(block, at: float = 0.123) -> bool:
-    """A one-dimensional block whose metric entry, probed at coordinate
-    value ``at``, is -1."""
-    if block.dim != 1:
+def timelike_line(block) -> bool:
+    """A one-dimensional block whose metric entry is the constant -1."""
+    if block.dim != 1 or variables_of(block.entries[0][0]):
         return False
     try:
-        return float(eval_expr(block.entries[0][0], {block.coords[0]: at})) == -1.0
-    except Exception:
+        return float(eval_expr(block.entries[0][0], {})) == -1.0
+    except DomainError:
         return False
 
 

@@ -13,7 +13,6 @@ poles, cube-root singularities pushed to the edge, ...).
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -81,15 +80,6 @@ class BlockMetric:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def matrix(self, env: dict) -> np.ndarray:
-        """Entry values over an environment of real coordinates."""
-        d = self.dim
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(i, d):
-                out[i, j] = out[j, i] = eval_expr(self.entries[i][j], env)
-        return out
 
 
 def diagonal_block(label: str, coords, diag_exprs, box) -> BlockMetric:
@@ -171,10 +161,6 @@ class ProductStructure:
                                     f"coordinates, got shape {points.shape}")
         return points.reshape(-1, self.total_dim)
 
-    def env(self, p: np.ndarray) -> dict:
-        """The row p's coordinates by name, as Python floats."""
-        return dict(zip(self.coord_names, p.tolist()))
-
     def jet_env(self, points: np.ndarray, block=None) -> dict:
         """Coordinate jets over the rows of ``points``, one sample per row,
         with partials in ``block``'s coordinates or, by default, the chart's;
@@ -229,11 +215,7 @@ class ProductStructure:
 
     def where(self, p: np.ndarray) -> str:
         """The row p's coordinates by name, as error messages print them."""
-        return ", ".join(f"{c}={v!r}" for c, v in self.env(p).items())
-
-    def _warp_message(self, fiber: BlockMetric, warp: Expr, v: float, p: np.ndarray) -> str:
-        return (f"warping for {fiber.label} evaluates to {v} at ({self.where(p)}) "
-                f"in {fieldexpr.pretty(warp)}")
+        return ", ".join(f"{c}={v!r}" for c, v in zip(self.coord_names, p.tolist()))
 
     def _require_finite(self, points: np.ndarray, *arrays) -> None:
         """DomainError at the first point where a metric array (sample axis
@@ -252,9 +234,9 @@ class ProductStructure:
                                       f"{fieldexpr.pretty(e)}", index=k)
 
     def _block_inverse(self, m: np.ndarray, label: str, points: np.ndarray) -> np.ndarray:
-        """Inverse of one block at one point, or of a stack of blocks
-        (S, d, d) at ``points``; a singular block is named with its point."""
-        det = np.atleast_1d(np.linalg.det(m))
+        """Inverse of a stack of blocks (S, d, d) at ``points``; a singular
+        block is named with its point."""
+        det = np.linalg.det(m)
         bad = np.flatnonzero(np.abs(det) <= DET_FLOOR)
         if bad.size:
             k = bad[0]
@@ -262,39 +244,11 @@ class ProductStructure:
                                  f"at ({self.where(points[k])})")
         return np.linalg.inv(m)
 
-    def warp_values(self, p: np.ndarray) -> tuple[float, ...]:
-        env = self.env(p)
-        vals = []
-        for w, f in zip(self.warps, self.fibers):
-            v = float(eval_expr(w, env))
-            if v <= 0.0:
-                raise NonPositiveWarping(self._warp_message(f, w, v, p))
-            vals.append(v)
-        return tuple(vals)
-
-    def metric_at(self, p: np.ndarray) -> "MetricAt":
-        env = self.env(p)
-        n = self.total_dim
-        g = np.zeros((n, n))
-        ginv = np.zeros((n, n))
-        sl = self.slices[0]
-        base_m = self.base.matrix(env)
-        g[sl, sl] = base_m
-        warp_vals = self.warp_values(p)
-        for i, f in enumerate(self.fibers):
-            try:
-                w2 = warp_vals[i] ** 2
-            except OverflowError:
-                w2 = math.inf
-            with np.errstate(invalid="ignore"):
-                g[self.slices[i + 1], self.slices[i + 1]] = f.matrix(env) * w2
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(np.sum(g))
-        if not finite:
-            self._require_finite(p[None], g[None])
-        for sl, block in zip(self.slices, self.blocks):
-            ginv[sl, sl] = self._block_inverse(g[sl, sl], block.label, p[None])
-        return MetricAt(g=g, ginv=ginv)
+    def metric_at(self, p: np.ndarray) -> "MetricJet":
+        """The metric jet at the one point p: the row of ``metric_jet([p])``,
+        without the sample axis (and without the warps' jets)."""
+        mj = self.metric_jet([p])
+        return MetricJet(mj.g[0], mj.dg[0], mj.d2g[0], mj.ginv[0])
 
     def metric_jet(self, points) -> "MetricJet":
         """Metric jets at the rows of ``points``, stacked on a leading sample
@@ -338,8 +292,9 @@ class ProductStructure:
                 bad = np.flatnonzero(vals <= 0.0)
                 if bad.size:
                     k = bad[0]
-                    raise NonPositiveWarping(self._warp_message(f, self.warps[i],
-                                                                float(vals[k]), points[k]))
+                    raise NonPositiveWarping(
+                        f"warping for {f.label} evaluates to {float(vals[k])} at "
+                        f"({self.where(points[k])}) in {fieldexpr.pretty(self.warps[i])}")
                 put(self.slices[i + 1], f, envs[i + 1], w * w)
             return g, dg, d2g
 
@@ -348,12 +303,6 @@ class ProductStructure:
         for sl, block in zip(self.slices, self.blocks):
             ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
         return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, warps=tuple(warps.values()))
-
-
-@dataclass(frozen=True)
-class MetricAt:
-    g: np.ndarray
-    ginv: np.ndarray
 
 
 @dataclass(frozen=True)

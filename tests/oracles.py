@@ -17,11 +17,12 @@ arrays, in the order a row of the geometry's stacks sums, so they equal
 the rows bit for bit; ``test_contractions`` checks each product against
 the index formula it states.
 
-The warp jets walked in the whole chart's coordinates, and the test
+The warp jets walked in the whole chart's coordinates, the test
 vectors of the orthogonal cone, of the witnesses Prop3.20 and Prop3.24
-and of ``synth_field`` drawn one scalar draw per Python call, are the
-earlier code of the package, kept as the references its array forms
-are compared with."""
+and of ``synth_field`` drawn one scalar draw per Python call, and the
+power-law fits of Prop6.15, Def6.16 and Prop6.17 taken one sample row
+at a time, are the earlier code of the package, kept as the references
+its array forms are compared with."""
 
 import math
 import weakref
@@ -50,7 +51,6 @@ from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
     GeometryError,
-    MetricAt,
     MetricJet,
     NonPositiveWarping,
     ProductStructure,
@@ -129,7 +129,7 @@ def grad_scalar(ps: ProductStructure, p: np.ndarray, h) -> np.ndarray:
     return gm.ginv @ j.grad
 
 
-def inner(gm: MetricAt, x: np.ndarray, y: np.ndarray) -> float:
+def inner(gm: MetricJet, x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = gm.g.shape[0]
@@ -658,3 +658,73 @@ def warp_jet_full(geom: Geometry, i: int) -> Jet2:
     s, n = len(geom.points), ps.total_dim
     return Jet2(np.broadcast_to(j.value, (s,)), np.broadcast_to(j.grad, (s, n)),
                 np.broadcast_to(j.hess, (s, n, n)))
+
+
+# ---- the power-law fits, one sample row at a time ----
+
+
+def cbrt_base_field_rows(ctx):
+    """The declared base field matching cbrt(a t - b), with (a, b)."""
+    a = ctx.mf.constants.get("a")
+    b = ctx.mf.constants.get("b")
+    if a is None or b is None or ctx.ps.base.dim != 1:
+        return None
+    tname = ctx.ps.base.coords[0]
+    times = ctx.points()[:, ctx.ps.block_slice("base").start].tolist()
+    for name, vfd in sorted(ctx.fields_on("base").items()):
+        ok = True
+        for t in times:
+            want = math.copysign(abs(a * t - b) ** (1.0 / 3.0), a * t - b)
+            got = float(fieldexpr.eval_expr(vfd.components[0], {tname: t}))
+            if abs(got - want) > 1e-10:
+                ok = False
+                break
+        if ok:
+            return name, vfd, float(a), float(b)
+    return None
+
+
+def eq28_residual_max_rows(ctx, i: int, c_i: float, a: float, b: float) -> float:
+    gaps = []
+    slb = ctx.ps.block_slice("base").start
+    wj = ctx.geom.warp_jet(i)
+    for k, t in enumerate(ctx.points()[:, slb].tolist()):
+        f = float(wj.value[k])
+        fdot = float(wj.grad[k, slb])
+        fddot = float(wj.hess[k, slb, slb])
+        s = a * t - b
+        s23 = math.copysign(abs(s) ** (2.0 / 3.0), 1.0)
+        gaps.append((a / 3.0) * f * fdot
+                    + (f * fddot + fdot * fdot) * s
+                    + 2.0 * c_i * f * fdot * s23)
+    return max_abs(gaps)
+
+
+def recover_exponent_rows(ctx, i: int, a: float, b: float):
+    """Fit p with warp = ((a t - b)/a)^p; None when unstable."""
+    slb = ctx.ps.block_slice("base").start
+    warp = ctx.geom.warp_jet(i).value
+    vals = []
+    for k, t in enumerate(ctx.points()[:, slb].tolist()):
+        phi = (a * t - b) / a
+        if phi <= 0 or abs(math.log(phi)) < 1e-3:
+            continue
+        vals.append(math.log(warp[k]) / math.log(phi))
+    if len(vals) < 8:
+        return None, math.inf
+    arr = np.asarray(vals)
+    if float(arr.std()) > 1e-9:
+        return None, float(arr.std())
+    return float(arr.mean()), float(arr.std())
+
+
+def eq29_residual_max_rows(ctx, i: int, p_i: float, c_i: float,
+                           a: float, b: float) -> float:
+    gaps = []
+    slb = ctx.ps.block_slice("base").start
+    for t in ctx.points()[:, slb].tolist():
+        s = a * t - b
+        phi = s / a
+        s23 = abs(s) ** (2.0 / 3.0)
+        gaps.append(a / 3.0 + (2.0 * p_i - 1.0) / phi * s + 2.0 * c_i * s23)
+    return max_abs(gaps)

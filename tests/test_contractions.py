@@ -16,7 +16,9 @@ with two or more operands remains in ``src/warpfield``.  They also keep
 one evaluation path per quantity: the grid of nabla z is contracted
 (``nabla_grid``) only in ``connections``, ``lie_killing`` and the
 constant-vector axioms, no check reads the metric one point at a time
-(``metric_at``), and no module but ``sampling`` makes a scalar draw.
+(``metric_at``) or evaluates an expression one point at a time
+(``eval_expr``, left only to the constant entry of ``timelike_line``),
+and no module but ``sampling`` makes a scalar draw.
 Every report goes through one reducer, ``residual_outcome``, which reads
 a list of residual arrays as their concatenation."""
 
@@ -323,6 +325,19 @@ def test_one_nabla_grid_path():
 
 def test_no_check_reads_the_metric_one_point_at_a_time():
     assert not {path for path in callers("metric_at") if path.startswith("checks/")}
+
+
+def test_no_check_evaluates_an_expression_one_point_at_a_time():
+    """Under ``checks/`` only ``util.timelike_line`` calls ``eval_expr``,
+    on a metric entry with no variables; every field and warp value a
+    check reads comes from the geometry's stacks."""
+    found = set()
+    for path in sorted((SRC / "checks").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and any(calls_to(fn, "eval_expr")):
+                found.add((path.relative_to(SRC).as_posix(), getattr(fn, "name", "<lambda>")))
+    assert found == {("checks/util.py", "timelike_line")}
 
 
 SCALAR_DRAWS = ("vector", "next_u64", "uniform", "symmetric")

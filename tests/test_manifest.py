@@ -109,6 +109,30 @@ class TestParsing:
             parse_manifest(text, "bad")
 
 
+CENTRE_BASE = "[base]\ndim = 1\ncoords = t\ng.t.t = {g}\nbox.t = {box}\n"
+CENTRE_FIBER = "\n[fiber.1]\ndim = 1\ncoords = x\ng.x.x = 1\nbox.x = -1, 1\nwarp = {w}\n"
+
+
+class TestCentreCheck:
+    """The chart centre goes through the metric walk of every sample set, so
+    an error there names the point and the expression."""
+
+    @pytest.mark.parametrize("text, message", [
+        (CENTRE_BASE.format(g="log(t)", box="-1, 0.5"),
+         "log of -0.25 outside real domain at (t=-0.25) in log(t)"),
+        (CENTRE_BASE.format(g="1/t", box="-1, 1"),
+         "division by zero at (t=0.0) in 1/t"),
+        (CENTRE_BASE.format(g="t^0.5", box="-1, 0.5"),
+         "non-integer power of non-positive base -0.25 at (t=-0.25) in t^0.5"),
+        (CENTRE_BASE.format(g="-1", box="-1, 0.5") + CENTRE_FIBER.format(w="sqrt(t)"),
+         "sqrt of -0.25 outside real domain at (t=-0.25, x=0.0) in sqrt(t)"),
+    ], ids=["log", "division", "power", "fiber-warp"])
+    def test_error_names_point_and_expression(self, text, message):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, "bad")
+        assert str(err.value) == f"line 1: chart-center validation failed: {message}"
+
+
 class TestCorpus:
     def test_every_shipped_manifest_loads(self):
         paths = sorted(corpus_dir().glob("*.wm"))

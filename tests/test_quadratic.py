@@ -113,7 +113,7 @@ class TestAgainstTheTree:
     def test_float_environment_equals_the_tree(self, d, s, kind):
         for ps, _, node, tree in self.fields(d, s, kind):
             for p in points(ps, s, d + s):
-                env = ps.env(p)
+                env = dict(zip(ps.coord_names, p.tolist()))
                 for q, t in zip(node.components, tree.components):
                     assert repr(eval_expr(q, env)) == repr(eval_expr(t, env))
 

@@ -14,7 +14,10 @@ from warpfield.cli import _exit_code, corpus_dir
 from warpfield.connections import LEVI_CIVITA
 from warpfield.fields import ProductField
 from warpfield.lie_killing import lie_lie_matrix, lie_matrix, max_abs
-from warpfield.manifest import load_manifest
+from warpfield import fieldexpr as fe
+from warpfield.checks.util import timelike_line
+from warpfield.manifest import load_manifest, parse_manifest
+from warpfield.metric import diagonal_block
 from warpfield.suite import (
     FAIL,
     INCONCLUSIVE,
@@ -330,6 +333,40 @@ class TestSelection:
     def test_unknown_token(self, registry):
         with pytest.raises(KeyError):
             registry.select("Prop9.99")
+
+
+# g.t.t is -1 only at t = 0.123: no unit timelike line, though a probe of
+# that one coordinate value would take it for one
+PROBED_LINE = ("[base]\ndim = 1\ncoords = t\ng.t.t = -t/0.123\nbox.t = 0.05, 0.5\n\n"
+               "[fiber.1]\ndim = 2\ncoords = x, y\ng.x.x = 1\ng.y.y = 1\n"
+               "box.x = -1, 1\nbox.y = -1, 1\nwarp = exp(t)\n\n"
+               "[torsion]\nlocation = base\ncomp.t = 1\n")
+
+
+class TestTimelikeLine:
+    @pytest.mark.parametrize("entry, line", [
+        ("-1", True), ("-(3 - 2)", True), ("1", False), ("-2", False),
+        ("-t/0.123", False), ("-t/0.321", False), ("-t^0", False), ("log(-1)", False),
+    ])
+    def test_a_line_is_a_constant_minus_one(self, entry, line):
+        block = diagonal_block("base", ("t",), (fe.parse_expr(entry, ("t",)),), ((0.05, 0.5),))
+        assert timelike_line(block) is line
+
+    def test_two_dimensional_block_is_no_line(self):
+        block = diagonal_block("base", ("t", "s"), (fe.num(-1.0), fe.num(-1.0)),
+                               ((0.0, 1.0), (0.0, 1.0)))
+        assert timelike_line(block) is False
+
+    def test_full_run_outside_the_hypotheses_reports_no_fail(self, registry):
+        results = run_checks(parse_manifest(PROBED_LINE, "probed_line"),
+                             registry.specs, samples=16)
+        assert [r.check for r in results if r.failed] == []
+
+    def test_line_builder_does_not_admit_the_manifest(self, registry):
+        results = run_checks(parse_manifest(PROBED_LINE, "probed_line"),
+                             registry.select("Def3.19"), samples=16, explicit=True)
+        assert [(r.check, r.verdict, r.note) for r in results] == [
+            ("Def3.19", INCONCLUSIVE, "manifest shape does not admit this check")]
 
 
 def patch_everywhere(monkeypatch, original, replacement):
