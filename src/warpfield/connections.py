@@ -13,6 +13,7 @@ which in index form adds ``delta^k_i pi_j - g_ij P^k`` to the symbols.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,9 @@ class Geometry:
     once for all of them, as a stack whose leading axis runs over the
     points (``stack``), from the stacked metric and field jets; every
     accessor returns that stack, and a field's jet is copied part by part
-    from the blocks' own geometries (``block``).  Any other point is the
-    sample set of a geometry of its own, ``Geometry(ps, torsion, [p])``.
+    from the blocks' own geometries (``block``), whose metric jets are read
+    from this one's.  Any other point is the sample set of a geometry of
+    its own, ``Geometry(ps, torsion, [p])``.
     """
 
     def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None, points):
@@ -89,6 +91,7 @@ class Geometry:
         self._stacks: dict = {}
         self._blocks: dict = {}
         self._rehomed: dict[VectorFieldDef, ProductField] = {}
+        self._chart = None  # a block's: (its chart's geometry, weakly; block id)
 
     def stack(self, compute, *args):
         """compute(self, *args): a quantity at every sample point, sample
@@ -139,13 +142,19 @@ class Geometry:
 
     def block(self, b) -> "Geometry":
         """Block b ('base' or a fiber index) as a standalone manifold over
-        its columns of the sample set, built once.  The base carries the
-        shift only when P lives on the base; a fiber carries none."""
+        its columns of the sample set, built once; a one-block chart's base
+        is this geometry.  The base carries the shift only when P lives on
+        the base; a fiber carries none.  A block reads its metric jet from
+        this geometry's walk, which it must not outlive."""
         key = "base" if b == "base" else int(b)
+        if key == "base" and not self.ps.fibers:
+            return self
         if key not in self._blocks:
             shift = self.torsion if key == self.torsion.location == "base" else None
-            self._blocks[key] = Geometry(self.ps.block_structure(key), shift,
-                                         self.points[:, self.ps.block_slice(key)])
+            blk = Geometry(self.ps.block_structure(key), shift,
+                           self.points[:, self.ps.block_slice(key)])
+            blk._chart = weakref.proxy(self), key  # a strong one would be a cycle
+            self._blocks[key] = blk
         return self._blocks[key]
 
     def rehomed(self, vfd: VectorFieldDef) -> ProductField:
@@ -168,28 +177,35 @@ class Geometry:
 
 
 def _metric_jets(geom: Geometry) -> MetricJet:
-    return geom.ps.metric_jet(geom.points)
+    """A chart's walk, or a block's entries read from its chart's."""
+    if geom._chart is None:
+        return geom.ps.metric_jet(geom.points)
+    chart, b = geom._chart
+    return chart.ps.block_jet(chart.metric_jet(), b, geom.points)
 
 
 def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
-    """A one-block chart walks the field.  Otherwise each part's block
-    entries are copied from its block geometry's stack, and every entry
-    off the parts' blocks is +0; an error raised there is raised again by
-    the walk over this geometry's points, which names the chart point."""
+    """A one-block chart walks the field.  Otherwise each part's value and
+    first partials are copied from its block geometry's stack, every entry
+    off the parts' blocks is +0, and its second partials are that stack's
+    own array; an error raised there is raised again by the walk over this
+    geometry's points, which names the chart point."""
     if not geom.ps.fibers:
         return field.jet(geom.ps, geom.points)
     s, n = len(geom.points), geom.ps.total_dim
     val = np.zeros((s, n))
     d = np.zeros((s, n, n))
-    d2 = np.zeros((s, n, n, n))
+    d2 = []
     for part in field.parts:
         sl = geom.ps.block_slice(part.block)
         try:
             pj = geom.block(part.block).field_jet(geom.rehomed(part))
         except DomainError:
             return field.jet(geom.ps, geom.points)
-        val[:, sl], d[:, sl, sl], d2[:, sl, sl, sl] = pj.val, pj.d, pj.d2
-    return FieldJet(val=val, d=d, d2=d2)
+        val[:, sl], d[:, sl, sl] = pj.val, pj.d
+        (_, h), = pj.d2
+        d2.append((sl, h))
+    return FieldJet(val=val, d=d, d2=tuple(d2))
 
 
 def _warp_jets(geom: Geometry, i: int) -> Jet2:
@@ -269,7 +285,7 @@ def as_field_jet(geom: Geometry, field) -> FieldJet:
     n = geom.ps.total_dim
     if vec.shape[-1:] != (n,):
         raise DimensionMismatch(f"vector must have {n} components")
-    return FieldJet(val=vec, d=np.zeros((n, n)), d2=np.zeros((n, n, n)))
+    return FieldJet(val=vec, d=np.zeros((n, n)), d2=())
 
 
 def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -59,11 +59,25 @@ class VectorFieldDef:
 @dataclass(frozen=True)
 class FieldJet:
     """Component values with first and second partials on the product
-    chart, at a point or with a leading sample axis on every array."""
+    chart, at a point or with a leading sample axis on every array.
+
+    A lifted part's components depend on its own block's coordinates only,
+    so its second partials are kept at the block's width: ``d2`` holds one
+    (block slice, h) pair per part, ``h[d, e, k] = d_d d_e V^k`` over the
+    block's coordinates, and every other second partial is zero."""
 
     val: np.ndarray  # (n,)
     d: np.ndarray    # (n, n): d[d, k] = d_d V^k
-    d2: np.ndarray   # (n, n, n): d2[d, e, k]
+    d2: tuple        # per part: (sl, h), h (b, b, b) for a block of width b
+
+    def chart_d2(self) -> np.ndarray:
+        """The second partials at chart width, d2[..., d, e, k], zero off
+        the parts' blocks: a short-lived array, never a stack."""
+        n = self.d.shape[-1]
+        out = np.zeros(self.d.shape[:-2] + (n, n, n))
+        for sl, h in self.d2:
+            out[..., sl, sl, sl] = h
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,31 +101,35 @@ class ProductField:
     def jet(self, ps: ProductStructure, points: np.ndarray) -> FieldJet:
         """Component jets at the rows of ``points``, stacked on a leading
         sample axis.  Each part is walked once over all of them, in its own
-        block's ``jet_env``; its partials in other blocks stay zero.  A part
+        block's ``jet_env``; its first partials in other blocks stay zero,
+        and its second partials are its block's (``FieldJet.d2``).  A part
         of ``Quadratic`` components is one fold, except on the walk's retry,
         which walks each component so that an error names it."""
         s, n = len(points), ps.total_dim
         envs = [ps.jet_env(points, part.block) for part in self.parts]
+        slices = [ps.block_slice(part.block) for part in self.parts]
 
         def assemble(jet):
             val = np.zeros((s, n))
             d = np.zeros((s, n, n))
-            d2 = np.zeros((s, n, n, n))
-            for part, env in zip(self.parts, envs):
-                sl = ps.block_slice(part.block)
+            hs = []
+            for part, env, sl in zip(self.parts, envs, slices):
                 folded = jet is jet_of and fieldexpr.fold_quadratics(part.components, env)
                 if folded:
-                    val[:, sl], d[:, sl, sl], d2[:, sl, sl, sl] = folded
-                    continue
-                for k, comp in enumerate(part.components):
-                    j = jet(comp, env)
-                    col = sl.start + k
-                    val[:, col] = j.value
-                    d[:, sl, col] = j.grad
-                    d2[:, sl, sl, col] = j.hess
-            return val, d, d2
+                    val[:, sl], d[:, sl, sl], h = folded
+                else:
+                    h = np.zeros((s,) + (sl.stop - sl.start,) * 3)
+                    for k, comp in enumerate(part.components):
+                        j = jet(comp, env)
+                        col = sl.start + k
+                        val[:, col] = j.value
+                        d[:, sl, col] = j.grad
+                        h[..., k] = j.hess
+                hs.append(h)
+            return (val, d, *hs)
 
-        return FieldJet(*ps.walk(assemble, points))
+        val, d, *hs = ps.walk(assemble, points)
+        return FieldJet(val, d, tuple(zip(slices, hs)))
 
 
 def lift(vfd: VectorFieldDef) -> ProductField:

@@ -119,11 +119,12 @@ def lie_lie_matrix_nested(geom: Geometry, zeta) -> np.ndarray:
     zj = as_field_jet(geom, zeta)
     h = lie_matrix_direct(geom, zeta)
     g = mj.g[..., None, :, :]
+    d2 = zj.chart_d2()
     dh = (contract_first(zj.d, mj.dg)
           + _along(zj.val[..., None, :], mj.d2g)
-          + zj.d2 @ g
+          + d2 @ g
           + zj.d[..., None, :, :] @ mj.dg
-          + g @ _swap(zj.d2)
+          + g @ _swap(d2)
           + mj.dg @ _swap(zj.d)[..., None, :, :])
     return _lie_of_tensor(h, dh, zj)
 
@@ -141,11 +142,20 @@ def lie_lie_matrix(geom: Geometry, zeta: ProductField) -> np.ndarray:
 
 def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
     """w[s, a, k] = (nabla_{e_a} zeta)^k (Levi-Civita) and its partials
-    dw[s, m, a, k].  Not a stack: dw holds S n^3 floats per field, and
-    the two stacks built from it are each computed once anyway."""
+    dw[s, m, a, k] = d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj
+    d_m zeta^j.  Each part's second partials go into its diagonal block,
+    and gamma meets d zeta only on the rows m of the parts' blocks: every
+    other row of d zeta is +0.  Not a stack: dw holds S n^3 floats per
+    field, and the two stacks built from it are each computed once.  It
+    is C-ordered, as the products that read it sum in that layout."""
     zj = geom.field_jet(zeta)
     gamma, dgamma = geom.christoffel_jet()
-    dw = nabla_grid(dgamma, zj.val[:, None], zj.d2) + nabla_grid(gamma[:, None], zj.d, 0.0)
+    dw = np.ascontiguousarray(nabla_grid(dgamma, zj.val[:, None], 0.0))
+    rows = np.zeros(geom.ps.total_dim, dtype=bool)
+    for sl, h in zj.d2:
+        dw[:, sl, sl, sl] += h
+        rows[sl] = True
+    dw[:, rows] += nabla_grid(gamma[:, None], zj.d[:, rows], 0.0)
     return nabla(geom, zeta), dw
 
 

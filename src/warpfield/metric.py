@@ -255,24 +255,28 @@ class ProductStructure:
         axis, from one walk of every entry and warp expression over them all
         in its block's ``jet_env``; a fiber entry times w^2 is put together
         block by block, each partial from the same operands as in the chart.
-        The warps' jets, in the base's coordinates, are kept as ``warps``."""
+        The warps' jets, in the base's coordinates, are kept as ``warps``,
+        and each fiber's own metric jet, from before the w^2 product, as
+        ``fibers``."""
         points = self.sample_set(points)
         envs = [self.jet_env(points, b) for b in ("base", *range(len(self.fibers)))]
         s, n = len(points), self.total_dim
         bs = self.slices[0]
-        warps = {}
+        warps, fibers = {}, {}
 
         def assemble(jet):
             g = np.zeros((s, n, n))
             dg = np.zeros((s, n, n, n))
             d2g = np.zeros((s, n, n, n, n))
 
-            def put(sl, block, env, w2=None):
+            def put(sl, block, env, w2=None, own=None):
                 for a, b in ((a, b) for a in range(block.dim) for b in range(a, block.dim)
                              if block.entries[a][b] != ZERO):
                     j = jet(block.entries[a][b], env)
                     ia, ib = sl.start + a, sl.start + b
                     if w2 is not None:  # w2 * j: its base partials here, j's scaled below
+                        for arr, v in zip(own, (j.value, j.grad, j.hess)):  # j alone
+                            arr[..., a, b] = arr[..., b, a] = v
                         wv, jv = np.asarray(w2.value)[..., None], np.asarray(j.value)[..., None]
                         cross = w2.grad[..., :, None] * j.grad[..., None, :]
                         dg[:, bs, ia, ib] = dg[:, bs, ib, ia] = jv * w2.grad
@@ -295,14 +299,34 @@ class ProductStructure:
                     raise NonPositiveWarping(
                         f"warping for {f.label} evaluates to {float(vals[k])} at "
                         f"({self.where(points[k])}) in {fieldexpr.pretty(self.warps[i])}")
-                put(self.slices[i + 1], f, envs[i + 1], w * w)
+                d = f.dim
+                own = fibers[i] = (np.zeros((s, d, d)), np.zeros((s, d, d, d)),
+                                   np.zeros((s, d, d, d, d)))
+                put(self.slices[i + 1], f, envs[i + 1], w * w, own)
             return g, dg, d2g
 
         g, dg, d2g = self.walk(assemble, points, self._require_finite)
         ginv = np.zeros((s, n, n))
         for sl, block in zip(self.slices, self.blocks):
             ginv[:, sl, sl] = self._block_inverse(g[:, sl, sl], block.label, points)
-        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, warps=tuple(warps.values()))
+        return MetricJet(g=g, dg=dg, d2g=d2g, ginv=ginv, warps=tuple(warps.values()),
+                         fibers=tuple(fibers.values()))
+
+    def block_jet(self, mj: "MetricJet", block, points: np.ndarray) -> "MetricJet":
+        """``block_structure(block).metric_jet(points)`` bit for bit, where
+        ``points`` are the block's columns of the sample set ``mj`` was
+        walked over, read from that walk: the base's entries are its block
+        of ``mj``, a fiber's are its own from before the w^2 product.  The
+        block's inverse is taken as its own walk takes it."""
+        if block == "base":
+            sl = self.slices[0]
+            g, dg, d2g = (np.ascontiguousarray(a[(slice(None),) + (sl,) * (a.ndim - 1)])
+                          for a in (mj.g, mj.dg, mj.d2g))
+        else:
+            g, dg, d2g = mj.fibers[int(block)]
+        alone = self.block_structure(block)
+        return MetricJet(g=g, dg=dg, d2g=d2g,
+                         ginv=alone._block_inverse(g, alone.base.label, points))
 
 
 @dataclass(frozen=True)
@@ -315,6 +339,7 @@ class MetricJet:
     d2g: np.ndarray     # (n, n, n, n): d2g[d, e, i, j]
     ginv: np.ndarray
     warps: tuple = ()   # per fiber, the warp's Jet2 in the base's coordinates
+    fibers: tuple = ()  # per fiber, its own (g, dg, d2g) in its coordinates
 
     @cached_property
     def dginv(self) -> np.ndarray:

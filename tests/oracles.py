@@ -17,7 +17,9 @@ arrays, in the order a row of the geometry's stacks sums, so they equal
 the rows bit for bit; ``test_contractions`` checks each product against
 the index formula it states.
 
-The warp jets walked in the whole chart's coordinates, the test
+The warp jets walked in the whole chart's coordinates, the
+second-order stacks (L_zeta L_zeta g by both routes and nabla_zeta zeta)
+read from a field's second partials at chart width, the test
 vectors of the orthogonal cone, of the witnesses Prop3.20 and Prop3.24
 and of ``synth_field`` drawn one scalar draw per Python call, and the
 power-law fits of Prop6.15, Def6.16 and Prop6.17 taken one sample row
@@ -38,15 +40,25 @@ from warpfield.connections import (
     Geometry,
     as_field_jet,
     bilinear,
+    contract_first,
     covariant_derivative,
     dot,
+    nabla,
     nabla_grid,
 )
 from warpfield.curvature import Curvature, FrameConstructionFailure, riemann
 from warpfield.fieldexpr import num
 from warpfield.fields import FieldJet, ProductField, VectorFieldDef, lift
 from warpfield.jets import Jet2
-from warpfield.lie_killing import lie_matrix, max_abs, nabla_quads
+from warpfield.lie_killing import (
+    _along,
+    _lie_of_tensor,
+    _swap,
+    lie_matrix,
+    lie_matrix_direct,
+    max_abs,
+    nabla_quads,
+)
 from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
@@ -168,10 +180,27 @@ def metric_jet_at(geom: Geometry, p: np.ndarray) -> MetricJet:
     return metric_row(one_point(geom, p).metric_jet(), 0)
 
 
-def field_jet_full(ps: ProductStructure, field: ProductField, points) -> FieldJet:
-    """A field's jets at ``points`` from one walk of every component in the
-    whole chart's ``jet_env``, each tested by ``expr_jet``: the walk before
-    parts were walked in their own block's coordinates."""
+def chart_d2(fj: FieldJet) -> np.ndarray:
+    """A field jet's second partials at chart width, d2[..., d, e, k], zero
+    off its parts' blocks: the array each field jet held before a part's
+    second partials were kept at its block's width."""
+    n = fj.d.shape[-1]
+    d2 = np.zeros(fj.d.shape[:-2] + (n, n, n))
+    for sl, h in fj.d2:
+        d2[..., sl, sl, sl] = h
+    return d2
+
+
+def jet_arrays(fj: FieldJet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(val, d, d2) of a field jet, its second partials at chart width."""
+    return fj.val, fj.d, chart_d2(fj)
+
+
+def field_walk_full(ps: ProductStructure, field: ProductField, points):
+    """(val, d, d2) of a field at ``points``, all at chart width, from one
+    walk of every component in the whole chart's ``jet_env``, each tested
+    by ``expr_jet``: the walk before parts were walked in their own block's
+    coordinates."""
     env = ps.jet_env(points)
     s, n = len(points), ps.total_dim
     val = np.zeros((s, n))
@@ -185,7 +214,7 @@ def field_jet_full(ps: ProductStructure, field: ProductField, points) -> FieldJe
             val[:, col] = j.value
             d[:, :, col] = j.grad
             d2[:, :, :, col] = j.hess
-    return FieldJet(val=val, d=d, d2=d2)
+    return val, d, d2
 
 
 def metric_jet_full(ps: ProductStructure, points) -> MetricJet:
@@ -237,7 +266,7 @@ def field_jet_at(geom: Geometry, field, p: np.ndarray) -> FieldJet:
     fj = as_field_jet(one_point(geom, p), field)
     if not isinstance(field, ProductField):
         return fj
-    return FieldJet(fj.val[0], fj.d[0], fj.d2[0])
+    return FieldJet(fj.val[0], fj.d[0], tuple((sl, h[0]) for sl, h in fj.d2))
 
 
 def compat_residual(geom: Geometry, x, y, z, kind: str = SEMI_SYMMETRIC) -> float:
@@ -345,7 +374,7 @@ def _grid_jet_at(geom: Geometry, zj: FieldJet, p: np.ndarray) -> tuple[np.ndarra
     d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj d_m zeta^j."""
     gamma, dgamma = christoffel_at(geom, p), dchristoffel_at(geom, p)
     return (nabla_grid(gamma, zj.val, zj.d),
-            nabla_grid(dgamma, zj.val, zj.d2) + nabla_grid(gamma, zj.d, 0.0))
+            nabla_grid(dgamma, zj.val, chart_d2(zj)) + nabla_grid(gamma, zj.d, 0.0))
 
 
 def lie_lie_matrix_at(geom: Geometry, zeta, p: np.ndarray) -> np.ndarray:
@@ -435,15 +464,66 @@ def lie_lie_matrix_nested_at(geom: Geometry, zeta, p: np.ndarray) -> np.ndarray:
     zj = field_jet_at(geom, zeta, p)
     n = len(mj.g)
     h = lie_matrix_direct_at(geom, zeta, p)
+    d2 = chart_d2(zj)
     dh = ((zj.d @ mj.dg.reshape(n, n * n)).reshape(n, n, n)
           + (zj.val[None, None] @ mj.d2g.reshape(n, n, n * n)).reshape(n, n, n)
-          + zj.d2 @ mj.g
+          + d2 @ mj.g
           + zj.d @ mj.dg
-          + mj.g @ np.swapaxes(zj.d2, 1, 2)
+          + mj.g @ np.swapaxes(d2, 1, 2)
           + mj.dg @ zj.d.T)
     return ((zj.val[None] @ dh.reshape(n, n * n)).reshape(n, n)
             + zj.d @ h
             + h @ zj.d.T)
+
+
+# ---- the second-order stacks from chart-width Hessians (the code
+# before a field's second partials were kept per part) ----
+
+
+def _grid_jets_chart(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    zj = geom.field_jet(zeta)
+    gamma, dgamma = geom.christoffel_jet()
+    dw = (nabla_grid(dgamma, zj.val[:, None], chart_d2(zj))
+          + nabla_grid(gamma[:, None], zj.d, 0.0))
+    return nabla(geom, zeta), dw
+
+
+def lie_lie_matrix_chart(geom: Geometry, zeta: ProductField) -> np.ndarray:
+    """``lie_killing.lie_lie_matrix`` over the sample set, its grid jet
+    read from a chart-width Hessian."""
+    zj = geom.field_jet(zeta)
+    w, dw = _grid_jets_chart(geom, zeta)
+    gz = _swap((zj.val[:, None, None, :] @ geom.christoffel())[:, :, 0])
+    nzw = _along(zj.val, dw) + w @ gz
+    g = geom.metric_jet().g
+    first = (nzw + zj.d @ w) @ g
+    return first + _swap(first) + 2.0 * (w @ g @ _swap(w))
+
+
+def nabla_zeta_zeta_chart(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
+    """``lie_killing.nabla_zeta_zeta`` over the sample set, from a
+    chart-width Hessian."""
+    zj = geom.field_jet(zeta)
+    w, dw = _grid_jets_chart(geom, zeta)
+    val = zj.val[:, None, :]
+    return (val @ w)[:, 0], zj.d @ w + (val[:, None] @ dw)[:, :, 0]
+
+
+def lie_lie_matrix_nested_chart(geom: Geometry, zeta) -> np.ndarray:
+    """``lie_killing.lie_lie_matrix_nested`` over the sample set, from a
+    chart-width Hessian."""
+    mj = geom.metric_jet()
+    zj = as_field_jet(geom, zeta)
+    h = lie_matrix_direct(geom, zeta)
+    g = mj.g[..., None, :, :]
+    d2 = chart_d2(zj)
+    dh = (contract_first(zj.d, mj.dg)
+          + _along(zj.val[..., None, :], mj.d2g)
+          + d2 @ g
+          + zj.d[..., None, :, :] @ mj.dg
+          + g @ _swap(d2)
+          + mj.dg @ _swap(zj.d)[..., None, :, :])
+    return _lie_of_tensor(h, dh, zj)
 
 
 # ---- frames and traces at one point ----

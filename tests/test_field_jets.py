@@ -1,9 +1,10 @@
 """Field jets: each lifted part is walked once per geometry, in its own
 block's coordinates, a sum of parts is assembled from the parts' stacks,
 and a float operand is folded into a jet without a constant jet.  The
-whole-chart walk of ``oracles.field_jet_full`` is the reference: a stack
+whole-chart walk of ``oracles.field_walk_full`` is the reference: a stack
 equals it with the same sign of zero in every entry in a part's block,
-and every other entry is +0."""
+and every other entry is +0; its second partials are one array per part,
+on the part's block, which at chart width equal the walk's."""
 
 import ast
 import gc
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import field_jet_full
+from oracles import chart_d2, field_walk_full
 from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
 from warpfield import fieldexpr, metric, suite
@@ -36,12 +37,15 @@ def assert_same(got, ref, *names):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
-def assert_same_bits(got, ref, ps, field):
-    """got equals ref, in-block entries have the same sign of zero and
-    every entry outside the field's blocks is +0."""
+def assert_same_bits(got, ps, field, points):
+    """got equals the whole-chart walk at ``points``, in-block entries have
+    the same sign of zero and every entry outside the field's blocks is
+    +0; its second partials are kept on the parts' block slices."""
     n = ps.total_dim
-    for name, rank in (("val", 1), ("d", 2), ("d2", 3)):
-        a, b = getattr(got, name), getattr(ref, name)
+    assert [sl for sl, _ in got.d2] == [ps.block_slice(part.block) for part in field.parts]
+    ref = field_walk_full(ps, field, points)
+    for a, b, name, rank in zip((got.val, got.d, chart_d2(got)), ref,
+                                ("val", "d", "d2"), (1, 2, 3)):
         assert np.array_equal(a, b), name
         inside = np.zeros((n,) * rank, dtype=bool)
         for part in field.parts:
@@ -66,13 +70,11 @@ class TestBlockWalk:
     def test_stacks_equal_the_whole_chart_walk(self, path):
         ctx = RunContext(load_manifest(path), samples=16)
         for field in product_fields(ctx):
-            assert_same_bits(ctx.geom.field_jet(field),
-                             field_jet_full(ctx.ps, field, ctx.points()), ctx.ps, field)
+            assert_same_bits(ctx.geom.field_jet(field), ctx.ps, field, ctx.points())
         for vfd in ctx.mf.fields.values():
             geom = ctx.block_geom(vfd.block)
             field = ctx.rehomed(vfd)
-            assert_same_bits(geom.field_jet(field),
-                             field_jet_full(geom.ps, field, geom.points), geom.ps, field)
+            assert_same_bits(geom.field_jet(field), geom.ps, field, geom.points)
 
     def test_partials_across_blocks_are_zero(self):
         ctx = RunContext(load_manifest(corpus_dir() / "mw2_fib.wm"), samples=8)
@@ -83,7 +85,8 @@ class TestBlockWalk:
             off[sl] = False
             assert not np.any(fj.val[:, off])
             assert not np.any(fj.d[:, off]) and not np.any(fj.d[:, :, off])
-            assert not np.any(fj.d2[:, off]) and not np.any(fj.d2[:, :, off])
+            (part, h), = fj.d2
+            assert part == sl and h.shape == (8,) + (sl.stop - sl.start,) * 3
 
 
 def sample_jets() -> list[Jet2]:

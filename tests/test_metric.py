@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,58 @@ class TestBlockWalk:
                    (mj.d2g, ~(inside[:, None] & inside[None, :]))]
         for a, off in outside:
             assert not a[:, off].any() and not np.signbit(a[:, off]).any()
+
+
+class TestBlockGeometries:
+    """A block geometry reads its metric jet from its chart's walk: bit for
+    bit the walk of the block alone, sign of zero included, with the
+    block's own inverse.  A run walks the metric once, on the chart, and a
+    one-block chart's base is the chart's own geometry."""
+
+    @pytest.mark.parametrize("samples", [1, 16])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_equals_the_walk_of_the_block_alone(self, mf, samples):
+        geom = RunContext(mf, samples=samples).geom
+        if not mf.fiber_count:
+            assert geom.block("base") is geom
+            return
+        for b in ["base", *range(mf.fiber_count)]:
+            blk = geom.block(b)
+            got = blk.metric_jet()
+            ref = mf.structure.block_structure(b).metric_jet(blk.points)
+            for name in ("g", "dg", "d2g", "ginv", "dginv"):
+                a, r = getattr(got, name), getattr(ref, name)
+                assert a.flags.c_contiguous, (b, name)
+                assert np.array_equal(a, r), (b, name)
+                assert np.array_equal(np.signbit(a), np.signbit(r)), (b, name)
+
+    def test_a_block_holds_its_chart_weakly(self):
+        ps = load_manifest(corpus_dir() / "mw2_fib.wm").structure
+        geom = Geometry(ps, None, np.zeros((4, ps.total_dim)))
+        blk = geom.block(1)
+        chart = weakref.ref(geom)
+        del geom
+        assert chart() is None  # freed by its count: no cycle through its blocks
+        with pytest.raises(ReferenceError):
+            blk.metric_jet()
+
+    @pytest.mark.parametrize("name", ["mw2_fib", "mw3_fib", "static", "plane"])
+    def test_a_run_walks_no_block(self, name, monkeypatch):
+        from warpfield.suite import default_registry, run_checks
+
+        mf = load_manifest(corpus_dir() / f"{name}.wm")
+        real = ProductStructure.metric_jet
+        walked = []
+
+        def counted(ps, points):
+            walked.append(ps)
+            return real(ps, points)
+
+        monkeypatch.setattr(ProductStructure, "metric_jet", counted)
+        run_checks(mf, default_registry().specs, samples=16)
+        blocks = [ps for ps in walked if ps is not mf.structure and not ps.fibers
+                  and ps.base in mf.structure.blocks]
+        assert blocks == [] and sum(ps is mf.structure for ps in walked) == 1
 
 
 class TestWarpJets:
