@@ -24,10 +24,10 @@ from ..curvature import (
 from ..fieldexpr import Bin, Call, Neg, Var, variables_of
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import (
-    constant_length_stddev,
     eq22_residual,
     form,
     homothety_check,
+    length_gradient,
     lie_lie_matrix,
     lie_matrix,
     max_abs,
@@ -167,7 +167,7 @@ def _const_length_killing(ctx: RunContext):
     for name, zeta in ctx.field_combos().items():
         if not ctx.sample_max(lie_matrix, zeta, kind=LEVI_CIVITA) <= ctx.tol.alg:
             continue
-        if not constant_length_stddev(ctx.geom, zeta) <= 1e-8:
+        if not ctx.sample_max(length_gradient, zeta) <= 1e-8:
             continue
         out.append((name, zeta))
     return out

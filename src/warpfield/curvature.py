@@ -99,7 +99,12 @@ def frame_of_matrix(g: np.ndarray, where=None) -> tuple[np.ndarray, np.ndarray]:
 
 def product_frame(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """Per-block frame of the assembled metric at every sample point (fiber
-    legs carry 1/warp); a null direction names its block and point."""
+    legs carry 1/warp); a null direction names its block and point.
+    Computed once per geometry."""
+    return geom.stack(_product_frames)
+
+
+def _product_frames(geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     g = geom.metric_jet().g
     frame, eps = np.zeros(g.shape), np.zeros(g.shape[:2])
     for block, sl in zip(geom.ps.blocks, geom.ps.slices):

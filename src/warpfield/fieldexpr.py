@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -317,27 +318,60 @@ def eval_expr(e: Expr, env: dict):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def fold_quadratics(nodes, env: dict):
+def monomials(names) -> tuple[tuple[str, ...], ...]:
+    """The degree-1 and degree-2 monomials over ``names`` in the order
+    ``synth_field`` draws their coefficients: each name, then each pair
+    (a, b) with a at or before b."""
+    names = list(names)
+    return (tuple((a,) for a in names)
+            + tuple((a, b) for i, a in enumerate(names) for b in names[i:]))
+
+
+class JetEnv(dict):
+    """Coordinate jets by name, as ``ProductStructure.jet_env`` builds
+    them, with the table of their monomials' jets built on first use: it
+    lives exactly as long as the environment."""
+
+    @cached_property
+    def monomial_table(self) -> tuple[dict, np.ndarray]:
+        """(row of each of ``monomials(self)``, jets): row t of jets (S,
+        1 + b + b*b) is that monomial's value, gradient and flattened
+        Hessian, from the ``Jet2`` product that ``eval_expr`` takes."""
+        monos = monomials(self)
+        jets = []
+        for mono in monos:
+            m = _monomial(self, mono)
+            jets.append(np.concatenate((m.value[:, None], m.grad,
+                                        m.hess.reshape(len(m.value), -1)), axis=1))
+        return {mono: t for t, mono in enumerate(monos)}, np.stack(jets)
+
+
+def fold_quadratics(nodes, env: JetEnv):
     """The jets of ``Quadratic`` nodes over the same monomials in a
     ``jet_env``, in one fold: (value, grad, hess), each with the node axis
-    last.  Each monomial's jet is taken once and the terms are added in
-    the order ``eval_expr`` adds them, so every entry takes the operations,
+    last.  Each term's rows of the env's monomial table are scaled by its
+    coefficient vector over the nodes, and the terms are added in the
+    order ``eval_expr`` adds them, so every entry takes the operations,
     and has the bits, of its node's own walk.  None unless every node is a
-    ``Quadratic`` with at least one term, over the monomials of the first."""
+    ``Quadratic`` with at least one term, over the monomials of the first,
+    each a row of the table."""
     monos = [m for _, m in nodes[0].terms] if isinstance(nodes[0], Quadratic) else []
     if not monos or any(not isinstance(q, Quadratic) or [m for _, m in q.terms] != monos
                         for q in nodes):
         return None
+    index, table = env.monomial_table
+    rows = [index.get(m) for m in monos]
+    if None in rows:
+        return None
     coeffs = np.array([[c for c, _ in q.terms] for q in nodes]).T  # (term, node)
-    val = np.array([q.const for q in nodes])
-    for t, (c, mono) in enumerate(zip(coeffs, monos)):
-        m = _monomial(env, mono)
-        tv, tg, th = m.value[..., None] * c, m.grad[..., None] * c, m.hess[..., None] * c
-        if t:
-            val, grad, hess = val + tv, grad + tg, hess + th
-        else:
-            val, grad, hess = tv + val, tg, th
-    return val, grad, hess
+    terms = table[rows, :, :, None] * coeffs[:, None, None, :]  # (term, S, jet, node)
+    acc = terms[0]
+    acc[:, 0] += [q.const for q in nodes]  # the value's first sum: const + term
+    for t in terms[1:]:
+        acc += t
+    b = len(env)
+    hess = acc[:, 1 + b:].reshape(len(acc), b, b, -1)
+    return acc[:, 0], acc[:, 1:1 + b], np.ascontiguousarray(hess)
 
 
 # ---- printing ----

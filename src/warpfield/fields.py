@@ -103,8 +103,9 @@ class ProductField:
         sample axis.  Each part is walked once over all of them, in its own
         block's ``jet_env``; its first partials in other blocks stay zero,
         and its second partials are its block's (``FieldJet.d2``).  A part
-        of ``Quadratic`` components is one fold, except on the walk's retry,
-        which walks each component so that an error names it."""
+        of ``Quadratic`` components is one fold over its env's monomial
+        table, except on the walk's retry, which walks each component so
+        that an error names it."""
         s, n = len(points), ps.total_dim
         envs = [ps.jet_env(points, part.block) for part in self.parts]
         slices = [ps.block_slice(part.block) for part in self.parts]
@@ -148,13 +149,12 @@ def synth_field(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:
     draws read as Python floats, so ``round`` rounds them as it would the
     scalar draws."""
     bm = ps.block_metric(block)
-    names = list(bm.coords)
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
-    draws = iter(rng.block(bm.dim * (1 + len(names) + len(pairs))).tolist())
+    monos = fieldexpr.monomials(bm.coords)
+    draws = iter(rng.block(bm.dim * (1 + len(monos))).tolist())
     comps = []
     for _ in range(bm.dim):
         const = round(next(draws), 3)
-        terms = [(round(next(draws), 3), (a,)) for a in names]
-        terms += [(round(0.5 * next(draws), 3), pair) for pair in pairs]
-        comps.append(fieldexpr.Quadratic(const, tuple(terms)))
+        terms = tuple((round((0.5 if len(m) == 2 else 1.0) * next(draws), 3), m)
+                      for m in monos)
+        comps.append(fieldexpr.Quadratic(const, terms))
     return VectorFieldDef(block, tuple(comps))

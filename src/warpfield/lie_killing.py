@@ -26,6 +26,7 @@ from .connections import (
     as_field_jet,
     bilinear,
     contract_first,
+    matvec,
     nabla,
     nabla_grid,
 )
@@ -219,7 +220,10 @@ def eq22_residual(geom: Geometry, zeta, xs) -> np.ndarray:
                   - form(g, nxz, nxz) - form(nw @ g, xs, xs))
 
 
-def constant_length_stddev(geom: Geometry, zeta) -> float:
-    """Spread of g(zeta, zeta) over the geometry's sample points."""
-    zv = geom.field_values(zeta)
-    return float(np.std(bilinear(geom.metric_jet().g, zv, zv)))
+def length_gradient(geom: Geometry, zeta) -> np.ndarray:
+    """d_a g(zeta, zeta) = zeta^i zeta^j d_a g_ij + 2 g_ij zeta^i d_a zeta^j
+    at every sample point (S, n): zero wherever zeta has constant length."""
+    mj = geom.metric_jet()
+    zj = as_field_jet(geom, zeta)
+    zv = zj.val[..., None, :]
+    return bilinear(mj.dg, zv, zv) + 2.0 * matvec(zj.d @ mj.g, zj.val)

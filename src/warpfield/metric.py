@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fieldexpr
-from .fieldexpr import Bin, Expr, Num, eval_expr
+from .fieldexpr import Bin, Expr, JetEnv, Num, eval_expr
 from .jets import DomainError, Jet2, require
 from .sampling import SplitMix
 
@@ -164,7 +164,8 @@ class ProductStructure:
     def jet_env(self, points: np.ndarray, block=None) -> dict:
         """Coordinate jets over the rows of ``points``, one sample per row,
         with partials in ``block``'s coordinates or, by default, the chart's;
-        kept while a read-only sample set (a geometry's) lives."""
+        kept, with its monomial table (``JetEnv``), while a read-only sample
+        set (a geometry's) lives."""
         key = (id(points), block)
         env = self._envs.get(key)
         if env is None:
@@ -173,8 +174,8 @@ class ProductStructure:
             n, s = coords.shape
             grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
             hess = np.zeros((s, n, n))
-            env = {name: Jet2(coords[k], grads[k], hess)
-                   for k, name in enumerate(self.coord_names[sl])}
+            env = JetEnv((name, Jet2(coords[k], grads[k], hess))
+                         for k, name in enumerate(self.coord_names[sl]))
             if not points.flags.writeable:
                 self._envs[key] = env
                 weakref.finalize(points, self._envs.pop, key)

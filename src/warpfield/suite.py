@@ -123,7 +123,8 @@ class RunContext:
     standalone manifold, and the product copies each lifted part's jet
     from its block's geometry.  The connection is chosen by ``kind`` at
     each call.  Every check of one run reads the same geometries, so each
-    stack is computed once per run, and nothing outlives the run.
+    stack is computed once per run, and so is each gate's maximum
+    (``sample_max``); nothing outlives the run.
     """
 
     def __init__(self, mf: Manifest, samples: int = DEFAULT_SAMPLES,
@@ -137,6 +138,7 @@ class RunContext:
         self.geom = Geometry(self.ps, mf.torsion, points)
         self._combos: dict[str, ProductField] | None = None
         self._synth: dict[tuple, VectorFieldDef] = {}
+        self._maxima: dict[tuple, float] = {}
 
     # ---- sampling ----
 
@@ -201,8 +203,13 @@ class RunContext:
         return fn(self.block_geom(block), self.rehomed(zeta), **kw)
 
     def sample_max(self, fn, zeta, block=None, **kw) -> float:
-        """Max over the sample points of |fn| (see over_samples)."""
-        return max_abs(self.over_samples(fn, zeta, block, **kw))
+        """Max over the sample points of |fn| (see over_samples), reduced
+        once per run: a repeated gate reads the kept float."""
+        key = (fn, zeta, block, *sorted(kw.items()))
+        got = self._maxima.get(key)
+        if got is None:
+            got = self._maxima[key] = max_abs(self.over_samples(fn, zeta, block, **kw))
+        return got
 
 
 class Registry:

@@ -24,10 +24,13 @@ vectors of the orthogonal cone, of the witnesses Prop3.20 and Prop3.24
 and of ``synth_field`` drawn one scalar draw per Python call, and the
 power-law fits of Prop6.15, Def6.16 and Prop6.17 taken one sample row
 at a time, are the earlier code of the package, kept as the references
-its array forms are compared with."""
+its array forms are compared with.  ``wide_manifests`` gives the two
+generated charts of the ``wide_chart`` benchmark workload."""
 
+import importlib.util
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from warpfield.lie_killing import (
     max_abs,
     nabla_quads,
 )
+from warpfield.manifest import parse_manifest
 from warpfield.metric import (
     DET_FLOOR,
     DimensionMismatch,
@@ -70,6 +74,15 @@ from warpfield.metric import (
 )
 from warpfield.sampling import SplitMix
 from warpfield.suite import inconclusive, residual_outcome
+
+
+def wide_manifests():
+    """The first two ``perfbench/widechart.py`` manifests of seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "widechart.py"
+    spec = importlib.util.spec_from_file_location("widechart", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_manifest(module.wide_manifest(1, i), f"wide{i}") for i in range(2)]
 
 
 class DegeneratePlane(GeometryError):

@@ -510,16 +510,33 @@ class TestResolution:
         assert "Example3.12" in captured.out
 
 
+CONTROLS = {"grw_poly", "kasner_bad"}
+POSITIVE = [p.stem for p in sorted(corpus_dir().glob("*.wm")) if p.stem not in CONTROLS]
+
+
+class TestOneSampleGates:
+    """At one sample point a spread over the sample set is 0, so a
+    constant-length gate must test the length's gradient at the point."""
+
+    @pytest.mark.parametrize("name", POSITIVE)
+    def test_constant_length_statements_do_not_fail(self, name, capsys):
+        main(["verify", wm(name), "--samples", "1", "--format", "jsonl"])
+        rows = [json.loads(s) for s in capsys.readouterr().out.splitlines()]
+        verdicts = {r["check"]: r["verdict"] for r in rows if r["kind"] == "check"}
+        gated = ("Lemma6.4", "Cor6.5", "Thm6.14.2")
+        assert set(gated) <= set(verdicts)
+        assert [c for c in gated if verdicts[c] == "fail"] == []
+
+
 class TestWholeCorpusContract:
     def test_default_run_over_every_manifest(self):
         """Exit code is 0 exactly for manifests with no failing check;
         the two shipped negative-control manifests exit 1."""
-        expected_fail = {"grw_poly", "kasner_bad"}
         for path in sorted(corpus_dir().glob("*.wm")):
             proc = run_cli("verify", str(path), "--samples", "8",
                            "--format", "jsonl")
             lines = [json.loads(s) for s in proc.stdout.strip().splitlines()]
             overall = lines[-1]
-            want = 1 if path.stem in expected_fail else 0
+            want = 1 if path.stem in CONTROLS else 0
             assert proc.returncode == want, (path.stem, proc.stdout[-500:])
             assert overall["overall"] == ("fail" if want else "pass")

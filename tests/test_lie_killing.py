@@ -12,9 +12,9 @@ from warpfield.connections import (
 )
 from warpfield.fields import ProductField, VectorFieldDef, lift
 from warpfield.lie_killing import (
-    constant_length_stddev,
     eq22_residual,
     homothety_check,
+    length_gradient,
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
@@ -264,5 +264,22 @@ class TestCurvatureCoupling:
         geom = sampled(plane(), 23, 16)
         const = base_field("1", "0", coords=("x", "y"))
         rot = base_field(*ROT, coords=("x", "y"))
-        assert constant_length_stddev(geom, const) <= 1e-12
-        assert constant_length_stddev(geom, rot) > 1e-3
+        assert max_abs(length_gradient(geom, const)) <= 1e-12
+        assert max_abs(length_gradient(geom, rot)) > 1e-3
+
+    @pytest.mark.parametrize("count", [1, 2, 16])
+    def test_length_gradient_is_pointwise(self, count):
+        # |rot|^2 = x^2 + y^2 has gradient 2 (x, y): seen at one point too,
+        # where a spread over the sample set is 0
+        geom = sampled(plane(), 24, count)
+        rot = base_field(*ROT, coords=("x", "y"))
+        assert np.allclose(length_gradient(geom, rot), 2.0 * geom.points, atol=1e-14)
+        assert max_abs(length_gradient(geom, rot)) > 1e-3
+
+    def test_length_gradient_reads_the_metric_partials(self):
+        # on the interval with g = t, zeta = t^-1/2 d_t has g(zeta, zeta) = 1
+        ps = ProductStructure(base=diagonal_block("base", ("t",), (fe.parse_expr("t", ("t",)),),
+                                                  ((0.25, 1.75),)))
+        geom = sampled(ps, 25, 1)
+        assert max_abs(length_gradient(geom, base_field("t^(-0.5)"))) <= 1e-12
+        assert max_abs(length_gradient(geom, base_field("1"))) > 0.5

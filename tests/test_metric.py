@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +12,14 @@ from oracles import (
     metric_row,
     signature,
     warp_jet_full,
+    wide_manifests,
 )
 from warpfield import fieldexpr as fe
 from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry, divergence
 from warpfield.fields import VectorFieldDef, lift
 from warpfield.jets import DomainError
-from warpfield.manifest import load_manifest, parse_manifest
+from warpfield.manifest import load_manifest
 from warpfield.metric import (
     DimensionMismatch,
     NonPositiveWarping,
@@ -197,14 +196,6 @@ class TestMetricJet:
         for d in range(3):
             expected = -mj.ginv @ mj.dg[d] @ mj.ginv
             assert np.allclose(mj.dginv[d], expected, atol=1e-12)
-
-
-def wide_manifests():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "widechart.py"
-    spec = importlib.util.spec_from_file_location("widechart", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [parse_manifest(module.wide_manifest(1, i), f"wide{i}") for i in range(2)]
 
 
 CHARTS = [load_manifest(p) for p in sorted(corpus_dir().glob("*.wm"))] + wide_manifests()

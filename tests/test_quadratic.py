@@ -2,19 +2,26 @@
 ``oracles.synth_field_scalar`` builds from the same draws: the part fold,
 the walk of one component and a float evaluation give the tree's bits,
 with the same sign of every zero; the node prints the tree's text, and an
-overflow raises the tree's error."""
+overflow raises the tree's error.  The fold reads its block's monomial
+table, which equals the component walk on every block of the corpus and
+of the wide charts, and is freed with its sample set."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import jet_arrays, synth_field_scalar
+from oracles import jet_arrays, synth_field_scalar, wide_manifests
+from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
-from warpfield.fieldexpr import Quadratic, eval_expr, fold_quadratics, pretty
+from warpfield.fieldexpr import JetEnv, Quadratic, eval_expr, fold_quadratics, monomials, pretty
 from warpfield.fields import lift, synth_field
 from warpfield.jets import DomainError
-from warpfield.manifest import parse_manifest
+from warpfield.manifest import load_manifest, parse_manifest
 from warpfield.metric import jet_of
 from warpfield.sampling import SplitMix
+from warpfield.suite import RunContext
 
 DIMS = [1, 2, 3, 4]
 SAMPLES = [1, 16]
@@ -148,4 +155,77 @@ def test_fold_needs_quadratics_over_one_set_of_monomials():
     assert fold_quadratics(tree.components, env) is None
     assert fold_quadratics((q, Quadratic(q.const, q.terms[:-1])), env) is None
     assert fold_quadratics((Quadratic(1.0, ()),), env) is None
+    # a pair out of coordinate order is no row of the table
+    assert fold_quadratics((Quadratic(1.0, ((1.0, ("x1", "x0")),)),), env) is None
     assert fold_quadratics(node.components, env) is not None
+
+
+CHARTS = [load_manifest(p) for p in sorted(corpus_dir().glob("*.wm"))] + wide_manifests()
+
+
+def blocks(mf):
+    return ["base", *range(mf.fiber_count)]
+
+
+def same_bytes(a, b) -> bool:
+    """Equal bit for bit, the sign of every zero included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("samples", [1, 16, 64])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_fold_equals_the_component_walk(self, mf, samples):
+        """On each block's geometry: the table fold, and the field jet the
+        run reads, against ``eval_expr`` walking each component term by
+        term in the block's ``jet_env``."""
+        ctx = RunContext(mf, samples=samples)
+        for block in blocks(mf):
+            geom = ctx.block_geom(block)
+            node = ctx.synth(block, "test:table")
+            env = geom.ps.jet_env(geom.points, "base")
+            assert isinstance(env, JetEnv)
+            index, table = env.monomial_table
+            assert list(index) == list(monomials(env))
+            assert table.shape == (len(index), samples, 1 + len(env) + len(env) ** 2)
+            val, grad, hess = fold_quadratics(node.components, env)
+            fj = geom.field_jet(geom.rehomed(node))
+            (_, h), = fj.d2
+            for k, comp in enumerate(node.components):
+                ref = eval_expr(comp, env)
+                for got, want in ((val[:, k], ref.value), (grad[..., k], ref.grad),
+                                  (hess[..., k], ref.hess), (fj.val[:, k], ref.value),
+                                  (fj.d[..., k], ref.grad), (h[..., k], ref.hess)):
+                    assert same_bytes(got, want), (block, k)
+
+    def test_env_keeps_one_table(self):
+        ctx = RunContext(CHARTS[0], samples=4)
+        env = ctx.geom.ps.jet_env(ctx.points(), "base")
+        assert env is ctx.geom.ps.jet_env(ctx.points(), "base")
+        assert env.monomial_table is env.monomial_table
+
+    @pytest.mark.parametrize("name", ["sphere", "mw2_fib", "mw3_fib"])
+    def test_table_is_freed_with_its_sample_set(self, name):
+        mf = load_manifest(corpus_dir() / f"{name}.wm")
+        geom = RunContext(mf, samples=8).geom
+        kept = []
+        for block in blocks(mf):
+            node = synth_field(mf.structure, block, SplitMix(3))
+            geom.field_jet(lift(node))
+            bgeom = geom.block(block)
+            env = bgeom.ps.jet_env(bgeom.points, "base")
+            kept.append((bgeom.ps, id(bgeom.points), weakref.ref(env.monomial_table[1])))
+            assert (id(bgeom.points), "base") in bgeom.ps._envs
+        del geom, bgeom, env
+        gc.collect()
+        for ps, key, table in kept:
+            assert table() is None
+            assert [k for k in ps._envs if k[0] == key] == []
+
+    def test_writable_points_keep_no_table(self):
+        ps = parse_manifest(chart(2)).structure
+        pts = SplitMix(4).block((5, ps.total_dim))
+        node, _ = drawn(ps, "base", "mixed", 6)
+        assert fold_quadratics(node.components, ps.jet_env(pts, "base")) is not None
+        assert ps._envs == {}

@@ -26,7 +26,7 @@ from oracles import (
     ssm_gamma_at,
     trace_nabla_at,
 )
-from warpfield import connections, curvature, lie_killing
+from warpfield import connections, curvature, lie_killing, suite
 from warpfield.checks import killing
 from warpfield.cli import corpus_dir
 from warpfield.connections import (
@@ -182,13 +182,13 @@ class TestCovariantDerivativeStack:
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
           (connections, "_ssm_gamma"), (curvature, "_curvatures"),
           (lie_killing, "_lie_matrices"), (lie_killing, "_lie_lie_matrices"),
-          (lie_killing, "_nabla_zeta_zetas"))
+          (lie_killing, "_nabla_zeta_zetas"), (curvature, "_product_frames"))
 
 
 class TestStacksComputedOnce:
-    """Across all checks of a run, each geometry computes its Christoffel
-    and curvature stacks once, and each (geometry, field, kind) Lie stack
-    once."""
+    """Across all checks of a run, each geometry computes its Christoffel,
+    curvature and frame stacks once, and each (geometry, field, kind) Lie
+    stack once."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
     def test_each_stack_computed_once(self, name, monkeypatch):
@@ -208,6 +208,33 @@ class TestStacksComputedOnce:
         assert {key[0] for key in calls} == {attr for _, attr in STACKS}
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
+
+
+class TestGateMaxima:
+    """``RunContext.sample_max`` keeps one maximum per gated stack: the
+    float ``max_abs`` gives, reduced once however many checks ask."""
+
+    @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner", "static"])
+    def test_each_stack_reduced_once(self, name, monkeypatch):
+        reduced = []  # the arrays, kept alive so that their ids stay distinct
+
+        def counting(values):
+            reduced.append(values)
+            return lie_killing.max_abs(values)
+
+        monkeypatch.setattr(suite, "max_abs", counting)
+        mf = load_manifest(corpus_dir() / f"{name}.wm")
+        ctx = RunContext(mf, samples=16)
+        for spec in default_registry().specs:
+            if spec.applies(mf):
+                spec.run(ctx)
+        assert [key for key, n in Counter(map(id, reduced)).items() if n > 1] == []
+        assert len(ctx._maxima) > 10
+        monkeypatch.undo()
+        for (fn, zeta, block, *kw), got in ctx._maxima.items():
+            want = lie_killing.max_abs(ctx.over_samples(fn, zeta, block, **dict(kw)))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert ctx.sample_max(fn, zeta, block, **dict(kw)) is got
 
 
 # ---- the quantities behind the cones, witnesses, frame traces and
