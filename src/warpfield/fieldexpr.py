@@ -364,11 +364,10 @@ def fold_quadratics(nodes, env: JetEnv):
     if None in rows:
         return None
     coeffs = np.array([[c for c, _ in q.terms] for q in nodes]).T  # (term, node)
-    terms = table[rows, :, :, None] * coeffs[:, None, None, :]  # (term, S, jet, node)
-    acc = terms[0]
+    acc = table[rows[0], :, :, None] * coeffs[0]  # (S, jet, node)
     acc[:, 0] += [q.const for q in nodes]  # the value's first sum: const + term
-    for t in terms[1:]:
-        acc += t
+    for r, c in zip(rows[1:], coeffs[1:]):
+        acc += table[r, :, :, None] * c
     b = len(env)
     hess = acc[:, 1 + b:].reshape(len(acc), b, b, -1)
     return acc[:, 0], acc[:, 1:1 + b], np.ascontiguousarray(hess)

@@ -138,7 +138,6 @@ class RunContext:
         self.geom = Geometry(self.ps, mf.torsion, points)
         self._combos: dict[str, ProductField] | None = None
         self._synth: dict[tuple, VectorFieldDef] = {}
-        self._maxima: dict[tuple, float] = {}
 
     # ---- sampling ----
 
@@ -203,13 +202,17 @@ class RunContext:
         return fn(self.block_geom(block), self.rehomed(zeta), **kw)
 
     def sample_max(self, fn, zeta, block=None, **kw) -> float:
-        """Max over the sample points of |fn| (see over_samples), reduced
-        once per run: a repeated gate reads the kept float."""
-        key = (fn, zeta, block, *sorted(kw.items()))
-        got = self._maxima.get(key)
-        if got is None:
-            got = self._maxima[key] = max_abs(self.over_samples(fn, zeta, block, **kw))
-        return got
+        """Max over the sample points of |fn| (see over_samples), kept by
+        the same geometry as the stack: a repeated gate reads the kept
+        float."""
+        if block is None:
+            return self.geom.stack(_max_of, fn, zeta, tuple(sorted(kw.items())))
+        return self.block_geom(block).stack(_max_of, fn, self.rehomed(zeta),
+                                            tuple(sorted(kw.items())))
+
+
+def _max_of(geom, fn, zeta, kw) -> float:
+    return max_abs(fn(geom, zeta, **dict(kw)))
 
 
 class Registry:

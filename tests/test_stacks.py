@@ -211,27 +211,36 @@ class TestStacksComputedOnce:
 
 
 class TestGateMaxima:
-    """``RunContext.sample_max`` keeps one maximum per gated stack: the
-    float ``max_abs`` gives, reduced once however many checks ask."""
+    """``RunContext.sample_max`` keeps one maximum per gated stack in the
+    stack's geometry: the float ``max_abs`` gives, reduced once however
+    many checks ask."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner", "static"])
     def test_each_stack_reduced_once(self, name, monkeypatch):
         reduced = []  # the arrays, kept alive so that their ids stay distinct
+        asked = {}  # (fn, zeta, block, kw) -> the first float returned
 
         def counting(values):
             reduced.append(values)
             return lie_killing.max_abs(values)
 
+        def asking(ctx, fn, zeta, block=None, **kw):
+            got = sample_max(ctx, fn, zeta, block, **kw)
+            asked.setdefault((fn, zeta, block, tuple(sorted(kw.items()))), got)
+            return got
+
+        sample_max = RunContext.sample_max
         monkeypatch.setattr(suite, "max_abs", counting)
+        monkeypatch.setattr(RunContext, "sample_max", asking)
         mf = load_manifest(corpus_dir() / f"{name}.wm")
         ctx = RunContext(mf, samples=16)
         for spec in default_registry().specs:
             if spec.applies(mf):
                 spec.run(ctx)
         assert [key for key, n in Counter(map(id, reduced)).items() if n > 1] == []
-        assert len(ctx._maxima) > 10
+        assert len(asked) > 10
         monkeypatch.undo()
-        for (fn, zeta, block, *kw), got in ctx._maxima.items():
+        for (fn, zeta, block, kw), got in asked.items():
             want = lie_killing.max_abs(ctx.over_samples(fn, zeta, block, **dict(kw)))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert ctx.sample_max(fn, zeta, block, **dict(kw)) is got

@@ -1,25 +1,26 @@
 """A/B benchmark of the working tree against a parent commit.
 
-Builds two copies: the parent from ``git archive REV`` and the change from
-the working tree's files (tracked and untracked, not ignored).  For each
-workload it runs ``perfbench/run.py`` in both copies over N seeds, one
-pair per seed, alternating which side runs first, and deletes every
-``__pycache__`` directory in both copies before each run, so that neither
-side starts from cached bytecode.  ``perfbench/run.py`` runs unchanged, as
-a child process.  It prints one JSON object, the ``series`` of a
+Builds two copies in a temporary directory: the parent from ``git archive
+REV`` and the change from the working tree's files (tracked and untracked,
+not ignored).  For each workload of ``BENCHMARK.json`` it runs
+``perfbench/run.py`` for the file's ``run_seconds`` in both copies over N
+seeds, one pair per seed, alternating which side runs first, and deletes
+every ``__pycache__`` directory in both copies before each run, so that
+neither side starts from cached bytecode.  ``perfbench/run.py`` runs
+unchanged, as a child process.  It prints one JSON object, the ``series`` of a
 ``BENCH_<n>.json``: per workload and end-to-end metric both sides' runs
 and medians, the parent's IQR, the change in percent and in how many
 pairs the change was better.
 
 Usage, from the root of a checkout::
 
-    python tests/tools/ab_bench.py [--parent REV] [--workloads W ...]
-        [--pairs N] [--seed S] [--seconds T] [--workdir DIR] [--out FILE]
+    python tests/tools/ab_bench.py --parent REV [--pairs N] [--seed S]
+        [--out FILE]
 
-Seeds are ``S + 100 * w + i`` for the i-th pair of the w-th workload
-named.  Quartiles are numpy's linear 25th and 75th percentiles.  The
-copies are left in ``--workdir`` (default: a new temporary directory).
-Pytest does not collect this file.
+Seeds are ``S + 100 * w + i`` for the i-th pair of the w-th workload in
+``BENCHMARK.json``.  Quartiles are numpy's linear 25th and 75th
+percentiles.  The copies are deleted at the end.  Pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
-WORKLOADS = ("wide_chart", "corpus_verify", "killing_sweep")
 
 
 def git(*args: str) -> str:
@@ -47,9 +47,7 @@ def make_copies(parent: str, workdir: Path) -> dict[str, Path]:
     """{"parent": git archive of ``parent``, "change": the working files}."""
     copies = {"parent": workdir / "parent", "change": workdir / "change"}
     for path in copies.values():
-        if path.exists():
-            shutil.rmtree(path)
-        path.mkdir(parents=True)
+        path.mkdir()
     archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(copies["parent"])], input=archive, check=True)
@@ -127,31 +125,32 @@ def series(copies: dict[str, Path], workload: str, seeds: list[int], seconds: fl
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--parent", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workdir", type=Path)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab_bench-"))
-    copies = make_copies(args.parent, workdir)
-    bench = json.loads((copies["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    parent = git("rev-parse", "--short", args.parent).strip()
     result = {
-        "what": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                f"--trace 0; the parent from `git archive` of {git('rev-parse', '--short', args.parent).strip()}, "
+        "what": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                f"--trace 0; the parent from `git archive` of {parent}, "
                 "the change from a copy of the working files, both copies cleared of "
                 "__pycache__ before every run; alternating which side runs first in each "
                 "pair; quartiles are numpy percentiles 25/75 (linear).",
-        "src_warpfield_lines": {side: source_lines(copy) for side, copy in copies.items()},
+        "src_warpfield_lines": None,
         "series": {},
     }
-    for w, workload in enumerate(args.workloads):
-        seeds = [args.seed + 100 * w + i for i in range(args.pairs)]
-        result["series"][workload] = series(copies, workload, seeds, args.seconds, metrics)
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as workdir:
+        copies = make_copies(parent, Path(workdir))
+        result["src_warpfield_lines"] = {side: source_lines(copy)
+                                         for side, copy in copies.items()}
+        for w, workload in enumerate(item["name"] for item in bench["workloads"]):
+            seeds = [args.seed + 100 * w + i for i in range(args.pairs)]
+            result["series"][workload] = series(copies, workload, seeds, seconds, metrics)
     text = json.dumps(result, indent=1)
     if args.out:
         args.out.write_text(text + "\n", encoding="utf-8")
