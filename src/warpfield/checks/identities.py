@@ -123,7 +123,7 @@ def _item_base_base(ctx, d: _Decomp, kind: str) -> np.ndarray:
     geom = ctx.geom
     lhs = covariant_derivative(geom, lift(d.xb), lift(d.yb), kind)
     base_geom = ctx.block_geom("base")
-    xb, yb = ctx.rehomed(d.xb), ctx.rehomed(d.yb)
+    xb, yb = lift(d.xb), lift(d.yb)
     if kind == SEMI_SYMMETRIC and shift_on_fiber(ctx.mf):
         # base part shifts by -g_B(XB, YB) P when the shift lives on a fiber
         gb = base_geom.metric_jet().g
@@ -198,7 +198,7 @@ def _item_diagonal(ctx, d: _Decomp, kind: str) -> np.ndarray:
         xiv = geom.field_values(lift(d.xi[i]))
         yiv = geom.field_values(lift(d.yi[i]))
         gixy = bilinear(fgeom.metric_jet().g, xiv[:, sl], yiv[:, sl])
-        nab_i = covariant_derivative(fgeom, ctx.rehomed(d.xi[i]), ctx.rehomed(d.yi[i]),
+        nab_i = covariant_derivative(fgeom, lift(d.xi[i]), lift(d.yi[i]),
                                      LEVI_CIVITA)
         grad_warp = matvec(geom.metric_jet().ginv, wj.grad)
         rhs = (-wj.value * gixy)[:, None] * grad_warp + embed(ctx.ps, i, nab_i)
@@ -387,7 +387,7 @@ def _eq27_sides(ctx: RunContext, parts) -> tuple[np.ndarray, np.ndarray]:
     lhs = trace_nabla(geom, ProductField(tuple(parts)))
     gb = base_geom.metric_jet().g
     zbv = geom.field_values(lift(parts[0]))
-    rhs = trace_nabla(base_geom, ctx.rehomed(parts[0]))
+    rhs = trace_nabla(base_geom, lift(parts[0]))
     for i, zi in enumerate(parts[1:]):
         fgeom = ctx.block_geom(i)
         gi = fgeom.metric_jet().g
@@ -396,10 +396,10 @@ def _eq27_sides(ctx: RunContext, parts) -> tuple[np.ndarray, np.ndarray]:
         zbf = dot(zbv, wj.grad)
         gradf_b = np.linalg.solve(gb, wj.grad[:, ctx.ps.block_slice("base"), None])[..., 0]
         gf2 = bilinear(gb, gradf_b, gradf_b)
-        rhs = rhs + (trace_nabla(fgeom, ctx.rehomed(zi))
+        rhs = rhs + (trace_nabla(fgeom, lift(zi))
                      + 2.0 * bilinear(gi, ziv, ziv) * gf2
                      + gi.shape[-1] / wj.value ** 2 * zbf ** 2
-                     + 2.0 * zbf / wj.value * divergence(fgeom, ctx.rehomed(zi)))
+                     + 2.0 * zbf / wj.value * divergence(fgeom, lift(zi)))
     return lhs, rhs
 
 

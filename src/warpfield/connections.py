@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldJet, ProductField, VectorFieldDef, lift, rehome
-from .jets import DomainError, Jet2
-from .metric import DimensionMismatch, MetricJet, ProductStructure
+from .fields import FieldJet, ProductField, VectorFieldDef, lift
+from .fieldexpr import JetEnv
+from .jets import Jet2
+from .metric import DimensionMismatch, GeometryError, MetricJet, ProductStructure
 
 LEVI_CIVITA = "levi_civita"
 SEMI_SYMMETRIC = "semi_symmetric"
@@ -75,10 +76,11 @@ class Geometry:
     per row; its width is checked here, once.  Each quantity is computed
     once for all of them, as a stack whose leading axis runs over the
     points (``stack``), from the stacked metric and field jets; every
-    accessor returns that stack, and a field's jet is copied part by part
-    from the blocks' own geometries (``block``), whose metric jets are read
-    from this one's.  Any other point is the sample set of a geometry of
-    its own, ``Geometry(ps, torsion, [p])``.
+    accessor returns that stack.  Only a chart walks: the metric once and
+    each lifted part of a field once, in its block's ``jet_env``, which is
+    a stack too; its blocks' geometries (``block``) read their metric and
+    field jets from this one's.  Any other point is the sample set of a
+    geometry of its own, ``Geometry(ps, torsion, [p])``.
     """
 
     def __init__(self, ps: ProductStructure, torsion: TorsionSpec | None, points):
@@ -86,11 +88,10 @@ class Geometry:
         self.torsion = torsion if torsion is not None else TorsionSpec.zero()
         self.torsion.validate(ps)
         self.points = ps.sample_set(points).view()
-        self.points.flags.writeable = False  # so ps keeps its jet_envs
+        self.points.flags.writeable = False  # every stack is computed over it once
         self._p_field = None if self.torsion.is_zero else lift(self.torsion.field)
         self._stacks: dict = {}
         self._blocks: dict = {}
-        self._rehomed: dict[VectorFieldDef, ProductField] = {}
         self._chart = None  # a block's: (its chart's geometry, weakly; block id)
 
     def stack(self, compute, *args):
@@ -144,8 +145,9 @@ class Geometry:
         """Block b ('base' or a fiber index) as a standalone manifold over
         its columns of the sample set, built once; a one-block chart's base
         is this geometry.  The base carries the shift only when P lives on
-        the base; a fiber carries none.  A block reads its metric jet from
-        this geometry's walk, which it must not outlive."""
+        the base; a fiber carries none.  A block reads its metric jet and
+        its lifted parts' jets from this geometry's walks, which it must
+        not outlive."""
         key = "base" if b == "base" else int(b)
         if key == "base" and not self.ps.fibers:
             return self
@@ -157,11 +159,10 @@ class Geometry:
             self._blocks[key] = blk
         return self._blocks[key]
 
-    def rehomed(self, vfd: VectorFieldDef) -> ProductField:
-        """A lifted part as a field on its own block's geometry, built once."""
-        if vfd not in self._rehomed:
-            self._rehomed[vfd] = rehome(vfd)
-        return self._rehomed[vfd]
+    def jet_env(self, block) -> JetEnv:
+        """The coordinate jets of block ``block`` over the sample set, which
+        a chart's walks read, built once."""
+        return self.stack(_jet_envs, block)
 
     def warp_jet(self, i: int) -> Jet2:
         """Jet of the i-th warping function."""
@@ -176,32 +177,43 @@ class Geometry:
 # ---- stacks over a geometry's sample points (Geometry.stack) ----
 
 
+def _jet_envs(geom: Geometry, block) -> JetEnv:
+    return geom.ps.jet_env(geom.points, block)
+
+
 def _metric_jets(geom: Geometry) -> MetricJet:
     """A chart's walk, or a block's entries read from its chart's."""
     if geom._chart is None:
-        return geom.ps.metric_jet(geom.points)
+        return geom.ps.metric_jet(geom.points, geom.jet_env)
     chart, b = geom._chart
     return chart.ps.block_jet(chart.metric_jet(), b, geom.points)
 
 
+def _part_jets(geom: Geometry, part: VectorFieldDef) -> FieldJet:
+    return lift(part).jet(geom.ps, geom.points, geom.jet_env(part.block))
+
+
 def _field_jets(geom: Geometry, field: ProductField) -> FieldJet:
-    """A one-block chart walks the field.  Otherwise each part's value and
-    first partials are copied from its block geometry's stack, every entry
-    off the parts' blocks is +0, and its second partials are that stack's
-    own array; an error raised there is raised again by the walk over this
-    geometry's points, which names the chart point."""
-    if not geom.ps.fibers:
-        return field.jet(geom.ps, geom.points)
+    """A chart walks each lifted part once, in its block's coordinates
+    (``_part_jets``), and copies each part's value and first partials from
+    that stack into its block's rows; every entry off the parts' blocks is
+    +0, and its second partials are the stack's own array.  A block
+    geometry's field is one lifted part on that block, its chart's stack
+    of the part; any other field raises."""
+    if geom._chart is not None:
+        chart, b = geom._chart
+        blocks = [part.block for part in field.parts]
+        if blocks != [b]:
+            raise GeometryError(f"the geometry of block {b} reads one lifted part "
+                                f"on it, not parts on {blocks}")
+        return chart.stack(_part_jets, field.parts[0])
     s, n = len(geom.points), geom.ps.total_dim
     val = np.zeros((s, n))
     d = np.zeros((s, n, n))
     d2 = []
     for part in field.parts:
         sl = geom.ps.block_slice(part.block)
-        try:
-            pj = geom.block(part.block).field_jet(geom.rehomed(part))
-        except DomainError:
-            return field.jet(geom.ps, geom.points)
+        pj = geom.stack(_part_jets, part)
         val[:, sl], d[:, sl, sl] = pj.val, pj.d
         (_, h), = pj.d2
         d2.append((sl, h))

@@ -98,48 +98,37 @@ class ProductField:
     def scaled(self, c: float) -> "ProductField":
         return ProductField(tuple(p.scaled(c) for p in self.parts))
 
-    def jet(self, ps: ProductStructure, points: np.ndarray) -> FieldJet:
-        """Component jets at the rows of ``points``, stacked on a leading
-        sample axis.  Each part is walked once over all of them, in its own
-        block's ``jet_env``; its first partials in other blocks stay zero,
-        and its second partials are its block's (``FieldJet.d2``).  A part
-        of ``Quadratic`` components is one fold over its env's monomial
-        table, except on the walk's retry, which walks each component so
-        that an error names it."""
-        s, n = len(points), ps.total_dim
-        envs = [ps.jet_env(points, part.block) for part in self.parts]
-        slices = [ps.block_slice(part.block) for part in self.parts]
+    def jet(self, ps: ProductStructure, points: np.ndarray, env) -> FieldJet:
+        """The jet of a one-part field at the rows of ``points``, in its
+        block's coordinates, stacked on a leading sample axis: one walk of
+        its part over all of them in ``env``, its block's ``jet_env``, read
+        as a field on the block alone (the value (S, b), first partials
+        (S, b, b), second partials on the whole block).  A part of
+        ``Quadratic`` components is one fold over the env's monomial table,
+        except on the walk's retry, which walks each component so that an
+        error names it and the chart point."""
+        (part,) = self.parts
+        s, b = len(points), len(part.components)
 
         def assemble(jet):
-            val = np.zeros((s, n))
-            d = np.zeros((s, n, n))
-            hs = []
-            for part, env, sl in zip(self.parts, envs, slices):
-                folded = jet is jet_of and fieldexpr.fold_quadratics(part.components, env)
-                if folded:
-                    val[:, sl], d[:, sl, sl], h = folded
-                else:
-                    h = np.zeros((s,) + (sl.stop - sl.start,) * 3)
-                    for k, comp in enumerate(part.components):
-                        j = jet(comp, env)
-                        col = sl.start + k
-                        val[:, col] = j.value
-                        d[:, sl, col] = j.grad
-                        h[..., k] = j.hess
-                hs.append(h)
-            return (val, d, *hs)
+            val = np.zeros((s, b))
+            d = np.zeros((s, b, b))
+            folded = jet is jet_of and fieldexpr.fold_quadratics(part.components, env)
+            if folded:
+                val[:], d[:], h = folded
+                return val, d, h
+            h = np.zeros((s, b, b, b))
+            for k, comp in enumerate(part.components):
+                j = jet(comp, env)
+                val[:, k], d[:, :, k], h[..., k] = j.value, j.grad, j.hess
+            return val, d, h
 
-        val, d, *hs = ps.walk(assemble, points)
-        return FieldJet(val, d, tuple(zip(slices, hs)))
+        val, d, h = ps.walk(assemble, points)
+        return FieldJet(val, d, ((slice(0, b), h),))
 
 
 def lift(vfd: VectorFieldDef) -> ProductField:
     return ProductField((vfd,))
-
-
-def rehome(vfd: VectorFieldDef) -> ProductField:
-    """View a lifted field as a field on its own block's structure."""
-    return lift(VectorFieldDef("base", vfd.components))
 
 
 def synth_field(ps: ProductStructure, block, rng: SplitMix) -> VectorFieldDef:

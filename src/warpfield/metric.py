@@ -13,7 +13,6 @@ poles, cube-root singularities pushed to the edge, ...).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -119,7 +118,6 @@ class ProductStructure:
                 raise GeometryError(f"warping references non-base coordinates {sorted(extra)}")
         object.__setattr__(self, "coord_names", tuple(names))
         object.__setattr__(self, "slices", tuple(slices))
-        object.__setattr__(self, "_envs", {})  # jet_env's, by sample set
 
     @property
     def total_dim(self) -> int:
@@ -161,25 +159,18 @@ class ProductStructure:
                                     f"coordinates, got shape {points.shape}")
         return points.reshape(-1, self.total_dim)
 
-    def jet_env(self, points: np.ndarray, block=None) -> dict:
+    def jet_env(self, points: np.ndarray, block=None) -> JetEnv:
         """Coordinate jets over the rows of ``points``, one sample per row,
-        with partials in ``block``'s coordinates or, by default, the chart's;
-        kept, with its monomial table (``JetEnv``), while a read-only sample
-        set (a geometry's) lives."""
-        key = (id(points), block)
-        env = self._envs.get(key)
-        if env is None:
-            sl = slice(None) if block is None else self.block_slice(block)
-            coords = points[:, sl].T.copy()  # a kept env must not hold points
-            n, s = coords.shape
-            grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
-            hess = np.zeros((s, n, n))
-            env = JetEnv((name, Jet2(coords[k], grads[k], hess))
-                         for k, name in enumerate(self.coord_names[sl]))
-            if not points.flags.writeable:
-                self._envs[key] = env
-                weakref.finalize(points, self._envs.pop, key)
-        return env
+        with partials in ``block``'s coordinates or, by default, the chart's.
+        A geometry keeps each of its blocks' envs, and with it the monomial
+        table (``JetEnv``), as a stack."""
+        sl = slice(None) if block is None else self.block_slice(block)
+        coords = points[:, sl].T.copy()  # one contiguous row per coordinate
+        n, s = coords.shape
+        grads = np.repeat(np.eye(n)[:, None, :], s, axis=1)  # grads[k] = e_k
+        hess = np.zeros((s, n, n))
+        return JetEnv((name, Jet2(coords[k], grads[k], hess))
+                      for k, name in enumerate(self.coord_names[sl]))
 
     def expr_jet(self, expr: Expr, env: dict, points: np.ndarray) -> Jet2:
         """``expr`` over the ``jet_env`` of ``points``; a constant becomes a
@@ -251,16 +242,18 @@ class ProductStructure:
         mj = self.metric_jet([p])
         return MetricJet(mj.g[0], mj.dg[0], mj.d2g[0], mj.ginv[0])
 
-    def metric_jet(self, points) -> "MetricJet":
+    def metric_jet(self, points, envs=None) -> "MetricJet":
         """Metric jets at the rows of ``points``, stacked on a leading sample
         axis, from one walk of every entry and warp expression over them all
-        in its block's ``jet_env``; a fiber entry times w^2 is put together
+        in its block's ``jet_env``, ``envs(block)`` when given (a geometry
+        passes its own); a fiber entry times w^2 is put together
         block by block, each partial from the same operands as in the chart.
         The warps' jets, in the base's coordinates, are kept as ``warps``,
         and each fiber's own metric jet, from before the w^2 product, as
         ``fibers``."""
         points = self.sample_set(points)
-        envs = [self.jet_env(points, b) for b in ("base", *range(len(self.fibers)))]
+        envs = [envs(b) if envs else self.jet_env(points, b)
+                for b in ("base", *range(len(self.fibers)))]
         s, n = len(points), self.total_dim
         bs = self.slices[0]
         warps, fibers = {}, {}

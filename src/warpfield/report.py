@@ -2,12 +2,15 @@
 
 The machine-readable format is one JSON object per line with keys in
 fixed alphabetical order, so two runs with identical inputs produce
-byte-identical output.  The text format is a fixed-width table.
+byte-identical output; a float that is not finite is written as the
+string the text report prints, ``"nan"``, ``"inf"`` or ``"-inf"``, so
+every line is strict JSON.  The text format is a fixed-width table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .suite import CheckResult
 
@@ -15,7 +18,9 @@ TOOL_NAME = "warpfield"
 
 
 def _line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    obj = {k: str(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in obj.items()}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def jsonl_report(manifest_name: str, version: str, seed: int, samples: int,

@@ -120,8 +120,8 @@ class RunContext:
 
     The product geometry over the sample points carries the manifest's
     shift; its block geometries (``block_geom``) view each block as a
-    standalone manifold, and the product copies each lifted part's jet
-    from its block's geometry.  The connection is chosen by ``kind`` at
+    standalone manifold, and read each lifted part's jet from the
+    product's walk of it.  The connection is chosen by ``kind`` at
     each call.  Every check of one run reads the same geometries, so each
     stack is computed once per run, and so is each gate's maximum
     (``sample_max``); nothing outlives the run.
@@ -178,10 +178,6 @@ class RunContext:
             self._combos = combos
         return self._combos
 
-    def rehomed(self, vfd: VectorFieldDef) -> ProductField:
-        """A lifted field on its own block's geometry, once per run."""
-        return self.geom.rehomed(vfd)
-
     def block_geom(self, block) -> Geometry:
         """The geometry of one block viewed as a standalone manifold."""
         return self.geom.block(block)
@@ -199,7 +195,7 @@ class RunContext:
         """
         if block is None:
             return fn(self.geom, zeta, **kw)
-        return fn(self.block_geom(block), self.rehomed(zeta), **kw)
+        return fn(self.block_geom(block), lift(zeta), **kw)
 
     def sample_max(self, fn, zeta, block=None, **kw) -> float:
         """Max over the sample points of |fn| (see over_samples), kept by
@@ -207,7 +203,7 @@ class RunContext:
         float."""
         if block is None:
             return self.geom.stack(_max_of, fn, zeta, tuple(sorted(kw.items())))
-        return self.block_geom(block).stack(_max_of, fn, self.rehomed(zeta),
+        return self.block_geom(block).stack(_max_of, fn, lift(zeta),
                                             tuple(sorted(kw.items())))
 
 

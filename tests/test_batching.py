@@ -14,7 +14,7 @@ from warpfield import cli
 from warpfield.connections import LEVI_CIVITA, SEMI_SYMMETRIC
 from warpfield.curvature import riemann
 from warpfield.fieldexpr import eval_expr, parse_expr
-from warpfield.fields import ProductField, VectorFieldDef, lift, rehome
+from warpfield.fields import ProductField, VectorFieldDef, lift
 from warpfield.jets import DomainError, Jet2
 from warpfield.lie_killing import lie_lie_matrix, lie_matrix
 from warpfield.manifest import load_manifest, parse_manifest
@@ -70,11 +70,15 @@ class TestExpressionBatches:
 
 def geometries(mf):
     """(geometry built with its sample points, its points, fields) of the
-    product and of each block, whose points are the block's columns."""
+    product and of each block, whose points are the block's columns.  Each
+    field is a pair: the lifted field the geometry reads, and the same
+    field on the geometry of one point, where a block is a chart of its
+    own and the field lives on its base."""
     ctx = RunContext(mf, samples=16)
-    out = [(ctx.geom, ctx.points(), [lift(f) for f in mf.fields.values()])]
+    out = [(ctx.geom, ctx.points(), [(lift(f), lift(f)) for f in mf.fields.values()])]
     for block in ["base"] + list(range(len(ctx.ps.fibers))):
-        fields = [rehome(f) for f in mf.fields.values() if f.block == block]
+        fields = [(lift(f), lift(VectorFieldDef("base", f.components)))
+                  for f in mf.fields.values() if f.block == block]
         out.append((ctx.block_geom(block), ctx.points()[:, ctx.ps.block_slice(block)], fields))
     return out
 
@@ -89,8 +93,8 @@ class TestGeometryBatches:
                 a, b = metric_row(batched.metric_jet(), k), metric_row(alone.metric_jet(), 0)
                 for name in ("g", "dg", "d2g", "ginv", "dginv"):
                     assert np.array_equal(getattr(a, name), getattr(b, name)), name
-                for f in fields:
-                    fa, fb = batched.field_jet(f), alone.field_jet(f)
+                for f, f_alone in fields:
+                    fa, fb = batched.field_jet(f), alone.field_jet(f_alone)
                     assert np.array_equal(fa.val[k], fb.val[0])
                     assert np.array_equal(fa.d[k], fb.d[0])
                     assert [sl for sl, _ in fa.d2] == [sl for sl, _ in fb.d2]
@@ -103,9 +107,9 @@ class TestGeometryBatches:
         real = ProductStructure.metric_jet
         sizes = []
 
-        def counted(ps, points):
+        def counted(ps, points, envs=None):
             sizes.append(len(points))
-            return real(ps, points)
+            return real(ps, points, envs)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
         ctx.geom.metric_jet()
@@ -127,9 +131,9 @@ class TestFieldKeys:
         real = ProductField.jet
         calls = []
 
-        def counted(field, ps, points):
+        def counted(field, ps, points, env):
             calls.append(len(points))
-            return real(field, ps, points)
+            return real(field, ps, points, env)
 
         monkeypatch.setattr(ProductField, "jet", counted)
         ctx.geom.field_jet(first)
@@ -143,9 +147,9 @@ class TestOneMetricWalkPerKillingRun:
         real = ProductStructure.metric_jet
         sizes = []
 
-        def counted(ps, points):
+        def counted(ps, points, envs=None):
             sizes.append(len(points))
-            return real(ps, points)
+            return real(ps, points, envs)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
         rc = cli.main(["killing", str(cli.corpus_dir() / "mw2_fib.wm"),

@@ -315,11 +315,13 @@ class TestNoFields:
 
 
 class TestFieldOverflow:
-    """A field component that overflows at a sample point names that point
-    and the component, on one line, whichever check walks it first."""
+    """A field component that overflows at a sample point names that chart
+    point and the component, on one line, whichever check reads it first:
+    only the chart walks a field."""
 
     @pytest.mark.parametrize("argv,message", [
-        (["verify", "--samples", "8"], "overflow at (x=-22.555221645980055) in exp(x^4)"),
+        (["verify", "--samples", "8"],
+         "overflow at (x=-22.555221645980055, u=0.5411968108936274) in exp(x^4)"),
         (["killing", "--field", "z", "--kind", "2killing", "--samples", "8"],
          "overflow at (x=14.959318425496505, u=0.36596041779613775) in exp(x^4)"),
     ], ids=["verify", "killing"])
@@ -461,6 +463,23 @@ class TestJsonlFormat:
         overall = json.loads(lines[2])
         assert overall["overall"] == "pass"
 
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "8"],
+                                      ["killing", "--field", "q", "--kind", "2killing",
+                                       "--samples", "8"]],
+                             ids=["verify", "killing"])
+    def test_non_finite_residuals_are_strict_json(self, tmp_path, argv):
+        path = tmp_path / "lie_overflow.wm"
+        path.write_text(LIE_OVERFLOW)
+        proc = run_cli(argv[0], str(path), *argv[1:], "--format", "jsonl")
+
+        def bare(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        rows = [json.loads(line, parse_constant=bare) for line in proc.stdout.splitlines()]
+        assert proc.returncode == 1 and proc.stderr == ""
+        nan = [r for r in rows if r.get("max_abs") == "nan"]
+        assert nan and all(r["mean_abs"] == "nan" and r["verdict"] == "fail" for r in nan)
+
     def test_flags_change_report_inputs(self):
         a = run_cli("verify", wm("interval"), "--props", "Example3.12",
                     "--format", "jsonl", "--samples", "12")
@@ -526,6 +545,19 @@ class TestOneSampleGates:
         gated = ("Lemma6.4", "Cor6.5", "Thm6.14.2")
         assert set(gated) <= set(verdicts)
         assert [c for c in gated if verdicts[c] == "fail"] == []
+
+
+class TestSampledHypotheses:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="CHANGES.md FOUND line on Lemma6.6: its hypothesis "
+                       "Ric(zeta, zeta) <= 0 is tested only at the drawn points, so "
+                       "torus_warp admits a field that is not parallel")
+    def test_lemma_6_6_does_not_fail_at_one_or_two_samples(self, capsys):
+        rows = []
+        for samples in ("1", "2"):
+            main(["verify", wm("torus_warp"), "--samples", samples, "--props", "Lemma6.6"])
+            rows += capsys.readouterr().out.splitlines()[1:-1]
+        assert len(rows) == 2 and [r for r in rows if r.startswith("FAIL")] == []
 
 
 class TestWholeCorpusContract:

@@ -1,6 +1,7 @@
-"""Field jets: each lifted part is walked once per geometry, in its own
-block's coordinates, a sum of parts is assembled from the parts' stacks,
-and a float operand is folded into a jet without a constant jet.  The
+"""Field jets: each lifted part is walked once, by the chart's geometry,
+in its own block's coordinates; a sum of parts is assembled from the
+parts' stacks, a block geometry reads its part's jet from its chart, and
+a float operand is folded into a jet without a constant jet.  The
 whole-chart walk of ``oracles.field_walk_full`` is the reference: a stack
 equals it with the same sign of zero in every entry in a part's block,
 and every other entry is +0; its second partials are one array per part,
@@ -21,10 +22,10 @@ from warpfield.cli import corpus_dir
 from warpfield.connections import Geometry
 from warpfield import fieldexpr, metric, suite
 from warpfield.fieldexpr import eval_expr, parse_expr
-from warpfield.fields import ProductField, lift, synth_field
+from warpfield.fields import ProductField, VectorFieldDef, lift, synth_field
 from warpfield.jets import DivisionByZero, Jet2
 from warpfield.manifest import load_manifest
-from warpfield.metric import ProductStructure
+from warpfield.metric import GeometryError, ProductStructure
 from warpfield.suite import RunContext, default_registry, run_checks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "warpfield"
@@ -72,9 +73,29 @@ class TestBlockWalk:
         for field in product_fields(ctx):
             assert_same_bits(ctx.geom.field_jet(field), ctx.ps, field, ctx.points())
         for vfd in ctx.mf.fields.values():
+            # the block geometry reads the lifted field; the reference walks
+            # the same components on the block's own chart, where it is the base
             geom = ctx.block_geom(vfd.block)
-            field = ctx.rehomed(vfd)
-            assert_same_bits(geom.field_jet(field), geom.ps, field, geom.points)
+            alone = lift(VectorFieldDef("base", vfd.components))
+            assert_same_bits(geom.field_jet(lift(vfd)), geom.ps, alone, geom.points)
+
+    @pytest.mark.parametrize("name", ["mw2_fib", "mw3_fib", "static"])
+    def test_a_block_reads_only_its_own_part(self, name):
+        ctx = RunContext(load_manifest(corpus_dir() / f"{name}.wm"), samples=4)
+        blocks = ["base", *range(len(ctx.ps.fibers))]
+        drawn = {b: ctx.synth(b, "own-part") for b in blocks}
+        for b in blocks:
+            geom = ctx.block_geom(b)
+            own = geom.field_jet(lift(drawn[b]))  # the chart's stack of the part itself
+            assert own.val.shape == (4, geom.ps.total_dim)
+            assert own.d2[0][1] is ctx.geom.field_jet(lift(drawn[b])).d2[0][1]
+            others = [lift(drawn[o]) for o in blocks if o != b]
+            others.append(ProductField(tuple(drawn.values())))
+            if b != "base":  # the part relabelled onto the block's own base
+                others.append(lift(VectorFieldDef("base", drawn[b].components)))
+            for field in others:
+                with pytest.raises(GeometryError, match=f"geometry of block {b} "):
+                    geom.field_jet(field)
 
     def test_partials_across_blocks_are_zero(self):
         ctx = RunContext(load_manifest(corpus_dir() / "mw2_fib.wm"), samples=8)
@@ -125,12 +146,12 @@ class TestOneWalkPerPart:
         real = ProductField.jet
         walks = Counter()
 
-        def counted(field, ps, points):
+        def counted(field, ps, points, env):
             # a geometry hands every walk its own sample array, and
             # all of a run's geometries live until the run ends
             assert len(field.parts) == 1
             walks[(id(points), field.parts[0])] += 1
-            return real(field, ps, points)
+            return real(field, ps, points, env)
 
         monkeypatch.setattr(ProductField, "jet", counted)
         run_checks(mf, registry.specs, samples=16)
@@ -143,12 +164,12 @@ class TestOneWalkPerPart:
         real = ProductField.jet
         walks = Counter()
 
-        def counted(field, ps, points):
+        def counted(field, ps, points, env):
             for part in field.parts:
                 cols = points[:, ps.block_slice(part.block)]
                 walks[(ps.block_metric(part.block).coords, part.components,
                        cols.tobytes())] += 1
-            return real(field, ps, points)
+            return real(field, ps, points, env)
 
         monkeypatch.setattr(ProductField, "jet", counted)
         run_checks(mf, default_registry().specs, samples=16)
@@ -187,7 +208,7 @@ class TestOneWalkPerPart:
 
 
 class TestOneEnvPerBlock:
-    def test_full_run_builds_each_block_env_once_per_geometry(self, monkeypatch):
+    def test_full_run_builds_each_block_env_once_per_chart(self, monkeypatch):
         mf = load_manifest(corpus_dir() / "mw2_fib.wm")
         real = ProductStructure.jet_env
         seen = []  # keeps every structure, sample set and env alive: ids stay unique
@@ -203,18 +224,55 @@ class TestOneEnvPerBlock:
         for ps, points, block, env in seen:
             envs[(id(ps), id(points), block)].add(id(env))
         assert envs and all(len(built) == 1 for built in envs.values())
+        assert {block for ps_id, _, block in envs if ps_id == id(mf.structure)} \
+            == {"base", 0, 1}
 
-    def test_a_kept_env_does_not_outlive_its_sample_set(self):
+    def test_an_env_is_freed_with_its_geometry(self):
         ps = load_manifest(corpus_dir() / "mw2_fib.wm").structure
         geom = Geometry(ps, None, np.zeros((4, ps.total_dim)))
-        assert ps.jet_env(geom.points, 0) is ps.jet_env(geom.points, 0)
-        points = weakref.ref(geom.points)
+        env = geom.jet_env(0)
+        assert env is geom.jet_env(0)
         geom.metric_jet()
-        del geom
+        kept = [weakref.ref(env), weakref.ref(env.monomial_table[1]),
+                weakref.ref(geom.points)]
+        del geom, env
         gc.collect()
-        assert points() is None
-        writeable = np.zeros((4, ps.total_dim))
-        assert ps.jet_env(writeable) is not ps.jet_env(writeable)
+        assert [r() for r in kept] == [None, None, None]
+
+
+class TestBlocksWalkNothing:
+    """A block geometry reads its metric and field jets from its chart:
+    during a full run none of them walks a field or builds a ``jet_env``."""
+
+    @pytest.mark.parametrize("name", ["mw2_fib", "mw3_fib", "static", "plane"])
+    def test_full_run(self, name, monkeypatch):
+        mf = load_manifest(corpus_dir() / f"{name}.wm")
+        real_block, real_jet = Geometry.block, ProductField.jet
+        real_env = ProductStructure.jet_env
+        blocks, walked = [], []  # both keep their objects alive: ids stay unique
+
+        def block(geom, b):
+            blocks.append(real_block(geom, b))
+            return blocks[-1]
+
+        def jet(field, ps, points, env):
+            walked.append((ps, points))
+            return real_jet(field, ps, points, env)
+
+        def jet_env(ps, points, b=None):
+            walked.append((ps, points))
+            return real_env(ps, points, b)
+
+        monkeypatch.setattr(Geometry, "block", block)
+        monkeypatch.setattr(ProductField, "jet", jet)
+        monkeypatch.setattr(ProductStructure, "jet_env", jet_env)
+        run_checks(mf, default_registry().specs, samples=16)
+        # each block geometry once; a one-block chart's base is the chart
+        blocks = list({id(blk): blk for blk in blocks if blk.ps is not mf.structure}.values())
+        fibers = len(mf.structure.fibers)
+        assert walked and len(blocks) == (fibers + 1 if fibers else 0)
+        assert not [1 for ps, points in walked for blk in blocks
+                    if blk.ps is ps or blk.points is points]
 
 
 def constructions(source: str, name: str) -> set[str]:

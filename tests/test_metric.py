@@ -283,9 +283,9 @@ class TestBlockGeometries:
         real = ProductStructure.metric_jet
         walked = []
 
-        def counted(ps, points):
+        def counted(ps, points, envs=None):
             walked.append(ps)
-            return real(ps, points)
+            return real(ps, points, envs)
 
         monkeypatch.setattr(ProductStructure, "metric_jet", counted)
         run_checks(mf, default_registry().specs, samples=16)

@@ -4,7 +4,7 @@ the walk of one component and a float evaluation give the tree's bits,
 with the same sign of every zero; the node prints the tree's text, and an
 overflow raises the tree's error.  The fold reads its block's monomial
 table, which equals the component walk on every block of the corpus and
-of the wide charts, and is freed with its sample set."""
+of the wide charts, and is freed with its geometry."""
 
 import gc
 import weakref
@@ -113,7 +113,7 @@ class TestAgainstTheTree:
                     for g, r, name in zip(got, (ref.value, ref.grad, ref.hess),
                                           ("value", "grad", "hess")):
                         assert_same_bits(g, r, f"{block} component {k} {name}")
-            fast, slow = lift(node).jet(ps, pts), lift(tree).jet(ps, pts)
+            fast, slow = lift(node).jet(ps, pts, env), lift(tree).jet(ps, pts, env)
             assert [sl for sl, _ in fast.d2] == [sl for sl, _ in slow.d2]
             for name, a, b in zip(("val", "d", "d2"), jet_arrays(fast), jet_arrays(slow)):
                 assert_same_bits(a, b, name)
@@ -136,7 +136,7 @@ class TestAgainstTheTree:
             pts.flags.writeable = False
             errors = []
             for field in (node, tree):
-                for walk in (lambda f: lift(f).jet(ps, pts),
+                for walk in (lambda f: lift(f).jet(ps, pts, ps.jet_env(pts, block)),
                              lambda f: Geometry(ps, None, pts).field_jet(lift(f))):
                     with pytest.raises(DomainError) as err:
                         walk(field)
@@ -177,20 +177,20 @@ class TestMonomialTable:
     @pytest.mark.parametrize("samples", [1, 16, 64])
     @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
     def test_fold_equals_the_component_walk(self, mf, samples):
-        """On each block's geometry: the table fold, and the field jet the
-        run reads, against ``eval_expr`` walking each component term by
-        term in the block's ``jet_env``."""
+        """On each block: the table fold, and the field jet its geometry
+        reads, against ``eval_expr`` walking each component term by term in
+        the block's ``jet_env``, the one the chart walks in."""
         ctx = RunContext(mf, samples=samples)
         for block in blocks(mf):
             geom = ctx.block_geom(block)
             node = ctx.synth(block, "test:table")
-            env = geom.ps.jet_env(geom.points, "base")
+            env = ctx.geom.jet_env(block)
             assert isinstance(env, JetEnv)
             index, table = env.monomial_table
             assert list(index) == list(monomials(env))
             assert table.shape == (len(index), samples, 1 + len(env) + len(env) ** 2)
             val, grad, hess = fold_quadratics(node.components, env)
-            fj = geom.field_jet(geom.rehomed(node))
+            fj = geom.field_jet(lift(node))
             (_, h), = fj.d2
             for k, comp in enumerate(node.components):
                 ref = eval_expr(comp, env)
@@ -201,31 +201,19 @@ class TestMonomialTable:
 
     def test_env_keeps_one_table(self):
         ctx = RunContext(CHARTS[0], samples=4)
-        env = ctx.geom.ps.jet_env(ctx.points(), "base")
-        assert env is ctx.geom.ps.jet_env(ctx.points(), "base")
+        env = ctx.geom.jet_env("base")
+        assert env is ctx.geom.jet_env("base")
         assert env.monomial_table is env.monomial_table
 
     @pytest.mark.parametrize("name", ["sphere", "mw2_fib", "mw3_fib"])
-    def test_table_is_freed_with_its_sample_set(self, name):
+    def test_table_is_freed_with_its_geometry(self, name):
         mf = load_manifest(corpus_dir() / f"{name}.wm")
         geom = RunContext(mf, samples=8).geom
         kept = []
         for block in blocks(mf):
-            node = synth_field(mf.structure, block, SplitMix(3))
-            geom.field_jet(lift(node))
-            bgeom = geom.block(block)
-            env = bgeom.ps.jet_env(bgeom.points, "base")
-            kept.append((bgeom.ps, id(bgeom.points), weakref.ref(env.monomial_table[1])))
-            assert (id(bgeom.points), "base") in bgeom.ps._envs
-        del geom, bgeom, env
+            geom.block(block).field_jet(lift(synth_field(mf.structure, block, SplitMix(3))))
+            env = geom.jet_env(block)
+            kept += [weakref.ref(env), weakref.ref(env.monomial_table[1])]
+        del geom, env
         gc.collect()
-        for ps, key, table in kept:
-            assert table() is None
-            assert [k for k in ps._envs if k[0] == key] == []
-
-    def test_writable_points_keep_no_table(self):
-        ps = parse_manifest(chart(2)).structure
-        pts = SplitMix(4).block((5, ps.total_dim))
-        node, _ = drawn(ps, "base", "mixed", 6)
-        assert fold_quadratics(node.components, ps.jet_env(pts, "base")) is not None
-        assert ps._envs == {}
+        assert [r() for r in kept] == [None] * len(kept)

@@ -257,7 +257,8 @@ class TestSynthField:
             # repr tells -0.0 from 0.0
             assert [repr((q.const, q.terms)) for q in node.components] == \
                 [repr(tree_terms(t)) for t in tree.components]
-            got, ref = lift(node).jet(ps, pts), lift(tree).jet(ps, pts)
+            env = ps.jet_env(pts, block)
+            got, ref = lift(node).jet(ps, pts, env), lift(tree).jet(ps, pts, env)
             assert [sl for sl, _ in got.d2] == [sl for sl, _ in ref.d2]
             for a, b in zip(jet_arrays(got), jet_arrays(ref)):
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

@@ -10,7 +10,8 @@ neither side starts from cached bytecode.  ``perfbench/run.py`` runs
 unchanged, as a child process.  It prints one JSON object, the ``series`` of a
 ``BENCH_<n>.json``: per workload and end-to-end metric both sides' runs
 and medians, the parent's IQR, the change in percent and in how many
-pairs the change was better.
+pairs the change was better; and ``src_warpfield_lines``, the lines of
+``src/warpfield/**/*.py`` in each copy.
 
 Usage, from the root of a checkout::
 

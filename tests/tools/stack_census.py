@@ -8,9 +8,9 @@ prints, once it has returned:
   function that computes the stack, e.g. ``_field_jets``);
 - the peak of the traced allocations over the invocation.
 
-An array shared by two geometries (a part's second partials, which the
-chart reads from its block's stack) is counted once, at the block; a view
-counts the array it views.  Usage, from the root of a checkout::
+An array shared by two geometries (a lifted part's jet, which a block
+geometry reads from its chart's stack of the part) is counted once, at
+the block; a view counts the array it views.  Usage, from the root of a checkout::
 
     python tests/tools/stack_census.py MANIFEST [--samples N] [--seed S] [--src DIR]
 
@@ -39,14 +39,15 @@ MB = 1e6
 
 
 def arrays_in(value):
-    """Every array a stack's value holds: in tuples, and in the attributes
-    of dataclasses and jets."""
+    """Every array a stack's value holds: in tuples, in the values of a
+    ``jet_env``, and in the attributes of dataclasses, jets and envs."""
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, (tuple, list)):
-        for v in value:
+        return
+    if isinstance(value, (tuple, list, dict)):
+        for v in (value.values() if isinstance(value, dict) else value):
             yield from arrays_in(v)
-    elif hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+    if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
         names = list(vars(value)) if hasattr(value, "__dict__") else value.__slots__
         for name in names:
             yield from arrays_in(getattr(value, name))
