@@ -14,6 +14,7 @@ the quadratic-form reformulations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,22 +142,59 @@ def lie_lie_matrix(geom: Geometry, zeta: ProductField) -> np.ndarray:
     return geom.stack(_lie_lie_matrices, zeta)
 
 
+@functools.cache
+def dgamma_rows(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (m, a, k) of dgamma[s, m, k, a, :] that a multiply warped
+    product with block dims ``dims`` (base first) can make nonzero: those
+    whose fiber indices all lie in one fiber, since each fiber's entries
+    and symbols depend on that fiber's and the base's coordinates only.
+    Returns their flat indices in dgamma's (m, k, a) layout and in the
+    (m, a, k) layout of a grid jet, both in (m, a, k) order."""
+    n = sum(dims)
+    block = np.repeat(np.arange(len(dims)), dims)  # 0 is the base
+
+    def apart(i, j):
+        return (i > 0) & (j > 0) & (i != j)
+
+    m, a, k = np.ix_(block, block, block)
+    m, a, k = np.nonzero(~(apart(m, a) | apart(m, k) | apart(a, k)))
+    rows = (m * n + k) * n + a, (m * n + a) * n + k
+    for r in rows:
+        r.flags.writeable = False  # shared by every structure of these dims
+    return rows
+
+
+def _dgamma_kept(geom: Geometry) -> np.ndarray:
+    """dgamma's rows of ``dgamma_rows``, gathered once per geometry as an
+    (S, r, n) stack in (m, a, k) order."""
+    _, dgamma = geom.christoffel_jet()
+    s, n = len(geom.points), geom.ps.total_dim
+    rows, _ = dgamma_rows(geom.ps.dims)
+    return dgamma.reshape(s, n ** 3, n)[:, rows]
+
+
 def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
     """w[s, a, k] = (nabla_{e_a} zeta)^k (Levi-Civita) and its partials
     dw[s, m, a, k] = d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj
-    d_m zeta^j.  Each part's second partials go into its diagonal block,
-    and gamma meets d zeta only on the rows m of the parts' blocks: every
-    other row of d zeta is +0.  Not a stack: dw holds S n^3 floats per
-    field, and the two stacks built from it are each computed once.  It
-    is C-ordered, as the products that read it sum in that layout."""
+    d_m zeta^j.  The d gamma term is one matmul over the rows a product
+    can make nonzero (``dgamma_rows``); every other row is +0.  Each
+    part's second partials go into its diagonal block, and gamma meets
+    d zeta only on the rows m of the parts' blocks: every other row of
+    d zeta is +0.  Not a stack, as dw holds S n^3 floats per field, so a
+    field read by both ``lie_lie_matrix`` and ``nabla_zeta_zeta`` builds
+    it twice.  It is C-ordered, as the products that read it sum in that
+    layout."""
     zj = geom.field_jet(zeta)
-    gamma, dgamma = geom.christoffel_jet()
-    dw = np.ascontiguousarray(nabla_grid(dgamma, zj.val[:, None], 0.0))
-    rows = np.zeros(geom.ps.total_dim, dtype=bool)
+    s, n = len(geom.points), geom.ps.total_dim
+    _, rows = dgamma_rows(geom.ps.dims)
+    dw = np.zeros((s, n ** 3))
+    dw[:, rows] = (geom.stack(_dgamma_kept) @ zj.val[:, :, None])[:, :, 0]
+    dw = dw.reshape(s, n, n, n)
+    blocks = np.zeros(n, dtype=bool)
     for sl, h in zj.d2:
         dw[:, sl, sl, sl] += h
-        rows[sl] = True
-    dw[:, rows] += nabla_grid(gamma[:, None], zj.d[:, rows], 0.0)
+        blocks[sl] = True
+    dw[:, blocks] += nabla_grid(geom.christoffel()[:, None], zj.d[:, blocks], 0.0)
     return nabla(geom, zeta), dw
 
 

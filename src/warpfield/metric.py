@@ -128,6 +128,10 @@ class ProductStructure:
         return (self.base,) + self.fibers
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(b.dim for b in self.blocks)
+
+    @property
     def box(self) -> tuple[tuple[float, float], ...]:
         out: list[tuple[float, float]] = []
         for b in self.blocks:

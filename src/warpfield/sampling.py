@@ -19,6 +19,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# the same as uint64 scalars, for ``SplitMix.uniforms``
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -72,13 +76,17 @@ class SplitMix:
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         count = math.prod(shape)
-        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _U_GAMMA
         z += np.uint64(self._state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        z >>= _U11
         self._state = (self._state + count * _GAMMA) & _MASK
-        return ((z >> np.uint64(11)) * (2.0 ** -53)).reshape(shape)
+        return (z * 2.0 ** -53).reshape(shape)
 
     def block(self, shape, scale: float = 1.0) -> np.ndarray:
         """The next ``symmetric(scale)`` draws as an array of ``shape`` (see

@@ -25,6 +25,7 @@ from oracles import (
     one_point,
     ssm_gamma_at,
     trace_nabla_at,
+    wide_manifests,
 )
 from warpfield import connections, curvature, lie_killing, suite
 from warpfield.checks import killing
@@ -35,10 +36,12 @@ from warpfield.connections import (
     Geometry,
     covariant_derivative,
     divergence,
+    nabla_grid,
 )
 from warpfield.curvature import riemann, trace_nabla
-from warpfield.fields import ProductField, lift
+from warpfield.fields import FieldJet, ProductField, lift
 from warpfield.lie_killing import (
+    dgamma_rows,
     lie_lie_matrix,
     lie_lie_matrix_nested,
     lie_matrix,
@@ -179,10 +182,66 @@ class TestCovariantDerivativeStack:
                                           want[3])
 
 
+CHARTS = [load_manifest(p) for p in CORPUS] + wide_manifests()
+
+
+class TestKeptDgammaRows:
+    """The d gamma term of the grid jet of nabla zeta is contracted on the
+    rows (m, a, k) a multiply warped product can make nonzero, those whose
+    fiber indices lie in one fiber, and equals the dense contraction."""
+
+    @pytest.mark.parametrize("dims,kept", [
+        ((2, 2, 2, 2, 2), 232), ((2, 2, 2), 120), ((1, 2, 2, 1), 60),
+        ((1, 2, 1), 34), ((2, 1, 1), 46), ((6,), 216), ((1,), 1)])
+    def test_kept_row_counts(self, dims, kept):
+        rows, grid_rows = dgamma_rows(dims)
+        assert len(rows) == len(grid_rows) == kept
+        assert np.all(np.diff(grid_rows) > 0)  # (m, a, k) order
+
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_every_nonzero_entry_lies_in_a_kept_row(self, mf):
+        geom = RunContext(mf, samples=16).geom
+        _, dgamma = geom.christoffel_jet()
+        n = geom.ps.total_dim
+        rows, _ = dgamma_rows(geom.ps.dims)
+        dropped = np.delete(dgamma.reshape(16, n ** 3, n), rows, axis=1)
+        assert not dropped.any()
+
+    @pytest.mark.parametrize("samples", [1, 16])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_grid_jet_is_the_dense_contraction(self, mf, samples):
+        ctx = RunContext(mf, samples=samples)
+        geom = ctx.geom
+        gamma, dgamma = geom.christoffel_jet()
+        for f in ctx.field_combos().values():
+            zj = geom.field_jet(f)
+            want = np.ascontiguousarray(nabla_grid(dgamma, zj.val[:, None], 0.0))
+            for sl, h in zj.d2:
+                want[:, sl, sl, sl] += h
+                want[:, sl] += nabla_grid(gamma[:, None], zj.d[:, sl], 0.0)
+            _, dw = lie_killing._nabla_grid_jets(geom, f)
+            assert np.array_equal(dw, want)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_field_values_give_a_non_finite_maximum(self, bad):
+        mf = wide_manifests()[0]
+        ctx = RunContext(mf, samples=16)
+        f = next(z for z in ctx.field_combos().values()
+                 if [part.block for part in z.parts] == [2])
+        zj = ctx.geom.field_jet(f)
+        val = zj.val.copy()
+        val[5, ctx.ps.block_slice(2).start] = bad
+        ctx.geom._stacks[(connections._field_jets, (f,))] = FieldJet(val, zj.d, zj.d2)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(ctx.sample_max(lie_lie_matrix, f))
+            assert np.isnan(lie_killing.point_max(lie_lie_matrix(ctx.geom, f))[5])
+
+
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
           (connections, "_ssm_gamma"), (curvature, "_curvatures"),
           (lie_killing, "_lie_matrices"), (lie_killing, "_lie_lie_matrices"),
-          (lie_killing, "_nabla_zeta_zetas"), (curvature, "_product_frames"))
+          (lie_killing, "_dgamma_kept"), (lie_killing, "_nabla_zeta_zetas"),
+          (curvature, "_product_frames"))
 
 
 class TestStacksComputedOnce:
