@@ -4,7 +4,7 @@
 one manifest; ``warpfield killing MANIFEST --field NAME`` runs a single
 residual check for a named field.  Exit codes: 0 all selected checks
 pass, 1 a check failed (or an explicitly selected check could not run),
-2 usage or manifest errors.
+2 usage or manifest errors, or a run too large for memory.
 """
 
 from __future__ import annotations
@@ -61,10 +61,17 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(alg=args.tol_alg, two=args.tol_2k)
 
 
+# The largest --samples: the smallest corpus chart already holds some 2 GB
+# there (README, "Command line"), so a larger count is refused in one line.
+MAX_SAMPLES = 10 ** 6
+
+
 def _flag_error(args) -> str | None:
     """Why the run flags cannot drive a run, or None when they can."""
     if args.samples < 1:
         return f"--samples must be at least 1, got {args.samples}"
+    if args.samples > MAX_SAMPLES:
+        return f"--samples must be at most {MAX_SAMPLES}, got {args.samples}"
     for flag, value in (("--tol-alg", args.tol_alg), ("--tol-2k", args.tol_2k)):
         if not (math.isfinite(value) and value > 0):
             return f"{flag} must be finite and positive, got {value}"
@@ -207,6 +214,8 @@ def main(argv=None) -> int:
             return cmd_killing(args)
     except (ManifestError, FileNotFoundError, GeometryError, DomainError) as err:
         return _usage_error(err)
+    except MemoryError as err:
+        return _usage_error(f"out of memory: {err}")
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
     """t[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij over the last three
     axes of ``dg[..., d, i, j]``; gamma = g^-1 t / 2."""
     t = np.moveaxis(dg, -1, -3)
-    return t + np.swapaxes(t, -1, -2) - dg
+    return t + t.swapaxes(-1, -2) - dg
 
 
 class Geometry:
@@ -308,7 +308,7 @@ def nabla_grid(gamma: np.ndarray, val: np.ndarray, d: np.ndarray) -> np.ndarray:
     of ``gamma``, ``val`` and ``d`` broadcast (stacks of points or vectors).
     """
     kw = gamma.reshape(gamma.shape[:-3] + (-1, gamma.shape[-1])) @ val[..., None]
-    return d + np.swapaxes(kw.reshape(kw.shape[:-2] + gamma.shape[-3:-1]), -1, -2)
+    return d + kw.reshape(kw.shape[:-2] + gamma.shape[-3:-1]).swapaxes(-1, -2)
 
 
 def nabla(geom: Geometry, z, kind: str = LEVI_CIVITA) -> np.ndarray:

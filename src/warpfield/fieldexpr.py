@@ -349,12 +349,17 @@ class JetEnv(dict):
 def fold_quadratics(nodes, env: JetEnv):
     """The jets of ``Quadratic`` nodes over the same monomials in a
     ``jet_env``, in one fold: (value, grad, hess), each with the node axis
-    last.  Each term's rows of the env's monomial table are scaled by its
-    coefficient vector over the nodes, and the terms are added in the
-    order ``eval_expr`` adds them, so every entry takes the operations,
-    and has the bits, of its node's own walk.  None unless every node is a
-    ``Quadratic`` with at least one term, over the monomials of the first,
-    each a row of the table."""
+    last.  The terms' rows of the env's monomial table are gathered once
+    and scaled by their (term, node) coefficients in one product, the
+    constants join term 0's value, and the terms are added into term 0
+    one at a time, in the order ``eval_expr`` adds them, so every entry
+    takes the operations, and has the bits and the sign, of its node's
+    own walk.  ``np.add.reduce`` (``sum``) over the term axis would not:
+    it may start from +0, which turns a -0 entry into +0; and
+    ``np.add.accumulate`` keeps the bits but runs one short inner loop
+    per entry, slower than these few whole-array adds.  None unless
+    every node is a ``Quadratic`` with at least one term, over the
+    monomials of the first, each a row of the table."""
     monos = [m for _, m in nodes[0].terms] if isinstance(nodes[0], Quadratic) else []
     if not monos or any(not isinstance(q, Quadratic) or [m for _, m in q.terms] != monos
                         for q in nodes):
@@ -364,10 +369,11 @@ def fold_quadratics(nodes, env: JetEnv):
     if None in rows:
         return None
     coeffs = np.array([[c for c, _ in q.terms] for q in nodes]).T  # (term, node)
-    acc = table[rows[0], :, :, None] * coeffs[0]  # (S, jet, node)
+    prods = table[rows, :, :, None] * coeffs[:, None, None]  # (term, S, jet, node)
+    acc = prods[0]
     acc[:, 0] += [q.const for q in nodes]  # the value's first sum: const + term
-    for r, c in zip(rows[1:], coeffs[1:]):
-        acc += table[r, :, :, None] * c
+    for term in prods[1:]:
+        acc += term
     b = len(env)
     hess = acc[:, 1 + b:].reshape(len(acc), b, b, -1)
     return acc[:, 0], acc[:, 1:1 + b], np.ascontiguousarray(hess)

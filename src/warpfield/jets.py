@@ -62,7 +62,7 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # u_i v_j + u_j v_i is exactly symmetric in floating point
     m = _outer(u, v)
-    return m + np.swapaxes(m, -1, -2)
+    return m + m.swapaxes(-1, -2)
 
 
 def _map(fn, x):

@@ -61,7 +61,7 @@ def point_max(stack: np.ndarray) -> np.ndarray:
 def form(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """m(x, y) = x_a m_ab y_b for stacks of vectors x, y (..., draws, n)
     against one matrix m (..., n, n) per stack."""
-    return np.sum((x @ m) * y, axis=-1)
+    return ((x @ m) * y).sum(axis=-1)
 
 
 def lie_matrix(geom: Geometry, zeta: ProductField, kind: str = LEVI_CIVITA) -> np.ndarray:
@@ -78,7 +78,7 @@ def _lie_matrices(geom: Geometry, zeta: ProductField, kind: str) -> np.ndarray:
 
 def _swap(m: np.ndarray) -> np.ndarray:
     """The transpose of each matrix of a stack."""
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def _along(v: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -173,28 +173,37 @@ def _dgamma_kept(geom: Geometry) -> np.ndarray:
     return dgamma.reshape(s, n ** 3, n)[:, rows]
 
 
+def _gamma_rows(geom: Geometry) -> np.ndarray:
+    """gamma in (j, a, k) layout, gr[s, j, a n + k] = gamma^k_aj, built once
+    per geometry as an (S, n, n^2) stack: row j is what d_m zeta^j meets."""
+    gamma = geom.christoffel()
+    s, n = len(geom.points), geom.ps.total_dim
+    return np.ascontiguousarray(gamma.transpose(0, 3, 2, 1)).reshape(s, n, n * n)
+
+
 def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
     """w[s, a, k] = (nabla_{e_a} zeta)^k (Levi-Civita) and its partials
     dw[s, m, a, k] = d_m d_a zeta^k + d_m gamma^k_aj zeta^j + gamma^k_aj
     d_m zeta^j.  The d gamma term is one matmul over the rows a product
-    can make nonzero (``dgamma_rows``); every other row is +0.  Each
-    part's second partials go into its diagonal block, and gamma meets
-    d zeta only on the rows m of the parts' blocks: every other row of
-    d zeta is +0.  Not a stack, as dw holds S n^3 floats per field, so a
-    field read by both ``lie_lie_matrix`` and ``nabla_zeta_zeta`` builds
-    it twice.  It is C-ordered, as the products that read it sum in that
-    layout."""
+    can make nonzero (``dgamma_rows``); every other row is +0.  A lifted
+    part depends on its own block's coordinates only, so d_m zeta^j is +0
+    unless m and j both lie in its block: each part adds its second
+    partials to its diagonal block and the gamma term to its rows m, one
+    matmul of its block of d zeta against its rows j of ``_gamma_rows``.
+    No two parts share a row m, so no term is summed across parts.  Not a
+    stack, as dw holds S n^3 floats per field, so a field read by both
+    ``lie_lie_matrix`` and ``nabla_zeta_zeta`` builds it twice.  It is
+    C-ordered, as the products that read it sum in that layout."""
     zj = geom.field_jet(zeta)
     s, n = len(geom.points), geom.ps.total_dim
     _, rows = dgamma_rows(geom.ps.dims)
     dw = np.zeros((s, n ** 3))
     dw[:, rows] = (geom.stack(_dgamma_kept) @ zj.val[:, :, None])[:, :, 0]
     dw = dw.reshape(s, n, n, n)
-    blocks = np.zeros(n, dtype=bool)
+    gr = geom.stack(_gamma_rows)
     for sl, h in zj.d2:
         dw[:, sl, sl, sl] += h
-        blocks[sl] = True
-    dw[:, blocks] += nabla_grid(geom.christoffel()[:, None], zj.d[:, blocks], 0.0)
+        dw[:, sl] += (zj.d[:, sl, sl] @ gr[:, sl]).reshape(s, -1, n, n)
     return nabla(geom, zeta), dw
 
 

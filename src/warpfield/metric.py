@@ -200,7 +200,7 @@ class ProductStructure:
             try:
                 arrays = assemble(jet_of)
                 # the sum is finite unless an entry is inf or NaN (or it overflows)
-                if np.isfinite(sum(np.sum(a) for a in arrays)):
+                if np.isfinite(sum(a.sum() for a in arrays)):
                     return arrays
             except (DomainError, NonPositiveWarping):
                 pass

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from warpfield.cli import corpus_dir, main, resolve_manifest
+from warpfield import cli
+from warpfield.cli import build_parser, corpus_dir, main, resolve_manifest
 from warpfield.manifest import load_manifest
 from warpfield.suite import default_registry
 
@@ -405,9 +406,37 @@ class TestFlagBounds:
         assert len(captured.err.strip().splitlines()) == 1
         assert captured.err.startswith("warpfield: --")
 
-    def test_parser_is_reused_after_a_usage_error(self, capsys):
-        from warpfield.cli import build_parser
+    # 10^11 samples: the sample draw's first allocation (745 GiB) fails
+    # outright, so no count here can really allocate
+    HUGE = str(10 ** 11)
 
+    @pytest.mark.parametrize("argv", [("verify", "interval.wm"),
+                                      ("killing", "interval.wm", "--field", "zeta_a")],
+                             ids=["verify", "killing"])
+    def test_samples_above_the_ceiling_is_one_line_usage_error(self, argv, capsys):
+        assert main([*argv, "--samples", self.HUGE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"warpfield: --samples must be at most {cli.MAX_SAMPLES}, "
+                                f"got {self.HUGE}\n")
+
+    def test_the_ceiling_itself_is_accepted(self):
+        args = build_parser().parse_args(["verify", "interval.wm",
+                                          "--samples", str(cli.MAX_SAMPLES)])
+        assert cli._flag_error(args) is None
+
+    @pytest.mark.parametrize("argv", [("verify", "interval.wm"),
+                                      ("killing", "interval.wm", "--field", "zeta_a")],
+                             ids=["verify", "killing"])
+    def test_out_of_memory_is_one_line_usage_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 10 ** 12)
+        assert main([*argv, "--samples", self.HUGE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("warpfield: out of memory: ")
+
+    def test_parser_is_reused_after_a_usage_error(self, capsys):
         good = ["killing", "sphere.wm", "--field", "zeta_phi", "--samples", "4"]
         assert main(good) == 0
         first = capsys.readouterr()

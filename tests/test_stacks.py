@@ -237,17 +237,50 @@ class TestKeptDgammaRows:
             assert np.isnan(lie_killing.point_max(lie_lie_matrix(ctx.geom, f))[5])
 
 
+class TestGammaRows:
+    """The gamma d zeta term of the grid jet is one matmul per part, of the
+    part's block of d zeta against its block's rows j of ``_gamma_rows``,
+    and equals the dense contraction over the part's rows m."""
+
+    @pytest.mark.parametrize("samples", [1, 16, 64])
+    @pytest.mark.parametrize("mf", CHARTS, ids=[mf.name for mf in CHARTS])
+    def test_part_term_is_the_dense_contraction(self, mf, samples):
+        ctx = RunContext(mf, samples=samples)
+        geom = ctx.geom
+        gamma = geom.christoffel()
+        blocks = ["base", *range(len(ctx.ps.fibers))]
+        synth = ProductField(tuple(ctx.synth(b, "gamma-rows") for b in blocks))
+        # zero the d gamma term and the second partials, so that dw is the
+        # gamma d zeta term alone
+        kept = geom.stack(lie_killing._dgamma_kept)
+        geom._stacks[(lie_killing._dgamma_kept, ())] = np.zeros_like(kept)
+        for f in [*ctx.field_combos().values(), synth]:
+            zj = geom.field_jet(f)
+            geom._stacks[(connections._field_jets, (f,))] = FieldJet(
+                zj.val, zj.d, tuple((sl, np.zeros_like(h)) for sl, h in zj.d2))
+            _, dw = lie_killing._nabla_grid_jets(geom, f)
+            rows = np.zeros(geom.ps.total_dim, dtype=bool)
+            for sl, _ in zj.d2:
+                want = nabla_grid(gamma[:, None], zj.d[:, sl], 0.0)
+                got = dw[:, sl]
+                # the bits hold unless the two products round differently
+                assert (np.array_equal(got, want)
+                        or np.abs(got - want).max() <= 1e-14 * np.abs(want).max())
+                rows[sl] = True
+            assert not dw[:, ~rows].any()
+
+
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
           (connections, "_ssm_gamma"), (curvature, "_curvatures"),
           (lie_killing, "_lie_matrices"), (lie_killing, "_lie_lie_matrices"),
-          (lie_killing, "_dgamma_kept"), (lie_killing, "_nabla_zeta_zetas"),
-          (curvature, "_product_frames"))
+          (lie_killing, "_dgamma_kept"), (lie_killing, "_gamma_rows"),
+          (lie_killing, "_nabla_zeta_zetas"), (curvature, "_product_frames"))
 
 
 class TestStacksComputedOnce:
     """Across all checks of a run, each geometry computes its Christoffel,
-    curvature and frame stacks once, and each (geometry, field, kind) Lie
-    stack once."""
+    curvature and frame stacks and the grid jet's rows of d gamma and of
+    gamma once, and each (geometry, field, kind) Lie stack once."""
 
     @pytest.mark.parametrize("name", ["grw_exp", "mw2_fib", "kasner"])
     def test_each_stack_computed_once(self, name, monkeypatch):

@@ -14,6 +14,7 @@ checkouts can be compared for byte-identical reports:
 Usage, from the root of a checkout::
 
     python tests/tools/report_digest.py [--src DIR] [--verdicts] [--dump FILE]
+                                        [--against FILE]
 
 ``--src`` is the ``src`` directory whose warpfield is run (default: this
 checkout's); the corpus and the wide-chart generator are read from this
@@ -22,13 +23,18 @@ and (check, verdict) pairs, so a change that moves residuals in their
 last digits can still show that no verdict moved.  Pytest does not
 collect this file.  ``--dump FILE`` also writes the hashed records to FILE,
 one JSON object per line in invocation order, so the dumps of two
-checkouts can be diffed row by row.
+checkouts can be diffed row by row.  ``--against FILE`` reads such a dump
+of another checkout (made with the same ``--verdicts`` setting) and
+prints, before the digest, each invocation whose record differs from it:
+its key, then only the changed lines, the dump's prefixed ``-`` and this
+run's ``+``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -101,6 +107,22 @@ def verdicts(record: dict) -> dict:
     return {"key": record["key"], "exit": record["exit"], "verdicts": pairs}
 
 
+def changed_lines(old: dict, new: dict) -> list[str]:
+    """The lines of two records of one invocation that differ: of each
+    text field only the changed lines, of any other field both values."""
+    out = []
+    for field in sorted(set(old) | set(new)):
+        a, b = old.get(field), new.get(field)
+        if a == b:
+            continue
+        if isinstance(a, str) and isinstance(b, str):
+            out += [f"  {field}: {line}" for line in
+                    difflib.ndiff(a.splitlines(), b.splitlines()) if line[:1] in "-+"]
+        else:
+            out += [f"  {field}: - {json.dumps(a)}", f"  {field}: + {json.dumps(b)}"]
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -108,10 +130,16 @@ def main() -> int:
                         help="hash key, exit code and verdicts only")
     parser.add_argument("--dump", type=Path,
                         help="write the hashed records to this JSONL file")
+    parser.add_argument("--against", type=Path,
+                        help="print the records that differ from this --dump file")
     args = parser.parse_args()
+    against = {}
+    if args.against:
+        with args.against.open(encoding="utf-8") as f:
+            against = {rec["key"]: rec for rec in map(json.loads, f)}
     sys.path.insert(0, str(args.src.resolve()))
     digest = hashlib.sha256()
-    count = 0
+    count = moved = 0
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         dump = (stack.enter_context(args.dump.open("w", encoding="utf-8"))
                 if args.dump else None)
@@ -123,7 +151,15 @@ def main() -> int:
             digest.update(line.encode("utf-8"))
             if dump:
                 dump.write(line)
+            if args.against and against.get(key) != record:
+                moved += 1
+                if key in against:
+                    print(key, *changed_lines(against[key], record), sep="\n")
+                else:
+                    print(f"{key}: not in {args.against}")
             count += 1
+    if args.against:
+        print(f"{moved} of {count} invocations differ from {args.against}")
     print(f"{count} invocations  sha256 {digest.hexdigest()}")
     return 0
 
