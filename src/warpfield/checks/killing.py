@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..connections import LEVI_CIVITA, SEMI_SYMMETRIC, bilinear, dot, matvec
-from ..fieldexpr import num, pretty
+from ..fieldexpr import num, parse_expr, pretty
 from ..fields import ProductField, VectorFieldDef, lift
 from ..lie_killing import form, lie_matrix, max_abs, nabla_quads, point_max
-from ..spacetimes import GRW, STANDARD_STATIC, SpacetimeSpec, build_spacetime
+from ..metric import ProductStructure, diagonal_block
 from ..suite import (
     FAIL,
     HYP_TOL,
@@ -46,6 +46,7 @@ from .util import (
     multi_fiber,
     part_sums,
     project_out,
+    rebuild_gap,
     shift_on_base,
     shift_on_fiber,
     timelike_line,
@@ -548,34 +549,32 @@ def _is_static_shape(mf) -> bool:
 
 
 def _builder_grw(ctx: RunContext) -> Outcome:
+    """Def 3.19, -dt^2 + f(t)^2 g_F, rebuilt in the manifest's coordinates."""
     ps = ctx.ps
-    spec = SpacetimeSpec(GRW, {
-        "interval": ps.base.box[0],
-        "warp": pretty(ps.warps[0]),
-        "fiber": ps.fibers[0],
-    })
+    t = ps.base.coords
+    rebuilt = ProductStructure(
+        base=diagonal_block("base", t, (num(-1.0),), ps.base.box),
+        fibers=ps.fibers, warps=(parse_expr(pretty(ps.warps[0]), t),))
     g = ctx.geom.metric_jet().g
-    rebuilt = build_spacetime(spec).metric_jet(ctx.points()).g
     w = ctx.geom.warp_jet(0).value[:, None, None]
     sl = ps.block_slice(0)
     fiber = g[:, sl, sl] - w * w * ctx.block_geom(0).metric_jet().g
-    vals = np.stack([point_max(g - rebuilt), g[:, 0, 0] + 1.0, point_max(fiber)], axis=1)
+    vals = np.stack([rebuild_gap(ctx, rebuilt), g[:, 0, 0] + 1.0, point_max(fiber)], axis=1)
     return residual_outcome(vals, 1e-10, note="programmatic rebuild matches the manifest")
 
 
 def _builder_static(ctx: RunContext) -> Outcome:
+    """Def 3.23, g_B - f^2 ds^2, rebuilt in the manifest's coordinates."""
     ps = ctx.ps
-    spec = SpacetimeSpec(STANDARD_STATIC, {
-        "base": ps.base,
-        "interval": ps.fibers[0].box[0],
-        "warp": pretty(ps.warps[0]),
-        "time_coord": ps.fibers[0].coords[0],
-    })
-    g = ctx.geom.metric_jet().g
-    rebuilt = build_spacetime(spec).metric_jet(ctx.points()).g
+    interval = ps.fibers[0]
+    rebuilt = ProductStructure(
+        base=ps.base,
+        fibers=(diagonal_block("fiber.1", interval.coords, (num(-1.0),), interval.box),),
+        warps=(parse_expr(pretty(ps.warps[0]), ps.base.coords),))
     w = ctx.geom.warp_jet(0).value
     i = ps.block_slice(0).start
-    vals = np.stack([point_max(g - rebuilt), g[:, i, i] + w * w], axis=1)
+    vals = np.stack([rebuild_gap(ctx, rebuilt),
+                     ctx.geom.metric_jet().g[:, i, i] + w * w], axis=1)
     return residual_outcome(vals, 1e-10, note="fiber block is minus the squared warp")
 
 

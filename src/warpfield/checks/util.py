@@ -1,7 +1,7 @@
 """Shared helpers for the registered checks: the shift, manifest-shape
 and timelike-line predicates, the factor-field classifier, the (base part, fiber part)
-enumeration and the contractions that stacks over the sample set are
-combined with."""
+enumeration, the builders' rebuild gap and the contractions that stacks
+over the sample set are combined with."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from ..connections import bilinear, dot, matvec
 from ..fieldexpr import eval_expr, variables_of
 from ..fields import FieldJet, ProductField, VectorFieldDef, lift
 from ..jets import DomainError, Jet2
-from ..lie_killing import max_abs
+from ..lie_killing import max_abs, point_max
 from ..metric import ProductStructure
 
 
@@ -67,6 +67,12 @@ def timelike_line(block) -> bool:
         return float(eval_expr(block.entries[0][0], {})) == -1.0
     except DomainError:
         return False
+
+
+def rebuild_gap(ctx, ps: ProductStructure) -> np.ndarray:
+    """Per sample point, the largest |entry| of the manifest's metric
+    minus that of ``ps``, a family rebuilt on the same chart."""
+    return point_max(ctx.geom.metric_jet().g - ps.metric_jet(ctx.points()).g)
 
 
 def embed(ps: ProductStructure, block, vec: np.ndarray) -> np.ndarray:

@@ -34,6 +34,12 @@ FUNCTION_NAMES = frozenset(FUNCTIONS) | {"pow"}
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
+# The most levels a parsed tree may have, each node counting one; while
+# parsing, also the most parentheses, calls, unary minuses and exponents
+# left open.  It keeps parsing, eval_expr, pretty, variables_of and the
+# nodes' hash far inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 class ExprError(ValueError):
     pass
@@ -138,7 +144,10 @@ def _tokenize(src: str):
             continue
         m = NUMBER_RE.match(src, i)
         if m:
-            tokens.append(("num", float(m.group(0)), i))
+            v = float(m.group(0))
+            if math.isinf(v):
+                raise ExprSyntaxError(f"number {m.group(0)} overflows", i)
+            tokens.append(("num", v, i))
             i = m.end()
             continue
         m = IDENT_RE.match(src, i)
@@ -159,6 +168,7 @@ class _Parser:
         self.pos = 0
         self.variables = variables
         self.constants = constants
+        self.open = 0  # levels left open above the current token
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -180,41 +190,44 @@ class _Parser:
         kind, text, _ = self.peek()
         return kind == "op" and text in ops
 
+    # each rule returns (node, height): the tree's levels, at most MAX_DEPTH
     def expr(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.take()
-            node = Bin(op, node, self.term())
-        return node
+        return self.chain(self.term, "+", "-")
 
     def term(self):
-        node = self.factor()
-        while self.at_op("*", "/"):
-            _, op, _ = self.take()
-            node = Bin(op, node, self.factor())
-        return node
+        return self.chain(self.factor, "*", "/")
+
+    def chain(self, operand, *ops):
+        node, h = operand()
+        while self.at_op(*ops):
+            _, op, off = self.take()
+            rhs, r = operand()
+            node, h = Bin(op, node, rhs), self.level(max(h, r), off)
+        return node, h
 
     def factor(self):
         if self.at_op("-"):
-            self.take()
-            return Neg(self.factor())
+            off = self.take()[2]
+            arg, h = self.inner(self.factor, off)
+            return Neg(arg), self.level(h, off)
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, h = self.atom()
         if self.at_op("^"):
-            self.take()
-            node = Bin("^", node, self.factor())
-        return node
+            off = self.take()[2]
+            rhs, r = self.inner(self.factor, off)
+            node, h = Bin("^", node, rhs), self.level(max(h, r), off)
+        return node, h
 
     def atom(self):
         kind, text, off = self.take()
         if kind == "num":
-            return Num(text)
+            return Num(text), 1
         if kind == "op" and text == "(":
-            node = self.expr()
+            got = self.inner(self.expr, off)
             self.expect_op(")")
-            return node
+            return got
         if kind == "ident":
             if self.at_op("("):
                 if text == "pow":
@@ -225,15 +238,30 @@ class _Parser:
                 if text not in FUNCTION_NAMES:
                     raise UnknownIdentifierError(text, off)
                 self.take()
-                arg = self.expr()
+                arg, h = self.inner(self.expr, off)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self.level(h, off)
             if text in self.variables:
-                return Var(text)
+                return Var(text), 1
             if text in self.constants:
-                return Num(float(self.constants[text]))
+                return Num(float(self.constants[text])), 1
             raise UnknownIdentifierError(text, off)
         raise ExprSyntaxError(f"unexpected token {text!r}", off)
+
+    def inner(self, rule, off):
+        """rule() one level further in: a parenthesis nests no node, so the
+        levels left open are bounded on the way down too."""
+        self.open = self.level(self.open, off)
+        got = rule()
+        self.open -= 1
+        return got
+
+    @staticmethod
+    def level(h: int, off: int) -> int:
+        """The height of a node over children at most h high."""
+        if h >= MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return h + 1
 
 
 def parse_expr(src: str, variables, constants=None) -> Expr:
@@ -246,7 +274,7 @@ def parse_expr(src: str, variables, constants=None) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(src)
     parser = _Parser(tokens, frozenset(variables), dict(constants or {}))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, text, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", off)
@@ -262,7 +290,7 @@ def _power(base, expo):
     e = float(expo)
     if isinstance(base, Jet2):
         return base ** e
-    if e == int(e) and abs(e) <= 64:
+    if math.isfinite(e) and e == int(e) and abs(e) <= 64:
         # repeated multiplication, matching the jet path bit for bit
         return int_pow(base, int(e)) if e else 1.0
     if base <= 0.0:

@@ -67,13 +67,13 @@ def _sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _map(fn, x):
     """fn applied to each sample value as a Python float; a result too
-    large for a float is inf, which the metric layer reports as an
-    overflow at its sample."""
+    large for a float, or over a denominator that underflows to 0, is inf,
+    which the metric layer reports as an overflow at its sample."""
     try:
         if isinstance(x, np.ndarray):
             return np.array([fn(v) for v in x.tolist()], dtype=float)
         return fn(x)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return _map(_inf_on_overflow(fn), x)
 
 
@@ -81,7 +81,7 @@ def _inf_on_overflow(fn):
     def guarded(x):
         try:
             return fn(x)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return math.inf
     return guarded
 
@@ -192,7 +192,7 @@ class Jet2:
                 return _per_sample(lambda a, b: a ** b, self, expo)
             expo = first
         e = float(expo)
-        if e == int(e) and abs(e) <= 64:
+        if math.isfinite(e) and e == int(e) and abs(e) <= 64:
             return int_pow(self, int(e)) if e else Jet2.constant(1.0, self.n)
         require(np.logical_not(self.value <= 0.0), self.value,
                 "non-integer power of non-positive base {}")
@@ -211,7 +211,10 @@ def int_pow(base, k: int):
     """base^k for an integer k != 0 by repeated squaring, a negative k as
     1 / base^-k; a float and each sample of a jet take the same steps."""
     if k < 0:
-        return 1.0 / int_pow(base, -k)
+        den = int_pow(base, -k)
+        if not isinstance(den, Jet2) and den == 0.0:
+            raise DivisionByZero("division by zero")
+        return 1.0 / den
     result = None
     while k:
         if k & 1:

@@ -139,7 +139,7 @@ def lie_lie_matrix(geom: Geometry, zeta: ProductField) -> np.ndarray:
       (L L g)(x, y) = g(nabla_zeta nabla_x zeta - nabla_[zeta,x] zeta, y)
                       + (x <-> y) + 2 g(nabla_x zeta, nabla_y zeta).
     """
-    return geom.stack(_lie_lie_matrices, zeta)
+    return geom.stack(_second_orders, zeta)[0]
 
 
 @functools.cache
@@ -191,8 +191,8 @@ def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np
     partials to its diagonal block and the gamma term to its rows m, one
     matmul of its block of d zeta against its rows j of ``_gamma_rows``.
     No two parts share a row m, so no term is summed across parts.  Not a
-    stack, as dw holds S n^3 floats per field, so a field read by both
-    ``lie_lie_matrix`` and ``nabla_zeta_zeta`` builds it twice.  It is
+    stack, as dw holds S n^3 floats per field: ``_second_orders`` builds
+    it once per field and keeps only what it reduces to.  It is
     C-ordered, as the products that read it sum in that layout."""
     zj = geom.field_jet(zeta)
     s, n = len(geom.points), geom.ps.total_dim
@@ -207,7 +207,9 @@ def _nabla_grid_jets(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np
     return nabla(geom, zeta), dw
 
 
-def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
+def _second_orders(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, ...]:
+    """(L_zeta L_zeta g, nabla_zeta zeta, its partials) from one grid jet
+    of nabla zeta."""
     zj = geom.field_jet(zeta)
     w, dw = _nabla_grid_jets(geom, zeta)
     # nabla_zeta w_a = zeta(w_a) + w_a gz, gz[j, k] = zeta^m gamma^k_mj
@@ -216,7 +218,10 @@ def _lie_lie_matrices(geom: Geometry, zeta: ProductField) -> np.ndarray:
     # v_a = [zeta, e_a] = -d_a zeta, so nabla_{v_a} zeta = -(d zeta) w
     g = geom.metric_jet().g
     first = (nzw + zj.d @ w) @ g
-    return first + _swap(first) + 2.0 * (w @ g @ _swap(w))
+    # nabla_zeta zeta = zeta^a w[a, k]
+    val = zj.val[:, None, :]
+    return (first + _swap(first) + 2.0 * (w @ g @ _swap(w)),
+            (val @ w)[:, 0], zj.d @ w + (val[:, None] @ dw)[:, :, 0])
 
 
 # ---- residual checks ----
@@ -243,15 +248,7 @@ def homothety_check(geom: Geometry, mats, tol: float = 1e-8) -> HomothetyResult:
 def nabla_zeta_zeta(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
     """The field w = nabla_zeta zeta: (values, partials dw[s, m, k]), both
     stacked over the sample points; computed once per (geometry, field)."""
-    return geom.stack(_nabla_zeta_zetas, zeta)
-
-
-def _nabla_zeta_zetas(geom: Geometry, zeta: ProductField) -> tuple[np.ndarray, np.ndarray]:
-    """zeta^a w[a, k] and its partials, from the grid jet of nabla zeta."""
-    zj = geom.field_jet(zeta)
-    w, dw = _nabla_grid_jets(geom, zeta)
-    val = zj.val[:, None, :]
-    return (val @ w)[:, 0], zj.d @ w + (val[:, None] @ dw)[:, :, 0]
+    return geom.stack(_second_orders, zeta)[1:]
 
 
 def eq22_residual(geom: Geometry, zeta, xs) -> np.ndarray:

@@ -123,7 +123,10 @@ def _build_block(label: str, entries, constants, header_line: int,
     warp_line = header_line
     for line_no, key, value in entries:
         if key == "dim":
-            dim = int(_parse_float(value, line_no))
+            dim = _parse_float(value, line_no)
+            if not (dim.is_integer() and dim >= 1):
+                raise ManifestError(f"dim must be a positive integer, got {value!r}", line_no)
+            dim = int(dim)
         elif key == "coords":
             coords = tuple(s.strip() for s in value.split(","))
             if not all(NAME_RE.match(c) for c in coords):
@@ -193,6 +196,8 @@ def parse_manifest(text: str, name: str = "<manifest>") -> Manifest:
             if not NAME_RE.match(key):
                 raise ManifestError(f"bad constant name {key!r}", ln)
             constants[key] = _parse_float(value, ln)
+            if not math.isfinite(constants[key]):
+                raise ManifestError(f"constant {key} must be finite, got {value!r}", ln)
 
     if "base" not in by_kind:
         raise ManifestError("missing [base] section", 1)

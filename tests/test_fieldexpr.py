@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from conftest import EXPR_CORPUS, corpus_points
 from oracles import seed
 from warpfield.fieldexpr import (
+    MAX_DEPTH,
     ArityError,
     Bin,
     Call,
@@ -17,7 +21,7 @@ from warpfield.fieldexpr import (
     pretty,
     variables_of,
 )
-from warpfield.jets import DomainError
+from warpfield.jets import DivisionByZero, DomainError
 
 
 class TestParsing:
@@ -93,6 +97,8 @@ FUZZ_CORPUS = [
     "x-",
     "/x",
     "x^()",
+    "1e400",
+    "x*2e308",
 ]
 
 
@@ -125,6 +131,17 @@ class TestEvaluation:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             eval_expr(parse_expr("1/x", ("x",)), {"x": 0.0})
+
+    def test_zero_to_a_negative_power_is_division_by_zero(self):
+        with pytest.raises(DivisionByZero):
+            eval_expr(parse_expr("x^-1", ("x",)), {"x": 0.0})
+
+    def test_infinite_exponent_is_not_an_integer(self):
+        # 1000^1000 overflows to inf, which int() would refuse
+        e = parse_expr("x^(1000^1000)", ("x",))
+        assert eval_expr(e, {"x": 2.0}) == math.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 in the partials
+            assert eval_expr(e, {"x": seed((2.0,), 0)}).value == math.inf
 
     def test_real_domain_error(self):
         with pytest.raises(DomainError):
@@ -177,3 +194,40 @@ class TestPrinting:
         for values in pts:
             env = dict(zip(order, values))
             assert eval_expr(e, env) == eval_expr(e2, env)
+
+
+class TestDepthLimit:
+    """A tree of MAX_DEPTH levels parses, and every recursive walk of it
+    runs inside the default recursion limit.  One level more is a syntax
+    error at the node that reaches it, the outermost (the last of a sum);
+    one parenthesis more, at that parenthesis."""
+
+    AT_LIMIT = {
+        "minuses": "-" * (MAX_DEPTH - 1) + "x",
+        "sum": " + ".join(["x"] * MAX_DEPTH),
+        "powers": "^".join(["x"] * MAX_DEPTH),
+        "calls": "exp(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "parentheses": "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    }
+    PAST_LIMIT = {
+        "minuses": ("-" * MAX_DEPTH + "x", 0),
+        "sum": (" + ".join(["x"] * (MAX_DEPTH + 1)), 4 * MAX_DEPTH - 2),
+        "powers": ("^".join(["x"] * (MAX_DEPTH + 1)), 1),
+        "calls": ("exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 0),
+        "parentheses": ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(AT_LIMIT))
+    def test_limit_is_accepted_and_walked(self, shape):
+        e = parse_expr(self.AT_LIMIT[shape], ("x",))
+        assert parse_expr(pretty(e), ("x",)) == e
+        assert variables_of(e) == {"x"} and isinstance(hash(e), int)
+        eval_expr(e, {"x": 0.5})
+
+    @pytest.mark.parametrize("shape", sorted(PAST_LIMIT))
+    def test_one_level_more_is_rejected(self, shape):
+        src, offset = self.PAST_LIMIT[shape]
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(src, ("x",))
+        assert str(err.value) == (f"expression nested deeper than {MAX_DEPTH} levels "
+                                  f"(at offset {offset})")

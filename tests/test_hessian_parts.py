@@ -58,7 +58,7 @@ class TestNoChartWidthHessian:
                 if not any(isinstance(a, ProductField) for a in args):
                     continue
                 field_stacks += 1
-                second_order += compute is lie_killing._lie_lie_matrices
+                second_order += compute is lie_killing._second_orders
                 for a in arrays_in(value):
                     assert a.size < s * n ** 3, (compute.__name__, args, a.shape)
         assert field_stacks > 50 and second_order > 5

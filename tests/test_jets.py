@@ -135,6 +135,19 @@ class TestFunctions:
         j = jets.tanh(seed((t,), 0))
         assert (j.value, j.grad[0], j.hess[0, 0]) == (math.copysign(1.0, t), 0.0, 0.0)
 
+    def test_zero_float_to_a_negative_power_is_division_by_zero(self):
+        with pytest.raises(jets.DivisionByZero):
+            jets.int_pow(0.0, -3)
+        with pytest.raises(jets.DivisionByZero):
+            jets.int_pow(1e-200, -2)  # the square underflows to 0
+
+    def test_underflowing_denominator_is_inf(self):
+        # log's second derivative -1/x^2, where x^2 underflows to 0
+        d2 = jets._map(lambda x: -1.0 / (x * x), np.array([1.0, 1e-320]))
+        assert list(d2) == [-1.0, math.inf]
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Hessian
+            assert not jets.log(seed((1e-320,), 0)).finite()
+
     def test_exp_overflow_is_inf(self):
         # the metric layer reports a non-finite jet as an overflow at its point
         with np.errstate(invalid="ignore"):  # inf * 0 in the Hessian

@@ -272,9 +272,9 @@ class TestGammaRows:
 
 STACKS = ((connections, "_christoffel"), (connections, "_christoffel_jet"),
           (connections, "_ssm_gamma"), (curvature, "_curvatures"),
-          (lie_killing, "_lie_matrices"), (lie_killing, "_lie_lie_matrices"),
+          (lie_killing, "_lie_matrices"), (lie_killing, "_second_orders"),
           (lie_killing, "_dgamma_kept"), (lie_killing, "_gamma_rows"),
-          (lie_killing, "_nabla_zeta_zetas"), (curvature, "_product_frames"))
+          (curvature, "_product_frames"))
 
 
 class TestStacksComputedOnce:

@@ -507,10 +507,10 @@ class TestRunTable:
                 return real(geom, *args)
             return counted
 
-        for attr in ("_lie_matrices", "_lie_lie_matrices"):
+        for attr in ("_lie_matrices", "_second_orders"):
             monkeypatch.setattr(lie_killing, attr, counting(attr))
         run_checks(corpus[name], registry.specs, samples=16)
-        assert {key[0] for key in calls} == {"_lie_matrices", "_lie_lie_matrices"}
+        assert {key[0] for key in calls} == {"_lie_matrices", "_second_orders"}
         repeated = [key for key, n in calls.items() if n > 1]
         assert repeated == []
 
